@@ -71,7 +71,9 @@ def build_fbar(gen: Generator, T: float, quad: QuadratureSpec) -> AveragedGenera
     is the canonical admissible choice and is what every sweep here uses.
     A generator declared time-independent is its own average, exactly, so it
     is passed through untouched (this keeps the degenerate sweep identically
-    zero instead of zero-up-to-quadrature-rounding).
+    zero instead of zero-up-to-quadrature-rounding).  Otherwise each call of
+    fbar evaluates f once, with the 256 quadrature nodes on a leading axis of
+    t, and contracts that axis with the weights.
     """
     if not gen.time_dependent:
         return AveragedGenerator(
@@ -79,8 +81,7 @@ def build_fbar(gen: Generator, T: float, quad: QuadratureSpec) -> AveragedGenera
             provenance="analytic", name=f"avg[{gen.name}]",
         )
     gx, gw = np.polynomial.legendre.leggauss(4)
-    # f is smooth in t; 64 panels of GL-4 integrate it to rounding while the
-    # closure stays cheap enough to sit inside every Picard sweep
+    # f is smooth in t; 64 panels of GL-4 integrate it to rounding
     edges = np.linspace(0.0, T, min(quad.panels, 64) + 1)
     mid = 0.5 * (edges[:-1] + edges[1:])
     half = 0.5 * (edges[1:] - edges[:-1])
@@ -88,10 +89,12 @@ def build_fbar(gen: Generator, T: float, quad: QuadratureSpec) -> AveragedGenera
     weights = ((half[:, None] * gw[None, :]).ravel()) / T
 
     def fbar(x, y, z1, z2):
-        acc = weights[0] * np.asarray(gen(nodes[0], x, y, z1, z2), dtype=float)
-        for s, w in zip(nodes[1:], weights[1:]):
-            acc = acc + w * gen(s, x, y, z1, z2)
-        return acc
+        # one call of f with the nodes on a leading axis; broadcast_to covers
+        # an f that ignores t and returns the state shape
+        shape = np.broadcast_shapes(np.shape(x), np.shape(y), np.shape(z1), np.shape(z2))
+        s = nodes.reshape(nodes.shape + (1,) * len(shape))
+        values = np.broadcast_to(gen(s, x, y, z1, z2), nodes.shape + shape)
+        return np.tensordot(weights, values, axes=1)
 
     return AveragedGenerator(fn=fbar, provenance="quadrature-of-f",
                              name=f"avg[{gen.name}]")

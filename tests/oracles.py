@@ -3,7 +3,9 @@
 Nothing here imports production quadrature code: the double integral is done
 by plain product integration (the singular factor integrated exactly per
 panel, the smooth factor at panel midpoints) on meshes graded toward the
-singularity.  Deliberately simple and slow.
+singularity.  Deliberately simple and slow.  The per-node f-bar and the
+per-column extraction are the loop forms of two vectorised production layers,
+kept here as cross-checks.
 """
 
 import numpy as np
@@ -84,3 +86,39 @@ def discrete_wiener_variance(xi_values, nodes, H):
             )
             var += xi_values[j] * xi_values[k] * cov_inc
     return var
+
+
+def per_node_fbar(gen, T, panels=64):
+    """(1/T) int_0^T f(s, .) ds by composite GL-4, one call of f per node.
+
+    The same nodes and weights as the production quadrature, accumulated
+    node by node with scalar s; the production route makes one broadcast
+    call over all nodes instead.
+    """
+    gx, gw = np.polynomial.legendre.leggauss(4)
+    edges = np.linspace(0.0, T, min(panels, 64) + 1)
+    mid = 0.5 * (edges[:-1] + edges[1:])
+    half = 0.5 * (edges[1:] - edges[:-1])
+    nodes = (mid[:, None] + half[:, None] * gx[None, :]).ravel()
+    weights = ((half[:, None] * gw[None, :]).ravel()) / T
+
+    def fbar(x, y, z1, z2):
+        acc = weights[0] * np.asarray(gen(nodes[0], x, y, z1, z2), dtype=float)
+        for s, w in zip(nodes[1:], weights[1:]):
+            acc = acc + w * gen(s, x, y, z1, z2)
+        return acc
+
+    return fbar
+
+
+def per_column_triple(x_nodes, psi, psi_x, eta, sig1, sig2):
+    """(Y, Z1, Z2) along eta by two np.interp calls per time column."""
+    Y = np.empty_like(eta)
+    Z1 = np.empty_like(eta)
+    Z2 = np.empty_like(eta)
+    for k in range(eta.shape[1]):
+        Y[:, k] = np.interp(eta[:, k], x_nodes, psi[k])
+        slope = np.interp(eta[:, k], x_nodes, psi_x[k])
+        Z1[:, k] = sig1[k] * slope
+        Z2[:, k] = sig2[k] * slope
+    return Y, Z1, Z2

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from sfrbsde.averaging_lab import (
     BoxSampler,
@@ -24,6 +26,9 @@ from sfrbsde.errors import ContractError, InfeasibleAlphaError
 from sfrbsde.frac_kernel import CoefficientSet, DeterministicFn, HurstModel, QuadratureSpec
 from sfrbsde.grids import TimeGrid
 from sfrbsde.path_engine import RngSpec
+from sfrbsde.verify import replace_config_generator
+
+from oracles import per_node_fbar
 
 H75 = HurstModel(0.75)
 QUAD = QuadratureSpec()
@@ -69,6 +74,51 @@ class TestBuildFbar:
         analytic = benchmark_fbar()
         x, y, z1, z2 = sample_points()
         assert np.allclose(fbar(x, y, z1, z2), analytic(x, y, z1, z2), atol=1e-9)
+
+
+FBAR_GENERATORS = {
+    "benchmark": benchmark_generator(1.0),
+    # t ignored but declared time-dependent: the quadrature route must still
+    # broadcast the state-shaped result over the node axis
+    "t-ignoring": replace_config_generator(Generator.linear_y(0.3)),
+    "t-ignoring-constant": Generator(
+        fn=lambda t, x, y, z1, z2: np.full_like(np.asarray(y, dtype=float), 0.7),
+        name="const"),
+    "x-and-t": Generator(
+        fn=lambda t, x, y, z1, z2: np.cos(3.0 * t + np.asarray(x)) * np.asarray(z2)
+        + t**2 * np.asarray(y),
+        name="mixed"),
+}
+
+
+def assert_fbar_matches_oracle(gen, T, args):
+    got = build_fbar(gen, T, QUAD)(*args)
+    want = per_node_fbar(gen, T, QUAD.panels)(*args)
+    assert np.shape(got) == np.shape(want)
+    np.testing.assert_allclose(got, want, rtol=1e-13, atol=1e-13)
+
+
+class TestFbarOracle:
+    """The broadcast f-bar against the per-node loop it replaces."""
+
+    @pytest.mark.parametrize("name", sorted(FBAR_GENERATORS))
+    def test_arrays(self, name):
+        assert_fbar_matches_oracle(FBAR_GENERATORS[name], 1.0, sample_points(n=257))
+
+    @pytest.mark.parametrize("name", sorted(FBAR_GENERATORS))
+    def test_scalars(self, name):
+        assert_fbar_matches_oracle(FBAR_GENERATORS[name], 1.0, (0.3, -1.2, 0.4, 2.0))
+
+    @pytest.mark.parametrize("name", sorted(FBAR_GENERATORS))
+    def test_mixed_shapes(self, name):
+        _, y, z1, _ = sample_points(n=24)
+        assert_fbar_matches_oracle(FBAR_GENERATORS[name], 1.0,
+                                   (0.5, y.reshape(4, 6), z1.reshape(4, 6), 1.5))
+
+    @given(st.floats(0.1, 5.0), st.integers(0, 2**16))
+    @settings(max_examples=25, deadline=None)
+    def test_benchmark_any_horizon(self, T, seed):
+        assert_fbar_matches_oracle(benchmark_generator(T), T, sample_points(n=33, seed=seed))
 
 
 class TestEstimatePhi:

@@ -1,6 +1,10 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from sfrbsde import bsde_solver
+from sfrbsde.averaging_lab import build_fbar
 from sfrbsde.bsde_solver import (
     Generator,
     PdeConfig,
@@ -12,10 +16,13 @@ from sfrbsde.bsde_solver import (
     residual_mean_check,
     solve_psi,
 )
-from sfrbsde.errors import CoefficientError, DomainTooSmallError
-from sfrbsde.frac_kernel import CoefficientSet, DeterministicFn, HurstModel
+from sfrbsde.config import benchmark_generator
+from sfrbsde.errors import CoefficientError, DomainTooSmallError, NumericError, PicardError
+from sfrbsde.frac_kernel import CoefficientSet, DeterministicFn, HurstModel, QuadratureSpec
 from sfrbsde.grids import TimeGrid
 from sfrbsde.path_engine import RngSpec, make_ensemble, simulate_eta
+
+from oracles import per_column_triple
 
 H75 = HurstModel(0.75)
 ONE = DeterministicFn.const(1.0)
@@ -91,7 +98,9 @@ class TestSolvePsi:
         std = np.sqrt(coeffs128.sigma_abs_sq_table[-1])
         assert central_errors(field, truth, std) <= 1e-6
         # the announced value psi(0, 0) = |sigma|^2_T = 2
-        assert field.value_along(0, np.array([0.0]))[0] == pytest.approx(2.0, rel=1e-8)
+        mid = field.x_nodes.size // 2
+        assert field.x_nodes[mid] == pytest.approx(0.0, abs=1e-12)
+        assert field.psi[0, mid] == pytest.approx(2.0, rel=1e-8)
 
     def test_linear_generator_growth(self, coeffs128):
         r = 0.1
@@ -127,6 +136,112 @@ class TestSolvePsi:
         truth = field.x_nodes[None, :] ** 2 + shift[:, None]
         std = eps**0.75 * np.sqrt(coeffs128.sigma_abs_sq_table[-1])
         assert central_errors(field, truth, std) <= 1e-6
+
+
+class TestPicardWork:
+    """One factorisation per backward step, and one solve per Picard sweep:
+    262 for f and 257 for f-bar on this problem, the solve_banded call count
+    of the earlier solver that re-factored on every sweep."""
+
+    @pytest.fixture
+    def counted(self, monkeypatch):
+        calls = {"dgttrf": 0, "dgttrs": 0}
+
+        def counting(name, fn):
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return fn(*args, **kwargs)
+            return wrapper
+
+        monkeypatch.setattr(bsde_solver, "dgttrf", counting("dgttrf", bsde_solver.dgttrf))
+        monkeypatch.setattr(bsde_solver, "dgttrs", counting("dgttrs", bsde_solver.dgttrs))
+        return calls
+
+    @pytest.mark.parametrize("averaged, solves", [(False, 262), (True, 257)])
+    def test_factor_once_per_step(self, counted, averaged, solves):
+        coeffs = build_coeffs(n=64)
+        gen = benchmark_generator(1.0)
+        if averaged:
+            gen = build_fbar(gen, 1.0, QuadratureSpec()).as_generator()
+        solve_psi(gen, TerminalCondition.square(), coeffs, 0.5, PdeConfig(n_space=64), eta0=1.0)
+        assert counted["dgttrf"] == coeffs.grid.n_steps
+        assert counted["dgttrs"] == solves
+
+
+class TestNonFiniteIterate:
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_raises_picard_error(self, coeffs128, bad):
+        def fn(t, x, y, z1, z2):
+            out = np.asarray(y, dtype=float).copy()
+            out[len(out) // 2] = bad
+            return out
+
+        gen = Generator(fn=fn, name="bad", time_dependent=False)
+        with pytest.raises(PicardError) as info:
+            solve_psi(gen, TerminalCondition.identity(), coeffs128, 1.0, PdeConfig(n_space=64))
+        # the CLI maps NumericError onto exit code 3
+        assert isinstance(info.value, NumericError)
+        assert info.value.step == coeffs128.grid.n_steps - 1
+
+
+def assert_triple_matches_oracle(field, eta, coeffs):
+    t = field.t_nodes
+    want = per_column_triple(field.x_nodes, field.psi, field.psi_x, eta,
+                             coeffs.sigma1(t), coeffs.sigma2(t))
+    trip = extract_triple(field, eta, coeffs, max_clamp_fraction=1.0)
+    for got, ref in zip((trip.Y, trip.Z1, trip.Z2), want):
+        assert np.abs(got - ref).max() <= 1e-14
+
+
+class TestExtractOracle:
+    """Vectorised extraction against the per-column np.interp loop it replaces."""
+
+    @pytest.fixture(scope="class")
+    def field_and_coeffs(self):
+        coeffs = build_coeffs(n=64, sigma2=DeterministicFn.const(2.0))
+        field = solve_psi(benchmark_generator(1.0), TerminalCondition.square(),
+                          coeffs, 0.5, PdeConfig(kappa=6.0, n_space=128), eta0=0.5)
+        return field, coeffs
+
+    def test_on_paths(self, field_and_coeffs):
+        field, coeffs = field_and_coeffs
+        ens = make_ensemble(coeffs.grid, H75, 3000, RngSpec(seed=7))
+        assert_triple_matches_oracle(field, simulate_eta(coeffs, ens, 0.5, eta0=0.5), coeffs)
+
+    def test_on_grid_nodes(self, field_and_coeffs):
+        field, coeffs = field_and_coeffs
+        n_t = field.t_nodes.size
+        node = np.resize(np.arange(field.x_nodes.size), (7, n_t))
+        eta = field.x_nodes[node]
+        assert_triple_matches_oracle(field, eta, coeffs)
+        # a node reads its own table value exactly, as np.interp does
+        k = np.arange(n_t)[None, :]
+        trip = extract_triple(field, eta, coeffs, max_clamp_fraction=1.0)
+        assert np.array_equal(trip.Y, field.psi[k, node])
+        assert np.array_equal(trip.Z1, coeffs.sigma1(field.t_nodes) * field.psi_x[k, node])
+
+    def test_at_and_beyond_ends(self, field_and_coeffs):
+        field, coeffs = field_and_coeffs
+        lo, hi = field.x_nodes[0], field.x_nodes[-1]
+        ends = [lo, hi, np.nextafter(hi, -np.inf), np.nextafter(lo, np.inf),
+                lo - 1e-12, hi + 1e-12, lo - 3.0, hi + 3.0]
+        eta = np.repeat(np.array(ends)[:, None], field.t_nodes.size, axis=1)
+        assert_triple_matches_oracle(field, eta, coeffs)
+        trip = extract_triple(field, eta, coeffs, max_clamp_fraction=1.0)
+        assert np.array_equal(trip.Y[1], field.psi[:, -1])
+        assert np.array_equal(trip.Y[6], field.psi[:, 0])
+
+    @given(st.integers(0, 2**32 - 1), st.floats(0.0, 0.5))
+    @settings(max_examples=25, deadline=None)
+    def test_random_positions(self, field_and_coeffs, seed, overshoot):
+        field, coeffs = field_and_coeffs
+        lo, hi = field.x_nodes[0], field.x_nodes[-1]
+        pad = overshoot * (hi - lo)
+        rng = np.random.default_rng(seed)
+        eta = rng.uniform(lo - pad, hi + pad, (5, field.t_nodes.size))
+        # also land some cells exactly on nodes
+        eta[0] = rng.choice(field.x_nodes, field.t_nodes.size)
+        assert_triple_matches_oracle(field, eta, coeffs)
 
 
 class TestExtractTriple:

@@ -124,6 +124,14 @@ class TestCli:
     def test_missing_config_exit_2(self, tmp_path):
         assert main(["sweep", "--config", str(tmp_path / "absent.cfg")]) == 2
 
+    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+    def test_non_finite_picard_iterate_exit_3(self, tmp_path, capsys):
+        # y' = 1e150 y overflows to inf within the first backward step
+        path = write_cfg(tmp_path, SMALL + "generator = linear_y:1e150\n"
+                         f"out_dir = {tmp_path / 'out'}\n")
+        assert main(["solve", "--config", path]) == 3
+        assert "Picard" in capsys.readouterr().err
+
     def test_simulate_fbm_outputs(self, tmp_path):
         path = write_cfg(tmp_path, SMALL + f"out_dir = {tmp_path / 'out'}\n")
         assert main(["simulate-fbm", "--config", path]) == 0
