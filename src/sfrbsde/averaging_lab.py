@@ -23,7 +23,7 @@ from __future__ import annotations
 
 import math
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Callable, Sequence
 
 import numpy as np
@@ -31,13 +31,19 @@ import numpy as np
 from .bsde_solver import (
     Generator,
     PdeConfig,
+    SolutionField,
     TerminalCondition,
-    extract_triple,
+    block_rows,
+    brackets,
+    check_clamp,
+    count_outside,
+    field_tables,
+    interp_at,
     solve_psi,
 )
 from .errors import ContractError, InfeasibleAlphaError, NumericError
 from .frac_kernel import CoefficientSet, HurstModel, QuadratureSpec, c0_const, c1_lower_bound
-from .path_engine import PathEnsemble, RngSpec, make_ensemble, simulate_eta
+from .path_engine import RngSpec, eta_from_noise, eta_noise, make_ensemble
 
 WINDOW_NOTE = (
     "rate window is [T*eps^(1-beta), T] per the stated theorem; the proof's "
@@ -405,33 +411,92 @@ class SweepReport:
         raise KeyError(f"epsilon {epsilon!r} not in sweep")
 
 
-def _window_stats(stat_args):
-    (epsilon, grid, i_lo, dY, dZ_sq, Ya, Z1a, Z2a) = stat_args
-    t = grid.nodes
-    n_paths = dY.shape[0]
-    w = slice(i_lo, None)
-    dY_sq = dY[:, w] ** 2
-    mse = dY_sq.mean(axis=0)
-    mse_se = dY_sq.std(axis=0, ddof=1) / np.sqrt(n_paths)
-    j = int(np.argmax(mse))
-    z_int = np.trapezoid(dZ_sq[:, w], t[w], axis=1)
-    dy_int = np.trapezoid(dY_sq, t[w], axis=1)
-    sup_abs = np.abs(dY[:, w]).max(axis=1)
-    moments = tuple(
-        float((arr[:, w] ** 2).mean(axis=0).max()) for arr in (Ya, Z1a, Z2a)
-    )
-    return {
-        "sup_mse": float(mse[j]),
-        "sup_mse_stderr": float(mse_se[j]),
-        "sup_mse_at": float(t[w][j]),
-        "z_err_integral": float(z_int.mean()),
-        "z_err_stderr": float(z_int.std(ddof=1) / np.sqrt(n_paths)),
-        "dy_integral": float(dy_int.mean()),
-        "dy_integral_stderr": float(dy_int.std(ddof=1) / np.sqrt(n_paths)),
-        "mean_sup_sq": float((sup_abs**2).mean()),
-        "path_sup_abs": sup_abs,
-        "moments": moments,
-    }
+class _WindowFold:
+    """One epsilon's error statistics over the window [u, T], folded path block by block.
+
+    Both fields share the x grid (the domain depends only on the
+    coefficients, eps, eta0 and kappa), so one bracket per block serves
+    both.  Per window column it keeps Chan's mergeable (count, mean, M2) of
+    dY^2 and the sums of Ybar^2, Zbar1^2 and Zbar2^2; per path, the
+    trapezoid integrals of |dZ|^2 and |dY|^2 and sup |dY|, in disjoint rows.
+    """
+
+    def __init__(self, i_lo: int, field_orig: SolutionField, field_avg: SolutionField,
+                 coeffs: CoefficientSet, n_paths: int, eta0: float):
+        t = coeffs.grid.nodes
+        self.i_lo, self.coeffs, self.eta0 = i_lo, coeffs, eta0
+        self.x_nodes = field_orig.x_nodes
+        self.orig = field_tables(field_orig, i_lo)
+        self.avg = field_tables(field_avg, i_lo)
+        self.t = t[i_lo:]
+        # trapezoid weights on the window; |dZ|^2 = (sigma1^2 + sigma2^2) |d psi_x|^2
+        half_steps = np.diff(self.t) / 2.0
+        self.weights = np.zeros(self.t.size)
+        self.weights[1:] += half_steps
+        self.weights[:-1] += half_steps
+        self.sig_sq = np.stack([np.asarray(sigma(t), dtype=float)[i_lo:] ** 2
+                                for sigma in (coeffs.sigma1, coeffs.sigma2)])
+        self.z_weights = self.weights * self.sig_sq.sum(axis=0)
+        self.outside = 0
+        self.count = 0
+        self.mean = np.zeros(self.t.size)
+        self.m2 = np.zeros(self.t.size)
+        self.sq_sums = np.zeros((3, self.t.size))
+        self.z_int = np.empty(n_paths)
+        self.dy_int = np.empty(n_paths)
+        self.sup_abs = np.empty(n_paths)
+
+    def result(self) -> dict:
+        """The statistics of every path folded so far.
+
+        Raises DomainTooSmallError when more than 1% of all path nodes
+        (t = 0 included) lie outside the PDE domain, as extract_triple does.
+        """
+        n = self.count
+        check_clamp(self.outside, n * self.coeffs.grid.n_nodes, self.x_nodes)
+        root_n = np.sqrt(n)
+        mse_se = np.sqrt(self.m2 / (n - 1)) / root_n
+        j = int(np.argmax(self.mean))
+        return {
+            "sup_mse": float(self.mean[j]),
+            "sup_mse_stderr": float(mse_se[j]),
+            "sup_mse_at": float(self.t[j]),
+            "z_err_integral": float(self.z_int.mean()),
+            "z_err_stderr": float(self.z_int.std(ddof=1) / root_n),
+            "dy_integral": float(self.dy_int.mean()),
+            "dy_integral_stderr": float(self.dy_int.std(ddof=1) / root_n),
+            "mean_sup_sq": float((self.sup_abs**2).mean()),
+            "path_sup_abs": self.sup_abs,
+            "moments": tuple(float(m) for m in (self.sq_sums / n).max(axis=1)),
+        }
+
+
+def _window_stats(fold: _WindowFold, epsilon: float, noise: np.ndarray, start: int) -> None:
+    """Fold the block of paths start, start+1, ... (eps-free noise `noise`) into `fold`."""
+    eta = eta_from_noise(fold.coeffs, noise, epsilon, fold.eta0)
+    fold.outside += count_outside(fold.x_nodes, eta)
+    cell, offset = brackets(fold.x_nodes, eta[:, fold.i_lo:])
+    Y_o = interp_at(*fold.orig[:2], cell, offset)
+    Y_a = interp_at(*fold.avg[:2], cell, offset)
+    slope_o = interp_at(*fold.orig[2:], cell, offset)
+    slope_a = interp_at(*fold.avg[2:], cell, offset)
+    dY = Y_o - Y_a
+    dY_sq = dY**2
+    n_b = eta.shape[0]
+    rows = slice(start, start + n_b)
+    fold.z_int[rows] = ((slope_o - slope_a) ** 2 * fold.z_weights).sum(axis=1)
+    fold.dy_int[rows] = (dY_sq * fold.weights).sum(axis=1)
+    fold.sup_abs[rows] = np.abs(dY).max(axis=1)
+
+    mean_b = dY_sq.mean(axis=0)
+    m2_b = ((dY_sq - mean_b) ** 2).sum(axis=0)
+    n = fold.count + n_b
+    delta = mean_b - fold.mean
+    fold.m2 += m2_b + delta**2 * (fold.count * n_b / n)
+    fold.mean += delta * (n_b / n)
+    fold.count = n
+    fold.sq_sums[0] += (Y_a**2).sum(axis=0)
+    fold.sq_sums[1:] += (slope_a**2).sum(axis=0) * fold.sig_sq
 
 
 def run_sweep(
@@ -440,27 +505,34 @@ def run_sweep(
     term: TerminalCondition,
     eps_list: Sequence[float],
     cfg: SweepConfig,
-    ensemble: PathEnsemble | None = None,
 ) -> SweepReport:
     """Solve original vs averaged systems across eps on shared noise.
 
     For each eps both PDEs share the drift/diffusion coefficients (the
     averaged system keeps eta^eps); triples are read on the SAME eta^eps
     paths, so every error statistic is a common-random-number estimate.
+
+    Every field is solved first (on `cfg.workers` threads across eps).  The
+    paths are then streamed in fixed blocks of `block_rows(n_nodes)` paths:
+    each block draws (B, B^H) once from the per-path streams of its global
+    path indices, and every eps builds eta^eps from the block's eps-free
+    noise, reads both fields on the window columns and folds the block into
+    its statistics.  No n_paths x n_nodes array is ever held; what grows
+    with n_paths is three per-path vectors per eps.  The statistics do not
+    depend on the worker count, and reruns are byte-identical.
     """
     eps = [float(e) for e in eps_list]
     if not eps or any(not 0 < e <= 1 for e in eps) or any(
         not a > b for a, b in zip(eps, eps[1:])
     ):
         raise ValueError("eps_list must be strictly decreasing inside (0, 1]")
+    if cfg.n_paths < 1:
+        raise ValueError("n_paths must be positive")
 
     grid = coeffs.grid
     T = coeffs.T
     hurst = coeffs.hurst
     t0 = cfg.t0 if cfg.t0 is not None else T / 100.0
-    if ensemble is None:
-        ensemble = make_ensemble(grid, hurst, cfg.n_paths, cfg.rng,
-                                 method=cfg.fbm_method, workers=cfg.workers)
 
     fbar = build_fbar(original, T, cfg.quad)
     averaged = fbar.as_generator()
@@ -469,32 +541,41 @@ def run_sweep(
     starts = np.linspace(0.0, T * (1.0 - 1.0 / cfg.phi_windows), cfg.phi_windows)
     phi = estimate_phi(original, fbar, cfg.phi_sampler, [(s, T) for s in starts])
 
-    def solve_for(epsilon: float) -> PerEpsilonStats:
+    def fold_for(epsilon: float) -> _WindowFold:
         field_orig = solve_psi(original, term, coeffs, epsilon, cfg.pde, cfg.eta0)
         field_avg = solve_psi(averaged, term, coeffs, epsilon, cfg.pde, cfg.eta0)
-        eta = simulate_eta(coeffs, ensemble, epsilon, cfg.eta0)
-        trip_o = extract_triple(field_orig, eta, coeffs)
-        trip_a = extract_triple(field_avg, eta, coeffs)
         i_lo = grid.first_index_at_or_after(T * epsilon ** (1.0 - cfg.beta))
         i_lo = min(i_lo, grid.n_steps - 1)  # keep a nonempty window
-        u = float(grid.nodes[i_lo])
-        dZ_sq = (trip_o.Z1 - trip_a.Z1) ** 2 + (trip_o.Z2 - trip_a.Z2) ** 2
-        raw = _window_stats((epsilon, grid, i_lo, trip_o.Y - trip_a.Y, dZ_sq,
-                             trip_a.Y, trip_a.Z1, trip_a.Z2))
+        return _WindowFold(i_lo, field_orig, field_avg, coeffs, cfg.n_paths, cfg.eta0)
+
+    if cfg.workers > 1 and len(eps) > 1:
+        with ThreadPoolExecutor(max_workers=cfg.workers) as pool:
+            folds = list(pool.map(fold_for, eps))
+    else:
+        folds = [fold_for(e) for e in eps]
+
+    rows = block_rows(grid.n_nodes)
+    for start in range(0, cfg.n_paths, rows):
+        # path p of the block draws from the sub-stream of global path start + p
+        block = make_ensemble(grid, hurst, min(rows, cfg.n_paths - start),
+                              replace(cfg.rng, stream=cfg.rng.stream + start),
+                              method=cfg.fbm_method, workers=cfg.workers)
+        noise = eta_noise(coeffs, block)
+        for epsilon, fold in zip(eps, folds):
+            _window_stats(fold, epsilon, noise, start)
+
+    stats = []
+    for epsilon, fold in zip(eps, folds):
+        raw = fold.result()
+        u = float(grid.nodes[fold.i_lo])
         constants = compute_constants(
             L, C1, phi.value, u, T, epsilon, cfg.beta, hurst,
             raw.pop("moments"), t0=t0,
         )
-        return PerEpsilonStats(
-            epsilon=epsilon, t_lo=u, window_start_index=i_lo,
+        stats.append(PerEpsilonStats(
+            epsilon=epsilon, t_lo=u, window_start_index=fold.i_lo,
             constants=constants, **raw,
-        )
-
-    if cfg.workers > 1 and len(eps) > 1:
-        with ThreadPoolExecutor(max_workers=cfg.workers) as pool:
-            stats = list(pool.map(solve_for, eps))
-    else:
-        stats = [solve_for(e) for e in eps]
+        ))
 
     delta2 = cfg.delta2
     if delta2 is None:
@@ -510,7 +591,7 @@ def run_sweep(
     report = SweepReport(
         eps_list=tuple(eps), T=T, beta=cfg.beta, delta1=cfg.delta1,
         delta2=float(delta2), t0=t0, L=L, C1=C1, phi_bound=phi.value,
-        n_paths=ensemble.n_paths, stats=stats,
+        n_paths=cfg.n_paths, stats=stats,
     )
     check_lemma1(report)
     check_theorem_rate(report)

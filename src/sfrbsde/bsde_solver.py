@@ -271,14 +271,40 @@ def solve_psi(
     return SolutionField(t_nodes=t.copy(), x_nodes=x, psi=psi, psi_x=psi_x)
 
 
-def _brackets(x_nodes: np.ndarray, eta: np.ndarray):
-    """Flat cell index into a (n_time, n_x) table and offset eta - x_j, per (path, t).
+# Paths are read in row blocks of ~2^17 (path, t) cells: the index and offset
+# temporaries stay small and cache-resident (one block over all rows was ~35%
+# slower), and a sweep streams its paths in blocks of the same size.
+BLOCK_CELLS = 1 << 17
+MAX_CLAMP_FRACTION = 0.01
 
-    x_nodes is a linspace, so the cell is found in O(1) from the scaled
-    position and then nudged by one where rounding put it off the node values.
-    eta is clamped to [x_0, x_N] first, and the last node is a cell of its
-    own, so eta at or beyond either end reads the end value exactly, as
-    np.interp does.
+
+def block_rows(n_nodes: int) -> int:
+    """Paths per block for paths of n_nodes nodes."""
+    return max(1, BLOCK_CELLS // n_nodes)
+
+
+def count_outside(x_nodes: np.ndarray, eta: np.ndarray) -> int:
+    """Number of eta values outside [x_0, x_N]."""
+    return int(np.count_nonzero((eta < x_nodes[0]) | (eta > x_nodes[-1])))
+
+
+def check_clamp(outside: int, cells: int, x_nodes: np.ndarray,
+                max_clamp_fraction: float = MAX_CLAMP_FRACTION) -> float:
+    """The share of path nodes read clamped to the domain ends; raises above the limit."""
+    clamp_fraction = outside / cells
+    if clamp_fraction > max_clamp_fraction:
+        raise DomainTooSmallError(clamp_fraction, (x_nodes[-1] - x_nodes[0]) / 2.0)
+    return clamp_fraction
+
+
+def brackets(x_nodes: np.ndarray, eta: np.ndarray):
+    """Flat cell index into a (n_cols, n_x) table and offset eta - x_j, per (path, column).
+
+    Column c of eta is read from row c of the table.  x_nodes is a linspace,
+    so the cell is found in O(1) from the scaled position and then nudged by
+    one where rounding put it off the node values.  eta is clamped to
+    [x_0, x_N] first, and the last node is a cell of its own, so eta at or
+    beyond either end reads the end value exactly, as np.interp does.
     """
     n = x_nodes.size - 1
     lo, hi = x_nodes[0], x_nodes[-1]
@@ -293,15 +319,28 @@ def _brackets(x_nodes: np.ndarray, eta: np.ndarray):
     return j, e
 
 
-def _slopes(table: np.ndarray, x_nodes: np.ndarray) -> np.ndarray:
-    """Per-cell slopes of each row, as np.interp forms them; the last node's cell is flat."""
-    out = np.zeros_like(table)
-    out[:, :-1] = np.diff(table, axis=1) / np.diff(x_nodes)
-    return out
+def field_tables(field: SolutionField, start: int = 0):
+    """Flat (psi, psi slopes, psi_x, psi_x slopes) of the time rows from `start` on.
+
+    Slopes are per cell, as np.interp forms them; the last node's cell is flat.
+    """
+    dx = np.diff(field.x_nodes)
+    out = []
+    for table in (field.psi[start:], field.psi_x[start:]):
+        slopes = np.zeros_like(table)
+        slopes[:, :-1] = np.diff(table, axis=1) / dx
+        out += [table.ravel(), slopes.ravel()]
+    return tuple(out)
+
+
+def interp_at(values: np.ndarray, slopes: np.ndarray, cell: np.ndarray,
+              offset: np.ndarray) -> np.ndarray:
+    """slope * (eta - x_j) + f_j at bracketed cells: np.interp's arithmetic, so the values match it."""
+    return slopes.take(cell) * offset + values.take(cell)
 
 
 def extract_triple(field: SolutionField, eta: np.ndarray, coeffs: CoefficientSet,
-                   max_clamp_fraction: float = 0.01) -> TriplePath:
+                   max_clamp_fraction: float = MAX_CLAMP_FRACTION) -> TriplePath:
     """Read (Y, Z1, Z2) along eta paths by interpolating psi and psi_x.
 
     Z2 sigma1 = Z1 sigma2 holds exactly at every node because both controls
@@ -310,30 +349,21 @@ def extract_triple(field: SolutionField, eta: np.ndarray, coeffs: CoefficientSet
     t = field.t_nodes
     if eta.ndim != 2 or eta.shape[1] != t.size:
         raise ValueError("eta paths do not match the solution field's time grid")
-    lo, hi = field.x_nodes[0], field.x_nodes[-1]
-    outside = np.count_nonzero((eta < lo) | (eta > hi))
-    clamp_fraction = outside / eta.size
-    if clamp_fraction > max_clamp_fraction:
-        kappa = (hi - lo) / 2.0
-        raise DomainTooSmallError(clamp_fraction, kappa)
+    clamp_fraction = check_clamp(count_outside(field.x_nodes, eta), eta.size,
+                                 field.x_nodes, max_clamp_fraction)
 
     sig1 = np.asarray(coeffs.sigma1(t), dtype=float)
     sig2 = np.asarray(coeffs.sigma2(t), dtype=float)
     Y = np.empty_like(eta)
     Z1 = np.empty_like(eta)
     Z2 = np.empty_like(eta)
-    # slope * (eta - x_j) + f_j is np.interp's arithmetic, so the values match it
-    psi, psi_x = field.psi.ravel(), field.psi_x.ravel()
-    dpsi = _slopes(field.psi, field.x_nodes).ravel()
-    dpsi_x = _slopes(field.psi_x, field.x_nodes).ravel()
-    # row blocks of ~2^17 cells keep the index and offset temporaries small and
-    # cache-resident; one block over all rows was ~35% slower
-    rows = max(1, (1 << 17) // t.size)
+    psi, dpsi, psi_x, dpsi_x = field_tables(field)
+    rows = block_rows(t.size)
     for r in range(0, eta.shape[0], rows):
         block = slice(r, r + rows)
-        cell, offset = _brackets(field.x_nodes, eta[block])
-        Y[block] = dpsi.take(cell) * offset + psi.take(cell)
-        slope = dpsi_x.take(cell) * offset + psi_x.take(cell)
+        cell, offset = brackets(field.x_nodes, eta[block])
+        Y[block] = interp_at(psi, dpsi, cell, offset)
+        slope = interp_at(psi_x, dpsi_x, cell, offset)
         np.multiply(slope, sig1, out=Z1[block])
         np.multiply(slope, sig2, out=Z2[block])
     return TriplePath(grid=TimeGrid(T=float(t[-1]), n_steps=t.size - 1), eta=eta,

@@ -8,6 +8,7 @@ validates every field and reports ALL violations at once.
 from __future__ import annotations
 
 import hashlib
+import math
 import os
 from dataclasses import dataclass, fields
 from typing import Callable
@@ -194,6 +195,10 @@ def parse_generator(text: str, t_horizon: float, bench_params) -> Generator:
                          name=f"constant[{v}]", lipschitz_sq=0.0, time_dependent=False)
     if kind == "linear_y":
         r = float(arg) if arg.strip() else 0.1
+        # the declared Lipschitz constant is r^2, which must be a finite float
+        if not math.isfinite(r * r):
+            raise ConfigError([f"generator: linear_y rate {r!r} must be finite "
+                               "with a finite square"])
         return Generator.linear_y(r)
     raise ConfigError([f"generator: unknown preset {kind!r} "
                        f"(legal: {', '.join(_GENERATOR_PRESETS)})"])

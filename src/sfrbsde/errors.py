@@ -72,14 +72,19 @@ class PicardError(NumericError):
 
 
 class DomainTooSmallError(NumericError):
-    """Too many path nodes fell outside the truncated PDE domain."""
+    """Too many path nodes fell outside the truncated PDE domain.
 
-    def __init__(self, clamp_fraction, kappa):
+    `half_width` is the domain's half-width in x units, kappa times the
+    standard deviation of eta_T.
+    """
+
+    def __init__(self, clamp_fraction, half_width):
         self.clamp_fraction = clamp_fraction
-        self.kappa = kappa
+        self.half_width = half_width
         super().__init__(
             f"{clamp_fraction:.2%} of path nodes left the PDE domain "
-            f"(kappa={kappa}); enlarge the domain half-width multiplier"
+            f"(half-width {half_width:.4g} in x units); enlarge kappa, the "
+            "half-width multiplier"
         )
 
 

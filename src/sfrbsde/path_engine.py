@@ -15,7 +15,7 @@ autocovariance (fast path for long grids).  Both target the covariance
 from __future__ import annotations
 
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -52,7 +52,7 @@ class RngSpec:
 
 @dataclass
 class PathEnsemble:
-    """Monte-Carlo paths of (B, B^H) and optionally eta on a shared grid."""
+    """Monte-Carlo paths of B and/or B^H on a shared grid."""
 
     grid: TimeGrid
     n_paths: int
@@ -60,8 +60,6 @@ class PathEnsemble:
     hurst: HurstModel | None = None
     B: np.ndarray | None = None
     BH: np.ndarray | None = None
-    eta: np.ndarray | None = None
-    epsilon: float | None = None
     fbm_method: str | None = None
 
     def __post_init__(self):
@@ -73,9 +71,6 @@ class PathEnsemble:
                                      f"{(self.n_paths, self.grid.n_nodes)}")
                 if np.any(arr[:, 0] != 0.0):
                     raise ValueError(f"{name} paths must start at 0")
-
-    def with_eta(self, eta: np.ndarray, epsilon: float) -> "PathEnsemble":
-        return replace(self, eta=eta, epsilon=epsilon)
 
 
 def _fill_rows(fill_chunk, n_paths: int, workers: int = 1):
@@ -261,6 +256,34 @@ def check_lemma_var_bound(xi, ensemble: PathEnsemble) -> VarBoundReport:
     return VarBoundReport(lhs=lhs, rhs=rhs, stderr=stderr, holds=lhs <= rhs + 3.0 * stderr)
 
 
+def eta_noise(coeffs: CoefficientSet, ensemble: PathEnsemble) -> np.ndarray:
+    """The epsilon-free martingale part of eta at nodes t_1..t_n, per path:
+
+        N_k = sum_{j<k} sigma1(t_j) dB_j + sum_{j<k} sigma2(t_j) dBH_j.
+    """
+    if ensemble.B is None or ensemble.BH is None:
+        raise ValueError("ensemble must carry matched B and BH paths")
+    left = ensemble.grid.nodes[:-1]
+    s1 = np.asarray(coeffs.sigma1(left), dtype=float)
+    s2 = np.asarray(coeffs.sigma2(left), dtype=float)
+    noise = np.cumsum(np.diff(ensemble.B, axis=1) * s1, axis=1)
+    noise += np.cumsum(np.diff(ensemble.BH, axis=1) * s2, axis=1)
+    return noise
+
+
+def eta_from_noise(coeffs: CoefficientSet, noise: np.ndarray, epsilon: float,
+                   eta0: float = 0.0) -> np.ndarray:
+    """eta^eps = eta0 + eps^2H int_0^t b ds + eps^H N on the grid, N from `eta_noise`."""
+    if not 0 < epsilon <= 1:
+        raise ValueError(f"epsilon must lie in (0, 1], got {epsilon!r}")
+    eta = np.empty((noise.shape[0], noise.shape[1] + 1))
+    eta[:, 0] = eta0
+    np.multiply(noise, epsilon**coeffs.hurst.h, out=eta[:, 1:])
+    # a + b == b + a exactly, so this is (eta0 + drift) + eps^H N bit for bit
+    eta[:, 1:] += eta0 + epsilon**coeffs.hurst.two_h * coeffs.b_int_table[1:]
+    return eta
+
+
 def simulate_eta(coeffs: CoefficientSet, ensemble: PathEnsemble, epsilon: float,
                  eta0: float = 0.0) -> np.ndarray:
     """Forward process on the grid:
@@ -270,21 +293,8 @@ def simulate_eta(coeffs: CoefficientSet, ensemble: PathEnsemble, epsilon: float,
                          + eps^H sum sigma2(t_k) dBH_k.
 
     eps = 1 recovers the unscaled process.  All eps values reuse the same
-    (B, BH) draws, so sweeps are common-random-number coupled by design.
+    (B, BH) draws, so sweeps are common-random-number coupled by design;
+    a sweep computes the eps-free part once (`eta_noise`) and scales it per
+    eps (`eta_from_noise`).
     """
-    if not 0 < epsilon <= 1:
-        raise ValueError(f"epsilon must lie in (0, 1], got {epsilon!r}")
-    if ensemble.B is None or ensemble.BH is None:
-        raise ValueError("ensemble must carry matched B and BH paths")
-    grid = ensemble.grid
-    two_h = coeffs.hurst.two_h
-    left = grid.nodes[:-1]
-    s1 = np.asarray(coeffs.sigma1(left), dtype=float)
-    s2 = np.asarray(coeffs.sigma2(left), dtype=float)
-    eta = np.empty((ensemble.n_paths, grid.n_nodes))
-    eta[:, 0] = eta0
-    drift = epsilon**two_h * coeffs.b_int_table[1:]
-    noise = np.cumsum(np.diff(ensemble.B, axis=1) * s1, axis=1)
-    noise += np.cumsum(np.diff(ensemble.BH, axis=1) * s2, axis=1)
-    eta[:, 1:] = eta0 + drift + epsilon**coeffs.hurst.h * noise
-    return eta
+    return eta_from_noise(coeffs, eta_noise(coeffs, ensemble), epsilon, eta0)

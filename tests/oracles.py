@@ -5,8 +5,11 @@ by plain product integration (the singular factor integrated exactly per
 panel, the smooth factor at panel midpoints) on meshes graded toward the
 singularity.  Deliberately simple and slow.  The per-node f-bar and the
 per-column extraction are the loop forms of two vectorised production layers,
-kept here as cross-checks.
+and the whole-ensemble sweep is the array form of the streamed one, kept here
+as cross-checks.
 """
+
+import math
 
 import numpy as np
 
@@ -122,3 +125,81 @@ def per_column_triple(x_nodes, psi, psi_x, eta, sig1, sig2):
         Z1[:, k] = sig1[k] * slope
         Z2[:, k] = sig2[k] * slope
     return Y, Z1, Z2
+
+
+def array_window_stats(grid, i_lo, dY, dZ_sq, Ya, Z1a, Z2a):
+    """Window statistics of one eps from whole-ensemble (n_paths, n_nodes) arrays."""
+    t = grid.nodes
+    n_paths = dY.shape[0]
+    w = slice(i_lo, None)
+    dY_sq = dY[:, w] ** 2
+    mse = dY_sq.mean(axis=0)
+    mse_se = dY_sq.std(axis=0, ddof=1) / np.sqrt(n_paths)
+    j = int(np.argmax(mse))
+    z_int = np.trapezoid(dZ_sq[:, w], t[w], axis=1)
+    dy_int = np.trapezoid(dY_sq, t[w], axis=1)
+    sup_abs = np.abs(dY[:, w]).max(axis=1)
+    moments = tuple(
+        float((arr[:, w] ** 2).mean(axis=0).max()) for arr in (Ya, Z1a, Z2a)
+    )
+    return {
+        "sup_mse": float(mse[j]),
+        "sup_mse_stderr": float(mse_se[j]),
+        "sup_mse_at": float(t[w][j]),
+        "z_err_integral": float(z_int.mean()),
+        "z_err_stderr": float(z_int.std(ddof=1) / np.sqrt(n_paths)),
+        "dy_integral": float(dy_int.mean()),
+        "dy_integral_stderr": float(dy_int.std(ddof=1) / np.sqrt(n_paths)),
+        "mean_sup_sq": float((sup_abs**2).mean()),
+        "path_sup_abs": sup_abs,
+        "moments": moments,
+    }
+
+
+def whole_ensemble_sweep(original, coeffs, term, eps_list, cfg):
+    """The eps-sweep on one whole-ensemble draw: every eta^eps as an array,
+    both triples extracted in full, statistics from the arrays."""
+    from sfrbsde import averaging_lab as al
+    from sfrbsde.bsde_solver import extract_triple, solve_psi
+    from sfrbsde.path_engine import make_ensemble, simulate_eta
+
+    grid, T, hurst = coeffs.grid, coeffs.T, coeffs.hurst
+    t0 = cfg.t0 if cfg.t0 is not None else T / 100.0
+    ensemble = make_ensemble(grid, hurst, cfg.n_paths, cfg.rng, method=cfg.fbm_method)
+    fbar = al.build_fbar(original, T, cfg.quad)
+    averaged = fbar.as_generator()
+    L = al.estimate_lipschitz(original, cfg.phi_sampler, T=T)
+    C1 = al.c1_lower_bound(coeffs, t0)
+    starts = np.linspace(0.0, T * (1.0 - 1.0 / cfg.phi_windows), cfg.phi_windows)
+    phi = al.estimate_phi(original, fbar, cfg.phi_sampler, [(s, T) for s in starts])
+    stats = []
+    for epsilon in eps_list:
+        trip_o = extract_triple(solve_psi(original, term, coeffs, epsilon, cfg.pde, cfg.eta0),
+                                simulate_eta(coeffs, ensemble, epsilon, cfg.eta0), coeffs)
+        trip_a = extract_triple(solve_psi(averaged, term, coeffs, epsilon, cfg.pde, cfg.eta0),
+                                trip_o.eta, coeffs)
+        i_lo = min(grid.first_index_at_or_after(T * epsilon ** (1.0 - cfg.beta)),
+                   grid.n_steps - 1)
+        u = float(grid.nodes[i_lo])
+        dZ_sq = (trip_o.Z1 - trip_a.Z1) ** 2 + (trip_o.Z2 - trip_a.Z2) ** 2
+        raw = array_window_stats(grid, i_lo, trip_o.Y - trip_a.Y, dZ_sq,
+                                 trip_a.Y, trip_a.Z1, trip_a.Z2)
+        constants = al.compute_constants(L, C1, phi.value, u, T, epsilon, cfg.beta,
+                                         hurst, raw.pop("moments"), t0=t0)
+        stats.append(al.PerEpsilonStats(epsilon=epsilon, t_lo=u, window_start_index=i_lo,
+                                        constants=constants, **raw))
+    delta2 = cfg.delta2
+    if delta2 is None:
+        delta2 = 2.0 * math.sqrt(max(s.sup_mse for s in stats)) or 1.0
+    for s in stats:
+        exceed = s.path_sup_abs > delta2
+        s.exceed_prob = float(exceed.mean())
+        s.exceed_stderr = math.sqrt(max(s.exceed_prob * (1.0 - s.exceed_prob), 0.0)
+                                    / exceed.size)
+    report = al.SweepReport(eps_list=tuple(eps_list), T=T, beta=cfg.beta, delta1=cfg.delta1,
+                            delta2=float(delta2), t0=t0, L=L, C1=C1, phi_bound=phi.value,
+                            n_paths=cfg.n_paths, stats=stats)
+    al.check_lemma1(report)
+    al.check_theorem_rate(report)
+    al.check_chebyshev(report)
+    return report

@@ -1,4 +1,6 @@
 import math
+import tracemalloc
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
@@ -6,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from sfrbsde.averaging_lab import (
+    AveragingConstants,
     BoxSampler,
     PerEpsilonStats,
     SweepConfig,
@@ -20,15 +23,15 @@ from sfrbsde.averaging_lab import (
     run_sweep,
     solve_alpha0,
 )
-from sfrbsde.bsde_solver import Generator, PdeConfig, TerminalCondition
+from sfrbsde.bsde_solver import Generator, PdeConfig, TerminalCondition, block_rows, domain_bounds
 from sfrbsde.config import benchmark_fbar, benchmark_generator
-from sfrbsde.errors import ContractError, InfeasibleAlphaError
+from sfrbsde.errors import ContractError, DomainTooSmallError, InfeasibleAlphaError
 from sfrbsde.frac_kernel import CoefficientSet, DeterministicFn, HurstModel, QuadratureSpec
 from sfrbsde.grids import TimeGrid
-from sfrbsde.path_engine import RngSpec
+from sfrbsde.path_engine import RngSpec, make_ensemble, simulate_eta
 from sfrbsde.verify import replace_config_generator
 
-from oracles import per_node_fbar
+from oracles import per_node_fbar, whole_ensemble_sweep
 
 H75 = HurstModel(0.75)
 QUAD = QuadratureSpec()
@@ -442,3 +445,99 @@ class TestRunSweep:
             with pytest.raises(ValueError):
                 run_sweep(benchmark_generator(1.0), coeffs,
                           TerminalCondition.square(), bad, cfg)
+        with pytest.raises(ValueError, match="n_paths"):
+            run_sweep(benchmark_generator(1.0), coeffs, TerminalCondition.square(),
+                      (0.5, 0.3, 0.2), replace(cfg, n_paths=0))
+
+
+def assert_same_value(got, want, rtol, where):
+    if isinstance(want, (float, np.ndarray)):
+        np.testing.assert_allclose(got, want, rtol=rtol, atol=0.0, err_msg=where)
+    else:
+        assert got == want, where
+
+
+def assert_reports_match(got, want, rtol):
+    """Every SweepReport, PerEpsilonStats and AveragingConstants field; floats within rtol."""
+    for f in fields(SweepReport):
+        if f.name != "stats":
+            assert_same_value(getattr(got, f.name), getattr(want, f.name), rtol, f.name)
+    assert len(got.stats) == len(want.stats)
+    for a, b in zip(got.stats, want.stats):
+        for f in fields(PerEpsilonStats):
+            if f.name != "constants":
+                assert_same_value(getattr(a, f.name), getattr(b, f.name), rtol,
+                                  f"eps={b.epsilon} {f.name}")
+        for f in fields(AveragingConstants):
+            assert_same_value(getattr(a.constants, f.name), getattr(b.constants, f.name),
+                              rtol, f"eps={b.epsilon} constants.{f.name}")
+
+
+@pytest.fixture(scope="module")
+def coeffs128():
+    return CoefficientSet.build(ZERO, ONE, ONE, TimeGrid(T=1.0, n_steps=128), H75)
+
+
+STREAM_CFG = SweepConfig(n_paths=1000, t0=0.75, eta0=1.0, pde=PdeConfig(kappa=6.0, n_space=64),
+                         rng=RngSpec(seed=42))
+
+
+class TestStreamedSweep:
+    """The sweep streams its paths in blocks; the whole-ensemble route is its oracle."""
+
+    @pytest.mark.parametrize("blocks, extra, method", [
+        (1, -1, "cholesky"), (1, 0, "cholesky"), (1, 1, "cholesky"), (3, 7, "cholesky"),
+        (1, 1, "circulant"),
+    ])
+    def test_matches_whole_ensemble_oracle(self, coeffs128, blocks, extra, method):
+        n_paths = blocks * block_rows(coeffs128.grid.n_nodes) + extra
+        cfg = replace(STREAM_CFG, n_paths=n_paths, fbm_method=method)
+        args = (benchmark_generator(1.0), coeffs128, TerminalCondition.square(),
+                (0.5, 0.3, 0.2), cfg)
+        got = run_sweep(*args)
+        want = whole_ensemble_sweep(*args)
+        assert got.stats[0].path_sup_abs.shape == (n_paths,)
+        assert_reports_match(got, want, rtol=1e-12)
+
+    def test_worker_count_does_not_change_statistics(self, coeffs128):
+        # two blocks of >= 256 paths, so both draw paths on two threads
+        cfg = replace(STREAM_CFG, n_paths=block_rows(coeffs128.grid.n_nodes) + 300)
+        args = (benchmark_generator(1.0), coeffs128, TerminalCondition.square(), (0.5, 0.3, 0.2))
+        one, two = (run_sweep(*args, replace(cfg, workers=w)) for w in (1, 2))
+        assert_reports_match(two, one, rtol=0.0)
+
+    def test_memory_bounded_in_n_paths(self, coeffs128):
+        # a small phi sample keeps the path-free phase below the streaming peak
+        cfg = replace(STREAM_CFG, phi_sampler=BoxSampler(n_samples=64))
+        args = (benchmark_generator(1.0), coeffs128, TerminalCondition.square(), (0.5, 0.3, 0.2))
+
+        def peak(n_paths):
+            tracemalloc.start()
+            try:
+                run_sweep(*args, replace(cfg, n_paths=n_paths))
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        n_paths = 1500
+        growth = peak(4 * n_paths) - peak(n_paths)
+        assert growth < 8 * n_paths * coeffs128.grid.n_nodes
+
+    def test_domain_error_counts_every_node_of_every_block(self):
+        # b = A cos(2 pi t): eta drifts far out of the domain mid-horizon and
+        # back by T, where the domain is centred
+        amp = 200.0
+        b = DeterministicFn(fn=lambda t: amp * np.cos(2 * np.pi * t), name="swing",
+                            antiderivative=lambda t: amp * np.sin(2 * np.pi * t) / (2 * np.pi))
+        coeffs = CoefficientSet.build(b, ONE, ONE, TimeGrid(T=1.0, n_steps=64), H75)
+        cfg = replace(STREAM_CFG, n_paths=2 * block_rows(65) + 5)
+        eps = (0.5, 0.3, 0.2)
+        lo, hi = domain_bounds(coeffs, eps[0], cfg.eta0, cfg.pde.kappa)
+        ens = make_ensemble(coeffs.grid, H75, cfg.n_paths, cfg.rng)
+        eta = simulate_eta(coeffs, ens, eps[0], cfg.eta0)
+        want = np.count_nonzero((eta < lo) | (eta > hi)) / eta.size
+        assert want > 0.01
+        with pytest.raises(DomainTooSmallError) as err:
+            run_sweep(Generator.zero(), coeffs, TerminalCondition.square(), eps, cfg)
+        assert err.value.clamp_fraction == want
+        assert err.value.half_width == (hi - lo) / 2.0

@@ -275,8 +275,13 @@ class TestExtractTriple:
         field = solve_psi(Generator.zero(), TerminalCondition.identity(),
                           coeffs128, 1.0, PdeConfig(kappa=4.0, n_space=64))
         wild = 100.0 * np.ones((50, coeffs128.grid.n_nodes))
-        with pytest.raises(DomainTooSmallError):
+        with pytest.raises(DomainTooSmallError) as err:
             extract_triple(field, wild, coeffs128)
+        # the error reports the half-width in x units, not kappa = 4
+        half_width = (field.x_nodes[-1] - field.x_nodes[0]) / 2.0
+        assert err.value.half_width == half_width != 4.0
+        assert err.value.clamp_fraction == 1.0
+        assert f"half-width {half_width:.4g} in x units" in str(err.value)
 
     def test_grid_mismatch_rejected(self, coeffs128):
         field = solve_psi(Generator.zero(), TerminalCondition.identity(),

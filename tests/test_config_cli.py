@@ -132,6 +132,13 @@ class TestCli:
         assert main(["solve", "--config", path]) == 3
         assert "Picard" in capsys.readouterr().err
 
+    def test_overflowing_linear_rate_exit_2(self, tmp_path, capsys):
+        # 1e308 is a float, but the declared Lipschitz constant 1e308^2 is not
+        path = write_cfg(tmp_path, SMALL + "generator = linear_y:1e308\n"
+                         f"out_dir = {tmp_path / 'out'}\n")
+        assert main(["sweep", "--config", path]) == 2
+        assert "linear_y rate" in capsys.readouterr().err
+
     def test_simulate_fbm_outputs(self, tmp_path):
         path = write_cfg(tmp_path, SMALL + f"out_dir = {tmp_path / 'out'}\n")
         assert main(["simulate-fbm", "--config", path]) == 0
