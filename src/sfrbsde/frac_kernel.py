@@ -439,16 +439,6 @@ class CoefficientSet:
         return write_csv(path, ("t", "norm_sq", "sigma2_hat", "sigma_abs_sq", "lambda"), rows)
 
 
-def sigma_abs_sq(t, coeffs: CoefficientSet, quad: QuadratureSpec | None = None):
-    """eq-(2) value |sigma|^2_t; table-backed."""
-    return coeffs.sigma_abs_sq(t)
-
-
-def lam(t, coeffs: CoefficientSet, quad: QuadratureSpec | None = None):
-    """d/dt |sigma|^2_t using the finite-difference-validated closed form."""
-    return coeffs.lam(t)
-
-
 def c1_lower_bound(coeffs: CoefficientSet, t0: float, quad: QuadratureSpec | None = None) -> float:
     """min over grid nodes in [t0, T] of sigma2_hat(t) / sigma2(t).
 

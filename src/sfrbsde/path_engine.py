@@ -1,10 +1,11 @@
 """Matched Brownian / fractional-Brownian path ensembles and Wiener integrals.
 
 Paths are sampled on a shared uniform grid from per-path counter-based RNG
-streams (Philox keyed by (master seed, purpose), counter block = path index),
-so results are bit-reproducible regardless of how path generation is chunked
-across workers.  B and B^H come from distinct purposes and are therefore
-independent.
+streams: Philox keyed by (master seed, purpose), counter block = path index.
+Each chunk of paths is drawn through one bit generator whose counter is reset
+before every path, so every row is bitwise the draw of that path's own stream
+and results do not depend on how path generation is chunked across workers.
+B and B^H come from distinct purposes and are therefore independent.
 
 Two exact fBm samplers are provided: Cholesky factorization of the node
 covariance (reference) and Davies-Harte circulant embedding of the increment
@@ -44,10 +45,22 @@ class RngSpec:
         if self.stream < 0:
             raise ValueError("stream id must be nonnegative")
 
-    def generator(self, purpose: int, path: int) -> np.random.Generator:
-        key = np.array([self.seed, purpose], dtype=np.uint64)
-        counter = np.array([0, 0, 0, self.stream + path], dtype=np.uint64)
-        return np.random.Generator(np.random.Philox(key=key, counter=counter))
+    def fill_normals(self, purpose: int, first_path: int, out: np.ndarray) -> None:
+        """Fill row r of `out` (C-contiguous rows) with path first_path + r's normals.
+
+        Path p's sub-stream is Philox keyed by (seed, purpose), counter
+        (0, 0, 0, stream + p).  Each call builds one bit generator and sets
+        its state before every row, which resets the counter and empties the
+        output buffer, so each row is bitwise what a fresh generator draws.
+        """
+        bitgen = np.random.Philox(key=np.array([self.seed, purpose], dtype=np.uint64))
+        gen = np.random.Generator(bitgen)
+        state = bitgen.state
+        counter = state["state"]["counter"]
+        for r, row in enumerate(out):
+            counter[3] = self.stream + first_path + r
+            bitgen.state = state
+            gen.standard_normal(out=row)
 
 
 @dataclass
@@ -97,9 +110,10 @@ def bm_paths(grid: TimeGrid, n_paths: int, rng: RngSpec, workers: int = 1) -> Pa
     B = np.zeros((n_paths, n + 1))
 
     def fill(lo, hi):
-        for p in range(lo, hi):
-            gen = rng.generator(_PURPOSE_BM, p)
-            B[p, 1:] = np.cumsum(sqrt_dt * gen.standard_normal(n))
+        rows = B[lo:hi, 1:]
+        rng.fill_normals(_PURPOSE_BM, lo, rows)
+        np.multiply(rows, sqrt_dt, out=rows)
+        np.cumsum(rows, axis=1, out=rows)
 
     _fill_rows(fill, n_paths, workers)
     return PathEnsemble(grid=grid, n_paths=n_paths, rng=rng, B=B)
@@ -134,12 +148,11 @@ def fbm_cholesky(grid: TimeGrid, hurst: HurstModel, n_paths: int, rng: RngSpec,
     Z = np.empty((n_paths, n))
 
     def fill(lo, hi):
-        for p in range(lo, hi):
-            Z[p] = rng.generator(_PURPOSE_FBM, p).standard_normal(n)
+        rng.fill_normals(_PURPOSE_FBM, lo, Z[lo:hi])
 
     _fill_rows(fill, n_paths, workers)
     BH = np.zeros((n_paths, n + 1))
-    BH[:, 1:] = Z @ chol.T
+    np.matmul(Z, chol.T, out=BH[:, 1:])
     return PathEnsemble(grid=grid, n_paths=n_paths, rng=rng, hurst=hurst, BH=BH,
                         fbm_method="cholesky")
 
@@ -176,18 +189,17 @@ def fbm_circulant(grid: TimeGrid, hurst: HurstModel, n_paths: int, rng: RngSpec,
     BH = np.zeros((n_paths, n + 1))
 
     def fill(lo, hi):
-        # complex Hermitian-symmetric normals per path; FFT in path blocks
+        # per block of paths: real normals, Hermitian-symmetric complex rows, FFT
         block = 4096
         for start in range(lo, hi, block):
             stop = min(start + block, hi)
+            u = np.empty((stop - start, m))
+            rng.fill_normals(_PURPOSE_FBM, start, u)
             y = np.empty((stop - start, m), dtype=complex)
-            for p in range(start, stop):
-                u = rng.generator(_PURPOSE_FBM, p).standard_normal(m)
-                row = y[p - start]
-                row[0] = u[0]
-                row[n] = u[1]
-                row[1:n] = (u[2::2] + 1j * u[3::2]) / np.sqrt(2.0)
-                row[m - 1:n:-1] = np.conj(row[1:n])
+            y[:, 0] = u[:, 0]
+            y[:, n] = u[:, 1]
+            y[:, 1:n] = (u[:, 2::2] + 1j * u[:, 3::2]) / np.sqrt(2.0)
+            y[:, m - 1:n:-1] = np.conj(y[:, 1:n])
             incr = (np.fft.fft(sqrt_eig * y, axis=1).real / np.sqrt(m))[:, :n]
             BH[start:stop, 1:] = np.cumsum(incr, axis=1)
 

@@ -123,15 +123,11 @@ def check_quadrature_convergence(cfg):
 def check_lambda_fd(cfg):
     worst = 0.0
     for sigma2 in ("constant:1", "sinusoidal:1"):
-        sub = replace_config(cfg, sigma2=sigma2)
+        sub = replace(cfg, sigma2=sigma2)
         coeffs = _std_coeffs(sub, n_steps=128)
         worst = max(worst, coeffs.fd_rel_error)
     return _result("lambda-fd-consistency", worst <= 1e-3,
                    f"max rel err {worst:.1e} (limit 1e-3)")
-
-
-def replace_config(cfg: ExperimentConfig, **kw) -> ExperimentConfig:
-    return replace(cfg, **kw)
 
 
 # --------------------------------------------------------------------------
@@ -207,7 +203,7 @@ def check_path_determinism(cfg):
 
 
 def check_crn_contract(cfg):
-    sub = replace_config(cfg, sigma2="constant:0", b="constant:0", sigma1="constant:1")
+    sub = replace(cfg, sigma2="constant:0", b="constant:0", sigma1="constant:1")
     coeffs = _std_coeffs(sub, n_steps=32)
     ens = pe.make_ensemble(coeffs.grid, cfg.hurst(), 1024, cfg.rng())
     h = cfg.h
@@ -226,7 +222,7 @@ def check_crn_contract(cfg):
 
 def _closed_form_errors(cfg, n):
     """Sup-norm errors of the three closed-form cases on |x - m| <= 4 std."""
-    sub = replace_config(cfg, sigma1="constant:1", sigma2="constant:1", b="constant:0")
+    sub = replace(cfg, sigma1="constant:1", sigma2="constant:1", b="constant:0")
     grid = TimeGrid(T=cfg.t_horizon, n_steps=n)
     coeffs = fk.CoefficientSet.build(
         sub.coefficient_fn("b"), sub.coefficient_fn("sigma1"),
@@ -300,7 +296,7 @@ def check_pde_monotonicity(cfg):
 
 
 def check_z_proportionality(cfg):
-    sub = replace_config(cfg, sigma2="constant:2")  # exact power-of-two multiple
+    sub = replace(cfg, sigma2="constant:2")  # exact power-of-two multiple
     coeffs = _std_coeffs(sub, n_steps=48)
     pde = bs.PdeConfig(kappa=6.0, n_space=96)
     f = bs.solve_psi(bs.Generator.zero(), bs.TerminalCondition.square(), coeffs, 1.0, pde, cfg.eta0)
@@ -370,7 +366,7 @@ def replace_config_generator(gen: bs.Generator) -> bs.Generator:
 
 
 def _mini_sweep(cfg, generator=None, eps=(0.5, 0.3, 0.2)):
-    sub = replace_config(cfg, sigma1="constant:1", sigma2="constant:1", b="constant:0")
+    sub = replace(cfg, sigma1="constant:1", sigma2="constant:1", b="constant:0")
     coeffs = _std_coeffs(sub, n_steps=64)
     gen = generator if generator is not None else benchmark_generator(
         cfg.t_horizon, cfg.gen_a, cfg.gen_b, cfg.gen_c, cfg.gen_d)

@@ -5,8 +5,10 @@ by plain product integration (the singular factor integrated exactly per
 panel, the smooth factor at panel midpoints) on meshes graded toward the
 singularity.  Deliberately simple and slow.  The per-node f-bar and the
 per-column extraction are the loop forms of two vectorised production layers,
-and the whole-ensemble sweep is the array form of the streamed one, kept here
-as cross-checks.
+the whole-ensemble sweep is the array form of the streamed one, and the
+per-path samplers draw each path from a freshly built generator where
+production resets one bit generator per chunk; all are kept here as
+cross-checks.
 """
 
 import math
@@ -203,3 +205,61 @@ def whole_ensemble_sweep(original, coeffs, term, eps_list, cfg):
     al.check_theorem_rate(report)
     al.check_chebyshev(report)
     return report
+
+
+# Philox key purposes of the production samplers: B draws from 1, B^H from 2
+PURPOSE_BM = 1
+PURPOSE_FBM = 2
+
+
+def per_path_generator(rng, purpose, path):
+    """A fresh generator on one path's sub-stream: Philox keyed by
+    (seed, purpose), counter (0, 0, 0, stream + path)."""
+    key = np.array([rng.seed, purpose], dtype=np.uint64)
+    counter = np.array([0, 0, 0, rng.stream + path], dtype=np.uint64)
+    return np.random.Generator(np.random.Philox(key=key, counter=counter))
+
+
+def per_path_normals(rng, purpose, first_path, n_rows, n):
+    return np.array([per_path_generator(rng, purpose, first_path + r).standard_normal(n)
+                     for r in range(n_rows)])
+
+
+def per_path_bm(grid, n_paths, rng):
+    """Brownian paths, one generator and one cumsum per path."""
+    n = grid.n_steps
+    B = np.zeros((n_paths, n + 1))
+    for p in range(n_paths):
+        z = per_path_generator(rng, PURPOSE_BM, p).standard_normal(n)
+        B[p, 1:] = np.cumsum(np.sqrt(grid.dt) * z)
+    return B
+
+
+def per_path_fbm_cholesky(grid, hurst, n_paths, rng):
+    """Cholesky fBm from per-path normals (the factor from production)."""
+    from sfrbsde.path_engine import fbm_covariance
+
+    chol = np.linalg.cholesky(fbm_covariance(grid.nodes[1:], hurst))
+    BH = np.zeros((n_paths, grid.n_steps + 1))
+    BH[:, 1:] = per_path_normals(rng, PURPOSE_FBM, 0, n_paths, grid.n_steps) @ chol.T
+    return BH
+
+
+def per_path_fbm_circulant(grid, hurst, n_paths, rng):
+    """Davies-Harte fBm, the Hermitian normals assembled path by path."""
+    from sfrbsde.path_engine import circulant_eigenvalues
+
+    n = grid.n_steps
+    m = 2 * n
+    y = np.empty((n_paths, m), dtype=complex)
+    for p in range(n_paths):
+        u = per_path_generator(rng, PURPOSE_FBM, p).standard_normal(m)
+        row = y[p]
+        row[0] = u[0]
+        row[n] = u[1]
+        row[1:n] = (u[2::2] + 1j * u[3::2]) / np.sqrt(2.0)
+        row[m - 1:n:-1] = np.conj(row[1:n])
+    sqrt_eig = np.sqrt(circulant_eigenvalues(n, hurst, grid.dt))
+    BH = np.zeros((n_paths, n + 1))
+    BH[:, 1:] = np.cumsum((np.fft.fft(sqrt_eig * y, axis=1).real / np.sqrt(m))[:, :n], axis=1)
+    return BH

@@ -23,7 +23,16 @@ from sfrbsde.path_engine import (
     wiener_integral_det,
 )
 
-from oracles import discrete_wiener_variance, fbm_cov
+from oracles import (
+    PURPOSE_BM,
+    PURPOSE_FBM,
+    discrete_wiener_variance,
+    fbm_cov,
+    per_path_bm,
+    per_path_fbm_cholesky,
+    per_path_fbm_circulant,
+    per_path_normals,
+)
 
 H75 = HurstModel(0.75)
 RNG = RngSpec(seed=42)
@@ -285,3 +294,59 @@ class TestDeterminism:
         a = make_ensemble(grid, H75, 16, RngSpec(seed=1))
         b = make_ensemble(grid, H75, 16, RngSpec(seed=2))
         assert not np.allclose(a.BH, b.BH)
+
+
+class TestSeedingOracle:
+    """One counter-reset bit generator per chunk draws bitwise what a fresh
+    generator per path draws (tests/oracles.py)."""
+
+    N = 300  # two workers split it into chunks [0, 150) and [150, 300)
+    RNG = RngSpec(seed=42, stream=1_000)
+
+    # row lengths that end a path's draws at different points of Philox's
+    # 4-word output buffer; 1 is shorter than any grid
+    @pytest.mark.parametrize("n", [1, 3, 128])
+    @pytest.mark.parametrize("purpose", [PURPOSE_BM, PURPOSE_FBM])
+    def test_fill_normals_rows(self, n, purpose):
+        out = np.empty((7, n))
+        self.RNG.fill_normals(purpose, 500, out)
+        assert np.array_equal(out, per_path_normals(self.RNG, purpose, 500, 7, n))
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    @pytest.mark.parametrize("n_steps", [2, 3, 128])
+    def test_bm_paths(self, n_steps, workers):
+        grid = TimeGrid(T=1.0, n_steps=n_steps)
+        got = bm_paths(grid, self.N, self.RNG, workers=workers).B
+        assert np.array_equal(got, per_path_bm(grid, self.N, self.RNG))
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    @pytest.mark.parametrize("n_steps", [2, 3, 128])
+    def test_fbm_cholesky(self, n_steps, workers):
+        grid = TimeGrid(T=1.0, n_steps=n_steps)
+        got = fbm_cholesky(grid, H75, self.N, self.RNG, workers=workers).BH
+        assert np.array_equal(got, per_path_fbm_cholesky(grid, H75, self.N, self.RNG))
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    @pytest.mark.parametrize("n_steps", [2, 3, 128])
+    def test_fbm_circulant(self, n_steps, workers):
+        grid = TimeGrid(T=1.0, n_steps=n_steps)
+        got = fbm_circulant(grid, H75, self.N, self.RNG, workers=workers).BH
+        assert np.array_equal(got, per_path_fbm_circulant(grid, H75, self.N, self.RNG))
+
+
+class TestSeedingWork:
+    @pytest.mark.parametrize("method", ["cholesky", "circulant"])
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_one_bit_generator_per_chunk_and_purpose(self, monkeypatch, method, workers):
+        built = []
+        real = np.random.Philox
+
+        def counting(*args, **kwargs):
+            built.append(1)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(np.random, "Philox", counting)
+        make_ensemble(TimeGrid(T=1.0, n_steps=16), H75, 600, RNG, method=method,
+                      workers=workers)
+        # 600 paths make `workers` chunks; each chunk draws B and B^H
+        assert len(built) == 2 * workers
