@@ -404,12 +404,6 @@ class SweepReport:
     chebyshev_trend_pass: bool = False
     notes: str = WINDOW_NOTE
 
-    def stat_for(self, epsilon: float) -> PerEpsilonStats:
-        for s in self.stats:
-            if s.epsilon == epsilon:
-                return s
-        raise KeyError(f"epsilon {epsilon!r} not in sweep")
-
 
 class _WindowFold:
     """One epsilon's error statistics over the window [u, T], folded path block by block.

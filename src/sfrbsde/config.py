@@ -60,7 +60,6 @@ class ExperimentConfig:
     picard_max_iter: int = 8
     picard_tol: float = 1e-10
     quad_panels: int = 256
-    quad_scheme: str = "power-substitution"
     quad_tol: float = 1e-8
     fbm_method: str = "auto"
     out_dir: str = ""            # empty means $SFRBSDE_OUT or ./out
@@ -75,8 +74,7 @@ class ExperimentConfig:
         return TimeGrid(T=self.t_horizon, n_steps=self.n_time)
 
     def quad(self) -> QuadratureSpec:
-        return QuadratureSpec(panels=self.quad_panels, scheme=self.quad_scheme,
-                              tol=self.quad_tol)
+        return QuadratureSpec(panels=self.quad_panels, tol=self.quad_tol)
 
     def pde(self) -> PdeConfig:
         return PdeConfig(kappa=self.kappa, n_space=self.n_space, theta=self.theta,
@@ -209,8 +207,8 @@ _INT_FIELDS = {"n_time", "n_space", "n_paths", "seed", "picard_max_iter",
 _FLOAT_FIELDS = {"h", "t_horizon", "beta", "delta1", "delta2", "t0", "eta0",
                  "epsilon", "t_probe", "gen_a", "gen_b", "gen_c", "gen_d",
                  "kappa", "theta", "picard_tol", "quad_tol"}
-_STR_FIELDS = {"generator", "terminal", "b", "sigma1", "sigma2", "quad_scheme",
-               "fbm_method", "out_dir"}
+_STR_FIELDS = {"generator", "terminal", "b", "sigma1", "sigma2", "fbm_method",
+               "out_dir"}
 
 
 def _validate(cfg: ExperimentConfig) -> list[str]:
@@ -259,9 +257,6 @@ def _validate(cfg: ExperimentConfig) -> list[str]:
         bad.append(f"picard_tol: must be > 0, got {cfg.picard_tol!r}")
     if cfg.quad_panels < 8:
         bad.append(f"quad_panels: must be >= 8, got {cfg.quad_panels!r}")
-    if cfg.quad_scheme not in ("power-substitution", "graded-mesh"):
-        bad.append(f"quad_scheme: must be power-substitution or graded-mesh, "
-                   f"got {cfg.quad_scheme!r}")
     if not cfg.quad_tol > 0:
         bad.append(f"quad_tol: must be > 0, got {cfg.quad_tol!r}")
     if cfg.fbm_method not in ("auto", "cholesky", "circulant"):

@@ -6,7 +6,7 @@ For a Hurst index H in (1/2, 1) the kernel is
 
 with the scalar product  <xi, eta>_t = int_0^t int_0^t rho(u,v) xi(u) eta(v) du dv
 and  ||xi||_t^2 = <xi, xi>_t.  The diagonal singularity |u-v|^(2H-2) is
-integrable; the production scheme removes it with the substitution
+integrable; the quadrature removes it with the substitution
 w = (u-v)^(2H-1) per axis, which maps
 
     int_0^u rho(u, v) g(v) dv  =  H u^s  *  int_0^1 g(u (1 - x^(1/s))) dx,
@@ -33,15 +33,14 @@ from .errors import (
 )
 from .grids import TimeGrid
 
-SCHEME_POWER = "power-substitution"
-SCHEME_GRADED = "graded-mesh"
-
 # Central finite differences of |sigma|^2_t near t=0 cannot resolve the
 # t^(2H-1) cusp to 1e-3 relative accuracy at any uniform resolution (the
 # relative error at node k scales like 1/k^2 independent of the step), so
 # the lambda consistency check starts at this node index.
 _FD_CHECK_FIRST_NODE = 8
 _FD_CHECK_RTOL = 1e-3
+# panels per axis for the grid tables built by CoefficientSet.build
+_TABLE_PANELS = 64
 
 
 @dataclass(frozen=True)
@@ -66,17 +65,10 @@ class HurstModel:
 
 @dataclass(frozen=True)
 class DeterministicFn:
-    """A deterministic function of time on [0, T].
-
-    `constant` marks the known-constant case (enables exact shortcuts in
-    callers and tests), `antiderivative` is an optional closed-form
-    primitive of `fn`.
-    """
+    """A deterministic function of time on [0, T]."""
 
     fn: Callable[[np.ndarray], np.ndarray]
     name: str = "f"
-    constant: float | None = None
-    antiderivative: Callable[[np.ndarray], np.ndarray] | None = None
 
     def __call__(self, t):
         t = np.asarray(t, dtype=float)
@@ -88,8 +80,6 @@ class DeterministicFn:
         return cls(
             fn=lambda t, c=c: np.full_like(np.asarray(t, dtype=float), c),
             name=name or f"const[{c}]",
-            constant=float(c),
-            antiderivative=lambda t, c=c: c * np.asarray(t, dtype=float),
         )
 
     @classmethod
@@ -97,7 +87,6 @@ class DeterministicFn:
         return cls(
             fn=lambda t, c=c: c * np.asarray(t, dtype=float),
             name=name or f"linear[{c}]",
-            antiderivative=lambda t, c=c: 0.5 * c * np.asarray(t, dtype=float) ** 2,
         )
 
     @classmethod
@@ -107,24 +96,19 @@ class DeterministicFn:
         return cls(
             fn=lambda t, c=c, w=w: c * (1.0 + 0.5 * np.sin(w * np.asarray(t, dtype=float))),
             name=name or f"sinusoidal[{c}]",
-            antiderivative=lambda t, c=c, w=w: c
-            * (np.asarray(t, dtype=float) - 0.5 * np.cos(w * np.asarray(t, dtype=float)) / w + 0.5 / w),
         )
 
 
 @dataclass(frozen=True)
 class QuadratureSpec:
-    """Panel count per axis, singularity treatment and refinement tolerance."""
+    """Panel count per axis and refinement tolerance."""
 
     panels: int = 256
-    scheme: str = SCHEME_POWER
     tol: float = 1e-8
 
     def __post_init__(self):
         if self.panels < 8:
             raise ValueError(f"panel count must be >= 8, got {self.panels!r}")
-        if self.scheme not in (SCHEME_POWER, SCHEME_GRADED):
-            raise ValueError(f"unknown singularity scheme {self.scheme!r}")
         if not self.tol > 0:
             raise ValueError(f"tolerance must be > 0, got {self.tol!r}")
 
@@ -169,49 +153,26 @@ def _kernel_transform_power(g, t_values: np.ndarray, hurst: HurstModel, panels: 
     return hurst.h * t_values**s * (vals @ w)
 
 
-def _kernel_transform_graded(g, t_values: np.ndarray, hurst: HurstModel, panels: int):
-    """Same transform by product integration on a mesh graded toward v = t.
-
-    The singular factor is integrated exactly per panel; g is taken at panel
-    midpoints. Lower order than the power substitution, kept as the second
-    route behind the QuadratureSpec scheme switch.
-    """
-    s = hurst.increment_exponent
-    q = 3.0
-    frac = (np.arange(panels + 1) / panels) ** q  # gap = t * frac, graded toward 0
-    out = np.empty_like(t_values)
-    for i, t in enumerate(t_values):
-        gaps = t * frac
-        piece = gaps[1:] ** s - gaps[:-1] ** s  # int of s*u^(s-1) over the panel
-        v_mid = t - 0.5 * (gaps[1:] + gaps[:-1])
-        out[i] = hurst.h * float(piece @ g(v_mid))
-    return out
-
-
-def kernel_transform(g, t, hurst: HurstModel, quad: QuadratureSpec):
-    """int_0^t rho(t, v) g(v) dv, scheme chosen by the QuadratureSpec."""
+def kernel_transform(g, t, hurst: HurstModel, panels: int):
+    """int_0^t rho(t, v) g(v) dv with `panels` panels of the power substitution."""
     t_values = np.atleast_1d(np.asarray(t, dtype=float))
     if np.any(t_values < 0):
         raise ValueError("kernel transform needs t >= 0")
-    transform = (
-        _kernel_transform_power if quad.scheme == SCHEME_POWER else _kernel_transform_graded
-    )
     pos = t_values > 0
     out = np.zeros_like(t_values)
     if np.any(pos):
-        out[pos] = transform(g, t_values[pos], hurst, quad.panels)
+        out[pos] = _kernel_transform_power(g, t_values[pos], hurst, panels)
     return float(out[0]) if np.isscalar(t) or np.asarray(t).ndim == 0 else out
 
 
-def _inner_product_once(xi, eta, t: float, hurst: HurstModel, quad: QuadratureSpec, panels: int):
+def _inner_product_once(xi, eta, t: float, hurst: HurstModel, panels: int):
     ux, uw = _unit_graded_gl(panels, grade=3.0)
     u = t * ux
     wu = t * uw
-    spec = QuadratureSpec(panels=max(panels, 8), scheme=quad.scheme, tol=quad.tol)
-    a_eta = kernel_transform(eta, u, hurst, spec)
+    a_eta = kernel_transform(eta, u, hurst, panels)
     if eta is xi:
         return 2.0 * float(wu @ (xi(u) * a_eta))
-    a_xi = kernel_transform(xi, u, hurst, spec)
+    a_xi = kernel_transform(xi, u, hurst, panels)
     return float(wu @ (xi(u) * a_eta + eta(u) * a_xi))
 
 
@@ -224,8 +185,8 @@ def inner_product(xi, eta, t: float, hurst: HurstModel, quad: QuadratureSpec) ->
     """
     if not t > 0:
         raise ValueError(f"inner product needs t in (0, T], got {t!r}")
-    coarse = _inner_product_once(xi, eta, t, hurst, quad, max(quad.panels // 2, 8))
-    fine = _inner_product_once(xi, eta, t, hurst, quad, quad.panels)
+    coarse = _inner_product_once(xi, eta, t, hurst, max(quad.panels // 2, 8))
+    fine = _inner_product_once(xi, eta, t, hurst, quad.panels)
     if abs(fine - coarse) > quad.tol * max(1.0, abs(fine)):
         raise QuadratureConvergenceError(coarse, fine, quad.tol)
     return fine
@@ -237,9 +198,9 @@ def norm_sq(xi, t: float, hurst: HurstModel, quad: QuadratureSpec) -> float:
     return max(value, 0.0)
 
 
-def sigma2_hat(t, coeffs: "CoefficientSet", quad: QuadratureSpec | None = None):
+def sigma2_hat(t, coeffs: "CoefficientSet"):
     """sigma2_hat(t) = int_0^t rho(t, v) sigma2(v) dv."""
-    return kernel_transform(coeffs.sigma2, t, coeffs.hurst, quad or coeffs.quad)
+    return kernel_transform(coeffs.sigma2, t, coeffs.hurst, coeffs.quad.panels)
 
 
 def c0_const(hurst: HurstModel, t_horizon: float) -> float:
@@ -305,7 +266,6 @@ class CoefficientSet:
         grid: TimeGrid,
         hurst: HurstModel,
         quad: QuadratureSpec | None = None,
-        table_panels: int = 64,
     ) -> "CoefficientSet":
         quad = quad or QuadratureSpec()
         t = grid.nodes
@@ -326,17 +286,13 @@ class CoefficientSet:
         if not np.all(np.isfinite(sig1_on_grid)) or not np.all(np.isfinite(sig2_on_grid)):
             raise CoefficientError("sigma coefficients must be finite on (0, T]")
 
-        table_quad = QuadratureSpec(panels=table_panels, scheme=quad.scheme, tol=quad.tol)
-
         s2hat = np.zeros_like(t)
-        s2hat[1:] = kernel_transform(sigma2, interior, hurst, table_quad)
+        s2hat[1:] = kernel_transform(sigma2, interior, hurst, _TABLE_PANELS)
 
         nsq = np.zeros_like(t)
         if not degenerate2:
             for k in range(1, len(t)):
-                nsq[k] = _inner_product_once(
-                    sigma2, sigma2, t[k], hurst, table_quad, table_quad.panels
-                )
+                nsq[k] = _inner_product_once(sigma2, sigma2, t[k], hurst, _TABLE_PANELS)
 
         sig1_sq_int = np.zeros_like(t)
         sig1_sq_int[1:] = np.cumsum(
@@ -418,13 +374,6 @@ class CoefficientSet:
         out = np.interp(np.asarray(t, dtype=float), self.grid.nodes, self.sigma_abs_sq_table)
         return float(out) if np.asarray(t).ndim == 0 else out
 
-    def lam(self, t) -> np.ndarray | float:
-        """d/dt |sigma|^2_t via the adopted closed form."""
-        t_arr = np.asarray(t, dtype=float)
-        s2h = kernel_transform(self.sigma2, t_arr, self.hurst, self.quad)
-        out = self.sigma1(t_arr) ** 2 + self.lambda_factor * self.sigma2(t_arr) * np.asarray(s2h)
-        return float(out) if t_arr.ndim == 0 else out
-
     def export_tables(self, path):
         """Kernel tables as CSV (debug aid): t, norm_sq, sigma2_hat, sigma_abs_sq, lambda."""
         from .runio import write_csv
@@ -439,7 +388,7 @@ class CoefficientSet:
         return write_csv(path, ("t", "norm_sq", "sigma2_hat", "sigma_abs_sq", "lambda"), rows)
 
 
-def c1_lower_bound(coeffs: CoefficientSet, t0: float, quad: QuadratureSpec | None = None) -> float:
+def c1_lower_bound(coeffs: CoefficientSet, t0: float) -> float:
     """min over grid nodes in [t0, T] of sigma2_hat(t) / sigma2(t).
 
     The ratio tends to 0 as t -> 0 for constant sigma2, so the infimum is

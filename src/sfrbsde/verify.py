@@ -112,9 +112,7 @@ def check_quadrature_convergence(cfg):
     vals = {}
     for panels in (cfg.quad_panels // 2, cfg.quad_panels):
         vals[panels] = fk.inner_product(
-            xi, xi, cfg.t_horizon, h,
-            fk.QuadratureSpec(panels=panels, scheme=cfg.quad_scheme, tol=1.0),
-        )
+            xi, xi, cfg.t_horizon, h, fk.QuadratureSpec(panels=panels, tol=1.0))
     drift = abs(vals[cfg.quad_panels] - vals[cfg.quad_panels // 2])
     return _result("quadrature-convergence", drift <= cfg.quad_tol,
                    f"doubling moved result by {drift:.1e} (limit {cfg.quad_tol:.0e})")
@@ -352,17 +350,11 @@ def check_fbar_idempotence(cfg):
     rng = np.random.default_rng(cfg.seed + 2)
     pts = rng.uniform(-3, 3, (256, 4))
     dev = np.abs(fbar(*pts.T) - gen(0.0, *pts.T)).max()
-    quad_route = al.build_fbar(replace_config_generator(gen), cfg.t_horizon, cfg.quad())
+    quad_route = al.build_fbar(replace(gen, time_dependent=True), cfg.t_horizon, cfg.quad())
     dev_quad = np.abs(quad_route(*pts.T) - gen(0.0, *pts.T)).max()
     worst = max(dev, dev_quad)
     return _result("fbar-idempotence", worst <= cfg.quad_tol,
                    f"max dev {worst:.1e} (limit {cfg.quad_tol:.0e})")
-
-
-def replace_config_generator(gen: bs.Generator) -> bs.Generator:
-    """Same generator re-declared time-dependent, to force the quadrature route."""
-    return bs.Generator(fn=gen.fn, name=gen.name, lipschitz_sq=gen.lipschitz_sq,
-                        time_dependent=True)
 
 
 def _mini_sweep(cfg, generator=None, eps=(0.5, 0.3, 0.2)):

@@ -29,7 +29,6 @@ from sfrbsde.errors import ContractError, DomainTooSmallError, InfeasibleAlphaEr
 from sfrbsde.frac_kernel import CoefficientSet, DeterministicFn, HurstModel, QuadratureSpec
 from sfrbsde.grids import TimeGrid
 from sfrbsde.path_engine import RngSpec, make_ensemble, simulate_eta
-from sfrbsde.verify import replace_config_generator
 
 from oracles import per_node_fbar, whole_ensemble_sweep
 
@@ -83,7 +82,7 @@ FBAR_GENERATORS = {
     "benchmark": benchmark_generator(1.0),
     # t ignored but declared time-dependent: the quadrature route must still
     # broadcast the state-shaped result over the node axis
-    "t-ignoring": replace_config_generator(Generator.linear_y(0.3)),
+    "t-ignoring": replace(Generator.linear_y(0.3), time_dependent=True),
     "t-ignoring-constant": Generator(
         fn=lambda t, x, y, z1, z2: np.full_like(np.asarray(y, dtype=float), 0.7),
         name="const"),
@@ -527,8 +526,7 @@ class TestStreamedSweep:
         # b = A cos(2 pi t): eta drifts far out of the domain mid-horizon and
         # back by T, where the domain is centred
         amp = 200.0
-        b = DeterministicFn(fn=lambda t: amp * np.cos(2 * np.pi * t), name="swing",
-                            antiderivative=lambda t: amp * np.sin(2 * np.pi * t) / (2 * np.pi))
+        b = DeterministicFn(fn=lambda t: amp * np.cos(2 * np.pi * t), name="swing")
         coeffs = CoefficientSet.build(b, ONE, ONE, TimeGrid(T=1.0, n_steps=64), H75)
         cfg = replace(STREAM_CFG, n_paths=2 * block_rows(65) + 5)
         eps = (0.5, 0.3, 0.2)

@@ -45,11 +45,14 @@ class TestParseConfig:
             parse_config(path)
         assert any("1/(2H)" in v for v in err.value.violations)
 
-    def test_unknown_key_named(self, tmp_path):
-        path = write_cfg(tmp_path, "hh = 0.75\n")
+    # quad_scheme selected a second kernel quadrature that no longer exists
+    @pytest.mark.parametrize("key, value", [("hh", "0.75"), ("quad_scheme", "graded-mesh")],
+                             ids=["hh", "quad_scheme"])
+    def test_unknown_key_named(self, tmp_path, key, value):
+        path = write_cfg(tmp_path, f"{key} = {value}\n")
         with pytest.raises(ConfigError) as err:
             parse_config(path)
-        assert any("'hh'" in v for v in err.value.violations)
+        assert any(f"'{key}'" in v for v in err.value.violations)
 
     def test_all_violations_reported(self, tmp_path):
         path = write_cfg(tmp_path, "h = 0.4\nbeta = 2.0\nn_paths = 10\nmystery = 1\n")

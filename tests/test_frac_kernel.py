@@ -16,7 +16,6 @@ from sfrbsde.frac_kernel import (
     c0_const,
     c1_lower_bound,
     inner_product,
-    kernel_transform,
     norm_sq,
     rho,
     sigma2_hat,
@@ -28,6 +27,7 @@ from oracles import (
     S2HAT_SINUSOIDAL_H075_T1,
     brute_force_inner_product,
     brute_force_norm_sq,
+    brute_force_sigma2_hat,
     monomial_norm_sq,
 )
 
@@ -38,8 +38,8 @@ ZERO = DeterministicFn.const(0.0)
 IDENT = DeterministicFn.linear(1.0)
 
 
-def build_coeffs(sigma2=ONE, sigma1=ONE, b=ZERO, T=1.0, n=64, hurst=H75, quad=QUAD):
-    return CoefficientSet.build(b, sigma1, sigma2, TimeGrid(T=T, n_steps=n), hurst, quad)
+def build_coeffs(sigma2=ONE, sigma1=ONE, b=ZERO, T=1.0, n=64, hurst=H75):
+    return CoefficientSet.build(b, sigma1, sigma2, TimeGrid(T=T, n_steps=n), hurst, QUAD)
 
 
 class TestHurstModel:
@@ -181,9 +181,7 @@ class TestSigma2Hat:
         assert sigma2_hat(1.0, coeffs) == pytest.approx(S2HAT_SINUSOIDAL_H075_T1, rel=1e-9)
 
     def test_graded_mesh_scheme_agrees(self):
-        quad = QuadratureSpec(panels=2048, scheme="graded-mesh", tol=1e-5)
-        coeffs = build_coeffs(sigma2=DeterministicFn.sinusoidal(1.0, 1.0), quad=quad)
-        got = kernel_transform(coeffs.sigma2, 1.0, H75, quad)
+        got = brute_force_sigma2_hat(DeterministicFn.sinusoidal(1.0, 1.0), 1.0, 0.75, panels=2048)
         assert got == pytest.approx(S2HAT_SINUSOIDAL_H075_T1, abs=1e-5)
 
 
@@ -191,14 +189,14 @@ class TestCoefficientSet:
     def test_sigma_abs_sq_pure_brownian(self):
         coeffs = build_coeffs(sigma2=ZERO)
         assert coeffs.sigma_abs_sq(0.7) == pytest.approx(0.7, rel=1e-12)
-        assert coeffs.lam(0.7) == pytest.approx(1.0, rel=1e-12)
+        assert np.interp(0.7, coeffs.grid.nodes, coeffs.lam_table) == pytest.approx(1.0, rel=1e-12)
 
     def test_sigma_abs_sq_pure_fractional(self):
         coeffs = build_coeffs(sigma1=ZERO)
         assert coeffs.sigma_abs_sq(1.0) == pytest.approx(1.0, rel=1e-8)
         # the finite-difference oracle selects the factor-2 form: 2H t^(2H-1)
         assert coeffs.lambda_factor == 2.0
-        assert coeffs.lam(1.0) == pytest.approx(1.5, rel=1e-10)
+        assert coeffs.lam_table[-1] == pytest.approx(1.5, rel=1e-10)
 
     def test_sigma_abs_sq_sum(self):
         coeffs = build_coeffs()
@@ -266,10 +264,6 @@ class TestQuadratureSpec:
     def test_panel_floor(self):
         with pytest.raises(ValueError):
             QuadratureSpec(panels=4)
-
-    def test_scheme_validated(self):
-        with pytest.raises(ValueError):
-            QuadratureSpec(scheme="monte-carlo")
 
     def test_doubling_converged(self):
         lo = inner_product(IDENT, IDENT, 1.0, H75, QuadratureSpec(panels=128, tol=1.0))
