@@ -42,7 +42,6 @@ from .frac_kernel import (
     inner_product,
     norm_sq,
     rho,
-    sigma2_hat,
 )
 from .grids import TimeGrid
 from .path_engine import (

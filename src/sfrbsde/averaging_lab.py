@@ -41,7 +41,7 @@ from .bsde_solver import (
     interp_at,
     solve_psi,
 )
-from .errors import ContractError, InfeasibleAlphaError, NumericError
+from .errors import ContractError, InfeasibleAlphaError, NumericError, QuadratureConvergenceError
 from .frac_kernel import CoefficientSet, HurstModel, QuadratureSpec, c0_const, c1_lower_bound
 from .path_engine import RngSpec, eta_from_noise, eta_noise, make_ensemble
 
@@ -53,11 +53,16 @@ WINDOW_NOTE = (
 
 @dataclass(frozen=True)
 class AveragedGenerator:
-    """Time-independent surrogate fbar(x, y, z1, z2)."""
+    """Time-independent surrogate fbar(x, y, z1, z2).
+
+    `panels` is the GL-4 panel count of the quadrature behind `fn`; 0 when
+    fbar is analytic.
+    """
 
     fn: Callable
     provenance: str = "quadrature-of-f"
     name: str = "fbar"
+    panels: int = 0
 
     def __call__(self, x, y, z1, z2):
         return np.asarray(self.fn(x, y, z1, z2), dtype=float)
@@ -70,6 +75,34 @@ class AveragedGenerator:
         )
 
 
+# the first panel count tried; a single GL-4 panel integrates sin(2 pi t / T)
+# exactly by symmetry, so agreement of very coarse counts would prove nothing
+MIN_FBAR_PANELS = 8
+
+
+def _gl_time_average(gen: Generator, T: float, panels: int) -> Callable:
+    """(1/T) int_0^T f(s, .) ds by `panels` panels of GL-4, as one call of f.
+
+    The nodes sit on a leading axis of t and the weights contract that axis.
+    """
+    gx, gw = np.polynomial.legendre.leggauss(4)
+    edges = np.linspace(0.0, T, panels + 1)
+    mid = 0.5 * (edges[:-1] + edges[1:])
+    half = 0.5 * (edges[1:] - edges[:-1])
+    nodes = (mid[:, None] + half[:, None] * gx[None, :]).ravel()
+    weights = ((half[:, None] * gw[None, :]).ravel()) / T
+
+    def fbar(x, y, z1, z2):
+        shape = np.broadcast_shapes(np.shape(x), np.shape(y), np.shape(z1), np.shape(z2))
+        values = gen(nodes.reshape(nodes.shape + (1,) * len(shape)), x, y, z1, z2)
+        if values.shape != nodes.shape + shape:
+            # an f that ignores t returns the state shape
+            values = np.broadcast_to(values, nodes.shape + shape)
+        return (weights @ values.reshape(nodes.size, -1)).reshape(shape)
+
+    return fbar
+
+
 def build_fbar(gen: Generator, T: float, quad: QuadratureSpec) -> AveragedGenerator:
     """fbar = (1/T) int_0^T f(s, .) ds by composite Gauss-Legendre.
 
@@ -77,33 +110,37 @@ def build_fbar(gen: Generator, T: float, quad: QuadratureSpec) -> AveragedGenera
     is the canonical admissible choice and is what every sweep here uses.
     A generator declared time-independent is its own average, exactly, so it
     is passed through untouched (this keeps the degenerate sweep identically
-    zero instead of zero-up-to-quadrature-rounding).  Otherwise each call of
-    fbar evaluates f once, with the 256 quadrature nodes on a leading axis of
-    t, and contracts that axis with the weights.
+    zero instead of zero-up-to-quadrature-rounding).
+
+    Otherwise the panel count is chosen here, once: starting at
+    MIN_FBAR_PANELS and doubling, the first count n <= quad.panels whose
+    fbar on the default BoxSampler points moves by at most
+    quad.tol * max(1, |fbar|) when refined to 2n panels.  If no count
+    qualifies, QuadratureConvergenceError is raised.  Each call of the
+    returned fbar evaluates f once, with the 4n quadrature nodes on a
+    leading axis of t.
     """
     if not gen.time_dependent:
         return AveragedGenerator(
             fn=lambda x, y, z1, z2: gen.fn(0.0, x, y, z1, z2),
             provenance="analytic", name=f"avg[{gen.name}]",
         )
-    gx, gw = np.polynomial.legendre.leggauss(4)
-    # f is smooth in t; 64 panels of GL-4 integrate it to rounding
-    edges = np.linspace(0.0, T, min(quad.panels, 64) + 1)
-    mid = 0.5 * (edges[:-1] + edges[1:])
-    half = 0.5 * (edges[1:] - edges[:-1])
-    nodes = (mid[:, None] + half[:, None] * gx[None, :]).ravel()
-    weights = ((half[:, None] * gw[None, :]).ravel()) / T
-
-    def fbar(x, y, z1, z2):
-        # one call of f with the nodes on a leading axis; broadcast_to covers
-        # an f that ignores t and returns the state shape
-        shape = np.broadcast_shapes(np.shape(x), np.shape(y), np.shape(z1), np.shape(z2))
-        s = nodes.reshape(nodes.shape + (1,) * len(shape))
-        values = np.broadcast_to(gen(s, x, y, z1, z2), nodes.shape + shape)
-        return np.tensordot(weights, values, axes=1)
-
-    return AveragedGenerator(fn=fbar, provenance="quadrature-of-f",
-                             name=f"avg[{gen.name}]")
+    points = BoxSampler().draw()
+    panels = MIN_FBAR_PANELS
+    coarse = _gl_time_average(gen, T, panels)(*points)
+    while True:
+        fine = _gl_time_average(gen, T, 2 * panels)(*points)
+        excess = np.abs(fine - coarse) - quad.tol * np.maximum(1.0, np.abs(fine))
+        if np.all(excess <= 0.0):
+            break
+        if 2 * panels > quad.panels:
+            k = int(np.argmin(excess <= 0.0))  # the first point that failed
+            raise QuadratureConvergenceError(float(coarse[k]), float(fine[k]), quad.tol)
+        panels *= 2
+        coarse = fine
+    return AveragedGenerator(fn=_gl_time_average(gen, T, panels),
+                             provenance="quadrature-of-f", name=f"avg[{gen.name}]",
+                             panels=panels)
 
 
 @dataclass(frozen=True)
@@ -140,12 +177,23 @@ class PhiEstimate:
     at_point: tuple
 
 
+# time nodes per call of f in estimate_phi: ~1 MB per (nodes, samples)
+# temporary at the default sampler's 2065 points
+PHI_CHUNK_NODES = 64
+
+
 def estimate_phi(gen: Generator, fbar: AveragedGenerator, sampler: BoxSampler,
                  t_grid: Sequence[tuple], n_time_nodes: int = 1025) -> PhiEstimate:
     """sup over samples of the averaging-deviation ratio
 
         (1/(T1-t)) int_t^T1 |f(s,x,y,z1,z2) - fbar(x,y,z1,z2)|^2 ds
             / (1 + y^2 + z1^2 + z2^2).
+
+    The integral is a cumulative trapezoid on n_time_nodes uniform nodes of
+    [0, max T1].  f is evaluated PHI_CHUNK_NODES nodes per call, and the
+    running integral is carried from chunk to chunk (the carry row heads
+    each chunk's cumsum, so every sum is formed in node order); only the
+    rows at window ends are kept.
 
     A lower estimate of sup phi by construction; the sampled arg-max is
     reported so suspicious values can be inspected.
@@ -154,25 +202,34 @@ def estimate_phi(gen: Generator, fbar: AveragedGenerator, sampler: BoxSampler,
     t_pairs = [(float(a), float(b)) for a, b in t_grid]
     if not t_pairs:
         raise ValueError("t_grid must contain at least one (t, T1) window")
-    t_max = max(b for _, b in t_pairs)
-    s_nodes = np.linspace(0.0, t_max, n_time_nodes)
-    fb = fbar(x, y, z1, z2)
-    gaps_sq = np.empty((s_nodes.size, x.size))
-    for i, s in enumerate(s_nodes):
-        gaps_sq[i] = (gen(s, x, y, z1, z2) - fb) ** 2
-    # cumulative trapezoid along s for O(1) window averages
-    ds = np.diff(s_nodes)
-    cum = np.zeros_like(gaps_sq)
-    cum[1:] = np.cumsum(0.5 * (gaps_sq[1:] + gaps_sq[:-1]) * ds[:, None], axis=0)
-    denom = 1.0 + y**2 + z1**2 + z2**2
-
-    best = PhiEstimate(0.0, t_pairs[0], (0.0, 0.0, 0.0, 0.0))
     for a, b in t_pairs:
         if not b > a:
             raise ValueError(f"window ({a}, {b}) must have T1 > t")
-        ia = int(round(a / t_max * (n_time_nodes - 1)))
-        ib = int(round(b / t_max * (n_time_nodes - 1)))
-        window_mean = (cum[ib] - cum[ia]) / (s_nodes[ib] - s_nodes[ia])
+    t_max = max(b for _, b in t_pairs)
+    s_nodes = np.linspace(0.0, t_max, n_time_nodes)
+    ends = [tuple(int(round(v / t_max * (n_time_nodes - 1))) for v in pair)
+            for pair in t_pairs]
+    kept_at = sorted({i for pair in ends for i in pair})
+    kept = np.zeros((len(kept_at), x.size))
+    row_of = {i: r for r, i in enumerate(kept_at)}
+
+    fb = fbar(x, y, z1, z2)
+    carry = np.zeros((1, x.size))   # the integral from 0 to the chunk's first node
+    for lo in range(0, n_time_nodes - 1, PHI_CHUNK_NODES):
+        s = s_nodes[lo:lo + PHI_CHUNK_NODES + 1]   # one node shared with the next chunk
+        gaps_sq = np.broadcast_to(gen(s[:, None], x, y, z1, z2), (s.size, x.size)) - fb
+        gaps_sq **= 2
+        steps = 0.5 * (gaps_sq[1:] + gaps_sq[:-1]) * np.diff(s)[:, None]
+        cum = np.cumsum(np.concatenate([carry, steps]), axis=0)
+        for i in range(lo, lo + s.size):
+            if i in row_of:
+                kept[row_of[i]] = cum[i - lo]
+        carry = cum[-1:]
+    denom = 1.0 + y**2 + z1**2 + z2**2
+
+    best = PhiEstimate(0.0, t_pairs[0], (0.0, 0.0, 0.0, 0.0))
+    for (a, b), (ia, ib) in zip(t_pairs, ends):
+        window_mean = (kept[row_of[ib]] - kept[row_of[ia]]) / (s_nodes[ib] - s_nodes[ia])
         ratio = window_mean / denom
         j = int(np.argmax(ratio))
         if ratio[j] > best.value:
@@ -402,6 +459,7 @@ class SweepReport:
     fitted_intercept: float = float("nan")
     epsilon1: float | None = None
     chebyshev_trend_pass: bool = False
+    fbar_panels: int = 0
     notes: str = WINDOW_NOTE
 
 
@@ -465,32 +523,66 @@ class _WindowFold:
         }
 
 
-def _window_stats(fold: _WindowFold, epsilon: float, noise: np.ndarray, start: int) -> None:
-    """Fold the block of paths start, start+1, ... (eps-free noise `noise`) into `fold`."""
-    eta = eta_from_noise(fold.coeffs, noise, epsilon, fold.eta0)
-    fold.outside += count_outside(fold.x_nodes, eta)
-    cell, offset = brackets(fold.x_nodes, eta[:, fold.i_lo:])
-    Y_o = interp_at(*fold.orig[:2], cell, offset)
-    Y_a = interp_at(*fold.avg[:2], cell, offset)
-    slope_o = interp_at(*fold.orig[2:], cell, offset)
-    slope_a = interp_at(*fold.avg[2:], cell, offset)
-    dY = Y_o - Y_a
-    dY_sq = dY**2
-    n_b = eta.shape[0]
+class _FoldWorkspace:
+    """Buffers for folding one path block, allocated once per sweep and shared by every eps.
+
+    Each buffer is flat, with room for a full block over every node; `view`
+    hands out a C-contiguous (rows, cols) prefix, so a short last block and
+    the window of any eps reuse the same memory.
+    """
+
+    FLOAT = ("eta", "offset", "scratch", "y_orig", "y_avg", "slope_orig", "slope_avg")
+
+    def __init__(self, rows: int, n_nodes: int):
+        size = rows * n_nodes
+        self.buffers = {name: np.empty(size) for name in self.FLOAT}
+        self.buffers["cell"] = np.empty(size, dtype=np.intp)
+        self.buffers["mask"] = np.empty(size, dtype=bool)
+
+    def view(self, name: str, rows: int, cols: int) -> np.ndarray:
+        return self.buffers[name][:rows * cols].reshape(rows, cols)
+
+
+def _window_stats(fold: _WindowFold, epsilon: float, noise: np.ndarray, start: int,
+                  ws: _FoldWorkspace) -> None:
+    """Fold the block of paths start, start+1, ... (eps-free noise `noise`) into `fold`.
+
+    Every block-sized array lives in `ws`; what is allocated per call is
+    O(window columns + block rows).
+    """
+    n_b, n_nodes = noise.shape[0], noise.shape[1] + 1
+    cols = n_nodes - fold.i_lo
+
+    def view(name, width=cols):
+        return ws.view(name, n_b, width)
+
+    eta = eta_from_noise(fold.coeffs, noise, epsilon, fold.eta0, out=view("eta", n_nodes))
+    fold.outside += count_outside(fold.x_nodes, eta, view("mask", n_nodes))
+    scratch = view("scratch")
+    cell, offset = brackets(fold.x_nodes, eta[:, fold.i_lo:],
+                            (view("cell"), view("offset"), scratch, view("mask")))
+    Y_o = interp_at(*fold.orig[:2], cell, offset, view("y_orig"), scratch)
+    Y_a = interp_at(*fold.avg[:2], cell, offset, view("y_avg"), scratch)
+    slope_o = interp_at(*fold.orig[2:], cell, offset, view("slope_orig"), scratch)
+    slope_a = interp_at(*fold.avg[2:], cell, offset, view("slope_avg"), scratch)
+    dY = np.subtract(Y_o, Y_a, out=Y_o)
+    dZ = np.subtract(slope_o, slope_a, out=slope_o)
     rows = slice(start, start + n_b)
-    fold.z_int[rows] = ((slope_o - slope_a) ** 2 * fold.z_weights).sum(axis=1)
-    fold.dy_int[rows] = (dY_sq * fold.weights).sum(axis=1)
-    fold.sup_abs[rows] = np.abs(dY).max(axis=1)
+    np.abs(dY, out=scratch).max(axis=1, out=fold.sup_abs[rows])
+    dY_sq = np.square(dY, out=dY)
+    np.matmul(dY_sq, fold.weights, out=fold.dy_int[rows])
+    np.matmul(np.square(dZ, out=dZ), fold.z_weights, out=fold.z_int[rows])
 
     mean_b = dY_sq.mean(axis=0)
-    m2_b = ((dY_sq - mean_b) ** 2).sum(axis=0)
+    np.subtract(dY_sq, mean_b, out=scratch)
+    m2_b = np.einsum("ij,ij->j", scratch, scratch)
     n = fold.count + n_b
     delta = mean_b - fold.mean
     fold.m2 += m2_b + delta**2 * (fold.count * n_b / n)
     fold.mean += delta * (n_b / n)
     fold.count = n
-    fold.sq_sums[0] += (Y_a**2).sum(axis=0)
-    fold.sq_sums[1:] += (slope_a**2).sum(axis=0) * fold.sig_sq
+    fold.sq_sums[0] += np.einsum("ij,ij->j", Y_a, Y_a)
+    fold.sq_sums[1:] += np.einsum("ij,ij->j", slope_a, slope_a) * fold.sig_sq
 
 
 def run_sweep(
@@ -549,6 +641,7 @@ def run_sweep(
         folds = [fold_for(e) for e in eps]
 
     rows = block_rows(grid.n_nodes)
+    ws = _FoldWorkspace(min(rows, cfg.n_paths), grid.n_nodes)
     for start in range(0, cfg.n_paths, rows):
         # path p of the block draws from the sub-stream of global path start + p
         block = make_ensemble(grid, hurst, min(rows, cfg.n_paths - start),
@@ -556,7 +649,7 @@ def run_sweep(
                               method=cfg.fbm_method, workers=cfg.workers)
         noise = eta_noise(coeffs, block)
         for epsilon, fold in zip(eps, folds):
-            _window_stats(fold, epsilon, noise, start)
+            _window_stats(fold, epsilon, noise, start, ws)
 
     stats = []
     for epsilon, fold in zip(eps, folds):
@@ -585,7 +678,7 @@ def run_sweep(
     report = SweepReport(
         eps_list=tuple(eps), T=T, beta=cfg.beta, delta1=cfg.delta1,
         delta2=float(delta2), t0=t0, L=L, C1=C1, phi_bound=phi.value,
-        n_paths=cfg.n_paths, stats=stats,
+        n_paths=cfg.n_paths, stats=stats, fbar_panels=fbar.panels,
     )
     check_lemma1(report)
     check_theorem_rate(report)

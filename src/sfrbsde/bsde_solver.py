@@ -183,6 +183,21 @@ def domain_bounds(coeffs: CoefficientSet, epsilon: float, eta0: float, kappa: fl
     return mean - kappa * std, mean + kappa * std
 
 
+def central_gradient(values: np.ndarray, dx: float, out: np.ndarray | None = None) -> np.ndarray:
+    """d/dx along the last axis: central differences inside, one-sided at both ends.
+
+    np.gradient(values, dx, axis=-1) written out, bit for bit, so the Picard
+    sweep can fill a reused buffer.
+    """
+    if out is None:
+        out = np.empty_like(values)
+    np.subtract(values[..., 2:], values[..., :-2], out=out[..., 1:-1])
+    out[..., 1:-1] /= 2.0 * dx
+    out[..., 0] = (values[..., 1] - values[..., 0]) / dx
+    out[..., -1] = (values[..., -1] - values[..., -2]) / dx
+    return out
+
+
 def solve_psi(
     gen: Generator,
     term: TerminalCondition,
@@ -208,8 +223,10 @@ def solve_psi(
     psi = np.empty((n_time + 1, x.size))
     psi[n_time] = term(x)
 
+    grad = np.empty_like(x)
+
     def source(k: int, values: np.ndarray) -> np.ndarray:
-        grad = np.gradient(values, dx)
+        central_gradient(values, dx, out=grad)
         return scale * gen(t[k], x, values, sig1[k] * grad, sig2[k] * grad)
 
     def apply_operator(diff, mu, values: np.ndarray) -> np.ndarray:
@@ -267,7 +284,7 @@ def solve_psi(
         psi[k] = iterate
         src_next = source(k, psi[k])
 
-    psi_x = np.gradient(psi, dx, axis=1)
+    psi_x = central_gradient(psi, dx)
     return SolutionField(t_nodes=t.copy(), x_nodes=x, psi=psi, psi_x=psi_x)
 
 
@@ -283,9 +300,12 @@ def block_rows(n_nodes: int) -> int:
     return max(1, BLOCK_CELLS // n_nodes)
 
 
-def count_outside(x_nodes: np.ndarray, eta: np.ndarray) -> int:
-    """Number of eta values outside [x_0, x_N]."""
-    return int(np.count_nonzero((eta < x_nodes[0]) | (eta > x_nodes[-1])))
+def count_outside(x_nodes: np.ndarray, eta: np.ndarray, mask: np.ndarray | None = None) -> int:
+    """Number of eta values outside [x_0, x_N]; `mask` (bool, eta's shape) is scratch."""
+    if mask is None:
+        mask = np.empty(eta.shape, dtype=bool)
+    below = np.count_nonzero(np.less(eta, x_nodes[0], out=mask))
+    return int(below + np.count_nonzero(np.greater(eta, x_nodes[-1], out=mask)))
 
 
 def check_clamp(outside: int, cells: int, x_nodes: np.ndarray,
@@ -297,7 +317,7 @@ def check_clamp(outside: int, cells: int, x_nodes: np.ndarray,
     return clamp_fraction
 
 
-def brackets(x_nodes: np.ndarray, eta: np.ndarray):
+def brackets(x_nodes: np.ndarray, eta: np.ndarray, work=None):
     """Flat cell index into a (n_cols, n_x) table and offset eta - x_j, per (path, column).
 
     Column c of eta is read from row c of the table.  x_nodes is a linspace,
@@ -305,16 +325,26 @@ def brackets(x_nodes: np.ndarray, eta: np.ndarray):
     one where rounding put it off the node values.  eta is clamped to
     [x_0, x_N] first, and the last node is a cell of its own, so eta at or
     beyond either end reads the end value exactly, as np.interp does.
+
+    `work` = (cell, offset, scratch, mask), arrays of eta's shape with dtypes
+    intp, float, float and bool: the first two receive the result, the last
+    two are temporaries.  They are allocated when `work` is None.
     """
+    if work is None:
+        work = tuple(np.empty(eta.shape, dtype) for dtype in (np.intp, float, float, bool))
+    j, e, tmp, mask = work
     n = x_nodes.size - 1
     lo, hi = x_nodes[0], x_nodes[-1]
-    e = np.clip(eta, lo, hi)
-    j = ((e - lo) * (n / (hi - lo))).astype(np.intp)
+    np.clip(eta, lo, hi, out=e)
+    np.subtract(e, lo, out=tmp)
+    np.multiply(tmp, n / (hi - lo), out=tmp)
+    np.copyto(j, tmp, casting="unsafe")
     np.minimum(j, n, out=j)
+    # every index is in [0, n] here; mode="clip" gathers without buffering
     ext = np.append(x_nodes, np.inf)
-    j -= ext[j] > e
-    j += ext[j + 1] <= e
-    e -= x_nodes[j]
+    j -= np.greater(np.take(ext, j, out=tmp, mode="clip"), e, out=mask)
+    j += np.less_equal(np.take(ext[1:], j, out=tmp, mode="clip"), e, out=mask)
+    e -= np.take(x_nodes, j, out=tmp, mode="clip")
     j += np.arange(eta.shape[1]) * (n + 1)
     return j, e
 
@@ -334,9 +364,17 @@ def field_tables(field: SolutionField, start: int = 0):
 
 
 def interp_at(values: np.ndarray, slopes: np.ndarray, cell: np.ndarray,
-              offset: np.ndarray) -> np.ndarray:
-    """slope * (eta - x_j) + f_j at bracketed cells: np.interp's arithmetic, so the values match it."""
-    return slopes.take(cell) * offset + values.take(cell)
+              offset: np.ndarray, out: np.ndarray | None = None,
+              scratch: np.ndarray | None = None) -> np.ndarray:
+    """slope * (eta - x_j) + f_j at bracketed cells: np.interp's arithmetic, so the values match it.
+
+    `out` receives the result and `scratch` is a temporary, both of cell's
+    shape; they are allocated when None.
+    """
+    out = np.take(slopes, cell, out=out, mode="clip")
+    out *= offset
+    out += np.take(values, cell, out=scratch, mode="clip")
+    return out
 
 
 def extract_triple(field: SolutionField, eta: np.ndarray, coeffs: CoefficientSet,

@@ -239,6 +239,7 @@ def cmd_sweep(cfg: ExperimentConfig) -> int:
     report = al.run_sweep(cfg.make_generator(), coeffs, cfg.make_terminal(),
                           cfg.eps_list, _sweep_config(cfg))
     manifest.end("sweep")
+    manifest.note("fbar_panels", report.fbar_panels)
 
     manifest.begin("write")
     manifest.record_file(write_csv(out / "sweep_report.csv", SWEEP_HEADER,

@@ -106,7 +106,6 @@ class ExperimentConfig:
             sigma2=self.coefficient_fn("sigma2"),
             grid=self.grid(),
             hurst=self.hurst(),
-            quad=self.quad(),
         )
 
     def make_generator(self) -> Generator:

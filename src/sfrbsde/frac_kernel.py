@@ -198,11 +198,6 @@ def norm_sq(xi, t: float, hurst: HurstModel, quad: QuadratureSpec) -> float:
     return max(value, 0.0)
 
 
-def sigma2_hat(t, coeffs: "CoefficientSet"):
-    """sigma2_hat(t) = int_0^t rho(t, v) sigma2(v) dv."""
-    return kernel_transform(coeffs.sigma2, t, coeffs.hurst, coeffs.quad.panels)
-
-
 def c0_const(hurst: HurstModel, t_horizon: float) -> float:
     """Variance-bound constant C0(H, T) = H T^(2H-1)."""
     if not t_horizon > 0:
@@ -247,7 +242,6 @@ class CoefficientSet:
     T: float
     hurst: HurstModel
     grid: TimeGrid
-    quad: QuadratureSpec
     norm_sq_table: np.ndarray = field(repr=False)
     sigma2_hat_table: np.ndarray = field(repr=False)
     sigma1_sq_int_table: np.ndarray = field(repr=False)
@@ -265,9 +259,7 @@ class CoefficientSet:
         sigma2: DeterministicFn,
         grid: TimeGrid,
         hurst: HurstModel,
-        quad: QuadratureSpec | None = None,
     ) -> "CoefficientSet":
-        quad = quad or QuadratureSpec()
         t = grid.nodes
         interior = t[1:]
 
@@ -326,7 +318,6 @@ class CoefficientSet:
             T=grid.T,
             hurst=hurst,
             grid=grid,
-            quad=quad,
             norm_sq_table=nsq,
             sigma2_hat_table=s2hat,
             sigma1_sq_int_table=sig1_sq_int,

@@ -17,6 +17,7 @@ from __future__ import annotations
 
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -127,24 +128,37 @@ def fbm_covariance(nodes: np.ndarray, hurst: HurstModel) -> np.ndarray:
                   - np.abs(t[:, None] - t[None, :]) ** two_h)
 
 
+# the factors depend only on (grid, hurst): a sweep that draws its paths
+# block by block builds each once
+@lru_cache(maxsize=4)
+def cholesky_factor(grid: TimeGrid, hurst: HurstModel) -> np.ndarray:
+    """Read-only lower Cholesky factor of the fBm covariance at t_1..t_n.
+
+    If the covariance is not numerically positive definite, 1e-12 * I is
+    added once; a second failure raises FactorizationError.
+    """
+    cov = fbm_covariance(grid.nodes[1:], hurst)
+    try:
+        chol = np.linalg.cholesky(cov)
+    except np.linalg.LinAlgError:
+        try:
+            chol = np.linalg.cholesky(cov + 1e-12 * np.eye(grid.n_steps))
+        except np.linalg.LinAlgError as exc:
+            raise FactorizationError(
+                "fBm covariance is not positive definite even after adding "
+                "1e-12 * I jitter once; aborting"
+            ) from exc
+    chol.setflags(write=False)
+    return chol
+
+
 def fbm_cholesky(grid: TimeGrid, hurst: HurstModel, n_paths: int, rng: RngSpec,
                  workers: int = 1) -> PathEnsemble:
     """Exact fBm samples via lower-triangular factorization of the covariance."""
     if n_paths < 1:
         raise ValueError("n_paths must be positive")
     n = grid.n_steps
-    cov = fbm_covariance(grid.nodes[1:], hurst)
-    try:
-        chol = np.linalg.cholesky(cov)
-    except np.linalg.LinAlgError:
-        try:
-            chol = np.linalg.cholesky(cov + 1e-12 * np.eye(n))
-        except np.linalg.LinAlgError as exc:
-            raise FactorizationError(
-                "fBm covariance is not positive definite even after adding "
-                "1e-12 * I jitter once; aborting"
-            ) from exc
-
+    chol = cholesky_factor(grid, hurst)
     Z = np.empty((n_paths, n))
 
     def fill(lo, hi):
@@ -178,6 +192,14 @@ def circulant_eigenvalues(n_steps: int, hurst: HurstModel, dt: float) -> np.ndar
     return np.maximum(eig, 0.0)
 
 
+@lru_cache(maxsize=4)
+def circulant_sqrt_eigenvalues(grid: TimeGrid, hurst: HurstModel) -> np.ndarray:
+    """Read-only square roots of `circulant_eigenvalues` on the grid."""
+    sqrt_eig = np.sqrt(circulant_eigenvalues(grid.n_steps, hurst, grid.dt))
+    sqrt_eig.setflags(write=False)
+    return sqrt_eig
+
+
 def fbm_circulant(grid: TimeGrid, hurst: HurstModel, n_paths: int, rng: RngSpec,
                   workers: int = 1) -> PathEnsemble:
     """Davies-Harte sampling: stationary increments via circulant embedding."""
@@ -185,7 +207,7 @@ def fbm_circulant(grid: TimeGrid, hurst: HurstModel, n_paths: int, rng: RngSpec,
         raise ValueError("n_paths must be positive")
     n = grid.n_steps
     m = 2 * n
-    sqrt_eig = np.sqrt(circulant_eigenvalues(n, hurst, grid.dt))
+    sqrt_eig = circulant_sqrt_eigenvalues(grid, hurst)
     BH = np.zeros((n_paths, n + 1))
 
     def fill(lo, hi):
@@ -284,11 +306,14 @@ def eta_noise(coeffs: CoefficientSet, ensemble: PathEnsemble) -> np.ndarray:
 
 
 def eta_from_noise(coeffs: CoefficientSet, noise: np.ndarray, epsilon: float,
-                   eta0: float = 0.0) -> np.ndarray:
-    """eta^eps = eta0 + eps^2H int_0^t b ds + eps^H N on the grid, N from `eta_noise`."""
+                   eta0: float = 0.0, out: np.ndarray | None = None) -> np.ndarray:
+    """eta^eps = eta0 + eps^2H int_0^t b ds + eps^H N on the grid, N from `eta_noise`.
+
+    `out`, of shape (paths, nodes), receives eta when given.
+    """
     if not 0 < epsilon <= 1:
         raise ValueError(f"epsilon must lie in (0, 1], got {epsilon!r}")
-    eta = np.empty((noise.shape[0], noise.shape[1] + 1))
+    eta = np.empty((noise.shape[0], noise.shape[1] + 1)) if out is None else out
     eta[:, 0] = eta0
     np.multiply(noise, epsilon**coeffs.hurst.h, out=eta[:, 1:])
     # a + b == b + a exactly, so this is (eta0 + drift) + eps^H N bit for bit

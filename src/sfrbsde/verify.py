@@ -39,7 +39,6 @@ def _std_coeffs(cfg: ExperimentConfig, n_steps=64):
         sigma2=cfg.coefficient_fn("sigma2"),
         grid=grid,
         hurst=cfg.hurst(),
-        quad=cfg.quad(),
     )
 
 
@@ -99,8 +98,8 @@ def check_kernel_closed_forms(cfg):
                 grid = TimeGrid(T=t, n_steps=8)
                 coeffs = fk.CoefficientSet.build(
                     fk.DeterministicFn.const(0.0), fk.DeterministicFn.const(1.0),
-                    xi, grid, h, q)
-                got2 = fk.sigma2_hat(t, coeffs)
+                    xi, grid, h)
+                got2 = coeffs.sigma2_hat_table[-1]
                 want2 = c * hv * t ** (2 * hv - 1)
                 worst = max(worst, abs(got2 - want2) / abs(want2))
     return _result("kernel-closed-forms", worst <= 1e-6, f"max rel err {worst:.1e} (limit 1e-6)")
@@ -224,7 +223,7 @@ def _closed_form_errors(cfg, n):
     grid = TimeGrid(T=cfg.t_horizon, n_steps=n)
     coeffs = fk.CoefficientSet.build(
         sub.coefficient_fn("b"), sub.coefficient_fn("sigma1"),
-        sub.coefficient_fn("sigma2"), grid, cfg.hurst(), cfg.quad())
+        sub.coefficient_fn("sigma2"), grid, cfg.hurst())
     pde = bs.PdeConfig(kappa=10.0, n_space=n, theta=cfg.theta,
                        picard_max_iter=cfg.picard_max_iter, picard_tol=cfg.picard_tol)
     r = 0.1

@@ -1,10 +1,12 @@
 """Independent oracles used to freeze expected values.
 
-Nothing here imports production quadrature code: the double integral is done
-by plain product integration (the singular factor integrated exactly per
-panel, the smooth factor at panel midpoints) on meshes graded toward the
-singularity.  Deliberately simple and slow.  The per-node f-bar and the
-per-column extraction are the loop forms of two vectorised production layers,
+The brute-force quadratures import no production code: the double integral
+is done by plain product integration (the singular factor integrated exactly
+per panel, the smooth factor at panel midpoints) on meshes graded toward the
+singularity.  Deliberately simple and slow.  `sigma2_hat` is the production
+power substitution at its old 256 panels, the second route beside the
+64-panel table.  The per-node f-bar, the whole-table phi and the
+per-column extraction are the loop forms of vectorised production layers,
 the whole-ensemble sweep is the array form of the streamed one, and the
 per-path samplers draw each path from a freshly built generator where
 production resets one bit generator per chunk; all are kept here as
@@ -67,6 +69,17 @@ IP_USQ_SINU_H06_T1 = 0.20444119783761959
 S2HAT_SINUSOIDAL_H075_T1 = 0.6856095603068066
 
 
+def sigma2_hat(t, coeffs, panels=256):
+    """sigma2_hat(t) by the production power substitution at `panels` panels.
+
+    The route `CoefficientSet.sigma2_hat_table` replaced (its 256 panels
+    were the default QuadratureSpec); the table uses 64.
+    """
+    from sfrbsde.frac_kernel import kernel_transform
+
+    return kernel_transform(coeffs.sigma2, t, coeffs.hurst, panels)
+
+
 def monomial_norm_sq(t, H):
     """||s -> s||_t^2 = t^(2H+2) / (2H+2); from the Beta-integral reduction
     int_0^u (u-v)^(2H-2) v dv = u^2H / (2H(2H-1))."""
@@ -93,15 +106,15 @@ def discrete_wiener_variance(xi_values, nodes, H):
     return var
 
 
-def per_node_fbar(gen, T, panels=64):
-    """(1/T) int_0^T f(s, .) ds by composite GL-4, one call of f per node.
+def per_node_fbar(gen, T, panels):
+    """(1/T) int_0^T f(s, .) ds by `panels` panels of GL-4, one call of f per node.
 
     The same nodes and weights as the production quadrature, accumulated
     node by node with scalar s; the production route makes one broadcast
     call over all nodes instead.
     """
     gx, gw = np.polynomial.legendre.leggauss(4)
-    edges = np.linspace(0.0, T, min(panels, 64) + 1)
+    edges = np.linspace(0.0, T, panels + 1)
     mid = 0.5 * (edges[:-1] + edges[1:])
     half = 0.5 * (edges[1:] - edges[:-1])
     nodes = (mid[:, None] + half[:, None] * gx[None, :]).ravel()
@@ -114,6 +127,32 @@ def per_node_fbar(gen, T, panels=64):
         return acc
 
     return fbar
+
+
+def table_phi(gen, fbar, sampler, t_grid, n_time_nodes=1025):
+    """sup phi from the whole (nodes, samples) table of |f - fbar|^2, one call
+    of f per node, and its cumulative trapezoid; returns (value, window, point)."""
+    x, y, z1, z2 = sampler.draw()
+    t_max = max(b for _, b in t_grid)
+    s_nodes = np.linspace(0.0, t_max, n_time_nodes)
+    fb = fbar(x, y, z1, z2)
+    gaps_sq = np.empty((s_nodes.size, x.size))
+    for i, s in enumerate(s_nodes):
+        gaps_sq[i] = (gen(s, x, y, z1, z2) - fb) ** 2
+    ds = np.diff(s_nodes)
+    cum = np.zeros_like(gaps_sq)
+    cum[1:] = np.cumsum(0.5 * (gaps_sq[1:] + gaps_sq[:-1]) * ds[:, None], axis=0)
+    denom = 1.0 + y**2 + z1**2 + z2**2
+    best = (0.0, t_grid[0], (0.0, 0.0, 0.0, 0.0))
+    for a, b in t_grid:
+        ia = int(round(a / t_max * (n_time_nodes - 1)))
+        ib = int(round(b / t_max * (n_time_nodes - 1)))
+        ratio = (cum[ib] - cum[ia]) / (s_nodes[ib] - s_nodes[ia]) / denom
+        j = int(np.argmax(ratio))
+        if ratio[j] > best[0]:
+            best = (float(ratio[j]), (a, b),
+                    (float(x[j]), float(y[j]), float(z1[j]), float(z2[j])))
+    return best
 
 
 def per_column_triple(x_nodes, psi, psi_x, eta, sig1, sig2):
@@ -200,7 +239,7 @@ def whole_ensemble_sweep(original, coeffs, term, eps_list, cfg):
                                     / exceed.size)
     report = al.SweepReport(eps_list=tuple(eps_list), T=T, beta=cfg.beta, delta1=cfg.delta1,
                             delta2=float(delta2), t0=t0, L=L, C1=C1, phi_bound=phi.value,
-                            n_paths=cfg.n_paths, stats=stats)
+                            n_paths=cfg.n_paths, stats=stats, fbar_panels=fbar.panels)
     al.check_lemma1(report)
     al.check_theorem_rate(report)
     al.check_chebyshev(report)

@@ -27,7 +27,6 @@ from sfrbsde.frac_kernel import (
     HurstModel,
     QuadratureSpec,
     norm_sq,
-    sigma2_hat,
 )
 from sfrbsde.grids import TimeGrid
 from sfrbsde.path_engine import (
@@ -40,7 +39,7 @@ from sfrbsde.path_engine import (
     wiener_integral_det,
 )
 
-from oracles import brute_force_norm_sq, brute_force_sigma2_hat, monomial_norm_sq
+from oracles import brute_force_norm_sq, brute_force_sigma2_hat, monomial_norm_sq, sigma2_hat
 
 SEED = 42
 H75 = HurstModel(0.75)

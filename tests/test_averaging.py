@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from sfrbsde import averaging_lab
 from sfrbsde.averaging_lab import (
     AveragingConstants,
     BoxSampler,
@@ -23,14 +24,26 @@ from sfrbsde.averaging_lab import (
     run_sweep,
     solve_alpha0,
 )
-from sfrbsde.bsde_solver import Generator, PdeConfig, TerminalCondition, block_rows, domain_bounds
+from sfrbsde.bsde_solver import (
+    Generator,
+    PdeConfig,
+    TerminalCondition,
+    block_rows,
+    domain_bounds,
+    solve_psi,
+)
 from sfrbsde.config import benchmark_fbar, benchmark_generator
-from sfrbsde.errors import ContractError, DomainTooSmallError, InfeasibleAlphaError
+from sfrbsde.errors import (
+    ContractError,
+    DomainTooSmallError,
+    InfeasibleAlphaError,
+    QuadratureConvergenceError,
+)
 from sfrbsde.frac_kernel import CoefficientSet, DeterministicFn, HurstModel, QuadratureSpec
 from sfrbsde.grids import TimeGrid
-from sfrbsde.path_engine import RngSpec, make_ensemble, simulate_eta
+from sfrbsde.path_engine import RngSpec, eta_noise, make_ensemble, simulate_eta
 
-from oracles import per_node_fbar, whole_ensemble_sweep
+from oracles import per_node_fbar, table_phi, whole_ensemble_sweep
 
 H75 = HurstModel(0.75)
 QUAD = QuadratureSpec()
@@ -60,6 +73,7 @@ class TestBuildFbar:
                         name="flat", time_dependent=False)
         fbar = build_fbar(gen, 1.0, QUAD)
         assert fbar.provenance == "analytic"
+        assert fbar.panels == 0
         x, y, z1, z2 = sample_points()
         assert np.array_equal(fbar(x, y, z1, z2), gen(0.0, x, y, z1, z2))
 
@@ -78,6 +92,46 @@ class TestBuildFbar:
         assert np.allclose(fbar(x, y, z1, z2), analytic(x, y, z1, z2), atol=1e-9)
 
 
+def within_quad_tol(got, want, tol=QUAD.tol):
+    return np.all(np.abs(got - want) <= tol * np.maximum(1.0, np.abs(want)))
+
+
+class TestFbarPanels:
+    """build_fbar picks its panel count once, from 8 up, by refinement on the sampler points."""
+
+    def test_benchmark_takes_the_floor(self):
+        fbar = build_fbar(benchmark_generator(1.0), 1.0, QUAD)
+        assert fbar.panels == 8
+        assert fbar.provenance == "quadrature-of-f"
+        pts = BoxSampler().draw()
+        assert within_quad_tol(fbar(*pts), benchmark_fbar()(*pts), tol=1e-13)
+
+    def test_smooth_mixed_generator_meets_tolerance(self):
+        gen = FBAR_GENERATORS["x-and-t"]
+        fbar = build_fbar(gen, 1.0, QUAD)
+        pts = [a[:33] for a in BoxSampler().draw()]
+        assert within_quad_tol(fbar(*pts), per_node_fbar(gen, 1.0, 4096)(*pts))
+
+    def test_fast_oscillation_refines(self):
+        gen = Generator(fn=lambda t, x, y, z1, z2: (1.0 + np.sin(2 * np.pi * 20.5 * t))
+                        * np.asarray(y), name="fast")
+        fbar = build_fbar(gen, 1.0, QUAD)
+        assert 8 < fbar.panels <= QUAD.panels
+        # (1/T) int_0^1 sin(2 pi 20.5 t) dt = 2 / (41 pi)
+        x, y, z1, z2 = BoxSampler().draw()
+        assert within_quad_tol(fbar(x, y, z1, z2), (1.0 + 2.0 / (41.0 * np.pi)) * y)
+        with pytest.raises(QuadratureConvergenceError):
+            build_fbar(gen, 1.0, QuadratureSpec(panels=fbar.panels // 2))
+
+    def test_unresolved_generator_raises(self):
+        # the sqrt(t) cusp converges like h^1.5: never to 1e-8 within 256 panels
+        gen = Generator(fn=lambda t, x, y, z1, z2: np.sqrt(t) * np.asarray(y), name="sqrt-t")
+        with pytest.raises(QuadratureConvergenceError) as err:
+            build_fbar(gen, 1.0, QUAD)
+        assert err.value.tol == QUAD.tol
+        assert abs(err.value.fine - err.value.coarse) > QUAD.tol
+
+
 FBAR_GENERATORS = {
     "benchmark": benchmark_generator(1.0),
     # t ignored but declared time-dependent: the quadrature route must still
@@ -94,8 +148,9 @@ FBAR_GENERATORS = {
 
 
 def assert_fbar_matches_oracle(gen, T, args):
-    got = build_fbar(gen, T, QUAD)(*args)
-    want = per_node_fbar(gen, T, QUAD.panels)(*args)
+    fbar = build_fbar(gen, T, QUAD)
+    got = fbar(*args)
+    want = per_node_fbar(gen, T, fbar.panels)(*args)
     assert np.shape(got) == np.shape(want)
     np.testing.assert_allclose(got, want, rtol=1e-13, atol=1e-13)
 
@@ -149,6 +204,29 @@ class TestEstimatePhi:
         small = estimate_phi(gen, fbar, BoxSampler(n_samples=256), windows)
         large = estimate_phi(gen, fbar, BoxSampler(n_samples=512), windows)
         assert large.value >= small.value
+
+    @pytest.mark.parametrize("n_time_nodes", [2, 64, 65, 66, 130, 1025])
+    def test_streamed_matches_whole_table(self, n_time_nodes):
+        # chunk boundaries fall inside, at and beside the window ends
+        gen = FBAR_GENERATORS["x-and-t"]
+        fbar = build_fbar(gen, 1.0, QUAD)
+        sampler = BoxSampler(n_samples=300)
+        windows = [(0.0, 1.0), (0.25, 1.0), (0.5, 0.75), (1.0 / 3.0, 0.9)]
+        got = estimate_phi(gen, fbar, sampler, windows, n_time_nodes=n_time_nodes)
+        value, window, point = table_phi(gen, fbar, sampler, windows, n_time_nodes)
+        assert (got.value, got.at_window, got.at_point) == (value, window, point)
+
+    def test_memory_with_default_sampler(self):
+        gen = benchmark_generator(1.0)
+        fbar = build_fbar(gen, 1.0, QUAD)
+        windows = [(s, 1.0) for s in np.linspace(0.0, 15.0 / 16.0, 16)]
+        tracemalloc.start()
+        try:
+            estimate_phi(gen, fbar, BoxSampler(), windows)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 16e6
 
     def test_bad_window_rejected(self):
         gen = benchmark_generator(1.0)
@@ -521,6 +599,26 @@ class TestStreamedSweep:
         n_paths = 1500
         growth = peak(4 * n_paths) - peak(n_paths)
         assert growth < 8 * n_paths * coeffs128.grid.n_nodes
+
+    def test_warm_block_fold_allocates_no_block(self, coeffs128):
+        grid = coeffs128.grid
+        rows = block_rows(grid.n_nodes)
+        fields = [solve_psi(gen, TerminalCondition.square(), coeffs128, 0.5,
+                            STREAM_CFG.pde, STREAM_CFG.eta0)
+                  for gen in (benchmark_generator(1.0),
+                              build_fbar(benchmark_generator(1.0), 1.0, QUAD).as_generator())]
+        fold = averaging_lab._WindowFold(20, *fields, coeffs128, 2 * rows, STREAM_CFG.eta0)
+        ws = averaging_lab._FoldWorkspace(rows, grid.n_nodes)
+        noise = eta_noise(coeffs128, make_ensemble(grid, H75, rows, STREAM_CFG.rng))
+        averaging_lab._window_stats(fold, 0.5, noise, 0, ws)
+        tracemalloc.start()
+        try:
+            averaging_lab._window_stats(fold, 0.5, noise, rows, ws)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert fold.count == 2 * rows
+        assert peak < 8 * rows * grid.n_nodes
 
     def test_domain_error_counts_every_node_of_every_block(self):
         # b = A cos(2 pi t): eta drifts far out of the domain mid-horizon and

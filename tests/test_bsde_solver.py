@@ -9,9 +9,14 @@ from sfrbsde.bsde_solver import (
     Generator,
     PdeConfig,
     TerminalCondition,
+    brackets,
     build_pde_coefficients,
+    central_gradient,
+    count_outside,
     domain_bounds,
     extract_triple,
+    field_tables,
+    interp_at,
     malliavin_representation_check,
     residual_mean_check,
     solve_psi,
@@ -242,6 +247,53 @@ class TestExtractOracle:
         # also land some cells exactly on nodes
         eta[0] = rng.choice(field.x_nodes, field.t_nodes.size)
         assert_triple_matches_oracle(field, eta, coeffs)
+
+
+class TestCentralGradient:
+    """solve_psi's written-out differences are np.gradient, bit for bit."""
+
+    @pytest.mark.parametrize("shape", [(3,), (65,), (257,), (9, 129)])
+    def test_equals_np_gradient(self, shape):
+        values = np.random.default_rng(11).standard_normal(shape)
+        dx = np.float64(0.0371)
+        want = np.gradient(values, dx, axis=-1)
+        assert np.array_equal(central_gradient(values, dx), want)
+        out = np.full(shape, np.nan)
+        assert central_gradient(values, dx, out=out) is out
+        assert np.array_equal(out, want)
+
+    def test_psi_x_of_a_solve(self, coeffs128):
+        field = solve_psi(benchmark_generator(1.0), TerminalCondition.square(), coeffs128,
+                          0.5, PdeConfig(kappa=6.0, n_space=64), eta0=1.0)
+        dx = field.x_nodes[1] - field.x_nodes[0]
+        assert np.array_equal(field.psi_x, np.gradient(field.psi, dx, axis=1))
+
+
+class TestReadBuffers:
+    """brackets, interp_at and count_outside give the same bits into caller buffers."""
+
+    def test_buffers_match_allocating_calls(self, coeffs128, paths128):
+        # the eps = 0.5 domain is narrower than the eps = 1 paths: some read clamped
+        field = solve_psi(benchmark_generator(1.0), TerminalCondition.square(), coeffs128,
+                          0.5, PdeConfig(kappa=4.0, n_space=64))
+        eta = paths128[:300, 5:]  # a strided window, as the sweep reads it
+        tables = field_tables(field, 5)
+        cell, offset = brackets(field.x_nodes, eta)
+        work = tuple(np.full(eta.shape, fill, dtype)
+                     for fill, dtype in ((-1, np.intp), (np.nan, float), (np.nan, float),
+                                         (True, bool)))
+        got_cell, got_offset = brackets(field.x_nodes, eta, work)
+        assert got_cell is work[0] and got_offset is work[1]
+        assert np.array_equal(got_cell, cell) and np.array_equal(got_offset, offset)
+        for values, slopes in (tables[:2], tables[2:]):
+            want = interp_at(values, slopes, cell, offset)
+            out = np.full(eta.shape, np.nan)
+            assert interp_at(values, slopes, cell, offset, out, work[2]) is out
+            assert np.array_equal(out, want)
+        want = int(np.count_nonzero((eta < field.x_nodes[0]) | (eta > field.x_nodes[-1])))
+        assert want > 0
+        assert count_outside(field.x_nodes, eta) == want
+        assert count_outside(field.x_nodes, eta, work[3]) == want
 
 
 class TestExtractTriple:

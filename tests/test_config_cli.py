@@ -174,6 +174,7 @@ class TestCli:
         for name in ("L,", "C0,", "C1,", "alpha0[eps=0.5]", "C4[eps=0.2]"):
             assert name in constants
         assert "PASS" in (out / "summary.txt").read_text()
+        assert "\nfbar_panels,8\n" in (out / "manifest.csv").read_text()
 
     def test_seed_override_changes_hash(self, tmp_path):
         path = write_cfg(tmp_path, SMALL + f"out_dir = {tmp_path / 'a'}\n")

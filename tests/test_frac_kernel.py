@@ -18,7 +18,6 @@ from sfrbsde.frac_kernel import (
     inner_product,
     norm_sq,
     rho,
-    sigma2_hat,
 )
 from sfrbsde.grids import TimeGrid
 
@@ -29,6 +28,7 @@ from oracles import (
     brute_force_norm_sq,
     brute_force_sigma2_hat,
     monomial_norm_sq,
+    sigma2_hat,
 )
 
 H75 = HurstModel(0.75)
@@ -39,7 +39,7 @@ IDENT = DeterministicFn.linear(1.0)
 
 
 def build_coeffs(sigma2=ONE, sigma1=ONE, b=ZERO, T=1.0, n=64, hurst=H75):
-    return CoefficientSet.build(b, sigma1, sigma2, TimeGrid(T=T, n_steps=n), hurst, QUAD)
+    return CoefficientSet.build(b, sigma1, sigma2, TimeGrid(T=T, n_steps=n), hurst)
 
 
 class TestHurstModel:

@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
 
-from sfrbsde.errors import EmbeddingError
+from sfrbsde import path_engine
+from sfrbsde.errors import EmbeddingError, FactorizationError
 from sfrbsde.frac_kernel import (
     CoefficientSet,
     DeterministicFn,
@@ -15,7 +16,10 @@ from sfrbsde.path_engine import (
     bm_paths,
     check_lemma_var_bound,
     circulant_eigenvalues,
+    circulant_sqrt_eigenvalues,
+    cholesky_factor,
     fbm_cholesky,
+    fbm_covariance,
     fbm_circulant,
     fbm_increment_autocov,
     make_ensemble,
@@ -350,3 +354,81 @@ class TestSeedingWork:
                       workers=workers)
         # 600 paths make `workers` chunks; each chunk draws B and B^H
         assert len(built) == 2 * workers
+
+
+class TestFactorMemo:
+    """The fBm factors are built once per (grid, hurst); the jitter fallback stays."""
+
+    GRID = TimeGrid(T=1.0, n_steps=16)
+
+    @pytest.fixture(autouse=True)
+    def fresh_memo(self):
+        cholesky_factor.cache_clear()
+        circulant_sqrt_eigenvalues.cache_clear()
+        yield
+        cholesky_factor.cache_clear()
+        circulant_sqrt_eigenvalues.cache_clear()
+
+    def failing_cholesky(self, monkeypatch, failures):
+        real = np.linalg.cholesky
+        calls = []
+
+        def cholesky(a):
+            calls.append(a.copy())
+            if len(calls) <= failures:
+                raise np.linalg.LinAlgError("forced failure")
+            return real(a)
+
+        monkeypatch.setattr(np.linalg, "cholesky", cholesky)
+        return calls
+
+    def test_factor_is_memoised_and_read_only(self):
+        chol = cholesky_factor(self.GRID, H75)
+        assert cholesky_factor(TimeGrid(T=1.0, n_steps=16), HurstModel(0.75)) is chol
+        assert not chol.flags.writeable
+        assert np.array_equal(chol, np.linalg.cholesky(fbm_covariance(self.GRID.nodes[1:], H75)))
+        sqrt_eig = circulant_sqrt_eigenvalues(self.GRID, H75)
+        assert circulant_sqrt_eigenvalues(self.GRID, H75) is sqrt_eig
+        assert not sqrt_eig.flags.writeable
+        assert np.array_equal(sqrt_eig, np.sqrt(circulant_eigenvalues(16, H75, self.GRID.dt)))
+
+    def test_one_failure_adds_jitter(self, monkeypatch):
+        cov = fbm_covariance(self.GRID.nodes[1:], H75)
+        want = np.linalg.cholesky(cov + 1e-12 * np.eye(16))
+        calls = self.failing_cholesky(monkeypatch, failures=1)
+        got = fbm_cholesky(self.GRID, H75, 5, RNG)
+        assert len(calls) == 2
+        assert np.array_equal(calls[0], cov)
+        assert np.array_equal(calls[1], cov + 1e-12 * np.eye(16))
+        assert np.array_equal(cholesky_factor(self.GRID, H75), want)
+        assert len(calls) == 2  # memoised: the jittered factor is not rebuilt
+        assert np.array_equal(got.BH[:, 1:], per_path_normals(RNG, PURPOSE_FBM, 0, 5, 16) @ want.T)
+
+    def test_two_failures_raise(self, monkeypatch):
+        calls = self.failing_cholesky(monkeypatch, failures=2)
+        with pytest.raises(FactorizationError):
+            fbm_cholesky(self.GRID, H75, 5, RNG)
+        assert len(calls) == 2
+
+    @pytest.mark.parametrize("method", ["cholesky", "circulant"])
+    def test_one_factorisation_per_sweep(self, monkeypatch, method):
+        from sfrbsde.averaging_lab import BoxSampler, SweepConfig, run_sweep
+        from sfrbsde.bsde_solver import PdeConfig, TerminalCondition, block_rows
+        from sfrbsde.config import benchmark_generator
+
+        built = []
+        real_eig = path_engine.circulant_eigenvalues
+        monkeypatch.setattr(path_engine, "circulant_eigenvalues",
+                            lambda *a: built.append("eig") or real_eig(*a))
+        real_chol = np.linalg.cholesky
+        monkeypatch.setattr(np.linalg, "cholesky", lambda a: built.append("chol") or real_chol(a))
+        coeffs = CoefficientSet.build(ZERO, ONE, ONE, self.GRID, H75)
+        n_paths = 3 * block_rows(self.GRID.n_nodes) + 5
+        cfg = SweepConfig(n_paths=n_paths, t0=0.75, eta0=1.0, fbm_method=method,
+                          pde=PdeConfig(kappa=6.0, n_space=64), rng=RngSpec(seed=42),
+                          phi_sampler=BoxSampler(n_samples=64))
+        run_sweep(benchmark_generator(1.0), coeffs, TerminalCondition.square(),
+                  (0.5, 0.3, 0.2), cfg)
+        # four path blocks, three eps: one build all the same
+        assert built.count("chol") == (method == "cholesky")
+        assert built.count("eig") == (method == "circulant")
