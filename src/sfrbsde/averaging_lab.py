@@ -22,7 +22,6 @@ which is surfaced in the report notes rather than reconciled.
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
 from typing import Callable, Sequence
 
@@ -156,8 +155,13 @@ class BoxSampler:
     n_samples: int = 2048
     seed: int = 20240
 
+    @property
+    def widths(self) -> np.ndarray:
+        """Half-widths of the (x, y, z1, z2) axes."""
+        return np.broadcast_to(np.asarray(self.half_width, dtype=float), (4,))
+
     def draw(self):
-        widths = np.broadcast_to(np.asarray(self.half_width, dtype=float), (4,))
+        widths = self.widths
         rng = np.random.Generator(np.random.Philox(key=np.array([self.seed, 77], dtype=np.uint64)))
         pts = widths * (2.0 * rng.random((self.n_samples, 4)) - 1.0)
         corners = widths * np.array(
@@ -246,6 +250,7 @@ def estimate_lipschitz(gen: Generator, sampler: BoxSampler, T: float = 1.0,
     exceedance is a contract error) and the declared value is returned.
     """
     x_all, y_all, z1_all, z2_all = sampler.draw()
+    x_width = sampler.widths[0]
     m = y_all.size // 2
     y, yp = y_all[:m], y_all[m:2 * m]
     z1, z1p = z1_all[:m], z1_all[m:2 * m]
@@ -254,7 +259,7 @@ def estimate_lipschitz(gen: Generator, sampler: BoxSampler, T: float = 1.0,
     keep = dist > 1e-14
     worst = 0.0
     for t in np.linspace(0.0, T, n_anchors + 1):
-        for xa in np.linspace(-sampler.half_width, sampler.half_width, 5):
+        for xa in np.linspace(-x_width, x_width, 5):
             df = gen(t, xa, y, z1, z2) - gen(t, xa, yp, z1p, z2p)
             ratio = df[keep] ** 2 / dist[keep]
             worst = max(worst, float(ratio.max(initial=0.0)))
@@ -410,7 +415,6 @@ class SweepConfig:
     quad: QuadratureSpec = field(default_factory=QuadratureSpec)
     rng: RngSpec = field(default_factory=lambda: RngSpec(seed=42))
     fbm_method: str = "auto"
-    workers: int = 1
     phi_sampler: BoxSampler = field(default_factory=BoxSampler)
     phi_windows: int = 16
 
@@ -598,14 +602,14 @@ def run_sweep(
     averaged system keeps eta^eps); triples are read on the SAME eta^eps
     paths, so every error statistic is a common-random-number estimate.
 
-    Every field is solved first (on `cfg.workers` threads across eps).  The
-    paths are then streamed in fixed blocks of `block_rows(n_nodes)` paths:
-    each block draws (B, B^H) once from the per-path streams of its global
-    path indices, and every eps builds eta^eps from the block's eps-free
-    noise, reads both fields on the window columns and folds the block into
-    its statistics.  No n_paths x n_nodes array is ever held; what grows
-    with n_paths is three per-path vectors per eps.  The statistics do not
-    depend on the worker count, and reruns are byte-identical.
+    Every field is solved first, one eps after another.  The paths are then
+    streamed in fixed blocks of `block_rows(n_nodes)` paths: each block
+    draws (B, B^H) once from the per-path streams of its global path
+    indices, and every eps builds eta^eps from the block's eps-free noise,
+    reads both fields on the window columns and folds the block into its
+    statistics.  No n_paths x n_nodes array is ever held; what grows
+    with n_paths is three per-path vectors per eps.  The sweep starts no
+    threads of its own, and reruns are byte-identical.
     """
     eps = [float(e) for e in eps_list]
     if not eps or any(not 0 < e <= 1 for e in eps) or any(
@@ -634,11 +638,7 @@ def run_sweep(
         i_lo = min(i_lo, grid.n_steps - 1)  # keep a nonempty window
         return _WindowFold(i_lo, field_orig, field_avg, coeffs, cfg.n_paths, cfg.eta0)
 
-    if cfg.workers > 1 and len(eps) > 1:
-        with ThreadPoolExecutor(max_workers=cfg.workers) as pool:
-            folds = list(pool.map(fold_for, eps))
-    else:
-        folds = [fold_for(e) for e in eps]
+    folds = [fold_for(e) for e in eps]
 
     rows = block_rows(grid.n_nodes)
     ws = _FoldWorkspace(min(rows, cfg.n_paths), grid.n_nodes)
@@ -646,7 +646,7 @@ def run_sweep(
         # path p of the block draws from the sub-stream of global path start + p
         block = make_ensemble(grid, hurst, min(rows, cfg.n_paths - start),
                               replace(cfg.rng, stream=cfg.rng.stream + start),
-                              method=cfg.fbm_method, workers=cfg.workers)
+                              method=cfg.fbm_method)
         noise = eta_noise(coeffs, block)
         for epsilon, fold in zip(eps, folds):
             _window_stats(fold, epsilon, noise, start, ws)
@@ -763,3 +763,19 @@ def check_chebyshev(report: SweepReport, delta2: float | None = None) -> list[bo
         report.stats[-1].exceed_prob <= report.stats[0].exceed_prob + 1e-12
     )
     return out
+
+
+def claim_verdicts(report: SweepReport) -> dict[str, bool]:
+    """Every claim verdict of a checked sweep by claim; the sweep passes iff all hold."""
+    stats = report.stats
+    return {
+        "lemma1": all(s.lemma1_pass for s in stats),
+        "c4": all(s.c4_pass for s in stats),
+        "monotone": all(
+            b.sup_mse <= a.sup_mse + 3 * np.hypot(a.sup_mse_stderr, b.sup_mse_stderr)
+            for a, b in zip(stats, stats[1:])
+        ),
+        "slope": report.fitted_slope > 0,
+        "chebyshev": all(s.chebyshev_pass for s in stats),
+        "trend": report.chebyshev_trend_pass,
+    }

@@ -447,10 +447,6 @@ class ResidualReport:
     t_probe: float
     n_paths: int
 
-    @property
-    def holds_within(self) -> float:
-        return 3.0 * self.stderr
-
 
 def residual_mean_check(triple: TriplePath, gen: Generator, coeffs: CoefficientSet,
                         epsilon: float, t_probe: float) -> ResidualReport:

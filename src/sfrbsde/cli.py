@@ -19,7 +19,7 @@ from . import __version__
 from . import averaging_lab as al
 from . import bsde_solver as bs
 from . import path_engine as pe
-from .config import ExperimentConfig, parse_config
+from .config import ExperimentConfig, parse_config, validated
 from .errors import ConfigError, NumericError, SfrbsdeError
 from .runio import RunManifest, write_csv
 from .verify import negative_control, run_all
@@ -36,7 +36,7 @@ def _load_config(args) -> ExperimentConfig:
         overrides["out_dir"] = args.out
     if args.workers is not None:
         overrides["workers"] = args.workers
-    return replace(cfg, **overrides) if overrides else cfg
+    return validated(replace(cfg, **overrides)) if overrides else cfg
 
 
 def _manifest(cfg: ExperimentConfig) -> RunManifest:
@@ -56,7 +56,7 @@ def cmd_simulate_fbm(cfg: ExperimentConfig) -> int:
     manifest.begin("simulate")
     coeffs = cfg.coefficient_set()
     ens = pe.make_ensemble(cfg.grid(), cfg.hurst(), cfg.n_paths, cfg.rng(),
-                           method=cfg.fbm_method, workers=cfg.resolved_workers())
+                           method=cfg.fbm_method)
     eta = pe.simulate_eta(coeffs, ens, cfg.epsilon, cfg.eta0)
     manifest.end("simulate")
 
@@ -103,7 +103,7 @@ def cmd_solve(cfg: ExperimentConfig) -> int:
 
     manifest.begin("extract")
     ens = pe.make_ensemble(cfg.grid(), cfg.hurst(), cfg.n_paths, cfg.rng(),
-                           method=cfg.fbm_method, workers=cfg.resolved_workers())
+                           method=cfg.fbm_method)
     eta = pe.simulate_eta(coeffs, ens, cfg.epsilon, cfg.eta0)
     triple = bs.extract_triple(field, eta, coeffs)
     manifest.end("extract")
@@ -142,7 +142,6 @@ def _sweep_config(cfg: ExperimentConfig) -> al.SweepConfig:
         n_paths=cfg.n_paths, beta=cfg.beta, delta1=cfg.delta1,
         delta2=cfg.resolved_delta2(), t0=cfg.resolved_t0(), eta0=cfg.eta0,
         pde=cfg.pde(), quad=cfg.quad(), rng=cfg.rng(), fbm_method=cfg.fbm_method,
-        workers=cfg.resolved_workers(),
     )
 
 
@@ -193,21 +192,15 @@ def sweep_summary_text(report: al.SweepReport) -> str:
         "claim verdicts",
         "--------------",
     ]
-    lem = all(s.lemma1_pass for s in report.stats)
-    c4 = all(s.c4_pass for s in report.stats)
-    cheb = all(s.chebyshev_pass for s in report.stats)
-    mono = all(
-        b.sup_mse <= a.sup_mse + 3 * np.hypot(a.sup_mse_stderr, b.sup_mse_stderr)
-        for a, b in zip(report.stats, report.stats[1:])
-    )
-    lines.append(f"Z-error lemma (per eps)      : {'PASS' if lem else 'FAIL'}")
-    lines.append(f"mean-square bound C4*eps^r   : {'PASS' if c4 else 'FAIL'}")
-    lines.append(f"sup-MSE non-increasing       : {'PASS' if mono else 'FAIL'}")
+    verdict = {claim: "PASS" if ok else "FAIL"
+               for claim, ok in al.claim_verdicts(report).items()}
+    lines.append(f"Z-error lemma (per eps)      : {verdict['lemma1']}")
+    lines.append(f"mean-square bound C4*eps^r   : {verdict['c4']}")
+    lines.append(f"sup-MSE non-increasing       : {verdict['monotone']}")
     lines.append(f"fitted log-log slope         : {report.fitted_slope:.4f} "
-                 f"({'PASS' if report.fitted_slope > 0 else 'FAIL'})")
-    lines.append(f"Chebyshev bound (per eps)    : {'PASS' if cheb else 'FAIL'}")
-    lines.append(f"exceedance trend (last<=first): "
-                 f"{'PASS' if report.chebyshev_trend_pass else 'FAIL'}")
+                 f"({verdict['slope']})")
+    lines.append(f"Chebyshev bound (per eps)    : {verdict['chebyshev']}")
+    lines.append(f"exceedance trend (last<=first): {verdict['trend']}")
     eps1 = "none" if report.epsilon1 is None else format(report.epsilon1, "g")
     lines.append(f"epsilon1 for delta1          : {eps1}")
     lines.append("")
@@ -221,14 +214,6 @@ def sweep_summary_text(report: al.SweepReport) -> str:
     lines.append("")
     lines.append(f"note: {report.notes}")
     return "\n".join(lines) + "\n"
-
-
-def sweep_passed(report: al.SweepReport) -> bool:
-    return (
-        all(s.lemma1_pass and s.c4_pass and s.chebyshev_pass for s in report.stats)
-        and report.fitted_slope > 0
-        and report.chebyshev_trend_pass
-    )
 
 
 def cmd_sweep(cfg: ExperimentConfig) -> int:
@@ -253,7 +238,7 @@ def cmd_sweep(cfg: ExperimentConfig) -> int:
     manifest.end("write")
     manifest.write(out / "manifest.csv")
     sys.stdout.write(summary)
-    return 0 if sweep_passed(report) else 1
+    return 0 if all(al.claim_verdicts(report).values()) else 1
 
 
 def cmd_verify(cfg: ExperimentConfig, expect_fail: str | None = None) -> int:
@@ -299,7 +284,8 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--config", type=str, default=None, help="flat key=value config file")
         p.add_argument("--seed", type=int, default=None, help="override the master seed")
         p.add_argument("--out", type=str, default=None, help="output directory")
-        p.add_argument("--workers", type=int, default=None, help="worker count (0 = all cores)")
+        p.add_argument("--workers", type=int, default=None,
+                       help="must be 1: the program runs on one thread")
         if name == "verify":
             p.add_argument("--expect-fail", type=str, default=None, metavar="CHECK",
                            help="run the named negative control and require it to fail")

@@ -63,7 +63,7 @@ class ExperimentConfig:
     quad_tol: float = 1e-8
     fbm_method: str = "auto"
     out_dir: str = ""            # empty means $SFRBSDE_OUT or ./out
-    workers: int = 0             # 0 means all available cores
+    workers: int = 1             # the program runs on one thread; only 1 is accepted
 
     # -- derived builders ---------------------------------------------------------
 
@@ -92,9 +92,6 @@ class ExperimentConfig:
 
     def resolved_out_dir(self) -> str:
         return self.out_dir or os.environ.get(OUT_DIR_ENV, "out")
-
-    def resolved_workers(self) -> int:
-        return self.workers if self.workers > 0 else (os.cpu_count() or 1)
 
     def coefficient_fn(self, which: str) -> DeterministicFn:
         return parse_coefficient(getattr(self, which), self.t_horizon, name=which)
@@ -260,8 +257,8 @@ def _validate(cfg: ExperimentConfig) -> list[str]:
         bad.append(f"quad_tol: must be > 0, got {cfg.quad_tol!r}")
     if cfg.fbm_method not in ("auto", "cholesky", "circulant"):
         bad.append(f"fbm_method: must be auto, cholesky or circulant, got {cfg.fbm_method!r}")
-    if cfg.workers < 0:
-        bad.append(f"workers: must be >= 0 (0 selects all cores), got {cfg.workers!r}")
+    if cfg.workers != 1:
+        bad.append(f"workers: must be 1 (the program runs on one thread), got {cfg.workers!r}")
     for field_name in ("generator", "b", "sigma1", "sigma2"):
         try:
             if field_name == "generator":
@@ -301,6 +298,14 @@ def config_from_mapping(raw: dict) -> ExperimentConfig:
     # range-check whatever parsed so one pass reports every problem
     cfg = ExperimentConfig(**values)
     violations.extend(_validate(cfg))
+    if violations:
+        raise ConfigError(violations)
+    return cfg
+
+
+def validated(cfg: ExperimentConfig) -> ExperimentConfig:
+    """`cfg` itself if every field is in range; otherwise a ConfigError listing all violations."""
+    violations = _validate(cfg)
     if violations:
         raise ConfigError(violations)
     return cfg

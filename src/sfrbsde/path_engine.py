@@ -2,9 +2,9 @@
 
 Paths are sampled on a shared uniform grid from per-path counter-based RNG
 streams: Philox keyed by (master seed, purpose), counter block = path index.
-Each chunk of paths is drawn through one bit generator whose counter is reset
+Each call draws its rows through one bit generator whose counter is reset
 before every path, so every row is bitwise the draw of that path's own stream
-and results do not depend on how path generation is chunked across workers.
+and results do not depend on how the paths are split into blocks.
 B and B^H come from distinct purposes and are therefore independent.
 
 Two exact fBm samplers are provided: Cholesky factorization of the node
@@ -15,7 +15,6 @@ autocovariance (fast path for long grids).  Both target the covariance
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -87,36 +86,17 @@ class PathEnsemble:
                     raise ValueError(f"{name} paths must start at 0")
 
 
-def _fill_rows(fill_chunk, n_paths: int, workers: int = 1):
-    """Run fill_chunk(lo, hi) over path ranges, optionally on threads.
-
-    Each chunk writes disjoint rows keyed by absolute path index, so the
-    result is identical for any worker count or schedule.
-    """
-    if workers <= 1 or n_paths < 256:
-        fill_chunk(0, n_paths)
-        return
-    chunk = -(-n_paths // workers)
-    bounds = [(lo, min(lo + chunk, n_paths)) for lo in range(0, n_paths, chunk)]
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        list(pool.map(lambda ab: fill_chunk(*ab), bounds))
-
-
-def bm_paths(grid: TimeGrid, n_paths: int, rng: RngSpec, workers: int = 1) -> PathEnsemble:
+def bm_paths(grid: TimeGrid, n_paths: int, rng: RngSpec) -> PathEnsemble:
     """Standard Brownian paths: independent N(0, dt) increments, summed."""
     if n_paths < 1:
         raise ValueError("n_paths must be positive")
     n = grid.n_steps
     sqrt_dt = np.sqrt(grid.dt)
     B = np.zeros((n_paths, n + 1))
-
-    def fill(lo, hi):
-        rows = B[lo:hi, 1:]
-        rng.fill_normals(_PURPOSE_BM, lo, rows)
-        np.multiply(rows, sqrt_dt, out=rows)
-        np.cumsum(rows, axis=1, out=rows)
-
-    _fill_rows(fill, n_paths, workers)
+    rows = B[:, 1:]
+    rng.fill_normals(_PURPOSE_BM, 0, rows)
+    np.multiply(rows, sqrt_dt, out=rows)
+    np.cumsum(rows, axis=1, out=rows)
     return PathEnsemble(grid=grid, n_paths=n_paths, rng=rng, B=B)
 
 
@@ -152,19 +132,14 @@ def cholesky_factor(grid: TimeGrid, hurst: HurstModel) -> np.ndarray:
     return chol
 
 
-def fbm_cholesky(grid: TimeGrid, hurst: HurstModel, n_paths: int, rng: RngSpec,
-                 workers: int = 1) -> PathEnsemble:
+def fbm_cholesky(grid: TimeGrid, hurst: HurstModel, n_paths: int, rng: RngSpec) -> PathEnsemble:
     """Exact fBm samples via lower-triangular factorization of the covariance."""
     if n_paths < 1:
         raise ValueError("n_paths must be positive")
     n = grid.n_steps
     chol = cholesky_factor(grid, hurst)
     Z = np.empty((n_paths, n))
-
-    def fill(lo, hi):
-        rng.fill_normals(_PURPOSE_FBM, lo, Z[lo:hi])
-
-    _fill_rows(fill, n_paths, workers)
+    rng.fill_normals(_PURPOSE_FBM, 0, Z)
     BH = np.zeros((n_paths, n + 1))
     np.matmul(Z, chol.T, out=BH[:, 1:])
     return PathEnsemble(grid=grid, n_paths=n_paths, rng=rng, hurst=hurst, BH=BH,
@@ -200,8 +175,7 @@ def circulant_sqrt_eigenvalues(grid: TimeGrid, hurst: HurstModel) -> np.ndarray:
     return sqrt_eig
 
 
-def fbm_circulant(grid: TimeGrid, hurst: HurstModel, n_paths: int, rng: RngSpec,
-                  workers: int = 1) -> PathEnsemble:
+def fbm_circulant(grid: TimeGrid, hurst: HurstModel, n_paths: int, rng: RngSpec) -> PathEnsemble:
     """Davies-Harte sampling: stationary increments via circulant embedding."""
     if n_paths < 1:
         raise ValueError("n_paths must be positive")
@@ -209,39 +183,35 @@ def fbm_circulant(grid: TimeGrid, hurst: HurstModel, n_paths: int, rng: RngSpec,
     m = 2 * n
     sqrt_eig = circulant_sqrt_eigenvalues(grid, hurst)
     BH = np.zeros((n_paths, n + 1))
-
-    def fill(lo, hi):
-        # per block of paths: real normals, Hermitian-symmetric complex rows, FFT
-        block = 4096
-        for start in range(lo, hi, block):
-            stop = min(start + block, hi)
-            u = np.empty((stop - start, m))
-            rng.fill_normals(_PURPOSE_FBM, start, u)
-            y = np.empty((stop - start, m), dtype=complex)
-            y[:, 0] = u[:, 0]
-            y[:, n] = u[:, 1]
-            y[:, 1:n] = (u[:, 2::2] + 1j * u[:, 3::2]) / np.sqrt(2.0)
-            y[:, m - 1:n:-1] = np.conj(y[:, 1:n])
-            incr = (np.fft.fft(sqrt_eig * y, axis=1).real / np.sqrt(m))[:, :n]
-            BH[start:stop, 1:] = np.cumsum(incr, axis=1)
-
-    _fill_rows(fill, n_paths, workers)
+    # per block of paths: real normals, Hermitian-symmetric complex rows, FFT
+    block = 4096
+    for start in range(0, n_paths, block):
+        stop = min(start + block, n_paths)
+        u = np.empty((stop - start, m))
+        rng.fill_normals(_PURPOSE_FBM, start, u)
+        y = np.empty((stop - start, m), dtype=complex)
+        y[:, 0] = u[:, 0]
+        y[:, n] = u[:, 1]
+        y[:, 1:n] = (u[:, 2::2] + 1j * u[:, 3::2]) / np.sqrt(2.0)
+        y[:, m - 1:n:-1] = np.conj(y[:, 1:n])
+        incr = (np.fft.fft(sqrt_eig * y, axis=1).real / np.sqrt(m))[:, :n]
+        BH[start:stop, 1:] = np.cumsum(incr, axis=1)
     return PathEnsemble(grid=grid, n_paths=n_paths, rng=rng, hurst=hurst, BH=BH,
                         fbm_method="circulant")
 
 
 def make_ensemble(grid: TimeGrid, hurst: HurstModel, n_paths: int, rng: RngSpec,
-                  method: str = "auto", workers: int = 1) -> PathEnsemble:
+                  method: str = "auto") -> PathEnsemble:
     """Matched (B, B^H) draws from independent purposes under one seed."""
     if method == "auto":
         method = "cholesky" if grid.n_steps <= CHOLESKY_MAX_STEPS else "circulant"
     if method == "cholesky":
-        frac = fbm_cholesky(grid, hurst, n_paths, rng, workers)
+        frac = fbm_cholesky(grid, hurst, n_paths, rng)
     elif method == "circulant":
-        frac = fbm_circulant(grid, hurst, n_paths, rng, workers)
+        frac = fbm_circulant(grid, hurst, n_paths, rng)
     else:
         raise ValueError(f"unknown fbm method {method!r}")
-    bm = bm_paths(grid, n_paths, rng, workers)
+    bm = bm_paths(grid, n_paths, rng)
     return PathEnsemble(grid=grid, n_paths=n_paths, rng=rng, hurst=hurst,
                         B=bm.B, BH=frac.BH, fbm_method=frac.fbm_method)
 

@@ -295,7 +295,7 @@ def test_criterion_9_chebyshev(benchmark_sweep):
 def test_criterion_10_determinism(tmp_path):
     cfg_text = (
         "h = 0.75\nt_horizon = 1.0\nn_time = 48\nn_space = 64\nn_paths = 1000\n"
-        "eps_list = 0.5,0.3,0.2\nt0 = 0.75\nseed = 42\nworkers = 2\n"
+        "eps_list = 0.5,0.3,0.2\nt0 = 0.75\nseed = 42\n"
     )
     digests = []
     for run in ("a", "b"):

@@ -1,4 +1,5 @@
 import math
+import threading
 import tracemalloc
 from dataclasses import fields, replace
 
@@ -7,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from sfrbsde import averaging_lab
+from sfrbsde import averaging_lab, cli
 from sfrbsde.averaging_lab import (
     AveragingConstants,
     BoxSampler,
@@ -16,6 +17,7 @@ from sfrbsde.averaging_lab import (
     SweepReport,
     build_fbar,
     check_chebyshev,
+    claim_verdicts,
     check_lemma1,
     check_theorem_rate,
     compute_constants,
@@ -261,6 +263,16 @@ class TestEstimateLipschitz:
         got = estimate_lipschitz(gen, BoxSampler(n_samples=2048))
         assert got == 4.0 * (0.5**2 + 0.25**2 + 0.25**2)
 
+    def test_per_axis_widths(self):
+        # f = x y: the sampled ratio scales with the square of the x half-width
+        gen = Generator(fn=lambda t, x, y, z1, z2: np.asarray(x) * np.asarray(y), name="xy")
+        scalar = estimate_lipschitz(gen, BoxSampler(half_width=3.0, n_samples=512))
+        assert estimate_lipschitz(gen, BoxSampler(half_width=(3.0,) * 4, n_samples=512)) == scalar
+        unit = estimate_lipschitz(gen, BoxSampler(half_width=1.0, n_samples=512))
+        wide_x = estimate_lipschitz(gen, BoxSampler(half_width=(3.0, 1.0, 1.0, 1.0),
+                                                    n_samples=512))
+        assert wide_x == pytest.approx(9.0 * unit, rel=1e-12)
+
     def test_declared_violation_raises(self):
         gen = Generator(fn=lambda t, x, y, z1, z2: 2.0 * np.asarray(y),
                         name="lying", lipschitz_sq=0.1)
@@ -444,6 +456,35 @@ class TestChebyshevCheck:
         assert check_chebyshev(rep) == [False, False, False]
 
 
+class TestClaimVerdicts:
+    EPS = (0.5, 0.35, 0.25, 0.18, 0.125)
+
+    def checked_report(self, mse):
+        rep = synthetic_report(self.EPS, mse, bounds=[1.0] * len(self.EPS))
+        check_lemma1(rep)
+        check_theorem_rate(rep)
+        check_chebyshev(rep)
+        return rep
+
+    @pytest.mark.parametrize("bump", [False, True])
+    def test_monotonicity_alone_decides_the_sweep_status(self, tmp_path, monkeypatch, bump):
+        mse = [e**1.5 for e in self.EPS]
+        if bump:
+            mse[2] = mse[1] * 1.5  # the slope stays positive
+        rep = self.checked_report(mse)
+        assert claim_verdicts(rep) == {
+            "lemma1": True, "c4": True, "monotone": not bump, "slope": True,
+            "chebyshev": True, "trend": True,
+        }
+        monkeypatch.setattr(averaging_lab, "run_sweep", lambda *args: rep)
+        cfg = tmp_path / "exp.cfg"
+        cfg.write_text(f"n_time = 16\nn_space = 64\nout_dir = {tmp_path}\n", encoding="utf-8")
+        assert cli.main(["sweep", "--config", str(cfg)]) == (1 if bump else 0)
+        summary = (tmp_path / "summary.txt").read_text()
+        assert ("sup-MSE non-increasing       : FAIL" in summary) == bump
+        assert summary.count("FAIL") == int(bump)
+
+
 @pytest.fixture(scope="module")
 def small_sweep():
     grid = TimeGrid(T=1.0, n_steps=64)
@@ -576,12 +617,15 @@ class TestStreamedSweep:
         assert got.stats[0].path_sup_abs.shape == (n_paths,)
         assert_reports_match(got, want, rtol=1e-12)
 
-    def test_worker_count_does_not_change_statistics(self, coeffs128):
-        # two blocks of >= 256 paths, so both draw paths on two threads
+    def test_runs_on_one_thread(self, coeffs128, monkeypatch):
+        def refuse(thread):
+            raise AssertionError(f"run_sweep started thread {thread.name}")
+
+        monkeypatch.setattr(threading.Thread, "start", refuse)
         cfg = replace(STREAM_CFG, n_paths=block_rows(coeffs128.grid.n_nodes) + 300)
-        args = (benchmark_generator(1.0), coeffs128, TerminalCondition.square(), (0.5, 0.3, 0.2))
-        one, two = (run_sweep(*args, replace(cfg, workers=w)) for w in (1, 2))
-        assert_reports_match(two, one, rtol=0.0)
+        rep = run_sweep(benchmark_generator(1.0), coeffs128, TerminalCondition.square(),
+                        (0.5, 0.3, 0.2), cfg)
+        assert [s.epsilon for s in rep.stats] == [0.5, 0.3, 0.2]
 
     def test_memory_bounded_in_n_paths(self, coeffs128):
         # a small phi sample keeps the path-free phase below the streaming peak

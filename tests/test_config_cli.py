@@ -54,6 +54,17 @@ class TestParseConfig:
             parse_config(path)
         assert any(f"'{key}'" in v for v in err.value.violations)
 
+    # 0 was the all-cores default before the thread pools were deleted
+    @pytest.mark.parametrize("workers", [0, 2])
+    def test_workers_other_than_one_rejected(self, tmp_path, workers):
+        path = write_cfg(tmp_path, f"workers = {workers}\n")
+        with pytest.raises(ConfigError) as err:
+            parse_config(path)
+        assert any(v.startswith("workers:") for v in err.value.violations)
+
+    def test_workers_one_parses(self, tmp_path):
+        assert parse_config(write_cfg(tmp_path, "workers = 1\n")).workers == 1
+
     def test_all_violations_reported(self, tmp_path):
         path = write_cfg(tmp_path, "h = 0.4\nbeta = 2.0\nn_paths = 10\nmystery = 1\n")
         with pytest.raises(ConfigError) as err:
@@ -181,6 +192,16 @@ class TestCli:
         assert main(["simulate-fbm", "--config", path, "--seed", "7"]) == 0
         manifest = (tmp_path / "a" / "manifest.csv").read_text()
         assert "seed,7" in manifest
+
+    # command-line overrides are validated like the keys of a config file
+    @pytest.mark.parametrize("flag, value, key", [
+        ("--seed", "-1", "seed"), ("--workers", "2", "workers"), ("--workers", "0", "workers"),
+    ])
+    def test_bad_override_exit_2(self, tmp_path, capsys, flag, value, key):
+        path = write_cfg(tmp_path, SMALL + f"out_dir = {tmp_path / 'out'}\n")
+        assert main(["sweep", "--config", path, flag, value]) == 2
+        assert f"  - {key}: " in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
 
     def test_out_dir_env_default(self, tmp_path, monkeypatch):
         monkeypatch.setenv("SFRBSDE_OUT", str(tmp_path / "envout"))

@@ -287,12 +287,6 @@ class TestDeterminism:
         assert np.array_equal(small.BH, large.BH[:64])
         assert np.array_equal(small.B, large.B[:64])
 
-    def test_workers_do_not_change_results(self):
-        grid = TimeGrid(T=1.0, n_steps=32)
-        a = make_ensemble(grid, H75, 600, RngSpec(seed=9), workers=1)
-        b = make_ensemble(grid, H75, 600, RngSpec(seed=9), workers=4)
-        assert np.array_equal(a.BH, b.BH) and np.array_equal(a.B, b.B)
-
     def test_seed_changes_paths(self):
         grid = TimeGrid(T=1.0, n_steps=16)
         a = make_ensemble(grid, H75, 16, RngSpec(seed=1))
@@ -301,10 +295,10 @@ class TestDeterminism:
 
 
 class TestSeedingOracle:
-    """One counter-reset bit generator per chunk draws bitwise what a fresh
+    """One counter-reset bit generator per call draws bitwise what a fresh
     generator per path draws (tests/oracles.py)."""
 
-    N = 300  # two workers split it into chunks [0, 150) and [150, 300)
+    N = 300
     RNG = RngSpec(seed=42, stream=1_000)
 
     # row lengths that end a path's draws at different points of Philox's
@@ -316,32 +310,28 @@ class TestSeedingOracle:
         self.RNG.fill_normals(purpose, 500, out)
         assert np.array_equal(out, per_path_normals(self.RNG, purpose, 500, 7, n))
 
-    @pytest.mark.parametrize("workers", [1, 2])
     @pytest.mark.parametrize("n_steps", [2, 3, 128])
-    def test_bm_paths(self, n_steps, workers):
+    def test_bm_paths(self, n_steps):
         grid = TimeGrid(T=1.0, n_steps=n_steps)
-        got = bm_paths(grid, self.N, self.RNG, workers=workers).B
+        got = bm_paths(grid, self.N, self.RNG).B
         assert np.array_equal(got, per_path_bm(grid, self.N, self.RNG))
 
-    @pytest.mark.parametrize("workers", [1, 2])
     @pytest.mark.parametrize("n_steps", [2, 3, 128])
-    def test_fbm_cholesky(self, n_steps, workers):
+    def test_fbm_cholesky(self, n_steps):
         grid = TimeGrid(T=1.0, n_steps=n_steps)
-        got = fbm_cholesky(grid, H75, self.N, self.RNG, workers=workers).BH
+        got = fbm_cholesky(grid, H75, self.N, self.RNG).BH
         assert np.array_equal(got, per_path_fbm_cholesky(grid, H75, self.N, self.RNG))
 
-    @pytest.mark.parametrize("workers", [1, 2])
     @pytest.mark.parametrize("n_steps", [2, 3, 128])
-    def test_fbm_circulant(self, n_steps, workers):
+    def test_fbm_circulant(self, n_steps):
         grid = TimeGrid(T=1.0, n_steps=n_steps)
-        got = fbm_circulant(grid, H75, self.N, self.RNG, workers=workers).BH
+        got = fbm_circulant(grid, H75, self.N, self.RNG).BH
         assert np.array_equal(got, per_path_fbm_circulant(grid, H75, self.N, self.RNG))
 
 
 class TestSeedingWork:
     @pytest.mark.parametrize("method", ["cholesky", "circulant"])
-    @pytest.mark.parametrize("workers", [1, 2])
-    def test_one_bit_generator_per_chunk_and_purpose(self, monkeypatch, method, workers):
+    def test_one_bit_generator_per_purpose(self, monkeypatch, method):
         built = []
         real = np.random.Philox
 
@@ -350,10 +340,9 @@ class TestSeedingWork:
             return real(*args, **kwargs)
 
         monkeypatch.setattr(np.random, "Philox", counting)
-        make_ensemble(TimeGrid(T=1.0, n_steps=16), H75, 600, RNG, method=method,
-                      workers=workers)
-        # 600 paths make `workers` chunks; each chunk draws B and B^H
-        assert len(built) == 2 * workers
+        make_ensemble(TimeGrid(T=1.0, n_steps=16), H75, 600, RNG, method=method)
+        # one generator draws all of B, one all of B^H
+        assert len(built) == 2
 
 
 class TestFactorMemo:
