@@ -273,16 +273,12 @@ def estimate_lipschitz(gen: Generator, sampler: BoxSampler, T: float = 1.0,
     return worst
 
 
-def solve_alpha0(L: float, C1: float, epsilon: float, hurst: HurstModel,
-                 residual_tol: float = 1e-12) -> tuple[float, float]:
+def solve_alpha0(L: float, C1: float, epsilon: float, hurst: HurstModel) -> float:
     """Root of (eps^H / a) min{a - L eps^H, a C1 - L eps^H} = eps^2H.
 
-    The left side increases from 0 (at a = L eps^H / min(1, C1)) to
-    eps^H min(1, C1), so an admissible root with both braces positive exists
-    iff eps^H < min(1, C1).  Bisection is the contract; callers cross-check
-    against the closed form L eps^H / (min(1, C1) - eps^H).
-
-    Returns (alpha0, residual).
+    With m = min(1, C1) and e = eps^H the braces' minimum is a m - L e, so
+    the equation reads e m - L e^2 / a = e^2 and its root is
+    alpha0 = L e / (m - e).  Both braces are positive there iff e < m.
     """
     if L < 0 or C1 <= 0:
         raise ValueError("need L >= 0 and C1 > 0")
@@ -292,37 +288,7 @@ def solve_alpha0(L: float, C1: float, epsilon: float, hurst: HurstModel,
     m = min(1.0, C1)
     if e >= m:
         raise InfeasibleAlphaError(epsilon, m ** (1.0 / hurst.h))
-    if L == 0.0:
-        # degenerate: every alpha > 0 removes the (vanishing) E1 term
-        return 0.0, 0.0
-
-    def g(a):
-        return (e / a) * min(a - L * e, a * C1 - L * e) - e * e
-
-    lo = (L * e / m) * (1.0 + 1e-12)
-    hi = max(2.0 * lo, 1.0)
-    for _ in range(200):
-        if g(hi) > 0:
-            break
-        hi *= 2.0
-    else:
-        raise InfeasibleAlphaError(epsilon, m ** (1.0 / hurst.h))
-    mid = 0.5 * (lo + hi)
-    for _ in range(400):
-        mid = 0.5 * (lo + hi)
-        val = g(mid)
-        if abs(val) <= residual_tol:
-            break
-        if val < 0:
-            lo = mid
-        else:
-            hi = mid
-        if hi - lo <= 1e-16 * max(1.0, hi):
-            break
-    residual = abs(g(mid))
-    if residual > residual_tol:
-        raise NumericError(f"alpha0 bisection stalled at residual {residual:.3e}")
-    return float(mid), float(residual)
+    return float(L * e / (m - e))
 
 
 @dataclass(frozen=True)
@@ -337,7 +303,6 @@ class AveragingConstants:
     C1: float
     phi_bound: float
     alpha0: float
-    alpha0_residual: float
     L1: float
     C2: float
     C3: float
@@ -380,7 +345,7 @@ def compute_constants(
         raise NumericError("negative quantity under the C2 square root")
     c2 = math.sqrt(under)
     c3 = 4.0 * phi_bound * moment_sum
-    alpha0, residual = solve_alpha0(L, C1, epsilon, hurst)
+    alpha0 = solve_alpha0(L, C1, epsilon, hurst)
     l1 = alpha0 + (L / alpha0 if alpha0 > 0 else 0.0) + c2
     c0 = c0_const(hurst, T)
     two_h = hurst.two_h
@@ -396,7 +361,7 @@ def compute_constants(
     c4 = bracket * epsilon ** (two_h * (1.0 + beta) - 1.0) * math.exp(expo)
     return AveragingConstants(
         epsilon=epsilon, beta=beta, u=u, L=L, C0=c0, C1=C1, phi_bound=phi_bound,
-        alpha0=alpha0, alpha0_residual=residual, L1=l1, C2=c2, C3=c3, C4=c4,
+        alpha0=alpha0, L1=l1, C2=c2, C3=c3, C4=c4,
         theorem_bound=c4 * epsilon ** (1.0 - two_h * beta), t0=t0,
     )
 
@@ -414,7 +379,6 @@ class SweepConfig:
     pde: PdeConfig = field(default_factory=PdeConfig)
     quad: QuadratureSpec = field(default_factory=QuadratureSpec)
     rng: RngSpec = field(default_factory=lambda: RngSpec(seed=42))
-    fbm_method: str = "auto"
     phi_sampler: BoxSampler = field(default_factory=BoxSampler)
     phi_windows: int = 16
 
@@ -460,7 +424,6 @@ class SweepReport:
     n_paths: int
     stats: list[PerEpsilonStats]
     fitted_slope: float = float("nan")
-    fitted_intercept: float = float("nan")
     epsilon1: float | None = None
     chebyshev_trend_pass: bool = False
     fbar_panels: int = 0
@@ -645,8 +608,7 @@ def run_sweep(
     for start in range(0, cfg.n_paths, rows):
         # path p of the block draws from the sub-stream of global path start + p
         block = make_ensemble(grid, hurst, min(rows, cfg.n_paths - start),
-                              replace(cfg.rng, stream=cfg.rng.stream + start),
-                              method=cfg.fbm_method)
+                              replace(cfg.rng, stream=cfg.rng.stream + start))
         noise = eta_noise(coeffs, block)
         for epsilon, fold in zip(eps, folds):
             _window_stats(fold, epsilon, noise, start, ws)
@@ -686,15 +648,14 @@ def run_sweep(
     return report
 
 
-def check_lemma1(report: SweepReport, constants: Sequence[AveragingConstants] | None = None,
-                 u: float | None = None) -> list[bool]:
+def check_lemma1(report: SweepReport,
+                 constants: Sequence[AveragingConstants] | None = None) -> list[bool]:
     """Per-eps verdicts for the Z-error lemma at 3 combined standard errors."""
     out = []
     for i, s in enumerate(report.stats):
         cons = constants[i] if constants is not None else s.constants
-        start = s.t_lo if u is None else u
         lhs = s.z_err_integral
-        rhs = cons.L1 * s.dy_integral + cons.C2 * (report.T - start)
+        rhs = cons.L1 * s.dy_integral + cons.C2 * (report.T - s.t_lo)
         se = math.sqrt(s.z_err_stderr**2 + (cons.L1 * s.dy_integral_stderr) ** 2)
         ok = lhs <= rhs + 3.0 * se
         s.lemma1_lhs = lhs
@@ -707,25 +668,23 @@ def check_lemma1(report: SweepReport, constants: Sequence[AveragingConstants] | 
 @dataclass(frozen=True)
 class RateCheck:
     slope: float
-    intercept: float
     epsilon1: float | None
     c4_pass: tuple
 
 
-def check_theorem_rate(report: SweepReport, delta1: float | None = None) -> RateCheck:
+def check_theorem_rate(report: SweepReport) -> RateCheck:
     """Least-squares slope of log sup-MSE vs log eps, the delta1 threshold
     epsilon1, and the explicit C4 eps^(1-2H beta) domination check."""
     if len(report.stats) < 3:
         raise ValueError("rate fit needs at least 3 epsilon points")
-    delta1 = report.delta1 if delta1 is None else delta1
     eps = np.array([s.epsilon for s in report.stats])
     mse = np.array([s.sup_mse for s in report.stats])
     pos = mse > 0
     if pos.sum() >= 3:
-        slope, intercept = np.polyfit(np.log(eps[pos]), np.log(mse[pos]), 1)
+        slope = np.polyfit(np.log(eps[pos]), np.log(mse[pos]), 1)[0]
     else:
-        slope, intercept = float("nan"), float("nan")
-    flags = mse <= delta1
+        slope = float("nan")
+    flags = mse <= report.delta1
     epsilon1 = None
     for i in range(len(eps)):
         if np.all(flags[i:]):
@@ -737,20 +696,18 @@ def check_theorem_rate(report: SweepReport, delta1: float | None = None) -> Rate
         s.c4_pass = bool(ok)
         c4_pass.append(bool(ok))
     report.fitted_slope = float(slope)
-    report.fitted_intercept = float(intercept)
     report.epsilon1 = epsilon1
-    return RateCheck(slope=float(slope), intercept=float(intercept),
-                     epsilon1=epsilon1, c4_pass=tuple(c4_pass))
+    return RateCheck(slope=float(slope), epsilon1=epsilon1, c4_pass=tuple(c4_pass))
 
 
-def check_chebyshev(report: SweepReport, delta2: float | None = None) -> list[bool]:
+def check_chebyshev(report: SweepReport) -> list[bool]:
     """Exceedance frequency vs the C4 bound / delta2^2, plus the eps trend.
 
     Also enforces the distribution-free empirical Markov inequality
     p_hat <= mean(sup_t |dY|^2) / delta2^2, which holds exactly on the
     empirical measure.
     """
-    delta2 = report.delta2 if delta2 is None else delta2
+    delta2 = report.delta2
     out = []
     for s in report.stats:
         bound = s.constants.theorem_bound / delta2**2

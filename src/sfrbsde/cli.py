@@ -55,8 +55,7 @@ def cmd_simulate_fbm(cfg: ExperimentConfig) -> int:
     manifest = _manifest(cfg)
     manifest.begin("simulate")
     coeffs = cfg.coefficient_set()
-    ens = pe.make_ensemble(cfg.grid(), cfg.hurst(), cfg.n_paths, cfg.rng(),
-                           method=cfg.fbm_method)
+    ens = pe.make_ensemble(cfg.grid(), cfg.hurst(), cfg.n_paths, cfg.rng())
     eta = pe.simulate_eta(coeffs, ens, cfg.epsilon, cfg.eta0)
     manifest.end("simulate")
 
@@ -102,8 +101,7 @@ def cmd_solve(cfg: ExperimentConfig) -> int:
     manifest.end("solve")
 
     manifest.begin("extract")
-    ens = pe.make_ensemble(cfg.grid(), cfg.hurst(), cfg.n_paths, cfg.rng(),
-                           method=cfg.fbm_method)
+    ens = pe.make_ensemble(cfg.grid(), cfg.hurst(), cfg.n_paths, cfg.rng())
     eta = pe.simulate_eta(coeffs, ens, cfg.epsilon, cfg.eta0)
     triple = bs.extract_triple(field, eta, coeffs)
     manifest.end("extract")
@@ -141,7 +139,7 @@ def _sweep_config(cfg: ExperimentConfig) -> al.SweepConfig:
     return al.SweepConfig(
         n_paths=cfg.n_paths, beta=cfg.beta, delta1=cfg.delta1,
         delta2=cfg.resolved_delta2(), t0=cfg.resolved_t0(), eta0=cfg.eta0,
-        pde=cfg.pde(), quad=cfg.quad(), rng=cfg.rng(), fbm_method=cfg.fbm_method,
+        pde=cfg.pde(), quad=cfg.quad(), rng=cfg.rng(),
     )
 
 

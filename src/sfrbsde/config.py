@@ -61,7 +61,6 @@ class ExperimentConfig:
     picard_tol: float = 1e-10
     quad_panels: int = 256
     quad_tol: float = 1e-8
-    fbm_method: str = "auto"
     out_dir: str = ""            # empty means $SFRBSDE_OUT or ./out
     workers: int = 1             # the program runs on one thread; only 1 is accepted
 
@@ -203,8 +202,7 @@ _INT_FIELDS = {"n_time", "n_space", "n_paths", "seed", "picard_max_iter",
 _FLOAT_FIELDS = {"h", "t_horizon", "beta", "delta1", "delta2", "t0", "eta0",
                  "epsilon", "t_probe", "gen_a", "gen_b", "gen_c", "gen_d",
                  "kappa", "theta", "picard_tol", "quad_tol"}
-_STR_FIELDS = {"generator", "terminal", "b", "sigma1", "sigma2", "fbm_method",
-               "out_dir"}
+_STR_FIELDS = {"generator", "terminal", "b", "sigma1", "sigma2", "out_dir"}
 
 
 def _validate(cfg: ExperimentConfig) -> list[str]:
@@ -255,8 +253,6 @@ def _validate(cfg: ExperimentConfig) -> list[str]:
         bad.append(f"quad_panels: must be >= 8, got {cfg.quad_panels!r}")
     if not cfg.quad_tol > 0:
         bad.append(f"quad_tol: must be > 0, got {cfg.quad_tol!r}")
-    if cfg.fbm_method not in ("auto", "cholesky", "circulant"):
-        bad.append(f"fbm_method: must be auto, cholesky or circulant, got {cfg.fbm_method!r}")
     if cfg.workers != 1:
         bad.append(f"workers: must be 1 (the program runs on one thread), got {cfg.workers!r}")
     for field_name in ("generator", "b", "sigma1", "sigma2"):

@@ -230,10 +230,11 @@ class CoefficientSet:
       b_int_table[k]        = trapezoid int_0^{t_k} b(s) ds  (matches the
                               path engine's drift discretization)
 
-    d/dt ||sigma2||^2_t has two closed-form candidates, sigma2*sigma2_hat and
-    2*sigma2*sigma2_hat; construction finite-differences the quadrature table
-    and adopts whichever matches (the factor-2 form, for every coefficient
-    family exercised here), failing loudly if neither does.
+    rho is symmetric, so d/dt ||sigma2||^2_t = 2 sigma2(t) sigma2_hat(t) and
+    lambda = sigma1^2 + 2 sigma2 sigma2_hat.  Construction checks lambda
+    against central finite differences of the |sigma|^2 table and raises
+    ConsistencyError when they disagree; the worst relative deviation is
+    kept as `fd_rel_error`.
     """
 
     b: DeterministicFn
@@ -248,7 +249,6 @@ class CoefficientSet:
     sigma_abs_sq_table: np.ndarray = field(repr=False)
     lam_table: np.ndarray = field(repr=False)
     b_int_table: np.ndarray = field(repr=False)
-    lambda_factor: float = 2.0
     fd_rel_error: float = 0.0
 
     @classmethod
@@ -293,8 +293,9 @@ class CoefficientSet:
 
         abs_sq = sig1_sq_int + nsq
 
-        factor, fd_err = cls._select_lambda_factor(t, abs_sq, sigma1, sigma2, s2hat)
-        lam = sigma1(t) ** 2 + factor * sigma2(t) * s2hat
+        base = sigma2(t) * s2hat
+        lam = sigma1(t) ** 2 + 2.0 * base
+        fd_err = _lambda_fd_error(t, abs_sq, base, lam)
 
         if np.any(lam[1:] <= 0.0):
             raise CoefficientError(
@@ -324,39 +325,8 @@ class CoefficientSet:
             sigma_abs_sq_table=abs_sq,
             lam_table=lam,
             b_int_table=b_int,
-            lambda_factor=factor,
             fd_rel_error=fd_err,
         )
-
-    @staticmethod
-    def _select_lambda_factor(t, abs_sq, sigma1, sigma2, s2hat):
-        """Pick the d/dt||sigma2||^2 factor validated by finite differences."""
-        fd = (abs_sq[2:] - abs_sq[:-2]) / (t[2:] - t[:-2])
-        mid = t[1:-1]
-        first = max(_FD_CHECK_FIRST_NODE - 1, 0)
-        sl = slice(first, None)
-        if not fd[sl].size:
-            return 2.0, 0.0
-        base = sigma2(mid) * s2hat[1:-1]
-        if np.all(base == 0.0):
-            return 2.0, 0.0
-        best_factor, best_err = None, np.inf
-        for factor in (1.0, 2.0):
-            cand = sigma1(mid) ** 2 + factor * base
-            err = np.max(np.abs(cand[sl] - fd[sl]) / np.maximum(np.abs(fd[sl]), 1e-300))
-            if err < best_err:
-                best_factor, best_err = factor, err
-        # the central difference itself carries O(dt^2 lambda''/lambda) error,
-        # so the tight gate applies only once the grid resolves it; coarse
-        # grids still disambiguate the factor (a wrong factor shows up as an
-        # O(1) relative error)
-        rtol = _FD_CHECK_RTOL if len(t) - 1 >= 128 else 0.2
-        if best_err > rtol:
-            raise ConsistencyError(
-                "neither candidate closed form for d/dt||sigma2||^2 matches the "
-                f"finite-difference oracle (best factor {best_factor}, rel err {best_err:.3e})"
-            )
-        return best_factor, float(best_err)
 
     # -- interpolating accessors -------------------------------------------------
 
@@ -377,6 +347,29 @@ class CoefficientSet:
             self.lam_table,
         )
         return write_csv(path, ("t", "norm_sq", "sigma2_hat", "sigma_abs_sq", "lambda"), rows)
+
+
+def _lambda_fd_error(t, abs_sq, base, lam) -> float:
+    """Worst relative deviation of lambda from central differences of |sigma|^2.
+
+    `base` is sigma2 * sigma2_hat on the grid.  Raises ConsistencyError
+    above the tolerance; 0.0 when the grid is too short or sigma2 == 0.
+    """
+    fd = (abs_sq[2:] - abs_sq[:-2]) / (t[2:] - t[:-2])
+    sl = slice(max(_FD_CHECK_FIRST_NODE - 1, 0), None)
+    if not fd[sl].size or np.all(base[1:-1] == 0.0):
+        return 0.0
+    err = np.max(np.abs(lam[1:-1][sl] - fd[sl]) / np.maximum(np.abs(fd[sl]), 1e-300))
+    # the central difference itself carries O(dt^2 lambda''/lambda) error,
+    # so the tight gate applies only once the grid resolves it; on coarse
+    # grids a table bug still shows up as an O(1) relative error
+    rtol = _FD_CHECK_RTOL if len(t) - 1 >= 128 else 0.2
+    if err > rtol:
+        raise ConsistencyError(
+            "lambda = sigma1^2 + 2 sigma2 sigma2_hat does not match the finite "
+            f"differences of |sigma|^2 (rel err {err:.3e}, limit {rtol:.0e})"
+        )
+    return float(err)
 
 
 def c1_lower_bound(coeffs: CoefficientSet, t0: float) -> float:

@@ -200,17 +200,16 @@ def fbm_circulant(grid: TimeGrid, hurst: HurstModel, n_paths: int, rng: RngSpec)
                         fbm_method="circulant")
 
 
-def make_ensemble(grid: TimeGrid, hurst: HurstModel, n_paths: int, rng: RngSpec,
-                  method: str = "auto") -> PathEnsemble:
-    """Matched (B, B^H) draws from independent purposes under one seed."""
-    if method == "auto":
-        method = "cholesky" if grid.n_steps <= CHOLESKY_MAX_STEPS else "circulant"
-    if method == "cholesky":
+def make_ensemble(grid: TimeGrid, hurst: HurstModel, n_paths: int, rng: RngSpec) -> PathEnsemble:
+    """Matched (B, B^H) draws from independent purposes under one seed.
+
+    B^H comes from Cholesky up to CHOLESKY_MAX_STEPS steps and from
+    circulant embedding beyond; `fbm_method` of the result records which.
+    """
+    if grid.n_steps <= CHOLESKY_MAX_STEPS:
         frac = fbm_cholesky(grid, hurst, n_paths, rng)
-    elif method == "circulant":
-        frac = fbm_circulant(grid, hurst, n_paths, rng)
     else:
-        raise ValueError(f"unknown fbm method {method!r}")
+        frac = fbm_circulant(grid, hurst, n_paths, rng)
     bm = bm_paths(grid, n_paths, rng)
     return PathEnsemble(grid=grid, n_paths=n_paths, rng=rng, hurst=hurst,
                         B=bm.B, BH=frac.BH, fbm_method=frac.fbm_method)

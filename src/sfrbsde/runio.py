@@ -16,8 +16,8 @@ from pathlib import Path
 def format_value(value) -> str:
     if isinstance(value, bool):
         return "true" if value else "false"
-    if isinstance(value, float):
-        return repr(value)
+    if isinstance(value, float):  # np.float64 too, whose repr is np.float64(...)
+        return repr(float(value))
     if hasattr(value, "item"):  # numpy scalar
         return format_value(value.item())
     return str(value)

@@ -99,6 +99,7 @@ def check_kernel_closed_forms(cfg):
                 coeffs = fk.CoefficientSet.build(
                     fk.DeterministicFn.const(0.0), fk.DeterministicFn.const(1.0),
                     xi, grid, h)
+                worst = max(worst, abs(coeffs.norm_sq_table[-1] - want) / want)
                 got2 = coeffs.sigma2_hat_table[-1]
                 want2 = c * hv * t ** (2 * hv - 1)
                 worst = max(worst, abs(got2 - want2) / abs(want2))
@@ -389,20 +390,22 @@ def check_benchmark_sweep(cfg):
 
 
 def check_alpha0(cfg):
+    """alpha0 solves the Z-lemma equation (eps^H / a) min{a - L eps^H, a C1 - L eps^H}
+    = eps^2H with both braces positive."""
     h = cfg.hurst()
-    worst = 0.0
+    worst, braces_ok = 0.0, True
     for L in (0.5, 1.5, 4.0):
         for c1 in (0.4, 0.8, 2.0):
             for eps in (0.05, 0.15, 0.3):
                 e = eps**h.h
-                m = min(1.0, c1)
-                if e >= m * 0.98:
+                if e >= min(1.0, c1) * 0.98:
                     continue
-                a, _ = al.solve_alpha0(L, c1, eps, h)
-                closed = L * e / (m - e)
-                worst = max(worst, abs(a - closed) / closed)
-    return _result("alpha0-closed-form", worst <= 1e-10,
-                   f"max rel dev {worst:.1e} (limit 1e-10)")
+                a = al.solve_alpha0(L, c1, eps, h)
+                braces = (a - L * e, a * c1 - L * e)
+                braces_ok &= min(braces) > 0
+                worst = max(worst, abs((e / a) * min(braces) - e * e))
+    return _result("alpha0-closed-form", worst <= 1e-12 and braces_ok,
+                   f"max |g(alpha0)| {worst:.1e} (limit 1e-12), braces positive={braces_ok}")
 
 
 def check_rate_fit(cfg):

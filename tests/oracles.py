@@ -9,8 +9,9 @@ power substitution at its old 256 panels, the second route beside the
 per-column extraction are the loop forms of vectorised production layers,
 the whole-ensemble sweep is the array form of the streamed one, and the
 per-path samplers draw each path from a freshly built generator where
-production resets one bit generator per chunk; all are kept here as
-cross-checks.
+production resets one bit generator per chunk, and the alpha0 bisection is
+the numeric root finder beside production's closed form; all are kept here
+as cross-checks.
 """
 
 import math
@@ -197,6 +198,40 @@ def array_window_stats(grid, i_lo, dY, dZ_sq, Ya, Z1a, Z2a):
     }
 
 
+def bisect_alpha0(L, C1, epsilon, h, residual_tol=1e-12):
+    """Root of (eps^H / a) min{a - L eps^H, a C1 - L eps^H} = eps^2H by bisection.
+
+    The left side increases from 0 (at a = L eps^H / min(1, C1)) to
+    eps^H min(1, C1); needs L > 0 and eps^H < min(1, C1).  Returns
+    (alpha0, residual).
+    """
+    e = epsilon**h
+    m = min(1.0, C1)
+    assert L > 0 and e < m
+
+    def g(a):
+        return (e / a) * min(a - L * e, a * C1 - L * e) - e * e
+
+    lo = (L * e / m) * (1.0 + 1e-12)
+    hi = max(2.0 * lo, 1.0)
+    while g(hi) <= 0:
+        hi *= 2.0
+    for _ in range(400):
+        mid = 0.5 * (lo + hi)
+        val = g(mid)
+        if abs(val) <= residual_tol:
+            break
+        if val < 0:
+            lo = mid
+        else:
+            hi = mid
+        if hi - lo <= 1e-16 * max(1.0, hi):
+            break
+    residual = abs(g(mid))
+    assert residual <= residual_tol, f"bisection stalled at residual {residual:.3e}"
+    return float(mid), float(residual)
+
+
 def whole_ensemble_sweep(original, coeffs, term, eps_list, cfg):
     """The eps-sweep on one whole-ensemble draw: every eta^eps as an array,
     both triples extracted in full, statistics from the arrays."""
@@ -206,7 +241,7 @@ def whole_ensemble_sweep(original, coeffs, term, eps_list, cfg):
 
     grid, T, hurst = coeffs.grid, coeffs.T, coeffs.hurst
     t0 = cfg.t0 if cfg.t0 is not None else T / 100.0
-    ensemble = make_ensemble(grid, hurst, cfg.n_paths, cfg.rng, method=cfg.fbm_method)
+    ensemble = make_ensemble(grid, hurst, cfg.n_paths, cfg.rng)
     fbar = al.build_fbar(original, T, cfg.quad)
     averaged = fbar.as_generator()
     L = al.estimate_lipschitz(original, cfg.phi_sampler, T=T)

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from sfrbsde import averaging_lab, cli
+from sfrbsde import averaging_lab, cli, path_engine
 from sfrbsde.averaging_lab import (
     AveragingConstants,
     BoxSampler,
@@ -45,7 +45,7 @@ from sfrbsde.frac_kernel import CoefficientSet, DeterministicFn, HurstModel, Qua
 from sfrbsde.grids import TimeGrid
 from sfrbsde.path_engine import RngSpec, eta_noise, make_ensemble, simulate_eta
 
-from oracles import per_node_fbar, table_phi, whole_ensemble_sweep
+from oracles import bisect_alpha0, per_node_fbar, table_phi, whole_ensemble_sweep
 
 H75 = HurstModel(0.75)
 QUAD = QuadratureSpec()
@@ -284,32 +284,30 @@ class TestSolveAlpha0:
     def test_hand_case_single_branch(self):
         # C1 = 1, L = 2, eps^H = 0.5: (0.5/a)(a - 1) = 0.25 => a = 2
         eps = 0.5 ** (1.0 / 0.75)
-        a, res = solve_alpha0(2.0, 1.0, eps, H75)
+        a = solve_alpha0(2.0, 1.0, eps, H75)
         assert a == pytest.approx(2.0, rel=1e-10)
-        assert res <= 1e-12
+        assert abs((0.5 / a) * (a - 1.0) - 0.25) <= 1e-12
 
     def test_hand_case_min_branch(self):
         # C1 = 2 >= 1 so the binding brace is a - L eps^H:
         # eps^H = 0.25: (0.25/a)(a - 0.5) = 0.0625 => a = 2/3
         eps = 0.25 ** (1.0 / 0.75)
-        a, _ = solve_alpha0(2.0, 2.0, eps, H75)
+        a = solve_alpha0(2.0, 2.0, eps, H75)
         assert a == pytest.approx(2.0 / 3.0, rel=1e-10)
 
     def test_asymptotic_small_eps(self):
         for eps in (1e-2, 1e-3):
-            a, _ = solve_alpha0(2.0, 0.8, eps, H75)
+            a = solve_alpha0(2.0, 0.8, eps, H75)
             assert a / eps**0.75 == pytest.approx(2.0 / 0.8, rel=0.05)
 
     @pytest.mark.parametrize("L", [0.3, 1.5, 4.0])
     @pytest.mark.parametrize("c1", [0.4, 0.9, 2.5])
     def test_closed_form_cross_check(self, L, c1):
-        m = min(1.0, c1)
         for eps in (0.05, 0.2):
-            e = eps**0.75
-            if e >= m:
+            if eps**0.75 >= min(1.0, c1):
                 continue
-            a, _ = solve_alpha0(L, c1, eps, H75)
-            assert a == pytest.approx(L * e / (m - e), rel=1e-10)
+            root, _ = bisect_alpha0(L, c1, eps, 0.75)
+            assert solve_alpha0(L, c1, eps, H75) == pytest.approx(root, rel=1e-10)
 
     def test_infeasible_reports_max_eps(self):
         with pytest.raises(InfeasibleAlphaError) as err:
@@ -317,8 +315,7 @@ class TestSolveAlpha0:
         assert err.value.max_feasible_eps == pytest.approx(0.1 ** (1 / 0.75), rel=1e-12)
 
     def test_degenerate_zero_lipschitz(self):
-        a, res = solve_alpha0(0.0, 0.9, 0.25, H75)
-        assert a == 0.0 and res == 0.0
+        assert solve_alpha0(0.0, 0.9, 0.25, H75) == 0.0
 
 
 class TestComputeConstants:
@@ -607,9 +604,11 @@ class TestStreamedSweep:
         (1, -1, "cholesky"), (1, 0, "cholesky"), (1, 1, "cholesky"), (3, 7, "cholesky"),
         (1, 1, "circulant"),
     ])
-    def test_matches_whole_ensemble_oracle(self, coeffs128, blocks, extra, method):
+    def test_matches_whole_ensemble_oracle(self, coeffs128, blocks, extra, method, monkeypatch):
+        if method == "circulant":
+            monkeypatch.setattr(path_engine, "CHOLESKY_MAX_STEPS", 0)
         n_paths = blocks * block_rows(coeffs128.grid.n_nodes) + extra
-        cfg = replace(STREAM_CFG, n_paths=n_paths, fbm_method=method)
+        cfg = replace(STREAM_CFG, n_paths=n_paths)
         args = (benchmark_generator(1.0), coeffs128, TerminalCondition.square(),
                 (0.5, 0.3, 0.2), cfg)
         got = run_sweep(*args)

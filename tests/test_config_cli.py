@@ -45,14 +45,18 @@ class TestParseConfig:
             parse_config(path)
         assert any("1/(2H)" in v for v in err.value.violations)
 
-    # quad_scheme selected a second kernel quadrature that no longer exists
-    @pytest.mark.parametrize("key, value", [("hh", "0.75"), ("quad_scheme", "graded-mesh")],
-                             ids=["hh", "quad_scheme"])
-    def test_unknown_key_named(self, tmp_path, key, value):
+    # quad_scheme selected a second kernel quadrature that no longer exists;
+    # fbm_method overrode the grid-size rule that picks the fBm sampler
+    @pytest.mark.parametrize("key, value", [("hh", "0.75"), ("quad_scheme", "graded-mesh"),
+                                            ("fbm_method", "cholesky")],
+                             ids=["hh", "quad_scheme", "fbm_method"])
+    def test_unknown_key_named(self, tmp_path, capsys, key, value):
         path = write_cfg(tmp_path, f"{key} = {value}\n")
         with pytest.raises(ConfigError) as err:
             parse_config(path)
         assert any(f"'{key}'" in v for v in err.value.violations)
+        assert main(["sweep", "--config", path]) == 2
+        assert f"unknown key '{key}'" in capsys.readouterr().err
 
     # 0 was the all-cores default before the thread pools were deleted
     @pytest.mark.parametrize("workers", [0, 2])
@@ -186,6 +190,21 @@ class TestCli:
             assert name in constants
         assert "PASS" in (out / "summary.txt").read_text()
         assert "\nfbar_panels,8\n" in (out / "manifest.csv").read_text()
+
+    # a numpy scalar's repr is np.float64(...), which no CSV reader parses
+    @pytest.mark.parametrize("command, files", [
+        ("simulate-fbm", ("paths.csv", "covariance_check.csv")),
+        ("solve", ("psi.csv", "triple_summary.csv")),
+    ], ids=["simulate-fbm", "solve"])
+    def test_csv_cells_are_plain_numbers(self, tmp_path, command, files):
+        path = write_cfg(tmp_path, SMALL + f"out_dir = {tmp_path / 'out'}\n")
+        assert main([command, "--config", path]) == 0
+        for name in files:
+            rows = (tmp_path / "out" / name).read_text().splitlines()[1:]
+            assert rows
+            for row in rows:
+                for cell in row.split(","):
+                    float(cell)
 
     def test_seed_override_changes_hash(self, tmp_path):
         path = write_cfg(tmp_path, SMALL + f"out_dir = {tmp_path / 'a'}\n")

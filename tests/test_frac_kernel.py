@@ -3,8 +3,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from sfrbsde import frac_kernel
 from sfrbsde.errors import (
     CoefficientError,
+    ConsistencyError,
     QuadratureConvergenceError,
     SingularKernelError,
 )
@@ -194,8 +196,10 @@ class TestCoefficientSet:
     def test_sigma_abs_sq_pure_fractional(self):
         coeffs = build_coeffs(sigma1=ZERO)
         assert coeffs.sigma_abs_sq(1.0) == pytest.approx(1.0, rel=1e-8)
-        # the finite-difference oracle selects the factor-2 form: 2H t^(2H-1)
-        assert coeffs.lambda_factor == 2.0
+        # lambda = sigma1^2 + 2 sigma2 sigma2_hat = 2H t^(2H-1)
+        t = coeffs.grid.nodes
+        want = ZERO(t) ** 2 + 2.0 * ONE(t) * coeffs.sigma2_hat_table
+        assert np.array_equal(coeffs.lam_table, want)
         assert coeffs.lam_table[-1] == pytest.approx(1.5, rel=1e-10)
 
     def test_sigma_abs_sq_sum(self):
@@ -205,6 +209,14 @@ class TestCoefficientSet:
     def test_fd_consistency_recorded(self):
         coeffs = build_coeffs(sigma2=DeterministicFn.sinusoidal(1.0, 1.0), n=128)
         assert coeffs.fd_rel_error <= 1e-3
+
+    def test_halved_norm_table_rejected(self, monkeypatch):
+        # a factor-1 lambda would match this table; the FD gate must not adopt it
+        real = frac_kernel._inner_product_once
+        monkeypatch.setattr(frac_kernel, "_inner_product_once",
+                            lambda *args: 0.5 * real(*args))
+        with pytest.raises(ConsistencyError):
+            build_coeffs(sigma1=ZERO, sigma2=DeterministicFn.sinusoidal(1.0, 1.0), n=128)
 
     def test_strictly_increasing_table(self):
         coeffs = build_coeffs(sigma2=DeterministicFn.sinusoidal(2.0, 1.0))

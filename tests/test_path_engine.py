@@ -329,6 +329,16 @@ class TestSeedingOracle:
         assert np.array_equal(got, per_path_fbm_circulant(grid, H75, self.N, self.RNG))
 
 
+class TestMakeEnsemble:
+    @pytest.mark.parametrize("n_steps, method", [(512, "cholesky"), (513, "circulant")])
+    def test_grid_size_picks_the_sampler(self, n_steps, method):
+        grid = TimeGrid(T=1.0, n_steps=n_steps)
+        ens = make_ensemble(grid, H75, 4, RNG)
+        sampler = fbm_cholesky if method == "cholesky" else fbm_circulant
+        assert ens.fbm_method == method
+        assert np.array_equal(ens.BH, sampler(grid, H75, 4, RNG).BH)
+
+
 class TestSeedingWork:
     @pytest.mark.parametrize("method", ["cholesky", "circulant"])
     def test_one_bit_generator_per_purpose(self, monkeypatch, method):
@@ -340,7 +350,10 @@ class TestSeedingWork:
             return real(*args, **kwargs)
 
         monkeypatch.setattr(np.random, "Philox", counting)
-        make_ensemble(TimeGrid(T=1.0, n_steps=16), H75, 600, RNG, method=method)
+        if method == "circulant":
+            monkeypatch.setattr(path_engine, "CHOLESKY_MAX_STEPS", 0)
+        ens = make_ensemble(TimeGrid(T=1.0, n_steps=16), H75, 600, RNG)
+        assert ens.fbm_method == method
         # one generator draws all of B, one all of B^H
         assert len(built) == 2
 
@@ -411,9 +424,11 @@ class TestFactorMemo:
                             lambda *a: built.append("eig") or real_eig(*a))
         real_chol = np.linalg.cholesky
         monkeypatch.setattr(np.linalg, "cholesky", lambda a: built.append("chol") or real_chol(a))
+        if method == "circulant":
+            monkeypatch.setattr(path_engine, "CHOLESKY_MAX_STEPS", 0)
         coeffs = CoefficientSet.build(ZERO, ONE, ONE, self.GRID, H75)
         n_paths = 3 * block_rows(self.GRID.n_nodes) + 5
-        cfg = SweepConfig(n_paths=n_paths, t0=0.75, eta0=1.0, fbm_method=method,
+        cfg = SweepConfig(n_paths=n_paths, t0=0.75, eta0=1.0,
                           pde=PdeConfig(kappa=6.0, n_space=64), rng=RngSpec(seed=42),
                           phi_sampler=BoxSampler(n_samples=64))
         run_sweep(benchmark_generator(1.0), coeffs, TerminalCondition.square(),
