@@ -368,7 +368,10 @@ def compute_constants(
 
 @dataclass(frozen=True)
 class SweepConfig:
-    """Policy knobs for an epsilon sweep (the path/PDE modules stay policy-free)."""
+    """Policy knobs for an epsilon sweep (the path/PDE modules stay policy-free).
+
+    `t0` None means T/100; `delta2` None means 2 sqrt(max sup-MSE).
+    """
 
     n_paths: int = 10_000
     beta: float = 0.25
@@ -377,20 +380,20 @@ class SweepConfig:
     t0: float | None = None
     eta0: float = 1.0
     pde: PdeConfig = field(default_factory=PdeConfig)
-    quad: QuadratureSpec = field(default_factory=QuadratureSpec)
     rng: RngSpec = field(default_factory=lambda: RngSpec(seed=42))
     phi_sampler: BoxSampler = field(default_factory=BoxSampler)
-    phi_windows: int = 16
+
+
+# phi is estimated on the windows [s, T] for PHI_WINDOWS starts s evenly spaced in [0, T)
+PHI_WINDOWS = 16
 
 
 @dataclass
 class PerEpsilonStats:
     epsilon: float
     t_lo: float
-    window_start_index: int
     sup_mse: float
     sup_mse_stderr: float
-    sup_mse_at: float
     z_err_integral: float
     z_err_stderr: float
     dy_integral: float
@@ -479,7 +482,6 @@ class _WindowFold:
         return {
             "sup_mse": float(self.mean[j]),
             "sup_mse_stderr": float(mse_se[j]),
-            "sup_mse_at": float(self.t[j]),
             "z_err_integral": float(self.z_int.mean()),
             "z_err_stderr": float(self.z_int.std(ddof=1) / root_n),
             "dy_integral": float(self.dy_int.mean()),
@@ -587,11 +589,11 @@ def run_sweep(
     hurst = coeffs.hurst
     t0 = cfg.t0 if cfg.t0 is not None else T / 100.0
 
-    fbar = build_fbar(original, T, cfg.quad)
+    fbar = build_fbar(original, T, QuadratureSpec())
     averaged = fbar.as_generator()
     L = estimate_lipschitz(original, cfg.phi_sampler, T=T)
     C1 = c1_lower_bound(coeffs, t0)
-    starts = np.linspace(0.0, T * (1.0 - 1.0 / cfg.phi_windows), cfg.phi_windows)
+    starts = np.linspace(0.0, T * (1.0 - 1.0 / PHI_WINDOWS), PHI_WINDOWS)
     phi = estimate_phi(original, fbar, cfg.phi_sampler, [(s, T) for s in starts])
 
     def fold_for(epsilon: float) -> _WindowFold:
@@ -622,8 +624,7 @@ def run_sweep(
             raw.pop("moments"), t0=t0,
         )
         stats.append(PerEpsilonStats(
-            epsilon=epsilon, t_lo=u, window_start_index=fold.i_lo,
-            constants=constants, **raw,
+            epsilon=epsilon, t_lo=u, constants=constants, **raw,
         ))
 
     delta2 = cfg.delta2

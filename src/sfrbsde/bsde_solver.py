@@ -89,25 +89,25 @@ class TerminalCondition:
         return cls(fn=lambda x: x**2, name="square", growth_degree=2)
 
 
+# the time stepping: Crank-Nicolson weight, and the Picard sweeps per step with
+# their stopping tolerance (relative to max(1, |psi|) at the later node)
+THETA = 0.5
+PICARD_MAX_ITER = 8
+PICARD_TOL = 1e-10
+
+
 @dataclass(frozen=True)
 class PdeConfig:
-    """Truncated-domain and stepping controls for the backward solver."""
+    """Truncated-domain controls for the backward solver."""
 
     kappa: float = 6.0
     n_space: int = 256
-    theta: float = 0.5
-    picard_max_iter: int = 8
-    picard_tol: float = 1e-10
 
     def __post_init__(self):
         if self.n_space < 64:
             raise ValueError(f"n_space must be >= 64, got {self.n_space!r}")
         if self.kappa < 4:
             raise ValueError(f"kappa must be >= 4, got {self.kappa!r}")
-        if not 0.0 <= self.theta <= 1.0:
-            raise ValueError(f"theta must lie in [0, 1], got {self.theta!r}")
-        if self.picard_max_iter < 1 or self.picard_tol <= 0:
-            raise ValueError("picard controls must be positive")
 
 
 @dataclass
@@ -215,7 +215,6 @@ def solve_psi(
     x = np.linspace(lo, hi, pde.n_space + 1)
     dx = x[1] - x[0]
     scale = epsilon**coeffs.hurst.two_h
-    theta = pde.theta
 
     sig1 = np.asarray(coeffs.sigma1(t), dtype=float)
     sig2 = np.asarray(coeffs.sigma2(t), dtype=float)
@@ -242,9 +241,9 @@ def solve_psi(
     for k in range(n_time - 1, -1, -1):
         diff = pc.diff_panel[k]
         mu = pc.mu_panel[k]
-        lower = theta * dt * (diff / dx**2 - mu / (2.0 * dx))
-        upper = theta * dt * (diff / dx**2 + mu / (2.0 * dx))
-        diag = 1.0 + theta * dt * 2.0 * diff / dx**2
+        lower = THETA * dt * (diff / dx**2 - mu / (2.0 * dx))
+        upper = THETA * dt * (diff / dx**2 + mu / (2.0 * dx))
+        diag = 1.0 + THETA * dt * 2.0 * diff / dx**2
 
         sub = np.full(n_int - 1, -lower)
         main = np.full(n_int, diag)
@@ -259,16 +258,16 @@ def solve_psi(
         if info != 0:
             raise NumericError(f"tridiagonal step matrix is singular at backward step {k}")
 
-        explicit = psi[k + 1] + dt * (1.0 - theta) * (
+        explicit = psi[k + 1] + dt * (1.0 - THETA) * (
             apply_operator(diff, mu, psi[k + 1]) + src_next
         )
         base_rhs = explicit[1:-1]
 
         iterate = psi[k + 1].copy()
-        tol = pde.picard_tol * max(1.0, float(np.abs(psi[k + 1]).max()))
+        tol = PICARD_TOL * max(1.0, float(np.abs(psi[k + 1]).max()))
         change = np.inf
-        for _ in range(pde.picard_max_iter):
-            rhs = base_rhs + dt * theta * source(k, iterate)[1:-1]
+        for _ in range(PICARD_MAX_ITER):
+            rhs = base_rhs + dt * THETA * source(k, iterate)[1:-1]
             interior, _ = dgttrs(*lu, rhs, overwrite_b=1)
             new = np.empty_like(iterate)
             new[1:-1] = interior
@@ -444,12 +443,12 @@ class ResidualReport:
 
     residual: float
     stderr: float
-    t_probe: float
+    probe: float
     n_paths: int
 
 
 def residual_mean_check(triple: TriplePath, gen: Generator, coeffs: CoefficientSet,
-                        epsilon: float, t_probe: float) -> ResidualReport:
+                        epsilon: float, probe: float) -> ResidualReport:
     """| E Y_tp - E xi - eps^2H E int_tp^T f(s, eta, Y, Z1, Z2) ds |.
 
     Taking expectations in the backward equation kills both stochastic
@@ -458,7 +457,7 @@ def residual_mean_check(triple: TriplePath, gen: Generator, coeffs: CoefficientS
     reflects the coupled difference.
     """
     grid = triple.grid
-    k0 = grid.first_index_at_or_after(t_probe)
+    k0 = grid.first_index_at_or_after(probe)
     t = grid.nodes
     f_vals = np.empty((triple.Y.shape[0], t.size - k0))
     for j, k in enumerate(range(k0, t.size)):
@@ -468,5 +467,5 @@ def residual_mean_check(triple: TriplePath, gen: Generator, coeffs: CoefficientS
     per_path = triple.Y[:, k0] - triple.Y[:, -1] - epsilon**coeffs.hurst.two_h * integral
     mean = float(per_path.mean())
     stderr = float(per_path.std(ddof=1) / np.sqrt(per_path.shape[0]))
-    return ResidualReport(residual=abs(mean), stderr=stderr, t_probe=float(t[k0]),
+    return ResidualReport(residual=abs(mean), stderr=stderr, probe=float(t[k0]),
                           n_paths=per_path.shape[0])

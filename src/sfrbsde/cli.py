@@ -118,9 +118,9 @@ def cmd_solve(cfg: ExperimentConfig) -> int:
                                    ("t", "mean_Y", "var_Y", "mean_Z1", "mean_Z2"),
                                    summary_rows))
     residual_rows = []
-    for probe in (cfg.t_probe, cfg.t_horizon / 4, 3 * cfg.t_horizon / 4):
+    for probe in (cfg.t_horizon / 4, cfg.t_horizon / 2, 3 * cfg.t_horizon / 4):
         rep = bs.residual_mean_check(triple, gen, coeffs, cfg.epsilon, probe)
-        residual_rows.append((rep.t_probe, rep.residual, rep.stderr,
+        residual_rows.append((rep.probe, rep.residual, rep.stderr,
                               rep.residual <= 3 * rep.stderr + coeffs.grid.dt))
     manifest.record_file(write_csv(out / "residual_check.csv",
                                    ("t_probe", "residual", "stderr", "holds"),
@@ -136,10 +136,11 @@ def cmd_solve(cfg: ExperimentConfig) -> int:
 
 
 def _sweep_config(cfg: ExperimentConfig) -> al.SweepConfig:
+    # 0 in the config file selects the sweep's own default
     return al.SweepConfig(
         n_paths=cfg.n_paths, beta=cfg.beta, delta1=cfg.delta1,
-        delta2=cfg.resolved_delta2(), t0=cfg.resolved_t0(), eta0=cfg.eta0,
-        pde=cfg.pde(), quad=cfg.quad(), rng=cfg.rng(),
+        delta2=cfg.delta2 or None, t0=cfg.t0 or None, eta0=cfg.eta0,
+        pde=cfg.pde(), rng=cfg.rng(),
     )
 
 

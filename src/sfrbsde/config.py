@@ -17,7 +17,7 @@ import numpy as np
 
 from .bsde_solver import Generator, PdeConfig, TerminalCondition
 from .errors import ConfigError
-from .frac_kernel import CoefficientSet, DeterministicFn, HurstModel, QuadratureSpec
+from .frac_kernel import CoefficientSet, DeterministicFn, HurstModel
 from .grids import TimeGrid
 from .path_engine import RngSpec
 
@@ -30,7 +30,7 @@ _TERMINAL_PRESETS = ("square", "identity")
 
 @dataclass(frozen=True)
 class ExperimentConfig:
-    """Validated experiment parameters; see DEFAULTS for the documented values."""
+    """Validated experiment parameters; README.md documents every key and default."""
 
     h: float = 0.75
     t_horizon: float = 1.0
@@ -44,23 +44,13 @@ class ExperimentConfig:
     t0: float = 0.0              # 0 means auto: t_horizon / 100
     seed: int = 42
     eta0: float = 1.0
-    epsilon: float = 1.0         # used by `solve`
-    t_probe: float = 0.5
+    epsilon: float = 1.0         # used by `simulate-fbm` and `solve`
     generator: str = "benchmark"
-    gen_a: float = 0.5
-    gen_b: float = 0.25
-    gen_c: float = 0.25
-    gen_d: float = 0.1
     terminal: str = "square"
     b: str = "constant:0"
     sigma1: str = "constant:1"
     sigma2: str = "constant:1"
     kappa: float = 6.0
-    theta: float = 0.5
-    picard_max_iter: int = 8
-    picard_tol: float = 1e-10
-    quad_panels: int = 256
-    quad_tol: float = 1e-8
     out_dir: str = ""            # empty means $SFRBSDE_OUT or ./out
     workers: int = 1             # the program runs on one thread; only 1 is accepted
 
@@ -72,22 +62,11 @@ class ExperimentConfig:
     def grid(self) -> TimeGrid:
         return TimeGrid(T=self.t_horizon, n_steps=self.n_time)
 
-    def quad(self) -> QuadratureSpec:
-        return QuadratureSpec(panels=self.quad_panels, tol=self.quad_tol)
-
     def pde(self) -> PdeConfig:
-        return PdeConfig(kappa=self.kappa, n_space=self.n_space, theta=self.theta,
-                         picard_max_iter=self.picard_max_iter,
-                         picard_tol=self.picard_tol)
+        return PdeConfig(kappa=self.kappa, n_space=self.n_space)
 
     def rng(self) -> RngSpec:
         return RngSpec(seed=self.seed)
-
-    def resolved_t0(self) -> float:
-        return self.t0 if self.t0 > 0 else self.t_horizon / 100.0
-
-    def resolved_delta2(self) -> float | None:
-        return self.delta2 if self.delta2 > 0 else None
 
     def resolved_out_dir(self) -> str:
         return self.out_dir or os.environ.get(OUT_DIR_ENV, "out")
@@ -105,8 +84,7 @@ class ExperimentConfig:
         )
 
     def make_generator(self) -> Generator:
-        return parse_generator(self.generator, self.t_horizon,
-                               (self.gen_a, self.gen_b, self.gen_c, self.gen_d))
+        return parse_generator(self.generator, self.t_horizon)
 
     def make_terminal(self) -> TerminalCondition:
         return TerminalCondition.square() if self.terminal == "square" \
@@ -147,8 +125,11 @@ def parse_coefficient(text: str, t_horizon: float, name: str = "coeff") -> Deter
                        f"(legal: {', '.join(_COEFF_PRESETS)})"])
 
 
-def benchmark_generator(T: float, a: float = 0.5, b: float = 0.25, c: float = 0.25,
-                        d: float = 0.1) -> Generator:
+# (a, b, c, d) of the benchmark generator
+BENCHMARK_COEFFS = (0.5, 0.25, 0.25, 0.1)
+
+
+def benchmark_generator(T: float) -> Generator:
     """f(s, x, y, z1, z2) = (1 + sin(2 pi s / T)) (a y + b z1 + c z2 + d).
 
     Squared-Lipschitz constant L = 4 (a^2 + b^2 + c^2): the modulation factor reaches
@@ -157,6 +138,7 @@ def benchmark_generator(T: float, a: float = 0.5, b: float = 0.25, c: float = 0.
     bounded (sin^2 window averages), and the time average is available in
     closed form for oracle tests.
     """
+    a, b, c, d = BENCHMARK_COEFFS
     w = 2.0 * np.pi / T
 
     def fn(t, x, y, z1, z2):
@@ -166,8 +148,9 @@ def benchmark_generator(T: float, a: float = 0.5, b: float = 0.25, c: float = 0.
     return Generator(fn=fn, name="benchmark", lipschitz_sq=4.0 * (a**2 + b**2 + c**2))
 
 
-def benchmark_fbar(a: float = 0.5, b: float = 0.25, c: float = 0.25, d: float = 0.1):
+def benchmark_fbar():
     """Closed-form time average of the benchmark generator (sin averages to 0)."""
+    a, b, c, d = BENCHMARK_COEFFS
 
     def fn(x, y, z1, z2):
         return a * np.asarray(y, dtype=float) + b * np.asarray(z1) + c * np.asarray(z2) + d
@@ -175,11 +158,11 @@ def benchmark_fbar(a: float = 0.5, b: float = 0.25, c: float = 0.25, d: float = 
     return fn
 
 
-def parse_generator(text: str, t_horizon: float, bench_params) -> Generator:
+def parse_generator(text: str, t_horizon: float) -> Generator:
     kind, _, arg = text.partition(":")
     kind = kind.strip()
     if kind == "benchmark":
-        return benchmark_generator(t_horizon, *bench_params)
+        return benchmark_generator(t_horizon)
     if kind == "zero":
         return Generator.zero()
     if kind == "constant":
@@ -195,14 +178,6 @@ def parse_generator(text: str, t_horizon: float, bench_params) -> Generator:
         return Generator.linear_y(r)
     raise ConfigError([f"generator: unknown preset {kind!r} "
                        f"(legal: {', '.join(_GENERATOR_PRESETS)})"])
-
-
-_INT_FIELDS = {"n_time", "n_space", "n_paths", "seed", "picard_max_iter",
-               "quad_panels", "workers"}
-_FLOAT_FIELDS = {"h", "t_horizon", "beta", "delta1", "delta2", "t0", "eta0",
-                 "epsilon", "t_probe", "gen_a", "gen_b", "gen_c", "gen_d",
-                 "kappa", "theta", "picard_tol", "quad_tol"}
-_STR_FIELDS = {"generator", "terminal", "b", "sigma1", "sigma2", "out_dir"}
 
 
 def _validate(cfg: ExperimentConfig) -> list[str]:
@@ -239,27 +214,14 @@ def _validate(cfg: ExperimentConfig) -> list[str]:
         bad.append(f"seed: must fit in 64 bits, got {cfg.seed!r}")
     if not 0 < cfg.epsilon <= 1:
         bad.append(f"epsilon: must lie in (0, 1], got {cfg.epsilon!r}")
-    if not 0 <= cfg.t_probe < cfg.t_horizon:
-        bad.append(f"t_probe: must lie in [0, T), got {cfg.t_probe!r}")
     if cfg.kappa < 4:
         bad.append(f"kappa: must be >= 4, got {cfg.kappa!r}")
-    if not 0.0 <= cfg.theta <= 1.0:
-        bad.append(f"theta: must lie in [0, 1], got {cfg.theta!r}")
-    if cfg.picard_max_iter < 1:
-        bad.append(f"picard_max_iter: must be >= 1, got {cfg.picard_max_iter!r}")
-    if not cfg.picard_tol > 0:
-        bad.append(f"picard_tol: must be > 0, got {cfg.picard_tol!r}")
-    if cfg.quad_panels < 8:
-        bad.append(f"quad_panels: must be >= 8, got {cfg.quad_panels!r}")
-    if not cfg.quad_tol > 0:
-        bad.append(f"quad_tol: must be > 0, got {cfg.quad_tol!r}")
     if cfg.workers != 1:
         bad.append(f"workers: must be 1 (the program runs on one thread), got {cfg.workers!r}")
     for field_name in ("generator", "b", "sigma1", "sigma2"):
         try:
             if field_name == "generator":
-                parse_generator(getattr(cfg, field_name), max(cfg.t_horizon, 1e-9),
-                                (cfg.gen_a, cfg.gen_b, cfg.gen_c, cfg.gen_d))
+                parse_generator(cfg.generator, max(cfg.t_horizon, 1e-9))
             else:
                 parse_coefficient(getattr(cfg, field_name), max(cfg.t_horizon, 1e-9),
                                   name=field_name)
@@ -273,22 +235,19 @@ def _validate(cfg: ExperimentConfig) -> list[str]:
 
 def config_from_mapping(raw: dict) -> ExperimentConfig:
     """Typed, fully-validated config from string key/values; collects all errors."""
-    known = {f.name for f in fields(ExperimentConfig)}
-    violations = [f"unknown key {k!r}" for k in raw if k not in known]
+    # each key parses as the type of its default: int, float, str or the eps tuple
+    default_of = {f.name: f.default for f in fields(ExperimentConfig)}
+    violations = [f"unknown key {k!r}" for k in raw if k not in default_of]
     values = {}
     for key, text in raw.items():
-        if key not in known:
+        if key not in default_of:
             continue
         text = text.strip()
         try:
             if key == "eps_list":
                 values[key] = tuple(float(tok) for tok in text.split(",") if tok.strip())
-            elif key in _INT_FIELDS:
-                values[key] = int(text)
-            elif key in _FLOAT_FIELDS:
-                values[key] = float(text)
-            elif key in _STR_FIELDS:
-                values[key] = text
+            else:
+                values[key] = type(default_of[key])(text)
         except ValueError:
             violations.append(f"{key}: cannot parse value {text!r}")
     # range-check whatever parsed so one pass reports every problem

@@ -224,8 +224,8 @@ class CoefficientSet:
 
       norm_sq_table[k]      = ||sigma2||^2_{t_k}
       sigma2_hat_table[k]   = sigma2_hat(t_k)
-      sigma1_sq_int_table[k]= int_0^{t_k} sigma1(s)^2 ds
-      sigma_abs_sq_table[k] = |sigma|^2_{t_k}      (eq. sum of the above two)
+      sigma_abs_sq_table[k] = |sigma|^2_{t_k} = int_0^{t_k} sigma1(s)^2 ds
+                              + ||sigma2||^2_{t_k}
       lam_table[k]          = d/dt |sigma|^2 at t_k
       b_int_table[k]        = trapezoid int_0^{t_k} b(s) ds  (matches the
                               path engine's drift discretization)
@@ -245,7 +245,6 @@ class CoefficientSet:
     grid: TimeGrid
     norm_sq_table: np.ndarray = field(repr=False)
     sigma2_hat_table: np.ndarray = field(repr=False)
-    sigma1_sq_int_table: np.ndarray = field(repr=False)
     sigma_abs_sq_table: np.ndarray = field(repr=False)
     lam_table: np.ndarray = field(repr=False)
     b_int_table: np.ndarray = field(repr=False)
@@ -309,7 +308,7 @@ class CoefficientSet:
         b_vals = b(t)
         b_int[1:] = np.cumsum(0.5 * (b_vals[1:] + b_vals[:-1]) * np.diff(t))
 
-        for arr in (nsq, s2hat, sig1_sq_int, abs_sq, lam, b_int):
+        for arr in (nsq, s2hat, abs_sq, lam, b_int):
             arr.setflags(write=False)
 
         return cls(
@@ -321,7 +320,6 @@ class CoefficientSet:
             grid=grid,
             norm_sq_table=nsq,
             sigma2_hat_table=s2hat,
-            sigma1_sq_int_table=sig1_sq_int,
             sigma_abs_sq_table=abs_sq,
             lam_table=lam,
             b_int_table=b_int,
@@ -334,19 +332,6 @@ class CoefficientSet:
         """|sigma|^2_t = int_0^t sigma1^2 + ||sigma2||^2_t from the cached table."""
         out = np.interp(np.asarray(t, dtype=float), self.grid.nodes, self.sigma_abs_sq_table)
         return float(out) if np.asarray(t).ndim == 0 else out
-
-    def export_tables(self, path):
-        """Kernel tables as CSV (debug aid): t, norm_sq, sigma2_hat, sigma_abs_sq, lambda."""
-        from .runio import write_csv
-
-        rows = zip(
-            self.grid.nodes,
-            self.norm_sq_table,
-            self.sigma2_hat_table,
-            self.sigma_abs_sq_table,
-            self.lam_table,
-        )
-        return write_csv(path, ("t", "norm_sq", "sigma2_hat", "sigma_abs_sq", "lambda"), rows)
 
 
 def _lambda_fd_error(t, abs_sq, base, lam) -> float:

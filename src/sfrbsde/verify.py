@@ -17,6 +17,7 @@ from . import bsde_solver as bs
 from . import frac_kernel as fk
 from . import path_engine as pe
 from .config import ExperimentConfig, benchmark_generator, config_from_mapping
+from .errors import ConfigError, ConsistencyError
 from .grids import TimeGrid
 
 
@@ -56,7 +57,7 @@ def check_kernel_symmetry(cfg):
 
 
 def check_kernel_bilinearity(cfg):
-    h, q = cfg.hurst(), cfg.quad()
+    h, q = cfg.hurst(), fk.QuadratureSpec()
     xi1 = fk.DeterministicFn.linear(1.0)
     xi2 = fk.DeterministicFn(fn=lambda t: np.cos(t), name="cos")
     eta = fk.DeterministicFn(fn=lambda t: 1.0 + 0.5 * t**2, name="poly")
@@ -71,7 +72,7 @@ def check_kernel_bilinearity(cfg):
 
 
 def check_kernel_cauchy_schwarz(cfg):
-    h, q = cfg.hurst(), cfg.quad()
+    h, q = cfg.hurst(), fk.QuadratureSpec()
     rng = np.random.default_rng(cfg.seed + 1)
     worst = -np.inf
     for _ in range(8):
@@ -85,7 +86,7 @@ def check_kernel_cauchy_schwarz(cfg):
 
 
 def check_kernel_closed_forms(cfg):
-    q = cfg.quad()
+    q = fk.QuadratureSpec()
     worst = 0.0
     for hv in (0.6, 0.75, 0.9):
         h = fk.HurstModel(hv)
@@ -107,22 +108,25 @@ def check_kernel_closed_forms(cfg):
 
 
 def check_quadrature_convergence(cfg):
-    h = cfg.hurst()
+    h, q = cfg.hurst(), fk.QuadratureSpec()
     xi = fk.DeterministicFn.linear(1.0)
-    vals = {}
-    for panels in (cfg.quad_panels // 2, cfg.quad_panels):
-        vals[panels] = fk.inner_product(
-            xi, xi, cfg.t_horizon, h, fk.QuadratureSpec(panels=panels, tol=1.0))
-    drift = abs(vals[cfg.quad_panels] - vals[cfg.quad_panels // 2])
-    return _result("quadrature-convergence", drift <= cfg.quad_tol,
-                   f"doubling moved result by {drift:.1e} (limit {cfg.quad_tol:.0e})")
+    coarse, fine = (fk.inner_product(xi, xi, cfg.t_horizon, h,
+                                     fk.QuadratureSpec(panels=panels, tol=1.0))
+                    for panels in (q.panels // 2, q.panels))
+    drift = abs(fine - coarse)
+    return _result("quadrature-convergence", drift <= q.tol,
+                   f"doubling moved result by {drift:.1e} (limit {q.tol:.0e})")
 
 
 def check_lambda_fd(cfg):
     worst = 0.0
     for sigma2 in ("constant:1", "sinusoidal:1"):
         sub = replace(cfg, sigma2=sigma2)
-        coeffs = _std_coeffs(sub, n_steps=128)
+        try:
+            coeffs = _std_coeffs(sub, n_steps=128)
+        except ConsistencyError as exc:
+            # the build enforces the same limit; its refusal is this check's FAIL
+            return _result("lambda-fd-consistency", False, str(exc))
         worst = max(worst, coeffs.fd_rel_error)
     return _result("lambda-fd-consistency", worst <= 1e-3,
                    f"max rel err {worst:.1e} (limit 1e-3)")
@@ -225,8 +229,7 @@ def _closed_form_errors(cfg, n):
     coeffs = fk.CoefficientSet.build(
         sub.coefficient_fn("b"), sub.coefficient_fn("sigma1"),
         sub.coefficient_fn("sigma2"), grid, cfg.hurst())
-    pde = bs.PdeConfig(kappa=10.0, n_space=n, theta=cfg.theta,
-                       picard_max_iter=cfg.picard_max_iter, picard_tol=cfg.picard_tol)
+    pde = bs.PdeConfig(kappa=10.0, n_space=n)
     r = 0.1
     f1 = bs.solve_psi(bs.Generator.zero(), bs.TerminalCondition.identity(), coeffs, 1.0, pde)
     f2 = bs.solve_psi(bs.Generator.zero(), bs.TerminalCondition.square(), coeffs, 1.0, pde)
@@ -278,8 +281,8 @@ def check_pde_terminal(cfg):
 
 
 def check_pde_monotonicity(cfg):
-    # the theta-scheme max principle needs the explicit half positive,
-    # i.e. 2 (1-theta) D dt / dx^2 <= 1; the grid here satisfies it
+    # the scheme's max principle needs the explicit half positive,
+    # i.e. 2 (1 - THETA) D dt / dx^2 <= 1; the grid here satisfies it
     coeffs = _std_coeffs(cfg, n_steps=256)
     pde = bs.PdeConfig(kappa=6.0, n_space=64)
     g1 = bs.TerminalCondition.identity()
@@ -346,27 +349,26 @@ def check_residual_mean(cfg):
 def check_fbar_idempotence(cfg):
     gen = bs.Generator(fn=lambda t, x, y, z1, z2: 0.3 * np.asarray(y) - 0.2 * np.asarray(z1) + 1.0,
                        name="flat", time_dependent=False)
-    fbar = al.build_fbar(gen, cfg.t_horizon, cfg.quad())
+    q = fk.QuadratureSpec()
+    fbar = al.build_fbar(gen, cfg.t_horizon, q)
     rng = np.random.default_rng(cfg.seed + 2)
     pts = rng.uniform(-3, 3, (256, 4))
     dev = np.abs(fbar(*pts.T) - gen(0.0, *pts.T)).max()
-    quad_route = al.build_fbar(replace(gen, time_dependent=True), cfg.t_horizon, cfg.quad())
+    quad_route = al.build_fbar(replace(gen, time_dependent=True), cfg.t_horizon, q)
     dev_quad = np.abs(quad_route(*pts.T) - gen(0.0, *pts.T)).max()
     worst = max(dev, dev_quad)
-    return _result("fbar-idempotence", worst <= cfg.quad_tol,
-                   f"max dev {worst:.1e} (limit {cfg.quad_tol:.0e})")
+    return _result("fbar-idempotence", worst <= q.tol,
+                   f"max dev {worst:.1e} (limit {q.tol:.0e})")
 
 
 def _mini_sweep(cfg, generator=None, eps=(0.5, 0.3, 0.2)):
     sub = replace(cfg, sigma1="constant:1", sigma2="constant:1", b="constant:0")
     coeffs = _std_coeffs(sub, n_steps=64)
-    gen = generator if generator is not None else benchmark_generator(
-        cfg.t_horizon, cfg.gen_a, cfg.gen_b, cfg.gen_c, cfg.gen_d)
+    gen = generator if generator is not None else benchmark_generator(cfg.t_horizon)
     sweep_cfg = al.SweepConfig(
         n_paths=max(1000, min(cfg.n_paths, 4000)), beta=cfg.beta, delta1=cfg.delta1,
         t0=0.75 * cfg.t_horizon, eta0=cfg.eta0,
-        pde=bs.PdeConfig(kappa=cfg.kappa, n_space=64),
-        quad=cfg.quad(), rng=cfg.rng(),
+        pde=bs.PdeConfig(kappa=cfg.kappa, n_space=64), rng=cfg.rng(),
     )
     return al.run_sweep(gen, coeffs, cfg.make_terminal(), eps, sweep_cfg)
 
@@ -415,12 +417,13 @@ def check_rate_fit(cfg):
     for e in eps:
         cons = al.compute_constants(1.0, 0.9, 0.0, 0.0, cfg.t_horizon, e, 0.0, h, (0, 0, 0))
         stats.append(al.PerEpsilonStats(
-            epsilon=e, t_lo=0.0, window_start_index=0, sup_mse=e**h.two_h,
-            sup_mse_stderr=0.0, sup_mse_at=0.0, z_err_integral=0.0, z_err_stderr=0.0,
+            epsilon=e, t_lo=0.0, sup_mse=e**h.two_h,
+            sup_mse_stderr=0.0, z_err_integral=0.0, z_err_stderr=0.0,
             dy_integral=0.0, dy_integral_stderr=0.0, mean_sup_sq=0.0,
             path_sup_abs=np.zeros(1), constants=cons))
+    # the rate fit reads no t0
     rep = al.SweepReport(eps_list=eps, T=cfg.t_horizon, beta=0.0, delta1=1.0, delta2=1.0,
-                         t0=cfg.resolved_t0(), L=1.0, C1=0.9, phi_bound=0.0,
+                         t0=float("nan"), L=1.0, C1=0.9, phi_bound=0.0,
                          n_paths=1, stats=stats)
     rc = al.check_theorem_rate(rep)
     dev = abs(rc.slope - h.two_h)
@@ -497,6 +500,4 @@ def negative_control(cfg: ExperimentConfig, name: str) -> CheckResult:
         return _result("expect-fail:lemma1-null", observed_failure,
                        "zeroed constants were caught" if observed_failure
                        else "sabotage went unnoticed")
-    from .errors import ConfigError
-
     raise ConfigError([f"unknown negative control {name!r} (known: lemma1-null)"])

@@ -187,7 +187,6 @@ def array_window_stats(grid, i_lo, dY, dZ_sq, Ya, Z1a, Z2a):
     return {
         "sup_mse": float(mse[j]),
         "sup_mse_stderr": float(mse_se[j]),
-        "sup_mse_at": float(t[w][j]),
         "z_err_integral": float(z_int.mean()),
         "z_err_stderr": float(z_int.std(ddof=1) / np.sqrt(n_paths)),
         "dy_integral": float(dy_int.mean()),
@@ -237,16 +236,17 @@ def whole_ensemble_sweep(original, coeffs, term, eps_list, cfg):
     both triples extracted in full, statistics from the arrays."""
     from sfrbsde import averaging_lab as al
     from sfrbsde.bsde_solver import extract_triple, solve_psi
+    from sfrbsde.frac_kernel import QuadratureSpec
     from sfrbsde.path_engine import make_ensemble, simulate_eta
 
     grid, T, hurst = coeffs.grid, coeffs.T, coeffs.hurst
     t0 = cfg.t0 if cfg.t0 is not None else T / 100.0
     ensemble = make_ensemble(grid, hurst, cfg.n_paths, cfg.rng)
-    fbar = al.build_fbar(original, T, cfg.quad)
+    fbar = al.build_fbar(original, T, QuadratureSpec())
     averaged = fbar.as_generator()
     L = al.estimate_lipschitz(original, cfg.phi_sampler, T=T)
     C1 = al.c1_lower_bound(coeffs, t0)
-    starts = np.linspace(0.0, T * (1.0 - 1.0 / cfg.phi_windows), cfg.phi_windows)
+    starts = np.linspace(0.0, T * (1.0 - 1.0 / al.PHI_WINDOWS), al.PHI_WINDOWS)
     phi = al.estimate_phi(original, fbar, cfg.phi_sampler, [(s, T) for s in starts])
     stats = []
     for epsilon in eps_list:
@@ -262,8 +262,7 @@ def whole_ensemble_sweep(original, coeffs, term, eps_list, cfg):
                                  trip_a.Y, trip_a.Z1, trip_a.Z2)
         constants = al.compute_constants(L, C1, phi.value, u, T, epsilon, cfg.beta,
                                          hurst, raw.pop("moments"), t0=t0)
-        stats.append(al.PerEpsilonStats(epsilon=epsilon, t_lo=u, window_start_index=i_lo,
-                                        constants=constants, **raw))
+        stats.append(al.PerEpsilonStats(epsilon=epsilon, t_lo=u, constants=constants, **raw))
     delta2 = cfg.delta2
     if delta2 is None:
         delta2 = 2.0 * math.sqrt(max(s.sup_mse for s in stats)) or 1.0

@@ -124,9 +124,12 @@ def test_criterion_2_kernel_closed_forms():
             grid = TimeGrid(T=t, n_steps=8)
             coeffs = CoefficientSet.build(ZERO, ONE, DeterministicFn.const(2.0),
                                           grid, h)
-            got_hat = sigma2_hat(t, coeffs)
             want_hat = 2.0 * h_val * t ** (2 * h_val - 1)
-            worst_closed = max(worst_closed, abs(got_hat - want_hat) / want_hat)
+            # the oracle route, then the grid tables that solve_psi reads
+            for got, exact in ((sigma2_hat(t, coeffs), want_hat),
+                               (coeffs.norm_sq_table[-1], want),
+                               (coeffs.sigma2_hat_table[-1], want_hat)):
+                worst_closed = max(worst_closed, abs(got - exact) / exact)
     # brute-force oracle at 10x the default panel count, independent mechanics
     worst_oracle = 0.0
     for h_val in (0.6, 0.75, 0.9):

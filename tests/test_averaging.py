@@ -372,8 +372,8 @@ def synthetic_report(eps, mse, T=1.0, beta=0.0, bounds=None, exceed=None,
             object.__setattr__(cons, "C4", bounds[i] / e ** (1 - 2 * H75.h * beta))
             object.__setattr__(cons, "theorem_bound", bounds[i])
         stats.append(PerEpsilonStats(
-            epsilon=e, t_lo=0.0, window_start_index=0, sup_mse=m, sup_mse_stderr=0.0,
-            sup_mse_at=0.0, z_err_integral=0.0, z_err_stderr=0.0, dy_integral=0.0,
+            epsilon=e, t_lo=0.0, sup_mse=m, sup_mse_stderr=0.0,
+            z_err_integral=0.0, z_err_stderr=0.0, dy_integral=0.0,
             dy_integral_stderr=0.0,
             mean_sup_sq=(mean_sup_sq[i] if mean_sup_sq else 0.0),
             path_sup_abs=np.zeros(4), constants=cons,

@@ -46,10 +46,15 @@ class TestParseConfig:
         assert any("1/(2H)" in v for v in err.value.violations)
 
     # quad_scheme selected a second kernel quadrature that no longer exists;
-    # fbm_method overrode the grid-size rule that picks the fBm sampler
-    @pytest.mark.parametrize("key, value", [("hh", "0.75"), ("quad_scheme", "graded-mesh"),
-                                            ("fbm_method", "cholesky")],
-                             ids=["hh", "quad_scheme", "fbm_method"])
+    # fbm_method overrode the grid-size rule that picks the fBm sampler; the
+    # other retired keys are constants now (each is set here to its old
+    # default), and the residual probes of `solve` derive from T
+    @pytest.mark.parametrize("key, value", [pytest.param(k, v, id=k) for k, v in (
+        ("hh", "0.75"), ("quad_scheme", "graded-mesh"), ("fbm_method", "cholesky"),
+        ("theta", "0.5"), ("picard_max_iter", "8"), ("picard_tol", "1e-10"),
+        ("quad_panels", "256"), ("quad_tol", "1e-8"), ("gen_a", "0.5"), ("gen_b", "0.25"),
+        ("gen_c", "0.25"), ("gen_d", "0.1"), ("t_probe", "0.5"),
+    )])
     def test_unknown_key_named(self, tmp_path, capsys, key, value):
         path = write_cfg(tmp_path, f"{key} = {value}\n")
         with pytest.raises(ConfigError) as err:
@@ -174,6 +179,18 @@ class TestCli:
         out = tmp_path / "out"
         for name in ("psi.csv", "triple_summary.csv", "residual_check.csv"):
             assert (out / name).exists()
+
+    # no key may default to an absolute time that a short horizon leaves behind
+    @pytest.mark.parametrize("command", ["sweep", "solve"])
+    def test_horizon_below_half_runs(self, tmp_path, command):
+        path = write_cfg(tmp_path, "t_horizon = 0.4\nn_time = 64\nn_space = 64\n"
+                         "n_paths = 1000\neps_list = 0.3,0.2,0.1\nt0 = 0.3\n"
+                         f"out_dir = {tmp_path / 'out'}\n")
+        assert main([command, "--config", path]) == 0
+        if command == "solve":
+            rows = (tmp_path / "out" / "residual_check.csv").read_text().splitlines()[1:]
+            probes = [float(row.split(",")[0]) for row in rows]
+            assert probes == pytest.approx([0.1, 0.2, 0.3])
 
     def test_sweep_outputs_and_exit(self, tmp_path):
         path = write_cfg(tmp_path, SMALL + f"out_dir = {tmp_path / 'out'}\n")

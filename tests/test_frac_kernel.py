@@ -233,12 +233,6 @@ class TestCoefficientSet:
         with pytest.raises(ValueError):
             coeffs.lam_table[0] = 99.0
 
-    def test_export_tables(self, tmp_path):
-        coeffs = build_coeffs(n=8)
-        path = coeffs.export_tables(tmp_path / "tables.csv")
-        header = path.read_text().splitlines()[0]
-        assert header == "t,norm_sq,sigma2_hat,sigma_abs_sq,lambda"
-
 
 class TestC1:
     def test_constant_sigma2(self):
