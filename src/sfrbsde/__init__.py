@@ -30,6 +30,7 @@ from .bsde_solver import (
     malliavin_representation_check,
     residual_mean_check,
     solve_psi,
+    solve_psis,
 )
 from .config import ExperimentConfig, benchmark_generator, parse_config
 from .frac_kernel import (

@@ -38,7 +38,7 @@ from .bsde_solver import (
     count_outside,
     field_tables,
     interp_at,
-    solve_psi,
+    solve_psis,
 )
 from .errors import ContractError, InfeasibleAlphaError, NumericError, QuadratureConvergenceError
 from .frac_kernel import CoefficientSet, HurstModel, QuadratureSpec, c0_const, c1_lower_bound
@@ -82,7 +82,10 @@ MIN_FBAR_PANELS = 8
 def _gl_time_average(gen: Generator, T: float, panels: int) -> Callable:
     """(1/T) int_0^T f(s, .) ds by `panels` panels of GL-4, as one call of f.
 
-    The nodes sit on a leading axis of t and the weights contract that axis.
+    The nodes sit on a leading axis of t and the weights contract that axis,
+    one last-axis row of the state at a time: BLAS rounds an element near
+    the end of a vector differently, so contracting rows together would make
+    a row's value depend on the rows evaluated with it.
     """
     gx, gw = np.polynomial.legendre.leggauss(4)
     edges = np.linspace(0.0, T, panels + 1)
@@ -97,7 +100,11 @@ def _gl_time_average(gen: Generator, T: float, panels: int) -> Callable:
         if values.shape != nodes.shape + shape:
             # an f that ignores t returns the state shape
             values = np.broadcast_to(values, nodes.shape + shape)
-        return (weights @ values.reshape(nodes.size, -1)).reshape(shape)
+        rows = values.reshape(nodes.size, -1, shape[-1] if shape else 1)
+        out = np.empty(rows.shape[1:])
+        for i in range(out.shape[0]):
+            np.matmul(weights, rows[:, i], out=out[i])
+        return out.reshape(shape)
 
     return fbar
 
@@ -567,14 +574,15 @@ def run_sweep(
     averaged system keeps eta^eps); triples are read on the SAME eta^eps
     paths, so every error statistic is a common-random-number estimate.
 
-    Every field is solved first, one eps after another.  The paths are then
-    streamed in fixed blocks of `block_rows(n_nodes)` paths: each block
-    draws (B, B^H) once from the per-path streams of its global path
-    indices, and every eps builds eta^eps from the block's eps-free noise,
-    reads both fields on the window columns and folds the block into its
-    statistics.  No n_paths x n_nodes array is ever held; what grows
-    with n_paths is three per-path vectors per eps.  The sweep starts no
-    threads of its own, and reruns are byte-identical.
+    Every field is solved first, all 2 x len(eps) in one backward pass
+    (`solve_psis`).  The paths are then streamed in fixed blocks of
+    `block_rows(n_nodes)` paths: each block draws (B, B^H) once from the
+    per-path streams of its global path indices, and every eps builds
+    eta^eps from the block's eps-free noise, reads both fields on the window
+    columns and folds the block into its statistics.  No n_paths x n_nodes
+    array is ever held; what grows with n_paths is three per-path vectors
+    per eps.  The sweep starts no threads of its own, and reruns are
+    byte-identical.
     """
     eps = [float(e) for e in eps_list]
     if not eps or any(not 0 < e <= 1 for e in eps) or any(
@@ -596,14 +604,14 @@ def run_sweep(
     starts = np.linspace(0.0, T * (1.0 - 1.0 / PHI_WINDOWS), PHI_WINDOWS)
     phi = estimate_phi(original, fbar, cfg.phi_sampler, [(s, T) for s in starts])
 
-    def fold_for(epsilon: float) -> _WindowFold:
-        field_orig = solve_psi(original, term, coeffs, epsilon, cfg.pde, cfg.eta0)
-        field_avg = solve_psi(averaged, term, coeffs, epsilon, cfg.pde, cfg.eta0)
+    def fold_for(epsilon: float, field_orig, field_avg) -> _WindowFold:
         i_lo = grid.first_index_at_or_after(T * epsilon ** (1.0 - cfg.beta))
         i_lo = min(i_lo, grid.n_steps - 1)  # keep a nonempty window
         return _WindowFold(i_lo, field_orig, field_avg, coeffs, cfg.n_paths, cfg.eta0)
 
-    folds = [fold_for(e) for e in eps]
+    fields = solve_psis((original, averaged), term, coeffs, eps, cfg.pde, cfg.eta0)
+    folds = [fold_for(e, o, a) for e, o, a in zip(eps, fields, fields[len(eps):])]
+    del fields  # the folds copy their window tables; free the fields before the paths stream
 
     rows = block_rows(grid.n_nodes)
     ws = _FoldWorkspace(min(rows, cfg.n_paths), grid.n_nodes)

@@ -20,12 +20,18 @@ The diffusion coefficient is applied as its exact panel average
 t^(2H-1) cusp of lambda at t = 0 exactly and reproduces quadratic solutions
 to rounding.  Boundary condition: zero second spatial derivative at both ends
 (linear extrapolation).
+
+`solve_psis` runs the scheme for several generators and epsilons in one
+backward pass: each step factors one block-diagonal tridiagonal matrix for
+all systems and solves it once per Picard sweep, and each generator is
+called once per sweep on all of its systems.  Every field equals, bit for
+bit, the one its system gets alone; `solve_psi` is the batch of one.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable
+from typing import Callable, Sequence
 
 import numpy as np
 from scipy.linalg import solve_banded  # noqa: F401  (perfbench's tracer counts calls to this name)
@@ -183,16 +189,18 @@ def domain_bounds(coeffs: CoefficientSet, epsilon: float, eta0: float, kappa: fl
     return mean - kappa * std, mean + kappa * std
 
 
-def central_gradient(values: np.ndarray, dx: float, out: np.ndarray | None = None) -> np.ndarray:
+def central_gradient(values: np.ndarray, dx, out: np.ndarray | None = None) -> np.ndarray:
     """d/dx along the last axis: central differences inside, one-sided at both ends.
 
-    np.gradient(values, dx, axis=-1) written out, bit for bit, so the Picard
-    sweep can fill a reused buffer.
+    `dx` is a scalar or one spacing per row, shaped to broadcast against
+    values[..., 0].  np.gradient(values, dx, axis=-1) written out, bit for
+    bit, so the Picard sweep can fill a reused buffer.
     """
     if out is None:
         out = np.empty_like(values)
+    dx = np.asarray(dx)
     np.subtract(values[..., 2:], values[..., :-2], out=out[..., 1:-1])
-    out[..., 1:-1] /= 2.0 * dx
+    out[..., 1:-1] /= 2.0 * dx[..., None]
     out[..., 0] = (values[..., 1] - values[..., 0]) / dx
     out[..., -1] = (values[..., -1] - values[..., -2]) / dx
     return out
@@ -206,85 +214,142 @@ def solve_psi(
     pde: PdeConfig,
     eta0: float = 0.0,
 ) -> SolutionField:
-    """Backward theta-scheme for the terminal-value problem stated above."""
-    pc = build_pde_coefficients(coeffs, epsilon)
+    """Backward theta-scheme for the terminal-value problem stated above.
+
+    The batch of one system of `solve_psis`.
+    """
+    return solve_psis([gen], term, coeffs, [epsilon], pde, eta0)[0]
+
+
+def solve_psis(
+    gens: Sequence[Generator],
+    term: TerminalCondition,
+    coeffs: CoefficientSet,
+    eps_list: Sequence[float],
+    pde: PdeConfig,
+    eta0: float = 0.0,
+) -> list[SolutionField]:
+    """The backward theta-scheme for every generator x every epsilon in one pass.
+
+    System g * len(eps_list) + e pairs gens[g] with eps_list[e]; the fields
+    come back in that order.  Each backward step stacks the systems'
+    tridiagonal matrices into one block-diagonal matrix with zero couplings,
+    factors it once and solves it once per Picard sweep, and each generator
+    is called once per sweep on its systems' rows.  A system stops updating
+    once it meets its own tolerance, so every field equals, bit for bit, the
+    one its system gets when solved alone.
+    """
+    eps = [float(e) for e in eps_list]
+    if not gens or not eps:
+        raise ValueError("solve_psis needs at least one generator and one epsilon")
+    pcs = [build_pde_coefficients(coeffs, e) for e in eps]
+    n_eps, n_sys = len(eps), len(gens) * len(eps)
     t = coeffs.grid.nodes
     n_time = coeffs.grid.n_steps
     dt = coeffs.grid.dt
-    lo, hi = domain_bounds(coeffs, epsilon, eta0, pde.kappa)
-    x = np.linspace(lo, hi, pde.n_space + 1)
-    dx = x[1] - x[0]
-    scale = epsilon**coeffs.hurst.two_h
+    # the x grid and the eps^2H scale of each epsilon, shared by every generator
+    x = np.array([np.linspace(*domain_bounds(coeffs, e, eta0, pde.kappa), pde.n_space + 1)
+                  for e in eps])
+    dx = x[:, 1] - x[:, 0]
+    scale = np.array([[e**coeffs.hurst.two_h] for e in eps])
+    sys_dx = np.tile(dx, len(gens))[:, None]
 
     sig1 = np.asarray(coeffs.sigma1(t), dtype=float)
     sig2 = np.asarray(coeffs.sigma2(t), dtype=float)
 
-    psi = np.empty((n_time + 1, x.size))
-    psi[n_time] = term(x)
+    psi = np.empty((n_sys, n_time + 1, x.shape[1]))
+    psi.reshape(len(gens), n_eps, n_time + 1, -1)[:, :, n_time] = term(x)
 
     grad = np.empty_like(x)
 
-    def source(k: int, values: np.ndarray) -> np.ndarray:
-        central_gradient(values, dx, out=grad)
-        return scale * gen(t[k], x, values, sig1[k] * grad, sig2[k] * grad)
+    def source(k: int, values: np.ndarray, out: np.ndarray, active=None) -> np.ndarray:
+        """eps^2H f at node k into `out`, skipping generators with no `active` system."""
+        for g, gen in enumerate(gens):
+            own = slice(g * n_eps, (g + 1) * n_eps)
+            if active is None or active[own].any():
+                central_gradient(values[own], dx, out=grad)
+                out[own] = scale * gen(t[k], x, values[own], sig1[k] * grad, sig2[k] * grad)
+        return out
 
     def apply_operator(diff, mu, values: np.ndarray) -> np.ndarray:
         out = np.zeros_like(values)
-        out[1:-1] = (
-            mu * (values[2:] - values[:-2]) / (2.0 * dx)
-            + diff * (values[2:] - 2.0 * values[1:-1] + values[:-2]) / dx**2
+        out[:, 1:-1] = (
+            mu * (values[:, 2:] - values[:, :-2]) / (2.0 * sys_dx)
+            + diff * (values[:, 2:] - 2.0 * values[:, 1:-1] + values[:, :-2]) / sys_dx**2
         )
         return out
 
-    n_int = x.size - 2
-    src_next = source(n_time, psi[n_time])
-    for k in range(n_time - 1, -1, -1):
-        diff = pc.diff_panel[k]
-        mu = pc.mu_panel[k]
-        lower = THETA * dt * (diff / dx**2 - mu / (2.0 * dx))
-        upper = THETA * dt * (diff / dx**2 + mu / (2.0 * dx))
-        diag = 1.0 + THETA * dt * 2.0 * diff / dx**2
+    # the step coefficients of every system and step, (systems, steps)
+    diff = np.tile(np.array([pc.diff_panel for pc in pcs]), (len(gens), 1))
+    mu = np.tile(np.array([pc.mu_panel for pc in pcs]), (len(gens), 1))
+    lower = THETA * dt * (diff / sys_dx**2 - mu / (2.0 * sys_dx))
+    upper = THETA * dt * (diff / sys_dx**2 + mu / (2.0 * sys_dx))
+    diag = 1.0 + THETA * dt * 2.0 * diff / sys_dx**2
 
-        sub = np.full(n_int - 1, -lower)
-        main = np.full(n_int, diag)
-        sup = np.full(n_int - 1, -upper)
+    n_int = x.shape[1] - 2
+    sub = np.zeros((n_sys, n_int))
+    main = np.empty((n_sys, n_int))
+    sup = np.zeros((n_sys, n_int))
+    src_next = source(n_time, psi[:, n_time], np.empty_like(psi[:, n_time]))
+    src = np.empty_like(src_next)
+    for k in range(n_time - 1, -1, -1):
+        lo, up, dg = lower[:, k, None], upper[:, k, None], diag[:, k, None]
+        # row s holds system s's bands; the last entry of a sub or sup row is
+        # the zero coupling to system s + 1 (cut off after the last system)
+        sub[:, :-2] = -lo
+        main[:] = dg
+        sup[:, 1:-1] = -up
         # zero-curvature boundary: u_0 = 2u_1 - u_2 and u_N = 2u_{N-1} - u_{N-2}
-        main[0] = diag - 2.0 * lower
-        sup[0] = -(upper - lower)
-        main[-1] = diag - 2.0 * upper
-        sub[-1] = -(lower - upper)
+        main[:, :1] = dg - 2.0 * lo
+        sup[:, :1] = -(up - lo)
+        main[:, -1:] = dg - 2.0 * up
+        sub[:, -2:-1] = -(lo - up)
         # the matrix is fixed for the step: factor it once, solve every Picard sweep
-        *lu, info = dgttrf(sub, main, sup, overwrite_dl=1, overwrite_d=1, overwrite_du=1)
+        *lu, info = dgttrf(sub.ravel()[:-1], main.ravel(), sup.ravel()[:-1])
         if info != 0:
             raise NumericError(f"tridiagonal step matrix is singular at backward step {k}")
 
-        explicit = psi[k + 1] + dt * (1.0 - THETA) * (
-            apply_operator(diff, mu, psi[k + 1]) + src_next
+        explicit = psi[:, k + 1] + dt * (1.0 - THETA) * (
+            apply_operator(diff[:, k, None], mu[:, k, None], psi[:, k + 1]) + src_next
         )
-        base_rhs = explicit[1:-1]
+        base_rhs = explicit[:, 1:-1]
 
-        iterate = psi[k + 1].copy()
-        tol = PICARD_TOL * max(1.0, float(np.abs(psi[k + 1]).max()))
-        change = np.inf
+        iterate = psi[:, k + 1].copy()
+        tol = PICARD_TOL * np.maximum(1.0, np.abs(iterate).max(axis=1))
+        change = np.full(n_sys, np.inf)
+        active = np.ones(n_sys, dtype=bool)
         for _ in range(PICARD_MAX_ITER):
-            rhs = base_rhs + dt * THETA * source(k, iterate)[1:-1]
-            interior, _ = dgttrs(*lu, rhs, overwrite_b=1)
+            rhs = base_rhs + dt * THETA * source(k, iterate, src, active)[:, 1:-1]
+            # a zero coupling times a non-finite value is NaN: settled systems
+            # solve zeros, and a non-finite system fails before the shared solve
+            rhs[~active] = 0.0
+            finite = np.isfinite(rhs).all(axis=1)
+            if not finite.all():
+                s = int(np.argmin(finite))
+                raise PicardError(step=k, residual=float("nan"), tol=float(tol[s]))
+            interior, _ = dgttrs(*lu, rhs.ravel(), overwrite_b=1)
+            interior = interior.reshape(n_sys, n_int)
             new = np.empty_like(iterate)
-            new[1:-1] = interior
-            new[0] = 2.0 * interior[0] - interior[1]
-            new[-1] = 2.0 * interior[-1] - interior[-2]
-            change = float(np.abs(new - iterate).max())
-            iterate = new
+            new[:, 1:-1] = interior
+            new[:, 0] = 2.0 * interior[:, 0] - interior[:, 1]
+            new[:, -1] = 2.0 * interior[:, -1] - interior[:, -2]
+            change[active] = np.abs(new - iterate)[active].max(axis=1)
+            iterate[active] = new[active]
             # a non-finite iterate never converges: stop and report it
-            if change <= tol or not np.isfinite(change):
+            active &= (change > tol) & np.isfinite(change)
+            if not active.any():
                 break
-        if not change <= tol:
-            raise PicardError(step=k, residual=change, tol=tol)
-        psi[k] = iterate
-        src_next = source(k, psi[k])
+        failed = ~(change <= tol)
+        if failed.any():
+            s = int(np.argmax(failed))
+            raise PicardError(step=k, residual=float(change[s]), tol=float(tol[s]))
+        psi[:, k] = iterate
+        src_next, src = source(k, iterate, src), src_next
 
-    psi_x = central_gradient(psi, dx)
-    return SolutionField(t_nodes=t.copy(), x_nodes=x, psi=psi, psi_x=psi_x)
+    psi_x = central_gradient(psi, sys_dx)
+    t_nodes = t.copy()
+    return [SolutionField(t_nodes=t_nodes, x_nodes=x[s % n_eps], psi=psi[s], psi_x=psi_x[s])
+            for s in range(n_sys)]
 
 
 # Paths are read in row blocks of ~2^17 (path, t) cells: the index and offset

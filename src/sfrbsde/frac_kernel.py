@@ -21,6 +21,7 @@ its tables are read-only, so concurrent readers are safe.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import lru_cache
 from typing import Callable
 
 import numpy as np
@@ -130,14 +131,18 @@ def rho(t, s, hurst: HurstModel):
     return float(out) if out.ndim == 0 else out
 
 
+# a table build asks for the same few rules once per grid node
+@lru_cache(maxsize=16)
 def _unit_graded_gl(panels: int, order: int = 4, grade: float = 3.0):
-    """Composite Gauss-Legendre nodes/weights on [0,1], panels graded toward 0."""
+    """Read-only composite Gauss-Legendre nodes/weights on [0,1], panels graded toward 0."""
     gx, gw = np.polynomial.legendre.leggauss(order)
     edges = (np.arange(panels + 1) / panels) ** grade
     mid = 0.5 * (edges[:-1] + edges[1:])
     half = 0.5 * (edges[1:] - edges[:-1])
     x = (mid[:, None] + half[:, None] * gx[None, :]).ravel()
     w = (half[:, None] * gw[None, :]).ravel()
+    x.setflags(write=False)
+    w.setflags(write=False)
     return x, w
 
 

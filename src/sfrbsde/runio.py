@@ -1,13 +1,15 @@
 """CSV persistence and the run manifest.
 
-All data artifacts are CSV with a header row; floats are written with
-shortest round-trip precision so identical runs produce byte-identical
-files.  The manifest is itself a small key,value CSV listing every file a
-command wrote (no orphan writes).
+All data artifacts are CSV with a header row, written by `csv.writer`, so a
+cell holding a comma or a quote is quoted.  Floats are written with shortest
+round-trip precision so identical runs produce byte-identical files.  The
+manifest is itself a small key,value CSV listing every file a command wrote
+(no orphan writes).
 """
 
 from __future__ import annotations
 
+import csv
 import time
 from dataclasses import dataclass, field as dc_field
 from pathlib import Path
@@ -26,10 +28,10 @@ def format_value(value) -> str:
 def write_csv(path, header, rows) -> Path:
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(",".join(header) + "\n")
-        for row in rows:
-            fh.write(",".join(format_value(v) for v in row) + "\n")
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(header)
+        writer.writerows([format_value(v) for v in row] for row in rows)
     return path
 
 

@@ -4,7 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from sfrbsde import bsde_solver
-from sfrbsde.averaging_lab import build_fbar
+from sfrbsde.averaging_lab import SweepConfig, build_fbar, run_sweep
 from sfrbsde.bsde_solver import (
     Generator,
     PdeConfig,
@@ -20,6 +20,7 @@ from sfrbsde.bsde_solver import (
     malliavin_representation_check,
     residual_mean_check,
     solve_psi,
+    solve_psis,
 )
 from sfrbsde.config import benchmark_generator
 from sfrbsde.errors import CoefficientError, DomainTooSmallError, NumericError, PicardError
@@ -171,6 +172,69 @@ class TestPicardWork:
         solve_psi(gen, TerminalCondition.square(), coeffs, 0.5, PdeConfig(n_space=64), eta0=1.0)
         assert counted["dgttrf"] == coeffs.grid.n_steps
         assert counted["dgttrs"] == solves
+
+    def test_sweep_factors_once_per_step(self, counted):
+        # all 2 x 3 systems of the sweep share one factorisation per step
+        coeffs = build_coeffs(n=64)
+        cfg = SweepConfig(n_paths=1000, t0=0.75, pde=PdeConfig(n_space=64), rng=RngSpec(seed=3))
+        run_sweep(benchmark_generator(1.0), coeffs, TerminalCondition.square(),
+                  (0.5, 0.3, 0.2), cfg)
+        assert counted["dgttrf"] == coeffs.grid.n_steps
+
+
+class TestBatchedSolve:
+    """solve_psis gives every system the field it gets alone, bit for bit."""
+
+    EPS = (1.0, 0.5, 0.25)
+    PDE = PdeConfig(n_space=64)
+
+    def test_mixed_batch_equals_single_solves(self):
+        coeffs = build_coeffs(n=64, b=DeterministicFn.const(0.3))
+        f = benchmark_generator(1.0)
+        gens = [f, build_fbar(f, 1.0, QuadratureSpec()).as_generator(),
+                Generator.zero(), Generator.linear_y(0.3)]
+        term = TerminalCondition.square()
+        fields = solve_psis(gens, term, coeffs, self.EPS, self.PDE, eta0=0.5)
+        assert len(fields) == len(gens) * len(self.EPS)
+        for i, field in enumerate(fields):
+            gen, eps = gens[i // len(self.EPS)], self.EPS[i % len(self.EPS)]
+            alone = solve_psi(gen, term, coeffs, eps, self.PDE, eta0=0.5)
+            for name in ("t_nodes", "x_nodes", "psi", "psi_x"):
+                assert np.array_equal(getattr(field, name), getattr(alone, name)), (i, name)
+            assert field.psi.flags.c_contiguous and field.psi_x.flags.c_contiguous
+
+    @pytest.mark.parametrize("n_rows", [2, 3, 5, 6, 7])
+    def test_fbar_rows_do_not_interact(self, n_rows):
+        # a batch calls f-bar once on (systems, nodes) states; each row must
+        # read what it reads alone, though BLAS rounds near a vector's end
+        fbar = build_fbar(benchmark_generator(1.0), 1.0, QuadratureSpec())
+        for seed in range(20):
+            state = np.random.default_rng(seed).standard_normal((4, n_rows, 65))
+            want = [fbar(*state[:, r]) for r in range(n_rows)]
+            assert np.array_equal(fbar(*state), want)
+
+    @pytest.mark.parametrize("bad_first", [False, True])
+    def test_non_finite_system_fails_at_its_own_step(self, bad_first):
+        # NaN only once the backward pass reaches t < 1/2, so the failing step
+        # is not the first; the good system's tolerance differs from the bad one's
+        def fn(t, x, y, z1, z2):
+            out = 0.5 * np.asarray(y, dtype=float)
+            if t < 0.5:
+                out[..., out.shape[-1] // 2] = np.nan
+            return out
+
+        coeffs = build_coeffs(n=64)
+        bad = Generator(fn=fn, name="bad")
+        good = Generator.linear_y(3.0)
+        term = TerminalCondition.square()
+        with pytest.raises(PicardError) as alone:
+            solve_psi(bad, term, coeffs, 1.0, self.PDE)
+        assert alone.value.step < coeffs.grid.n_steps - 1
+        gens = [bad, good] if bad_first else [good, bad]
+        with pytest.raises(PicardError) as batch:
+            solve_psis(gens, term, coeffs, [1.0], self.PDE)
+        assert batch.value.step == alone.value.step
+        assert batch.value.tol == alone.value.tol
 
 
 class TestNonFiniteIterate:

@@ -310,6 +310,15 @@ class TestSeedingOracle:
         self.RNG.fill_normals(purpose, 500, out)
         assert np.array_equal(out, per_path_normals(self.RNG, purpose, 500, 7, n))
 
+    # the largest seed, and path counters whose last row sits at 2^64 - 1
+    @pytest.mark.parametrize("stream, first_path", [(2**64 - 8, 0), (0, 2**64 - 8),
+                                                    (2**63, 2**63 - 8)])
+    def test_fill_normals_at_uint64_edges(self, stream, first_path):
+        rng = RngSpec(seed=2**64 - 1, stream=stream)
+        out = np.empty((8, 128))
+        rng.fill_normals(PURPOSE_FBM, first_path, out)
+        assert np.array_equal(out, per_path_normals(rng, PURPOSE_FBM, first_path, 8, 128))
+
     @pytest.mark.parametrize("n_steps", [2, 3, 128])
     def test_bm_paths(self, n_steps):
         grid = TimeGrid(T=1.0, n_steps=n_steps)

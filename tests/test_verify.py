@@ -1,16 +1,38 @@
 """The invariant registry behind `sfrbsde verify`, run check by check."""
 
+import csv
+import functools
+
 import pytest
 
-from sfrbsde import frac_kernel, verify
+from sfrbsde import cli, frac_kernel, verify
 from sfrbsde.config import ExperimentConfig
+
+
+@functools.cache
+def at_defaults(check):
+    """The check's result at ExperimentConfig() (seed 42), computed once per session."""
+    return check(ExperimentConfig())
 
 
 @pytest.mark.parametrize("check", verify.ALL_CHECKS,
                          ids=[chk.__name__.removeprefix("check_") for chk in verify.ALL_CHECKS])
 def test_check_passes_at_defaults(check):
-    result = check(ExperimentConfig())
+    result = at_defaults(check)
     assert result.passed, f"{result.name}: {result.margin}"
+
+
+def test_verify_report_rows_have_three_fields(tmp_path, monkeypatch):
+    # the same results `verify` computes at its defaults, without running them twice
+    monkeypatch.setattr(cli, "run_all", lambda cfg: [at_defaults(chk) for chk in verify.ALL_CHECKS])
+    assert cli.main(["verify", "--out", str(tmp_path)]) == 0
+    with open(tmp_path / "verify_report.csv", newline="", encoding="utf-8") as fh:
+        rows = list(csv.reader(fh))
+    assert rows[0] == ["check", "status", "margin"]
+    assert len(rows) == len(verify.ALL_CHECKS) + 1
+    assert all(len(row) == 3 for row in rows)
+    # margins with commas exist; they are the rows that used to split
+    assert any("," in row[2] for row in rows[1:])
 
 
 def test_lambda_fd_reports_a_failed_build(monkeypatch):
