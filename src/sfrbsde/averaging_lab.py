@@ -526,7 +526,7 @@ def _window_stats(fold: _WindowFold, epsilon: float, noise: np.ndarray, start: i
     Every block-sized array lives in `ws`; what is allocated per call is
     O(window columns + block rows).
     """
-    n_b, n_nodes = noise.shape[0], noise.shape[1] + 1
+    n_b, n_nodes = noise.shape
     cols = n_nodes - fold.i_lo
 
     def view(name, width=cols):

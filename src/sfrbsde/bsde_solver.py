@@ -153,12 +153,11 @@ class TriplePath:
 class PdeCoefficients:
     """Time-dependent PDE coefficients mu(t) = eps^2H b(t), diff(t) = 0.5 eps^2H lambda(t).
 
-    Node values are the contract surface; panel averages (exact integrals of
-    the same quantities over each step) are what the stepping scheme consumes.
+    The stepping scheme consumes panel averages (exact integrals of the same
+    quantities over each step); diff also has its node values, which must be
+    positive on (0, T].
     """
 
-    t_nodes: np.ndarray
-    mu_nodes: np.ndarray
     diff_nodes: np.ndarray
     mu_panel: np.ndarray = field(repr=False)
     diff_panel: np.ndarray = field(repr=False)
@@ -174,8 +173,6 @@ def build_pde_coefficients(coeffs: CoefficientSet, epsilon: float) -> PdeCoeffic
     if np.any(diff_nodes[1:] <= 0.0):
         raise CoefficientError("diffusion coefficient must be positive on (0, T]")
     return PdeCoefficients(
-        t_nodes=t,
-        mu_nodes=scale * coeffs.b(t),
         diff_nodes=diff_nodes,
         mu_panel=scale * np.diff(coeffs.b_int_table) / dt,
         diff_panel=0.5 * scale * np.diff(coeffs.sigma_abs_sq_table) / dt,

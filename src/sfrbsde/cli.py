@@ -13,8 +13,6 @@ import sys
 from dataclasses import replace
 from pathlib import Path
 
-import numpy as np
-
 from . import __version__
 from . import averaging_lab as al
 from . import bsde_solver as bs
@@ -72,11 +70,9 @@ def cmd_simulate_fbm(cfg: ExperimentConfig) -> int:
     manifest.note("paths_written", keep)
 
     interior = nodes[1:]
-    ana = pe.fbm_covariance(interior, cfg.hurst())
-    emp = np.cov(ens.BH[:, 1:].T)
-    se = np.sqrt((np.outer(np.diag(ana), np.diag(ana)) + ana**2) / (cfg.n_paths - 1))
+    emp, ana, z = pe.fbm_covariance_zscores(ens)
     cov_rows = (
-        (interior[j], interior[k], emp[j, k], ana[j, k], (emp[j, k] - ana[j, k]) / se[j, k])
+        (interior[j], interior[k], emp[j, k], ana[j, k], z[j, k])
         for j in range(interior.size)
         for k in range(interior.size)
     )

@@ -331,13 +331,6 @@ class CoefficientSet:
             fd_rel_error=fd_err,
         )
 
-    # -- interpolating accessors -------------------------------------------------
-
-    def sigma_abs_sq(self, t) -> np.ndarray | float:
-        """|sigma|^2_t = int_0^t sigma1^2 + ||sigma2||^2_t from the cached table."""
-        out = np.interp(np.asarray(t, dtype=float), self.grid.nodes, self.sigma_abs_sq_table)
-        return float(out) if np.asarray(t).ndim == 0 else out
-
 
 def _lambda_fd_error(t, abs_sq, base, lam) -> float:
     """Worst relative deviation of lambda from central differences of |sigma|^2.

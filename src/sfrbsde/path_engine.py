@@ -1,23 +1,27 @@
-"""Matched Brownian / fractional-Brownian path ensembles and Wiener integrals.
+"""Matched Brownian / fractional-Brownian increments and Wiener integrals.
 
-Paths are sampled on a shared uniform grid from per-path counter-based RNG
-streams: Philox keyed by (master seed, purpose), counter block = path index.
-Each call draws its rows through one bit generator whose counter is reset
-before every path, by setting a plain-int state in which only the path's
-counter word changes, so every row is bitwise the draw of that path's own
-stream and results do not depend on how the paths are split into blocks.
-B and B^H come from distinct purposes and are therefore independent.
+An ensemble holds the increments dB and dB^H, (paths, n_steps) each, on a
+shared uniform grid: eta and both BSDEs are driven only through sums over
+them.  `levels` forms B and B^H for the callers that want levels.
 
-Two exact fBm samplers are provided: Cholesky factorization of the node
-covariance (reference) and Davies-Harte circulant embedding of the increment
-autocovariance (fast path for long grids).  Both target the covariance
+Increments come from per-path counter-based RNG streams: Philox keyed by
+(master seed, purpose), counter block = path index.  Each call draws its
+rows through one bit generator whose counter is reset before every path,
+by setting a plain-int state in which only the path's counter word
+changes, so every row is bitwise the draw of that path's own stream and
+results do not depend on how the paths are split into blocks.  dB and
+dB^H come from distinct purposes and are therefore independent.
+
+Two exact fGn samplers are provided: the row-differenced Cholesky factor
+of the node covariance (reference) and Davies-Harte circulant embedding
+(fast path for long grids).  Both target the fBm covariance
 (1/2)(t^2H + s^2H - |t-s|^2H).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -68,41 +72,42 @@ class RngSpec:
             draw(out=row)
 
 
+def levels(increments: np.ndarray) -> np.ndarray:
+    """Path levels W_0 = 0, W_k = sum_{j<k} dW_j from (paths, n_steps) increments."""
+    out = np.zeros((increments.shape[0], increments.shape[1] + 1))
+    np.cumsum(increments, axis=1, out=out[:, 1:])
+    return out
+
+
 @dataclass
 class PathEnsemble:
-    """Monte-Carlo paths of B and/or B^H on a shared grid."""
+    """Monte-Carlo increments of B and/or B^H on a shared grid."""
 
     grid: TimeGrid
-    n_paths: int
-    rng: RngSpec
     hurst: HurstModel | None = None
-    B: np.ndarray | None = None
-    BH: np.ndarray | None = None
+    dB: np.ndarray | None = None
+    dBH: np.ndarray | None = None
     fbm_method: str | None = None
 
-    def __post_init__(self):
-        for name in ("B", "BH"):
-            arr = getattr(self, name)
-            if arr is not None:
-                if arr.shape != (self.n_paths, self.grid.n_nodes):
-                    raise ValueError(f"{name} has shape {arr.shape}, expected "
-                                     f"{(self.n_paths, self.grid.n_nodes)}")
-                if np.any(arr[:, 0] != 0.0):
-                    raise ValueError(f"{name} paths must start at 0")
+    @cached_property
+    def B(self) -> np.ndarray | None:
+        """Brownian levels at every node, formed on first read."""
+        return None if self.dB is None else levels(self.dB)
+
+    @cached_property
+    def BH(self) -> np.ndarray | None:
+        """Fractional-Brownian levels at every node, formed on first read."""
+        return None if self.dBH is None else levels(self.dBH)
 
 
 def bm_paths(grid: TimeGrid, n_paths: int, rng: RngSpec) -> PathEnsemble:
-    """Standard Brownian paths: independent N(0, dt) increments, summed."""
+    """Standard Brownian increments: independent N(0, dt) draws."""
     if n_paths < 1:
         raise ValueError("n_paths must be positive")
-    n = grid.n_steps
-    sqrt_dt = np.sqrt(grid.dt)
-    B = np.zeros((n_paths, n + 1))
-    rows = B[:, 1:]
-    rng.fill_normals(_PURPOSE_BM, 0, rows)
-    np.multiply(rows, sqrt_dt, out=rows)
-    np.cumsum(rows, axis=1, out=rows)
-    return PathEnsemble(grid=grid, n_paths=n_paths, rng=rng, B=B)
+    dB = np.empty((n_paths, grid.n_steps))
+    rng.fill_normals(_PURPOSE_BM, 0, dB)
+    np.multiply(dB, np.sqrt(grid.dt), out=dB)
+    return PathEnsemble(grid=grid, dB=dB)
 
 
 def fbm_covariance(nodes: np.ndarray, hurst: HurstModel) -> np.ndarray:
@@ -117,7 +122,9 @@ def fbm_covariance(nodes: np.ndarray, hurst: HurstModel) -> np.ndarray:
 # block by block builds each once
 @lru_cache(maxsize=4)
 def cholesky_factor(grid: TimeGrid, hurst: HurstModel) -> np.ndarray:
-    """Read-only lower Cholesky factor of the fBm covariance at t_1..t_n.
+    """Read-only D L: the lower Cholesky factor L of the fBm covariance at
+    t_1..t_n with its rows differenced (row k is L_k - L_{k-1}), so that
+    Z (D L)^T for standard normal rows Z are fGn increments.
 
     If the covariance is not numerically positive definite, 1e-12 * I is
     added once; a second failure raises FactorizationError.
@@ -133,21 +140,18 @@ def cholesky_factor(grid: TimeGrid, hurst: HurstModel) -> np.ndarray:
                 "fBm covariance is not positive definite even after adding "
                 "1e-12 * I jitter once; aborting"
             ) from exc
+    chol[1:] -= chol[:-1].copy()
     chol.setflags(write=False)
     return chol
 
 
 def fbm_cholesky(grid: TimeGrid, hurst: HurstModel, n_paths: int, rng: RngSpec) -> PathEnsemble:
-    """Exact fBm samples via lower-triangular factorization of the covariance."""
+    """Exact fGn samples via the differenced Cholesky factor of the covariance."""
     if n_paths < 1:
         raise ValueError("n_paths must be positive")
-    n = grid.n_steps
-    chol = cholesky_factor(grid, hurst)
-    Z = np.empty((n_paths, n))
+    Z = np.empty((n_paths, grid.n_steps))
     rng.fill_normals(_PURPOSE_FBM, 0, Z)
-    BH = np.zeros((n_paths, n + 1))
-    np.matmul(Z, chol.T, out=BH[:, 1:])
-    return PathEnsemble(grid=grid, n_paths=n_paths, rng=rng, hurst=hurst, BH=BH,
+    return PathEnsemble(grid=grid, hurst=hurst, dBH=Z @ cholesky_factor(grid, hurst).T,
                         fbm_method="cholesky")
 
 
@@ -187,7 +191,7 @@ def fbm_circulant(grid: TimeGrid, hurst: HurstModel, n_paths: int, rng: RngSpec)
     n = grid.n_steps
     m = 2 * n
     sqrt_eig = circulant_sqrt_eigenvalues(grid, hurst)
-    BH = np.zeros((n_paths, n + 1))
+    dBH = np.empty((n_paths, n))
     # per block of paths: real normals, Hermitian-symmetric complex rows, FFT
     block = 4096
     for start in range(0, n_paths, block):
@@ -199,14 +203,12 @@ def fbm_circulant(grid: TimeGrid, hurst: HurstModel, n_paths: int, rng: RngSpec)
         y[:, n] = u[:, 1]
         y[:, 1:n] = (u[:, 2::2] + 1j * u[:, 3::2]) / np.sqrt(2.0)
         y[:, m - 1:n:-1] = np.conj(y[:, 1:n])
-        incr = (np.fft.fft(sqrt_eig * y, axis=1).real / np.sqrt(m))[:, :n]
-        BH[start:stop, 1:] = np.cumsum(incr, axis=1)
-    return PathEnsemble(grid=grid, n_paths=n_paths, rng=rng, hurst=hurst, BH=BH,
-                        fbm_method="circulant")
+        dBH[start:stop] = (np.fft.fft(sqrt_eig * y, axis=1).real / np.sqrt(m))[:, :n]
+    return PathEnsemble(grid=grid, hurst=hurst, dBH=dBH, fbm_method="circulant")
 
 
 def make_ensemble(grid: TimeGrid, hurst: HurstModel, n_paths: int, rng: RngSpec) -> PathEnsemble:
-    """Matched (B, B^H) draws from independent purposes under one seed.
+    """Matched (dB, dB^H) draws from independent purposes under one seed.
 
     B^H comes from Cholesky up to CHOLESKY_MAX_STEPS steps and from
     circulant embedding beyond; `fbm_method` of the result records which.
@@ -216,8 +218,20 @@ def make_ensemble(grid: TimeGrid, hurst: HurstModel, n_paths: int, rng: RngSpec)
     else:
         frac = fbm_circulant(grid, hurst, n_paths, rng)
     bm = bm_paths(grid, n_paths, rng)
-    return PathEnsemble(grid=grid, n_paths=n_paths, rng=rng, hurst=hurst,
-                        B=bm.B, BH=frac.BH, fbm_method=frac.fbm_method)
+    return PathEnsemble(grid=grid, hurst=hurst, dB=bm.dB, dBH=frac.dBH,
+                        fbm_method=frac.fbm_method)
+
+
+def fbm_covariance_zscores(ensemble: PathEnsemble):
+    """(empirical, analytic, z) covariance of B^H at t_1..t_n, each (n, n).
+
+    A Gaussian sample covariance has standard error
+    sqrt((Gamma_jj Gamma_kk + Gamma_jk^2) / (n_paths - 1)).
+    """
+    ana = fbm_covariance(ensemble.grid.nodes[1:], ensemble.hurst)
+    emp = np.cov(ensemble.BH[:, 1:].T)
+    se = np.sqrt((np.outer(np.diag(ana), np.diag(ana)) + ana**2) / (ensemble.dBH.shape[0] - 1))
+    return emp, ana, (emp - ana) / se
 
 
 def wiener_integral_det(xi, ensemble: PathEnsemble, which: str = "BH") -> np.ndarray:
@@ -229,11 +243,10 @@ def wiener_integral_det(xi, ensemble: PathEnsemble, which: str = "BH") -> np.nda
     """
     if which not in ("B", "BH"):
         raise ValueError("which must be 'B' or 'BH'")
-    W = ensemble.B if which == "B" else ensemble.BH
-    if W is None:
+    dW = ensemble.dB if which == "B" else ensemble.dBH
+    if dW is None:
         raise ValueError(f"ensemble carries no {which} paths")
-    weights = np.asarray(xi(ensemble.grid.nodes[:-1]), dtype=float)
-    return np.diff(W, axis=1) @ weights
+    return dW @ np.asarray(xi(ensemble.grid.nodes[:-1]), dtype=float)
 
 
 @dataclass(frozen=True)
@@ -257,7 +270,7 @@ def check_lemma_var_bound(xi, ensemble: PathEnsemble) -> VarBoundReport:
     integral = wiener_integral_det(abs_xi, ensemble, "BH")
     sq = integral**2
     lhs = float(sq.mean())
-    stderr = float(sq.std(ddof=1) / np.sqrt(ensemble.n_paths))
+    stderr = float(sq.std(ddof=1) / np.sqrt(sq.size))
     c0 = c0_const(ensemble.hurst, grid.T)
     xi_sq_int = float(_gl_panel_integrals(lambda t: np.asarray(xi(t)) ** 2, grid.nodes).sum())
     rhs = c0 * xi_sq_int + c0 * grid.T**2
@@ -265,33 +278,31 @@ def check_lemma_var_bound(xi, ensemble: PathEnsemble) -> VarBoundReport:
 
 
 def eta_noise(coeffs: CoefficientSet, ensemble: PathEnsemble) -> np.ndarray:
-    """The epsilon-free martingale part of eta at nodes t_1..t_n, per path:
+    """The epsilon-free martingale part of eta at nodes t_0..t_n, per path:
 
-        N_k = sum_{j<k} sigma1(t_j) dB_j + sum_{j<k} sigma2(t_j) dBH_j.
+        N_k = sum_{j<k} (sigma1(t_j) dB_j + sigma2(t_j) dBH_j),  N_0 = 0.
     """
-    if ensemble.B is None or ensemble.BH is None:
+    if ensemble.dB is None or ensemble.dBH is None:
         raise ValueError("ensemble must carry matched B and BH paths")
     left = ensemble.grid.nodes[:-1]
-    s1 = np.asarray(coeffs.sigma1(left), dtype=float)
-    s2 = np.asarray(coeffs.sigma2(left), dtype=float)
-    noise = np.cumsum(np.diff(ensemble.B, axis=1) * s1, axis=1)
-    noise += np.cumsum(np.diff(ensemble.BH, axis=1) * s2, axis=1)
-    return noise
+    incr = ensemble.dB * np.asarray(coeffs.sigma1(left), dtype=float)
+    incr += ensemble.dBH * np.asarray(coeffs.sigma2(left), dtype=float)
+    return levels(incr)
 
 
 def eta_from_noise(coeffs: CoefficientSet, noise: np.ndarray, epsilon: float,
                    eta0: float = 0.0, out: np.ndarray | None = None) -> np.ndarray:
     """eta^eps = eta0 + eps^2H int_0^t b ds + eps^H N on the grid, N from `eta_noise`.
 
-    `out`, of shape (paths, nodes), receives eta when given.
+    `out`, of the shape of `noise`, receives eta when given.
     """
     if not 0 < epsilon <= 1:
         raise ValueError(f"epsilon must lie in (0, 1], got {epsilon!r}")
-    eta = np.empty((noise.shape[0], noise.shape[1] + 1)) if out is None else out
-    eta[:, 0] = eta0
-    np.multiply(noise, epsilon**coeffs.hurst.h, out=eta[:, 1:])
-    # a + b == b + a exactly, so this is (eta0 + drift) + eps^H N bit for bit
-    eta[:, 1:] += eta0 + epsilon**coeffs.hurst.two_h * coeffs.b_int_table[1:]
+    eta = np.empty(noise.shape) if out is None else out
+    np.multiply(noise, epsilon**coeffs.hurst.h, out=eta)
+    # a + b == b + a exactly, so this is (eta0 + drift) + eps^H N bit for bit;
+    # at t_0 the drift integral and N are 0, so eta starts at eta0
+    eta += eta0 + epsilon**coeffs.hurst.two_h * coeffs.b_int_table
     return eta
 
 
@@ -304,7 +315,7 @@ def simulate_eta(coeffs: CoefficientSet, ensemble: PathEnsemble, epsilon: float,
                          + eps^H sum sigma2(t_k) dBH_k.
 
     eps = 1 recovers the unscaled process.  All eps values reuse the same
-    (B, BH) draws, so sweeps are common-random-number coupled by design;
+    (dB, dBH) draws, so sweeps are common-random-number coupled by design;
     a sweep computes the eps-free part once (`eta_noise`) and scales it per
     eps (`eta_from_noise`).
     """

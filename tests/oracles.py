@@ -10,8 +10,10 @@ per-column extraction are the loop forms of vectorised production layers,
 the whole-ensemble sweep is the array form of the streamed one, and the
 per-path samplers draw each path from a freshly built generator where
 production resets one bit generator per chunk, and the alpha0 bisection is
-the numeric root finder beside production's closed form; all are kept here
-as cross-checks.
+the numeric root finder beside production's closed form, and the level
+route of eta's noise (each level array differenced back into increments)
+is the second route beside production's one cumsum of increments; all are
+kept here as cross-checks.
 """
 
 import math
@@ -299,27 +301,28 @@ def per_path_normals(rng, purpose, first_path, n_rows, n):
 
 
 def per_path_bm(grid, n_paths, rng):
-    """Brownian paths, one generator and one cumsum per path."""
-    n = grid.n_steps
-    B = np.zeros((n_paths, n + 1))
-    for p in range(n_paths):
-        z = per_path_generator(rng, PURPOSE_BM, p).standard_normal(n)
-        B[p, 1:] = np.cumsum(np.sqrt(grid.dt) * z)
-    return B
+    """Brownian increments, one generator per path."""
+    return np.sqrt(grid.dt) * per_path_normals(rng, PURPOSE_BM, 0, n_paths, grid.n_steps)
+
+
+def differenced_cholesky(cov):
+    """D L: the rows of cov's lower Cholesky factor L differenced (row 0 kept)."""
+    chol = np.linalg.cholesky(cov)
+    dl = chol.copy()
+    dl[1:] = chol[1:] - chol[:-1]
+    return dl
 
 
 def per_path_fbm_cholesky(grid, hurst, n_paths, rng):
-    """Cholesky fBm from per-path normals (the factor from production)."""
+    """Cholesky fGn from per-path normals and a D L factored here."""
     from sfrbsde.path_engine import fbm_covariance
 
-    chol = np.linalg.cholesky(fbm_covariance(grid.nodes[1:], hurst))
-    BH = np.zeros((n_paths, grid.n_steps + 1))
-    BH[:, 1:] = per_path_normals(rng, PURPOSE_FBM, 0, n_paths, grid.n_steps) @ chol.T
-    return BH
+    dl = differenced_cholesky(fbm_covariance(grid.nodes[1:], hurst))
+    return per_path_normals(rng, PURPOSE_FBM, 0, n_paths, grid.n_steps) @ dl.T
 
 
 def per_path_fbm_circulant(grid, hurst, n_paths, rng):
-    """Davies-Harte fBm, the Hermitian normals assembled path by path."""
+    """Davies-Harte fGn, the Hermitian normals assembled path by path."""
     from sfrbsde.path_engine import circulant_eigenvalues
 
     n = grid.n_steps
@@ -333,6 +336,13 @@ def per_path_fbm_circulant(grid, hurst, n_paths, rng):
         row[1:n] = (u[2::2] + 1j * u[3::2]) / np.sqrt(2.0)
         row[m - 1:n:-1] = np.conj(row[1:n])
     sqrt_eig = np.sqrt(circulant_eigenvalues(n, hurst, grid.dt))
-    BH = np.zeros((n_paths, n + 1))
-    BH[:, 1:] = np.cumsum((np.fft.fft(sqrt_eig * y, axis=1).real / np.sqrt(m))[:, :n], axis=1)
-    return BH
+    return (np.fft.fft(sqrt_eig * y, axis=1).real / np.sqrt(m))[:, :n]
+
+
+def level_route_noise(coeffs, B, BH):
+    """eta's eps-free noise at t_1..t_n from path levels: each level array
+    differenced, scaled and cumsummed on its own, then the two added."""
+    left = coeffs.grid.nodes[:-1]
+    noise = np.cumsum(np.diff(B, axis=1) * coeffs.sigma1(left), axis=1)
+    noise += np.cumsum(np.diff(BH, axis=1) * coeffs.sigma2(left), axis=1)
+    return noise

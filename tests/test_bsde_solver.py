@@ -59,7 +59,7 @@ class TestPdeCoefficients:
     def test_heat_equation_case(self):
         coeffs = build_coeffs(sigma2=DeterministicFn.const(0.0))
         pc = build_pde_coefficients(coeffs, 1.0)
-        assert np.allclose(pc.mu_nodes, 0.0)
+        assert np.allclose(pc.mu_panel, 0.0)
         assert np.allclose(pc.diff_nodes, 0.5, rtol=1e-10)
 
     def test_epsilon_scaling(self, coeffs128):

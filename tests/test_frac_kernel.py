@@ -190,12 +190,13 @@ class TestSigma2Hat:
 class TestCoefficientSet:
     def test_sigma_abs_sq_pure_brownian(self):
         coeffs = build_coeffs(sigma2=ZERO)
-        assert coeffs.sigma_abs_sq(0.7) == pytest.approx(0.7, rel=1e-12)
+        abs_sq = np.interp(0.7, coeffs.grid.nodes, coeffs.sigma_abs_sq_table)
+        assert abs_sq == pytest.approx(0.7, rel=1e-12)
         assert np.interp(0.7, coeffs.grid.nodes, coeffs.lam_table) == pytest.approx(1.0, rel=1e-12)
 
     def test_sigma_abs_sq_pure_fractional(self):
         coeffs = build_coeffs(sigma1=ZERO)
-        assert coeffs.sigma_abs_sq(1.0) == pytest.approx(1.0, rel=1e-8)
+        assert coeffs.sigma_abs_sq_table[-1] == pytest.approx(1.0, rel=1e-8)
         # lambda = sigma1^2 + 2 sigma2 sigma2_hat = 2H t^(2H-1)
         t = coeffs.grid.nodes
         want = ZERO(t) ** 2 + 2.0 * ONE(t) * coeffs.sigma2_hat_table
@@ -204,7 +205,7 @@ class TestCoefficientSet:
 
     def test_sigma_abs_sq_sum(self):
         coeffs = build_coeffs()
-        assert coeffs.sigma_abs_sq(1.0) == pytest.approx(2.0, rel=1e-8)
+        assert coeffs.sigma_abs_sq_table[-1] == pytest.approx(2.0, rel=1e-8)
 
     def test_fd_consistency_recorded(self):
         coeffs = build_coeffs(sigma2=DeterministicFn.sinusoidal(1.0, 1.0), n=128)

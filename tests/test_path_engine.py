@@ -18,10 +18,12 @@ from sfrbsde.path_engine import (
     circulant_eigenvalues,
     circulant_sqrt_eigenvalues,
     cholesky_factor,
+    eta_noise,
     fbm_cholesky,
     fbm_covariance,
     fbm_circulant,
     fbm_increment_autocov,
+    levels,
     make_ensemble,
     simulate_eta,
     wiener_integral_det,
@@ -30,8 +32,10 @@ from sfrbsde.path_engine import (
 from oracles import (
     PURPOSE_BM,
     PURPOSE_FBM,
+    differenced_cholesky,
     discrete_wiener_variance,
     fbm_cov,
+    level_route_noise,
     per_path_bm,
     per_path_fbm_cholesky,
     per_path_fbm_circulant,
@@ -95,6 +99,35 @@ class TestFbmCholesky:
     def test_starts_at_zero(self, ensemble_t2):
         assert np.all(ensemble_t2.BH[:, 0] == 0.0)
         assert np.all(ensemble_t2.B[:, 0] == 0.0)
+
+
+class TestLevels:
+    def test_levels_of_increments(self, ensemble_t2):
+        for levels_of, incr in ((ensemble_t2.B, ensemble_t2.dB), (ensemble_t2.BH, ensemble_t2.dBH)):
+            assert incr.shape == (N_PATHS, 8)
+            assert levels_of.shape == (N_PATHS, 9)
+            assert np.all(levels_of[:, 0] == 0.0)
+            assert np.array_equal(levels_of, levels(incr))
+
+    def test_levels_are_cached(self):
+        ens = make_ensemble(TimeGrid(T=1.0, n_steps=8), H75, 16, RNG)
+        assert ens.B is ens.B
+        assert ens.BH is ens.BH
+
+    def test_one_sided_ensemble_has_no_other_levels(self):
+        ens = fbm_cholesky(TimeGrid(T=1.0, n_steps=8), H75, 16, RNG)
+        assert ens.dB is None and ens.B is None
+        with pytest.raises(ValueError):
+            wiener_integral_det(ONE, ens, "B")
+
+    def test_differenced_factor_is_the_fgn_covariance(self):
+        # (D L)(D L)^T is the Toeplitz matrix of the increment autocovariance
+        for n in (16, 128):
+            grid = TimeGrid(T=2.0, n_steps=n)
+            dl = cholesky_factor(grid, H75)
+            lags = np.abs(np.arange(n)[:, None] - np.arange(n)[None, :])
+            want = fbm_increment_autocov(lags, H75, grid.dt)
+            assert np.allclose(dl @ dl.T, want, rtol=0.0, atol=1e-12)
 
 
 class TestFbmCirculant:
@@ -232,8 +265,8 @@ class TestSimulateEta:
         grid = TimeGrid(T=1.0, n_steps=64)
         coeffs = CoefficientSet.build(ONE, ONE, ONE, grid, H75)
         ens = make_ensemble(grid, H75, 4, RNG)
-        ens.B[:] = 0.0
-        ens.BH[:] = 0.0
+        ens.dB[:] = 0.0
+        ens.dBH[:] = 0.0
         eta = simulate_eta(coeffs, ens, 0.5, eta0=0.0)
         want = 0.5**1.5 * grid.nodes
         assert np.allclose(eta, want[None, :], atol=1e-12)
@@ -255,6 +288,28 @@ class TestSimulateEta:
         want = want.repeat(eta.shape[0], axis=0)
         want[:, 1:] += noise
         assert np.allclose(eta, want, atol=1e-12)
+
+    def test_noise_is_one_cumsum_of_increments(self, coeffs, ensemble_t1):
+        left = coeffs.grid.nodes[:-1]
+        noise = eta_noise(coeffs, ensemble_t1)
+        want = np.cumsum(coeffs.sigma1(left) * ensemble_t1.dB
+                         + coeffs.sigma2(left) * ensemble_t1.dBH, axis=1)
+        assert np.all(noise[:, 0] == 0.0)
+        assert np.array_equal(noise[:, 1:], want)
+
+    def test_noise_matches_the_level_route(self):
+        # levels from the per-path oracles: a BM cumsum per path, and
+        # B^H = Z L^T from the undifferenced Cholesky factor
+        grid = TimeGrid(T=1.0, n_steps=128)
+        coeffs = CoefficientSet.build(ONE, DeterministicFn.linear(1.0),
+                                      DeterministicFn.sinusoidal(1.0, 1.0), grid, H75)
+        B = levels(per_path_bm(grid, 500, RNG))
+        BH = np.zeros_like(B)
+        BH[:, 1:] = (per_path_normals(RNG, PURPOSE_FBM, 0, 500, 128)
+                     @ np.linalg.cholesky(fbm_covariance(grid.nodes[1:], H75)).T)
+        want = level_route_noise(coeffs, B, BH)
+        got = eta_noise(coeffs, make_ensemble(grid, H75, 500, RNG))[:, 1:]
+        assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max()
 
     def test_common_random_numbers_exact(self):
         grid = TimeGrid(T=1.0, n_steps=32)
@@ -322,20 +377,24 @@ class TestSeedingOracle:
     @pytest.mark.parametrize("n_steps", [2, 3, 128])
     def test_bm_paths(self, n_steps):
         grid = TimeGrid(T=1.0, n_steps=n_steps)
-        got = bm_paths(grid, self.N, self.RNG).B
-        assert np.array_equal(got, per_path_bm(grid, self.N, self.RNG))
+        got = bm_paths(grid, self.N, self.RNG)
+        want = per_path_bm(grid, self.N, self.RNG)
+        assert np.array_equal(got.dB, want)
+        assert np.array_equal(got.B[:, 1:], np.array([np.cumsum(row) for row in want]))
 
     @pytest.mark.parametrize("n_steps", [2, 3, 128])
     def test_fbm_cholesky(self, n_steps):
         grid = TimeGrid(T=1.0, n_steps=n_steps)
-        got = fbm_cholesky(grid, H75, self.N, self.RNG).BH
+        got = fbm_cholesky(grid, H75, self.N, self.RNG).dBH
         assert np.array_equal(got, per_path_fbm_cholesky(grid, H75, self.N, self.RNG))
 
     @pytest.mark.parametrize("n_steps", [2, 3, 128])
     def test_fbm_circulant(self, n_steps):
         grid = TimeGrid(T=1.0, n_steps=n_steps)
-        got = fbm_circulant(grid, H75, self.N, self.RNG).BH
-        assert np.array_equal(got, per_path_fbm_circulant(grid, H75, self.N, self.RNG))
+        got = fbm_circulant(grid, H75, self.N, self.RNG)
+        want = per_path_fbm_circulant(grid, H75, self.N, self.RNG)
+        assert np.array_equal(got.dBH, want)
+        assert np.array_equal(got.BH[:, 1:], np.array([np.cumsum(row) for row in want]))
 
 
 class TestMakeEnsemble:
@@ -397,7 +456,7 @@ class TestFactorMemo:
         chol = cholesky_factor(self.GRID, H75)
         assert cholesky_factor(TimeGrid(T=1.0, n_steps=16), HurstModel(0.75)) is chol
         assert not chol.flags.writeable
-        assert np.array_equal(chol, np.linalg.cholesky(fbm_covariance(self.GRID.nodes[1:], H75)))
+        assert np.array_equal(chol, differenced_cholesky(fbm_covariance(self.GRID.nodes[1:], H75)))
         sqrt_eig = circulant_sqrt_eigenvalues(self.GRID, H75)
         assert circulant_sqrt_eigenvalues(self.GRID, H75) is sqrt_eig
         assert not sqrt_eig.flags.writeable
@@ -405,7 +464,7 @@ class TestFactorMemo:
 
     def test_one_failure_adds_jitter(self, monkeypatch):
         cov = fbm_covariance(self.GRID.nodes[1:], H75)
-        want = np.linalg.cholesky(cov + 1e-12 * np.eye(16))
+        want = differenced_cholesky(cov + 1e-12 * np.eye(16))
         calls = self.failing_cholesky(monkeypatch, failures=1)
         got = fbm_cholesky(self.GRID, H75, 5, RNG)
         assert len(calls) == 2
@@ -413,7 +472,7 @@ class TestFactorMemo:
         assert np.array_equal(calls[1], cov + 1e-12 * np.eye(16))
         assert np.array_equal(cholesky_factor(self.GRID, H75), want)
         assert len(calls) == 2  # memoised: the jittered factor is not rebuilt
-        assert np.array_equal(got.BH[:, 1:], per_path_normals(RNG, PURPOSE_FBM, 0, 5, 16) @ want.T)
+        assert np.array_equal(got.dBH, per_path_normals(RNG, PURPOSE_FBM, 0, 5, 16) @ want.T)
 
     def test_two_failures_raise(self, monkeypatch):
         calls = self.failing_cholesky(monkeypatch, failures=2)

@@ -41,3 +41,10 @@ def test_lambda_fd_reports_a_failed_build(monkeypatch):
     result = verify.check_lambda_fd(ExperimentConfig())
     assert (result.name, result.passed) == ("lambda-fd-consistency", False)
     assert "does not match the finite differences" in result.margin
+
+
+def test_fbm_methods_agree_at_the_largest_seed():
+    # the circulant side draws from the next seed, which wraps to 0 here
+    result = verify.check_fbm_methods_agree(ExperimentConfig(seed=2**64 - 1))
+    assert isinstance(result, verify.CheckResult)
+    assert result.name == "fbm-methods-agree"
