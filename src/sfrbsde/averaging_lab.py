@@ -33,16 +33,13 @@ from .bsde_solver import (
     SolutionField,
     TerminalCondition,
     block_rows,
-    brackets,
     check_clamp,
-    count_outside,
-    field_tables,
     interp_at,
     solve_psis,
 )
 from .errors import ContractError, InfeasibleAlphaError, NumericError, QuadratureConvergenceError
 from .frac_kernel import CoefficientSet, HurstModel, QuadratureSpec, c0_const, c1_lower_bound
-from .path_engine import RngSpec, eta_from_noise, eta_noise, make_ensemble
+from .path_engine import RngSpec, eta_noise, make_ensemble
 
 WINDOW_NOTE = (
     "rate window is [T*eps^(1-beta), T] per the stated theorem; the proof's "
@@ -443,21 +440,41 @@ class SweepReport:
 class _WindowFold:
     """One epsilon's error statistics over the window [u, T], folded path block by block.
 
-    Both fields share the x grid (the domain depends only on the
-    coefficients, eps, eta0 and kappa), so one bracket per block serves
-    both.  Per window column it keeps Chan's mergeable (count, mean, M2) of
-    dY^2 and the sums of Ybar^2, Zbar1^2 and Zbar2^2; per path, the
-    trapezoid integrals of |dZ|^2 and |dY|^2 and sup |dY|, in disjoint rows.
+    Both fields share the x grid `linspace(lo, hi, n + 1)` (the domain
+    depends only on the coefficients, eps, eta0 and kappa), and eta is read
+    in grid units: u = (eta - lo) g with g = n / (hi - lo) is a N + c_k, with
+    a = eps^H g and c_k = (eta0 + eps^2H int_0^t_k b ds - lo) g fixed here,
+    so a block is read straight from its eps-free noise N.  u is clipped to
+    [0, n]; cell j = int(u) is read at fraction u - j, and the last node is
+    a flat cell of its own, so u = n reads the end value exactly.
+
+    The four tables, copies of the window rows, hold values and per-cell
+    differences of psi_o - psi_a, psi_a, d_x psi_o - d_x psi_a and d_x psi_a:
+    dY and dZ come from one read each.  Per window column the fold keeps
+    Chan's mergeable (count, mean, M2) of dY^2 and the sums of Ybar^2,
+    Zbar1^2 and Zbar2^2; per path, the trapezoid integrals of |dZ|^2 and
+    |dY|^2 and sup |dY|, in disjoint rows.
     """
 
-    def __init__(self, i_lo: int, field_orig: SolutionField, field_avg: SolutionField,
-                 coeffs: CoefficientSet, n_paths: int, eta0: float):
+    def __init__(self, epsilon: float, i_lo: int, field_orig: SolutionField,
+                 field_avg: SolutionField, coeffs: CoefficientSet, n_paths: int, eta0: float):
         t = coeffs.grid.nodes
-        self.i_lo, self.coeffs, self.eta0 = i_lo, coeffs, eta0
-        self.x_nodes = field_orig.x_nodes
-        self.orig = field_tables(field_orig, i_lo)
-        self.avg = field_tables(field_avg, i_lo)
+        self.i_lo, self.n_nodes = i_lo, t.size
+        self.x_nodes = field_orig.x_nodes.copy()
+        lo, hi = self.x_nodes[0], self.x_nodes[-1]
+        n = self.x_nodes.size - 1
+        g = n / (hi - lo)
+        self.a = epsilon**coeffs.hurst.h * g
+        c = (eta0 + epsilon**coeffs.hurst.two_h * coeffs.b_int_table - lo) * g
+        self.c = c[i_lo:]
+        # eta_k < x_0 exactly when N_k < -c_k / a, and eta_k > x_n when N_k > (n - c_k) / a
+        self.below, self.above = -c / self.a, (n - c) / self.a
+        self.n_cells = n
+        self.tables = [_cell_table(table) for table in (
+            field_orig.psi[i_lo:] - field_avg.psi[i_lo:], field_avg.psi[i_lo:].copy(),
+            field_orig.psi_x[i_lo:] - field_avg.psi_x[i_lo:], field_avg.psi_x[i_lo:].copy())]
         self.t = t[i_lo:]
+        self.row_starts = np.arange(self.t.size) * (n + 1)
         # trapezoid weights on the window; |dZ|^2 = (sigma1^2 + sigma2^2) |d psi_x|^2
         half_steps = np.diff(self.t) / 2.0
         self.weights = np.zeros(self.t.size)
@@ -482,7 +499,7 @@ class _WindowFold:
         (t = 0 included) lie outside the PDE domain, as extract_triple does.
         """
         n = self.count
-        check_clamp(self.outside, n * self.coeffs.grid.n_nodes, self.x_nodes)
+        check_clamp(self.outside, n * self.n_nodes, self.x_nodes)
         root_n = np.sqrt(n)
         mse_se = np.sqrt(self.m2 / (n - 1)) / root_n
         j = int(np.argmax(self.mean))
@@ -499,6 +516,13 @@ class _WindowFold:
         }
 
 
+def _cell_table(values: np.ndarray):
+    """Flat values and per-cell differences of a (rows, n_x) table; the last node's cell is flat."""
+    diffs = np.zeros_like(values)
+    np.subtract(values[:, 1:], values[:, :-1], out=diffs[:, :-1])
+    return values.ravel(), diffs.ravel()
+
+
 class _FoldWorkspace:
     """Buffers for folding one path block, allocated once per sweep and shared by every eps.
 
@@ -507,7 +531,8 @@ class _FoldWorkspace:
     the window of any eps reuse the same memory.
     """
 
-    FLOAT = ("eta", "offset", "scratch", "y_orig", "y_avg", "slope_orig", "slope_avg")
+    READS = ("dy", "y_avg", "dz", "slope_avg")  # one per table of the fold, in its order
+    FLOAT = ("frac", "scratch") + READS
 
     def __init__(self, rows: int, n_nodes: int):
         size = rows * n_nodes
@@ -519,7 +544,7 @@ class _FoldWorkspace:
         return self.buffers[name][:rows * cols].reshape(rows, cols)
 
 
-def _window_stats(fold: _WindowFold, epsilon: float, noise: np.ndarray, start: int,
+def _window_stats(fold: _WindowFold, noise: np.ndarray, start: int,
                   ws: _FoldWorkspace) -> None:
     """Fold the block of paths start, start+1, ... (eps-free noise `noise`) into `fold`.
 
@@ -532,17 +557,19 @@ def _window_stats(fold: _WindowFold, epsilon: float, noise: np.ndarray, start: i
     def view(name, width=cols):
         return ws.view(name, n_b, width)
 
-    eta = eta_from_noise(fold.coeffs, noise, epsilon, fold.eta0, out=view("eta", n_nodes))
-    fold.outside += count_outside(fold.x_nodes, eta, view("mask", n_nodes))
+    mask = view("mask", n_nodes)
+    fold.outside += (np.count_nonzero(np.less(noise, fold.below, out=mask))
+                     + np.count_nonzero(np.greater(noise, fold.above, out=mask)))
+    frac = np.multiply(noise[:, fold.i_lo:], fold.a, out=view("frac"))
+    frac += fold.c
+    np.clip(frac, 0.0, fold.n_cells, out=frac)
+    cell = view("cell")
+    np.copyto(cell, frac, casting="unsafe")
+    frac -= cell
+    cell += fold.row_starts
     scratch = view("scratch")
-    cell, offset = brackets(fold.x_nodes, eta[:, fold.i_lo:],
-                            (view("cell"), view("offset"), scratch, view("mask")))
-    Y_o = interp_at(*fold.orig[:2], cell, offset, view("y_orig"), scratch)
-    Y_a = interp_at(*fold.avg[:2], cell, offset, view("y_avg"), scratch)
-    slope_o = interp_at(*fold.orig[2:], cell, offset, view("slope_orig"), scratch)
-    slope_a = interp_at(*fold.avg[2:], cell, offset, view("slope_avg"), scratch)
-    dY = np.subtract(Y_o, Y_a, out=Y_o)
-    dZ = np.subtract(slope_o, slope_a, out=slope_o)
+    dY, Y_a, dZ, slope_a = (interp_at(*table, cell, frac, view(name), scratch)
+                            for table, name in zip(fold.tables, ws.READS))
     rows = slice(start, start + n_b)
     np.abs(dY, out=scratch).max(axis=1, out=fold.sup_abs[rows])
     dY_sq = np.square(dY, out=dY)
@@ -575,14 +602,15 @@ def run_sweep(
     paths, so every error statistic is a common-random-number estimate.
 
     Every field is solved first, all 2 x len(eps) in one backward pass
-    (`solve_psis`).  The paths are then streamed in fixed blocks of
-    `block_rows(n_nodes)` paths: each block draws (B, B^H) once from the
-    per-path streams of its global path indices, and every eps builds
-    eta^eps from the block's eps-free noise, reads both fields on the window
-    columns and folds the block into its statistics.  No n_paths x n_nodes
-    array is ever held; what grows with n_paths is three per-path vectors
-    per eps.  The sweep starts no threads of its own, and reruns are
-    byte-identical.
+    (`solve_psis`), and each eps's fold copies the window rows it reads, so
+    the fields are freed before the paths stream.  The paths then come in
+    fixed blocks of `block_rows(n_nodes)` paths: each block draws (B, B^H)
+    once from the per-path streams of its global path indices, and every eps
+    folds the block by reading both fields in grid units straight from the
+    block's eps-free noise N; eta^eps itself is never formed.
+    No n_paths x n_nodes array is ever held; what grows with n_paths is
+    three per-path vectors per eps.  The sweep starts no threads of its own,
+    and reruns are byte-identical.
     """
     eps = [float(e) for e in eps_list]
     if not eps or any(not 0 < e <= 1 for e in eps) or any(
@@ -607,11 +635,11 @@ def run_sweep(
     def fold_for(epsilon: float, field_orig, field_avg) -> _WindowFold:
         i_lo = grid.first_index_at_or_after(T * epsilon ** (1.0 - cfg.beta))
         i_lo = min(i_lo, grid.n_steps - 1)  # keep a nonempty window
-        return _WindowFold(i_lo, field_orig, field_avg, coeffs, cfg.n_paths, cfg.eta0)
+        return _WindowFold(epsilon, i_lo, field_orig, field_avg, coeffs, cfg.n_paths, cfg.eta0)
 
     fields = solve_psis((original, averaged), term, coeffs, eps, cfg.pde, cfg.eta0)
     folds = [fold_for(e, o, a) for e, o, a in zip(eps, fields, fields[len(eps):])]
-    del fields  # the folds copy their window tables; free the fields before the paths stream
+    del fields  # the folds hold copies of their window rows: this frees the batch
 
     rows = block_rows(grid.n_nodes)
     ws = _FoldWorkspace(min(rows, cfg.n_paths), grid.n_nodes)
@@ -620,8 +648,8 @@ def run_sweep(
         block = make_ensemble(grid, hurst, min(rows, cfg.n_paths - start),
                               replace(cfg.rng, stream=cfg.rng.stream + start))
         noise = eta_noise(coeffs, block)
-        for epsilon, fold in zip(eps, folds):
-            _window_stats(fold, epsilon, noise, start, ws)
+        for fold in folds:
+            _window_stats(fold, noise, start, ws)
 
     stats = []
     for epsilon, fold in zip(eps, folds):

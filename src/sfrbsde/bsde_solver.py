@@ -361,12 +361,9 @@ def block_rows(n_nodes: int) -> int:
     return max(1, BLOCK_CELLS // n_nodes)
 
 
-def count_outside(x_nodes: np.ndarray, eta: np.ndarray, mask: np.ndarray | None = None) -> int:
-    """Number of eta values outside [x_0, x_N]; `mask` (bool, eta's shape) is scratch."""
-    if mask is None:
-        mask = np.empty(eta.shape, dtype=bool)
-    below = np.count_nonzero(np.less(eta, x_nodes[0], out=mask))
-    return int(below + np.count_nonzero(np.greater(eta, x_nodes[-1], out=mask)))
+def count_outside(x_nodes: np.ndarray, eta: np.ndarray) -> int:
+    """Number of eta values outside [x_0, x_N]."""
+    return int(np.count_nonzero(eta < x_nodes[0]) + np.count_nonzero(eta > x_nodes[-1]))
 
 
 def check_clamp(outside: int, cells: int, x_nodes: np.ndarray,
@@ -378,7 +375,7 @@ def check_clamp(outside: int, cells: int, x_nodes: np.ndarray,
     return clamp_fraction
 
 
-def brackets(x_nodes: np.ndarray, eta: np.ndarray, work=None):
+def brackets(x_nodes: np.ndarray, eta: np.ndarray):
     """Flat cell index into a (n_cols, n_x) table and offset eta - x_j, per (path, column).
 
     Column c of eta is read from row c of the table.  x_nodes is a linspace,
@@ -386,17 +383,12 @@ def brackets(x_nodes: np.ndarray, eta: np.ndarray, work=None):
     one where rounding put it off the node values.  eta is clamped to
     [x_0, x_N] first, and the last node is a cell of its own, so eta at or
     beyond either end reads the end value exactly, as np.interp does.
-
-    `work` = (cell, offset, scratch, mask), arrays of eta's shape with dtypes
-    intp, float, float and bool: the first two receive the result, the last
-    two are temporaries.  They are allocated when `work` is None.
     """
-    if work is None:
-        work = tuple(np.empty(eta.shape, dtype) for dtype in (np.intp, float, float, bool))
-    j, e, tmp, mask = work
+    j, tmp = np.empty(eta.shape, np.intp), np.empty(eta.shape)
+    mask = np.empty(eta.shape, bool)
     n = x_nodes.size - 1
     lo, hi = x_nodes[0], x_nodes[-1]
-    np.clip(eta, lo, hi, out=e)
+    e = np.clip(eta, lo, hi)
     np.subtract(e, lo, out=tmp)
     np.multiply(tmp, n / (hi - lo), out=tmp)
     np.copyto(j, tmp, casting="unsafe")
@@ -410,14 +402,14 @@ def brackets(x_nodes: np.ndarray, eta: np.ndarray, work=None):
     return j, e
 
 
-def field_tables(field: SolutionField, start: int = 0):
-    """Flat (psi, psi slopes, psi_x, psi_x slopes) of the time rows from `start` on.
+def field_tables(field: SolutionField):
+    """Flat (psi, psi slopes, psi_x, psi_x slopes) of every time row.
 
     Slopes are per cell, as np.interp forms them; the last node's cell is flat.
     """
     dx = np.diff(field.x_nodes)
     out = []
-    for table in (field.psi[start:], field.psi_x[start:]):
+    for table in (field.psi, field.psi_x):
         slopes = np.zeros_like(table)
         slopes[:, :-1] = np.diff(table, axis=1) / dx
         out += [table.ravel(), slopes.ravel()]
@@ -427,7 +419,8 @@ def field_tables(field: SolutionField, start: int = 0):
 def interp_at(values: np.ndarray, slopes: np.ndarray, cell: np.ndarray,
               offset: np.ndarray, out: np.ndarray | None = None,
               scratch: np.ndarray | None = None) -> np.ndarray:
-    """slope * (eta - x_j) + f_j at bracketed cells: np.interp's arithmetic, so the values match it.
+    """slope * offset + f_j at flat cells: with `brackets`' cells and offsets,
+    np.interp's arithmetic, so the values match it.
 
     `out` receives the result and `scratch` is a temporary, both of cell's
     shape; they are allocated when None.

@@ -290,33 +290,22 @@ def eta_noise(coeffs: CoefficientSet, ensemble: PathEnsemble) -> np.ndarray:
     return levels(incr)
 
 
-def eta_from_noise(coeffs: CoefficientSet, noise: np.ndarray, epsilon: float,
-                   eta0: float = 0.0, out: np.ndarray | None = None) -> np.ndarray:
-    """eta^eps = eta0 + eps^2H int_0^t b ds + eps^H N on the grid, N from `eta_noise`.
-
-    `out`, of the shape of `noise`, receives eta when given.
-    """
-    if not 0 < epsilon <= 1:
-        raise ValueError(f"epsilon must lie in (0, 1], got {epsilon!r}")
-    eta = np.empty(noise.shape) if out is None else out
-    np.multiply(noise, epsilon**coeffs.hurst.h, out=eta)
-    # a + b == b + a exactly, so this is (eta0 + drift) + eps^H N bit for bit;
-    # at t_0 the drift integral and N are 0, so eta starts at eta0
-    eta += eta0 + epsilon**coeffs.hurst.two_h * coeffs.b_int_table
-    return eta
-
-
 def simulate_eta(coeffs: CoefficientSet, ensemble: PathEnsemble, epsilon: float,
                  eta0: float = 0.0) -> np.ndarray:
     """Forward process on the grid:
 
         eta^eps_t = eta0 + eps^2H int_0^t b ds
                          + eps^H sum sigma1(t_k) dB_k
-                         + eps^H sum sigma2(t_k) dBH_k.
+                         + eps^H sum sigma2(t_k) dBH_k,
 
+    that is eta0 + eps^2H int_0^t b ds + eps^H N with N from `eta_noise`.
     eps = 1 recovers the unscaled process.  All eps values reuse the same
-    (dB, dBH) draws, so sweeps are common-random-number coupled by design;
-    a sweep computes the eps-free part once (`eta_noise`) and scales it per
-    eps (`eta_from_noise`).
+    (dB, dBH) draws, so sweeps are common-random-number coupled by design.
     """
-    return eta_from_noise(coeffs, eta_noise(coeffs, ensemble), epsilon, eta0)
+    if not 0 < epsilon <= 1:
+        raise ValueError(f"epsilon must lie in (0, 1], got {epsilon!r}")
+    eta = np.multiply(eta_noise(coeffs, ensemble), epsilon**coeffs.hurst.h)
+    # a + b == b + a exactly, so this is (eta0 + drift) + eps^H N bit for bit;
+    # at t_0 the drift integral and N are 0, so eta starts at eta0
+    eta += eta0 + epsilon**coeffs.hurst.two_h * coeffs.b_int_table
+    return eta

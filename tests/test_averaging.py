@@ -33,6 +33,7 @@ from sfrbsde.bsde_solver import (
     block_rows,
     domain_bounds,
     solve_psi,
+    solve_psis,
 )
 from sfrbsde.config import benchmark_fbar, benchmark_generator
 from sfrbsde.errors import (
@@ -616,6 +617,17 @@ class TestStreamedSweep:
         assert got.stats[0].path_sup_abs.shape == (n_paths,)
         assert_reports_match(got, want, rtol=1e-12)
 
+    def test_matches_whole_ensemble_oracle_with_time_varying_coefficients(self):
+        # the fold's grid offsets c_k carry the drift integral and its Z weights
+        # carry sigma1(t)^2 + sigma2(t)^2: a slip in either shows only when they vary
+        coeffs = CoefficientSet.build(DeterministicFn.sinusoidal(0.5, 0.7),
+                                      DeterministicFn.sinusoidal(1.0, 1.0),
+                                      DeterministicFn.sinusoidal(1.5, 1.0),
+                                      TimeGrid(T=1.0, n_steps=128), H75)
+        cfg = replace(STREAM_CFG, n_paths=2 * block_rows(coeffs.grid.n_nodes) + 37)
+        args = (benchmark_generator(1.0), coeffs, TerminalCondition.square(), (0.5, 0.3, 0.2), cfg)
+        assert_reports_match(run_sweep(*args), whole_ensemble_sweep(*args), rtol=1e-12)
+
     def test_runs_on_one_thread(self, coeffs128, monkeypatch):
         def refuse(thread):
             raise AssertionError(f"run_sweep started thread {thread.name}")
@@ -650,18 +662,32 @@ class TestStreamedSweep:
                             STREAM_CFG.pde, STREAM_CFG.eta0)
                   for gen in (benchmark_generator(1.0),
                               build_fbar(benchmark_generator(1.0), 1.0, QUAD).as_generator())]
-        fold = averaging_lab._WindowFold(20, *fields, coeffs128, 2 * rows, STREAM_CFG.eta0)
+        fold = averaging_lab._WindowFold(0.5, 20, *fields, coeffs128, 2 * rows, STREAM_CFG.eta0)
         ws = averaging_lab._FoldWorkspace(rows, grid.n_nodes)
         noise = eta_noise(coeffs128, make_ensemble(grid, H75, rows, STREAM_CFG.rng))
-        averaging_lab._window_stats(fold, 0.5, noise, 0, ws)
+        averaging_lab._window_stats(fold, noise, 0, ws)
         tracemalloc.start()
         try:
-            averaging_lab._window_stats(fold, 0.5, noise, rows, ws)
+            averaging_lab._window_stats(fold, noise, rows, ws)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
         assert fold.count == 2 * rows
         assert peak < 8 * rows * grid.n_nodes
+
+    def test_fold_shares_no_memory_with_the_fields(self, coeffs128):
+        # the folds copy their window rows, so dropping the fields frees the batch
+        gens = (benchmark_generator(1.0),
+                build_fbar(benchmark_generator(1.0), 1.0, QUAD).as_generator())
+        fields = solve_psis(gens, TerminalCondition.square(), coeffs128, (0.5, 0.3),
+                            STREAM_CFG.pde, STREAM_CFG.eta0)
+        fold = averaging_lab._WindowFold(0.5, 20, fields[0], fields[2], coeffs128, 10,
+                                         STREAM_CFG.eta0)
+        held = [v for v in vars(fold).values() if isinstance(v, np.ndarray)]
+        held += [array for table in fold.tables for array in table]
+        for f in fields:
+            for array in (f.psi, f.psi_x, f.x_nodes, f.t_nodes):
+                assert not any(np.shares_memory(array, h) for h in held)
 
     def test_domain_error_counts_every_node_of_every_block(self):
         # b = A cos(2 pi t): eta drifts far out of the domain mid-horizon and

@@ -334,30 +334,24 @@ class TestCentralGradient:
 
 
 class TestReadBuffers:
-    """brackets, interp_at and count_outside give the same bits into caller buffers."""
+    """interp_at gives the same bits into caller buffers; count_outside counts both ends."""
 
     def test_buffers_match_allocating_calls(self, coeffs128, paths128):
         # the eps = 0.5 domain is narrower than the eps = 1 paths: some read clamped
         field = solve_psi(benchmark_generator(1.0), TerminalCondition.square(), coeffs128,
                           0.5, PdeConfig(kappa=4.0, n_space=64))
-        eta = paths128[:300, 5:]  # a strided window, as the sweep reads it
-        tables = field_tables(field, 5)
+        eta = paths128[:300]
+        tables = field_tables(field)
         cell, offset = brackets(field.x_nodes, eta)
-        work = tuple(np.full(eta.shape, fill, dtype)
-                     for fill, dtype in ((-1, np.intp), (np.nan, float), (np.nan, float),
-                                         (True, bool)))
-        got_cell, got_offset = brackets(field.x_nodes, eta, work)
-        assert got_cell is work[0] and got_offset is work[1]
-        assert np.array_equal(got_cell, cell) and np.array_equal(got_offset, offset)
+        scratch = np.full(eta.shape, np.nan)
         for values, slopes in (tables[:2], tables[2:]):
             want = interp_at(values, slopes, cell, offset)
             out = np.full(eta.shape, np.nan)
-            assert interp_at(values, slopes, cell, offset, out, work[2]) is out
+            assert interp_at(values, slopes, cell, offset, out, scratch) is out
             assert np.array_equal(out, want)
         want = int(np.count_nonzero((eta < field.x_nodes[0]) | (eta > field.x_nodes[-1])))
         assert want > 0
         assert count_outside(field.x_nodes, eta) == want
-        assert count_outside(field.x_nodes, eta, work[3]) == want
 
 
 class TestExtractTriple:
