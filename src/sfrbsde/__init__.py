@@ -25,7 +25,6 @@ from .bsde_solver import (
     SolutionField,
     TerminalCondition,
     TriplePath,
-    build_pde_coefficients,
     extract_triple,
     malliavin_representation_check,
     residual_mean_check,

@@ -33,6 +33,7 @@ from .bsde_solver import (
     SolutionField,
     TerminalCondition,
     block_rows,
+    cell_table,
     check_clamp,
     interp_at,
     solve_psis,
@@ -297,26 +298,16 @@ def solve_alpha0(L: float, C1: float, epsilon: float, hurst: HurstModel) -> floa
 
 @dataclass(frozen=True)
 class AveragingConstants:
-    """Every constant from the Z-lemma / rate-theorem chain, for one epsilon."""
+    """The constants `compute_constants` derives for one epsilon; its inputs
+    live in the sweep report (L, C1, phi, beta) and its stats (u as t_lo)."""
 
-    epsilon: float
-    beta: float
-    u: float
-    L: float
     C0: float
-    C1: float
-    phi_bound: float
     alpha0: float
     L1: float
     C2: float
     C3: float
     C4: float
     theorem_bound: float
-    t0: float = float("nan")
-
-    def __post_init__(self):
-        if not (0.0 <= self.beta < 1.0):
-            raise ValueError(f"beta must lie in [0, 1), got {self.beta!r}")
 
 
 def compute_constants(
@@ -329,9 +320,9 @@ def compute_constants(
     beta: float,
     hurst: HurstModel,
     averaged_moments: tuple[float, float, float],
-    t0: float = float("nan"),
 ) -> AveragingConstants:
-    """Assemble C2, C3, L1 and the rate prefactor C4 exactly as derived.
+    """C0, alpha0, L1, C2, C3, the rate prefactor C4 and the theorem's bound
+    C4 eps^(1 - 2H beta), exactly as derived.
 
     averaged_moments = (sup E|Ybar|^2, sup E|Zbar1|^2, sup E|Zbar2|^2) over
     the window [u, T], from an averaged-system Monte-Carlo run.  C4 uses the
@@ -339,8 +330,9 @@ def compute_constants(
     expressions, and multiplies the bracketed prefactor by
     eps^(2H(1+beta)-1) and the exponential factor.
     """
-    if beta >= 1.0 / hurst.two_h:
-        raise ValueError(f"beta={beta} violates beta < 1/(2H) = {1.0 / hurst.two_h}")
+    if not 0.0 <= beta < min(1.0, 1.0 / hurst.two_h):
+        raise ValueError(f"beta must satisfy 0 <= beta < min(1, 1/(2H)) = "
+                         f"{min(1.0, 1.0 / hurst.two_h):.6g}, got {beta!r}")
     if not 0 <= u < T:
         raise ValueError(f"window start u must lie in [0, T), got {u!r}")
     moment_sum = 1.0 + float(sum(averaged_moments))
@@ -364,9 +356,8 @@ def compute_constants(
     expo = (T - u) * (4.0 * (T - u) * L * e4h * (l1 + 1.0) + 2.0 * l1 * e2h * hpow)
     c4 = bracket * epsilon ** (two_h * (1.0 + beta) - 1.0) * math.exp(expo)
     return AveragingConstants(
-        epsilon=epsilon, beta=beta, u=u, L=L, C0=c0, C1=C1, phi_bound=phi_bound,
-        alpha0=alpha0, L1=l1, C2=c2, C3=c3, C4=c4,
-        theorem_bound=c4 * epsilon ** (1.0 - two_h * beta), t0=t0,
+        C0=c0, alpha0=alpha0, L1=l1, C2=c2, C3=c3, C4=c4,
+        theorem_bound=c4 * epsilon ** (1.0 - two_h * beta),
     )
 
 
@@ -470,7 +461,7 @@ class _WindowFold:
         # eta_k < x_0 exactly when N_k < -c_k / a, and eta_k > x_n when N_k > (n - c_k) / a
         self.below, self.above = -c / self.a, (n - c) / self.a
         self.n_cells = n
-        self.tables = [_cell_table(table) for table in (
+        self.tables = [cell_table(table) for table in (
             field_orig.psi[i_lo:] - field_avg.psi[i_lo:], field_avg.psi[i_lo:].copy(),
             field_orig.psi_x[i_lo:] - field_avg.psi_x[i_lo:], field_avg.psi_x[i_lo:].copy())]
         self.t = t[i_lo:]
@@ -514,13 +505,6 @@ class _WindowFold:
             "path_sup_abs": self.sup_abs,
             "moments": tuple(float(m) for m in (self.sq_sums / n).max(axis=1)),
         }
-
-
-def _cell_table(values: np.ndarray):
-    """Flat values and per-cell differences of a (rows, n_x) table; the last node's cell is flat."""
-    diffs = np.zeros_like(values)
-    np.subtract(values[:, 1:], values[:, :-1], out=diffs[:, :-1])
-    return values.ravel(), diffs.ravel()
 
 
 class _FoldWorkspace:
@@ -617,8 +601,8 @@ def run_sweep(
         not a > b for a, b in zip(eps, eps[1:])
     ):
         raise ValueError("eps_list must be strictly decreasing inside (0, 1]")
-    if cfg.n_paths < 1:
-        raise ValueError("n_paths must be positive")
+    if cfg.n_paths < 2:
+        raise ValueError(f"n_paths must be >= 2 for standard errors, got {cfg.n_paths!r}")
 
     grid = coeffs.grid
     T = coeffs.T
@@ -656,8 +640,7 @@ def run_sweep(
         raw = fold.result()
         u = float(grid.nodes[fold.i_lo])
         constants = compute_constants(
-            L, C1, phi.value, u, T, epsilon, cfg.beta, hurst,
-            raw.pop("moments"), t0=t0,
+            L, C1, phi.value, u, T, epsilon, cfg.beta, hurst, raw.pop("moments"),
         )
         stats.append(PerEpsilonStats(
             epsilon=epsilon, t_lo=u, constants=constants, **raw,
@@ -686,32 +669,22 @@ def run_sweep(
 
 
 def check_lemma1(report: SweepReport,
-                 constants: Sequence[AveragingConstants] | None = None) -> list[bool]:
-    """Per-eps verdicts for the Z-error lemma at 3 combined standard errors."""
-    out = []
+                 constants: Sequence[AveragingConstants] | None = None) -> None:
+    """Write each eps's Z-error lemma sides and verdict, at 3 combined standard
+    errors, into its stats; returns nothing.  `constants` replaces the stats'
+    own, one per eps."""
     for i, s in enumerate(report.stats):
         cons = constants[i] if constants is not None else s.constants
-        lhs = s.z_err_integral
-        rhs = cons.L1 * s.dy_integral + cons.C2 * (report.T - s.t_lo)
+        s.lemma1_lhs = s.z_err_integral
+        s.lemma1_rhs = cons.L1 * s.dy_integral + cons.C2 * (report.T - s.t_lo)
         se = math.sqrt(s.z_err_stderr**2 + (cons.L1 * s.dy_integral_stderr) ** 2)
-        ok = lhs <= rhs + 3.0 * se
-        s.lemma1_lhs = lhs
-        s.lemma1_rhs = rhs
-        s.lemma1_pass = bool(ok)
-        out.append(bool(ok))
-    return out
+        s.lemma1_pass = bool(s.lemma1_lhs <= s.lemma1_rhs + 3.0 * se)
 
 
-@dataclass(frozen=True)
-class RateCheck:
-    slope: float
-    epsilon1: float | None
-    c4_pass: tuple
-
-
-def check_theorem_rate(report: SweepReport) -> RateCheck:
-    """Least-squares slope of log sup-MSE vs log eps, the delta1 threshold
-    epsilon1, and the explicit C4 eps^(1-2H beta) domination check."""
+def check_theorem_rate(report: SweepReport) -> None:
+    """Write the least-squares slope of log sup-MSE vs log eps and the delta1
+    threshold epsilon1 into the report, and each eps's C4 eps^(1-2H beta)
+    domination verdict into its stats; returns nothing."""
     if len(report.stats) < 3:
         raise ValueError("rate fit needs at least 3 epsilon points")
     eps = np.array([s.epsilon for s in report.stats])
@@ -727,36 +700,31 @@ def check_theorem_rate(report: SweepReport) -> RateCheck:
         if np.all(flags[i:]):
             epsilon1 = float(eps[i])
             break
-    c4_pass = []
     for s in report.stats:
-        ok = s.sup_mse <= s.constants.theorem_bound
-        s.c4_pass = bool(ok)
-        c4_pass.append(bool(ok))
+        s.c4_pass = bool(s.sup_mse <= s.constants.theorem_bound)
     report.fitted_slope = float(slope)
     report.epsilon1 = epsilon1
-    return RateCheck(slope=float(slope), epsilon1=epsilon1, c4_pass=tuple(c4_pass))
 
 
-def check_chebyshev(report: SweepReport) -> list[bool]:
-    """Exceedance frequency vs the C4 bound / delta2^2, plus the eps trend.
+def check_chebyshev(report: SweepReport) -> None:
+    """Write each eps's Chebyshev bound and verdict into its stats and the
+    eps trend verdict into the report; returns nothing.
 
-    Also enforces the distribution-free empirical Markov inequality
+    The exceedance frequency is compared with C4 eps^r / delta2^2, and the
+    distribution-free empirical Markov inequality
     p_hat <= mean(sup_t |dY|^2) / delta2^2, which holds exactly on the
-    empirical measure.
+    empirical measure, is enforced too.
     """
     delta2 = report.delta2
-    out = []
     for s in report.stats:
         bound = s.constants.theorem_bound / delta2**2
         ok = s.exceed_prob <= bound + 3.0 * s.exceed_stderr
         markov_ok = s.exceed_prob <= s.mean_sup_sq / delta2**2 + 1e-12
         s.chebyshev_bound = float(bound)
         s.chebyshev_pass = bool(ok and markov_ok)
-        out.append(bool(ok and markov_ok))
     report.chebyshev_trend_pass = bool(
         report.stats[-1].exceed_prob <= report.stats[0].exceed_prob + 1e-12
     )
-    return out
 
 
 def claim_verdicts(report: SweepReport) -> dict[str, bool]:

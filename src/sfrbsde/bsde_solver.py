@@ -30,14 +30,14 @@ bit, the one its system gets alone; `solve_psi` is the batch of one.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
 from scipy.linalg import solve_banded  # noqa: F401  (perfbench's tracer counts calls to this name)
 from scipy.linalg.lapack import dgttrf, dgttrs
 
-from .errors import CoefficientError, DomainTooSmallError, NumericError, PicardError
+from .errors import DomainTooSmallError, NumericError, PicardError
 from .frac_kernel import CoefficientSet
 from .grids import TimeGrid
 
@@ -149,36 +149,6 @@ class TriplePath:
     clamp_fraction: float = 0.0
 
 
-@dataclass(frozen=True)
-class PdeCoefficients:
-    """Time-dependent PDE coefficients mu(t) = eps^2H b(t), diff(t) = 0.5 eps^2H lambda(t).
-
-    The stepping scheme consumes panel averages (exact integrals of the same
-    quantities over each step); diff also has its node values, which must be
-    positive on (0, T].
-    """
-
-    diff_nodes: np.ndarray
-    mu_panel: np.ndarray = field(repr=False)
-    diff_panel: np.ndarray = field(repr=False)
-
-
-def build_pde_coefficients(coeffs: CoefficientSet, epsilon: float) -> PdeCoefficients:
-    if not 0 < epsilon <= 1:
-        raise ValueError(f"epsilon must lie in (0, 1], got {epsilon!r}")
-    scale = epsilon**coeffs.hurst.two_h
-    t = coeffs.grid.nodes
-    dt = np.diff(t)
-    diff_nodes = 0.5 * scale * coeffs.lam_table
-    if np.any(diff_nodes[1:] <= 0.0):
-        raise CoefficientError("diffusion coefficient must be positive on (0, T]")
-    return PdeCoefficients(
-        diff_nodes=diff_nodes,
-        mu_panel=scale * np.diff(coeffs.b_int_table) / dt,
-        diff_panel=0.5 * scale * np.diff(coeffs.sigma_abs_sq_table) / dt,
-    )
-
-
 def domain_bounds(coeffs: CoefficientSet, epsilon: float, eta0: float, kappa: float):
     """Truncation interval [m - kappa s, m + kappa s] around the law of eta_T."""
     mean = eta0 + epsilon**coeffs.hurst.two_h * coeffs.b_int_table[-1]
@@ -239,7 +209,9 @@ def solve_psis(
     eps = [float(e) for e in eps_list]
     if not gens or not eps:
         raise ValueError("solve_psis needs at least one generator and one epsilon")
-    pcs = [build_pde_coefficients(coeffs, e) for e in eps]
+    for e in eps:
+        if not 0 < e <= 1:
+            raise ValueError(f"epsilon must lie in (0, 1], got {e!r}")
     n_eps, n_sys = len(eps), len(gens) * len(eps)
     t = coeffs.grid.nodes
     n_time = coeffs.grid.n_steps
@@ -276,9 +248,11 @@ def solve_psis(
         )
         return out
 
-    # the step coefficients of every system and step, (systems, steps)
-    diff = np.tile(np.array([pc.diff_panel for pc in pcs]), (len(gens), 1))
-    mu = np.tile(np.array([pc.mu_panel for pc in pcs]), (len(gens), 1))
+    # the step coefficients of every system and step, (systems, steps): panel
+    # averages of eps^2H b and (1/2) eps^2H lambda, exact integrals over each step
+    steps = np.diff(t)
+    mu = np.tile(scale * np.diff(coeffs.b_int_table) / steps, (len(gens), 1))
+    diff = np.tile(0.5 * scale * np.diff(coeffs.sigma_abs_sq_table) / steps, (len(gens), 1))
     lower = THETA * dt * (diff / sys_dx**2 - mu / (2.0 * sys_dx))
     upper = THETA * dt * (diff / sys_dx**2 + mu / (2.0 * sys_dx))
     diag = 1.0 + THETA * dt * 2.0 * diff / sys_dx**2
@@ -402,18 +376,22 @@ def brackets(x_nodes: np.ndarray, eta: np.ndarray):
     return j, e
 
 
-def field_tables(field: SolutionField):
-    """Flat (psi, psi slopes, psi_x, psi_x slopes) of every time row.
+def cell_table(values: np.ndarray, dx=1.0):
+    """Flat values and per-cell slopes (differences / dx) of a (rows, n_x) table.
 
-    Slopes are per cell, as np.interp forms them; the last node's cell is flat.
+    The last node's cell is flat, so a read at the last node returns its value.
     """
+    slopes = np.zeros_like(values)
+    np.subtract(values[:, 1:], values[:, :-1], out=slopes[:, :-1])
+    slopes[:, :-1] /= dx
+    return values.ravel(), slopes.ravel()
+
+
+def field_tables(field: SolutionField):
+    """Flat (psi, psi slopes, psi_x, psi_x slopes) of every time row, slopes per
+    cell as np.interp forms them."""
     dx = np.diff(field.x_nodes)
-    out = []
-    for table in (field.psi, field.psi_x):
-        slopes = np.zeros_like(table)
-        slopes[:, :-1] = np.diff(table, axis=1) / dx
-        out += [table.ravel(), slopes.ravel()]
-    return tuple(out)
+    return (*cell_table(field.psi, dx), *cell_table(field.psi_x, dx))
 
 
 def interp_at(values: np.ndarray, slopes: np.ndarray, cell: np.ndarray,
@@ -499,7 +477,6 @@ class ResidualReport:
     residual: float
     stderr: float
     probe: float
-    n_paths: int
 
 
 def residual_mean_check(triple: TriplePath, gen: Generator, coeffs: CoefficientSet,
@@ -522,5 +499,4 @@ def residual_mean_check(triple: TriplePath, gen: Generator, coeffs: CoefficientS
     per_path = triple.Y[:, k0] - triple.Y[:, -1] - epsilon**coeffs.hurst.two_h * integral
     mean = float(per_path.mean())
     stderr = float(per_path.std(ddof=1) / np.sqrt(per_path.shape[0]))
-    return ResidualReport(residual=abs(mean), stderr=stderr, probe=float(t[k0]),
-                          n_paths=per_path.shape[0])
+    return ResidualReport(residual=abs(mean), stderr=stderr, probe=float(t[k0]))

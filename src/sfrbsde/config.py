@@ -148,16 +148,6 @@ def benchmark_generator(T: float) -> Generator:
     return Generator(fn=fn, name="benchmark", lipschitz_sq=4.0 * (a**2 + b**2 + c**2))
 
 
-def benchmark_fbar():
-    """Closed-form time average of the benchmark generator (sin averages to 0)."""
-    a, b, c, d = BENCHMARK_COEFFS
-
-    def fn(x, y, z1, z2):
-        return a * np.asarray(y, dtype=float) + b * np.asarray(z1) + c * np.asarray(z2) + d
-
-    return fn
-
-
 def parse_generator(text: str, t_horizon: float) -> Generator:
     kind, _, arg = text.partition(":")
     kind = kind.strip()

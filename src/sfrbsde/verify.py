@@ -33,14 +33,7 @@ def _result(name, passed, margin):
 
 
 def _std_coeffs(cfg: ExperimentConfig, n_steps=64):
-    grid = TimeGrid(T=cfg.t_horizon, n_steps=n_steps)
-    return fk.CoefficientSet.build(
-        b=cfg.coefficient_fn("b"),
-        sigma1=cfg.coefficient_fn("sigma1"),
-        sigma2=cfg.coefficient_fn("sigma2"),
-        grid=grid,
-        hurst=cfg.hurst(),
-    )
+    return replace(cfg, n_time=n_steps).coefficient_set()
 
 
 # --------------------------------------------------------------------------
@@ -221,10 +214,7 @@ def check_crn_contract(cfg):
 def _closed_form_errors(cfg, n):
     """Sup-norm errors of the three closed-form cases on |x - m| <= 4 std."""
     sub = replace(cfg, sigma1="constant:1", sigma2="constant:1", b="constant:0")
-    grid = TimeGrid(T=cfg.t_horizon, n_steps=n)
-    coeffs = fk.CoefficientSet.build(
-        sub.coefficient_fn("b"), sub.coefficient_fn("sigma1"),
-        sub.coefficient_fn("sigma2"), grid, cfg.hurst())
+    coeffs = _std_coeffs(sub, n_steps=n)
     pde = bs.PdeConfig(kappa=10.0, n_space=n)
     r = 0.1
     f1 = bs.solve_psi(bs.Generator.zero(), bs.TerminalCondition.identity(), coeffs, 1.0, pde)
@@ -421,10 +411,10 @@ def check_rate_fit(cfg):
     rep = al.SweepReport(eps_list=eps, T=cfg.t_horizon, beta=0.0, delta1=1.0, delta2=1.0,
                          t0=float("nan"), L=1.0, C1=0.9, phi_bound=0.0,
                          n_paths=1, stats=stats)
-    rc = al.check_theorem_rate(rep)
-    dev = abs(rc.slope - h.two_h)
-    return _result("rate-fit-synthetic", dev <= 1e-10 and rc.epsilon1 == 0.5,
-                   f"slope dev {dev:.1e} (limit 1e-10), eps1={rc.epsilon1}")
+    al.check_theorem_rate(rep)
+    dev = abs(rep.fitted_slope - h.two_h)
+    return _result("rate-fit-synthetic", dev <= 1e-10 and rep.epsilon1 == 0.5,
+                   f"slope dev {dev:.1e} (limit 1e-10), eps1={rep.epsilon1}")
 
 
 def check_beta_feasibility(cfg):
@@ -491,8 +481,8 @@ def negative_control(cfg: ExperimentConfig, name: str) -> CheckResult:
     if name == "lemma1-null":
         rep = _mini_sweep(cfg)
         nulled = [replace(s.constants, alpha0=0.0, L1=0.0, C2=0.0) for s in rep.stats]
-        verdicts = al.check_lemma1(rep, constants=nulled)
-        observed_failure = not all(verdicts)
+        al.check_lemma1(rep, constants=nulled)
+        observed_failure = not all(s.lemma1_pass for s in rep.stats)
         return _result("expect-fail:lemma1-null", observed_failure,
                        "zeroed constants were caught" if observed_failure
                        else "sabotage went unnoticed")

@@ -10,10 +10,11 @@ per-column extraction are the loop forms of vectorised production layers,
 the whole-ensemble sweep is the array form of the streamed one, and the
 per-path samplers draw each path from a freshly built generator where
 production resets one bit generator per chunk, and the alpha0 bisection is
-the numeric root finder beside production's closed form, and the level
-route of eta's noise (each level array differenced back into increments)
-is the second route beside production's one cumsum of increments; all are
-kept here as cross-checks.
+the numeric root finder beside production's closed form, the closed-form
+f-bar of the benchmark generator is the analytic route beside production's
+quadrature, and the level route of eta's noise (each level array
+differenced back into increments) is the second route beside production's
+one cumsum of increments; all are kept here as cross-checks.
 """
 
 import math
@@ -233,6 +234,18 @@ def bisect_alpha0(L, C1, epsilon, h, residual_tol=1e-12):
     return float(mid), float(residual)
 
 
+def benchmark_fbar():
+    """Closed-form time average of the benchmark generator (sin averages to 0)."""
+    from sfrbsde.config import BENCHMARK_COEFFS
+
+    a, b, c, d = BENCHMARK_COEFFS
+
+    def fn(x, y, z1, z2):
+        return a * np.asarray(y, dtype=float) + b * np.asarray(z1) + c * np.asarray(z2) + d
+
+    return fn
+
+
 def whole_ensemble_sweep(original, coeffs, term, eps_list, cfg):
     """The eps-sweep on one whole-ensemble draw: every eta^eps as an array,
     both triples extracted in full, statistics from the arrays."""
@@ -263,7 +276,7 @@ def whole_ensemble_sweep(original, coeffs, term, eps_list, cfg):
         raw = array_window_stats(grid, i_lo, trip_o.Y - trip_a.Y, dZ_sq,
                                  trip_a.Y, trip_a.Z1, trip_a.Z2)
         constants = al.compute_constants(L, C1, phi.value, u, T, epsilon, cfg.beta,
-                                         hurst, raw.pop("moments"), t0=t0)
+                                         hurst, raw.pop("moments"))
         stats.append(al.PerEpsilonStats(epsilon=epsilon, t_lo=u, constants=constants, **raw))
     delta2 = cfg.delta2
     if delta2 is None:

@@ -35,7 +35,7 @@ from sfrbsde.bsde_solver import (
     solve_psi,
     solve_psis,
 )
-from sfrbsde.config import benchmark_fbar, benchmark_generator
+from sfrbsde.config import benchmark_generator
 from sfrbsde.errors import (
     ContractError,
     DomainTooSmallError,
@@ -46,7 +46,13 @@ from sfrbsde.frac_kernel import CoefficientSet, DeterministicFn, HurstModel, Qua
 from sfrbsde.grids import TimeGrid
 from sfrbsde.path_engine import RngSpec, eta_noise, make_ensemble, simulate_eta
 
-from oracles import bisect_alpha0, per_node_fbar, table_phi, whole_ensemble_sweep
+from oracles import (
+    benchmark_fbar,
+    bisect_alpha0,
+    per_node_fbar,
+    table_phi,
+    whole_ensemble_sweep,
+)
 
 H75 = HurstModel(0.75)
 QUAD = QuadratureSpec()
@@ -336,7 +342,7 @@ class TestComputeConstants:
         L, c1, phi, u, T, eps, beta = 1.5, 0.65, 0.25, 0.59, 1.0, 0.5, 0.25
         moments = (0.4, 0.3, 0.2)
         h = 0.75
-        cons = compute_constants(L, c1, phi, u, T, eps, beta, H75, moments, t0=0.75)
+        cons = compute_constants(L, c1, phi, u, T, eps, beta, H75, moments)
 
         S = 1.0 + sum(moments)
         C2 = math.sqrt((T - u) * phi * S)
@@ -360,8 +366,10 @@ class TestComputeConstants:
         assert cons.theorem_bound == pytest.approx(C4 * eps ** (1 - 2 * h * beta), rel=1e-9)
 
     def test_beta_side_condition(self):
-        with pytest.raises(ValueError):
-            compute_constants(1.0, 0.9, 0.1, 0.0, 1.0, 0.3, 0.7, H75, (0, 0, 0))
+        # beta >= 1/(2H) = 2/3, and a negative beta
+        for beta in (0.7, -0.1):
+            with pytest.raises(ValueError, match="beta"):
+                compute_constants(1.0, 0.9, 0.1, 0.0, 1.0, 0.3, beta, H75, (0, 0, 0))
 
 
 def synthetic_report(eps, mse, T=1.0, beta=0.0, bounds=None, exceed=None,
@@ -388,26 +396,26 @@ class TestRateCheck:
     def test_synthetic_exponent_recovered(self):
         eps = (0.5, 0.35, 0.25, 0.18, 0.125)
         rep = synthetic_report(eps, [e**1.5 for e in eps])
-        rc = check_theorem_rate(rep)
-        assert abs(rc.slope - 1.5) <= 1e-10
+        check_theorem_rate(rep)
+        assert abs(rep.fitted_slope - 1.5) <= 1e-10
 
     def test_epsilon1_largest_when_all_pass(self):
         eps = (0.5, 0.25, 0.125)
         rep = synthetic_report(eps, [0.0, 0.0, 0.0])
-        rc = check_theorem_rate(rep)
-        assert rc.epsilon1 == 0.5
+        check_theorem_rate(rep)
+        assert rep.epsilon1 == 0.5
 
     def test_epsilon1_threshold(self):
         eps = (0.5, 0.25, 0.125)
         rep = synthetic_report(eps, [0.9, 0.4, 0.1], delta1=0.5)
-        rc = check_theorem_rate(rep)
-        assert rc.epsilon1 == 0.25
+        check_theorem_rate(rep)
+        assert rep.epsilon1 == 0.25
 
     def test_epsilon1_none(self):
         eps = (0.5, 0.25, 0.125)
         rep = synthetic_report(eps, [0.9, 0.4, 0.6], delta1=0.5)
-        rc = check_theorem_rate(rep)
-        assert rc.epsilon1 is None
+        check_theorem_rate(rep)
+        assert rep.epsilon1 is None
 
     def test_needs_three_points(self):
         rep = synthetic_report((0.5, 0.25), [0.1, 0.05])
@@ -417,8 +425,8 @@ class TestRateCheck:
     def test_c4_bound_flags(self):
         eps = (0.5, 0.25, 0.125)
         rep = synthetic_report(eps, [0.1, 0.1, 0.1], bounds=[1.0, 1.0, 0.05])
-        rc = check_theorem_rate(rep)
-        assert rc.c4_pass == (True, True, False)
+        check_theorem_rate(rep)
+        assert [s.c4_pass for s in rep.stats] == [True, True, False]
 
 
 class TestChebyshevCheck:
@@ -427,8 +435,8 @@ class TestChebyshevCheck:
         rep = synthetic_report(eps, [0.1] * 3, bounds=[1.0] * 3,
                                exceed=[0.2, 0.1, 0.0], mean_sup_sq=[1.0, 1.0, 1.0],
                                delta2=1.0)
-        verdicts = check_chebyshev(rep)
-        assert verdicts == [True, True, True]
+        check_chebyshev(rep)
+        assert [s.chebyshev_pass for s in rep.stats] == [True, True, True]
         assert rep.chebyshev_trend_pass
 
     def test_bound_violation_detected(self):
@@ -436,7 +444,8 @@ class TestChebyshevCheck:
         rep = synthetic_report(eps, [0.1] * 3, bounds=[1e-6] * 3,
                                exceed=[0.5, 0.5, 0.5], mean_sup_sq=[1.0] * 3,
                                delta2=1.0)
-        assert check_chebyshev(rep) == [False, False, False]
+        check_chebyshev(rep)
+        assert [s.chebyshev_pass for s in rep.stats] == [False, False, False]
 
     def test_trend_violation_detected(self):
         eps = (0.5, 0.25, 0.125)
@@ -451,7 +460,8 @@ class TestChebyshevCheck:
         rep = synthetic_report(eps, [0.1] * 3, bounds=[10.0] * 3,
                                exceed=[0.9, 0.9, 0.9], mean_sup_sq=[1e-6] * 3,
                                delta2=1.0)
-        assert check_chebyshev(rep) == [False, False, False]
+        check_chebyshev(rep)
+        assert [s.chebyshev_pass for s in rep.stats] == [False, False, False]
 
 
 class TestClaimVerdicts:
@@ -548,8 +558,8 @@ class TestRunSweep:
 
         nulled = [replace(s.constants, alpha0=0.0, L1=0.0, C2=0.0)
                   for s in small_sweep.stats]
-        verdicts = check_lemma1(small_sweep, constants=nulled)
-        assert not all(verdicts)
+        check_lemma1(small_sweep, constants=nulled)
+        assert not all(s.lemma1_pass for s in small_sweep.stats)
         # restore genuine verdicts for other tests
         check_lemma1(small_sweep)
 
@@ -561,9 +571,11 @@ class TestRunSweep:
             with pytest.raises(ValueError):
                 run_sweep(benchmark_generator(1.0), coeffs,
                           TerminalCondition.square(), bad, cfg)
-        with pytest.raises(ValueError, match="n_paths"):
-            run_sweep(benchmark_generator(1.0), coeffs, TerminalCondition.square(),
-                      (0.5, 0.3, 0.2), replace(cfg, n_paths=0))
+        # one path has no standard errors: they would divide by n - 1 = 0
+        for n_paths in (0, 1):
+            with pytest.raises(ValueError, match="n_paths"):
+                run_sweep(benchmark_generator(1.0), coeffs, TerminalCondition.square(),
+                          (0.5, 0.3, 0.2), replace(cfg, n_paths=n_paths))
 
 
 def assert_same_value(got, want, rtol, where):

@@ -10,7 +10,6 @@ from sfrbsde.bsde_solver import (
     PdeConfig,
     TerminalCondition,
     brackets,
-    build_pde_coefficients,
     central_gradient,
     count_outside,
     domain_bounds,
@@ -56,35 +55,32 @@ def central_errors(field, truth, std, width=4.0):
 
 
 class TestPdeCoefficients:
+    """The tables behind the PDE's drift eps^2H b and diffusion (1/2) eps^2H lambda.
+
+    `solve_psis` scales them by eps^2H itself: TestSolvePsi's
+    test_epsilon_scaled_quadratic and test_quadratic_terminal_shift check the
+    scaling and the exact panel averages through the solution.
+    """
+
     def test_heat_equation_case(self):
         coeffs = build_coeffs(sigma2=DeterministicFn.const(0.0))
-        pc = build_pde_coefficients(coeffs, 1.0)
-        assert np.allclose(pc.mu_panel, 0.0)
-        assert np.allclose(pc.diff_nodes, 0.5, rtol=1e-10)
-
-    def test_epsilon_scaling(self, coeffs128):
-        full = build_pde_coefficients(coeffs128, 1.0)
-        half = build_pde_coefficients(coeffs128, 0.5)
-        scale = 0.5**1.5
-        assert np.allclose(half.diff_nodes, scale * full.diff_nodes, rtol=1e-12)
-        assert np.allclose(half.mu_panel, scale * full.mu_panel, rtol=1e-12, atol=1e-15)
+        assert np.allclose(coeffs.b_int_table, 0.0)
+        assert np.allclose(coeffs.lam_table, 1.0, rtol=1e-10)
 
     def test_pure_fractional_matches_kernel_rate(self):
         coeffs = build_coeffs(sigma1=DeterministicFn.const(1e-3))
-        pc = build_pde_coefficients(coeffs, 1.0)
         t = coeffs.grid.nodes[1:]
-        want = 0.5 * (1e-6 + 2.0 * 0.75 * t**0.5)
-        assert np.allclose(pc.diff_nodes[1:], want, rtol=1e-9)
-
-    def test_panel_average_telescopes(self, coeffs128):
-        pc = build_pde_coefficients(coeffs128, 1.0)
-        dt = coeffs128.grid.dt
-        total = 2.0 * (pc.diff_panel * dt).sum()
-        assert total == pytest.approx(coeffs128.sigma_abs_sq_table[-1], rel=1e-12)
+        want = 1e-6 + 2.0 * 0.75 * t**0.5
+        assert np.allclose(coeffs.lam_table[1:], want, rtol=1e-9)
 
     def test_epsilon_validated(self, coeffs128):
-        with pytest.raises(ValueError):
-            build_pde_coefficients(coeffs128, 0.0)
+        for bad in (0.0, -0.5, 1.5):
+            with pytest.raises(ValueError, match="epsilon"):
+                solve_psi(Generator.zero(), TerminalCondition.identity(), coeffs128, bad,
+                          PdeConfig(n_space=64))
+        with pytest.raises(ValueError, match="epsilon"):
+            solve_psis([Generator.zero()], TerminalCondition.identity(), coeffs128,
+                       [0.5, 0.0], PdeConfig(n_space=64))
 
 
 class TestSolvePsi:
@@ -476,8 +472,7 @@ class TestDomainAndConfig:
         # a coefficient set whose lambda would be nonpositive is rejected at build
         shrinking = DeterministicFn(fn=lambda t: 1.0 / (1.0 + 5.0 * t), name="shrink")
         coeffs = build_coeffs(n=128, sigma2=shrinking)
-        pc = build_pde_coefficients(coeffs, 1.0)
-        assert np.all(pc.diff_nodes[1:] > 0)
+        assert np.all(coeffs.lam_table[1:] > 0)
 
     def test_sigma_both_zero_rejected(self):
         with pytest.raises(CoefficientError):
