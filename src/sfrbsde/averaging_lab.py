@@ -16,7 +16,7 @@ evaluates the three quantitative claims:
 C2/C3/C4 are recomputed per epsilon because the window start u = T eps^(1-beta)
 enters them; the stated rate's window and the alternative K eps^(-2H beta)
 window from the source derivation are mutually inconsistent for small eps,
-which is surfaced in the report notes rather than reconciled.
+which the sweep summary states (WINDOW_NOTE) rather than reconciles.
 """
 
 from __future__ import annotations
@@ -247,9 +247,9 @@ def estimate_phi(gen: Generator, fbar: AveragedGenerator, sampler: BoxSampler,
     return best
 
 
-def estimate_lipschitz(gen: Generator, sampler: BoxSampler, T: float = 1.0,
-                       n_anchors: int = 16) -> float:
-    """Empirical A1 constant: sup of |f - f'|^2 / (|dy|^2 + |dz1|^2 + |dz2|^2).
+def estimate_lipschitz(gen: Generator, sampler: BoxSampler, T: float = 1.0) -> float:
+    """Empirical A1 constant: sup of |f - f'|^2 / (|dy|^2 + |dz1|^2 + |dz2|^2)
+    over the sampler's pairs, at 17 evenly spaced times of [0, T] and 5 x values.
 
     If the generator declares a constant, the samples validate it (a sampled
     exceedance is a contract error) and the declared value is returned.
@@ -263,7 +263,7 @@ def estimate_lipschitz(gen: Generator, sampler: BoxSampler, T: float = 1.0,
     dist = (y - yp) ** 2 + (z1 - z1p) ** 2 + (z2 - z2p) ** 2
     keep = dist > 1e-14
     worst = 0.0
-    for t in np.linspace(0.0, T, n_anchors + 1):
+    for t in np.linspace(0.0, T, 17):
         for xa in np.linspace(-x_width, x_width, 5):
             df = gen(t, xa, y, z1, z2) - gen(t, xa, yp, z1p, z2p)
             ratio = df[keep] ** 2 / dist[keep]
@@ -294,6 +294,14 @@ def solve_alpha0(L: float, C1: float, epsilon: float, hurst: HurstModel) -> floa
     if e >= m:
         raise InfeasibleAlphaError(epsilon, m ** (1.0 / hurst.h))
     return float(L * e / (m - e))
+
+
+def check_beta(beta: float, hurst: HurstModel) -> None:
+    """Raise ValueError unless 0 <= beta < min(1, 1/(2H)), the theorem's range."""
+    limit = min(1.0, 1.0 / hurst.two_h)
+    if not 0.0 <= beta < limit:
+        raise ValueError(f"beta must satisfy 0 <= beta < min(1, 1/(2H)) = {limit:.6g}, "
+                         f"got {beta!r}")
 
 
 @dataclass(frozen=True)
@@ -330,9 +338,7 @@ def compute_constants(
     expressions, and multiplies the bracketed prefactor by
     eps^(2H(1+beta)-1) and the exponential factor.
     """
-    if not 0.0 <= beta < min(1.0, 1.0 / hurst.two_h):
-        raise ValueError(f"beta must satisfy 0 <= beta < min(1, 1/(2H)) = "
-                         f"{min(1.0, 1.0 / hurst.two_h):.6g}, got {beta!r}")
+    check_beta(beta, hurst)
     if not 0 <= u < T:
         raise ValueError(f"window start u must lie in [0, T), got {u!r}")
     moment_sum = 1.0 + float(sum(averaged_moments))
@@ -381,6 +387,8 @@ class SweepConfig:
 
 # phi is estimated on the windows [s, T] for PHI_WINDOWS starts s evenly spaced in [0, T)
 PHI_WINDOWS = 16
+# the fewest epsilons a sweep takes: the rate fit is a line through at least three points
+MIN_EPS_POINTS = 3
 
 
 @dataclass
@@ -425,7 +433,6 @@ class SweepReport:
     epsilon1: float | None = None
     chebyshev_trend_pass: bool = False
     fbar_panels: int = 0
-    notes: str = WINDOW_NOTE
 
 
 class _WindowFold:
@@ -597,12 +604,14 @@ def run_sweep(
     and reruns are byte-identical.
     """
     eps = [float(e) for e in eps_list]
-    if not eps or any(not 0 < e <= 1 for e in eps) or any(
+    if len(eps) < MIN_EPS_POINTS or any(not 0 < e <= 1 for e in eps) or any(
         not a > b for a, b in zip(eps, eps[1:])
     ):
-        raise ValueError("eps_list must be strictly decreasing inside (0, 1]")
+        raise ValueError(f"eps_list must hold at least {MIN_EPS_POINTS} values, strictly "
+                         f"decreasing inside (0, 1], got {eps!r}")
     if cfg.n_paths < 2:
         raise ValueError(f"n_paths must be >= 2 for standard errors, got {cfg.n_paths!r}")
+    check_beta(cfg.beta, coeffs.hurst)
 
     grid = coeffs.grid
     T = coeffs.T
@@ -613,6 +622,9 @@ def run_sweep(
     averaged = fbar.as_generator()
     L = estimate_lipschitz(original, cfg.phi_sampler, T=T)
     C1 = c1_lower_bound(coeffs, t0)
+    # an eps without an alpha0 fails here, before any PDE is solved or path drawn
+    for epsilon in eps:
+        solve_alpha0(L, C1, epsilon, hurst)
     starts = np.linspace(0.0, T * (1.0 - 1.0 / PHI_WINDOWS), PHI_WINDOWS)
     phi = estimate_phi(original, fbar, cfg.phi_sampler, [(s, T) for s in starts])
 
@@ -685,8 +697,8 @@ def check_theorem_rate(report: SweepReport) -> None:
     """Write the least-squares slope of log sup-MSE vs log eps and the delta1
     threshold epsilon1 into the report, and each eps's C4 eps^(1-2H beta)
     domination verdict into its stats; returns nothing."""
-    if len(report.stats) < 3:
-        raise ValueError("rate fit needs at least 3 epsilon points")
+    if len(report.stats) < MIN_EPS_POINTS:
+        raise ValueError(f"rate fit needs at least {MIN_EPS_POINTS} epsilon points")
     eps = np.array([s.epsilon for s in report.stats])
     mse = np.array([s.sup_mse for s in report.stats])
     pos = mse > 0

@@ -39,7 +39,7 @@ from scipy.linalg.lapack import dgttrf, dgttrs
 
 from .errors import DomainTooSmallError, NumericError, PicardError
 from .frac_kernel import CoefficientSet
-from .grids import TimeGrid
+from .runio import MAX_CSV_ROWS, write_csv
 
 
 @dataclass(frozen=True)
@@ -125,10 +125,8 @@ class SolutionField:
     psi: np.ndarray
     psi_x: np.ndarray
 
-    def export_csv(self, path, max_rows: int = 2_000_000):
-        from .runio import write_csv
-
-        stride = max(1, int(np.ceil(self.psi.size / max_rows)))
+    def export_csv(self, path):
+        stride = max(1, int(np.ceil(self.psi.size / MAX_CSV_ROWS)))
         rows = (
             (self.t_nodes[k], x, self.psi[k, j], self.psi_x[k, j])
             for k in range(0, self.t_nodes.size, stride)
@@ -141,7 +139,6 @@ class SolutionField:
 class TriplePath:
     """(Y, Z1, Z2) along simulated eta paths, plus the paths themselves."""
 
-    grid: TimeGrid
     eta: np.ndarray
     Y: np.ndarray
     Z1: np.ndarray
@@ -436,15 +433,13 @@ def extract_triple(field: SolutionField, eta: np.ndarray, coeffs: CoefficientSet
         slope = interp_at(psi_x, dpsi_x, cell, offset)
         np.multiply(slope, sig1, out=Z1[block])
         np.multiply(slope, sig2, out=Z2[block])
-    return TriplePath(grid=TimeGrid(T=float(t[-1]), n_steps=t.size - 1), eta=eta,
-                      Y=Y, Z1=Z1, Z2=Z2, clamp_fraction=clamp_fraction)
+    return TriplePath(eta=eta, Y=Y, Z1=Z1, Z2=Z2, clamp_fraction=clamp_fraction)
 
 
 @dataclass(frozen=True)
 class MalliavinCheck:
     applicable: bool
     max_deviation: float
-    detail: str = ""
 
 
 def malliavin_representation_check(triple: TriplePath, field: SolutionField,
@@ -458,8 +453,7 @@ def malliavin_representation_check(triple: TriplePath, field: SolutionField,
     sig2 = np.asarray(coeffs.sigma2(t), dtype=float)
     usable = (np.abs(sig2) > 0) & (t > 0)
     if not np.any(usable):
-        return MalliavinCheck(applicable=False, max_deviation=0.0,
-                              detail="sigma2 vanishes identically: not applicable")
+        return MalliavinCheck(applicable=False, max_deviation=0.0)
     s2hat = coeffs.sigma2_hat_table
     max_dev = 0.0
     for k in np.nonzero(usable)[0]:
@@ -488,7 +482,7 @@ def residual_mean_check(triple: TriplePath, gen: Generator, coeffs: CoefficientS
     plus Monte-Carlo noise.  The estimate is path-paired, so the stderr
     reflects the coupled difference.
     """
-    grid = triple.grid
+    grid = coeffs.grid
     k0 = grid.first_index_at_or_after(probe)
     t = grid.nodes
     f_vals = np.empty((triple.Y.shape[0], t.size - k0))

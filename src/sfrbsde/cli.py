@@ -19,10 +19,8 @@ from . import bsde_solver as bs
 from . import path_engine as pe
 from .config import ExperimentConfig, parse_config, validated
 from .errors import ConfigError, NumericError, SfrbsdeError
-from .runio import RunManifest, write_csv
+from .runio import MAX_CSV_ROWS, RunManifest, write_csv
 from .verify import negative_control, run_all
-
-MAX_PATH_CSV_ROWS = 2_000_000
 
 
 def _load_config(args) -> ExperimentConfig:
@@ -59,7 +57,7 @@ def cmd_simulate_fbm(cfg: ExperimentConfig) -> int:
 
     manifest.begin("write")
     nodes = cfg.grid().nodes
-    keep = max(1, min(cfg.n_paths, MAX_PATH_CSV_ROWS // nodes.size))
+    keep = max(1, min(cfg.n_paths, MAX_CSV_ROWS // nodes.size))
     rows = (
         (p, t, ens.B[p, k], ens.BH[p, k], eta[p, k])
         for p in range(keep)
@@ -207,7 +205,7 @@ def sweep_summary_text(report: al.SweepReport) -> str:
                      f"{s.z_err_integral:<12.4e} {s.exceed_prob:<8.4f} "
                      f"{s.constants.theorem_bound:.4e}")
     lines.append("")
-    lines.append(f"note: {report.notes}")
+    lines.append(f"note: {al.WINDOW_NOTE}")
     return "\n".join(lines) + "\n"
 
 

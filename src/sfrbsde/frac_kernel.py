@@ -133,9 +133,9 @@ def rho(t, s, hurst: HurstModel):
 
 # a table build asks for the same few rules once per grid node
 @lru_cache(maxsize=16)
-def _unit_graded_gl(panels: int, order: int = 4, grade: float = 3.0):
-    """Read-only composite Gauss-Legendre nodes/weights on [0,1], panels graded toward 0."""
-    gx, gw = np.polynomial.legendre.leggauss(order)
+def _unit_graded_gl(panels: int, grade: float):
+    """Read-only composite 4-point Gauss-Legendre nodes/weights on [0,1], panels graded toward 0."""
+    gx, gw = np.polynomial.legendre.leggauss(4)
     edges = (np.arange(panels + 1) / panels) ** grade
     mid = 0.5 * (edges[:-1] + edges[1:])
     half = 0.5 * (edges[1:] - edges[:-1])
@@ -210,9 +210,9 @@ def c0_const(hurst: HurstModel, t_horizon: float) -> float:
     return hurst.h * t_horizon ** (2.0 * hurst.h - 1.0)
 
 
-def _gl_panel_integrals(f, nodes: np.ndarray, order: int = 8):
-    """Integral of f over each grid panel by fixed-order Gauss-Legendre."""
-    gx, gw = np.polynomial.legendre.leggauss(order)
+def _gl_panel_integrals(f, nodes: np.ndarray):
+    """Integral of f over each grid panel by 8-point Gauss-Legendre."""
+    gx, gw = np.polynomial.legendre.leggauss(8)
     a, b = nodes[:-1], nodes[1:]
     mid = 0.5 * (a + b)
     half = 0.5 * (b - a)
@@ -267,8 +267,14 @@ class CoefficientSet:
         t = grid.nodes
         interior = t[1:]
 
-        sig2_on_grid = sigma2(interior)
+        b_vals = b(t)
         sig1_on_grid = sigma1(interior)
+        sig2_on_grid = sigma2(interior)
+        # first: an infinite sigma would pass for one that vanishes below
+        for label, fn, values in (("b", b, b_vals), ("sigma1", sigma1, sig1_on_grid),
+                                  ("sigma2", sigma2, sig2_on_grid)):
+            if not np.all(np.isfinite(values)):
+                raise CoefficientError(f"{label}={fn.name} is not finite on the grid")
         degenerate2 = bool(np.all(sig2_on_grid == 0.0))
         degenerate1 = bool(np.all(sig1_on_grid == 0.0))
         # relative threshold: a coefficient crossing zero lands near but not
@@ -279,8 +285,6 @@ class CoefficientSet:
             raise CoefficientError(f"sigma2={sigma2.name} vanishes inside (0, T]")
         if not degenerate1 and np.any(np.abs(sig1_on_grid) <= tiny1):
             raise CoefficientError(f"sigma1={sigma1.name} vanishes inside (0, T]")
-        if not np.all(np.isfinite(sig1_on_grid)) or not np.all(np.isfinite(sig2_on_grid)):
-            raise CoefficientError("sigma coefficients must be finite on (0, T]")
 
         s2hat = np.zeros_like(t)
         s2hat[1:] = kernel_transform(sigma2, interior, hurst, _TABLE_PANELS)
@@ -310,7 +314,6 @@ class CoefficientSet:
             raise CoefficientError("|sigma|^2_t is not strictly increasing on the grid")
 
         b_int = np.zeros_like(t)
-        b_vals = b(t)
         b_int[1:] = np.cumsum(0.5 * (b_vals[1:] + b_vals[:-1]) * np.diff(t))
 
         for arr in (nsq, s2hat, abs_sq, lam, b_int):

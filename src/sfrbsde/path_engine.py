@@ -26,7 +26,7 @@ from functools import cached_property, lru_cache
 import numpy as np
 
 from .errors import EmbeddingError, FactorizationError
-from .frac_kernel import CoefficientSet, HurstModel
+from .frac_kernel import CoefficientSet, HurstModel, _gl_panel_integrals, c0_const
 from .grids import TimeGrid
 
 _PURPOSE_BM = 1
@@ -176,21 +176,13 @@ def circulant_eigenvalues(n_steps: int, hurst: HurstModel, dt: float) -> np.ndar
     return np.maximum(eig, 0.0)
 
 
-@lru_cache(maxsize=4)
-def circulant_sqrt_eigenvalues(grid: TimeGrid, hurst: HurstModel) -> np.ndarray:
-    """Read-only square roots of `circulant_eigenvalues` on the grid."""
-    sqrt_eig = np.sqrt(circulant_eigenvalues(grid.n_steps, hurst, grid.dt))
-    sqrt_eig.setflags(write=False)
-    return sqrt_eig
-
-
 def fbm_circulant(grid: TimeGrid, hurst: HurstModel, n_paths: int, rng: RngSpec) -> PathEnsemble:
     """Davies-Harte sampling: stationary increments via circulant embedding."""
     if n_paths < 1:
         raise ValueError("n_paths must be positive")
     n = grid.n_steps
     m = 2 * n
-    sqrt_eig = circulant_sqrt_eigenvalues(grid, hurst)
+    sqrt_eig = np.sqrt(circulant_eigenvalues(n, hurst, grid.dt))
     dBH = np.empty((n_paths, n))
     # per block of paths: real normals, Hermitian-symmetric complex rows, FFT
     block = 4096
@@ -263,8 +255,6 @@ def check_lemma_var_bound(xi, ensemble: PathEnsemble) -> VarBoundReport:
     """E[(int |xi| dB^H)^2] <= C0 int xi^2 ds + C0 T^2, C0 = H T^(2H-1)."""
     if ensemble.hurst is None:
         raise ValueError("ensemble carries no Hurst model")
-    from .frac_kernel import c0_const, _gl_panel_integrals
-
     grid = ensemble.grid
     abs_xi = lambda t: np.abs(np.asarray(xi(t), dtype=float))
     integral = wiener_integral_det(abs_xi, ensemble, "BH")

@@ -14,6 +14,9 @@ import time
 from dataclasses import dataclass, field as dc_field
 from pathlib import Path
 
+# the row cap of `simulate-fbm`'s paths.csv and `solve`'s psi.csv
+MAX_CSV_ROWS = 2_000_000
+
 
 def format_value(value) -> str:
     if isinstance(value, bool):

@@ -578,6 +578,45 @@ class TestRunSweep:
                           (0.5, 0.3, 0.2), replace(cfg, n_paths=n_paths))
 
 
+class _LateStage(Exception):
+    """Raised by a sweep stage that an invalid input should never reach."""
+
+
+class TestSweepFailsEarly:
+    """Inputs the sweep cannot finish with fail before phi, any PDE or any path."""
+
+    @pytest.fixture
+    def coeffs(self, monkeypatch):
+        def late(*args, **kwargs):
+            raise _LateStage
+        for name in ("estimate_phi", "solve_psis", "make_ensemble"):
+            monkeypatch.setattr(averaging_lab, name, late)
+        return CoefficientSet.build(ZERO, ONE, ONE, TimeGrid(T=1.0, n_steps=16), H75)
+
+    def sweep(self, coeffs, eps=(0.5, 0.3, 0.2), **cfg):
+        cfg = SweepConfig(**{"n_paths": 1000, "t0": 0.75, "rng": RngSpec(seed=1), **cfg})
+        run_sweep(benchmark_generator(1.0), coeffs, TerminalCondition.square(), eps, cfg)
+
+    def test_stages_reached_with_valid_inputs(self, coeffs):
+        with pytest.raises(_LateStage):
+            self.sweep(coeffs)
+
+    @pytest.mark.parametrize("eps", [(0.5,), (0.5, 0.25)], ids=["one", "two"])
+    def test_too_few_epsilons(self, coeffs, eps):
+        with pytest.raises(ValueError, match="eps_list must hold at least 3"):
+            self.sweep(coeffs, eps)
+
+    @pytest.mark.parametrize("beta", [2.0 / 3.0, 0.7, -0.1])
+    def test_beta_out_of_range(self, coeffs, beta):
+        with pytest.raises(ValueError, match="beta"):
+            self.sweep(coeffs, beta=beta)
+
+    def test_infeasible_alpha0(self, coeffs):
+        # t0 = T/100: C1 = sigma2_hat(1/16) = 0.1875 < 0.5^H, so eps = 0.5 has no alpha0
+        with pytest.raises(InfeasibleAlphaError):
+            self.sweep(coeffs, t0=None)
+
+
 def assert_same_value(got, want, rtol, where):
     if isinstance(want, (float, np.ndarray)):
         np.testing.assert_allclose(got, want, rtol=rtol, atol=0.0, err_msg=where)

@@ -3,6 +3,7 @@ import os
 import numpy as np
 import pytest
 
+from sfrbsde import averaging_lab
 from sfrbsde.cli import main
 from sfrbsde.config import (
     ExperimentConfig,
@@ -90,6 +91,17 @@ class TestParseConfig:
             parse_config(path)
         assert any("strictly decreasing" in v for v in err.value.violations)
 
+    # two values passed validation, and the sweep crashed in the rate fit after
+    # solving every PDE
+    @pytest.mark.parametrize("eps_list", ["0.5", "0.5,0.25"])
+    def test_eps_list_needs_three_values(self, tmp_path, capsys, eps_list):
+        path = write_cfg(tmp_path, f"eps_list = {eps_list}\n")
+        with pytest.raises(ConfigError) as err:
+            parse_config(path)
+        assert any(v.startswith("eps_list: needs at least 3") for v in err.value.violations)
+        assert main(["sweep", "--config", path]) == 2
+        assert "eps_list" in capsys.readouterr().err
+
     def test_duplicate_key(self, tmp_path):
         path = write_cfg(tmp_path, "h = 0.6\nh = 0.7\n")
         with pytest.raises(ConfigError) as err:
@@ -97,7 +109,7 @@ class TestParseConfig:
         assert any("duplicate" in v for v in err.value.violations)
 
     def test_roundtrip(self, tmp_path):
-        cfg = ExperimentConfig(h=0.8, n_time=128, eps_list=(0.4, 0.2), seed=7,
+        cfg = ExperimentConfig(h=0.8, n_time=128, eps_list=(0.4, 0.2, 0.1), seed=7,
                                generator="linear_y:0.2", sigma2="sinusoidal:1.5")
         path = write_cfg(tmp_path, cfg.to_text())
         assert parse_config(path) == cfg
@@ -143,6 +155,28 @@ class TestCli:
         rc = main(["sweep", "--config", path])
         assert rc == 2
         assert "H must lie" in capsys.readouterr().err
+
+    def test_version(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["--version"])
+        assert exc.value.code == 0
+        assert capsys.readouterr().out == "0.1.0\n"
+
+    def test_non_finite_coefficient_exit_3(self, tmp_path, capsys):
+        # a NaN drift used to reach the PDE and stall the Picard iteration
+        path = write_cfg(tmp_path, SMALL + "b = constant:nan\n"
+                         f"out_dir = {tmp_path / 'out'}\n")
+        assert main(["solve", "--config", path]) == 3
+        assert "b=b:constant:nan is not finite" in capsys.readouterr().err
+
+    def test_default_t0_stops_before_any_pde(self, tmp_path, capsys, monkeypatch):
+        # t0 = T/100 leaves no alpha0 for the default eps_list's 0.5
+        def solve_psis(*args):
+            raise AssertionError("the sweep solved a PDE")
+        monkeypatch.setattr(averaging_lab, "solve_psis", solve_psis)
+        path = write_cfg(tmp_path, f"n_time = 16\nn_space = 64\nout_dir = {tmp_path}\n")
+        assert main(["sweep", "--config", path]) == 3
+        assert "no admissible alpha0 for epsilon=0.5" in capsys.readouterr().err
 
     def test_missing_config_exit_2(self, tmp_path):
         assert main(["sweep", "--config", str(tmp_path / "absent.cfg")]) == 2

@@ -229,6 +229,15 @@ class TestCoefficientSet:
         with pytest.raises(CoefficientError):
             build_coeffs(sigma2=crossing)
 
+    # an infinite sigma used to be reported as vanishing, and a non-finite b
+    # built a set whose tables were NaN
+    @pytest.mark.parametrize("value", [np.inf, np.nan], ids=["inf", "nan"])
+    @pytest.mark.parametrize("which", ["b", "sigma1", "sigma2"])
+    def test_non_finite_coefficient_named(self, which, value):
+        bad = DeterministicFn.const(value, name="bad")
+        with pytest.raises(CoefficientError, match=rf"^{which}=bad is not finite"):
+            build_coeffs(**{which: bad})
+
     def test_tables_readonly(self):
         coeffs = build_coeffs()
         with pytest.raises(ValueError):

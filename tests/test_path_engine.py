@@ -1,3 +1,8 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -16,7 +21,6 @@ from sfrbsde.path_engine import (
     bm_paths,
     check_lemma_var_bound,
     circulant_eigenvalues,
-    circulant_sqrt_eigenvalues,
     cholesky_factor,
     eta_noise,
     fbm_cholesky,
@@ -427,17 +431,16 @@ class TestSeedingWork:
 
 
 class TestFactorMemo:
-    """The fBm factors are built once per (grid, hurst); the jitter fallback stays."""
+    """The Cholesky factor is built once per (grid, hurst); the jitter fallback stays.
+    The circulant eigenvalues cost well under 2% of a block's draw and are not kept."""
 
     GRID = TimeGrid(T=1.0, n_steps=16)
 
     @pytest.fixture(autouse=True)
     def fresh_memo(self):
         cholesky_factor.cache_clear()
-        circulant_sqrt_eigenvalues.cache_clear()
         yield
         cholesky_factor.cache_clear()
-        circulant_sqrt_eigenvalues.cache_clear()
 
     def failing_cholesky(self, monkeypatch, failures):
         real = np.linalg.cholesky
@@ -457,10 +460,6 @@ class TestFactorMemo:
         assert cholesky_factor(TimeGrid(T=1.0, n_steps=16), HurstModel(0.75)) is chol
         assert not chol.flags.writeable
         assert np.array_equal(chol, differenced_cholesky(fbm_covariance(self.GRID.nodes[1:], H75)))
-        sqrt_eig = circulant_sqrt_eigenvalues(self.GRID, H75)
-        assert circulant_sqrt_eigenvalues(self.GRID, H75) is sqrt_eig
-        assert not sqrt_eig.flags.writeable
-        assert np.array_equal(sqrt_eig, np.sqrt(circulant_eigenvalues(16, H75, self.GRID.dt)))
 
     def test_one_failure_adds_jitter(self, monkeypatch):
         cov = fbm_covariance(self.GRID.nodes[1:], H75)
@@ -501,6 +500,17 @@ class TestFactorMemo:
                           phi_sampler=BoxSampler(n_samples=64))
         run_sweep(benchmark_generator(1.0), coeffs, TerminalCondition.square(),
                   (0.5, 0.3, 0.2), cfg)
-        # four path blocks, three eps: one build all the same
+        # four path blocks, three eps: one Cholesky factor for the sweep, or
+        # one set of circulant eigenvalues per block
         assert built.count("chol") == (method == "cholesky")
-        assert built.count("eig") == (method == "circulant")
+        assert built.count("eig") == (4 if method == "circulant" else 0)
+
+
+def test_module_imports_alone():
+    """The package re-exports nothing: a module loads only what it imports."""
+    src = str(Path(path_engine.__file__).parents[1])
+    code = ("import sys, sfrbsde.path_engine; "
+            "print(sorted({'scipy', 'sfrbsde.averaging_lab'} & set(sys.modules)))")
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         check=True, env={**os.environ, "PYTHONPATH": src})
+    assert out.stdout.strip() == "[]"
