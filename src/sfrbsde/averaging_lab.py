@@ -39,7 +39,7 @@ from .bsde_solver import (
     solve_psis,
 )
 from .errors import ContractError, InfeasibleAlphaError, NumericError, QuadratureConvergenceError
-from .frac_kernel import CoefficientSet, HurstModel, QuadratureSpec, c0_const, c1_lower_bound
+from .frac_kernel import CoefficientSet, HurstModel, c0_const, c1_lower_bound
 from .path_engine import RngSpec, eta_noise, make_ensemble
 
 WINDOW_NOTE = (
@@ -75,6 +75,20 @@ class AveragedGenerator:
 # the first panel count tried; a single GL-4 panel integrates sin(2 pi t / T)
 # exactly by symmetry, so agreement of very coarse counts would prove nothing
 MIN_FBAR_PANELS = 8
+
+
+@dataclass(frozen=True)
+class QuadratureSpec:
+    """build_fbar's panel cap and tolerance; frac_kernel's integrals have a fixed rule."""
+
+    panels: int = 256
+    tol: float = 1e-8
+
+    def __post_init__(self):
+        if self.panels < MIN_FBAR_PANELS:
+            raise ValueError(f"panel count must be >= {MIN_FBAR_PANELS}, got {self.panels!r}")
+        if not self.tol > 0:
+            raise ValueError(f"tolerance must be > 0, got {self.tol!r}")
 
 
 def _gl_time_average(gen: Generator, T: float, panels: int) -> Callable:
@@ -296,11 +310,11 @@ def solve_alpha0(L: float, C1: float, epsilon: float, hurst: HurstModel) -> floa
     return float(L * e / (m - e))
 
 
-def check_beta(beta: float, hurst: HurstModel) -> None:
-    """Raise ValueError unless 0 <= beta < min(1, 1/(2H)), the theorem's range."""
-    limit = min(1.0, 1.0 / hurst.two_h)
+def check_beta(beta: float, h: float) -> None:
+    """Raise ValueError unless 0 <= beta < min(1, 1/(2H)); for any float H (limit 1 if H <= 1/2)."""
+    limit = 1.0 / max(1.0, 2.0 * h)
     if not 0.0 <= beta < limit:
-        raise ValueError(f"beta must satisfy 0 <= beta < min(1, 1/(2H)) = {limit:.6g}, "
+        raise ValueError(f"beta: must satisfy 0 <= beta < min(1, 1/(2H)) = {limit:.6g}, "
                          f"got {beta!r}")
 
 
@@ -338,7 +352,7 @@ def compute_constants(
     expressions, and multiplies the bracketed prefactor by
     eps^(2H(1+beta)-1) and the exponential factor.
     """
-    check_beta(beta, hurst)
+    check_beta(beta, hurst.h)
     if not 0 <= u < T:
         raise ValueError(f"window start u must lie in [0, T), got {u!r}")
     moment_sum = 1.0 + float(sum(averaged_moments))
@@ -611,7 +625,7 @@ def run_sweep(
                          f"decreasing inside (0, 1], got {eps!r}")
     if cfg.n_paths < 2:
         raise ValueError(f"n_paths must be >= 2 for standard errors, got {cfg.n_paths!r}")
-    check_beta(cfg.beta, coeffs.hurst)
+    check_beta(cfg.beta, coeffs.hurst.h)
 
     grid = coeffs.grid
     T = coeffs.T

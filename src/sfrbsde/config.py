@@ -15,7 +15,7 @@ from typing import Callable
 
 import numpy as np
 
-from .averaging_lab import MIN_EPS_POINTS
+from .averaging_lab import MIN_EPS_POINTS, check_beta
 from .bsde_solver import Generator, PdeConfig, TerminalCondition
 from .errors import ConfigError
 from .frac_kernel import CoefficientSet, DeterministicFn, HurstModel
@@ -190,11 +190,10 @@ def _validate(cfg: ExperimentConfig) -> list[str]:
         bad.append(f"eps_list: all values must lie in (0, 1], got {cfg.eps_list!r}")
     if any(not a > b for a, b in zip(cfg.eps_list, cfg.eps_list[1:])):
         bad.append(f"eps_list: values must be strictly decreasing, got {cfg.eps_list!r}")
-    if not (0.0 <= cfg.beta < 1.0):
-        bad.append(f"beta: must lie in [0, 1), got {cfg.beta!r}")
-    elif 0.5 < cfg.h < 1.0 and cfg.beta >= 1.0 / (2.0 * cfg.h):
-        bad.append(f"beta: must satisfy beta < 1/(2H) = {1.0 / (2.0 * cfg.h):.6g}, "
-                   f"got {cfg.beta!r}")
+    try:
+        check_beta(cfg.beta, cfg.h)
+    except ValueError as exc:
+        bad.append(str(exc))
     if not cfg.delta1 > 0:
         bad.append(f"delta1: must be > 0, got {cfg.delta1!r}")
     if cfg.delta2 < 0:

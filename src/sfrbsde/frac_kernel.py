@@ -40,8 +40,9 @@ from .grids import TimeGrid
 # the lambda consistency check starts at this node index.
 _FD_CHECK_FIRST_NODE = 8
 _FD_CHECK_RTOL = 1e-3
-# panels per axis for the grid tables built by CoefficientSet.build
+# panels per axis of the one kernel rule, for the tables and inner products alike
 _TABLE_PANELS = 64
+REFINE_TOL = 1e-8  # how far doubling the panels may move a value, times max(1, |value|)
 
 
 @dataclass(frozen=True)
@@ -100,20 +101,6 @@ class DeterministicFn:
         )
 
 
-@dataclass(frozen=True)
-class QuadratureSpec:
-    """Panel count per axis and refinement tolerance."""
-
-    panels: int = 256
-    tol: float = 1e-8
-
-    def __post_init__(self):
-        if self.panels < 8:
-            raise ValueError(f"panel count must be >= 8, got {self.panels!r}")
-        if not self.tol > 0:
-            raise ValueError(f"tolerance must be > 0, got {self.tol!r}")
-
-
 def rho(t, s, hurst: HurstModel):
     """Kernel H(2H-1)|t-s|^(2H-2); symmetric, positive, singular on t == s."""
     t = np.asarray(t, dtype=float)
@@ -146,27 +133,22 @@ def _unit_graded_gl(panels: int, grade: float):
     return x, w
 
 
-def _kernel_transform_power(g, t_values: np.ndarray, hurst: HurstModel, panels: int):
-    """A_g(t) = int_0^t rho(t, v) g(v) dv for each t, via w = (t-v)^s.
-
-    Vectorized over t: A_g(t) = H t^s sum_j w_j g(t (1 - x_j^(1/s))).
-    """
-    s = hurst.increment_exponent
-    x, w = _unit_graded_gl(panels, grade=2.0)
-    shrink = 1.0 - x ** (1.0 / s)
-    vals = g(t_values[:, None] * shrink[None, :])
-    return hurst.h * t_values**s * (vals @ w)
-
-
 def kernel_transform(g, t, hurst: HurstModel, panels: int):
-    """int_0^t rho(t, v) g(v) dv with `panels` panels of the power substitution."""
+    """A_g(t) = int_0^t rho(t, v) g(v) dv with `panels` panels of the power substitution.
+
+    Vectorized over t > 0: A_g(t) = H t^s sum_j w_j g(t (1 - x_j^(1/s))).
+    """
     t_values = np.atleast_1d(np.asarray(t, dtype=float))
     if np.any(t_values < 0):
         raise ValueError("kernel transform needs t >= 0")
     pos = t_values > 0
     out = np.zeros_like(t_values)
     if np.any(pos):
-        out[pos] = _kernel_transform_power(g, t_values[pos], hurst, panels)
+        s = hurst.increment_exponent
+        x, w = _unit_graded_gl(panels, grade=2.0)
+        shrink = 1.0 - x ** (1.0 / s)
+        t_pos = t_values[pos]
+        out[pos] = hurst.h * t_pos**s * (g(t_pos[:, None] * shrink[None, :]) @ w)
     return float(out[0]) if np.isscalar(t) or np.asarray(t).ndim == 0 else out
 
 
@@ -181,26 +163,29 @@ def _inner_product_once(xi, eta, t: float, hurst: HurstModel, panels: int):
     return float(wu @ (xi(u) * a_eta + eta(u) * a_xi))
 
 
-def inner_product(xi, eta, t: float, hurst: HurstModel, quad: QuadratureSpec) -> float:
-    """<xi, eta>_t, splitting the square into the two triangles around u = v.
+def guarded_inner_product(xi, eta, t: float, hurst: HurstModel) -> tuple[float, float]:
+    """<xi, eta>_t by the kernel rule, and how far doubling its panels moves it.
 
-    Computed at half and full panel counts; if the refinement moves the value
-    by more than the tolerance (relative to scale) the call fails rather than
-    returning a silently unconverged number.
-    """
+    The one refinement guard: a drift above REFINE_TOL * max(1, |value|) raises
+    rather than returning a silently unconverged number."""
     if not t > 0:
         raise ValueError(f"inner product needs t in (0, T], got {t!r}")
-    coarse = _inner_product_once(xi, eta, t, hurst, max(quad.panels // 2, 8))
-    fine = _inner_product_once(xi, eta, t, hurst, quad.panels)
-    if abs(fine - coarse) > quad.tol * max(1.0, abs(fine)):
-        raise QuadratureConvergenceError(coarse, fine, quad.tol)
-    return fine
+    value = _inner_product_once(xi, eta, t, hurst, _TABLE_PANELS)
+    fine = _inner_product_once(xi, eta, t, hurst, 2 * _TABLE_PANELS)
+    drift = abs(fine - value)
+    if drift > REFINE_TOL * max(1.0, abs(value)):
+        raise QuadratureConvergenceError(value, fine, REFINE_TOL)
+    return value, drift
 
 
-def norm_sq(xi, t: float, hurst: HurstModel, quad: QuadratureSpec) -> float:
+def inner_product(xi, eta, t: float, hurst: HurstModel) -> float:
+    """<xi, eta>_t, splitting the square into the two triangles around u = v."""
+    return guarded_inner_product(xi, eta, t, hurst)[0]
+
+
+def norm_sq(xi, t: float, hurst: HurstModel) -> float:
     """||xi||_t^2 = <xi, xi>_t >= 0."""
-    value = inner_product(xi, xi, t, hurst, quad)
-    return max(value, 0.0)
+    return max(inner_product(xi, xi, t, hurst), 0.0)
 
 
 def c0_const(hurst: HurstModel, t_horizon: float) -> float:
@@ -227,7 +212,7 @@ class CoefficientSet:
     Tables live on the shared simulation grid and are reused by every
     Monte-Carlo path and PDE step:
 
-      norm_sq_table[k]      = ||sigma2||^2_{t_k}
+      norm_sq_table[k]      = ||sigma2||^2_{t_k}  (inner_product's rule, guarded at T only)
       sigma2_hat_table[k]   = sigma2_hat(t_k)
       sigma_abs_sq_table[k] = |sigma|^2_{t_k} = int_0^{t_k} sigma1(s)^2 ds
                               + ||sigma2||^2_{t_k}
@@ -291,8 +276,10 @@ class CoefficientSet:
 
         nsq = np.zeros_like(t)
         if not degenerate2:
-            for k in range(1, len(t)):
+            for k in range(1, len(t) - 1):
                 nsq[k] = _inner_product_once(sigma2, sigma2, t[k], hurst, _TABLE_PANELS)
+            # the refinement guard runs once, at T
+            nsq[-1] = guarded_inner_product(sigma2, sigma2, t[-1], hurst)[0]
 
         sig1_sq_int = np.zeros_like(t)
         sig1_sq_int[1:] = np.cumsum(

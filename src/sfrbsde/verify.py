@@ -17,7 +17,7 @@ from . import bsde_solver as bs
 from . import frac_kernel as fk
 from . import path_engine as pe
 from .config import ExperimentConfig, benchmark_generator, config_from_mapping
-from .errors import ConfigError, ConsistencyError
+from .errors import ConfigError, ConsistencyError, QuadratureConvergenceError
 from .grids import TimeGrid
 
 
@@ -50,43 +50,43 @@ def check_kernel_symmetry(cfg):
 
 
 def check_kernel_bilinearity(cfg):
-    h, q = cfg.hurst(), fk.QuadratureSpec()
+    h = cfg.hurst()
     xi1 = fk.DeterministicFn.linear(1.0)
     xi2 = fk.DeterministicFn(fn=lambda t: np.cos(t), name="cos")
     eta = fk.DeterministicFn(fn=lambda t: 1.0 + 0.5 * t**2, name="poly")
     a, b = 1.75, -0.6
     combo = fk.DeterministicFn(fn=lambda t: a * t + b * np.cos(t), name="combo")
-    lhs = fk.inner_product(combo, eta, cfg.t_horizon, h, q)
-    rhs = a * fk.inner_product(xi1, eta, cfg.t_horizon, h, q) + b * fk.inner_product(
-        xi2, eta, cfg.t_horizon, h, q
+    lhs = fk.inner_product(combo, eta, cfg.t_horizon, h)
+    rhs = a * fk.inner_product(xi1, eta, cfg.t_horizon, h) + b * fk.inner_product(
+        xi2, eta, cfg.t_horizon, h
     )
     err = abs(lhs - rhs) / max(1.0, abs(lhs))
-    return _result("kernel-bilinearity", err <= 10 * q.tol, f"rel dev {err:.1e} (limit {10 * q.tol:.0e})")
+    limit = 10 * fk.REFINE_TOL
+    return _result("kernel-bilinearity", err <= limit, f"rel dev {err:.1e} (limit {limit:.0e})")
 
 
 def check_kernel_cauchy_schwarz(cfg):
-    h, q = cfg.hurst(), fk.QuadratureSpec()
+    h = cfg.hurst()
     rng = np.random.default_rng(cfg.seed + 1)
     worst = -np.inf
     for _ in range(8):
         c1, c2 = rng.uniform(-2, 2, 3), rng.uniform(-2, 2, 3)
         xi = fk.DeterministicFn(fn=lambda t, c=c1: c[0] + c[1] * t + c[2] * t**2)
         eta = fk.DeterministicFn(fn=lambda t, c=c2: c[0] + c[1] * t + c[2] * t**2)
-        ip = fk.inner_product(xi, eta, cfg.t_horizon, h, q)
-        bound = fk.norm_sq(xi, cfg.t_horizon, h, q) * fk.norm_sq(eta, cfg.t_horizon, h, q)
+        ip = fk.inner_product(xi, eta, cfg.t_horizon, h)
+        bound = fk.norm_sq(xi, cfg.t_horizon, h) * fk.norm_sq(eta, cfg.t_horizon, h)
         worst = max(worst, ip**2 - bound * (1 + 1e-9))
     return _result("kernel-cauchy-schwarz", worst <= 1e-9, f"max excess {worst:.1e}")
 
 
 def check_kernel_closed_forms(cfg):
-    q = fk.QuadratureSpec()
     worst = 0.0
     for hv in (0.6, 0.75, 0.9):
         h = fk.HurstModel(hv)
         for t in (0.25, 1.0, 2.0):
             for c in (1.0, 2.5):
                 xi = fk.DeterministicFn.const(c)
-                got = fk.norm_sq(xi, t, h, q)
+                got = fk.norm_sq(xi, t, h)
                 want = c**2 * t ** (2 * hv)
                 worst = max(worst, abs(got - want) / want)
                 grid = TimeGrid(T=t, n_steps=8)
@@ -101,14 +101,14 @@ def check_kernel_closed_forms(cfg):
 
 
 def check_quadrature_convergence(cfg):
-    h, q = cfg.hurst(), fk.QuadratureSpec()
-    xi = fk.DeterministicFn.linear(1.0)
-    coarse, fine = (fk.inner_product(xi, xi, cfg.t_horizon, h,
-                                     fk.QuadratureSpec(panels=panels, tol=1.0))
-                    for panels in (q.panels // 2, q.panels))
-    drift = abs(fine - coarse)
-    return _result("quadrature-convergence", drift <= q.tol,
-                   f"doubling moved result by {drift:.1e} (limit {q.tol:.0e})")
+    sigma2 = cfg.coefficient_fn("sigma2")
+    try:
+        _, drift = fk.guarded_inner_product(sigma2, sigma2, cfg.t_horizon, cfg.hurst())
+    except QuadratureConvergenceError as exc:
+        # the build runs the same guard at T; its refusal is this check's FAIL
+        return _result("quadrature-convergence", False, str(exc))
+    return _result("quadrature-convergence", True, f"doubling moved ||sigma2||^2_T by "
+                   f"{drift:.1e} (limit {fk.REFINE_TOL:.0e} x max(1, |value|))")
 
 
 def check_lambda_fd(cfg):
@@ -249,15 +249,20 @@ def check_pde_refinement(cfg):
     return _result("pde-refinement", ok, f"shrink {ratios} (need >=3x or floor)")
 
 
-def check_pde_terminal(cfg):
+def _zero_generator_triple(cfg, term, n_paths):
+    """Zero-generator psi on 48 steps, eta at eps = 1 on `n_paths` paths, and their triple."""
     coeffs = _std_coeffs(cfg, n_steps=48)
     pde = bs.PdeConfig(kappa=6.0, n_space=96)
-    term = cfg.make_terminal()
     f = bs.solve_psi(bs.Generator.zero(), term, coeffs, 1.0, pde, cfg.eta0)
-    exact = np.array_equal(f.psi[-1], term(f.x_nodes))
-    ens = pe.make_ensemble(coeffs.grid, cfg.hurst(), 1024, cfg.rng())
+    ens = pe.make_ensemble(coeffs.grid, cfg.hurst(), n_paths, cfg.rng())
     eta = pe.simulate_eta(coeffs, ens, 1.0, cfg.eta0)
-    trip = bs.extract_triple(f, eta, coeffs, max_clamp_fraction=1.0)
+    return coeffs, f, eta, bs.extract_triple(f, eta, coeffs, max_clamp_fraction=1.0)
+
+
+def check_pde_terminal(cfg):
+    term = cfg.make_terminal()
+    _, f, eta, trip = _zero_generator_triple(cfg, term, 1024)
+    exact = np.array_equal(f.psi[-1], term(f.x_nodes))
     dx = f.x_nodes[1] - f.x_nodes[0]
     inside = (eta[:, -1] >= f.x_nodes[0]) & (eta[:, -1] <= f.x_nodes[-1])
     dev = np.abs(trip.Y[inside, -1] - term(eta[inside, -1])).max()
@@ -284,12 +289,7 @@ def check_pde_monotonicity(cfg):
 
 def check_z_proportionality(cfg):
     sub = replace(cfg, sigma2="constant:2")  # exact power-of-two multiple
-    coeffs = _std_coeffs(sub, n_steps=48)
-    pde = bs.PdeConfig(kappa=6.0, n_space=96)
-    f = bs.solve_psi(bs.Generator.zero(), bs.TerminalCondition.square(), coeffs, 1.0, pde, cfg.eta0)
-    ens = pe.make_ensemble(coeffs.grid, cfg.hurst(), 1024, cfg.rng())
-    eta = pe.simulate_eta(coeffs, ens, 1.0, cfg.eta0)
-    trip = bs.extract_triple(f, eta, coeffs, max_clamp_fraction=1.0)
+    coeffs, _, _, trip = _zero_generator_triple(sub, bs.TerminalCondition.square(), 1024)
     t = coeffs.grid.nodes
     s1 = coeffs.sigma1(t)[None, :]
     s2 = coeffs.sigma2(t)[None, :]
@@ -299,12 +299,7 @@ def check_z_proportionality(cfg):
 
 
 def check_malliavin(cfg):
-    coeffs = _std_coeffs(cfg, n_steps=48)
-    pde = bs.PdeConfig(kappa=6.0, n_space=96)
-    f = bs.solve_psi(bs.Generator.zero(), bs.TerminalCondition.square(), coeffs, 1.0, pde, cfg.eta0)
-    ens = pe.make_ensemble(coeffs.grid, cfg.hurst(), 512, cfg.rng())
-    eta = pe.simulate_eta(coeffs, ens, 1.0, cfg.eta0)
-    trip = bs.extract_triple(f, eta, coeffs, max_clamp_fraction=1.0)
+    coeffs, f, _, trip = _zero_generator_triple(cfg, bs.TerminalCondition.square(), 512)
     chk = bs.malliavin_representation_check(trip, f, coeffs)
     return _result("malliavin-representation", chk.applicable and chk.max_deviation <= 1e-12,
                    f"max dev {chk.max_deviation:.1e} (limit 1e-12)")
@@ -335,7 +330,7 @@ def check_residual_mean(cfg):
 def check_fbar_idempotence(cfg):
     gen = bs.Generator(fn=lambda t, x, y, z1, z2: 0.3 * np.asarray(y) - 0.2 * np.asarray(z1) + 1.0,
                        name="flat", time_dependent=False)
-    q = fk.QuadratureSpec()
+    q = al.QuadratureSpec()
     fbar = al.build_fbar(gen, cfg.t_horizon, q)
     rng = np.random.default_rng(cfg.seed + 2)
     pts = rng.uniform(-3, 3, (256, 4))
@@ -418,9 +413,12 @@ def check_rate_fit(cfg):
 
 
 def check_beta_feasibility(cfg):
-    limit = 1.0 / (2.0 * cfg.h)
-    ok = 0.0 <= cfg.beta < min(1.0, limit)
-    return _result("beta-feasibility", ok, f"beta {cfg.beta} < 1/(2H) = {limit:.4f}")
+    try:
+        al.check_beta(cfg.beta, cfg.h)
+    except ValueError as exc:
+        return _result("beta-feasibility", False, str(exc))
+    return _result("beta-feasibility", True,
+                   f"beta {cfg.beta} < 1/(2H) = {1.0 / (2.0 * cfg.h):.4f}")
 
 
 def check_config_roundtrip(cfg):

@@ -4,8 +4,8 @@ The brute-force quadratures import no production code: the double integral
 is done by plain product integration (the singular factor integrated exactly
 per panel, the smooth factor at panel midpoints) on meshes graded toward the
 singularity.  Deliberately simple and slow.  `sigma2_hat` is the production
-power substitution at its old 256 panels, the second route beside the
-64-panel table.  The per-node f-bar, the whole-table phi and the
+power substitution at 256 panels, the second route beside the kernel
+rule's 64.  The per-node f-bar, the whole-table phi and the
 per-column extraction are the loop forms of vectorised production layers,
 the whole-ensemble sweep is the array form of the streamed one, and the
 per-path samplers draw each path from a freshly built generator where
@@ -76,8 +76,8 @@ S2HAT_SINUSOIDAL_H075_T1 = 0.6856095603068066
 def sigma2_hat(t, coeffs, panels=256):
     """sigma2_hat(t) by the production power substitution at `panels` panels.
 
-    The route `CoefficientSet.sigma2_hat_table` replaced (its 256 panels
-    were the default QuadratureSpec); the table uses 64.
+    The route `CoefficientSet.sigma2_hat_table` replaced; the table uses
+    the kernel rule's 64 panels.
     """
     from sfrbsde.frac_kernel import kernel_transform
 
@@ -251,13 +251,12 @@ def whole_ensemble_sweep(original, coeffs, term, eps_list, cfg):
     both triples extracted in full, statistics from the arrays."""
     from sfrbsde import averaging_lab as al
     from sfrbsde.bsde_solver import extract_triple, solve_psi
-    from sfrbsde.frac_kernel import QuadratureSpec
     from sfrbsde.path_engine import make_ensemble, simulate_eta
 
     grid, T, hurst = coeffs.grid, coeffs.T, coeffs.hurst
     t0 = cfg.t0 if cfg.t0 is not None else T / 100.0
     ensemble = make_ensemble(grid, hurst, cfg.n_paths, cfg.rng)
-    fbar = al.build_fbar(original, T, QuadratureSpec())
+    fbar = al.build_fbar(original, T, al.QuadratureSpec())
     averaged = fbar.as_generator()
     L = al.estimate_lipschitz(original, cfg.phi_sampler, T=T)
     C1 = al.c1_lower_bound(coeffs, t0)

@@ -25,7 +25,6 @@ from sfrbsde.frac_kernel import (
     CoefficientSet,
     DeterministicFn,
     HurstModel,
-    QuadratureSpec,
     norm_sq,
 )
 from sfrbsde.grids import TimeGrid
@@ -43,7 +42,6 @@ from oracles import brute_force_norm_sq, brute_force_sigma2_hat, monomial_norm_s
 
 SEED = 42
 H75 = HurstModel(0.75)
-QUAD = QuadratureSpec()
 ONE = DeterministicFn.const(1.0)
 ZERO = DeterministicFn.const(0.0)
 IDENT = DeterministicFn.linear(1.0)
@@ -118,7 +116,7 @@ def test_criterion_2_kernel_closed_forms():
     for h_val in (0.6, 0.75, 0.9):
         h = HurstModel(h_val)
         for t in (0.25, 1.0, 2.0):
-            got = norm_sq(DeterministicFn.const(2.0), t, h, QUAD)
+            got = norm_sq(DeterministicFn.const(2.0), t, h)
             want = 4.0 * t ** (2 * h_val)
             worst_closed = max(worst_closed, abs(got - want) / want)
             grid = TimeGrid(T=t, n_steps=8)
@@ -130,11 +128,11 @@ def test_criterion_2_kernel_closed_forms():
                                (coeffs.norm_sq_table[-1], want),
                                (coeffs.sigma2_hat_table[-1], want_hat)):
                 worst_closed = max(worst_closed, abs(got - exact) / exact)
-    # brute-force oracle at 10x the default panel count, independent mechanics
+    # brute-force oracle at 2560 panels, independent mechanics
     worst_oracle = 0.0
     for h_val in (0.6, 0.75, 0.9):
         h = HurstModel(h_val)
-        got = norm_sq(IDENT, 1.0, h, QUAD)
+        got = norm_sq(IDENT, 1.0, h)
         oracle = brute_force_norm_sq(lambda u: u, 1.0, h_val, panels=2560)
         exact = monomial_norm_sq(1.0, h_val)
         assert abs(oracle - exact) <= 1e-6, "oracle self-check failed"
@@ -155,7 +153,7 @@ def test_criterion_3_isometry(iso_ensemble):
     start = time.perf_counter()
     vals = wiener_integral_det(IDENT, iso_ensemble, "BH")
     emp_var = vals.var(ddof=1)
-    want = norm_sq(IDENT, 1.0, H75, QUAD)
+    want = norm_sq(IDENT, 1.0, H75)
     se_var = emp_var * np.sqrt(2.0 / (vals.size - 1))
     mean_se = vals.std(ddof=1) / np.sqrt(vals.size)
     elapsed = time.perf_counter() - start + iso_ensemble.build_seconds

@@ -13,6 +13,7 @@ from sfrbsde.averaging_lab import (
     AveragingConstants,
     BoxSampler,
     PerEpsilonStats,
+    QuadratureSpec,
     SweepConfig,
     SweepReport,
     build_fbar,
@@ -42,7 +43,7 @@ from sfrbsde.errors import (
     InfeasibleAlphaError,
     QuadratureConvergenceError,
 )
-from sfrbsde.frac_kernel import CoefficientSet, DeterministicFn, HurstModel, QuadratureSpec
+from sfrbsde.frac_kernel import CoefficientSet, DeterministicFn, HurstModel
 from sfrbsde.grids import TimeGrid
 from sfrbsde.path_engine import RngSpec, eta_noise, make_ensemble, simulate_eta
 
@@ -103,6 +104,12 @@ class TestBuildFbar:
 
 def within_quad_tol(got, want, tol=QUAD.tol):
     return np.all(np.abs(got - want) <= tol * np.maximum(1.0, np.abs(want)))
+
+
+class TestQuadratureSpec:
+    def test_panel_floor(self):
+        with pytest.raises(ValueError):
+            QuadratureSpec(panels=4)
 
 
 class TestFbarPanels:

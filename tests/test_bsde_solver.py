@@ -4,7 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from sfrbsde import bsde_solver
-from sfrbsde.averaging_lab import SweepConfig, build_fbar, run_sweep
+from sfrbsde.averaging_lab import QuadratureSpec, SweepConfig, build_fbar, run_sweep
 from sfrbsde.bsde_solver import (
     Generator,
     PdeConfig,
@@ -23,7 +23,7 @@ from sfrbsde.bsde_solver import (
 )
 from sfrbsde.config import benchmark_generator
 from sfrbsde.errors import CoefficientError, DomainTooSmallError, NumericError, PicardError
-from sfrbsde.frac_kernel import CoefficientSet, DeterministicFn, HurstModel, QuadratureSpec
+from sfrbsde.frac_kernel import CoefficientSet, DeterministicFn, HurstModel
 from sfrbsde.grids import TimeGrid
 from sfrbsde.path_engine import RngSpec, make_ensemble, simulate_eta
 

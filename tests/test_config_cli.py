@@ -169,6 +169,13 @@ class TestCli:
         assert main(["solve", "--config", path]) == 3
         assert "b=b:constant:nan is not finite" in capsys.readouterr().err
 
+    def test_unconverged_kernel_table_exit_3(self, tmp_path, capsys):
+        # doubling the kernel rule moves ||sigma2||^2_T by about 3.8e-6 here
+        path = write_cfg(tmp_path, SMALL.replace("h = 0.75", "h = 0.51")
+                         + f"sigma2 = sinusoidal:1\nout_dir = {tmp_path / 'out'}\n")
+        assert main(["solve", "--config", path]) == 3
+        assert "quadrature did not converge" in capsys.readouterr().err
+
     def test_default_t0_stops_before_any_pde(self, tmp_path, capsys, monkeypatch):
         # t0 = T/100 leaves no alpha0 for the default eps_list's 0.5
         def solve_psis(*args):

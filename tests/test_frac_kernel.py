@@ -14,9 +14,9 @@ from sfrbsde.frac_kernel import (
     CoefficientSet,
     DeterministicFn,
     HurstModel,
-    QuadratureSpec,
     c0_const,
     c1_lower_bound,
+    guarded_inner_product,
     inner_product,
     norm_sq,
     rho,
@@ -34,7 +34,6 @@ from oracles import (
 )
 
 H75 = HurstModel(0.75)
-QUAD = QuadratureSpec()
 ONE = DeterministicFn.const(1.0)
 ZERO = DeterministicFn.const(0.0)
 IDENT = DeterministicFn.linear(1.0)
@@ -87,33 +86,32 @@ class TestRho:
 
 class TestInnerProduct:
     def test_constant_closed_form(self):
-        assert inner_product(ONE, ONE, 1.0, H75, QUAD) == pytest.approx(1.0, rel=1e-10)
+        assert inner_product(ONE, ONE, 1.0, H75) == pytest.approx(1.0, rel=1e-10)
 
     def test_zero_function(self):
-        assert inner_product(ZERO, IDENT, 1.0, H75, QUAD) == 0.0
+        assert inner_product(ZERO, IDENT, 1.0, H75) == 0.0
 
     def test_monomial_closed_form(self):
         # hand derivation: <id, id>_t = t^(2H+2)/(2H+2); 2/7 at H=0.75, t=1
-        got = inner_product(IDENT, IDENT, 1.0, H75, QUAD)
+        got = inner_product(IDENT, IDENT, 1.0, H75)
         assert got == pytest.approx(2.0 / 7.0, rel=1e-10)
         assert got == pytest.approx(monomial_norm_sq(1.0, 0.75), rel=1e-10)
 
     def test_brute_force_oracle_agreement(self):
-        got = inner_product(IDENT, IDENT, 1.0, H75, QUAD)
+        got = inner_product(IDENT, IDENT, 1.0, H75)
         oracle = brute_force_inner_product(lambda u: u, lambda u: u, 1.0, 0.75)
         assert got == pytest.approx(oracle, abs=1e-6)
 
     def test_mpmath_frozen_value(self):
         xi = DeterministicFn(fn=lambda t: t**2, name="t^2")
         eta = DeterministicFn(fn=np.sin, name="sin")
-        got = inner_product(xi, eta, 1.0, HurstModel(0.6), QUAD)
+        got = inner_product(xi, eta, 1.0, HurstModel(0.6))
         assert got == pytest.approx(IP_USQ_SINU_H06_T1, rel=1e-8)
 
     def test_refinement_failure_raises(self):
         rough = DeterministicFn(fn=lambda t: np.sin(200.0 * t**2), name="rough")
-        tight = QuadratureSpec(panels=16, tol=1e-14)
         with pytest.raises(QuadratureConvergenceError) as err:
-            inner_product(rough, rough, 1.0, H75, tight)
+            inner_product(rough, rough, 1.0, H75)
         assert err.value.coarse != err.value.fine
 
     @given(st.floats(-2, 2), st.floats(-2, 2))
@@ -122,9 +120,9 @@ class TestInnerProduct:
         xi1, xi2 = IDENT, DeterministicFn(fn=np.cos, name="cos")
         eta = DeterministicFn(fn=lambda t: 1.0 + 0.5 * t, name="affine")
         combo = DeterministicFn(fn=lambda t: a * t + b * np.cos(t), name="combo")
-        lhs = inner_product(combo, eta, 1.0, H75, QUAD)
-        rhs = a * inner_product(xi1, eta, 1.0, H75, QUAD) + b * inner_product(
-            xi2, eta, 1.0, H75, QUAD
+        lhs = inner_product(combo, eta, 1.0, H75)
+        rhs = a * inner_product(xi1, eta, 1.0, H75) + b * inner_product(
+            xi2, eta, 1.0, H75
         )
         assert lhs == pytest.approx(rhs, abs=1e-9)
 
@@ -138,8 +136,8 @@ class TestInnerProduct:
         model = HurstModel(h)
         xi = DeterministicFn(fn=lambda t: c1[0] + c1[1] * t + c1[2] * t**2)
         eta = DeterministicFn(fn=lambda t: c2[0] + c2[1] * t + c2[2] * t**2)
-        ip = inner_product(xi, eta, 1.0, model, QUAD)
-        assert ip**2 <= norm_sq(xi, 1.0, model, QUAD) * norm_sq(eta, 1.0, model, QUAD) + 1e-9
+        ip = inner_product(xi, eta, 1.0, model)
+        assert ip**2 <= norm_sq(xi, 1.0, model) * norm_sq(eta, 1.0, model) + 1e-9
 
 
 class TestNormSq:
@@ -147,20 +145,20 @@ class TestNormSq:
     @pytest.mark.parametrize("t", [0.25, 1.0, 2.0])
     @pytest.mark.parametrize("c", [1.0, 3.0])
     def test_constant_closed_form(self, h, t, c):
-        got = norm_sq(DeterministicFn.const(c), t, HurstModel(h), QUAD)
+        got = norm_sq(DeterministicFn.const(c), t, HurstModel(h))
         assert got == pytest.approx(c**2 * t ** (2 * h), rel=1e-8)
 
     def test_zero(self):
-        assert norm_sq(ZERO, 1.0, H75, QUAD) == 0.0
+        assert norm_sq(ZERO, 1.0, H75) == 0.0
 
     def test_monotone_in_t(self):
         xi = DeterministicFn(fn=lambda t: 1.0 + t, name="pos")
-        values = [norm_sq(xi, t, H75, QUAD) for t in (0.25, 0.5, 1.0, 2.0)]
+        values = [norm_sq(xi, t, H75) for t in (0.25, 0.5, 1.0, 2.0)]
         assert all(a < b for a, b in zip(values, values[1:]))
 
     def test_brute_force_oracle(self):
         xi = DeterministicFn(fn=lambda t: np.exp(-t), name="decay")
-        got = norm_sq(xi, 1.5, HurstModel(0.65), QUAD)
+        got = norm_sq(xi, 1.5, HurstModel(0.65))
         oracle = brute_force_norm_sq(lambda u: np.exp(-u), 1.5, 0.65)
         assert got == pytest.approx(oracle, abs=1e-6)
 
@@ -276,12 +274,21 @@ class TestC0:
         assert c0_const(HurstModel(h), 1.0) == pytest.approx(h)
 
 
-class TestQuadratureSpec:
-    def test_panel_floor(self):
-        with pytest.raises(ValueError):
-            QuadratureSpec(panels=4)
-
+class TestRefinementGuard:
     def test_doubling_converged(self):
-        lo = inner_product(IDENT, IDENT, 1.0, H75, QuadratureSpec(panels=128, tol=1.0))
-        hi = inner_product(IDENT, IDENT, 1.0, H75, QuadratureSpec(panels=256, tol=1.0))
-        assert abs(hi - lo) < 1e-8
+        value, drift = guarded_inner_product(IDENT, IDENT, 1.0, H75)
+        assert value == inner_product(IDENT, IDENT, 1.0, H75)
+        assert drift < 1e-8
+
+    # doubling the kernel rule's panels moves ||sigma2||^2_1 by about 3.8e-6
+    # here, far beyond the guard's 1e-8
+    def test_build_refuses_an_unconverged_table(self):
+        with pytest.raises(QuadratureConvergenceError) as err:
+            build_coeffs(sigma2=DeterministicFn.sinusoidal(1.0, 1.0), hurst=HurstModel(0.51))
+        assert err.value.tol == frac_kernel.REFINE_TOL
+
+    def test_table_is_the_rule_of_inner_product(self):
+        sigma2 = DeterministicFn.sinusoidal(1.0, 1.0)
+        coeffs = build_coeffs(sigma2=sigma2, n=8)
+        want = [inner_product(sigma2, sigma2, t, H75) for t in coeffs.grid.nodes[1:]]
+        assert np.array_equal(coeffs.norm_sq_table[1:], want)

@@ -12,7 +12,6 @@ from sfrbsde.frac_kernel import (
     CoefficientSet,
     DeterministicFn,
     HurstModel,
-    QuadratureSpec,
     norm_sq,
 )
 from sfrbsde.grids import TimeGrid
@@ -219,7 +218,7 @@ class TestWienerIntegral:
     def test_isometry_against_kernel_norm(self, ensemble_t1):
         vals = wiener_integral_det(IDENT, ensemble_t1, "BH")
         emp = vals.var(ddof=1)
-        want = norm_sq(IDENT, 1.0, H75, QuadratureSpec())
+        want = norm_sq(IDENT, 1.0, H75)
         assert abs(emp - want) <= 3 * var_se(want, N_PATHS) + abs(
             discrete_wiener_variance(ensemble_t1.grid.nodes[:-1],
                                      ensemble_t1.grid.nodes, 0.75) - want

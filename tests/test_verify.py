@@ -43,6 +43,14 @@ def test_lambda_fd_reports_a_failed_build(monkeypatch):
     assert "does not match the finite differences" in result.margin
 
 
+def test_quadrature_convergence_reports_an_unconverged_rule():
+    # doubling the kernel rule moves ||sigma2||^2_T by about 3.8e-6 here
+    result = verify.check_quadrature_convergence(
+        ExperimentConfig(h=0.51, sigma2="sinusoidal:1"))
+    assert (result.name, result.passed) == ("quadrature-convergence", False)
+    assert "quadrature did not converge" in result.margin
+
+
 def test_fbm_methods_agree_at_the_largest_seed():
     # the circulant side draws from the next seed, which wraps to 0 here
     result = verify.check_fbm_methods_agree(ExperimentConfig(seed=2**64 - 1))
