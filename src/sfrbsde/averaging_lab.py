@@ -36,6 +36,7 @@ from .bsde_solver import (
     cell_table,
     check_clamp,
     interp_at,
+    locate,
     solve_psis,
 )
 from .errors import ContractError, InfeasibleAlphaError, NumericError, QuadratureConvergenceError
@@ -385,7 +386,7 @@ def compute_constants(
 class SweepConfig:
     """Policy knobs for an epsilon sweep (the path/PDE modules stay policy-free).
 
-    `t0` None means T/100; `delta2` None means 2 sqrt(max sup-MSE).
+    `t0` None means 3T/4; `delta2` None means 2 sqrt(max sup-MSE).
     """
 
     n_paths: int = 10_000
@@ -456,9 +457,8 @@ class _WindowFold:
     depends only on the coefficients, eps, eta0 and kappa), and eta is read
     in grid units: u = (eta - lo) g with g = n / (hi - lo) is a N + c_k, with
     a = eps^H g and c_k = (eta0 + eps^2H int_0^t_k b ds - lo) g fixed here,
-    so a block is read straight from its eps-free noise N.  u is clipped to
-    [0, n]; cell j = int(u) is read at fraction u - j, and the last node is
-    a flat cell of its own, so u = n reads the end value exactly.
+    so a block is read straight from its eps-free noise N through `locate`,
+    the reader `extract_triple` uses too.
 
     The four tables, copies of the window rows, hold values and per-cell
     differences of psi_o - psi_a, psi_a, d_x psi_o - d_x psi_a and d_x psi_a:
@@ -567,11 +567,7 @@ def _window_stats(fold: _WindowFold, noise: np.ndarray, start: int,
                      + np.count_nonzero(np.greater(noise, fold.above, out=mask)))
     frac = np.multiply(noise[:, fold.i_lo:], fold.a, out=view("frac"))
     frac += fold.c
-    np.clip(frac, 0.0, fold.n_cells, out=frac)
-    cell = view("cell")
-    np.copyto(cell, frac, casting="unsafe")
-    frac -= cell
-    cell += fold.row_starts
+    cell = locate(frac, fold.n_cells, fold.row_starts, view("cell"))
     scratch = view("scratch")
     dY, Y_a, dZ, slope_a = (interp_at(*table, cell, frac, view(name), scratch)
                             for table, name in zip(fold.tables, ws.READS))
@@ -630,7 +626,7 @@ def run_sweep(
     grid = coeffs.grid
     T = coeffs.T
     hurst = coeffs.hurst
-    t0 = cfg.t0 if cfg.t0 is not None else T / 100.0
+    t0 = cfg.t0 if cfg.t0 is not None else 0.75 * T
 
     fbar = build_fbar(original, T, QuadratureSpec())
     averaged = fbar.as_generator()

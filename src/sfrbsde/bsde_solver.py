@@ -332,11 +332,6 @@ def block_rows(n_nodes: int) -> int:
     return max(1, BLOCK_CELLS // n_nodes)
 
 
-def count_outside(x_nodes: np.ndarray, eta: np.ndarray) -> int:
-    """Number of eta values outside [x_0, x_N]."""
-    return int(np.count_nonzero(eta < x_nodes[0]) + np.count_nonzero(eta > x_nodes[-1]))
-
-
 def check_clamp(outside: int, cells: int, x_nodes: np.ndarray,
                 max_clamp_fraction: float = MAX_CLAMP_FRACTION) -> float:
     """The share of path nodes read clamped to the domain ends; raises above the limit."""
@@ -346,62 +341,42 @@ def check_clamp(outside: int, cells: int, x_nodes: np.ndarray,
     return clamp_fraction
 
 
-def brackets(x_nodes: np.ndarray, eta: np.ndarray):
-    """Flat cell index into a (n_cols, n_x) table and offset eta - x_j, per (path, column).
+def locate(u: np.ndarray, n: int, row_starts: np.ndarray, cell: np.ndarray) -> np.ndarray:
+    """Flat cells of grid positions u in a (cols, n + 1) table; u becomes the fraction.
 
-    Column c of eta is read from row c of the table.  x_nodes is a linspace,
-    so the cell is found in O(1) from the scaled position and then nudged by
-    one where rounding put it off the node values.  eta is clamped to
-    [x_0, x_N] first, and the last node is a cell of its own, so eta at or
-    beyond either end reads the end value exactly, as np.interp does.
+    u (in x grid spacings from x_0) is clipped to [0, n] in place, `cell`
+    gets int(u) plus its column's row start, and u -= int(u).  The last node
+    is a flat cell, so u at or beyond an end reads the end value.  Returns `cell`.
     """
-    j, tmp = np.empty(eta.shape, np.intp), np.empty(eta.shape)
-    mask = np.empty(eta.shape, bool)
-    n = x_nodes.size - 1
-    lo, hi = x_nodes[0], x_nodes[-1]
-    e = np.clip(eta, lo, hi)
-    np.subtract(e, lo, out=tmp)
-    np.multiply(tmp, n / (hi - lo), out=tmp)
-    np.copyto(j, tmp, casting="unsafe")
-    np.minimum(j, n, out=j)
-    # every index is in [0, n] here; mode="clip" gathers without buffering
-    ext = np.append(x_nodes, np.inf)
-    j -= np.greater(np.take(ext, j, out=tmp, mode="clip"), e, out=mask)
-    j += np.less_equal(np.take(ext[1:], j, out=tmp, mode="clip"), e, out=mask)
-    e -= np.take(x_nodes, j, out=tmp, mode="clip")
-    j += np.arange(eta.shape[1]) * (n + 1)
-    return j, e
+    np.clip(u, 0.0, n, out=u)
+    np.copyto(cell, u, casting="unsafe")
+    u -= cell
+    cell += row_starts
+    return cell
 
 
-def cell_table(values: np.ndarray, dx=1.0):
-    """Flat values and per-cell slopes (differences / dx) of a (rows, n_x) table.
+def cell_table(values: np.ndarray):
+    """Flat values and per-cell differences of a (rows, n_x) table, for reads in grid units.
 
     The last node's cell is flat, so a read at the last node returns its value.
     """
     slopes = np.zeros_like(values)
     np.subtract(values[:, 1:], values[:, :-1], out=slopes[:, :-1])
-    slopes[:, :-1] /= dx
     return values.ravel(), slopes.ravel()
 
 
-def field_tables(field: SolutionField):
-    """Flat (psi, psi slopes, psi_x, psi_x slopes) of every time row, slopes per
-    cell as np.interp forms them."""
-    dx = np.diff(field.x_nodes)
-    return (*cell_table(field.psi, dx), *cell_table(field.psi_x, dx))
-
-
 def interp_at(values: np.ndarray, slopes: np.ndarray, cell: np.ndarray,
-              offset: np.ndarray, out: np.ndarray | None = None,
+              frac: np.ndarray, out: np.ndarray | None = None,
               scratch: np.ndarray | None = None) -> np.ndarray:
-    """slope * offset + f_j at flat cells: with `brackets`' cells and offsets,
-    np.interp's arithmetic, so the values match it.
+    """slope * frac + f_j at flat cells: with `cell_table`'s tables and `locate`'s
+    cells and fractions, np.interp's arithmetic on the unit grid, so a read
+    equals np.interp(u, arange(n + 1), f) bit for bit.
 
     `out` receives the result and `scratch` is a temporary, both of cell's
     shape; they are allocated when None.
     """
     out = np.take(slopes, cell, out=out, mode="clip")
-    out *= offset
+    out *= frac
     out += np.take(values, cell, out=scratch, mode="clip")
     return out
 
@@ -410,27 +385,35 @@ def extract_triple(field: SolutionField, eta: np.ndarray, coeffs: CoefficientSet
                    max_clamp_fraction: float = MAX_CLAMP_FRACTION) -> TriplePath:
     """Read (Y, Z1, Z2) along eta paths by interpolating psi and psi_x.
 
-    Z2 sigma1 = Z1 sigma2 holds exactly at every node because both controls
-    share the one interpolated psi_x value.
+    eta is read in grid units, u = (eta - x_0) g with g = n / (x_n - x_0),
+    through `locate`, as the sweep's fold reads it.  Z2 sigma1 = Z1 sigma2
+    holds exactly at every node because both controls share the one
+    interpolated psi_x value.
     """
     t = field.t_nodes
     if eta.ndim != 2 or eta.shape[1] != t.size:
         raise ValueError("eta paths do not match the solution field's time grid")
-    clamp_fraction = check_clamp(count_outside(field.x_nodes, eta), eta.size,
-                                 field.x_nodes, max_clamp_fraction)
+    lo, hi = field.x_nodes[0], field.x_nodes[-1]
+    outside = int(np.count_nonzero(eta < lo) + np.count_nonzero(eta > hi))
+    clamp_fraction = check_clamp(outside, eta.size, field.x_nodes, max_clamp_fraction)
 
     sig1 = np.asarray(coeffs.sigma1(t), dtype=float)
     sig2 = np.asarray(coeffs.sigma2(t), dtype=float)
     Y = np.empty_like(eta)
     Z1 = np.empty_like(eta)
     Z2 = np.empty_like(eta)
-    psi, dpsi, psi_x, dpsi_x = field_tables(field)
+    psi, psi_x = cell_table(field.psi), cell_table(field.psi_x)
+    n = field.x_nodes.size - 1
+    g = n / (hi - lo)
+    row_starts = np.arange(t.size) * (n + 1)
     rows = block_rows(t.size)
     for r in range(0, eta.shape[0], rows):
         block = slice(r, r + rows)
-        cell, offset = brackets(field.x_nodes, eta[block])
-        Y[block] = interp_at(psi, dpsi, cell, offset)
-        slope = interp_at(psi_x, dpsi_x, cell, offset)
+        u = eta[block] - lo
+        u *= g
+        cell = locate(u, n, row_starts, np.empty(u.shape, np.intp))
+        Y[block] = interp_at(*psi, cell, u)
+        slope = interp_at(*psi_x, cell, u)
         np.multiply(slope, sig1, out=Z1[block])
         np.multiply(slope, sig2, out=Z2[block])
     return TriplePath(eta=eta, Y=Y, Z1=Z1, Z2=Z2, clamp_fraction=clamp_fraction)
@@ -446,8 +429,10 @@ def malliavin_representation_check(triple: TriplePath, field: SolutionField,
                                    coeffs: CoefficientSet) -> MalliavinCheck:
     """Compare D^H_t Y_t = sigma2_hat(t) psi_x(t, eta_t) with (sigma2_hat/sigma2) Z2.
 
-    Both sides reduce to the same interpolated psi_x, so this validates the
-    extraction plumbing; deviations beyond rounding indicate a wiring bug.
+    Both sides interpolate the same psi_x table at the same eta: the left by
+    np.interp in x units, the right through extract_triple's grid-unit read,
+    so they differ by rounding only.  This validates the extraction
+    plumbing; deviations beyond rounding indicate a wiring bug.
     """
     t = field.t_nodes
     sig2 = np.asarray(coeffs.sigma2(t), dtype=float)

@@ -42,7 +42,7 @@ class ExperimentConfig:
     beta: float = 0.25
     delta1: float = 0.01
     delta2: float = 0.0          # 0 means auto: 2 sqrt(max sup-MSE)
-    t0: float = 0.0              # 0 means auto: t_horizon / 100
+    t0: float = 0.0              # 0 means auto: 3 t_horizon / 4
     seed: int = 42
     eta0: float = 1.0
     epsilon: float = 1.0         # used by `simulate-fbm` and `solve`
@@ -199,7 +199,7 @@ def _validate(cfg: ExperimentConfig) -> list[str]:
     if cfg.delta2 < 0:
         bad.append(f"delta2: must be >= 0 (0 selects auto), got {cfg.delta2!r}")
     if cfg.t0 < 0 or cfg.t0 > cfg.t_horizon:
-        bad.append(f"t0: must lie in [0, T] (0 selects auto T/100), got {cfg.t0!r}")
+        bad.append(f"t0: must lie in [0, T] (0 selects auto 3T/4), got {cfg.t0!r}")
     if not 0 <= cfg.seed < 2**64:
         bad.append(f"seed: must fit in 64 bits, got {cfg.seed!r}")
     if not 0 < cfg.epsilon <= 1:

@@ -6,8 +6,10 @@ per panel, the smooth factor at panel midpoints) on meshes graded toward the
 singularity.  Deliberately simple and slow.  `sigma2_hat` is the production
 power substitution at 256 panels, the second route beside the kernel
 rule's 64.  The per-node f-bar, the whole-table phi and the
-per-column extraction are the loop forms of vectorised production layers,
-the whole-ensemble sweep is the array form of the streamed one, and the
+per-column extraction are the loop forms of vectorised production layers
+(the extraction is np.interp per time column; on the unit grid, with eta's
+grid positions, it is extract_triple's grid-unit read bit for bit), the
+whole-ensemble sweep is the array form of the streamed one, and the
 per-path samplers draw each path from a freshly built generator where
 production resets one bit generator per chunk, and the alpha0 bisection is
 the numeric root finder beside production's closed form, the closed-form
@@ -160,7 +162,7 @@ def table_phi(gen, fbar, sampler, t_grid, n_time_nodes=1025):
 
 
 def per_column_triple(x_nodes, psi, psi_x, eta, sig1, sig2):
-    """(Y, Z1, Z2) along eta by two np.interp calls per time column."""
+    """(Y, Z1, Z2) along eta by two np.interp calls per time column on the x grid x_nodes."""
     Y = np.empty_like(eta)
     Z1 = np.empty_like(eta)
     Z2 = np.empty_like(eta)
@@ -254,7 +256,7 @@ def whole_ensemble_sweep(original, coeffs, term, eps_list, cfg):
     from sfrbsde.path_engine import make_ensemble, simulate_eta
 
     grid, T, hurst = coeffs.grid, coeffs.T, coeffs.hurst
-    t0 = cfg.t0 if cfg.t0 is not None else T / 100.0
+    t0 = cfg.t0 if cfg.t0 is not None else 0.75 * T
     ensemble = make_ensemble(grid, hurst, cfg.n_paths, cfg.rng)
     fbar = al.build_fbar(original, T, al.QuadratureSpec())
     averaged = fbar.as_generator()

@@ -621,7 +621,7 @@ class TestSweepFailsEarly:
     def test_infeasible_alpha0(self, coeffs):
         # t0 = T/100: C1 = sigma2_hat(1/16) = 0.1875 < 0.5^H, so eps = 0.5 has no alpha0
         with pytest.raises(InfeasibleAlphaError):
-            self.sweep(coeffs, t0=None)
+            self.sweep(coeffs, t0=coeffs.T / 100)
 
 
 def assert_same_value(got, want, rtol, where):

@@ -9,13 +9,12 @@ from sfrbsde.bsde_solver import (
     Generator,
     PdeConfig,
     TerminalCondition,
-    brackets,
+    cell_table,
     central_gradient,
-    count_outside,
     domain_bounds,
     extract_triple,
-    field_tables,
     interp_at,
+    locate,
     malliavin_representation_check,
     residual_mean_check,
     solve_psi,
@@ -249,17 +248,25 @@ class TestNonFiniteIterate:
         assert info.value.step == coeffs128.grid.n_steps - 1
 
 
+def grid_units(x_nodes, eta):
+    """eta's position on the x grid in units of its spacing, as extract_triple forms it."""
+    n = x_nodes.size - 1
+    return (eta - x_nodes[0]) * (n / (x_nodes[-1] - x_nodes[0]))
+
+
 def assert_triple_matches_oracle(field, eta, coeffs):
     t = field.t_nodes
-    want = per_column_triple(field.x_nodes, field.psi, field.psi_x, eta,
+    unit_grid = np.arange(field.x_nodes.size, dtype=float)
+    want = per_column_triple(unit_grid, field.psi, field.psi_x, grid_units(field.x_nodes, eta),
                              coeffs.sigma1(t), coeffs.sigma2(t))
     trip = extract_triple(field, eta, coeffs, max_clamp_fraction=1.0)
     for got, ref in zip((trip.Y, trip.Z1, trip.Z2), want):
-        assert np.abs(got - ref).max() <= 1e-14
+        assert np.array_equal(got, ref)
 
 
 class TestExtractOracle:
-    """Vectorised extraction against the per-column np.interp loop it replaces."""
+    """Vectorised extraction against the per-column np.interp loop on the unit grid:
+    extract_triple reads eta in grid units, so the two agree bit for bit."""
 
     @pytest.fixture(scope="class")
     def field_and_coeffs(self):
@@ -277,13 +284,7 @@ class TestExtractOracle:
         field, coeffs = field_and_coeffs
         n_t = field.t_nodes.size
         node = np.resize(np.arange(field.x_nodes.size), (7, n_t))
-        eta = field.x_nodes[node]
-        assert_triple_matches_oracle(field, eta, coeffs)
-        # a node reads its own table value exactly, as np.interp does
-        k = np.arange(n_t)[None, :]
-        trip = extract_triple(field, eta, coeffs, max_clamp_fraction=1.0)
-        assert np.array_equal(trip.Y, field.psi[k, node])
-        assert np.array_equal(trip.Z1, coeffs.sigma1(field.t_nodes) * field.psi_x[k, node])
+        assert_triple_matches_oracle(field, field.x_nodes[node], coeffs)
 
     def test_at_and_beyond_ends(self, field_and_coeffs):
         field, coeffs = field_and_coeffs
@@ -292,9 +293,12 @@ class TestExtractOracle:
                 lo - 1e-12, hi + 1e-12, lo - 3.0, hi + 3.0]
         eta = np.repeat(np.array(ends)[:, None], field.t_nodes.size, axis=1)
         assert_triple_matches_oracle(field, eta, coeffs)
+        # x_0 and every eta beyond an end read the end value exactly
         trip = extract_triple(field, eta, coeffs, max_clamp_fraction=1.0)
-        assert np.array_equal(trip.Y[1], field.psi[:, -1])
-        assert np.array_equal(trip.Y[6], field.psi[:, 0])
+        for row in (0, 4, 6):
+            assert np.array_equal(trip.Y[row], field.psi[:, 0])
+        for row in (5, 7):
+            assert np.array_equal(trip.Y[row], field.psi[:, -1])
 
     @given(st.integers(0, 2**32 - 1), st.floats(0.0, 0.5))
     @settings(max_examples=25, deadline=None)
@@ -330,24 +334,31 @@ class TestCentralGradient:
 
 
 class TestReadBuffers:
-    """interp_at gives the same bits into caller buffers; count_outside counts both ends."""
+    """locate and interp_at write into caller buffers, and give the same bits there."""
+
+    def test_locate_clips_and_splits(self):
+        # n = 3 cells per row; row c of the flat table starts at 4 c
+        u = np.array([[-0.5, 1.25, 3.0], [0.0, 2.5, 9.0]])
+        cell = np.full(u.shape, -1, dtype=np.intp)
+        assert locate(u, 3, np.array([0, 4, 8]), cell) is cell
+        assert np.array_equal(cell, [[0, 5, 11], [0, 6, 11]])
+        assert np.array_equal(u, [[0.0, 0.25, 0.0], [0.0, 0.5, 0.0]])
 
     def test_buffers_match_allocating_calls(self, coeffs128, paths128):
         # the eps = 0.5 domain is narrower than the eps = 1 paths: some read clamped
         field = solve_psi(benchmark_generator(1.0), TerminalCondition.square(), coeffs128,
                           0.5, PdeConfig(kappa=4.0, n_space=64))
         eta = paths128[:300]
-        tables = field_tables(field)
-        cell, offset = brackets(field.x_nodes, eta)
+        n = field.x_nodes.size - 1
+        frac = grid_units(field.x_nodes, eta)
+        assert ((frac < 0) | (frac > n)).any()
+        cell = locate(frac, n, np.arange(eta.shape[1]) * (n + 1), np.empty(eta.shape, np.intp))
         scratch = np.full(eta.shape, np.nan)
-        for values, slopes in (tables[:2], tables[2:]):
-            want = interp_at(values, slopes, cell, offset)
+        for values, slopes in (cell_table(field.psi), cell_table(field.psi_x)):
+            want = interp_at(values, slopes, cell, frac)
             out = np.full(eta.shape, np.nan)
-            assert interp_at(values, slopes, cell, offset, out, scratch) is out
+            assert interp_at(values, slopes, cell, frac, out, scratch) is out
             assert np.array_equal(out, want)
-        want = int(np.count_nonzero((eta < field.x_nodes[0]) | (eta > field.x_nodes[-1])))
-        assert want > 0
-        assert count_outside(field.x_nodes, eta) == want
 
 
 class TestExtractTriple:
@@ -388,6 +399,18 @@ class TestExtractTriple:
         assert err.value.half_width == half_width != 4.0
         assert err.value.clamp_fraction == 1.0
         assert f"half-width {half_width:.4g} in x units" in str(err.value)
+
+    def test_clamp_fraction_counts_strictly_outside(self, coeffs128):
+        field = solve_psi(Generator.zero(), TerminalCondition.identity(),
+                          coeffs128, 1.0, PdeConfig(kappa=4.0, n_space=64))
+        lo, hi = field.x_nodes[0], field.x_nodes[-1]
+        eta = np.random.default_rng(5).uniform(lo - 1.0, hi + 1.0, (40, coeffs128.grid.n_nodes))
+        eta[0], eta[1] = lo, hi  # at the ends: inside
+        eta[2], eta[3] = lo - 1e-12, hi + 1e-12  # just beyond: outside
+        below, above = np.count_nonzero(eta < lo), np.count_nonzero(eta > hi)
+        assert below > eta.shape[1] and above > eta.shape[1]
+        trip = extract_triple(field, eta, coeffs128, max_clamp_fraction=1.0)
+        assert trip.clamp_fraction == (below + above) / eta.size
 
     def test_grid_mismatch_rejected(self, coeffs128):
         field = solve_psi(Generator.zero(), TerminalCondition.identity(),

@@ -176,14 +176,22 @@ class TestCli:
         assert main(["solve", "--config", path]) == 3
         assert "quadrature did not converge" in capsys.readouterr().err
 
-    def test_default_t0_stops_before_any_pde(self, tmp_path, capsys, monkeypatch):
+    def test_small_t0_stops_before_any_pde(self, tmp_path, capsys, monkeypatch):
         # t0 = T/100 leaves no alpha0 for the default eps_list's 0.5
         def solve_psis(*args):
             raise AssertionError("the sweep solved a PDE")
         monkeypatch.setattr(averaging_lab, "solve_psis", solve_psis)
-        path = write_cfg(tmp_path, f"n_time = 16\nn_space = 64\nout_dir = {tmp_path}\n")
+        path = write_cfg(tmp_path, f"n_time = 16\nn_space = 64\nt0 = 0.01\nout_dir = {tmp_path}\n")
         assert main(["sweep", "--config", path]) == 3
         assert "no admissible alpha0 for epsilon=0.5" in capsys.readouterr().err
+
+    def test_default_config_sweeps(self, tmp_path):
+        # the auto t0 = 3T/4 gives C1 = 0.6495, enough for the default eps_list's 0.5
+        out = tmp_path / "out"
+        path = write_cfg(tmp_path, f"out_dir = {out}\n")
+        assert main(["sweep", "--config", path]) == 0
+        assert (out / "sweep_report.csv").is_file()
+        assert "t0,0.75\n" in (out / "constants.csv").read_text()
 
     def test_missing_config_exit_2(self, tmp_path):
         assert main(["sweep", "--config", str(tmp_path / "absent.cfg")]) == 2
