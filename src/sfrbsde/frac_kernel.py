@@ -14,8 +14,9 @@ w = (u-v)^(2H-1) per axis, which maps
 
 so the transformed integrand is bounded and the inner rule
 (`kernel_transform`) is exact for constant g.  The outer graded sum over u
-does not integrate the u^s factor exactly: ||1||^2_1 comes out as
-1 + 1.9e-9 at H = 0.51 and 1 + 2.0e-11 at H = 0.75.
+of the 2-D rule is not: ||1||^2_1 comes out as 1 + 1.9e-9 at H = 0.51 and
+1 + 2.0e-11 at H = 0.75, in `inner_product`, `norm_sq` and the first node
+of `CoefficientSet.norm_sq_table` only.
 
 Everything here is deterministic; after a `CoefficientSet` is built all of
 its tables are read-only, so concurrent readers are safe.
@@ -24,7 +25,6 @@ its tables are read-only, so concurrent readers are safe.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import lru_cache
 from typing import Callable
 
 import numpy as np
@@ -121,18 +121,14 @@ def rho(t, s, hurst: HurstModel):
     return float(out) if out.ndim == 0 else out
 
 
-# a table build asks for the same few rules once per grid node
-@lru_cache(maxsize=16)
 def _unit_graded_gl(panels: int, grade: float):
-    """Read-only composite 4-point Gauss-Legendre nodes/weights on [0,1], panels graded toward 0."""
+    """Composite 4-point Gauss-Legendre nodes/weights on [0,1], panels graded toward 0."""
     gx, gw = np.polynomial.legendre.leggauss(4)
     edges = (np.arange(panels + 1) / panels) ** grade
     mid = 0.5 * (edges[:-1] + edges[1:])
     half = 0.5 * (edges[1:] - edges[:-1])
     x = (mid[:, None] + half[:, None] * gx[None, :]).ravel()
     w = (half[:, None] * gw[None, :]).ravel()
-    x.setflags(write=False)
-    w.setflags(write=False)
     return x, w
 
 
@@ -215,7 +211,8 @@ class CoefficientSet:
     Tables live on the shared simulation grid and are reused by every
     Monte-Carlo path and PDE step:
 
-      norm_sq_table[k]      = ||sigma2||^2_{t_k}  (inner_product's rule, guarded at T only)
+      norm_sq_table[k]      = ||sigma2||^2_{t_k}  (the 2-D rule at t_1, then a running
+                              integral of 2 sigma2 sigma2_hat; guarded at T)
       sigma2_hat_table[k]   = sigma2_hat(t_k)
       sigma_abs_sq_table[k] = |sigma|^2_{t_k} = int_0^{t_k} sigma1(s)^2 ds
                               + ||sigma2||^2_{t_k}
@@ -277,12 +274,14 @@ class CoefficientSet:
         s2hat = np.zeros_like(t)
         s2hat[1:] = kernel_transform(sigma2, interior, hurst, _TABLE_PANELS)
 
+        # d/dt ||sigma2||^2_t = 2 sigma2 sigma2_hat, integrated panel by panel
+        # after the first, where the 2-D rule takes the t^(2H-1) cusp
         nsq = np.zeros_like(t)
-        if not degenerate2:
-            for k in range(1, len(t) - 1):
-                nsq[k] = _inner_product_once(sigma2, sigma2, t[k], hurst, _TABLE_PANELS)
-            # the refinement guard runs once, at T
-            nsq[-1] = guarded_inner_product(sigma2, sigma2, t[-1], hurst)[0]
+        nsq[1] = _inner_product_once(sigma2, sigma2, t[1], hurst, _TABLE_PANELS)
+        nsq[2:] = nsq[1] + np.cumsum(_gl_panel_integrals(
+            lambda x: 2.0 * sigma2(x) * kernel_transform(sigma2, x, hurst, _TABLE_PANELS), t[1:]))
+        # the 2-D rule's refinement guard runs once, at T; it only raises
+        guarded_inner_product(sigma2, sigma2, t[-1], hurst)
 
         sig1_sq_int = np.zeros_like(t)
         sig1_sq_int[1:] = np.cumsum(

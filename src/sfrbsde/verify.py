@@ -1,9 +1,10 @@
 """Built-in invariant suite behind `sfrbsde verify`.
 
 Every module's invariants run here at reduced scale with the configured
-seed; each check reports a pass/fail plus a human-readable margin.  Negative
-controls (--expect-fail) sabotage one ingredient and demand that the
-corresponding check notices.
+seed; each check returns a pass/fail plus a human-readable margin, and a
+numeric error inside a check is that check's FAIL, with the error as its
+margin.  Negative controls (--expect-fail) sabotage one ingredient and
+demand that the corresponding check notices.
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ from . import bsde_solver as bs
 from . import frac_kernel as fk
 from . import path_engine as pe
 from .config import ExperimentConfig, benchmark_generator, config_from_mapping
-from .errors import ConfigError, ConsistencyError, QuadratureConvergenceError
+from .errors import ConfigError, NumericError
 from .grids import TimeGrid
 
 
@@ -28,7 +29,12 @@ class CheckResult:
     margin: str
 
 
-def _result(name, passed, margin):
+def run_check(name, check, cfg: ExperimentConfig) -> CheckResult:
+    """One report row: `check(cfg)` gives (passed, margin); a numeric error is a FAIL."""
+    try:
+        passed, margin = check(cfg)
+    except NumericError as exc:
+        return CheckResult(name=name, passed=False, margin=str(exc))
     return CheckResult(name=name, passed=bool(passed), margin=margin)
 
 
@@ -46,7 +52,7 @@ def check_kernel_symmetry(cfg):
     t = rng.uniform(0.01, cfg.t_horizon, 64)
     shift = rng.uniform(0.01, 0.5, 64)
     worst = np.abs(fk.rho(t + shift, t, h) - fk.rho(t, t + shift, h)).max()
-    return _result("kernel-symmetry", worst == 0.0, f"max asym {worst:.1e} (limit 0)")
+    return worst == 0.0, f"max asym {worst:.1e} (limit 0)"
 
 
 def check_kernel_bilinearity(cfg):
@@ -62,7 +68,7 @@ def check_kernel_bilinearity(cfg):
     )
     err = abs(lhs - rhs) / max(1.0, abs(lhs))
     limit = 10 * fk.REFINE_TOL
-    return _result("kernel-bilinearity", err <= limit, f"rel dev {err:.1e} (limit {limit:.0e})")
+    return err <= limit, f"rel dev {err:.1e} (limit {limit:.0e})"
 
 
 def check_kernel_cauchy_schwarz(cfg):
@@ -76,7 +82,7 @@ def check_kernel_cauchy_schwarz(cfg):
         ip = fk.inner_product(xi, eta, cfg.t_horizon, h)
         bound = fk.norm_sq(xi, cfg.t_horizon, h) * fk.norm_sq(eta, cfg.t_horizon, h)
         worst = max(worst, ip**2 - bound * (1 + 1e-9))
-    return _result("kernel-cauchy-schwarz", worst <= 1e-9, f"max excess {worst:.1e}")
+    return worst <= 1e-9, f"max excess {worst:.1e}"
 
 
 def check_kernel_closed_forms(cfg):
@@ -97,32 +103,24 @@ def check_kernel_closed_forms(cfg):
                 got2 = coeffs.sigma2_hat_table[-1]
                 want2 = c * hv * t ** (2 * hv - 1)
                 worst = max(worst, abs(got2 - want2) / abs(want2))
-    return _result("kernel-closed-forms", worst <= 1e-6, f"max rel err {worst:.1e} (limit 1e-6)")
+    return worst <= 1e-6, f"max rel err {worst:.1e} (limit 1e-6)"
 
 
 def check_quadrature_convergence(cfg):
     sigma2 = cfg.coefficient_fn("sigma2")
-    try:
-        _, drift = fk.guarded_inner_product(sigma2, sigma2, cfg.t_horizon, cfg.hurst())
-    except QuadratureConvergenceError as exc:
-        # the build runs the same guard at T; its refusal is this check's FAIL
-        return _result("quadrature-convergence", False, str(exc))
-    return _result("quadrature-convergence", True, f"doubling moved ||sigma2||^2_T by "
-                   f"{drift:.1e} (limit {fk.REFINE_TOL:.0e} x max(1, |value|))")
+    # the build runs the same guard at T
+    _, drift = fk.guarded_inner_product(sigma2, sigma2, cfg.t_horizon, cfg.hurst())
+    return (True, f"doubling moved ||sigma2||^2_T by "
+            f"{drift:.1e} (limit {fk.REFINE_TOL:.0e} x max(1, |value|))")
 
 
 def check_lambda_fd(cfg):
     worst = 0.0
     for sigma2 in ("constant:1", "sinusoidal:1"):
-        sub = replace(cfg, sigma2=sigma2)
-        try:
-            coeffs = _std_coeffs(sub, n_steps=128)
-        except ConsistencyError as exc:
-            # the build enforces the same limit; its refusal is this check's FAIL
-            return _result("lambda-fd-consistency", False, str(exc))
+        # the build enforces the same limit and raises ConsistencyError above it
+        coeffs = _std_coeffs(replace(cfg, sigma2=sigma2), n_steps=128)
         worst = max(worst, coeffs.fd_rel_error)
-    return _result("lambda-fd-consistency", worst <= 1e-3,
-                   f"max rel err {worst:.1e} (limit 1e-3)")
+    return worst <= 1e-3, f"max rel err {worst:.1e} (limit 1e-3)"
 
 
 # --------------------------------------------------------------------------
@@ -135,7 +133,7 @@ def check_fbm_covariance(cfg):
     n = min(cfg.n_paths, 20_000)
     _, _, z = pe.fbm_covariance_zscores(pe.fbm_cholesky(grid, h, n, cfg.rng()))
     worst = np.abs(z).max()
-    return _result("fbm-covariance", worst <= 3.0, f"max |z| {worst:.2f} (limit 3)")
+    return worst <= 3.0, f"max |z| {worst:.2f} (limit 3)"
 
 
 def check_fbm_methods_agree(cfg):
@@ -151,7 +149,7 @@ def check_fbm_methods_agree(cfg):
     worst = np.abs((var_a - var_b) / se).max()
     mean_se = np.sqrt((var_a + var_b) / n)
     worst = max(worst, np.abs((a.BH[:, 1:].mean(axis=0) - b.BH[:, 1:].mean(axis=0)) / mean_se).max())
-    return _result("fbm-methods-agree", worst <= 4.0, f"max |z| {worst:.2f} (limit 4)")
+    return worst <= 4.0, f"max |z| {worst:.2f} (limit 4)"
 
 
 def check_wiener_zero_mean(cfg):
@@ -166,7 +164,7 @@ def check_wiener_zero_mean(cfg):
             vals = pe.wiener_integral_det(xi, ens, which)
             z = abs(vals.mean()) / (vals.std(ddof=1) / np.sqrt(n))
             worst = max(worst, z)
-    return _result("wiener-zero-mean", worst <= 3.0, f"max |z| {worst:.2f} (limit 3)")
+    return worst <= 3.0, f"max |z| {worst:.2f} (limit 3)"
 
 
 def check_lemma_var_bound(cfg):
@@ -178,10 +176,9 @@ def check_lemma_var_bound(cfg):
                fk.DeterministicFn.linear(1.0)):
         rep = pe.check_lemma_var_bound(xi, ens)
         if not rep.holds:
-            return _result("lemma-var-bound", False,
-                           f"violated for {xi.name}: lhs {rep.lhs:.3f} rhs {rep.rhs:.3f}")
+            return False, f"violated for {xi.name}: lhs {rep.lhs:.3f} rhs {rep.rhs:.3f}"
         slack = min(slack, rep.rhs + 3 * rep.stderr - rep.lhs)
-    return _result("lemma-var-bound", True, f"min slack {slack:.3f}")
+    return True, f"min slack {slack:.3f}"
 
 
 def check_path_determinism(cfg):
@@ -190,7 +187,7 @@ def check_path_determinism(cfg):
     a = pe.make_ensemble(grid, h, 512, cfg.rng())
     b = pe.make_ensemble(grid, h, 512, cfg.rng())
     same = np.array_equal(a.dB, b.dB) and np.array_equal(a.dBH, b.dBH)
-    return _result("path-determinism", same, "bitwise equal" if same else "mismatch")
+    return same, "bitwise equal" if same else "mismatch"
 
 
 def check_crn_contract(cfg):
@@ -204,7 +201,7 @@ def check_crn_contract(cfg):
     dev = np.abs(eta1[:, 1:] / e1**h - eta2[:, 1:] / e2**h)
     scale = np.abs(eta1[:, 1:] / e1**h).max()
     worst = dev.max() / scale
-    return _result("crn-contract", worst <= 1e-12, f"max rel dev {worst:.1e} (limit 1e-12)")
+    return worst <= 1e-12, f"max rel dev {worst:.1e} (limit 1e-12)"
 
 
 # --------------------------------------------------------------------------
@@ -234,8 +231,7 @@ def _closed_form_errors(cfg, n):
 def check_pde_closed_forms(cfg):
     errs = _closed_form_errors(cfg, 256)
     worst = max(errs)
-    return _result("pde-closed-forms", worst <= 1e-3,
-                   f"sup errors {errs[0]:.1e}/{errs[1]:.1e}/{errs[2]:.1e} (limit 1e-3)")
+    return worst <= 1e-3, f"sup errors {errs[0]:.1e}/{errs[1]:.1e}/{errs[2]:.1e} (limit 1e-3)"
 
 
 def check_pde_refinement(cfg):
@@ -246,7 +242,7 @@ def check_pde_refinement(cfg):
     fine = _closed_form_errors(cfg, 256)
     ok = all(f <= floor or f <= c / 3.0 for c, f in zip(coarse, fine))
     ratios = "/".join("floor" if f <= floor else f"{c / f:.1f}x" for c, f in zip(coarse, fine))
-    return _result("pde-refinement", ok, f"shrink {ratios} (need >=3x or floor)")
+    return ok, f"shrink {ratios} (need >=3x or floor)"
 
 
 def _zero_generator_triple(cfg, term, n_paths):
@@ -267,8 +263,7 @@ def check_pde_terminal(cfg):
     inside = (eta[:, -1] >= f.x_nodes[0]) & (eta[:, -1] <= f.x_nodes[-1])
     dev = np.abs(trip.Y[inside, -1] - term(eta[inside, -1])).max()
     limit = term.growth_degree * dx**2
-    return _result("pde-terminal-consistency", exact and dev <= limit,
-                   f"grid exact={exact}, interp dev {dev:.1e} (limit {limit:.1e})")
+    return exact and dev <= limit, f"grid exact={exact}, interp dev {dev:.1e} (limit {limit:.1e})"
 
 
 def check_pde_monotonicity(cfg):
@@ -283,8 +278,7 @@ def check_pde_monotonicity(cfg):
     # interior nodes only: the boundary values are linear extrapolations,
     # which undershoot convex difference fields by design
     worst = float((f1.psi[:, 1:-1] - f2.psi[:, 1:-1]).max())
-    return _result("pde-monotonicity", worst <= 1e-9,
-                   f"max interior violation {worst:.1e} (limit 1e-9)")
+    return worst <= 1e-9, f"max interior violation {worst:.1e} (limit 1e-9)"
 
 
 def check_z_proportionality(cfg):
@@ -294,15 +288,14 @@ def check_z_proportionality(cfg):
     s1 = coeffs.sigma1(t)[None, :]
     s2 = coeffs.sigma2(t)[None, :]
     same = np.array_equal(trip.Z2 * s1, trip.Z1 * s2)
-    return _result("z-proportionality", same,
-                   "Z2*sigma1 == Z1*sigma2 bitwise" if same else "mismatch")
+    return same, "Z2*sigma1 == Z1*sigma2 bitwise" if same else "mismatch"
 
 
 def check_malliavin(cfg):
     coeffs, f, _, trip = _zero_generator_triple(cfg, bs.TerminalCondition.square(), 512)
     chk = bs.malliavin_representation_check(trip, f, coeffs)
-    return _result("malliavin-representation", chk.applicable and chk.max_deviation <= 1e-12,
-                   f"max dev {chk.max_deviation:.1e} (limit 1e-12)")
+    return (chk.applicable and chk.max_deviation <= 1e-12,
+            f"max dev {chk.max_deviation:.1e} (limit 1e-12)")
 
 
 def check_residual_mean(cfg):
@@ -320,7 +313,7 @@ def check_residual_mean(cfg):
         trip = bs.extract_triple(f, eta, coeffs)
         rep = bs.residual_mean_check(trip, gen, coeffs, 1.0, cfg.t_horizon / 2)
         worst = max(worst, rep.residual - (3 * rep.stderr + allowance))
-    return _result("residual-mean", worst <= 0, f"max excess {worst:.1e} (limit 0)")
+    return worst <= 0, f"max excess {worst:.1e} (limit 0)"
 
 
 # --------------------------------------------------------------------------
@@ -338,8 +331,7 @@ def check_fbar_idempotence(cfg):
     quad_route = al.build_fbar(replace(gen, time_dependent=True), cfg.t_horizon, q)
     dev_quad = np.abs(quad_route(*pts.T) - gen(0.0, *pts.T)).max()
     worst = max(dev, dev_quad)
-    return _result("fbar-idempotence", worst <= q.tol,
-                   f"max dev {worst:.1e} (limit {q.tol:.0e})")
+    return worst <= q.tol, f"max dev {worst:.1e} (limit {q.tol:.0e})"
 
 
 def _mini_sweep(cfg, generator=None, eps=(0.5, 0.3, 0.2)):
@@ -361,15 +353,13 @@ def check_degenerate_sweep(cfg):
     worst = max(max(s.sup_mse for s in rep.stats),
                 max(s.z_err_integral for s in rep.stats),
                 max(s.exceed_prob for s in rep.stats))
-    return _result("degenerate-sweep-identity", worst == 0.0,
-                   f"max statistic {worst:.1e} (limit 0)")
+    return worst == 0.0, f"max statistic {worst:.1e} (limit 0)"
 
 
 def check_benchmark_sweep(cfg):
     rep = _mini_sweep(cfg)
     ok = all(al.claim_verdicts(rep).values())
-    return _result("benchmark-sweep-claims", ok,
-                   f"slope {rep.fitted_slope:.2f}, all claims pass={ok}")
+    return ok, f"slope {rep.fitted_slope:.2f}, all claims pass={ok}"
 
 
 def check_alpha0(cfg):
@@ -387,8 +377,8 @@ def check_alpha0(cfg):
                 braces = (a - L * e, a * c1 - L * e)
                 braces_ok &= min(braces) > 0
                 worst = max(worst, abs((e / a) * min(braces) - e * e))
-    return _result("alpha0-closed-form", worst <= 1e-12 and braces_ok,
-                   f"max |g(alpha0)| {worst:.1e} (limit 1e-12), braces positive={braces_ok}")
+    return (worst <= 1e-12 and braces_ok,
+            f"max |g(alpha0)| {worst:.1e} (limit 1e-12), braces positive={braces_ok}")
 
 
 def check_rate_fit(cfg):
@@ -408,17 +398,16 @@ def check_rate_fit(cfg):
                          n_paths=1, stats=stats)
     al.check_theorem_rate(rep)
     dev = abs(rep.fitted_slope - h.two_h)
-    return _result("rate-fit-synthetic", dev <= 1e-10 and rep.epsilon1 == 0.5,
-                   f"slope dev {dev:.1e} (limit 1e-10), eps1={rep.epsilon1}")
+    return (dev <= 1e-10 and rep.epsilon1 == 0.5,
+            f"slope dev {dev:.1e} (limit 1e-10), eps1={rep.epsilon1}")
 
 
 def check_beta_feasibility(cfg):
     try:
         al.check_beta(cfg.beta, cfg.h)
     except ValueError as exc:
-        return _result("beta-feasibility", False, str(exc))
-    return _result("beta-feasibility", True,
-                   f"beta {cfg.beta} < 1/(2H) = {1.0 / (2.0 * cfg.h):.4f}")
+        return False, str(exc)
+    return True, f"beta {cfg.beta} < 1/(2H) = {1.0 / (2.0 * cfg.h):.4f}"
 
 
 def check_config_roundtrip(cfg):
@@ -428,42 +417,42 @@ def check_config_roundtrip(cfg):
         key, _, value = line.partition("=")
         raw[key.strip()] = value.strip()
     again = config_from_mapping(raw)
-    return _result("config-roundtrip", again == cfg,
-                   "parse(serialize(config)) == config" if again == cfg else "mismatch")
+    return again == cfg, "parse(serialize(config)) == config" if again == cfg else "mismatch"
 
 
+# (row name, check) in report order
 ALL_CHECKS = (
-    check_kernel_symmetry,
-    check_kernel_bilinearity,
-    check_kernel_cauchy_schwarz,
-    check_kernel_closed_forms,
-    check_quadrature_convergence,
-    check_lambda_fd,
-    check_fbm_covariance,
-    check_fbm_methods_agree,
-    check_wiener_zero_mean,
-    check_lemma_var_bound,
-    check_path_determinism,
-    check_crn_contract,
-    check_pde_terminal,
-    check_pde_closed_forms,
-    check_pde_refinement,
-    check_pde_monotonicity,
-    check_z_proportionality,
-    check_malliavin,
-    check_residual_mean,
-    check_fbar_idempotence,
-    check_degenerate_sweep,
-    check_benchmark_sweep,
-    check_alpha0,
-    check_rate_fit,
-    check_beta_feasibility,
-    check_config_roundtrip,
+    ("kernel-symmetry", check_kernel_symmetry),
+    ("kernel-bilinearity", check_kernel_bilinearity),
+    ("kernel-cauchy-schwarz", check_kernel_cauchy_schwarz),
+    ("kernel-closed-forms", check_kernel_closed_forms),
+    ("quadrature-convergence", check_quadrature_convergence),
+    ("lambda-fd-consistency", check_lambda_fd),
+    ("fbm-covariance", check_fbm_covariance),
+    ("fbm-methods-agree", check_fbm_methods_agree),
+    ("wiener-zero-mean", check_wiener_zero_mean),
+    ("lemma-var-bound", check_lemma_var_bound),
+    ("path-determinism", check_path_determinism),
+    ("crn-contract", check_crn_contract),
+    ("pde-terminal-consistency", check_pde_terminal),
+    ("pde-closed-forms", check_pde_closed_forms),
+    ("pde-refinement", check_pde_refinement),
+    ("pde-monotonicity", check_pde_monotonicity),
+    ("z-proportionality", check_z_proportionality),
+    ("malliavin-representation", check_malliavin),
+    ("residual-mean", check_residual_mean),
+    ("fbar-idempotence", check_fbar_idempotence),
+    ("degenerate-sweep-identity", check_degenerate_sweep),
+    ("benchmark-sweep-claims", check_benchmark_sweep),
+    ("alpha0-closed-form", check_alpha0),
+    ("rate-fit-synthetic", check_rate_fit),
+    ("beta-feasibility", check_beta_feasibility),
+    ("config-roundtrip", check_config_roundtrip),
 )
 
 
 def run_all(cfg: ExperimentConfig) -> list[CheckResult]:
-    return [chk(cfg) for chk in ALL_CHECKS]
+    return [run_check(name, chk, cfg) for name, chk in ALL_CHECKS]
 
 
 # --------------------------------------------------------------------------
@@ -477,11 +466,13 @@ def negative_control(cfg: ExperimentConfig, name: str) -> CheckResult:
     the verdict to FAIL on a sweep with a genuinely time-dependent generator.
     """
     if name == "lemma1-null":
-        rep = _mini_sweep(cfg)
-        nulled = [replace(s.constants, alpha0=0.0, L1=0.0, C2=0.0) for s in rep.stats]
-        al.check_lemma1(rep, constants=nulled)
-        observed_failure = not all(s.lemma1_pass for s in rep.stats)
-        return _result("expect-fail:lemma1-null", observed_failure,
-                       "zeroed constants were caught" if observed_failure
-                       else "sabotage went unnoticed")
+        return run_check("expect-fail:lemma1-null", _lemma1_null_caught, cfg)
     raise ConfigError([f"unknown negative control {name!r} (known: lemma1-null)"])
+
+
+def _lemma1_null_caught(cfg):
+    rep = _mini_sweep(cfg)
+    nulled = [replace(s.constants, alpha0=0.0, L1=0.0, C2=0.0) for s in rep.stats]
+    al.check_lemma1(rep, constants=nulled)
+    caught = not all(s.lemma1_pass for s in rep.stats)
+    return caught, "zeroed constants were caught" if caught else "sabotage went unnoticed"

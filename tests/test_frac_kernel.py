@@ -210,12 +210,31 @@ class TestCoefficientSet:
         assert coeffs.fd_rel_error <= 1e-3
 
     def test_halved_norm_table_rejected(self, monkeypatch):
-        # a factor-1 lambda would match this table; the FD gate must not adopt it
-        real = frac_kernel._inner_product_once
-        monkeypatch.setattr(frac_kernel, "_inner_product_once",
+        # a factor-1 lambda would match this table; the FD gate must not adopt it.
+        # With sigma1 = 0 the running integral is the whole table past node 1.
+        real = frac_kernel._gl_panel_integrals
+        monkeypatch.setattr(frac_kernel, "_gl_panel_integrals",
                             lambda *args: 0.5 * real(*args))
         with pytest.raises(ConsistencyError):
             build_coeffs(sigma1=ZERO, sigma2=DeterministicFn.sinusoidal(1.0, 1.0), n=128)
+
+    @pytest.mark.parametrize("hurst, rtol", [(0.51, 1e-10), (0.75, 1e-13), (0.95, 1e-13)])
+    def test_norm_table_at_T_matches_closed_form(self, hurst, rtol):
+        # ||1||^2_1 = 1; the 2-D rule alone misses it by 1.9e-9 at H = 0.51
+        coeffs = build_coeffs(n=256, hurst=HurstModel(hurst))
+        assert coeffs.norm_sq_table[-1] == pytest.approx(1.0, rel=rtol)
+
+    def test_no_per_node_kernel_work(self, monkeypatch):
+        real = frac_kernel.kernel_transform
+        calls = []
+        monkeypatch.setattr(frac_kernel, "kernel_transform",
+                            lambda *args: calls.append(1) or real(*args))
+        counts = []
+        for n in (8, 256, 1024):
+            calls.clear()
+            build_coeffs(sigma2=DeterministicFn.sinusoidal(1.0, 1.0), n=n)
+            counts.append(len(calls))
+        assert counts[0] == counts[1] == counts[2]
 
     def test_strictly_increasing_table(self):
         coeffs = build_coeffs(sigma2=DeterministicFn.sinusoidal(2.0, 1.0))
@@ -288,7 +307,11 @@ class TestRefinementGuard:
         assert err.value.tol == frac_kernel.REFINE_TOL
 
     def test_table_is_the_rule_of_inner_product(self):
+        # node 1 is inner_product's rule; later nodes integrate its derivative,
+        # and stay within the rule's refinement tolerance of it
         sigma2 = DeterministicFn.sinusoidal(1.0, 1.0)
         coeffs = build_coeffs(sigma2=sigma2, n=8)
-        want = [inner_product(sigma2, sigma2, t, H75) for t in coeffs.grid.nodes[1:]]
-        assert np.array_equal(coeffs.norm_sq_table[1:], want)
+        want = np.array([inner_product(sigma2, sigma2, t, H75) for t in coeffs.grid.nodes[1:]])
+        got = coeffs.norm_sq_table[1:]
+        assert got[0] == want[0]
+        assert np.all(np.abs(got - want) <= frac_kernel.REFINE_TOL * np.maximum(1.0, np.abs(want)))

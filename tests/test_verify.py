@@ -10,21 +10,21 @@ from sfrbsde.config import ExperimentConfig
 
 
 @functools.cache
-def at_defaults(check):
-    """The check's result at ExperimentConfig() (seed 42), computed once per session."""
-    return check(ExperimentConfig())
+def at_defaults(name, check):
+    """The check's row at ExperimentConfig() (seed 42), computed once per session."""
+    return verify.run_check(name, check, ExperimentConfig())
 
 
-@pytest.mark.parametrize("check", verify.ALL_CHECKS,
-                         ids=[chk.__name__.removeprefix("check_") for chk in verify.ALL_CHECKS])
-def test_check_passes_at_defaults(check):
-    result = at_defaults(check)
+@pytest.mark.parametrize("name, check", verify.ALL_CHECKS,
+                         ids=[chk.__name__.removeprefix("check_") for _, chk in verify.ALL_CHECKS])
+def test_check_passes_at_defaults(name, check):
+    result = at_defaults(name, check)
     assert result.passed, f"{result.name}: {result.margin}"
 
 
 def test_verify_report_rows_have_three_fields(tmp_path, monkeypatch):
     # the same results `verify` computes at its defaults, without running them twice
-    monkeypatch.setattr(cli, "run_all", lambda cfg: [at_defaults(chk) for chk in verify.ALL_CHECKS])
+    monkeypatch.setattr(cli, "run_all", lambda cfg: [at_defaults(*pair) for pair in verify.ALL_CHECKS])
     assert cli.main(["verify", "--out", str(tmp_path)]) == 0
     with open(tmp_path / "verify_report.csv", newline="", encoding="utf-8") as fh:
         rows = list(csv.reader(fh))
@@ -36,23 +36,36 @@ def test_verify_report_rows_have_three_fields(tmp_path, monkeypatch):
 
 
 def test_lambda_fd_reports_a_failed_build(monkeypatch):
-    # the build refuses tables above this limit; the check must turn that into a FAIL row
+    # the build refuses tables above this limit; its row must be a FAIL, not an abort
     monkeypatch.setattr(frac_kernel, "_FD_CHECK_RTOL", 1e-12)
-    result = verify.check_lambda_fd(ExperimentConfig())
+    result = verify.run_check("lambda-fd-consistency", verify.check_lambda_fd, ExperimentConfig())
     assert (result.name, result.passed) == ("lambda-fd-consistency", False)
     assert "does not match the finite differences" in result.margin
 
 
 def test_quadrature_convergence_reports_an_unconverged_rule():
     # doubling the kernel rule moves ||sigma2||^2_T by about 3.8e-6 here
-    result = verify.check_quadrature_convergence(
-        ExperimentConfig(h=0.51, sigma2="sinusoidal:1"))
+    result = verify.run_check("quadrature-convergence", verify.check_quadrature_convergence,
+                              ExperimentConfig(h=0.51, sigma2="sinusoidal:1"))
     assert (result.name, result.passed) == ("quadrature-convergence", False)
     assert "quadrature did not converge" in result.margin
 
 
 def test_fbm_methods_agree_at_the_largest_seed():
     # the circulant side draws from the next seed, which wraps to 0 here
-    result = verify.check_fbm_methods_agree(ExperimentConfig(seed=2**64 - 1))
-    assert isinstance(result, verify.CheckResult)
-    assert result.name == "fbm-methods-agree"
+    _, margin = verify.check_fbm_methods_agree(ExperimentConfig(seed=2**64 - 1))
+    assert margin.startswith("max |z|")
+
+
+def test_numeric_errors_become_fail_rows(tmp_path):
+    # at H = 0.55 the mini sweeps' eps = 0.5 has no admissible alpha0; both
+    # rows must say so, and every other row must still be written
+    cfg = tmp_path / "h055.cfg"
+    cfg.write_text("h = 0.55\n", encoding="utf-8")
+    assert cli.main(["verify", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 1
+    with open(tmp_path / "out" / "verify_report.csv", newline="", encoding="utf-8") as fh:
+        rows = {row[0]: row[1:] for row in list(csv.reader(fh))[1:]}
+    assert list(rows) == [name for name, _ in verify.ALL_CHECKS]
+    for name in ("degenerate-sweep-identity", "benchmark-sweep-claims"):
+        status, margin = rows[name]
+        assert status == "FAIL" and "largest feasible epsilon is" in margin
