@@ -133,7 +133,7 @@ def build_fbar(gen: Generator, T: float, quad: QuadratureSpec) -> AveragedGenera
 
     Otherwise the panel count is chosen here, once: starting at
     MIN_FBAR_PANELS and doubling, the first count n <= quad.panels whose
-    fbar on the default BoxSampler points moves by at most
+    fbar on every `box_points()` point moves by at most
     quad.tol * max(1, |fbar|) when refined to 2n panels.  If no count
     qualifies, QuadratureConvergenceError is raised.  Each call of the
     returned fbar evaluates f once, with the 4n quadrature nodes on a
@@ -144,7 +144,7 @@ def build_fbar(gen: Generator, T: float, quad: QuadratureSpec) -> AveragedGenera
             fn=lambda x, y, z1, z2: gen.fn(0.0, x, y, z1, z2),
             provenance="analytic", name=f"avg[{gen.name}]",
         )
-    points = BoxSampler().draw()
+    points = box_points()
     panels = MIN_FBAR_PANELS
     coarse = _gl_time_average(gen, T, panels)(*points)
     while True:
@@ -162,115 +162,77 @@ def build_fbar(gen: Generator, T: float, quad: QuadratureSpec) -> AveragedGenera
                              panels=panels)
 
 
-@dataclass(frozen=True)
-class BoxSampler:
-    """Uniform samples of (x, y, z1, z2) in a centered box, corners included.
-
-    `half_width` is a scalar or one value per coordinate (0 pins an axis).
-    Drawing is sequential from one stream, so enlarging n_samples extends the
-    sample set (sup estimates can only grow).
-    """
-
-    half_width: float | tuple = 5.0
-    n_samples: int = 2048
-    seed: int = 20240
-
-    @property
-    def widths(self) -> np.ndarray:
-        """Half-widths of the (x, y, z1, z2) axes."""
-        return np.broadcast_to(np.asarray(self.half_width, dtype=float), (4,))
-
-    def draw(self):
-        widths = self.widths
-        rng = np.random.Generator(np.random.Philox(key=np.array([self.seed, 77], dtype=np.uint64)))
-        pts = widths * (2.0 * rng.random((self.n_samples, 4)) - 1.0)
-        corners = widths * np.array(
-            [[sx, sy, sz, sw] for sx in (-1, 1) for sy in (-1, 1)
-             for sz in (-1, 1) for sw in (-1, 1)], dtype=float
-        )
-        pts = np.vstack([pts, corners, np.zeros((1, 4))])
-        return pts[:, 0], pts[:, 1], pts[:, 2], pts[:, 3]
+# the probe set of f-bar's panel choice, L and phi: BOX_SAMPLES uniform draws
+# from the box |x|, |y|, |z1|, |z2| <= BOX_HALF_WIDTH, then its 16 corners and the origin
+BOX_HALF_WIDTH = 5.0
+BOX_SAMPLES = 2048
 
 
-@dataclass(frozen=True)
-class PhiEstimate:
-    """Empirical lower estimate of sup phi with its sampled arg-max."""
+def box_points():
+    """The probe set's coordinates (x, y, z1, z2), each of BOX_SAMPLES + 17 values."""
+    rng = np.random.Generator(np.random.Philox(key=np.array([20240, 77], dtype=np.uint64)))
+    pts = BOX_HALF_WIDTH * (2.0 * rng.random((BOX_SAMPLES, 4)) - 1.0)
+    corners = BOX_HALF_WIDTH * np.array(
+        [[sx, sy, sz, sw] for sx in (-1, 1) for sy in (-1, 1)
+         for sz in (-1, 1) for sw in (-1, 1)], dtype=float
+    )
+    pts = np.vstack([pts, corners, np.zeros((1, 4))])
+    return pts[:, 0], pts[:, 1], pts[:, 2], pts[:, 3]
 
-    value: float
-    at_window: tuple
-    at_point: tuple
 
-
-# time nodes per call of f in estimate_phi: ~1 MB per (nodes, samples)
-# temporary at the default sampler's 2065 points
+# phi is estimated on the PHI_WINDOWS windows [kT/PHI_WINDOWS, T] by a
+# trapezoid on PHI_TIME_NODES uniform nodes of [0, T]
+PHI_WINDOWS = 16
+PHI_TIME_NODES = 1025
+# time nodes per call of f in estimate_phi: ~1 MB per (nodes, points)
+# temporary at the probe set's 2065 points
 PHI_CHUNK_NODES = 64
 
 
-def estimate_phi(gen: Generator, fbar: AveragedGenerator, sampler: BoxSampler,
-                 t_grid: Sequence[tuple], n_time_nodes: int = 1025) -> PhiEstimate:
-    """sup over samples of the averaging-deviation ratio
+def estimate_phi(gen: Generator, fbar: AveragedGenerator, T: float) -> float:
+    """sup over the probe set and the windows [t, T] of the averaging-deviation ratio
 
-        (1/(T1-t)) int_t^T1 |f(s,x,y,z1,z2) - fbar(x,y,z1,z2)|^2 ds
-            / (1 + y^2 + z1^2 + z2^2).
+        (1/(T-t)) int_t^T |f(s,x,y,z1,z2) - fbar(x,y,z1,z2)|^2 ds
+            / (1 + y^2 + z1^2 + z2^2),
 
-    The integral is a cumulative trapezoid on n_time_nodes uniform nodes of
-    [0, max T1].  f is evaluated PHI_CHUNK_NODES nodes per call, and the
+    a lower estimate of sup phi by construction.
+
+    The integral is a cumulative trapezoid on PHI_TIME_NODES uniform nodes
+    of [0, T].  f is evaluated PHI_CHUNK_NODES nodes per call, and the
     running integral is carried from chunk to chunk (the carry row heads
     each chunk's cumsum, so every sum is formed in node order); only the
-    rows at window ends are kept.
-
-    A lower estimate of sup phi by construction; the sampled arg-max is
-    reported so suspicious values can be inspected.
+    rows at window starts and at T are kept.
     """
-    x, y, z1, z2 = sampler.draw()
-    t_pairs = [(float(a), float(b)) for a, b in t_grid]
-    if not t_pairs:
-        raise ValueError("t_grid must contain at least one (t, T1) window")
-    for a, b in t_pairs:
-        if not b > a:
-            raise ValueError(f"window ({a}, {b}) must have T1 > t")
-    t_max = max(b for _, b in t_pairs)
-    s_nodes = np.linspace(0.0, t_max, n_time_nodes)
-    ends = [tuple(int(round(v / t_max * (n_time_nodes - 1))) for v in pair)
-            for pair in t_pairs]
-    kept_at = sorted({i for pair in ends for i in pair})
-    kept = np.zeros((len(kept_at), x.size))
-    row_of = {i: r for r, i in enumerate(kept_at)}
+    x, y, z1, z2 = box_points()
+    s_nodes = np.linspace(0.0, T, PHI_TIME_NODES)
+    stride = (PHI_TIME_NODES - 1) // PHI_WINDOWS   # window k starts at node k * stride
+    kept = np.zeros((PHI_WINDOWS + 1, x.size))     # the integral up to each start, then to T
 
     fb = fbar(x, y, z1, z2)
     carry = np.zeros((1, x.size))   # the integral from 0 to the chunk's first node
-    for lo in range(0, n_time_nodes - 1, PHI_CHUNK_NODES):
+    for lo in range(0, PHI_TIME_NODES - 1, PHI_CHUNK_NODES):
         s = s_nodes[lo:lo + PHI_CHUNK_NODES + 1]   # one node shared with the next chunk
         gaps_sq = np.broadcast_to(gen(s[:, None], x, y, z1, z2), (s.size, x.size)) - fb
         gaps_sq **= 2
         steps = 0.5 * (gaps_sq[1:] + gaps_sq[:-1]) * np.diff(s)[:, None]
         cum = np.cumsum(np.concatenate([carry, steps]), axis=0)
         for i in range(lo, lo + s.size):
-            if i in row_of:
-                kept[row_of[i]] = cum[i - lo]
+            if i % stride == 0:
+                kept[i // stride] = cum[i - lo]
         carry = cum[-1:]
     denom = 1.0 + y**2 + z1**2 + z2**2
-
-    best = PhiEstimate(0.0, t_pairs[0], (0.0, 0.0, 0.0, 0.0))
-    for (a, b), (ia, ib) in zip(t_pairs, ends):
-        window_mean = (kept[row_of[ib]] - kept[row_of[ia]]) / (s_nodes[ib] - s_nodes[ia])
-        ratio = window_mean / denom
-        j = int(np.argmax(ratio))
-        if ratio[j] > best.value:
-            best = PhiEstimate(float(ratio[j]), (a, b),
-                               (float(x[j]), float(y[j]), float(z1[j]), float(z2[j])))
-    return best
+    window_means = (kept[-1] - kept[:-1]) / (T - s_nodes[:-1:stride])[:, None]
+    return float((window_means / denom).max())
 
 
-def estimate_lipschitz(gen: Generator, sampler: BoxSampler, T: float = 1.0) -> float:
+def estimate_lipschitz(gen: Generator, T: float) -> float:
     """Empirical A1 constant: sup of |f - f'|^2 / (|dy|^2 + |dz1|^2 + |dz2|^2)
-    over the sampler's pairs, at 17 evenly spaced times of [0, T] and 5 x values.
+    over pairs of probe points, at 17 evenly spaced times of [0, T] and 5 x values.
 
     If the generator declares a constant, the samples validate it (a sampled
     exceedance is a contract error) and the declared value is returned.
     """
-    x_all, y_all, z1_all, z2_all = sampler.draw()
-    x_width = sampler.widths[0]
+    _, y_all, z1_all, z2_all = box_points()
     m = y_all.size // 2
     y, yp = y_all[:m], y_all[m:2 * m]
     z1, z1p = z1_all[:m], z1_all[m:2 * m]
@@ -279,7 +241,7 @@ def estimate_lipschitz(gen: Generator, sampler: BoxSampler, T: float = 1.0) -> f
     keep = dist > 1e-14
     worst = 0.0
     for t in np.linspace(0.0, T, 17):
-        for xa in np.linspace(-x_width, x_width, 5):
+        for xa in np.linspace(-BOX_HALF_WIDTH, BOX_HALF_WIDTH, 5):
             df = gen(t, xa, y, z1, z2) - gen(t, xa, yp, z1p, z2p)
             ratio = df[keep] ** 2 / dist[keep]
             worst = max(worst, float(ratio.max(initial=0.0)))
@@ -317,6 +279,21 @@ def check_beta(beta: float, h: float) -> None:
     if not 0.0 <= beta < limit:
         raise ValueError(f"beta: must satisfy 0 <= beta < min(1, 1/(2H)) = {limit:.6g}, "
                          f"got {beta!r}")
+
+
+# the fewest epsilons a sweep takes: the rate fit is a line through at least three points
+MIN_EPS_POINTS = 3
+
+
+def check_eps_list(eps: Sequence[float]) -> None:
+    """Raise ValueError unless eps holds at least MIN_EPS_POINTS values, strictly
+    decreasing inside (0, 1]."""
+    eps = tuple(float(e) for e in eps)
+    if len(eps) < MIN_EPS_POINTS or any(not 0 < e <= 1 for e in eps) or any(
+        not a > b for a, b in zip(eps, eps[1:])
+    ):
+        raise ValueError(f"eps_list: must hold at least {MIN_EPS_POINTS} values, strictly "
+                         f"decreasing inside (0, 1], got {eps!r}")
 
 
 @dataclass(frozen=True)
@@ -397,13 +374,6 @@ class SweepConfig:
     eta0: float = 1.0
     pde: PdeConfig = field(default_factory=PdeConfig)
     rng: RngSpec = field(default_factory=lambda: RngSpec(seed=42))
-    phi_sampler: BoxSampler = field(default_factory=BoxSampler)
-
-
-# phi is estimated on the windows [s, T] for PHI_WINDOWS starts s evenly spaced in [0, T)
-PHI_WINDOWS = 16
-# the fewest epsilons a sweep takes: the rate fit is a line through at least three points
-MIN_EPS_POINTS = 3
 
 
 @dataclass
@@ -613,12 +583,8 @@ def run_sweep(
     three per-path vectors per eps.  The sweep starts no threads of its own,
     and reruns are byte-identical.
     """
+    check_eps_list(eps_list)
     eps = [float(e) for e in eps_list]
-    if len(eps) < MIN_EPS_POINTS or any(not 0 < e <= 1 for e in eps) or any(
-        not a > b for a, b in zip(eps, eps[1:])
-    ):
-        raise ValueError(f"eps_list must hold at least {MIN_EPS_POINTS} values, strictly "
-                         f"decreasing inside (0, 1], got {eps!r}")
     if cfg.n_paths < 2:
         raise ValueError(f"n_paths must be >= 2 for standard errors, got {cfg.n_paths!r}")
     check_beta(cfg.beta, coeffs.hurst.h)
@@ -630,13 +596,12 @@ def run_sweep(
 
     fbar = build_fbar(original, T, QuadratureSpec())
     averaged = fbar.as_generator()
-    L = estimate_lipschitz(original, cfg.phi_sampler, T=T)
+    L = estimate_lipschitz(original, T)
     C1 = c1_lower_bound(coeffs, t0)
     # an eps without an alpha0 fails here, before any PDE is solved or path drawn
     for epsilon in eps:
         solve_alpha0(L, C1, epsilon, hurst)
-    starts = np.linspace(0.0, T * (1.0 - 1.0 / PHI_WINDOWS), PHI_WINDOWS)
-    phi = estimate_phi(original, fbar, cfg.phi_sampler, [(s, T) for s in starts])
+    phi = estimate_phi(original, fbar, T)
 
     def fold_for(epsilon: float, field_orig, field_avg) -> _WindowFold:
         i_lo = grid.first_index_at_or_after(T * epsilon ** (1.0 - cfg.beta))
@@ -662,7 +627,7 @@ def run_sweep(
         raw = fold.result()
         u = float(grid.nodes[fold.i_lo])
         constants = compute_constants(
-            L, C1, phi.value, u, T, epsilon, cfg.beta, hurst, raw.pop("moments"),
+            L, C1, phi, u, T, epsilon, cfg.beta, hurst, raw.pop("moments"),
         )
         stats.append(PerEpsilonStats(
             epsilon=epsilon, t_lo=u, constants=constants, **raw,
@@ -681,7 +646,7 @@ def run_sweep(
 
     report = SweepReport(
         eps_list=tuple(eps), T=T, beta=cfg.beta, delta1=cfg.delta1,
-        delta2=float(delta2), t0=t0, L=L, C1=C1, phi_bound=phi.value,
+        delta2=float(delta2), t0=t0, L=L, C1=C1, phi_bound=phi,
         n_paths=cfg.n_paths, stats=stats, fbar_panels=fbar.panels,
     )
     check_lemma1(report)
@@ -712,7 +677,7 @@ def check_theorem_rate(report: SweepReport) -> None:
     eps = np.array([s.epsilon for s in report.stats])
     mse = np.array([s.sup_mse for s in report.stats])
     pos = mse > 0
-    if pos.sum() >= 3:
+    if pos.sum() >= MIN_EPS_POINTS:
         slope = np.polyfit(np.log(eps[pos]), np.log(mse[pos]), 1)[0]
     else:
         slope = float("nan")

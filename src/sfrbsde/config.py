@@ -15,7 +15,7 @@ from typing import Callable
 
 import numpy as np
 
-from .averaging_lab import MIN_EPS_POINTS, check_beta
+from .averaging_lab import check_beta, check_eps_list
 from .bsde_solver import Generator, PdeConfig, TerminalCondition
 from .errors import ConfigError
 from .frac_kernel import CoefficientSet, DeterministicFn, HurstModel
@@ -183,17 +183,11 @@ def _validate(cfg: ExperimentConfig) -> list[str]:
         bad.append(f"n_space: must be >= 64, got {cfg.n_space!r}")
     if cfg.n_paths < 1000:
         bad.append(f"n_paths: must be >= 1000 for probabilistic checks, got {cfg.n_paths!r}")
-    if len(cfg.eps_list) < MIN_EPS_POINTS:
-        bad.append(f"eps_list: needs at least {MIN_EPS_POINTS} values for the rate fit, "
-                   f"got {len(cfg.eps_list)}")
-    if any(not 0 < e <= 1 for e in cfg.eps_list):
-        bad.append(f"eps_list: all values must lie in (0, 1], got {cfg.eps_list!r}")
-    if any(not a > b for a, b in zip(cfg.eps_list, cfg.eps_list[1:])):
-        bad.append(f"eps_list: values must be strictly decreasing, got {cfg.eps_list!r}")
-    try:
-        check_beta(cfg.beta, cfg.h)
-    except ValueError as exc:
-        bad.append(str(exc))
+    for check, args in ((check_eps_list, (cfg.eps_list,)), (check_beta, (cfg.beta, cfg.h))):
+        try:
+            check(*args)
+        except ValueError as exc:
+            bad.append(str(exc))
     if not cfg.delta1 > 0:
         bad.append(f"delta1: must be > 0, got {cfg.delta1!r}")
     if cfg.delta2 < 0:

@@ -355,13 +355,11 @@ def c1_lower_bound(coeffs: CoefficientSet, t0: float) -> float:
     """
     if not 0 < t0 <= coeffs.T:
         raise ValueError(f"t0 must lie in (0, T], got {t0!r}")
-    nodes = coeffs.grid.nodes
-    mask = nodes >= t0 - 1e-12 * coeffs.T
-    mask &= nodes > 0
-    sig2 = coeffs.sigma2(nodes[mask])
+    k = max(coeffs.grid.first_index_at_or_after(t0), 1)
+    sig2 = coeffs.sigma2(coeffs.grid.nodes[k:])
     if np.any(sig2 == 0.0):
         raise CoefficientError("sigma2 vanishes on [t0, T]; C1 is undefined")
-    ratio = coeffs.sigma2_hat_table[mask] / sig2
+    ratio = coeffs.sigma2_hat_table[k:] / sig2
     c1 = float(ratio.min())
     if c1 <= 0:
         raise CoefficientError(f"C1 lower bound must be positive, got {c1!r}")

@@ -135,12 +135,13 @@ def per_node_fbar(gen, T, panels):
     return fbar
 
 
-def table_phi(gen, fbar, sampler, t_grid, n_time_nodes=1025):
-    """sup phi from the whole (nodes, samples) table of |f - fbar|^2, one call
-    of f per node, and its cumulative trapezoid; returns (value, window, point)."""
-    x, y, z1, z2 = sampler.draw()
-    t_max = max(b for _, b in t_grid)
-    s_nodes = np.linspace(0.0, t_max, n_time_nodes)
+def table_phi(gen, fbar, T):
+    """sup phi from the whole (nodes, points) table of |f - fbar|^2, one call
+    of f per node, and its cumulative trapezoid, on the windows [kT/16, T]."""
+    from sfrbsde.averaging_lab import box_points
+
+    x, y, z1, z2 = box_points()
+    s_nodes = np.linspace(0.0, T, 1025)
     fb = fbar(x, y, z1, z2)
     gaps_sq = np.empty((s_nodes.size, x.size))
     for i, s in enumerate(s_nodes):
@@ -149,16 +150,8 @@ def table_phi(gen, fbar, sampler, t_grid, n_time_nodes=1025):
     cum = np.zeros_like(gaps_sq)
     cum[1:] = np.cumsum(0.5 * (gaps_sq[1:] + gaps_sq[:-1]) * ds[:, None], axis=0)
     denom = 1.0 + y**2 + z1**2 + z2**2
-    best = (0.0, t_grid[0], (0.0, 0.0, 0.0, 0.0))
-    for a, b in t_grid:
-        ia = int(round(a / t_max * (n_time_nodes - 1)))
-        ib = int(round(b / t_max * (n_time_nodes - 1)))
-        ratio = (cum[ib] - cum[ia]) / (s_nodes[ib] - s_nodes[ia]) / denom
-        j = int(np.argmax(ratio))
-        if ratio[j] > best[0]:
-            best = (float(ratio[j]), (a, b),
-                    (float(x[j]), float(y[j]), float(z1[j]), float(z2[j])))
-    return best
+    return max(float(((cum[-1] - cum[64 * k]) / (s_nodes[-1] - s_nodes[64 * k]) / denom).max())
+               for k in range(16))
 
 
 def per_column_triple(x_nodes, psi, psi_x, eta, sig1, sig2):
@@ -260,10 +253,9 @@ def whole_ensemble_sweep(original, coeffs, term, eps_list, cfg):
     ensemble = make_ensemble(grid, hurst, cfg.n_paths, cfg.rng)
     fbar = al.build_fbar(original, T, al.QuadratureSpec())
     averaged = fbar.as_generator()
-    L = al.estimate_lipschitz(original, cfg.phi_sampler, T=T)
+    L = al.estimate_lipschitz(original, T)
     C1 = al.c1_lower_bound(coeffs, t0)
-    starts = np.linspace(0.0, T * (1.0 - 1.0 / al.PHI_WINDOWS), al.PHI_WINDOWS)
-    phi = al.estimate_phi(original, fbar, cfg.phi_sampler, [(s, T) for s in starts])
+    phi = al.estimate_phi(original, fbar, T)
     stats = []
     for epsilon in eps_list:
         trip_o = extract_triple(solve_psi(original, term, coeffs, epsilon, cfg.pde, cfg.eta0),
@@ -276,7 +268,7 @@ def whole_ensemble_sweep(original, coeffs, term, eps_list, cfg):
         dZ_sq = (trip_o.Z1 - trip_a.Z1) ** 2 + (trip_o.Z2 - trip_a.Z2) ** 2
         raw = array_window_stats(grid, i_lo, trip_o.Y - trip_a.Y, dZ_sq,
                                  trip_a.Y, trip_a.Z1, trip_a.Z2)
-        constants = al.compute_constants(L, C1, phi.value, u, T, epsilon, cfg.beta,
+        constants = al.compute_constants(L, C1, phi, u, T, epsilon, cfg.beta,
                                          hurst, raw.pop("moments"))
         stats.append(al.PerEpsilonStats(epsilon=epsilon, t_lo=u, constants=constants, **raw))
     delta2 = cfg.delta2
@@ -288,7 +280,7 @@ def whole_ensemble_sweep(original, coeffs, term, eps_list, cfg):
         s.exceed_stderr = math.sqrt(max(s.exceed_prob * (1.0 - s.exceed_prob), 0.0)
                                     / exceed.size)
     report = al.SweepReport(eps_list=tuple(eps_list), T=T, beta=cfg.beta, delta1=cfg.delta1,
-                            delta2=float(delta2), t0=t0, L=L, C1=C1, phi_bound=phi.value,
+                            delta2=float(delta2), t0=t0, L=L, C1=C1, phi_bound=phi,
                             n_paths=cfg.n_paths, stats=stats, fbar_panels=fbar.panels)
     al.check_lemma1(report)
     al.check_theorem_rate(report)

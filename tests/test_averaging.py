@@ -10,12 +10,13 @@ from hypothesis import strategies as st
 
 from sfrbsde import averaging_lab, cli, path_engine
 from sfrbsde.averaging_lab import (
+    BOX_HALF_WIDTH,
     AveragingConstants,
-    BoxSampler,
     PerEpsilonStats,
     QuadratureSpec,
     SweepConfig,
     SweepReport,
+    box_points,
     build_fbar,
     check_chebyshev,
     claim_verdicts,
@@ -36,8 +37,9 @@ from sfrbsde.bsde_solver import (
     solve_psi,
     solve_psis,
 )
-from sfrbsde.config import benchmark_generator
+from sfrbsde.config import BENCHMARK_COEFFS, benchmark_generator, parse_config
 from sfrbsde.errors import (
+    ConfigError,
     ContractError,
     DomainTooSmallError,
     InfeasibleAlphaError,
@@ -113,19 +115,19 @@ class TestQuadratureSpec:
 
 
 class TestFbarPanels:
-    """build_fbar picks its panel count once, from 8 up, by refinement on the sampler points."""
+    """build_fbar picks its panel count once, from 8 up, by refinement on the probe set."""
 
     def test_benchmark_takes_the_floor(self):
         fbar = build_fbar(benchmark_generator(1.0), 1.0, QUAD)
         assert fbar.panels == 8
         assert fbar.provenance == "quadrature-of-f"
-        pts = BoxSampler().draw()
+        pts = box_points()
         assert within_quad_tol(fbar(*pts), benchmark_fbar()(*pts), tol=1e-13)
 
     def test_smooth_mixed_generator_meets_tolerance(self):
         gen = FBAR_GENERATORS["x-and-t"]
         fbar = build_fbar(gen, 1.0, QUAD)
-        pts = [a[:33] for a in BoxSampler().draw()]
+        pts = [a[:33] for a in box_points()]
         assert within_quad_tol(fbar(*pts), per_node_fbar(gen, 1.0, 4096)(*pts))
 
     def test_fast_oscillation_refines(self):
@@ -134,7 +136,7 @@ class TestFbarPanels:
         fbar = build_fbar(gen, 1.0, QUAD)
         assert 8 < fbar.panels <= QUAD.panels
         # (1/T) int_0^1 sin(2 pi 20.5 t) dt = 2 / (41 pi)
-        x, y, z1, z2 = BoxSampler().draw()
+        x, y, z1, z2 = box_points()
         assert within_quad_tol(fbar(x, y, z1, z2), (1.0 + 2.0 / (41.0 * np.pi)) * y)
         with pytest.raises(QuadratureConvergenceError):
             build_fbar(gen, 1.0, QuadratureSpec(panels=fbar.panels // 2))
@@ -194,67 +196,69 @@ class TestFbarOracle:
         assert_fbar_matches_oracle(benchmark_generator(T), T, sample_points(n=33, seed=seed))
 
 
+class TestBoxPoints:
+    def test_draws_then_corners_then_origin(self):
+        pts = np.stack(box_points(), axis=1)
+        assert pts.shape == (2065, 4)
+        assert np.all(np.abs(pts) <= BOX_HALF_WIDTH)
+        w = (-BOX_HALF_WIDTH, BOX_HALF_WIDTH)
+        corners = {tuple(c) for c in pts[2048:2064]}
+        assert corners == {(sx, sy, sz, sw) for sx in w for sy in w for sz in w for sw in w}
+        assert np.array_equal(pts[-1], np.zeros(4))
+
+
+def benchmark_phi(T):
+    """phi of the benchmark generator on the probe set, in closed form.
+
+    f - fbar = sin(2 pi s / T) g with g = a y + b z1 + c z2 + d, and the mean
+    of sin^2 over [kT/16, T] is 1/2 + sin(4 pi k / 16) / (8 pi (1 - k/16)).
+    """
+    a, b, c, d = BENCHMARK_COEFFS
+    x, y, z1, z2 = box_points()
+    g = a * y + b * z1 + c * z2 + d
+    k = np.arange(16)
+    mean_sin_sq = 0.5 + np.sin(4 * np.pi * k / 16) / (8 * np.pi * (1 - k / 16))
+    return mean_sin_sq.max() * (g**2 / (1.0 + y**2 + z1**2 + z2**2)).max()
+
+
 class TestEstimatePhi:
     def test_time_independent_is_zero(self):
         gen = Generator(fn=lambda t, x, y, z1, z2: np.asarray(y) * 0.7 - 0.1,
                         name="flat", time_dependent=False)
         fbar = build_fbar(gen, 1.0, QUAD)
-        est = estimate_phi(gen, fbar, BoxSampler(n_samples=256), [(0.0, 1.0)])
-        assert est.value == 0.0
+        assert estimate_phi(gen, fbar, 1.0) == 0.0
 
-    def test_sine_modulated_full_window(self):
-        # (1/(1-0))*int sin^2(2 pi s) ds = 1/2; with |y| <= 1 the ratio caps
-        # at (1/2) * y^2/(1+y^2) = 1/4, attained at the box corner
-        gen = Generator(fn=lambda t, x, y, z1, z2: (1.0 + np.sin(2 * np.pi * t))
-                        * np.asarray(y), name="siny")
-        fbar = build_fbar(gen, 1.0, QUAD)
-        sampler = BoxSampler(half_width=(3.0, 1.0, 0.0, 0.0), n_samples=512)
-        est = estimate_phi(gen, fbar, sampler, [(0.0, 1.0)], n_time_nodes=4097)
-        assert est.value == pytest.approx(0.25, rel=1e-3)
-        assert est.value <= 0.5
+    @pytest.mark.parametrize("T", [1.0, 2.5])
+    def test_benchmark_closed_form(self, T):
+        gen = benchmark_generator(T)
+        got = estimate_phi(gen, build_fbar(gen, T, QUAD), T)
+        assert got == pytest.approx(benchmark_phi(T), rel=1e-5)
 
-    def test_more_samples_never_decrease(self):
-        gen = benchmark_generator(1.0)
-        fbar = build_fbar(gen, 1.0, QUAD)
-        windows = [(s, 1.0) for s in (0.0, 0.25, 0.5)]
-        small = estimate_phi(gen, fbar, BoxSampler(n_samples=256), windows)
-        large = estimate_phi(gen, fbar, BoxSampler(n_samples=512), windows)
-        assert large.value >= small.value
-
-    @pytest.mark.parametrize("n_time_nodes", [2, 64, 65, 66, 130, 1025])
-    def test_streamed_matches_whole_table(self, n_time_nodes):
-        # chunk boundaries fall inside, at and beside the window ends
+    @pytest.mark.parametrize("chunk", [1, 2, 63, 64, 65, 66, 130, 1024, 1025])
+    def test_streamed_matches_whole_table(self, chunk, monkeypatch):
+        # chunk edges fall on, inside and beside the window starts (every 64
+        # nodes); 1024 and 1025 take the whole range in one chunk
+        monkeypatch.setattr(averaging_lab, "PHI_CHUNK_NODES", chunk)
         gen = FBAR_GENERATORS["x-and-t"]
         fbar = build_fbar(gen, 1.0, QUAD)
-        sampler = BoxSampler(n_samples=300)
-        windows = [(0.0, 1.0), (0.25, 1.0), (0.5, 0.75), (1.0 / 3.0, 0.9)]
-        got = estimate_phi(gen, fbar, sampler, windows, n_time_nodes=n_time_nodes)
-        value, window, point = table_phi(gen, fbar, sampler, windows, n_time_nodes)
-        assert (got.value, got.at_window, got.at_point) == (value, window, point)
+        assert estimate_phi(gen, fbar, 1.0) == table_phi(gen, fbar, 1.0)
 
     def test_memory_with_default_sampler(self):
         gen = benchmark_generator(1.0)
         fbar = build_fbar(gen, 1.0, QUAD)
-        windows = [(s, 1.0) for s in np.linspace(0.0, 15.0 / 16.0, 16)]
         tracemalloc.start()
         try:
-            estimate_phi(gen, fbar, BoxSampler(), windows)
+            estimate_phi(gen, fbar, 1.0)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
         assert peak < 16e6
 
-    def test_bad_window_rejected(self):
-        gen = benchmark_generator(1.0)
-        fbar = build_fbar(gen, 1.0, QUAD)
-        with pytest.raises(ValueError):
-            estimate_phi(gen, fbar, BoxSampler(n_samples=64), [(0.5, 0.5)])
-
 
 class TestEstimateLipschitz:
     def test_pure_y_slope(self):
         gen = Generator(fn=lambda t, x, y, z1, z2: 0.8 * np.asarray(y), name="ay")
-        got = estimate_lipschitz(gen, BoxSampler(n_samples=4096))
+        got = estimate_lipschitz(gen, 1.0)
         assert got == pytest.approx(0.64, rel=0.05)
         assert got <= 0.64 + 1e-12
 
@@ -262,7 +266,7 @@ class TestEstimateLipschitz:
         a, b, c = 0.5, 0.25, 0.25
         gen = Generator(fn=lambda t, x, y, z1, z2: a * np.asarray(y)
                         + b * np.asarray(z1) + c * np.asarray(z2), name="abc")
-        got = estimate_lipschitz(gen, BoxSampler(n_samples=4096))
+        got = estimate_lipschitz(gen, 1.0)
         want = a**2 + b**2 + c**2
         assert got <= want + 1e-12
         assert got >= 0.5 * want
@@ -270,28 +274,18 @@ class TestEstimateLipschitz:
     def test_constant_generator(self):
         gen = Generator(fn=lambda t, x, y, z1, z2: np.full_like(np.asarray(y, dtype=float), 3.0),
                         name="const")
-        assert estimate_lipschitz(gen, BoxSampler(n_samples=512)) == 0.0
+        assert estimate_lipschitz(gen, 1.0) == 0.0
 
     def test_declared_value_returned(self):
         gen = benchmark_generator(1.0)
-        got = estimate_lipschitz(gen, BoxSampler(n_samples=2048))
+        got = estimate_lipschitz(gen, 1.0)
         assert got == 4.0 * (0.5**2 + 0.25**2 + 0.25**2)
-
-    def test_per_axis_widths(self):
-        # f = x y: the sampled ratio scales with the square of the x half-width
-        gen = Generator(fn=lambda t, x, y, z1, z2: np.asarray(x) * np.asarray(y), name="xy")
-        scalar = estimate_lipschitz(gen, BoxSampler(half_width=3.0, n_samples=512))
-        assert estimate_lipschitz(gen, BoxSampler(half_width=(3.0,) * 4, n_samples=512)) == scalar
-        unit = estimate_lipschitz(gen, BoxSampler(half_width=1.0, n_samples=512))
-        wide_x = estimate_lipschitz(gen, BoxSampler(half_width=(3.0, 1.0, 1.0, 1.0),
-                                                    n_samples=512))
-        assert wide_x == pytest.approx(9.0 * unit, rel=1e-12)
 
     def test_declared_violation_raises(self):
         gen = Generator(fn=lambda t, x, y, z1, z2: 2.0 * np.asarray(y),
                         name="lying", lipschitz_sq=0.1)
         with pytest.raises(ContractError):
-            estimate_lipschitz(gen, BoxSampler(n_samples=512))
+            estimate_lipschitz(gen, 1.0)
 
 
 class TestSolveAlpha0:
@@ -610,8 +604,20 @@ class TestSweepFailsEarly:
 
     @pytest.mark.parametrize("eps", [(0.5,), (0.5, 0.25)], ids=["one", "two"])
     def test_too_few_epsilons(self, coeffs, eps):
-        with pytest.raises(ValueError, match="eps_list must hold at least 3"):
+        with pytest.raises(ValueError, match="eps_list: must hold at least 3"):
             self.sweep(coeffs, eps)
+
+    @pytest.mark.parametrize("eps", [(0.5, 0.25), (0.5, 0.5, 0.2), (1.5, 0.5, 0.2),
+                                     (0.2, 0.3, 0.5)])
+    def test_config_and_sweep_share_the_eps_rule(self, coeffs, tmp_path, eps):
+        path = tmp_path / "eps.cfg"
+        path.write_text(f"eps_list = {','.join(map(str, eps))}\n")
+        with pytest.raises(ConfigError) as config_err:
+            parse_config(str(path))
+        with pytest.raises(ValueError) as sweep_err:
+            self.sweep(coeffs, eps)
+        assert [v for v in config_err.value.violations if v.startswith("eps_list")] \
+            == [str(sweep_err.value)]
 
     @pytest.mark.parametrize("beta", [2.0 / 3.0, 0.7, -0.1])
     def test_beta_out_of_range(self, coeffs, beta):
@@ -696,15 +702,15 @@ class TestStreamedSweep:
                         (0.5, 0.3, 0.2), cfg)
         assert [s.epsilon for s in rep.stats] == [0.5, 0.3, 0.2]
 
-    def test_memory_bounded_in_n_paths(self, coeffs128):
-        # a small phi sample keeps the path-free phase below the streaming peak
-        cfg = replace(STREAM_CFG, phi_sampler=BoxSampler(n_samples=64))
+    def test_memory_bounded_in_n_paths(self, coeffs128, monkeypatch):
+        # a small probe set keeps the path-free phase below the streaming peak
+        monkeypatch.setattr(averaging_lab, "BOX_SAMPLES", 64)
         args = (benchmark_generator(1.0), coeffs128, TerminalCondition.square(), (0.5, 0.3, 0.2))
 
         def peak(n_paths):
             tracemalloc.start()
             try:
-                run_sweep(*args, replace(cfg, n_paths=n_paths))
+                run_sweep(*args, replace(STREAM_CFG, n_paths=n_paths))
                 return tracemalloc.get_traced_memory()[1]
             finally:
                 tracemalloc.stop()

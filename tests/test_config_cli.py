@@ -98,7 +98,7 @@ class TestParseConfig:
         path = write_cfg(tmp_path, f"eps_list = {eps_list}\n")
         with pytest.raises(ConfigError) as err:
             parse_config(path)
-        assert any(v.startswith("eps_list: needs at least 3") for v in err.value.violations)
+        assert any(v.startswith("eps_list: must hold at least 3") for v in err.value.violations)
         assert main(["sweep", "--config", path]) == 2
         assert "eps_list" in capsys.readouterr().err
 

@@ -281,6 +281,15 @@ class TestC1:
         with pytest.raises(ValueError):
             c1_lower_bound(coeffs, 0.0)
 
+    # C1's first node is the window start's rule, TimeGrid.first_index_at_or_after
+    @pytest.mark.parametrize("offset", [-1e-13, 1e-13], ids=["below", "above"])
+    def test_t0_within_rounding_of_a_node_takes_that_node(self, offset):
+        coeffs = build_coeffs(n=256)
+        node = coeffs.grid.nodes[64]
+        t0 = node + offset * coeffs.grid.dt
+        assert t0 != node
+        assert c1_lower_bound(coeffs, t0) == c1_lower_bound(coeffs, node)
+
 
 class TestC0:
     def test_values(self):

@@ -480,7 +480,7 @@ class TestFactorMemo:
 
     @pytest.mark.parametrize("method", ["cholesky", "circulant"])
     def test_one_factorisation_per_sweep(self, monkeypatch, method):
-        from sfrbsde.averaging_lab import BoxSampler, SweepConfig, run_sweep
+        from sfrbsde.averaging_lab import SweepConfig, run_sweep
         from sfrbsde.bsde_solver import PdeConfig, TerminalCondition, block_rows
         from sfrbsde.config import benchmark_generator
 
@@ -495,8 +495,7 @@ class TestFactorMemo:
         coeffs = CoefficientSet.build(ZERO, ONE, ONE, self.GRID, H75)
         n_paths = 3 * block_rows(self.GRID.n_nodes) + 5
         cfg = SweepConfig(n_paths=n_paths, t0=0.75, eta0=1.0,
-                          pde=PdeConfig(kappa=6.0, n_space=64), rng=RngSpec(seed=42),
-                          phi_sampler=BoxSampler(n_samples=64))
+                          pde=PdeConfig(kappa=6.0, n_space=64), rng=RngSpec(seed=42))
         run_sweep(benchmark_generator(1.0), coeffs, TerminalCondition.square(),
                   (0.5, 0.3, 0.2), cfg)
         # four path blocks, three eps: one Cholesky factor for the sweep, or
