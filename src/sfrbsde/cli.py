@@ -123,6 +123,7 @@ def cmd_solve(cfg: ExperimentConfig) -> int:
     manifest.note("malliavin_applicable", mal.applicable)
     manifest.note("malliavin_max_deviation", mal.max_deviation)
     manifest.note("clamp_fraction", triple.clamp_fraction)
+    manifest.note("fbm_method", ens.fbm_method)
     manifest.end("write")
     manifest.write(out / "manifest.csv")
     print(f"solve: psi, triple summary and residual checks written to {out}")

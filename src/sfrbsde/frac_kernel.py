@@ -5,18 +5,16 @@ For a Hurst index H in (1/2, 1) the kernel is
     rho(t, s) = H(2H-1) |t-s|^(2H-2),
 
 with the scalar product  <xi, eta>_t = int_0^t int_0^t rho(u,v) xi(u) eta(v) du dv
-and  ||xi||_t^2 = <xi, xi>_t.  The diagonal singularity |u-v|^(2H-2) is
-integrable; the quadrature removes it with the substitution
-w = (u-v)^(2H-1) per axis, which maps
+and  ||xi||_t^2 = <xi, xi>_t.  With s = 2H - 1 both singularities sit in the
+weights of one m-node Gauss-Jacobi rule per axis.  The inner transform
 
-    int_0^u rho(u, v) g(v) dv  =  H u^s  *  int_0^1 g(u (1 - x^(1/s))) dx,
-    s = 2H - 1,
+    A_g(u) = int_0^u rho(u, v) g(v) dv = H s u^s int_0^1 (1-x)^(s-1) g(u x) dx
 
-so the transformed integrand is bounded and the inner rule
-(`kernel_transform`) is exact for constant g.  The outer graded sum over u
-of the 2-D rule is not: ||1||^2_1 comes out as 1 + 1.9e-9 at H = 0.51 and
-1 + 2.0e-11 at H = 0.75, in `inner_product`, `norm_sq` and the first node
-of `CoefficientSet.norm_sq_table` only.
+(`kernel_transform`) takes the weight (1-x)^(s-1); the outer integral
+<xi, eta>_t = int_0^t (xi A_eta + eta A_xi)(u) du, u^s times a smooth
+integrand, takes x^s on u = t x.  Both are exact for constant g, so
+||1||^2_t = t^(2H) to rounding at every H.  `inner_product`, `norm_sq` and
+every node of `CoefficientSet.norm_sq_table` run this one 2-D rule.
 
 Everything here is deterministic; after a `CoefficientSet` is built all of
 its tables are read-only, so concurrent readers are safe.
@@ -24,6 +22,8 @@ its tables are read-only, so concurrent readers are safe.
 
 from __future__ import annotations
 
+import functools
+import math
 from dataclasses import dataclass, field
 from typing import Callable
 
@@ -43,9 +43,9 @@ from .grids import TimeGrid
 # the lambda consistency check starts at this node index.
 _FD_CHECK_FIRST_NODE = 8
 _FD_CHECK_RTOL = 1e-3
-# panels per axis of the one kernel rule, for the tables and inner products alike
-_TABLE_PANELS = 64
-REFINE_TOL = 1e-8  # how far doubling the panels may move a value, times max(1, |value|)
+# Gauss-Jacobi nodes per axis of the one kernel rule, for the tables and inner products alike
+_NODES = 32
+REFINE_TOL = 1e-8  # how far doubling the nodes may move a value, times max(1, |value|)
 
 
 @dataclass(frozen=True)
@@ -121,56 +121,61 @@ def rho(t, s, hurst: HurstModel):
     return float(out) if out.ndim == 0 else out
 
 
-def _unit_graded_gl(panels: int, grade: float):
-    """Composite 4-point Gauss-Legendre nodes/weights on [0,1], panels graded toward 0."""
-    gx, gw = np.polynomial.legendre.leggauss(4)
-    edges = (np.arange(panels + 1) / panels) ** grade
-    mid = 0.5 * (edges[:-1] + edges[1:])
-    half = 0.5 * (edges[1:] - edges[:-1])
-    x = (mid[:, None] + half[:, None] * gx[None, :]).ravel()
-    w = (half[:, None] * gw[None, :]).ravel()
+@functools.lru_cache(maxsize=32)
+def _unit_gauss_jacobi(m: int, a: float, b: float):
+    """Nodes x in (0, 1) and weights of the m-point Gauss rule for (1-x)^a x^b on [0, 1].
+
+    Golub-Welsch: x = (1+y)/2 for the eigenvalues y of the Jacobi matrix of
+    P^(a, b) on [-1, 1], and the weights are B(a+1, b+1) times the squared
+    first eigenvector components; exact for polynomials of degree < 2m."""
+    n = np.arange(1, m, dtype=float)
+    k = 2.0 * n + a + b
+    diag = np.append((b - a) / (a + b + 2.0), (b * b - a * a) / (k * (k + 2.0)))
+    off = np.sqrt(4.0 * n * (n + a) * (n + b) * (n + a + b) / (k * k * (k + 1.0) * (k - 1.0)))
+    y, vec = np.linalg.eigh(np.diag(diag) + np.diag(off, 1) + np.diag(off, -1))
+    beta = math.gamma(a + 1.0) * math.gamma(b + 1.0) / math.gamma(a + b + 2.0)
+    x, w = 0.5 * (1.0 + y), beta * vec[0] ** 2
+    for arr in (x, w):  # cached: shared by every caller
+        arr.setflags(write=False)
     return x, w
 
 
-def kernel_transform(g, t, hurst: HurstModel, panels: int):
-    """A_g(t) = int_0^t rho(t, v) g(v) dv with `panels` panels of the power substitution.
-
-    Vectorized over t > 0: A_g(t) = H t^s sum_j w_j g(t (1 - x_j^(1/s))).
-    """
-    t_values = np.atleast_1d(np.asarray(t, dtype=float))
+def kernel_transform(g, t, hurst: HurstModel, m: int):
+    """A_g(t) = int_0^t rho(t, v) g(v) dv = H s t^s sum_j w_j g(t x_j), elementwise
+    over an array t >= 0, by the m-node rule for the weight (1-x)^(s-1)."""
+    t_values = np.asarray(t, dtype=float)
     if np.any(t_values < 0):
         raise ValueError("kernel transform needs t >= 0")
-    pos = t_values > 0
-    out = np.zeros_like(t_values)
-    if np.any(pos):
-        s = hurst.increment_exponent
-        x, w = _unit_graded_gl(panels, grade=2.0)
-        shrink = 1.0 - x ** (1.0 / s)
-        t_pos = t_values[pos]
-        out[pos] = hurst.h * t_pos**s * (g(t_pos[:, None] * shrink[None, :]) @ w)
-    return float(out[0]) if np.isscalar(t) or np.asarray(t).ndim == 0 else out
+    s = hurst.increment_exponent
+    x, w = _unit_gauss_jacobi(m, s - 1.0, 0.0)
+    out = hurst.h * s * t_values**s * (g(t_values[..., None] * x) @ w)
+    return float(out) if out.ndim == 0 else out
 
 
-def _inner_product_once(xi, eta, t: float, hurst: HurstModel, panels: int):
-    ux, uw = _unit_graded_gl(panels, grade=3.0)
-    u = t * ux
-    wu = t * uw
-    a_eta = kernel_transform(eta, u, hurst, panels)
+def _inner_product_once(xi, eta, t, hurst: HurstModel, m: int):
+    """<xi, eta>_t by the m-node rule on both axes; elementwise over an array t."""
+    t = np.asarray(t, dtype=float)
+    s = hurst.increment_exponent
+    x, w = _unit_gauss_jacobi(m, 0.0, s)
+    # the weight x^s is the u^s factor that kernel_transform's values carry
+    w = w / x**s
+    u = t[..., None] * x
+    a_eta = kernel_transform(eta, u, hurst, m)
     if eta is xi:
-        return 2.0 * float(wu @ (xi(u) * a_eta))
-    a_xi = kernel_transform(xi, u, hurst, panels)
-    return float(wu @ (xi(u) * a_eta + eta(u) * a_xi))
+        return 2.0 * t * ((xi(u) * a_eta) @ w)
+    a_xi = kernel_transform(xi, u, hurst, m)
+    return t * ((xi(u) * a_eta + eta(u) * a_xi) @ w)
 
 
 def guarded_inner_product(xi, eta, t: float, hurst: HurstModel) -> tuple[float, float]:
-    """<xi, eta>_t by the kernel rule, and how far doubling its panels moves it.
+    """<xi, eta>_t by the kernel rule, and how far doubling its nodes moves it.
 
     The one refinement guard: a drift above REFINE_TOL * max(1, |value|) raises
     rather than returning a silently unconverged number."""
     if not t > 0:
         raise ValueError(f"inner product needs t in (0, T], got {t!r}")
-    value = _inner_product_once(xi, eta, t, hurst, _TABLE_PANELS)
-    fine = _inner_product_once(xi, eta, t, hurst, 2 * _TABLE_PANELS)
+    value = float(_inner_product_once(xi, eta, t, hurst, _NODES))
+    fine = float(_inner_product_once(xi, eta, t, hurst, 2 * _NODES))
     drift = abs(fine - value)
     if drift > REFINE_TOL * max(1.0, abs(value)):
         raise QuadratureConvergenceError(value, fine, REFINE_TOL)
@@ -211,8 +216,8 @@ class CoefficientSet:
     Tables live on the shared simulation grid and are reused by every
     Monte-Carlo path and PDE step:
 
-      norm_sq_table[k]      = ||sigma2||^2_{t_k}  (the 2-D rule at t_1, then a running
-                              integral of 2 sigma2 sigma2_hat; guarded at T)
+      norm_sq_table[k]      = ||sigma2||^2_{t_k}  (the 2-D rule at every node;
+                              its refinement guard runs at T)
       sigma2_hat_table[k]   = sigma2_hat(t_k)
       sigma_abs_sq_table[k] = |sigma|^2_{t_k} = int_0^{t_k} sigma1(s)^2 ds
                               + ||sigma2||^2_{t_k}
@@ -271,15 +276,8 @@ class CoefficientSet:
         if not degenerate1 and np.any(np.abs(sig1_on_grid) <= tiny1):
             raise CoefficientError(f"sigma1={sigma1.name} vanishes inside (0, T]")
 
-        s2hat = np.zeros_like(t)
-        s2hat[1:] = kernel_transform(sigma2, interior, hurst, _TABLE_PANELS)
-
-        # d/dt ||sigma2||^2_t = 2 sigma2 sigma2_hat, integrated panel by panel
-        # after the first, where the 2-D rule takes the t^(2H-1) cusp
-        nsq = np.zeros_like(t)
-        nsq[1] = _inner_product_once(sigma2, sigma2, t[1], hurst, _TABLE_PANELS)
-        nsq[2:] = nsq[1] + np.cumsum(_gl_panel_integrals(
-            lambda x: 2.0 * sigma2(x) * kernel_transform(sigma2, x, hurst, _TABLE_PANELS), t[1:]))
+        s2hat = kernel_transform(sigma2, t, hurst, _NODES)
+        nsq = _inner_product_once(sigma2, sigma2, t, hurst, _NODES)
         # the 2-D rule's refinement guard runs once, at T; it only raises
         guarded_inner_product(sigma2, sigma2, t[-1], hurst)
 

@@ -116,7 +116,7 @@ def check_quadrature_convergence(cfg):
 
 def check_lambda_fd(cfg):
     worst = 0.0
-    for sigma2 in ("constant:1", "sinusoidal:1"):
+    for sigma2 in dict.fromkeys(("constant:1", "sinusoidal:1", cfg.sigma2)):
         # the build enforces the same limit and raises ConsistencyError above it
         coeffs = _std_coeffs(replace(cfg, sigma2=sigma2), n_steps=128)
         worst = max(worst, coeffs.fd_rel_error)

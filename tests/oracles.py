@@ -4,19 +4,20 @@ The brute-force quadratures import no production code: the double integral
 is done by plain product integration (the singular factor integrated exactly
 per panel, the smooth factor at panel midpoints) on meshes graded toward the
 singularity.  Deliberately simple and slow.  `sigma2_hat` is the production
-power substitution at 256 panels, the second route beside the kernel
-rule's 64.  The per-node f-bar, the whole-table phi and the
-per-column extraction are the loop forms of vectorised production layers
-(the extraction is np.interp per time column; on the unit grid, with eta's
-grid positions, it is extract_triple's grid-unit read bit for bit), the
-whole-ensemble sweep is the array form of the streamed one, and the
-per-path samplers draw each path from a freshly built generator where
-production resets one bit generator per chunk, and the alpha0 bisection is
-the numeric root finder beside production's closed form, the closed-form
-f-bar of the benchmark generator is the analytic route beside production's
-quadrature, and the level route of eta's noise (each level array
-differenced back into increments) is the second route beside production's
-one cumsum of increments; all are kept here as cross-checks.
+Gauss-Jacobi rule at 128 nodes, four times the kernel rule's 32, and
+`mp_sinusoidal_kernel` the quadrature-free series route beside both.  The
+per-node f-bar, the whole-table phi and the per-column extraction are the
+loop forms of vectorised production layers (the extraction is np.interp per
+time column; on the unit grid, with eta's grid positions, it is
+extract_triple's grid-unit read bit for bit), the whole-ensemble sweep is
+the array form of the streamed one, and the per-path samplers draw each path
+from a freshly built generator where production resets one bit generator per
+chunk, and the alpha0 bisection is the numeric root finder beside
+production's closed form, the closed-form f-bar of the benchmark generator
+is the analytic route beside production's quadrature, and the level route of
+eta's noise (each level array differenced back into increments) is the
+second route beside production's one cumsum of increments; all are kept here
+as cross-checks.
 """
 
 import math
@@ -75,15 +76,37 @@ IP_USQ_SINU_H06_T1 = 0.20444119783761959
 S2HAT_SINUSOIDAL_H075_T1 = 0.6856095603068066
 
 
-def sigma2_hat(t, coeffs, panels=256):
-    """sigma2_hat(t) by the production power substitution at `panels` panels.
-
-    The route `CoefficientSet.sigma2_hat_table` replaced; the table uses
-    the kernel rule's 64 panels.
-    """
+def sigma2_hat(t, coeffs, nodes=128):
+    """sigma2_hat(t) by the production Gauss-Jacobi rule at `nodes` nodes;
+    `CoefficientSet.sigma2_hat_table` uses the kernel rule's 32."""
     from sfrbsde.frac_kernel import kernel_transform
 
-    return kernel_transform(coeffs.sigma2, t, coeffs.hurst, panels)
+    return kernel_transform(coeffs.sigma2, t, coeffs.hurst, nodes)
+
+
+def mp_sinusoidal_kernel(H, dps=40, terms=80):
+    """(sigma2_hat(1), ||sigma2||^2_1) for sigma2(u) = 1 + sin(2 pi u)/2, to double precision.
+
+    Term by term over sigma2's Taylor series sum_j c_j u^j, with s = 2H - 1:
+    int_0^t (t-v)^(s-1) v^j dv = t^(s+j) B(s, j+1), so
+    sigma2_hat(1) = H s sum_j c_j B(s, j+1) and
+    <u^i, u^j>_1 = H s (B(s, j+1) + B(s, i+1)) / (i + j + s + 1).
+    No quadrature: mpmath carries the series' cancellation at `dps` digits.
+    """
+    import mpmath as mp
+
+    with mp.workdps(dps):
+        h = mp.mpf(H)
+        s = 2 * h - 1
+        a = 2 * mp.pi
+        c = [mp.mpf(1)] + [mp.mpf(0)] * (terms - 1)
+        for k in range(terms // 2):
+            c[2 * k + 1] = (-1) ** k * a ** (2 * k + 1) / mp.factorial(2 * k + 1) / 2
+        beta = [mp.beta(s, j + 1) for j in range(terms)]
+        hat = h * s * mp.fsum(cj * bj for cj, bj in zip(c, beta))
+        norm = h * s * mp.fsum(c[i] * c[j] * (beta[j] + beta[i]) / (i + j + s + 1)
+                               for i in range(terms) for j in range(terms))
+        return float(hat), float(norm)
 
 
 def monomial_norm_sq(t, H):

@@ -3,7 +3,7 @@ import os
 import numpy as np
 import pytest
 
-from sfrbsde import averaging_lab
+from sfrbsde import averaging_lab, frac_kernel
 from sfrbsde.cli import main
 from sfrbsde.config import (
     ExperimentConfig,
@@ -169,8 +169,9 @@ class TestCli:
         assert main(["solve", "--config", path]) == 3
         assert "b=b:constant:nan is not finite" in capsys.readouterr().err
 
-    def test_unconverged_kernel_table_exit_3(self, tmp_path, capsys):
-        # doubling the kernel rule moves ||sigma2||^2_T by about 3.8e-6 here
+    def test_unconverged_kernel_table_exit_3(self, tmp_path, capsys, monkeypatch):
+        # a 2-node kernel rule: doubling it moves ||sigma2||^2_T far beyond 1e-8
+        monkeypatch.setattr(frac_kernel, "_NODES", 2)
         path = write_cfg(tmp_path, SMALL.replace("h = 0.75", "h = 0.51")
                          + f"sigma2 = sinusoidal:1\nout_dir = {tmp_path / 'out'}\n")
         assert main(["solve", "--config", path]) == 3
@@ -228,6 +229,8 @@ class TestCli:
         out = tmp_path / "out"
         for name in ("psi.csv", "triple_summary.csv", "residual_check.csv"):
             assert (out / name).exists()
+        # 48 steps draw B^H by Cholesky; the manifest says which sampler ran
+        assert "\nfbm_method,cholesky\n" in (out / "manifest.csv").read_text()
 
     # no key may default to an absolute time that a short horizon leaves behind
     @pytest.mark.parametrize("command", ["sweep", "solve"])

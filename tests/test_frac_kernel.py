@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -30,6 +32,7 @@ from oracles import (
     brute_force_norm_sq,
     brute_force_sigma2_hat,
     monomial_norm_sq,
+    mp_sinusoidal_kernel,
     sigma2_hat,
 )
 
@@ -185,6 +188,35 @@ class TestSigma2Hat:
         assert got == pytest.approx(S2HAT_SINUSOIDAL_H075_T1, abs=1e-5)
 
 
+class TestGaussJacobi:
+    # int_0^1 (1-x)^a x^b x^k dx = B(a+1, b+k+1), for every degree k < 2m
+    @pytest.mark.parametrize("h", [0.501, 0.75, 0.99])
+    @pytest.mark.parametrize("axis", ["inner", "outer"])
+    def test_exact_on_jacobi_moments(self, h, axis):
+        s = 2.0 * h - 1.0
+        a, b = (s - 1.0, 0.0) if axis == "inner" else (0.0, s)
+        m = frac_kernel._NODES
+        x, w = frac_kernel._unit_gauss_jacobi(m, a, b)
+        for k in range(2 * m):
+            want = math.exp(math.lgamma(a + 1) + math.lgamma(b + k + 1)
+                            - math.lgamma(a + b + k + 2))
+            assert w @ x**k == pytest.approx(want, rel=1e-13), k
+
+
+class TestSeriesOracle:
+    def test_oracle_reproduces_the_frozen_value(self):
+        assert mp_sinusoidal_kernel(0.75)[0] == pytest.approx(S2HAT_SINUSOIDAL_H075_T1, rel=1e-15)
+
+    @pytest.mark.parametrize("h", [0.501, 0.75])
+    def test_sinusoidal_sigma2_hat_and_norm(self, h):
+        sigma2 = DeterministicFn.sinusoidal(1.0, 1.0)
+        want_hat, want_norm = mp_sinusoidal_kernel(h)
+        coeffs = build_coeffs(sigma2=sigma2, hurst=HurstModel(h))
+        assert coeffs.sigma2_hat_table[-1] == pytest.approx(want_hat, rel=1e-13)
+        assert coeffs.norm_sq_table[-1] == pytest.approx(want_norm, rel=1e-13)
+        assert norm_sq(sigma2, 1.0, HurstModel(h)) == pytest.approx(want_norm, rel=1e-13)
+
+
 class TestCoefficientSet:
     def test_sigma_abs_sq_pure_brownian(self):
         coeffs = build_coeffs(sigma2=ZERO)
@@ -211,16 +243,18 @@ class TestCoefficientSet:
 
     def test_halved_norm_table_rejected(self, monkeypatch):
         # a factor-1 lambda would match this table; the FD gate must not adopt it.
-        # With sigma1 = 0 the running integral is the whole table past node 1.
-        real = frac_kernel._gl_panel_integrals
-        monkeypatch.setattr(frac_kernel, "_gl_panel_integrals",
+        # With sigma1 = 0 the 2-D rule is the whole table; halving it also
+        # halves the guard's two values, so only the FD gate can catch it.
+        real = frac_kernel._inner_product_once
+        monkeypatch.setattr(frac_kernel, "_inner_product_once",
                             lambda *args: 0.5 * real(*args))
         with pytest.raises(ConsistencyError):
             build_coeffs(sigma1=ZERO, sigma2=DeterministicFn.sinusoidal(1.0, 1.0), n=128)
 
-    @pytest.mark.parametrize("hurst, rtol", [(0.51, 1e-10), (0.75, 1e-13), (0.95, 1e-13)])
+    @pytest.mark.parametrize("hurst, rtol", [(0.501, 1e-10), (0.51, 1e-10), (0.75, 1e-13),
+                                             (0.95, 1e-13)])
     def test_norm_table_at_T_matches_closed_form(self, hurst, rtol):
-        # ||1||^2_1 = 1; the 2-D rule alone misses it by 1.9e-9 at H = 0.51
+        # ||1||^2_1 = 1; both Gauss-Jacobi rules are exact for constants
         coeffs = build_coeffs(n=256, hurst=HurstModel(hurst))
         assert coeffs.norm_sq_table[-1] == pytest.approx(1.0, rel=rtol)
 
@@ -308,19 +342,19 @@ class TestRefinementGuard:
         assert value == inner_product(IDENT, IDENT, 1.0, H75)
         assert drift < 1e-8
 
-    # doubling the kernel rule's panels moves ||sigma2||^2_1 by about 3.8e-6
-    # here, far beyond the guard's 1e-8
+    # about 64 half-periods on [0, 1]: doubling the rule's 32 nodes moves
+    # ||sigma2||^2_1 by about 0.56, far beyond the guard's 1e-8
     def test_build_refuses_an_unconverged_table(self):
+        rough = DeterministicFn(fn=lambda t: 1.5 + np.sin(200.0 * t**2), name="rough")
         with pytest.raises(QuadratureConvergenceError) as err:
-            build_coeffs(sigma2=DeterministicFn.sinusoidal(1.0, 1.0), hurst=HurstModel(0.51))
+            build_coeffs(sigma2=rough, hurst=HurstModel(0.51))
         assert err.value.tol == frac_kernel.REFINE_TOL
 
     def test_table_is_the_rule_of_inner_product(self):
-        # node 1 is inner_product's rule; later nodes integrate its derivative,
-        # and stay within the rule's refinement tolerance of it
+        # every node of the table is inner_product's rule, in one vectorised call
+        # whose sums run in another order than the scalar call's
         sigma2 = DeterministicFn.sinusoidal(1.0, 1.0)
         coeffs = build_coeffs(sigma2=sigma2, n=8)
         want = np.array([inner_product(sigma2, sigma2, t, H75) for t in coeffs.grid.nodes[1:]])
-        got = coeffs.norm_sq_table[1:]
-        assert got[0] == want[0]
-        assert np.all(np.abs(got - want) <= frac_kernel.REFINE_TOL * np.maximum(1.0, np.abs(want)))
+        assert coeffs.norm_sq_table[0] == 0.0
+        assert coeffs.norm_sq_table[1:] == pytest.approx(want, rel=1e-14, abs=0.0)

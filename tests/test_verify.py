@@ -43,12 +43,39 @@ def test_lambda_fd_reports_a_failed_build(monkeypatch):
     assert "does not match the finite differences" in result.margin
 
 
-def test_quadrature_convergence_reports_an_unconverged_rule():
-    # doubling the kernel rule moves ||sigma2||^2_T by about 3.8e-6 here
+def test_quadrature_convergence_reports_an_unconverged_rule(monkeypatch):
+    # a 2-node kernel rule: doubling it moves ||sigma2||^2_T far beyond 1e-8
+    monkeypatch.setattr(frac_kernel, "_NODES", 2)
     result = verify.run_check("quadrature-convergence", verify.check_quadrature_convergence,
                               ExperimentConfig(h=0.51, sigma2="sinusoidal:1"))
     assert (result.name, result.passed) == ("quadrature-convergence", False)
     assert "quadrature did not converge" in result.margin
+
+
+KERNEL_ROWS = [(name, check) for name, check in verify.ALL_CHECKS
+               if name.startswith("kernel-")
+               or name in ("quadrature-convergence", "lambda-fd-consistency")]
+
+
+@pytest.mark.parametrize("sigma2", ["constant:1", "sinusoidal:1"])
+@pytest.mark.parametrize("h", [0.501, 0.51, 0.53])
+@pytest.mark.parametrize("name, check", KERNEL_ROWS, ids=[name for name, _ in KERNEL_ROWS])
+def test_kernel_rows_pass_near_h_one_half(name, check, h, sigma2):
+    # the kernel rule's weights carry both singularities, whatever H > 1/2
+    result = verify.run_check(name, check, ExperimentConfig(h=h, sigma2=sigma2))
+    assert result.passed, f"{result.name}: {result.margin}"
+
+
+def test_lambda_fd_builds_the_configured_sigma2(monkeypatch):
+    built = []
+    real = verify._std_coeffs
+    monkeypatch.setattr(verify, "_std_coeffs",
+                        lambda cfg, n_steps: built.append(cfg.sigma2) or real(cfg, n_steps))
+    for sigma2 in ("linear:1", "constant:1"):
+        passed, _ = verify.check_lambda_fd(ExperimentConfig(sigma2=sigma2))
+        assert passed
+    # the default sigma2 is one of the two fixed ones and is built once
+    assert built == ["constant:1", "sinusoidal:1", "linear:1", "constant:1", "sinusoidal:1"]
 
 
 def test_fbm_methods_agree_at_the_largest_seed():
