@@ -269,8 +269,13 @@ def solve_alpha0(L: float, C1: float, epsilon: float, hurst: HurstModel) -> floa
     e = epsilon**hurst.h
     m = min(1.0, C1)
     if e >= m:
-        raise InfeasibleAlphaError(epsilon, m ** (1.0 / hurst.h))
+        raise InfeasibleAlphaError(epsilon, max_feasible_eps(C1, hurst))
     return float(L * e / (m - e))
+
+
+def max_feasible_eps(C1: float, hurst: HurstModel) -> float:
+    """min(1, C1)^(1/H): `solve_alpha0` has a root exactly for eps below it."""
+    return min(1.0, C1) ** (1.0 / hurst.h)
 
 
 def check_beta(beta: float, h: float) -> None:
@@ -395,7 +400,6 @@ class PerEpsilonStats:
     lemma1_rhs: float = float("nan")
     lemma1_pass: bool = False
     c4_pass: bool = False
-    chebyshev_bound: float = float("nan")
     chebyshev_pass: bool = False
 
 
@@ -590,7 +594,7 @@ def run_sweep(
     check_beta(cfg.beta, coeffs.hurst.h)
 
     grid = coeffs.grid
-    T = coeffs.T
+    T = grid.T
     hurst = coeffs.hurst
     t0 = cfg.t0 if cfg.t0 is not None else 0.75 * T
 
@@ -655,16 +659,13 @@ def run_sweep(
     return report
 
 
-def check_lemma1(report: SweepReport,
-                 constants: Sequence[AveragingConstants] | None = None) -> None:
+def check_lemma1(report: SweepReport) -> None:
     """Write each eps's Z-error lemma sides and verdict, at 3 combined standard
-    errors, into its stats; returns nothing.  `constants` replaces the stats'
-    own, one per eps."""
-    for i, s in enumerate(report.stats):
-        cons = constants[i] if constants is not None else s.constants
+    errors, into its stats; returns nothing."""
+    for s in report.stats:
         s.lemma1_lhs = s.z_err_integral
-        s.lemma1_rhs = cons.L1 * s.dy_integral + cons.C2 * (report.T - s.t_lo)
-        se = math.sqrt(s.z_err_stderr**2 + (cons.L1 * s.dy_integral_stderr) ** 2)
+        s.lemma1_rhs = s.constants.L1 * s.dy_integral + s.constants.C2 * (report.T - s.t_lo)
+        se = math.sqrt(s.z_err_stderr**2 + (s.constants.L1 * s.dy_integral_stderr) ** 2)
         s.lemma1_pass = bool(s.lemma1_lhs <= s.lemma1_rhs + 3.0 * se)
 
 
@@ -694,8 +695,8 @@ def check_theorem_rate(report: SweepReport) -> None:
 
 
 def check_chebyshev(report: SweepReport) -> None:
-    """Write each eps's Chebyshev bound and verdict into its stats and the
-    eps trend verdict into the report; returns nothing.
+    """Write each eps's Chebyshev verdict into its stats and the eps trend
+    verdict into the report; returns nothing.
 
     The exceedance frequency is compared with C4 eps^r / delta2^2, and the
     distribution-free empirical Markov inequality
@@ -707,7 +708,6 @@ def check_chebyshev(report: SweepReport) -> None:
         bound = s.constants.theorem_bound / delta2**2
         ok = s.exceed_prob <= bound + 3.0 * s.exceed_stderr
         markov_ok = s.exceed_prob <= s.mean_sup_sq / delta2**2 + 1e-12
-        s.chebyshev_bound = float(bound)
         s.chebyshev_pass = bool(ok and markov_ok)
     report.chebyshev_trend_pass = bool(
         report.stats[-1].exceed_prob <= report.stats[0].exceed_prob + 1e-12

@@ -20,7 +20,7 @@ from . import path_engine as pe
 from .config import ExperimentConfig, parse_config, validated
 from .errors import ConfigError, NumericError, SfrbsdeError
 from .runio import MAX_CSV_ROWS, RunManifest, write_csv
-from .verify import negative_control, run_all
+from .verify import run_all, run_control
 
 
 def _load_config(args) -> ExperimentConfig:
@@ -240,7 +240,7 @@ def cmd_verify(cfg: ExperimentConfig, expect_fail: str | None = None) -> int:
     manifest = _manifest(cfg)
     manifest.begin("verify")
     if expect_fail is not None:
-        results = [negative_control(cfg, expect_fail)]
+        results = [run_control(cfg, expect_fail)]
     else:
         results = run_all(cfg)
     manifest.end("verify")
@@ -281,8 +281,8 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--workers", type=int, default=None,
                        help="must be 1: the program runs on one thread")
         if name == "verify":
-            p.add_argument("--expect-fail", type=str, default=None, metavar="CHECK",
-                           help="run the named negative control and require it to fail")
+            p.add_argument("--expect-fail", type=str, default=None, metavar="CONTROL",
+                           help="run a negative control: its row must pass, then fail sabotaged")
     return parser
 
 

@@ -235,7 +235,6 @@ class CoefficientSet:
     b: DeterministicFn
     sigma1: DeterministicFn
     sigma2: DeterministicFn
-    T: float
     hurst: HurstModel
     grid: TimeGrid
     norm_sq_table: np.ndarray = field(repr=False)
@@ -310,7 +309,6 @@ class CoefficientSet:
             b=b,
             sigma1=sigma1,
             sigma2=sigma2,
-            T=grid.T,
             hurst=hurst,
             grid=grid,
             norm_sq_table=nsq,
@@ -351,7 +349,7 @@ def c1_lower_bound(coeffs: CoefficientSet, t0: float) -> float:
     The ratio tends to 0 as t -> 0 for constant sigma2, so the infimum is
     taken away from the origin; t0 must sit in (0, T].
     """
-    if not 0 < t0 <= coeffs.T:
+    if not 0 < t0 <= coeffs.grid.T:
         raise ValueError(f"t0 must lie in (0, T], got {t0!r}")
     k = max(coeffs.grid.first_index_at_or_after(t0), 1)
     sig2 = coeffs.sigma2(coeffs.grid.nodes[k:])

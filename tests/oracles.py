@@ -271,7 +271,7 @@ def whole_ensemble_sweep(original, coeffs, term, eps_list, cfg):
     from sfrbsde.bsde_solver import extract_triple, solve_psi
     from sfrbsde.path_engine import make_ensemble, simulate_eta
 
-    grid, T, hurst = coeffs.grid, coeffs.T, coeffs.hurst
+    grid, T, hurst = coeffs.grid, coeffs.grid.T, coeffs.hurst
     t0 = cfg.t0 if cfg.t0 is not None else 0.75 * T
     ensemble = make_ensemble(grid, hurst, cfg.n_paths, cfg.rng)
     fbar = al.build_fbar(original, T, al.QuadratureSpec())

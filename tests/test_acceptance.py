@@ -271,10 +271,14 @@ def test_criterion_8_lemma1(benchmark_sweep):
     rep = benchmark_sweep
     genuine = all(s.lemma1_pass for s in rep.stats)
     margins = [s.lemma1_rhs - s.lemma1_lhs for s in rep.stats]
-    nulled = [replace(s.constants, alpha0=0.0, L1=0.0, C2=0.0) for s in rep.stats]
-    check_lemma1(rep, constants=nulled)
+    kept = [s.constants for s in rep.stats]
+    for s in rep.stats:
+        s.constants = replace(s.constants, alpha0=0.0, L1=0.0, C2=0.0)
+    check_lemma1(rep)
     control_failed = not all(s.lemma1_pass for s in rep.stats)
-    check_lemma1(rep)  # restore genuine verdicts on the shared report
+    for s, constants in zip(rep.stats, kept):  # restore the shared report
+        s.constants = constants
+    check_lemma1(rep)
     ok = genuine and control_failed
     report(8, ok, f"lemma holds at every eps (min margin {min(margins):.3f}); "
                   f"zeroed-constant control fails as expected: {control_failed}")

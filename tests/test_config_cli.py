@@ -3,7 +3,7 @@ import os
 import numpy as np
 import pytest
 
-from sfrbsde import averaging_lab, frac_kernel
+from sfrbsde import averaging_lab, frac_kernel, verify
 from sfrbsde.cli import main
 from sfrbsde.config import (
     ExperimentConfig,
@@ -296,15 +296,17 @@ class TestCli:
         cfg = ExperimentConfig()
         assert cfg.resolved_out_dir() == str(tmp_path / "envout")
 
-    def test_expect_fail_negative_control(self, tmp_path):
+    @pytest.mark.parametrize("name", list(verify.CONTROLS))
+    def test_expect_fail_negative_control(self, tmp_path, name):
         path = write_cfg(tmp_path, SMALL + f"out_dir = {tmp_path / 'out'}\n")
-        assert main(["verify", "--config", path, "--expect-fail", "lemma1-null"]) == 0
+        assert main(["verify", "--config", path, "--expect-fail", name]) == 0
 
     def test_expect_fail_unknown_name(self, tmp_path, capsys):
         path = write_cfg(tmp_path, SMALL + f"out_dir = {tmp_path / 'out'}\n")
         rc = main(["verify", "--config", path, "--expect-fail", "no-such-check"])
         assert rc == 2
-        assert "unknown negative control" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert "unknown negative control" in err and f"(known: {', '.join(verify.CONTROLS)})" in err
 
     def test_manifest_lists_every_output(self, tmp_path):
         path = write_cfg(tmp_path, SMALL + f"out_dir = {tmp_path / 'out'}\n")

@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 from sfrbsde import frac_kernel
 from sfrbsde.errors import (
     CoefficientError,
-    ConsistencyError,
     QuadratureConvergenceError,
     SingularKernelError,
 )
@@ -240,16 +239,6 @@ class TestCoefficientSet:
     def test_fd_consistency_recorded(self):
         coeffs = build_coeffs(sigma2=DeterministicFn.sinusoidal(1.0, 1.0), n=128)
         assert coeffs.fd_rel_error <= 1e-3
-
-    def test_halved_norm_table_rejected(self, monkeypatch):
-        # a factor-1 lambda would match this table; the FD gate must not adopt it.
-        # With sigma1 = 0 the 2-D rule is the whole table; halving it also
-        # halves the guard's two values, so only the FD gate can catch it.
-        real = frac_kernel._inner_product_once
-        monkeypatch.setattr(frac_kernel, "_inner_product_once",
-                            lambda *args: 0.5 * real(*args))
-        with pytest.raises(ConsistencyError):
-            build_coeffs(sigma1=ZERO, sigma2=DeterministicFn.sinusoidal(1.0, 1.0), n=128)
 
     @pytest.mark.parametrize("hurst, rtol", [(0.501, 1e-10), (0.51, 1e-10), (0.75, 1e-13),
                                              (0.95, 1e-13)])

@@ -331,12 +331,6 @@ class TestSimulateEta:
 
 
 class TestDeterminism:
-    def test_bitwise_reproducible(self):
-        grid = TimeGrid(T=1.0, n_steps=32)
-        a = make_ensemble(grid, H75, 512, RngSpec(seed=7))
-        b = make_ensemble(grid, H75, 512, RngSpec(seed=7))
-        assert np.array_equal(a.B, b.B) and np.array_equal(a.BH, b.BH)
-
     def test_path_prefix_stable_under_count(self):
         # per-path sub-streams: the first k paths do not depend on n_paths
         grid = TimeGrid(T=1.0, n_steps=32)

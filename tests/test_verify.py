@@ -85,14 +85,38 @@ def test_fbm_methods_agree_at_the_largest_seed():
 
 
 def test_numeric_errors_become_fail_rows(tmp_path):
-    # at H = 0.55 the mini sweeps' eps = 0.5 has no admissible alpha0; both
-    # rows must say so, and every other row must still be written
-    cfg = tmp_path / "h055.cfg"
-    cfg.write_text("h = 0.55\n", encoding="utf-8")
+    # with both sigmas zero |sigma|^2 is flat, and every row that builds the
+    # configured coefficients must say so while every other row is still written
+    cfg = tmp_path / "zero.cfg"
+    cfg.write_text("sigma1 = constant:0\nsigma2 = constant:0\n", encoding="utf-8")
     assert cli.main(["verify", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 1
     with open(tmp_path / "out" / "verify_report.csv", newline="", encoding="utf-8") as fh:
         rows = {row[0]: row[1:] for row in list(csv.reader(fh))[1:]}
     assert list(rows) == [name for name, _ in verify.ALL_CHECKS]
-    for name in ("degenerate-sweep-identity", "benchmark-sweep-claims"):
-        status, margin = rows[name]
-        assert status == "FAIL" and "largest feasible epsilon is" in margin
+    failed = [margin for status, margin in rows.values() if status == "FAIL"]
+    assert len(failed) == 5 and all("d/dt |sigma|^2 must be positive" in m for m in failed)
+
+
+def test_verify_passes_near_h_one_half(tmp_path):
+    # the mini sweeps' eps list is scaled below the largest feasible eps
+    cfg = tmp_path / "h055.cfg"
+    cfg.write_text("h = 0.55\n", encoding="utf-8")
+    assert cli.main(["verify", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 0
+
+
+@pytest.mark.parametrize("config", [{}, {"sigma1": "constant:0", "sigma2": "sinusoidal:1"}],
+                         ids=["defaults", "sigma1-zero-sinusoidal"])
+@pytest.mark.parametrize("name", list(verify.CONTROLS))
+def test_control_flips_its_row(name, config):
+    _, module, attr, _ = verify.CONTROLS[name]
+    real = getattr(module, attr)
+    result = verify.run_control(ExperimentConfig(**config), name)
+    assert result.passed and getattr(module, attr) is real, result.margin
+
+
+def test_control_needs_its_row_to_pass_plain(monkeypatch):
+    # a row that already fails proves nothing when its sabotage fails it too
+    row = verify.CONTROLS["lemma1-null"][0]
+    monkeypatch.setattr(verify, "ALL_CHECKS", ((row, lambda cfg: (False, "broken")),))
+    result = verify.run_control(ExperimentConfig(), "lemma1-null")
+    assert (result.name, result.passed) == ("expect-fail:lemma1-null", False), result.margin
