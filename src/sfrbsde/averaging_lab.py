@@ -435,11 +435,13 @@ class _WindowFold:
     the reader `extract_triple` uses too.
 
     The four tables, copies of the window rows, hold values and per-cell
-    differences of psi_o - psi_a, psi_a, d_x psi_o - d_x psi_a and d_x psi_a:
-    dY and dZ come from one read each.  Per window column the fold keeps
-    Chan's mergeable (count, mean, M2) of dY^2 and the sums of Ybar^2,
-    Zbar1^2 and Zbar2^2; per path, the trapezoid integrals of |dZ|^2 and
-    |dY|^2 and sup |dY|, in disjoint rows.
+    differences of psi_o - psi_a, d_x psi_o - d_x psi_a, psi_a and d_x psi_a,
+    in the order `_window_stats` reads them: dY and dZ come from one read
+    each.  Per window column the fold keeps Chan's mergeable (count, mean,
+    M2) of dY^2 and the sums of Ybar^2, Zbar1^2 and Zbar2^2; over paths, the
+    (mean, M2) of the trapezoid integrals of |dY|^2 and |dZ|^2.  The one
+    per-path vector is sup |dY|, as the exceedance threshold delta2 may be
+    known only after the last block.
     """
 
     def __init__(self, epsilon: float, i_lo: int, field_orig: SolutionField,
@@ -457,8 +459,9 @@ class _WindowFold:
         self.below, self.above = -c / self.a, (n - c) / self.a
         self.n_cells = n
         self.tables = [cell_table(table) for table in (
-            field_orig.psi[i_lo:] - field_avg.psi[i_lo:], field_avg.psi[i_lo:].copy(),
-            field_orig.psi_x[i_lo:] - field_avg.psi_x[i_lo:], field_avg.psi_x[i_lo:].copy())]
+            field_orig.psi[i_lo:] - field_avg.psi[i_lo:],
+            field_orig.psi_x[i_lo:] - field_avg.psi_x[i_lo:],
+            field_avg.psi[i_lo:].copy(), field_avg.psi_x[i_lo:].copy())]
         self.t = t[i_lo:]
         self.row_starts = np.arange(self.t.size) * (n + 1)
         # trapezoid weights on the window; |dZ|^2 = (sigma1^2 + sigma2^2) |d psi_x|^2
@@ -474,8 +477,9 @@ class _WindowFold:
         self.mean = np.zeros(self.t.size)
         self.m2 = np.zeros(self.t.size)
         self.sq_sums = np.zeros((3, self.t.size))
-        self.z_int = np.empty(n_paths)
-        self.dy_int = np.empty(n_paths)
+        # the integrals of |dY|^2 and |dZ|^2 over paths
+        self.int_mean = np.zeros(2)
+        self.int_m2 = np.zeros(2)
         self.sup_abs = np.empty(n_paths)
 
     def result(self) -> dict:
@@ -488,14 +492,15 @@ class _WindowFold:
         check_clamp(self.outside, n * self.n_nodes, self.x_nodes)
         root_n = np.sqrt(n)
         mse_se = np.sqrt(self.m2 / (n - 1)) / root_n
+        dy_se, z_se = np.sqrt(self.int_m2 / (n - 1)) / root_n
         j = int(np.argmax(self.mean))
         return {
             "sup_mse": float(self.mean[j]),
             "sup_mse_stderr": float(mse_se[j]),
-            "z_err_integral": float(self.z_int.mean()),
-            "z_err_stderr": float(self.z_int.std(ddof=1) / root_n),
-            "dy_integral": float(self.dy_int.mean()),
-            "dy_integral_stderr": float(self.dy_int.std(ddof=1) / root_n),
+            "z_err_integral": float(self.int_mean[1]),
+            "z_err_stderr": float(z_se),
+            "dy_integral": float(self.int_mean[0]),
+            "dy_integral_stderr": float(dy_se),
             "mean_sup_sq": float((self.sup_abs**2).mean()),
             "path_sup_abs": self.sup_abs,
             "moments": tuple(float(m) for m in (self.sq_sums / n).max(axis=1)),
@@ -507,15 +512,13 @@ class _FoldWorkspace:
 
     Each buffer is flat, with room for a full block over every node; `view`
     hands out a C-contiguous (rows, cols) prefix, so a short last block and
-    the window of any eps reuse the same memory.
+    the window of any eps reuse the same memory.  `read` takes the fold's
+    four interpolated reads in turn.
     """
-
-    READS = ("dy", "y_avg", "dz", "slope_avg")  # one per table of the fold, in its order
-    FLOAT = ("frac", "scratch") + READS
 
     def __init__(self, rows: int, n_nodes: int):
         size = rows * n_nodes
-        self.buffers = {name: np.empty(size) for name in self.FLOAT}
+        self.buffers = {name: np.empty(size) for name in ("frac", "read", "scratch")}
         self.buffers["cell"] = np.empty(size, dtype=np.intp)
         self.buffers["mask"] = np.empty(size, dtype=bool)
 
@@ -523,12 +526,30 @@ class _FoldWorkspace:
         return self.buffers[name][:rows * cols].reshape(rows, cols)
 
 
+def _merge_moments(count: int, mean: np.ndarray, m2: np.ndarray, block: np.ndarray,
+                   centred: np.ndarray | None = None) -> None:
+    """Merge the rows of `block` into the column means and M2 of `count` earlier rows,
+    in place, by Chan's pairwise update.
+
+    `centred`, of block's shape, receives block minus its column means; it is
+    allocated when None.
+    """
+    n_b = block.shape[0]
+    mean_b = block.mean(axis=0)
+    centred = np.subtract(block, mean_b, out=centred)
+    n = count + n_b
+    delta = mean_b - mean
+    m2 += np.einsum("ij,ij->j", centred, centred) + delta**2 * (count * n_b / n)
+    mean += delta * (n_b / n)
+
+
 def _window_stats(fold: _WindowFold, noise: np.ndarray, start: int,
                   ws: _FoldWorkspace) -> None:
     """Fold the block of paths start, start+1, ... (eps-free noise `noise`) into `fold`.
 
-    Every block-sized array lives in `ws`; what is allocated per call is
-    O(window columns + block rows).
+    The four reads share `ws`'s `read` buffer, and each feeds its statistics
+    before the next overwrites it.  Every block-sized array lives in `ws`;
+    what is allocated per call is O(window columns + block rows).
     """
     n_b, n_nodes = noise.shape
     cols = n_nodes - fold.i_lo
@@ -542,25 +563,25 @@ def _window_stats(fold: _WindowFold, noise: np.ndarray, start: int,
     frac = np.multiply(noise[:, fold.i_lo:], fold.a, out=view("frac"))
     frac += fold.c
     cell = locate(frac, fold.n_cells, fold.row_starts, view("cell"))
-    scratch = view("scratch")
-    dY, Y_a, dZ, slope_a = (interp_at(*table, cell, frac, view(name), scratch)
-                            for table, name in zip(fold.tables, ws.READS))
-    rows = slice(start, start + n_b)
-    np.abs(dY, out=scratch).max(axis=1, out=fold.sup_abs[rows])
-    dY_sq = np.square(dY, out=dY)
-    np.matmul(dY_sq, fold.weights, out=fold.dy_int[rows])
-    np.matmul(np.square(dZ, out=dZ), fold.z_weights, out=fold.z_int[rows])
+    read, scratch = view("read"), view("scratch")
+    d_y, d_z, y_avg, slope_avg = fold.tables
+    path_ints = np.empty((2, n_b))   # per path: the integrals of |dY|^2 and |dZ|^2
 
-    mean_b = dY_sq.mean(axis=0)
-    np.subtract(dY_sq, mean_b, out=scratch)
-    m2_b = np.einsum("ij,ij->j", scratch, scratch)
-    n = fold.count + n_b
-    delta = mean_b - fold.mean
-    fold.m2 += m2_b + delta**2 * (fold.count * n_b / n)
-    fold.mean += delta * (n_b / n)
-    fold.count = n
+    dY = interp_at(*d_y, cell, frac, read, scratch)
+    np.abs(dY, out=scratch).max(axis=1, out=fold.sup_abs[start:start + n_b])
+    dY_sq = np.square(dY, out=dY)
+    np.matmul(dY_sq, fold.weights, out=path_ints[0])
+    _merge_moments(fold.count, fold.mean, fold.m2, dY_sq, scratch)
+
+    dZ = interp_at(*d_z, cell, frac, read, scratch)
+    np.matmul(np.square(dZ, out=dZ), fold.z_weights, out=path_ints[1])
+    _merge_moments(fold.count, fold.int_mean, fold.int_m2, path_ints.T)
+
+    Y_a = interp_at(*y_avg, cell, frac, read, scratch)
     fold.sq_sums[0] += np.einsum("ij,ij->j", Y_a, Y_a)
+    slope_a = interp_at(*slope_avg, cell, frac, read, scratch)
     fold.sq_sums[1:] += np.einsum("ij,ij->j", slope_a, slope_a) * fold.sig_sq
+    fold.count += n_b
 
 
 def run_sweep(
@@ -584,7 +605,7 @@ def run_sweep(
     folds the block by reading both fields in grid units straight from the
     block's eps-free noise N; eta^eps itself is never formed.
     No n_paths x n_nodes array is ever held; what grows with n_paths is
-    three per-path vectors per eps.  The sweep starts no threads of its own,
+    one per-path vector per eps, sup |dY|.  The sweep starts no threads of its own,
     and reruns are byte-identical.
     """
     check_eps_list(eps_list)
@@ -619,10 +640,10 @@ def run_sweep(
     rows = block_rows(grid.n_nodes)
     ws = _FoldWorkspace(min(rows, cfg.n_paths), grid.n_nodes)
     for start in range(0, cfg.n_paths, rows):
-        # path p of the block draws from the sub-stream of global path start + p
-        block = make_ensemble(grid, hurst, min(rows, cfg.n_paths - start),
-                              replace(cfg.rng, stream=cfg.rng.stream + start))
-        noise = eta_noise(coeffs, block)
+        # path p of the block draws from the sub-stream of global path start + p; the
+        # increments are unbound, so they are freed once the noise is formed
+        noise = eta_noise(coeffs, make_ensemble(grid, hurst, min(rows, cfg.n_paths - start),
+                                                replace(cfg.rng, stream=cfg.rng.stream + start)))
         for fold in folds:
             _window_stats(fold, noise, start, ws)
 

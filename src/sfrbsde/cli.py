@@ -20,7 +20,7 @@ from . import path_engine as pe
 from .config import ExperimentConfig, parse_config, validated
 from .errors import ConfigError, NumericError, SfrbsdeError
 from .runio import MAX_CSV_ROWS, RunManifest, write_csv
-from .verify import run_all, run_control
+from .verify import check_control, run_all, run_control
 
 
 def _load_config(args) -> ExperimentConfig:
@@ -236,6 +236,8 @@ def cmd_sweep(cfg: ExperimentConfig) -> int:
 
 
 def cmd_verify(cfg: ExperimentConfig, expect_fail: str | None = None) -> int:
+    if expect_fail is not None:
+        check_control(expect_fail)   # before any directory is made
     out = _outdir(cfg)
     manifest = _manifest(cfg)
     manifest.begin("verify")

@@ -361,8 +361,11 @@ def check_degenerate_sweep(cfg):
 
 def check_benchmark_sweep(cfg):
     rep = _mini_sweep(cfg)
-    ok = all(al.claim_verdicts(rep).values())
-    return ok, f"slope {rep.fitted_slope:.2f}, all claims pass={ok}"
+    failed = [claim for claim, ok in al.claim_verdicts(rep).items() if not ok]
+    margin = f"slope {rep.fitted_slope:.2f}, all claims pass={not failed}"
+    if failed:
+        margin += f", failed: {', '.join(failed)}"
+    return not failed, margin
 
 
 def check_alpha0(cfg):
@@ -472,11 +475,16 @@ CONTROLS = {
 }
 
 
+def check_control(name: str) -> None:
+    """Raise ConfigError unless `name` is a registered negative control."""
+    if name not in CONTROLS:
+        raise ConfigError([f"unknown negative control {name!r} (known: {', '.join(CONTROLS)})"])
+
+
 def run_control(cfg: ExperimentConfig, name: str) -> CheckResult:
     """Row `expect-fail:<name>`: PASS iff the control's row passes as is and fails
     sabotaged; the attribute is restored whatever happens."""
-    if name not in CONTROLS:
-        raise ConfigError([f"unknown negative control {name!r} (known: {', '.join(CONTROLS)})"])
+    check_control(name)
     row, module, attr, sabotage = CONTROLS[name]
     check = dict(ALL_CHECKS)[row]
     real = getattr(module, attr)

@@ -705,9 +705,12 @@ class TestStreamedSweep:
             finally:
                 tracemalloc.stop()
 
-        n_paths = 1500
-        growth = peak(4 * n_paths) - peak(n_paths)
-        assert growth < 8 * n_paths * coeffs128.grid.n_nodes
+        # every count is above one block of 1016 paths
+        small, mid, large = (peak(n) for n in (1500, 6000, 24000))
+        # no n_paths x n_nodes array is held
+        assert mid - small < 8 * 1500 * coeffs128.grid.n_nodes
+        # of the per-path vectors only sup |dY| is kept: 8 B per path and eps, with slack
+        assert large - mid < 1.5 * 8 * len(args[3]) * (24000 - 6000)
 
     def test_warm_block_fold_allocates_no_block(self, coeffs128):
         grid = coeffs128.grid
@@ -726,8 +729,22 @@ class TestStreamedSweep:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert fold.count == 2 * rows
+        # both blocks are merged into the moments, and count is advanced after them
+        assert fold.count == 2 * rows == fold.sup_abs.size
+        assert np.all(fold.int_m2 > 0.0)
         assert peak < 8 * rows * grid.n_nodes
+
+    @pytest.mark.parametrize("sizes", [(1, 30, 7, 1, 61), (57, 1, 1, 41), (100,), (1, 1)])
+    def test_merge_moments_matches_whole_sample(self, sizes):
+        # uneven blocks, one-row blocks among them, merged column by column
+        sample = np.random.default_rng(7).normal(3.0, 2.0, size=(sum(sizes), 3))
+        mean, m2, count = np.zeros(3), np.zeros(3), 0
+        for n_b in sizes:
+            averaging_lab._merge_moments(count, mean, m2, sample[count:count + n_b])
+            count += n_b
+        np.testing.assert_allclose(mean, np.mean(sample, axis=0), rtol=1e-13)
+        np.testing.assert_allclose(np.sqrt(m2 / (count - 1)), np.std(sample, axis=0, ddof=1),
+                                   rtol=1e-13)
 
     def test_fold_shares_no_memory_with_the_fields(self, coeffs128):
         # the folds copy their window rows, so dropping the fields frees the batch

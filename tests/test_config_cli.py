@@ -307,6 +307,8 @@ class TestCli:
         assert rc == 2
         err = capsys.readouterr().err
         assert "unknown negative control" in err and f"(known: {', '.join(verify.CONTROLS)})" in err
+        # the name is checked before the output directory is made, as a bad --seed is
+        assert not (tmp_path / "out").exists()
 
     def test_manifest_lists_every_output(self, tmp_path):
         path = write_cfg(tmp_path, SMALL + f"out_dir = {tmp_path / 'out'}\n")

@@ -120,3 +120,11 @@ def test_control_needs_its_row_to_pass_plain(monkeypatch):
     monkeypatch.setattr(verify, "ALL_CHECKS", ((row, lambda cfg: (False, "broken")),))
     result = verify.run_control(ExperimentConfig(), "lemma1-null")
     assert (result.name, result.passed) == ("expect-fail:lemma1-null", False), result.margin
+
+
+def test_lemma1_control_names_the_claim_it_flips():
+    # a sabotage that broke c4 or monotone instead would show in the margin
+    result = verify.run_control(ExperimentConfig(), "lemma1-null")
+    plain, sabotaged = result.margin.split("; sabotaged ")
+    assert "failed:" not in plain
+    assert sabotaged.endswith("failed: lemma1)"), result.margin
