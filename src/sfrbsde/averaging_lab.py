@@ -5,7 +5,8 @@ Builds the time-averaged generator fbar, estimates the assumption constants
 alpha0 fixed-point equation from the Z-estimate lemma, assembles every
 constant in the mean-square convergence bound, runs epsilon sweeps that
 solve the original and averaged systems on common random numbers, and
-evaluates the three quantitative claims:
+judges the three quantitative claims by pure checks, from which
+`checked_report` builds each sweep's frozen report once:
 
   * Z-error lemma:    E int_u^T |dZ1|^2 + |dZ2|^2 ds
                         <= L1 E int_u^T |dY|^2 ds + C2 (T - u)
@@ -368,21 +369,28 @@ def compute_constants(
 class SweepConfig:
     """Policy knobs for an epsilon sweep (the path/PDE modules stay policy-free).
 
-    `t0` None means 3T/4; `delta2` None means 2 sqrt(max sup-MSE).
+    `t0` 0 means 3T/4 (`window_t0`); `delta2` 0 means 2 sqrt(max sup-MSE),
+    or 1 when that is 0 (`checked_report`).
     """
 
     n_paths: int = 10_000
     beta: float = 0.25
     delta1: float = 0.01
-    delta2: float | None = None
-    t0: float | None = None
+    delta2: float = 0.0
+    t0: float = 0.0
     eta0: float = 1.0
     pde: PdeConfig = field(default_factory=PdeConfig)
     rng: RngSpec = field(default_factory=lambda: RngSpec(seed=42))
 
+    def window_t0(self, T: float) -> float:
+        """The start of C1's window [t0, T]: t0, or 3T/4 when t0 is 0."""
+        return self.t0 or 0.75 * T
 
-@dataclass
+
+@dataclass(frozen=True)
 class PerEpsilonStats:
+    """One eps's window statistics, constants, exceedance and verdicts (lemma lhs: z_err_integral)."""
+
     epsilon: float
     t_lo: float
     sup_mse: float
@@ -394,18 +402,17 @@ class PerEpsilonStats:
     mean_sup_sq: float
     path_sup_abs: np.ndarray
     constants: AveragingConstants
-    exceed_prob: float = float("nan")
-    exceed_stderr: float = float("nan")
-    lemma1_lhs: float = float("nan")
-    lemma1_rhs: float = float("nan")
-    lemma1_pass: bool = False
-    c4_pass: bool = False
-    chebyshev_pass: bool = False
+    exceed_prob: float
+    exceed_stderr: float
+    lemma1_rhs: float
+    lemma1_pass: bool
+    c4_pass: bool
+    chebyshev_pass: bool
 
 
-@dataclass
+@dataclass(frozen=True)
 class SweepReport:
-    """Per-epsilon error statistics, constants and claim verdicts."""
+    """Per-epsilon error statistics, constants and claim verdicts, built by `checked_report`."""
 
     eps_list: tuple
     T: float
@@ -417,11 +424,11 @@ class SweepReport:
     C1: float
     phi_bound: float
     n_paths: int
-    stats: list[PerEpsilonStats]
-    fitted_slope: float = float("nan")
-    epsilon1: float | None = None
-    chebyshev_trend_pass: bool = False
-    fbar_panels: int = 0
+    stats: tuple[PerEpsilonStats, ...]
+    fitted_slope: float
+    epsilon1: float | None
+    chebyshev_trend_pass: bool
+    fbar_panels: int
 
 
 class _WindowFold:
@@ -606,7 +613,8 @@ def run_sweep(
     block's eps-free noise N; eta^eps itself is never formed.
     No n_paths x n_nodes array is ever held; what grows with n_paths is
     one per-path vector per eps, sup |dY|.  The sweep starts no threads of its own,
-    and reruns are byte-identical.
+    and reruns are byte-identical.  The folds' statistics go to `checked_report`,
+    which builds the frozen report once through the pure claim checks.
     """
     check_eps_list(eps_list)
     eps = [float(e) for e in eps_list]
@@ -617,7 +625,7 @@ def run_sweep(
     grid = coeffs.grid
     T = grid.T
     hurst = coeffs.hurst
-    t0 = cfg.t0 if cfg.t0 is not None else 0.75 * T
+    t0 = cfg.window_t0(T)
 
     fbar = build_fbar(original, T, QuadratureSpec())
     averaged = fbar.as_generator()
@@ -647,92 +655,77 @@ def run_sweep(
         for fold in folds:
             _window_stats(fold, noise, start, ws)
 
+    return checked_report([fold.result() for fold in folds], [float(f.t[0]) for f in folds],
+                          eps, T, t0, L, C1, phi, hurst, cfg, fbar.panels)
+
+
+def checked_report(raws: Sequence[dict], us: Sequence[float], eps: Sequence[float], T: float,
+                   t0: float, L: float, C1: float, phi: float, hurst: HurstModel,
+                   cfg: SweepConfig, fbar_panels: int) -> SweepReport:
+    """The sweep report, built once from each eps's window statistics `raws`
+    (`_WindowFold.result()`) and window start `us`: its constants, delta2,
+    exceedance frequency and every claim verdict."""
+    # degenerate sweeps have sup-MSE identically 0; any positive threshold
+    # then gives exceedance 0 and a trivial Chebyshev pass
+    delta2 = float(cfg.delta2 or 2.0 * math.sqrt(max(r["sup_mse"] for r in raws)) or 1.0)
+    slope, epsilon1 = check_theorem_rate(eps, [r["sup_mse"] for r in raws], cfg.delta1)
     stats = []
-    for epsilon, fold in zip(eps, folds):
-        raw = fold.result()
-        u = float(grid.nodes[fold.i_lo])
-        constants = compute_constants(
-            L, C1, phi, u, T, epsilon, cfg.beta, hurst, raw.pop("moments"),
-        )
-        stats.append(PerEpsilonStats(
-            epsilon=epsilon, t_lo=u, constants=constants, **raw,
-        ))
-
-    delta2 = cfg.delta2
-    if delta2 is None:
-        # degenerate sweeps have sup-MSE identically 0; any positive threshold
-        # then gives exceedance 0 and a trivial Chebyshev pass
-        delta2 = 2.0 * math.sqrt(max(s.sup_mse for s in stats)) or 1.0
-    for s in stats:
-        exceed = s.path_sup_abs > delta2
+    for epsilon, u, raw in zip(eps, us, raws):
+        constants = compute_constants(L, C1, phi, u, T, epsilon, cfg.beta, hurst, raw["moments"])
+        exceed = raw["path_sup_abs"] > delta2
         p_hat = float(exceed.mean())
-        s.exceed_prob = p_hat
-        s.exceed_stderr = math.sqrt(max(p_hat * (1.0 - p_hat), 0.0) / exceed.size)
-
-    report = SweepReport(
-        eps_list=tuple(eps), T=T, beta=cfg.beta, delta1=cfg.delta1,
-        delta2=float(delta2), t0=t0, L=L, C1=C1, phi_bound=phi,
-        n_paths=cfg.n_paths, stats=stats, fbar_panels=fbar.panels,
+        p_se = math.sqrt(max(p_hat * (1.0 - p_hat), 0.0) / exceed.size)
+        rhs, lemma1_ok = check_lemma1(raw["z_err_integral"], raw["z_err_stderr"],
+                                      raw["dy_integral"], raw["dy_integral_stderr"],
+                                      constants.L1, constants.C2, T - u)
+        stats.append(PerEpsilonStats(
+            epsilon=epsilon, t_lo=u, constants=constants,
+            **{k: v for k, v in raw.items() if k != "moments"},
+            exceed_prob=p_hat, exceed_stderr=p_se, lemma1_rhs=rhs, lemma1_pass=lemma1_ok,
+            c4_pass=bool(raw["sup_mse"] <= constants.theorem_bound),
+            chebyshev_pass=check_chebyshev(p_hat, p_se, constants.theorem_bound,
+                                           raw["mean_sup_sq"], delta2),
+        ))
+    return SweepReport(
+        eps_list=tuple(eps), T=T, beta=cfg.beta, delta1=cfg.delta1, delta2=delta2, t0=t0,
+        L=L, C1=C1, phi_bound=phi, n_paths=cfg.n_paths, stats=tuple(stats),
+        fitted_slope=slope, epsilon1=epsilon1,
+        chebyshev_trend_pass=bool(stats[-1].exceed_prob <= stats[0].exceed_prob + 1e-12),
+        fbar_panels=fbar_panels,
     )
-    check_lemma1(report)
-    check_theorem_rate(report)
-    check_chebyshev(report)
-    return report
 
 
-def check_lemma1(report: SweepReport) -> None:
-    """Write each eps's Z-error lemma sides and verdict, at 3 combined standard
-    errors, into its stats; returns nothing."""
-    for s in report.stats:
-        s.lemma1_lhs = s.z_err_integral
-        s.lemma1_rhs = s.constants.L1 * s.dy_integral + s.constants.C2 * (report.T - s.t_lo)
-        se = math.sqrt(s.z_err_stderr**2 + (s.constants.L1 * s.dy_integral_stderr) ** 2)
-        s.lemma1_pass = bool(s.lemma1_lhs <= s.lemma1_rhs + 3.0 * se)
+def check_lemma1(lhs: float, lhs_stderr: float, dy_integral: float, dy_stderr: float,
+                 L1: float, C2: float, window: float) -> tuple[float, bool]:
+    """The Z-error lemma's right side L1 E int |dY|^2 + C2 (T - u) for a window of
+    length `window`, and whether `lhs` stays within 3 combined standard errors of it."""
+    rhs = L1 * dy_integral + C2 * window
+    se = math.sqrt(lhs_stderr**2 + (L1 * dy_stderr) ** 2)
+    return rhs, bool(lhs <= rhs + 3.0 * se)
 
 
-def check_theorem_rate(report: SweepReport) -> None:
-    """Write the least-squares slope of log sup-MSE vs log eps and the delta1
-    threshold epsilon1 into the report, and each eps's C4 eps^(1-2H beta)
-    domination verdict into its stats; returns nothing."""
-    if len(report.stats) < MIN_EPS_POINTS:
+def check_theorem_rate(eps: Sequence[float], sup_mse: Sequence[float],
+                       delta1: float) -> tuple[float, float | None]:
+    """The least-squares slope of log sup-MSE vs log eps over the positive sup-MSE
+    (nan below MIN_EPS_POINTS of them), and epsilon1: the largest eps from which
+    on every sup-MSE is at most delta1, or None."""
+    if len(eps) < MIN_EPS_POINTS:
         raise ValueError(f"rate fit needs at least {MIN_EPS_POINTS} epsilon points")
-    eps = np.array([s.epsilon for s in report.stats])
-    mse = np.array([s.sup_mse for s in report.stats])
+    eps, mse = np.array(eps, dtype=float), np.array(sup_mse, dtype=float)
     pos = mse > 0
-    if pos.sum() >= MIN_EPS_POINTS:
-        slope = np.polyfit(np.log(eps[pos]), np.log(mse[pos]), 1)[0]
-    else:
-        slope = float("nan")
-    flags = mse <= report.delta1
-    epsilon1 = None
-    for i in range(len(eps)):
-        if np.all(flags[i:]):
-            epsilon1 = float(eps[i])
-            break
-    for s in report.stats:
-        s.c4_pass = bool(s.sup_mse <= s.constants.theorem_bound)
-    report.fitted_slope = float(slope)
-    report.epsilon1 = epsilon1
+    slope = (np.polyfit(np.log(eps[pos]), np.log(mse[pos]), 1)[0]
+             if pos.sum() >= MIN_EPS_POINTS else float("nan"))
+    epsilon1 = next((float(e) for i, e in enumerate(eps) if np.all(mse[i:] <= delta1)), None)
+    return float(slope), epsilon1
 
 
-def check_chebyshev(report: SweepReport) -> None:
-    """Write each eps's Chebyshev verdict into its stats and the eps trend
-    verdict into the report; returns nothing.
-
-    The exceedance frequency is compared with C4 eps^r / delta2^2, and the
-    distribution-free empirical Markov inequality
-    p_hat <= mean(sup_t |dY|^2) / delta2^2, which holds exactly on the
-    empirical measure, is enforced too.
-    """
-    delta2 = report.delta2
-    for s in report.stats:
-        bound = s.constants.theorem_bound / delta2**2
-        ok = s.exceed_prob <= bound + 3.0 * s.exceed_stderr
-        markov_ok = s.exceed_prob <= s.mean_sup_sq / delta2**2 + 1e-12
-        s.chebyshev_pass = bool(ok and markov_ok)
-    report.chebyshev_trend_pass = bool(
-        report.stats[-1].exceed_prob <= report.stats[0].exceed_prob + 1e-12
-    )
+def check_chebyshev(p_hat: float, p_stderr: float, theorem_bound: float,
+                    mean_sup_sq: float, delta2: float) -> bool:
+    """Whether the exceedance frequency p_hat is within 3 standard errors of
+    C4 eps^r / delta2^2 and obeys the empirical Markov inequality
+    p_hat <= mean(sup_t |dY|^2) / delta2^2, exact on the empirical measure."""
+    return bool(p_hat <= theorem_bound / delta2**2 + 3.0 * p_stderr
+                and p_hat <= mean_sup_sq / delta2**2 + 1e-12)
 
 
 def claim_verdicts(report: SweepReport) -> dict[str, bool]:

@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import sys
 from dataclasses import replace
+from operator import attrgetter
 from pathlib import Path
 
 from . import __version__
@@ -131,26 +132,22 @@ def cmd_solve(cfg: ExperimentConfig) -> int:
 
 
 def _sweep_config(cfg: ExperimentConfig) -> al.SweepConfig:
-    # 0 in the config file selects the sweep's own default
     return al.SweepConfig(
-        n_paths=cfg.n_paths, beta=cfg.beta, delta1=cfg.delta1,
-        delta2=cfg.delta2 or None, t0=cfg.t0 or None, eta0=cfg.eta0,
-        pde=cfg.pde(), rng=cfg.rng(),
+        n_paths=cfg.n_paths, beta=cfg.beta, delta1=cfg.delta1, delta2=cfg.delta2,
+        t0=cfg.t0, eta0=cfg.eta0, pde=cfg.pde(), rng=cfg.rng(),
     )
 
 
-def sweep_report_rows(report: al.SweepReport):
-    for s in report.stats:
-        yield (s.epsilon, s.t_lo, s.sup_mse, s.sup_mse_stderr,
-               s.z_err_integral, s.z_err_stderr, s.exceed_prob, s.exceed_stderr,
-               s.constants.theorem_bound, s.lemma1_lhs, s.lemma1_rhs,
-               s.lemma1_pass, s.c4_pass, s.chebyshev_pass)
-
-
-SWEEP_HEADER = ("epsilon", "t_lo", "sup_mse", "sup_mse_stderr", "z_err_integral",
-                "z_err_stderr", "exceed_prob", "exceed_stderr", "c4_bound",
-                "lemma1_lhs", "lemma1_rhs", "pass_lemma1", "pass_theorem",
-                "pass_chebyshev")
+# sweep_report.csv's columns: (header, the value of one eps's stats)
+SWEEP_COLUMNS = tuple((column, attrgetter(attr)) for column, attr in (
+    ("epsilon", "epsilon"), ("t_lo", "t_lo"), ("sup_mse", "sup_mse"),
+    ("sup_mse_stderr", "sup_mse_stderr"), ("z_err_integral", "z_err_integral"),
+    ("z_err_stderr", "z_err_stderr"), ("exceed_prob", "exceed_prob"),
+    ("exceed_stderr", "exceed_stderr"), ("c4_bound", "constants.theorem_bound"),
+    ("lemma1_lhs", "z_err_integral"), ("lemma1_rhs", "lemma1_rhs"),
+    ("pass_lemma1", "lemma1_pass"), ("pass_theorem", "c4_pass"),
+    ("pass_chebyshev", "chebyshev_pass"),
+))
 
 
 def constants_rows(report: al.SweepReport):
@@ -221,8 +218,9 @@ def cmd_sweep(cfg: ExperimentConfig) -> int:
     manifest.note("fbar_panels", report.fbar_panels)
 
     manifest.begin("write")
-    manifest.record_file(write_csv(out / "sweep_report.csv", SWEEP_HEADER,
-                                   sweep_report_rows(report)))
+    manifest.record_file(write_csv(
+        out / "sweep_report.csv", [column for column, _ in SWEEP_COLUMNS],
+        ([get(s) for _, get in SWEEP_COLUMNS] for s in report.stats)))
     manifest.record_file(write_csv(out / "constants.csv", ("name", "value"),
                                    constants_rows(report)))
     summary = sweep_summary_text(report)

@@ -390,22 +390,10 @@ def check_alpha0(cfg):
 def check_rate_fit(cfg):
     h = cfg.hurst()
     eps = (0.5, 0.35, 0.25, 0.18, 0.125)
-    stats = []
-    for e in eps:
-        cons = al.compute_constants(1.0, 0.9, 0.0, 0.0, cfg.t_horizon, e, 0.0, h, (0, 0, 0))
-        stats.append(al.PerEpsilonStats(
-            epsilon=e, t_lo=0.0, sup_mse=e**h.two_h,
-            sup_mse_stderr=0.0, z_err_integral=0.0, z_err_stderr=0.0,
-            dy_integral=0.0, dy_integral_stderr=0.0, mean_sup_sq=0.0,
-            path_sup_abs=np.zeros(1), constants=cons))
-    # the rate fit reads no t0
-    rep = al.SweepReport(eps_list=eps, T=cfg.t_horizon, beta=0.0, delta1=1.0, delta2=1.0,
-                         t0=float("nan"), L=1.0, C1=0.9, phi_bound=0.0,
-                         n_paths=1, stats=stats)
-    al.check_theorem_rate(rep)
-    dev = abs(rep.fitted_slope - h.two_h)
-    return (dev <= 1e-10 and rep.epsilon1 == 0.5,
-            f"slope dev {dev:.1e} (limit 1e-10), eps1={rep.epsilon1}")
+    slope, epsilon1 = al.check_theorem_rate(eps, [e**h.two_h for e in eps], 1.0)
+    dev = abs(slope - h.two_h)
+    return (dev <= 1e-10 and epsilon1 == 0.5,
+            f"slope dev {dev:.1e} (limit 1e-10), eps1={epsilon1}")
 
 
 def check_beta_feasibility(cfg):

@@ -20,8 +20,6 @@ second route beside production's one cumsum of increments; all are kept here
 as cross-checks.
 """
 
-import math
-
 import numpy as np
 
 
@@ -266,20 +264,21 @@ def benchmark_fbar():
 
 def whole_ensemble_sweep(original, coeffs, term, eps_list, cfg):
     """The eps-sweep on one whole-ensemble draw: every eta^eps as an array,
-    both triples extracted in full, statistics from the arrays."""
+    both triples extracted in full, statistics from the arrays, then the
+    production `checked_report`."""
     from sfrbsde import averaging_lab as al
     from sfrbsde.bsde_solver import extract_triple, solve_psi
     from sfrbsde.path_engine import make_ensemble, simulate_eta
 
     grid, T, hurst = coeffs.grid, coeffs.grid.T, coeffs.hurst
-    t0 = cfg.t0 if cfg.t0 is not None else 0.75 * T
+    t0 = cfg.window_t0(T)
     ensemble = make_ensemble(grid, hurst, cfg.n_paths, cfg.rng)
     fbar = al.build_fbar(original, T, al.QuadratureSpec())
     averaged = fbar.as_generator()
     L = al.estimate_lipschitz(original, T)
     C1 = al.c1_lower_bound(coeffs, t0)
     phi = al.estimate_phi(original, fbar, T)
-    stats = []
+    raws, us = [], []
     for epsilon in eps_list:
         trip_o = extract_triple(solve_psi(original, term, coeffs, epsilon, cfg.pde, cfg.eta0),
                                 simulate_eta(coeffs, ensemble, epsilon, cfg.eta0), coeffs)
@@ -287,28 +286,11 @@ def whole_ensemble_sweep(original, coeffs, term, eps_list, cfg):
                                 trip_o.eta, coeffs)
         i_lo = min(grid.first_index_at_or_after(T * epsilon ** (1.0 - cfg.beta)),
                    grid.n_steps - 1)
-        u = float(grid.nodes[i_lo])
+        us.append(float(grid.nodes[i_lo]))
         dZ_sq = (trip_o.Z1 - trip_a.Z1) ** 2 + (trip_o.Z2 - trip_a.Z2) ** 2
-        raw = array_window_stats(grid, i_lo, trip_o.Y - trip_a.Y, dZ_sq,
-                                 trip_a.Y, trip_a.Z1, trip_a.Z2)
-        constants = al.compute_constants(L, C1, phi, u, T, epsilon, cfg.beta,
-                                         hurst, raw.pop("moments"))
-        stats.append(al.PerEpsilonStats(epsilon=epsilon, t_lo=u, constants=constants, **raw))
-    delta2 = cfg.delta2
-    if delta2 is None:
-        delta2 = 2.0 * math.sqrt(max(s.sup_mse for s in stats)) or 1.0
-    for s in stats:
-        exceed = s.path_sup_abs > delta2
-        s.exceed_prob = float(exceed.mean())
-        s.exceed_stderr = math.sqrt(max(s.exceed_prob * (1.0 - s.exceed_prob), 0.0)
-                                    / exceed.size)
-    report = al.SweepReport(eps_list=tuple(eps_list), T=T, beta=cfg.beta, delta1=cfg.delta1,
-                            delta2=float(delta2), t0=t0, L=L, C1=C1, phi_bound=phi,
-                            n_paths=cfg.n_paths, stats=stats, fbar_panels=fbar.panels)
-    al.check_lemma1(report)
-    al.check_theorem_rate(report)
-    al.check_chebyshev(report)
-    return report
+        raws.append(array_window_stats(grid, i_lo, trip_o.Y - trip_a.Y, dZ_sq,
+                                       trip_a.Y, trip_a.Z1, trip_a.Z2))
+    return al.checked_report(raws, us, eps_list, T, t0, L, C1, phi, hurst, cfg, fbar.panels)
 
 
 # Philox key purposes of the production samplers: B draws from 1, B^H from 2

@@ -1,7 +1,7 @@
 import math
 import threading
 import tracemalloc
-from dataclasses import fields, replace
+from dataclasses import FrozenInstanceError, fields, replace
 
 import numpy as np
 import pytest
@@ -19,9 +19,10 @@ from sfrbsde.averaging_lab import (
     box_points,
     build_fbar,
     check_chebyshev,
-    claim_verdicts,
     check_lemma1,
     check_theorem_rate,
+    checked_report,
+    claim_verdicts,
     compute_constants,
     estimate_lipschitz,
     estimate_phi,
@@ -373,114 +374,107 @@ class TestComputeConstants:
                 compute_constants(1.0, 0.9, 0.1, 0.0, 1.0, 0.3, beta, H75, (0, 0, 0))
 
 
-def synthetic_report(eps, mse, T=1.0, beta=0.0, bounds=None, exceed=None,
-                     mean_sup_sq=None, delta1=1.0, delta2=1.0):
-    stats = []
-    for i, (e, m) in enumerate(zip(eps, mse)):
-        cons = compute_constants(1.0, 0.9, 0.0, 0.0, T, e, beta, H75, (0, 0, 0))
-        if bounds is not None:
-            object.__setattr__(cons, "C4", bounds[i] / e ** (1 - 2 * H75.h * beta))
-            object.__setattr__(cons, "theorem_bound", bounds[i])
-        stats.append(PerEpsilonStats(
-            epsilon=e, t_lo=0.0, sup_mse=m, sup_mse_stderr=0.0,
-            z_err_integral=0.0, z_err_stderr=0.0, dy_integral=0.0,
-            dy_integral_stderr=0.0,
-            mean_sup_sq=(mean_sup_sq[i] if mean_sup_sq else 0.0),
-            path_sup_abs=np.zeros(4), constants=cons,
-            exceed_prob=(exceed[i] if exceed else 0.0), exceed_stderr=0.0))
-    return SweepReport(eps_list=tuple(eps), T=T, beta=beta, delta1=delta1,
-                       delta2=delta2, t0=0.01, L=1.0, C1=0.9, phi_bound=0.0,
-                       n_paths=4, stats=stats)
+def exceeding(fraction, n=10):
+    """sup |dY| on n paths, the given fraction of them above 1 (at 2, the rest at 1/2)."""
+    return np.where(np.arange(n) < round(fraction * n), 2.0, 0.5)
+
+
+def hand_made_report(eps, mse, sup_abs=None, delta1=1.0, delta2=1.0):
+    """`checked_report` on hand-made window statistics: T = 1, every window from
+    u = 0, L = 1, C1 = 0.9, phi = 0, beta = 0 and zero averaged moments, so
+    C2 = 0 and the lemma's sides are 0; `sup_abs` gives each eps's sup |dY| per path."""
+    sup_abs = sup_abs or [np.zeros(4)] * len(eps)
+    raws = [dict(sup_mse=m, sup_mse_stderr=0.0, z_err_integral=0.0, z_err_stderr=0.0,
+                 dy_integral=0.0, dy_integral_stderr=0.0, mean_sup_sq=float(np.mean(a**2)),
+                 path_sup_abs=a, moments=(0.0, 0.0, 0.0))
+            for m, a in zip(mse, sup_abs)]
+    cfg = SweepConfig(n_paths=sup_abs[0].size, beta=0.0, delta1=delta1, delta2=delta2)
+    return checked_report(raws, [0.0] * len(eps), eps, 1.0, 0.01, 1.0, 0.9, 0.0, H75, cfg, 0)
 
 
 class TestRateCheck:
     def test_synthetic_exponent_recovered(self):
         eps = (0.5, 0.35, 0.25, 0.18, 0.125)
-        rep = synthetic_report(eps, [e**1.5 for e in eps])
-        check_theorem_rate(rep)
-        assert abs(rep.fitted_slope - 1.5) <= 1e-10
+        slope, _ = check_theorem_rate(eps, [e**1.5 for e in eps], 1.0)
+        assert abs(slope - 1.5) <= 1e-10
 
     def test_epsilon1_largest_when_all_pass(self):
-        eps = (0.5, 0.25, 0.125)
-        rep = synthetic_report(eps, [0.0, 0.0, 0.0])
-        check_theorem_rate(rep)
-        assert rep.epsilon1 == 0.5
+        assert check_theorem_rate((0.5, 0.25, 0.125), [0.0, 0.0, 0.0], 1.0)[1] == 0.5
 
     def test_epsilon1_threshold(self):
-        eps = (0.5, 0.25, 0.125)
-        rep = synthetic_report(eps, [0.9, 0.4, 0.1], delta1=0.5)
-        check_theorem_rate(rep)
-        assert rep.epsilon1 == 0.25
+        assert check_theorem_rate((0.5, 0.25, 0.125), [0.9, 0.4, 0.1], 0.5)[1] == 0.25
 
     def test_epsilon1_none(self):
-        eps = (0.5, 0.25, 0.125)
-        rep = synthetic_report(eps, [0.9, 0.4, 0.6], delta1=0.5)
-        check_theorem_rate(rep)
-        assert rep.epsilon1 is None
+        assert check_theorem_rate((0.5, 0.25, 0.125), [0.9, 0.4, 0.6], 0.5)[1] is None
+
+    def test_sup_mse_at_delta1_sets_epsilon1(self):
+        assert check_theorem_rate((0.5, 0.25, 0.125), [0.9, 0.5, 0.5], 0.5)[1] == 0.25
 
     def test_needs_three_points(self):
-        rep = synthetic_report((0.5, 0.25), [0.1, 0.05])
         with pytest.raises(ValueError):
-            check_theorem_rate(rep)
+            check_theorem_rate((0.5, 0.25), [0.1, 0.05], 1.0)
 
     def test_c4_bound_flags(self):
         eps = (0.5, 0.25, 0.125)
-        rep = synthetic_report(eps, [0.1, 0.1, 0.1], bounds=[1.0, 1.0, 0.05])
-        check_theorem_rate(rep)
+        bounds = [compute_constants(1.0, 0.9, 0.0, 0.0, 1.0, e, 0.0, H75, (0, 0, 0)).theorem_bound
+                  for e in eps]
+        # below, at and one ulp above each eps's bound
+        rep = hand_made_report(eps, [0.5 * bounds[0], bounds[1], np.nextafter(bounds[2], 1.0)])
+        assert [s.constants.theorem_bound for s in rep.stats] == bounds
         assert [s.c4_pass for s in rep.stats] == [True, True, False]
 
 
 class TestChebyshevCheck:
+    EPS = (0.5, 0.25, 0.125)
+
     def test_bound_respected(self):
-        eps = (0.5, 0.25, 0.125)
-        rep = synthetic_report(eps, [0.1] * 3, bounds=[1.0] * 3,
-                               exceed=[0.2, 0.1, 0.0], mean_sup_sq=[1.0, 1.0, 1.0],
-                               delta2=1.0)
-        check_chebyshev(rep)
+        rep = hand_made_report(self.EPS, [0.1] * 3,
+                               sup_abs=[exceeding(p) for p in (0.2, 0.1, 0.0)])
+        assert [s.exceed_prob for s in rep.stats] == [0.2, 0.1, 0.0]
         assert [s.chebyshev_pass for s in rep.stats] == [True, True, True]
         assert rep.chebyshev_trend_pass
 
     def test_bound_violation_detected(self):
-        eps = (0.5, 0.25, 0.125)
-        rep = synthetic_report(eps, [0.1] * 3, bounds=[1e-6] * 3,
-                               exceed=[0.5, 0.5, 0.5], mean_sup_sq=[1.0] * 3,
-                               delta2=1.0)
-        check_chebyshev(rep)
-        assert [s.chebyshev_pass for s in rep.stats] == [False, False, False]
+        # p_hat 0.5 against a bound of 1e-6 with no standard error
+        assert not check_chebyshev(0.5, 0.0, 1e-6, 1.0, 1.0)
+
+    def test_p_hat_at_bound_plus_three_stderr_passes(self):
+        # bound 0.25 + 3 x 0.125 = 0.625, exact in binary
+        assert check_chebyshev(0.625, 0.125, 0.25, 1.0, 1.0)
+        assert not check_chebyshev(np.nextafter(0.625, 1.0), 0.125, 0.25, 1.0, 1.0)
 
     def test_trend_violation_detected(self):
-        eps = (0.5, 0.25, 0.125)
-        rep = synthetic_report(eps, [0.1] * 3, bounds=[1.0] * 3,
-                               exceed=[0.0, 0.1, 0.2], mean_sup_sq=[1.0] * 3,
-                               delta2=1.0)
-        check_chebyshev(rep)
+        rep = hand_made_report(self.EPS, [0.1] * 3,
+                               sup_abs=[exceeding(p) for p in (0.0, 0.1, 0.2)])
         assert not rep.chebyshev_trend_pass
 
     def test_empirical_markov_enforced(self):
-        eps = (0.5, 0.25, 0.125)
-        rep = synthetic_report(eps, [0.1] * 3, bounds=[10.0] * 3,
-                               exceed=[0.9, 0.9, 0.9], mean_sup_sq=[1e-6] * 3,
-                               delta2=1.0)
-        check_chebyshev(rep)
-        assert [s.chebyshev_pass for s in rep.stats] == [False, False, False]
+        # within the theorem's bound, but above mean(sup |dY|^2) / delta2^2
+        assert check_chebyshev(0.9, 0.0, 10.0, 1.0, 1.0)
+        assert not check_chebyshev(0.9, 0.0, 10.0, 1e-6, 1.0)
+
+
+class TestLemma1Check:
+    def test_sides(self):
+        rhs, ok = check_lemma1(1.5, 0.0, 0.5, 0.0, 2.0, 0.25, 0.5)
+        assert rhs == 2.0 * 0.5 + 0.25 * 0.5 and not ok
+
+    def test_lhs_at_rhs_plus_three_stderr_passes(self):
+        # rhs = 1 x 0.5 + 0.25 x 1 = 0.75, se = hypot(0.375, 1 x 0.5) = 0.625, all exact
+        lhs = 0.75 + 3.0 * 0.625
+        assert check_lemma1(lhs, 0.375, 0.5, 0.5, 1.0, 0.25, 1.0) == (0.75, True)
+        assert not check_lemma1(np.nextafter(lhs, 4.0), 0.375, 0.5, 0.5, 1.0, 0.25, 1.0)[1]
 
 
 class TestClaimVerdicts:
     EPS = (0.5, 0.35, 0.25, 0.18, 0.125)
-
-    def checked_report(self, mse):
-        rep = synthetic_report(self.EPS, mse, bounds=[1.0] * len(self.EPS))
-        check_lemma1(rep)
-        check_theorem_rate(rep)
-        check_chebyshev(rep)
-        return rep
 
     @pytest.mark.parametrize("bump", [False, True])
     def test_monotonicity_alone_decides_the_sweep_status(self, tmp_path, monkeypatch, bump):
         mse = [e**1.5 for e in self.EPS]
         if bump:
             mse[2] = mse[1] * 1.5  # the slope stays positive
-        rep = self.checked_report(mse)
+        rep = hand_made_report(self.EPS, mse)
         assert claim_verdicts(rep) == {
             "lemma1": True, "c4": True, "monotone": not bump, "slope": True,
             "chebyshev": True, "trend": True,
@@ -492,6 +486,14 @@ class TestClaimVerdicts:
         summary = (tmp_path / "summary.txt").read_text()
         assert ("sup-MSE non-increasing       : FAIL" in summary) == bump
         assert summary.count("FAIL") == int(bump)
+
+    def test_report_is_frozen(self):
+        rep = hand_made_report(self.EPS, [e**1.5 for e in self.EPS])
+        assert isinstance(rep.stats, tuple)
+        with pytest.raises(FrozenInstanceError):
+            rep.fitted_slope = 0.0
+        with pytest.raises(FrozenInstanceError):
+            rep.stats[0].lemma1_pass = False
 
 
 @pytest.fixture(scope="module")
@@ -520,6 +522,17 @@ class TestRunSweep:
             assert s.exceed_prob == 0.0
             assert s.lemma1_pass and s.c4_pass and s.chebyshev_pass
         assert rep.epsilon1 == 0.5
+
+    def test_zero_t0_and_delta2_are_auto(self):
+        # 0 selects t0 = 3T/4 and delta2 = 2 sqrt(max sup-MSE), as in the config file
+        grid = TimeGrid(T=1.0, n_steps=48)
+        coeffs = CoefficientSet.build(ZERO, ONE, ONE, grid, H75)
+        cfg = SweepConfig(n_paths=1000, t0=0.0, delta2=0.0,
+                          pde=PdeConfig(kappa=6.0, n_space=64), rng=RngSpec(seed=5))
+        rep = run_sweep(benchmark_generator(1.0), coeffs, TerminalCondition.square(),
+                        (0.5, 0.3, 0.2), cfg)
+        assert rep.t0 == 0.75
+        assert rep.delta2 == 2.0 * math.sqrt(max(s.sup_mse for s in rep.stats)) > 0.0
 
     def test_benchmark_monotone_decrease(self, small_sweep):
         stats = small_sweep.stats
