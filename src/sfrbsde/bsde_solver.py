@@ -22,10 +22,13 @@ to rounding.  Boundary condition: zero second spatial derivative at both ends
 (linear extrapolation).
 
 `solve_psis` runs the scheme for several generators and epsilons in one
-backward pass: each step factors one block-diagonal tridiagonal matrix for
-all systems and solves it once per Picard sweep, and each generator is
-called once per sweep on all of its systems.  Every field equals, bit for
-bit, the one its system gets alone; `solve_psi` is the batch of one.
+backward pass.  A step's matrix depends only on (epsilon, step), so one pass
+over the rows gives the Thomas pivots and multipliers of every (epsilon,
+step) at once (`thomas_factors`); each Picard sweep then solves all systems
+together, laid end to end in one lane vector, by two log-depth doubling
+scans (`TridiagonalLanes`), and each generator is called once per sweep on
+all of its systems.  Every field equals, bit for bit, the one its system
+gets alone; `solve_psi` is the batch of one.
 """
 
 from __future__ import annotations
@@ -34,12 +37,19 @@ from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
-from scipy.linalg import solve_banded  # noqa: F401  (perfbench's tracer counts calls to this name)
-from scipy.linalg.lapack import dgttrf, dgttrs
 
 from .errors import DomainTooSmallError, NumericError, PicardError
 from .frac_kernel import CoefficientSet
 from .runio import MAX_CSV_ROWS, write_csv
+
+
+def __getattr__(name: str):
+    # perfbench's tracer still rebinds `solve_banded`, which nothing here
+    # calls; SciPy loads only when that name is read
+    if name == "solve_banded":
+        from scipy.linalg import solve_banded
+        return solve_banded
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
 @dataclass(frozen=True)
@@ -170,6 +180,82 @@ def central_gradient(values: np.ndarray, dx, out: np.ndarray | None = None) -> n
     return out
 
 
+def thomas_factors(sub, main, sup):
+    """Thomas elimination (no pivoting) of tridiagonal n x n matrices, all at once.
+
+    Row i of every matrix is (sub[i], main[i], sup[i]) = (A[i, i-1], A[i, i],
+    A[i, i+1]); each entry is an array over the matrices (any shape S) or a
+    scalar, and sub[0] and sup[n-1] are not read.  Returns (fwd, piv, bwd),
+    each of shape S + (n,), the coefficients of a solve's two recurrences
+
+        y_i = r_i + fwd_i y_{i-1},    x_i = y_i / piv_i + bwd_i x_{i+1},
+
+    with fwd_0 = bwd_{n-1} = 0, so systems laid end to end never mix.  A zero
+    pivot stays in `piv` and may make later ones non-finite; no warning is
+    raised, so a caller checks every pivot.
+    """
+    # rows lead while the rows are eliminated, so each row is contiguous
+    shape = (len(main),) + np.broadcast_shapes(*map(np.shape, (*sub[1:], *main, *sup[:-1])))
+    fwd, piv, bwd = np.zeros(shape), np.empty(shape), np.zeros(shape)
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        piv[0] = main[0]
+        for i in range(1, len(main)):
+            bwd[i - 1] = -sup[i - 1] / piv[i - 1]
+            fwd[i] = -sub[i] / piv[i - 1]
+            piv[i] = main[i] + fwd[i] * sup[i - 1]
+    return tuple(np.moveaxis(factor, 0, -1) for factor in (fwd, piv, bwd))
+
+
+class TridiagonalLanes:
+    """Tridiagonal systems of n rows laid end to end in one lane vector.
+
+    `load` lays out the systems' Thomas factors (`thomas_factors`' fwd, piv
+    and bwd) and builds the doubling levels of both recurrences: level l
+    holds each coefficient times the 2^l - 1 before it (after it, for the
+    backward one).  `solve` then solves the right-hand sides written into
+    `rhs` in place by Hillis-Steele doubling scans, the forward recurrence,
+    the division by the pivots and the backward recurrence, with one multiply
+    and one add per level.  A system's first fwd and last bwd coefficient is
+    zero, so systems never mix; the entries of a level that no product
+    reaches stay zero.  Every buffer and view is made here, once.
+    """
+
+    def __init__(self, n_systems: int, n: int):
+        size = n_systems * n
+        n_levels = max(1, (n - 1).bit_length())
+        self.fwd = np.zeros((n_levels, size))
+        self.bwd = np.zeros((n_levels, size))
+        self.piv = np.empty(size)
+        self.rhs = np.empty(size)
+        tmp = np.empty(size)
+        offsets = [1 << level for level in range(n_levels)]
+        fwd, bwd, rhs = self.fwd, self.bwd, self.rhs
+        self._doubling = [(prev[d:], prev[:-d], nxt[d:])
+                          for d, prev, nxt in zip(offsets, fwd, fwd[1:])]
+        self._doubling += [(prev[:-d], prev[d:], nxt[:-d])
+                           for d, prev, nxt in zip(offsets, bwd, bwd[1:])]
+        self._forward = [(a[d:], rhs[:-d], tmp[d:], rhs[d:]) for d, a in zip(offsets, fwd)]
+        self._backward = [(b[:-d], rhs[d:], tmp[:-d], rhs[:-d]) for d, b in zip(offsets, bwd)]
+
+    def load(self, fwd: np.ndarray, piv: np.ndarray, bwd: np.ndarray) -> None:
+        """Lay out factors for whole systems, repeated over the lanes, and double them."""
+        for lanes, factor in ((self.fwd[0], fwd), (self.piv, piv), (self.bwd[0], bwd)):
+            lanes.reshape(-1, factor.size)[:] = factor.reshape(-1)
+        for a, shifted, out in self._doubling:
+            np.multiply(a, shifted, out=out)
+
+    def solve(self) -> np.ndarray:
+        """Overwrite `rhs` with the solution of the loaded systems; returns it."""
+        for a, earlier, scratch, later in self._forward:
+            np.multiply(a, earlier, out=scratch)
+            np.add(later, scratch, out=later)
+        np.divide(self.rhs, self.piv, out=self.rhs)
+        for b, later, scratch, earlier in self._backward:
+            np.multiply(b, later, out=scratch)
+            np.add(earlier, scratch, out=earlier)
+        return self.rhs
+
+
 def solve_psi(
     gen: Generator,
     term: TerminalCondition,
@@ -196,10 +282,12 @@ def solve_psis(
     """The backward theta-scheme for every generator x every epsilon in one pass.
 
     System g * len(eps_list) + e pairs gens[g] with eps_list[e]; the fields
-    come back in that order.  Each backward step stacks the systems'
-    tridiagonal matrices into one block-diagonal matrix with zero couplings,
-    factors it once and solves it once per Picard sweep, and each generator
-    is called once per sweep on its systems' rows.  A system stops updating
+    come back in that order.  The step matrices depend on (epsilon, step)
+    only: one `thomas_factors` pass gives the pivots and multipliers of all
+    of them.  Each backward step lays its factors out over every system's
+    rows in one lane vector and builds their doubling levels once; each
+    Picard sweep then solves all systems by `TridiagonalLanes.solve`, and
+    each generator is called once per sweep on its systems' rows.  A system stops updating
     once it meets its own tolerance, so every field equals, bit for bit, the
     one its system gets when solved alone.
     """
@@ -209,7 +297,8 @@ def solve_psis(
     for e in eps:
         if not 0 < e <= 1:
             raise ValueError(f"epsilon must lie in (0, 1], got {e!r}")
-    n_eps, n_sys = len(eps), len(gens) * len(eps)
+    n_gens, n_eps = len(gens), len(eps)
+    n_sys = n_gens * n_eps
     t = coeffs.grid.nodes
     n_time = coeffs.grid.n_steps
     dt = coeffs.grid.dt
@@ -217,14 +306,14 @@ def solve_psis(
     x = np.array([np.linspace(*domain_bounds(coeffs, e, eta0, pde.kappa), pde.n_space + 1)
                   for e in eps])
     dx = x[:, 1] - x[:, 0]
-    scale = np.array([[e**coeffs.hurst.two_h] for e in eps])
-    sys_dx = np.tile(dx, len(gens))[:, None]
+    scale = np.array([e**coeffs.hurst.two_h for e in eps])
+    sys_dx = np.tile(dx, n_gens)[:, None]
 
     sig1 = np.asarray(coeffs.sigma1(t), dtype=float)
     sig2 = np.asarray(coeffs.sigma2(t), dtype=float)
 
     psi = np.empty((n_sys, n_time + 1, x.shape[1]))
-    psi.reshape(len(gens), n_eps, n_time + 1, -1)[:, :, n_time] = term(x)
+    psi.reshape(n_gens, n_eps, n_time + 1, -1)[:, :, n_time] = term(x)
 
     grad = np.empty_like(x)
 
@@ -234,7 +323,8 @@ def solve_psis(
             own = slice(g * n_eps, (g + 1) * n_eps)
             if active is None or active[own].any():
                 central_gradient(values[own], dx, out=grad)
-                out[own] = scale * gen(t[k], x, values[own], sig1[k] * grad, sig2[k] * grad)
+                out[own] = scale[:, None] * gen(t[k], x, values[own], sig1[k] * grad,
+                                                sig2[k] * grad)
         return out
 
     def apply_operator(diff, mu, values: np.ndarray) -> np.ndarray:
@@ -245,40 +335,36 @@ def solve_psis(
         )
         return out
 
-    # the step coefficients of every system and step, (systems, steps): panel
+    # the step coefficients of every step and epsilon, (steps, eps): panel
     # averages of eps^2H b and (1/2) eps^2H lambda, exact integrals over each step
-    steps = np.diff(t)
-    mu = np.tile(scale * np.diff(coeffs.b_int_table) / steps, (len(gens), 1))
-    diff = np.tile(0.5 * scale * np.diff(coeffs.sigma_abs_sq_table) / steps, (len(gens), 1))
-    lower = THETA * dt * (diff / sys_dx**2 - mu / (2.0 * sys_dx))
-    upper = THETA * dt * (diff / sys_dx**2 + mu / (2.0 * sys_dx))
-    diag = 1.0 + THETA * dt * 2.0 * diff / sys_dx**2
-
+    steps = np.diff(t)[:, None]
+    mu = scale * np.diff(coeffs.b_int_table)[:, None] / steps
+    diff = 0.5 * scale * np.diff(coeffs.sigma_abs_sq_table)[:, None] / steps
+    lower = THETA * dt * (diff / dx**2 - mu / (2.0 * dx))
+    upper = THETA * dt * (diff / dx**2 + mu / (2.0 * dx))
+    diag = 1.0 + THETA * dt * 2.0 * diff / dx**2
+    # the matrices of the interior nodes; the zero-curvature boundary
+    # u_0 = 2u_1 - u_2 and u_N = 2u_{N-1} - u_{N-2} folds into the end rows
     n_int = x.shape[1] - 2
-    sub = np.zeros((n_sys, n_int))
-    main = np.empty((n_sys, n_int))
-    sup = np.zeros((n_sys, n_int))
+    inner = n_int - 2
+    fwd, piv, bwd = thomas_factors(
+        [0.0, *[-lower] * inner, -(lower - upper)],
+        [diag - 2.0 * lower, *[diag] * inner, diag - 2.0 * upper],
+        [-(upper - lower), *[-upper] * inner, 0.0])
+    singular = ~(np.isfinite(piv) & (piv != 0.0)).all(axis=(1, 2))
+    lanes = TridiagonalLanes(n_sys, n_int)
+    rhs = lanes.rhs.reshape(n_sys, n_int)
+
+    mu, diff = np.tile(mu, n_gens), np.tile(diff, n_gens)
     src_next = source(n_time, psi[:, n_time], np.empty_like(psi[:, n_time]))
     src = np.empty_like(src_next)
     for k in range(n_time - 1, -1, -1):
-        lo, up, dg = lower[:, k, None], upper[:, k, None], diag[:, k, None]
-        # row s holds system s's bands; the last entry of a sub or sup row is
-        # the zero coupling to system s + 1 (cut off after the last system)
-        sub[:, :-2] = -lo
-        main[:] = dg
-        sup[:, 1:-1] = -up
-        # zero-curvature boundary: u_0 = 2u_1 - u_2 and u_N = 2u_{N-1} - u_{N-2}
-        main[:, :1] = dg - 2.0 * lo
-        sup[:, :1] = -(up - lo)
-        main[:, -1:] = dg - 2.0 * up
-        sub[:, -2:-1] = -(lo - up)
-        # the matrix is fixed for the step: factor it once, solve every Picard sweep
-        *lu, info = dgttrf(sub.ravel()[:-1], main.ravel(), sup.ravel()[:-1])
-        if info != 0:
+        if singular[k]:
             raise NumericError(f"tridiagonal step matrix is singular at backward step {k}")
+        lanes.load(fwd[k], piv[k], bwd[k])
 
         explicit = psi[:, k + 1] + dt * (1.0 - THETA) * (
-            apply_operator(diff[:, k, None], mu[:, k, None], psi[:, k + 1]) + src_next
+            apply_operator(diff[k, :, None], mu[k, :, None], psi[:, k + 1]) + src_next
         )
         base_rhs = explicit[:, 1:-1]
 
@@ -287,16 +373,16 @@ def solve_psis(
         change = np.full(n_sys, np.inf)
         active = np.ones(n_sys, dtype=bool)
         for _ in range(PICARD_MAX_ITER):
-            rhs = base_rhs + dt * THETA * source(k, iterate, src, active)[:, 1:-1]
-            # a zero coupling times a non-finite value is NaN: settled systems
+            np.multiply(source(k, iterate, src, active)[:, 1:-1], dt * THETA, out=rhs)
+            rhs += base_rhs
+            # a zero coefficient times a non-finite value is NaN: settled systems
             # solve zeros, and a non-finite system fails before the shared solve
             rhs[~active] = 0.0
             finite = np.isfinite(rhs).all(axis=1)
             if not finite.all():
                 s = int(np.argmin(finite))
                 raise PicardError(step=k, residual=float("nan"), tol=float(tol[s]))
-            interior, _ = dgttrs(*lu, rhs.ravel(), overwrite_b=1)
-            interior = interior.reshape(n_sys, n_int)
+            interior = lanes.solve().reshape(n_sys, n_int)
             new = np.empty_like(iterate)
             new[:, 1:-1] = interior
             new[:, 0] = 2.0 * interior[:, 0] - interior[:, 1]

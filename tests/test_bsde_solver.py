@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.linalg import solve_banded
 
 from sfrbsde import bsde_solver
 from sfrbsde.averaging_lab import QuadratureSpec, SweepConfig, build_fbar, run_sweep
@@ -9,6 +10,7 @@ from sfrbsde.bsde_solver import (
     Generator,
     PdeConfig,
     TerminalCondition,
+    TridiagonalLanes,
     cell_table,
     central_gradient,
     domain_bounds,
@@ -19,8 +21,9 @@ from sfrbsde.bsde_solver import (
     residual_mean_check,
     solve_psi,
     solve_psis,
+    thomas_factors,
 )
-from sfrbsde.config import benchmark_generator
+from sfrbsde.config import benchmark_generator, config_from_mapping
 from sfrbsde.errors import CoefficientError, DomainTooSmallError, NumericError, PicardError
 from sfrbsde.frac_kernel import CoefficientSet, DeterministicFn, HurstModel
 from sfrbsde.grids import TimeGrid
@@ -140,13 +143,14 @@ class TestSolvePsi:
 
 
 class TestPicardWork:
-    """One factorisation per backward step, and one solve per Picard sweep:
-    262 for f and 257 for f-bar on this problem, the solve_banded call count
-    of the earlier solver that re-factored on every sweep."""
+    """One factorisation pass per solve, one lane layout per backward step and
+    one solve per Picard sweep: 262 for f and 257 for f-bar on this problem,
+    the solve_banded call count of the earlier solver that re-factored on
+    every sweep."""
 
     @pytest.fixture
     def counted(self, monkeypatch):
-        calls = {"dgttrf": 0, "dgttrs": 0}
+        calls = {"factors": 0, "load": 0, "solve": 0}
 
         def counting(name, fn):
             def wrapper(*args, **kwargs):
@@ -154,8 +158,11 @@ class TestPicardWork:
                 return fn(*args, **kwargs)
             return wrapper
 
-        monkeypatch.setattr(bsde_solver, "dgttrf", counting("dgttrf", bsde_solver.dgttrf))
-        monkeypatch.setattr(bsde_solver, "dgttrs", counting("dgttrs", bsde_solver.dgttrs))
+        lanes = bsde_solver.TridiagonalLanes
+        monkeypatch.setattr(bsde_solver, "thomas_factors",
+                            counting("factors", bsde_solver.thomas_factors))
+        monkeypatch.setattr(lanes, "load", counting("load", lanes.load))
+        monkeypatch.setattr(lanes, "solve", counting("solve", lanes.solve))
         return calls
 
     @pytest.mark.parametrize("averaged, solves", [(False, 262), (True, 257)])
@@ -165,16 +172,120 @@ class TestPicardWork:
         if averaged:
             gen = build_fbar(gen, 1.0, QuadratureSpec()).as_generator()
         solve_psi(gen, TerminalCondition.square(), coeffs, 0.5, PdeConfig(n_space=64), eta0=1.0)
-        assert counted["dgttrf"] == coeffs.grid.n_steps
-        assert counted["dgttrs"] == solves
+        assert counted["factors"] == 1
+        assert counted["load"] == coeffs.grid.n_steps
+        assert counted["solve"] == solves
 
     def test_sweep_factors_once_per_step(self, counted):
-        # all 2 x 3 systems of the sweep share one factorisation per step
+        # all 2 x 3 systems of the sweep share one factorisation pass and
+        # one lane layout per step
         coeffs = build_coeffs(n=64)
         cfg = SweepConfig(n_paths=1000, t0=0.75, pde=PdeConfig(n_space=64), rng=RngSpec(seed=3))
         run_sweep(benchmark_generator(1.0), coeffs, TerminalCondition.square(),
                   (0.5, 0.3, 0.2), cfg)
-        assert counted["dgttrf"] == coeffs.grid.n_steps
+        assert counted["factors"] == 1
+        assert counted["load"] == coeffs.grid.n_steps
+
+
+def lanes_solve(sub, main, sup, rhs):
+    """Solve the (systems, n) banded systems through thomas_factors and one lane vector."""
+    fwd, piv, bwd = thomas_factors(sub.T, main.T, sup.T)
+    lanes = TridiagonalLanes(*rhs.shape)
+    lanes.load(fwd, piv, bwd)
+    lanes.rhs[:] = rhs.reshape(-1)
+    return lanes.solve().reshape(rhs.shape)
+
+
+def banded_solve(sub, main, sup, rhs):
+    """The same systems one by one through LAPACK's banded solver (partial pivoting)."""
+    out = np.empty_like(rhs)
+    for s in range(rhs.shape[0]):
+        ab = np.zeros((3, rhs.shape[1]))
+        ab[0, 1:], ab[1], ab[2, :-1] = sup[s, :-1], main[s], sub[s, 1:]
+        out[s] = solve_banded((1, 1), ab, rhs[s])
+    return out
+
+
+class TestTridiagonalLanes:
+    """The Thomas factors and doubling scans against LAPACK's banded solve."""
+
+    class Captured(Exception):
+        pass
+
+    def step_matrices(self, monkeypatch, b):
+        """Every step matrix of perfbench's sweep-crit7 grid (256 x 256, the five
+        default eps) as (systems, n) bands, as solve_psis hands them to thomas_factors."""
+        cfg = config_from_mapping({"n_time": "256", "n_space": "256", "b": b})
+        bands = []
+
+        def capture(sub, main, sup):
+            bands.extend(np.stack(np.broadcast_arrays(*band)) for band in (sub, main, sup))
+            raise self.Captured
+
+        monkeypatch.setattr(bsde_solver, "thomas_factors", capture)
+        with pytest.raises(self.Captured):
+            solve_psis([Generator.zero()], cfg.make_terminal(), cfg.coefficient_set(),
+                       cfg.eps_list, cfg.pde(), cfg.eta0)
+        # (rows, steps, eps) -> (steps x eps, rows)
+        return [band.reshape(band.shape[0], -1).T.copy() for band in bands]
+
+    @pytest.mark.parametrize("b", ["constant:0", "constant:50", "constant:-50"])
+    def test_crit7_step_matrices(self, monkeypatch, b):
+        sub, main, sup = self.step_matrices(monkeypatch, b)
+        assert sub.shape == (256 * 5, 255)
+        # both boundary rows carry the zero-curvature extrapolation
+        assert not np.allclose(main[:, 0], main[:, 1])
+        assert not np.allclose(main[:, -1], main[:, -2])
+        rhs = np.random.default_rng(0).standard_normal(main.shape)
+        got = lanes_solve(sub, main, sup, rhs)
+        want = banded_solve(sub, main, sup, rhs)
+        # within 1e-13 of each system's largest value (6e-16 to 1.8e-15 seen)
+        scale = np.abs(want).max(axis=1, keepdims=True)
+        assert (np.abs(got - want) <= 1e-13 * scale).all()
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 64, 255, 256, 257])
+    def test_random_diagonally_dominant(self, n):
+        rng = np.random.default_rng(n)
+        shape = (7, n)
+        sub, sup = rng.uniform(-1.0, 1.0, shape), rng.uniform(-1.0, 1.0, shape)
+        main = (np.abs(sub) + np.abs(sup) + rng.uniform(0.01, 2.0, shape)) \
+            * rng.choice([-1.0, 1.0], shape)
+        rhs = rng.standard_normal(shape)
+        got = lanes_solve(sub, main, sup, rhs)
+        want = banded_solve(sub, main, sup, rhs)
+        assert np.allclose(got, want, rtol=0.0, atol=1e-12 * np.abs(want).max())
+        # a system in the batch gets what it gets alone, bit for bit
+        for s in range(shape[0]):
+            alone = lanes_solve(sub[s:s + 1], main[s:s + 1], sup[s:s + 1], rhs[s:s + 1])
+            assert np.array_equal(got[s], alone[0])
+
+    def test_zero_pivot_stays_without_warning(self):
+        # a zero leading pivot (main[0] = 0): the next pivot is -inf, and the
+        # one after it finite again, so a check must look at every pivot
+        sub = sup = np.ones(4)
+        main = np.array([0.0, 3.0, 3.0, 3.0])
+        fwd, piv, bwd = thomas_factors(sub, main, sup)
+        assert piv[0] == 0.0
+        assert piv[1] == -np.inf
+        assert np.isfinite(piv[2:]).all()
+
+
+class TestSingularStep:
+    @pytest.mark.parametrize("bad", [0.0, np.nan])
+    def test_names_the_first_singular_step(self, monkeypatch, bad):
+        # steps 20 and 40 get a bad pivot in one epsilon's matrix; the backward
+        # pass reaches step 40 first
+        real = bsde_solver.thomas_factors
+
+        def with_bad_pivots(sub, main, sup):
+            fwd, piv, bwd = real(sub, main, sup)
+            piv[20, 1, 7] = piv[40, 1, 30] = bad
+            return fwd, piv, bwd
+
+        monkeypatch.setattr(bsde_solver, "thomas_factors", with_bad_pivots)
+        with pytest.raises(NumericError, match="singular at backward step 40$"):
+            solve_psis([Generator.zero()], TerminalCondition.square(), build_coeffs(n=64),
+                       [1.0, 0.5], PdeConfig(n_space=64))
 
 
 class TestBatchedSolve:

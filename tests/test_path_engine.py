@@ -498,11 +498,23 @@ class TestFactorMemo:
         assert built.count("eig") == (4 if method == "circulant" else 0)
 
 
-def test_module_imports_alone():
-    """The package re-exports nothing: a module loads only what it imports."""
+def test_module_imports_alone(tmp_path):
+    """The package re-exports nothing: a module loads only what it imports,
+    and no command on the sweep or solve path loads SciPy."""
     src = str(Path(path_engine.__file__).parents[1])
+    env = {**os.environ, "PYTHONPATH": src}
     code = ("import sys, sfrbsde.path_engine; "
             "print(sorted({'scipy', 'sfrbsde.averaging_lab'} & set(sys.modules)))")
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
-                         check=True, env={**os.environ, "PYTHONPATH": src})
+                         check=True, env=env)
     assert out.stdout.strip() == "[]"
+
+    config = tmp_path / "small.cfg"
+    config.write_text("n_time = 64\nn_space = 64\nn_paths = 1000\n", encoding="utf-8")
+    code = ("import sys; from sfrbsde import cli; "
+            "rcs = [cli.main([cmd, '--config', sys.argv[1], '--out', sys.argv[2] + '/' + cmd]) "
+            "for cmd in ('sweep', 'solve')]; "
+            "print(rcs, 'scipy' in sys.modules)")
+    out = subprocess.run([sys.executable, "-c", code, str(config), str(tmp_path)],
+                         capture_output=True, text=True, check=True, env=env)
+    assert out.stdout.splitlines()[-1] == "[0, 0] False"
