@@ -23,7 +23,7 @@ which the sweep summary states (WINDOW_NOTE) rather than reconciles.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
 import numpy as np
@@ -33,7 +33,6 @@ from .bsde_solver import (
     PdeConfig,
     SolutionField,
     TerminalCondition,
-    block_rows,
     cell_table,
     check_clamp,
     interp_at,
@@ -42,7 +41,7 @@ from .bsde_solver import (
 )
 from .errors import ContractError, InfeasibleAlphaError, NumericError, QuadratureConvergenceError
 from .frac_kernel import CoefficientSet, HurstModel, c0_const, c1_lower_bound
-from .path_engine import RngSpec, eta_noise, make_ensemble
+from .path_engine import RngSpec, block_rows, eta_noise, make_ensemble, merge_moments, path_blocks
 
 WINDOW_NOTE = (
     "rate window is [T*eps^(1-beta), T] per the stated theorem; the proof's "
@@ -493,7 +492,8 @@ class _WindowFold:
         """The statistics of every path folded so far.
 
         Raises DomainTooSmallError when more than 1% of all path nodes
-        (t = 0 included) lie outside the PDE domain, as extract_triple does.
+        (t = 0 included) lie outside the PDE domain (`check_clamp`, as
+        `solve` judges its blocks).
         """
         n = self.count
         check_clamp(self.outside, n * self.n_nodes, self.x_nodes)
@@ -533,23 +533,6 @@ class _FoldWorkspace:
         return self.buffers[name][:rows * cols].reshape(rows, cols)
 
 
-def _merge_moments(count: int, mean: np.ndarray, m2: np.ndarray, block: np.ndarray,
-                   centred: np.ndarray | None = None) -> None:
-    """Merge the rows of `block` into the column means and M2 of `count` earlier rows,
-    in place, by Chan's pairwise update.
-
-    `centred`, of block's shape, receives block minus its column means; it is
-    allocated when None.
-    """
-    n_b = block.shape[0]
-    mean_b = block.mean(axis=0)
-    centred = np.subtract(block, mean_b, out=centred)
-    n = count + n_b
-    delta = mean_b - mean
-    m2 += np.einsum("ij,ij->j", centred, centred) + delta**2 * (count * n_b / n)
-    mean += delta * (n_b / n)
-
-
 def _window_stats(fold: _WindowFold, noise: np.ndarray, start: int,
                   ws: _FoldWorkspace) -> None:
     """Fold the block of paths start, start+1, ... (eps-free noise `noise`) into `fold`.
@@ -578,11 +561,11 @@ def _window_stats(fold: _WindowFold, noise: np.ndarray, start: int,
     np.abs(dY, out=scratch).max(axis=1, out=fold.sup_abs[start:start + n_b])
     dY_sq = np.square(dY, out=dY)
     np.matmul(dY_sq, fold.weights, out=path_ints[0])
-    _merge_moments(fold.count, fold.mean, fold.m2, dY_sq, scratch)
+    merge_moments(fold.count, fold.mean, fold.m2, dY_sq, scratch)
 
     dZ = interp_at(*d_z, cell, frac, read, scratch)
     np.matmul(np.square(dZ, out=dZ), fold.z_weights, out=path_ints[1])
-    _merge_moments(fold.count, fold.int_mean, fold.int_m2, path_ints.T)
+    merge_moments(fold.count, fold.int_mean, fold.int_m2, path_ints.T)
 
     Y_a = interp_at(*y_avg, cell, frac, read, scratch)
     fold.sq_sums[0] += np.einsum("ij,ij->j", Y_a, Y_a)
@@ -607,7 +590,7 @@ def run_sweep(
     Every field is solved first, all 2 x len(eps) in one backward pass
     (`solve_psis`), and each eps's fold copies the window rows it reads, so
     the fields are freed before the paths stream.  The paths then come in
-    fixed blocks of `block_rows(n_nodes)` paths: each block draws (B, B^H)
+    the fixed blocks of `path_blocks`: each block draws (B, B^H)
     once from the per-path streams of its global path indices, and every eps
     folds the block by reading both fields in grid units straight from the
     block's eps-free noise N; eta^eps itself is never formed.
@@ -645,13 +628,10 @@ def run_sweep(
     folds = [fold_for(e, o, a) for e, o, a in zip(eps, fields, fields[len(eps):])]
     del fields  # the folds hold copies of their window rows: this frees the batch
 
-    rows = block_rows(grid.n_nodes)
-    ws = _FoldWorkspace(min(rows, cfg.n_paths), grid.n_nodes)
-    for start in range(0, cfg.n_paths, rows):
-        # path p of the block draws from the sub-stream of global path start + p; the
-        # increments are unbound, so they are freed once the noise is formed
-        noise = eta_noise(coeffs, make_ensemble(grid, hurst, min(rows, cfg.n_paths - start),
-                                                replace(cfg.rng, stream=cfg.rng.stream + start)))
+    ws = _FoldWorkspace(min(block_rows(grid.n_nodes), cfg.n_paths), grid.n_nodes)
+    for start, rows, rng in path_blocks(cfg.n_paths, grid.n_nodes, cfg.rng):
+        # the increments are unbound, so they are freed once the noise is formed
+        noise = eta_noise(coeffs, make_ensemble(grid, hurst, rows, rng))
         for fold in folds:
             _window_stats(fold, noise, start, ws)
 

@@ -40,6 +40,7 @@ import numpy as np
 
 from .errors import DomainTooSmallError, NumericError, PicardError
 from .frac_kernel import CoefficientSet
+from .path_engine import merge_moments
 from .runio import MAX_CSV_ROWS, write_csv
 
 
@@ -137,23 +138,21 @@ class SolutionField:
 
     def export_csv(self, path):
         stride = max(1, int(np.ceil(self.psi.size / MAX_CSV_ROWS)))
-        rows = (
-            (self.t_nodes[k], x, self.psi[k, j], self.psi_x[k, j])
-            for k in range(0, self.t_nodes.size, stride)
-            for j, x in enumerate(self.x_nodes)
-        )
-        return write_csv(path, ("t", "x", "psi", "psi_x"), rows)
+        t, x = np.meshgrid(self.t_nodes[::stride], self.x_nodes, indexing="ij")
+        return write_csv(path, ("t", "x", "psi", "psi_x"), zip(
+            t.ravel(), x.ravel(), self.psi[::stride].ravel(), self.psi_x[::stride].ravel()))
 
 
 @dataclass
 class TriplePath:
-    """(Y, Z1, Z2) along simulated eta paths, plus the paths themselves."""
+    """(Y, Z1, Z2) along a block of eta paths, the paths themselves, and the
+    count of path nodes outside the PDE domain."""
 
     eta: np.ndarray
     Y: np.ndarray
     Z1: np.ndarray
     Z2: np.ndarray
-    clamp_fraction: float = 0.0
+    outside: int = 0
 
 
 def domain_bounds(coeffs: CoefficientSet, epsilon: float, eta0: float, kappa: float):
@@ -406,23 +405,13 @@ def solve_psis(
             for s in range(n_sys)]
 
 
-# Paths are read in row blocks of ~2^17 (path, t) cells: the index and offset
-# temporaries stay small and cache-resident (one block over all rows was ~35%
-# slower), and a sweep streams its paths in blocks of the same size.
-BLOCK_CELLS = 1 << 17
 MAX_CLAMP_FRACTION = 0.01
 
 
-def block_rows(n_nodes: int) -> int:
-    """Paths per block for paths of n_nodes nodes."""
-    return max(1, BLOCK_CELLS // n_nodes)
-
-
-def check_clamp(outside: int, cells: int, x_nodes: np.ndarray,
-                max_clamp_fraction: float = MAX_CLAMP_FRACTION) -> float:
+def check_clamp(outside: int, cells: int, x_nodes: np.ndarray) -> float:
     """The share of path nodes read clamped to the domain ends; raises above the limit."""
     clamp_fraction = outside / cells
-    if clamp_fraction > max_clamp_fraction:
+    if clamp_fraction > MAX_CLAMP_FRACTION:
         raise DomainTooSmallError(clamp_fraction, (x_nodes[-1] - x_nodes[0]) / 2.0)
     return clamp_fraction
 
@@ -467,42 +456,29 @@ def interp_at(values: np.ndarray, slopes: np.ndarray, cell: np.ndarray,
     return out
 
 
-def extract_triple(field: SolutionField, eta: np.ndarray, coeffs: CoefficientSet,
-                   max_clamp_fraction: float = MAX_CLAMP_FRACTION) -> TriplePath:
-    """Read (Y, Z1, Z2) along eta paths by interpolating psi and psi_x.
+def extract_triple(field: SolutionField, eta: np.ndarray, coeffs: CoefficientSet) -> TriplePath:
+    """Read (Y, Z1, Z2) along a block of eta paths by interpolating psi and psi_x.
 
     eta is read in grid units, u = (eta - x_0) g with g = n / (x_n - x_0),
-    through `locate`, as the sweep's fold reads it.  Z2 sigma1 = Z1 sigma2
-    holds exactly at every node because both controls share the one
-    interpolated psi_x value.
+    through `locate`, as the sweep's fold reads it.  Nodes strictly beyond
+    the domain read its end values; `outside` counts them, and the caller
+    judges their share over every block by `check_clamp`.  Z2 sigma1 =
+    Z1 sigma2 holds exactly at every node because both controls share the
+    one interpolated psi_x value.
     """
     t = field.t_nodes
     if eta.ndim != 2 or eta.shape[1] != t.size:
         raise ValueError("eta paths do not match the solution field's time grid")
     lo, hi = field.x_nodes[0], field.x_nodes[-1]
-    outside = int(np.count_nonzero(eta < lo) + np.count_nonzero(eta > hi))
-    clamp_fraction = check_clamp(outside, eta.size, field.x_nodes, max_clamp_fraction)
-
-    sig1 = np.asarray(coeffs.sigma1(t), dtype=float)
-    sig2 = np.asarray(coeffs.sigma2(t), dtype=float)
-    Y = np.empty_like(eta)
-    Z1 = np.empty_like(eta)
-    Z2 = np.empty_like(eta)
-    psi, psi_x = cell_table(field.psi), cell_table(field.psi_x)
     n = field.x_nodes.size - 1
-    g = n / (hi - lo)
-    row_starts = np.arange(t.size) * (n + 1)
-    rows = block_rows(t.size)
-    for r in range(0, eta.shape[0], rows):
-        block = slice(r, r + rows)
-        u = eta[block] - lo
-        u *= g
-        cell = locate(u, n, row_starts, np.empty(u.shape, np.intp))
-        Y[block] = interp_at(*psi, cell, u)
-        slope = interp_at(*psi_x, cell, u)
-        np.multiply(slope, sig1, out=Z1[block])
-        np.multiply(slope, sig2, out=Z2[block])
-    return TriplePath(eta=eta, Y=Y, Z1=Z1, Z2=Z2, clamp_fraction=clamp_fraction)
+    u = eta - lo
+    u *= n / (hi - lo)
+    cell = locate(u, n, np.arange(t.size) * (n + 1), np.empty(u.shape, np.intp))
+    slope = interp_at(*cell_table(field.psi_x), cell, u)
+    return TriplePath(eta=eta, Y=interp_at(*cell_table(field.psi), cell, u),
+                      Z1=slope * np.asarray(coeffs.sigma1(t), dtype=float),
+                      Z2=slope * np.asarray(coeffs.sigma2(t), dtype=float),
+                      outside=int(np.count_nonzero(eta < lo) + np.count_nonzero(eta > hi)))
 
 
 @dataclass(frozen=True)
@@ -528,8 +504,7 @@ def malliavin_representation_check(triple: TriplePath, field: SolutionField,
     s2hat = coeffs.sigma2_hat_table
     max_dev = 0.0
     for k in np.nonzero(usable)[0]:
-        slope = np.interp(triple.eta[:, k], field.x_nodes, field.psi_x[k])
-        lhs = s2hat[k] * slope
+        lhs = s2hat[k] * np.interp(triple.eta[:, k], field.x_nodes, field.psi_x[k])
         rhs = (s2hat[k] / sig2[k]) * triple.Z2[:, k]
         max_dev = max(max_dev, float(np.abs(lhs - rhs).max()))
     return MalliavinCheck(applicable=True, max_deviation=max_dev)
@@ -544,24 +519,35 @@ class ResidualReport:
     probe: float
 
 
-def residual_mean_check(triple: TriplePath, gen: Generator, coeffs: CoefficientSet,
-                        epsilon: float, probe: float) -> ResidualReport:
-    """| E Y_tp - E xi - eps^2H E int_tp^T f(s, eta, Y, Z1, Z2) ds |.
+class ResidualCheck:
+    """| E Y_tp - E xi - eps^2H E int_tp^T f(s, eta, Y, Z1, Z2) ds | at each
+    probe tp (snapped to the first node at or after it), over path blocks.
 
     Taking expectations in the backward equation kills both stochastic
     integrals (zero-mean property), so this must vanish up to discretization
     plus Monte-Carlo noise.  The estimate is path-paired, so the stderr
-    reflects the coupled difference.
+    reflects the coupled difference; `fold` merges a block's per-path terms.
     """
-    grid = coeffs.grid
-    k0 = grid.first_index_at_or_after(probe)
-    t = grid.nodes
-    f_vals = np.empty((triple.Y.shape[0], t.size - k0))
-    for j, k in enumerate(range(k0, t.size)):
-        f_vals[:, j] = gen(t[k], triple.eta[:, k], triple.Y[:, k],
-                           triple.Z1[:, k], triple.Z2[:, k])
-    integral = np.trapezoid(f_vals, t[k0:], axis=1)
-    per_path = triple.Y[:, k0] - triple.Y[:, -1] - epsilon**coeffs.hurst.two_h * integral
-    mean = float(per_path.mean())
-    stderr = float(per_path.std(ddof=1) / np.sqrt(per_path.shape[0]))
-    return ResidualReport(residual=abs(mean), stderr=stderr, probe=float(t[k0]))
+
+    def __init__(self, gen: Generator, coeffs: CoefficientSet, epsilon: float, probes):
+        self.gen, self.t, self.scale = gen, coeffs.grid.nodes, epsilon**coeffs.hurst.two_h
+        self.k0 = [coeffs.grid.first_index_at_or_after(p) for p in probes]
+        self.count, self.mean, self.m2 = 0, np.zeros(len(self.k0)), np.zeros(len(self.k0))
+
+    def fold(self, triple: TriplePath) -> "ResidualCheck":
+        t, first = self.t, min(self.k0)
+        f_vals = np.empty((triple.Y.shape[0], t.size - first))
+        for j, k in enumerate(range(first, t.size)):
+            f_vals[:, j] = self.gen(t[k], triple.eta[:, k], triple.Y[:, k],
+                                    triple.Z1[:, k], triple.Z2[:, k])
+        terms = np.stack([triple.Y[:, k] - triple.Y[:, -1] - self.scale
+                          * np.trapezoid(f_vals[:, k - first:], t[k:], axis=1)
+                          for k in self.k0], axis=1)
+        merge_moments(self.count, self.mean, self.m2, terms)
+        self.count += terms.shape[0]
+        return self
+
+    def reports(self) -> list[ResidualReport]:
+        stderr = np.sqrt(self.m2 / (self.count - 1)) / np.sqrt(self.count)
+        return [ResidualReport(residual=abs(float(m)), stderr=float(s), probe=float(self.t[k]))
+                for m, s, k in zip(self.mean, stderr, self.k0)]

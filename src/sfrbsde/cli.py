@@ -14,6 +14,8 @@ from dataclasses import replace
 from operator import attrgetter
 from pathlib import Path
 
+import numpy as np
+
 from . import __version__
 from . import averaging_lab as al
 from . import bsde_solver as bs
@@ -26,13 +28,8 @@ from .verify import check_control, run_all, run_control
 
 def _load_config(args) -> ExperimentConfig:
     cfg = parse_config(args.config) if args.config else ExperimentConfig()
-    overrides = {}
-    if args.seed is not None:
-        overrides["seed"] = args.seed
-    if args.out is not None:
-        overrides["out_dir"] = args.out
-    if args.workers is not None:
-        overrides["workers"] = args.workers
+    overrides = {key: value for key, value in (("seed", args.seed), ("out_dir", args.out),
+                                               ("workers", args.workers)) if value is not None}
     return validated(replace(cfg, **overrides)) if overrides else cfg
 
 
@@ -52,32 +49,31 @@ def cmd_simulate_fbm(cfg: ExperimentConfig) -> int:
     manifest = _manifest(cfg)
     manifest.begin("simulate")
     coeffs = cfg.coefficient_set()
-    ens = pe.make_ensemble(cfg.grid(), cfg.hurst(), cfg.n_paths, cfg.rng())
-    eta = pe.simulate_eta(coeffs, ens, cfg.epsilon, cfg.eta0)
+    grid, nodes = coeffs.grid, coeffs.grid.nodes
+    keep = max(1, min(cfg.n_paths, MAX_CSV_ROWS // nodes.size))
+    # B, B^H and eta of the first `keep` paths, and the co-moments of B^H over all
+    kept = np.empty((3, keep, nodes.size))
+    mean, comoments = np.zeros(grid.n_steps), np.zeros((grid.n_steps, grid.n_steps))
+    for start, rows, rng in pe.path_blocks(cfg.n_paths, nodes.size, cfg.rng()):
+        ens = pe.make_ensemble(grid, coeffs.hurst, rows, rng)
+        pe.merge_moments(start, mean, comoments, ens.BH[:, 1:])
+        if start < keep:
+            kept[:, start:start + rows] = np.stack([ens.B, ens.BH, pe.simulate_eta(
+                coeffs, ens, cfg.epsilon, cfg.eta0)])[:, :keep - start]
+        del ens  # the block is freed before the next one is drawn
     manifest.end("simulate")
 
     manifest.begin("write")
-    nodes = cfg.grid().nodes
-    keep = max(1, min(cfg.n_paths, MAX_CSV_ROWS // nodes.size))
-    rows = (
-        (p, t, ens.B[p, k], ens.BH[p, k], eta[p, k])
-        for p in range(keep)
-        for k, t in enumerate(nodes)
-    )
+    path_rows = ((p, *cells) for p in range(keep) for cells in zip(nodes, *kept[:, p]))
     manifest.record_file(write_csv(out / "paths.csv",
-                                   ("path_id", "t", "B", "BH", "eta"), rows))
+                                   ("path_id", "t", "B", "BH", "eta"), path_rows))
     manifest.note("paths_written", keep)
 
-    interior = nodes[1:]
-    emp, ana, z = pe.fbm_covariance_zscores(ens)
-    cov_rows = (
-        (interior[j], interior[k], emp[j, k], ana[j, k], z[j, k])
-        for j in range(interior.size)
-        for k in range(interior.size)
-    )
+    t_j, t_k = np.meshgrid(nodes[1:], nodes[1:], indexing="ij")
+    emp, ana, z = pe.fbm_covariance_zscores(grid, coeffs.hurst, cfg.n_paths, comoments)
     manifest.record_file(write_csv(out / "covariance_check.csv",
                                    ("t_j", "t_k", "empirical", "analytic", "z_score"),
-                                   cov_rows))
+                                   zip(*(a.ravel() for a in (t_j, t_k, emp, ana, z)))))
     manifest.end("write")
     manifest.write(out / "manifest.csv")
     print(f"simulate-fbm: wrote {keep} paths and the covariance check to {out}")
@@ -95,36 +91,44 @@ def cmd_solve(cfg: ExperimentConfig) -> int:
     field = bs.solve_psi(gen, term, coeffs, cfg.epsilon, cfg.pde(), cfg.eta0)
     manifest.end("solve")
 
+    # per block: the (mean, M2) per node of Y, Z1 and Z2 merged, the residual
+    # terms folded, the Malliavin deviation maxed and the clamped nodes counted
     manifest.begin("extract")
-    ens = pe.make_ensemble(cfg.grid(), cfg.hurst(), cfg.n_paths, cfg.rng())
-    eta = pe.simulate_eta(coeffs, ens, cfg.epsilon, cfg.eta0)
-    triple = bs.extract_triple(field, eta, coeffs)
+    t = coeffs.grid.nodes
+    mean, m2 = np.zeros(3 * t.size), np.zeros(3 * t.size)
+    residuals = bs.ResidualCheck(gen, coeffs, cfg.epsilon, (
+        cfg.t_horizon / 4, cfg.t_horizon / 2, 3 * cfg.t_horizon / 4))
+    outside, mal_dev = 0, 0.0
+    for start, rows, rng in pe.path_blocks(cfg.n_paths, t.size, cfg.rng()):
+        ens = pe.make_ensemble(coeffs.grid, coeffs.hurst, rows, rng)
+        triple = bs.extract_triple(field, pe.simulate_eta(coeffs, ens, cfg.epsilon, cfg.eta0),
+                                   coeffs)
+        pe.merge_moments(start, mean, m2, np.hstack([triple.Y, triple.Z1, triple.Z2]))
+        residuals.fold(triple)
+        mal = bs.malliavin_representation_check(triple, field, coeffs)
+        mal_dev = max(mal_dev, mal.max_deviation)
+        outside += triple.outside
+        fbm_method = ens.fbm_method
+        del ens, triple  # the block is freed before the next one is drawn
+    clamp_fraction = bs.check_clamp(outside, cfg.n_paths * t.size, field.x_nodes)
     manifest.end("extract")
 
     manifest.begin("write")
     manifest.record_file(field.export_csv(out / "psi.csv"))
-    t = cfg.grid().nodes
-    summary_rows = (
-        (t[k], triple.Y[:, k].mean(), triple.Y[:, k].var(ddof=1),
-         triple.Z1[:, k].mean(), triple.Z2[:, k].mean())
-        for k in range(t.size)
-    )
+    mean_y, mean_z1, mean_z2 = mean.reshape(3, t.size)
     manifest.record_file(write_csv(out / "triple_summary.csv",
                                    ("t", "mean_Y", "var_Y", "mean_Z1", "mean_Z2"),
-                                   summary_rows))
-    residual_rows = []
-    for probe in (cfg.t_horizon / 4, cfg.t_horizon / 2, 3 * cfg.t_horizon / 4):
-        rep = bs.residual_mean_check(triple, gen, coeffs, cfg.epsilon, probe)
-        residual_rows.append((rep.probe, rep.residual, rep.stderr,
-                              rep.residual <= 3 * rep.stderr + coeffs.grid.dt))
+                                   zip(t, mean_y, m2[:t.size] / (cfg.n_paths - 1),
+                                       mean_z1, mean_z2)))
     manifest.record_file(write_csv(out / "residual_check.csv",
                                    ("t_probe", "residual", "stderr", "holds"),
-                                   residual_rows))
-    mal = bs.malliavin_representation_check(triple, field, coeffs)
+                                   ((rep.probe, rep.residual, rep.stderr,
+                                     rep.residual <= 3 * rep.stderr + coeffs.grid.dt)
+                                    for rep in residuals.reports())))
     manifest.note("malliavin_applicable", mal.applicable)
-    manifest.note("malliavin_max_deviation", mal.max_deviation)
-    manifest.note("clamp_fraction", triple.clamp_fraction)
-    manifest.note("fbm_method", ens.fbm_method)
+    manifest.note("malliavin_max_deviation", mal_dev)
+    manifest.note("clamp_fraction", clamp_fraction)
+    manifest.note("fbm_method", fbm_method)
     manifest.end("write")
     manifest.write(out / "manifest.csv")
     print(f"solve: psi, triple summary and residual checks written to {out}")
@@ -153,20 +157,12 @@ SWEEP_COLUMNS = tuple((column, attrgetter(attr)) for column, attr in (
 def constants_rows(report: al.SweepReport):
     yield ("L", report.L)
     yield ("C0", report.stats[0].constants.C0)
-    yield ("C1", report.C1)
-    yield ("beta", report.beta)
-    yield ("phi_bound", report.phi_bound)
-    yield ("t0", report.t0)
-    yield ("delta1", report.delta1)
-    yield ("delta2", report.delta2)
+    for name in ("C1", "beta", "phi_bound", "t0", "delta1", "delta2"):
+        yield (name, getattr(report, name))
     for s in report.stats:
-        c = s.constants
         tag = f"[eps={format(s.epsilon, 'g')}]"
-        yield (f"alpha0{tag}", c.alpha0)
-        yield (f"L1{tag}", c.L1)
-        yield (f"C2{tag}", c.C2)
-        yield (f"C3{tag}", c.C3)
-        yield (f"C4{tag}", c.C4)
+        for name in ("alpha0", "L1", "C2", "C3", "C4"):
+            yield (f"{name}{tag}", getattr(s.constants, name))
 
 
 def sweep_summary_text(report: al.SweepReport) -> str:
@@ -290,15 +286,10 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         cfg = _load_config(args)
-        if args.command == "simulate-fbm":
-            return cmd_simulate_fbm(cfg)
-        if args.command == "solve":
-            return cmd_solve(cfg)
-        if args.command == "sweep":
-            return cmd_sweep(cfg)
         if args.command == "verify":
             return cmd_verify(cfg, expect_fail=args.expect_fail)
-        raise AssertionError(f"unhandled command {args.command!r}")
+        commands = {"simulate-fbm": cmd_simulate_fbm, "solve": cmd_solve, "sweep": cmd_sweep}
+        return commands[args.command](cfg)
     except ConfigError as exc:
         print("configuration error:", file=sys.stderr)
         for v in exc.violations:

@@ -12,6 +12,10 @@ changes, so every row is bitwise the draw of that path's own stream and
 results do not depend on how the paths are split into blocks.  dB and
 dB^H come from distinct purposes and are therefore independent.
 
+Every command draws its paths in the blocks of `path_blocks` and merges
+each block into running moments (`merge_moments`), so no command's memory
+grows with the number of paths.
+
 Two exact fGn samplers are provided: the row-differenced Cholesky factor
 of the node covariance (reference) and Davies-Harte circulant embedding
 (fast path for long grids).  Both target the fBm covariance
@@ -20,7 +24,7 @@ of the node covariance (reference) and Davies-Harte circulant embedding
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import cached_property, lru_cache
 
 import numpy as np
@@ -35,6 +39,10 @@ _PURPOSE_FBM = 2
 # Cholesky is the correctness anchor; circulant embedding takes over where
 # an n^2 factor row per path starts to hurt.
 CHOLESKY_MAX_STEPS = 512
+
+# paths stream in blocks of ~2^17 (path, t) cells, whose read temporaries stay
+# cache-resident (reading all rows at once was ~35% slower)
+BLOCK_CELLS = 1 << 17
 
 
 @dataclass(frozen=True)
@@ -70,6 +78,40 @@ class RngSpec:
             counter[3] = path
             bitgen.state = state
             draw(out=row)
+
+
+def block_rows(n_nodes: int) -> int:
+    """Paths per block for paths of n_nodes nodes."""
+    return max(1, BLOCK_CELLS // n_nodes)
+
+
+def path_blocks(n_paths: int, n_nodes: int, rng: RngSpec):
+    """(first path, rows, block rng) of each block of `block_rows(n_nodes)` paths;
+    the block rng's streams start at the first path, so its draws are those
+    paths' rows bit for bit."""
+    rows = block_rows(n_nodes)
+    for start in range(0, n_paths, rows):
+        yield start, min(rows, n_paths - start), replace(rng, stream=rng.stream + start)
+
+
+def merge_moments(count: int, mean: np.ndarray, m2: np.ndarray, block: np.ndarray,
+                  centred: np.ndarray | None = None) -> None:
+    """Merge the rows of `block` into the column means and M2 (or, for a square
+    m2, co-moments) of `count` earlier rows, in place, by Chan's pairwise update.
+
+    `centred`, of block's shape, receives block minus its column means; it is
+    allocated when None.
+    """
+    n_b = block.shape[0]
+    mean_b = block.mean(axis=0)
+    centred = np.subtract(block, mean_b, out=centred)
+    n = count + n_b
+    delta = mean_b - mean
+    if m2.ndim == 2:
+        m2 += centred.T @ centred + np.outer(delta, delta) * (count * n_b / n)
+    else:
+        m2 += np.einsum("ij,ij->j", centred, centred) + delta**2 * (count * n_b / n)
+    mean += delta * (n_b / n)
 
 
 def levels(increments: np.ndarray) -> np.ndarray:
@@ -183,19 +225,15 @@ def fbm_circulant(grid: TimeGrid, hurst: HurstModel, n_paths: int, rng: RngSpec)
     n = grid.n_steps
     m = 2 * n
     sqrt_eig = np.sqrt(circulant_eigenvalues(n, hurst, grid.dt))
-    dBH = np.empty((n_paths, n))
-    # per block of paths: real normals, Hermitian-symmetric complex rows, FFT
-    block = 4096
-    for start in range(0, n_paths, block):
-        stop = min(start + block, n_paths)
-        u = np.empty((stop - start, m))
-        rng.fill_normals(_PURPOSE_FBM, start, u)
-        y = np.empty((stop - start, m), dtype=complex)
-        y[:, 0] = u[:, 0]
-        y[:, n] = u[:, 1]
-        y[:, 1:n] = (u[:, 2::2] + 1j * u[:, 3::2]) / np.sqrt(2.0)
-        y[:, m - 1:n:-1] = np.conj(y[:, 1:n])
-        dBH[start:stop] = (np.fft.fft(sqrt_eig * y, axis=1).real / np.sqrt(m))[:, :n]
+    # real normals, Hermitian-symmetric complex rows, FFT
+    u = np.empty((n_paths, m))
+    rng.fill_normals(_PURPOSE_FBM, 0, u)
+    y = np.empty((n_paths, m), dtype=complex)
+    y[:, 0] = u[:, 0]
+    y[:, n] = u[:, 1]
+    y[:, 1:n] = (u[:, 2::2] + 1j * u[:, 3::2]) / np.sqrt(2.0)
+    y[:, m - 1:n:-1] = np.conj(y[:, 1:n])
+    dBH = np.fft.fft(sqrt_eig * y, axis=1)[:, :n].real / np.sqrt(m)
     return PathEnsemble(grid=grid, hurst=hurst, dBH=dBH, fbm_method="circulant")
 
 
@@ -205,24 +243,24 @@ def make_ensemble(grid: TimeGrid, hurst: HurstModel, n_paths: int, rng: RngSpec)
     B^H comes from Cholesky up to CHOLESKY_MAX_STEPS steps and from
     circulant embedding beyond; `fbm_method` of the result records which.
     """
-    if grid.n_steps <= CHOLESKY_MAX_STEPS:
-        frac = fbm_cholesky(grid, hurst, n_paths, rng)
-    else:
-        frac = fbm_circulant(grid, hurst, n_paths, rng)
+    sampler = fbm_cholesky if grid.n_steps <= CHOLESKY_MAX_STEPS else fbm_circulant
+    frac = sampler(grid, hurst, n_paths, rng)
     bm = bm_paths(grid, n_paths, rng)
     return PathEnsemble(grid=grid, hurst=hurst, dB=bm.dB, dBH=frac.dBH,
                         fbm_method=frac.fbm_method)
 
 
-def fbm_covariance_zscores(ensemble: PathEnsemble):
-    """(empirical, analytic, z) covariance of B^H at t_1..t_n, each (n, n).
+def fbm_covariance_zscores(grid: TimeGrid, hurst: HurstModel, n_paths: int,
+                           comoments: np.ndarray):
+    """(empirical, analytic, z) covariance of B^H at t_1..t_n, each (n, n), from
+    the co-moments of n_paths paths' levels there (`merge_moments`).
 
     A Gaussian sample covariance has standard error
     sqrt((Gamma_jj Gamma_kk + Gamma_jk^2) / (n_paths - 1)).
     """
-    ana = fbm_covariance(ensemble.grid.nodes[1:], ensemble.hurst)
-    emp = np.cov(ensemble.BH[:, 1:].T)
-    se = np.sqrt((np.outer(np.diag(ana), np.diag(ana)) + ana**2) / (ensemble.dBH.shape[0] - 1))
+    ana = fbm_covariance(grid.nodes[1:], hurst)
+    emp = comoments / (n_paths - 1)
+    se = np.sqrt((np.outer(np.diag(ana), np.diag(ana)) + ana**2) / (n_paths - 1))
     return emp, ana, (emp - ana) / se
 
 

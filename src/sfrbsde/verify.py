@@ -131,7 +131,9 @@ def check_fbm_covariance(cfg):
     h = cfg.hurst()
     grid = TimeGrid(T=cfg.t_horizon, n_steps=8)
     n = min(cfg.n_paths, 20_000)
-    _, _, z = pe.fbm_covariance_zscores(pe.fbm_cholesky(grid, h, n, cfg.rng()))
+    mean, comoments = np.zeros(grid.n_steps), np.zeros((grid.n_steps, grid.n_steps))
+    pe.merge_moments(0, mean, comoments, pe.fbm_cholesky(grid, h, n, cfg.rng()).BH[:, 1:])
+    _, _, z = pe.fbm_covariance_zscores(grid, h, n, comoments)
     worst = np.abs(z).max()
     return worst <= 3.0, f"max |z| {worst:.2f} (limit 3)"
 
@@ -252,7 +254,7 @@ def _zero_generator_triple(cfg, term, n_paths):
     f = bs.solve_psi(bs.Generator.zero(), term, coeffs, 1.0, pde, cfg.eta0)
     ens = pe.make_ensemble(coeffs.grid, cfg.hurst(), n_paths, cfg.rng())
     eta = pe.simulate_eta(coeffs, ens, 1.0, cfg.eta0)
-    return coeffs, f, eta, bs.extract_triple(f, eta, coeffs, max_clamp_fraction=1.0)
+    return coeffs, f, eta, bs.extract_triple(f, eta, coeffs)
 
 
 def check_pde_terminal(cfg):
@@ -311,7 +313,8 @@ def check_residual_mean(cfg):
                       (bs.Generator.linear_y(0.1), bs.TerminalCondition.identity())):
         f = bs.solve_psi(gen, term, coeffs, 1.0, pde, cfg.eta0)
         trip = bs.extract_triple(f, eta, coeffs)
-        rep = bs.residual_mean_check(trip, gen, coeffs, 1.0, cfg.t_horizon / 2)
+        bs.check_clamp(trip.outside, eta.size, f.x_nodes)
+        rep = bs.ResidualCheck(gen, coeffs, 1.0, [cfg.t_horizon / 2]).fold(trip).reports()[0]
         worst = max(worst, rep.residual - (3 * rep.stderr + allowance))
     return worst <= 0, f"max excess {worst:.1e} (limit 0)"
 

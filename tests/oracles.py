@@ -9,8 +9,9 @@ Gauss-Jacobi rule at 128 nodes, four times the kernel rule's 32, and
 per-node f-bar, the whole-table phi and the per-column extraction are the
 loop forms of vectorised production layers (the extraction is np.interp per
 time column; on the unit grid, with eta's grid positions, it is
-extract_triple's grid-unit read bit for bit), the whole-ensemble sweep is
-the array form of the streamed one, and the per-path samplers draw each path
+extract_triple's grid-unit read bit for bit), the whole-ensemble sweep,
+`solve` and `simulate-fbm` statistics are the array forms of the streamed
+ones, and the per-path samplers draw each path
 from a freshly built generator where production resets one bit generator per
 chunk, and the alpha0 bisection is the numeric root finder beside
 production's closed form, the closed-form f-bar of the benchmark generator
@@ -291,6 +292,57 @@ def whole_ensemble_sweep(original, coeffs, term, eps_list, cfg):
         raws.append(array_window_stats(grid, i_lo, trip_o.Y - trip_a.Y, dZ_sq,
                                        trip_a.Y, trip_a.Z1, trip_a.Z2))
     return al.checked_report(raws, us, eps_list, T, t0, L, C1, phi, hurst, cfg, fbar.panels)
+
+
+def whole_ensemble_solve(cfg):
+    """`solve`'s statistics from one whole-ensemble draw: the triple_summary.csv
+    and residual_check.csv rows by np.mean / np.var / np.std over every path,
+    the Malliavin check and the clamp fraction."""
+    from sfrbsde import bsde_solver as bs
+    from sfrbsde.path_engine import make_ensemble, simulate_eta
+
+    coeffs, gen = cfg.coefficient_set(), cfg.make_generator()
+    field = bs.solve_psi(gen, cfg.make_terminal(), coeffs, cfg.epsilon, cfg.pde(), cfg.eta0)
+    eta = simulate_eta(coeffs, make_ensemble(coeffs.grid, coeffs.hurst, cfg.n_paths, cfg.rng()),
+                       cfg.epsilon, cfg.eta0)
+    trip = bs.extract_triple(field, eta, coeffs)
+    t = coeffs.grid.nodes
+    summary = [(t[k], trip.Y[:, k].mean(), trip.Y[:, k].var(ddof=1), trip.Z1[:, k].mean(),
+                trip.Z2[:, k].mean()) for k in range(t.size)]
+    residuals = []
+    for probe in (cfg.t_horizon / 4, cfg.t_horizon / 2, 3 * cfg.t_horizon / 4):
+        k0 = coeffs.grid.first_index_at_or_after(probe)
+        f_vals = np.empty((cfg.n_paths, t.size - k0))
+        for j, k in enumerate(range(k0, t.size)):
+            f_vals[:, j] = gen(t[k], eta[:, k], trip.Y[:, k], trip.Z1[:, k], trip.Z2[:, k])
+        integral = np.trapezoid(f_vals, t[k0:], axis=1)
+        per_path = trip.Y[:, k0] - trip.Y[:, -1] - cfg.epsilon**coeffs.hurst.two_h * integral
+        residual = abs(per_path.mean())
+        stderr = per_path.std(ddof=1) / np.sqrt(cfg.n_paths)
+        residuals.append((t[k0], residual, stderr, residual <= 3 * stderr + coeffs.grid.dt))
+    mal = bs.malliavin_representation_check(trip, field, coeffs)
+    return summary, residuals, mal, trip.outside / eta.size
+
+
+def whole_ensemble_simulate_fbm(cfg, max_rows):
+    """`simulate-fbm`'s paths.csv rows (at most `max_rows`) and covariance_check.csv
+    rows, as arrays, from one whole-ensemble draw, the covariance by np.cov."""
+    from sfrbsde.path_engine import fbm_covariance, make_ensemble, simulate_eta
+
+    coeffs = cfg.coefficient_set()
+    nodes = coeffs.grid.nodes
+    ens = make_ensemble(coeffs.grid, coeffs.hurst, cfg.n_paths, cfg.rng())
+    eta = simulate_eta(coeffs, ens, cfg.epsilon, cfg.eta0)
+    keep = max(1, min(cfg.n_paths, max_rows // nodes.size))
+    path_id, t = np.meshgrid(np.arange(keep), nodes, indexing="ij")
+    paths = np.column_stack([a[:keep].ravel() for a in (path_id, t, ens.B, ens.BH, eta)])
+    interior = nodes[1:]
+    ana = fbm_covariance(interior, coeffs.hurst)
+    emp = np.cov(ens.BH[:, 1:].T)
+    se = np.sqrt((np.outer(np.diag(ana), np.diag(ana)) + ana**2) / (cfg.n_paths - 1))
+    t_j, t_k = np.meshgrid(interior, interior, indexing="ij")
+    cov = np.column_stack([a.ravel() for a in (t_j, t_k, emp, ana, (emp - ana) / se)])
+    return paths, cov
 
 
 # Philox key purposes of the production samplers: B draws from 1, B^H from 2

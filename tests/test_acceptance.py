@@ -13,10 +13,10 @@ from sfrbsde.averaging_lab import SweepConfig, check_lemma1, run_sweep
 from sfrbsde.bsde_solver import (
     Generator,
     PdeConfig,
+    ResidualCheck,
     TerminalCondition,
     extract_triple,
     malliavin_representation_check,
-    residual_mean_check,
     solve_psi,
 )
 from sfrbsde.cli import main
@@ -224,7 +224,7 @@ def test_criterion_6_representation_identities():
     pde = PdeConfig(kappa=8.0, n_space=256)
 
     field = solve_psi(Generator.zero(), TerminalCondition.square(), coeffs, 1.0, pde)
-    trip = extract_triple(field, eta, coeffs, max_clamp_fraction=1.0)
+    trip = extract_triple(field, eta, coeffs)
     t = grid.nodes
     prop_exact = np.array_equal(trip.Z2 * coeffs.sigma1(t)[None, :],
                                 trip.Z1 * coeffs.sigma2(t)[None, :])
@@ -235,8 +235,8 @@ def test_criterion_6_representation_identities():
                       (Generator.zero(), TerminalCondition.square()),
                       (Generator.linear_y(0.1), TerminalCondition.identity())):
         f = solve_psi(gen, term, coeffs, 1.0, pde)
-        tr = extract_triple(f, eta, coeffs, max_clamp_fraction=1.0)
-        rep = residual_mean_check(tr, gen, coeffs, 1.0, 0.5)
+        tr = extract_triple(f, eta, coeffs)
+        rep = ResidualCheck(gen, coeffs, 1.0, [0.5]).fold(tr).reports()[0]
         dx = f.x_nodes[1] - f.x_nodes[0]
         allowance = 3 * rep.stderr + grid.dt + dx**2
         worst_resid = max(worst_resid, rep.residual - allowance)

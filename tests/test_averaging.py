@@ -1,7 +1,9 @@
+import csv
 import math
 import threading
 import tracemalloc
 from dataclasses import FrozenInstanceError, fields, replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -33,12 +35,11 @@ from sfrbsde.bsde_solver import (
     Generator,
     PdeConfig,
     TerminalCondition,
-    block_rows,
     domain_bounds,
     solve_psi,
     solve_psis,
 )
-from sfrbsde.config import BENCHMARK_COEFFS, benchmark_generator, parse_config
+from sfrbsde.config import BENCHMARK_COEFFS, ExperimentConfig, benchmark_generator, parse_config
 from sfrbsde.errors import (
     ConfigError,
     ContractError,
@@ -48,13 +49,23 @@ from sfrbsde.errors import (
 )
 from sfrbsde.frac_kernel import CoefficientSet, DeterministicFn, HurstModel
 from sfrbsde.grids import TimeGrid
-from sfrbsde.path_engine import RngSpec, eta_noise, make_ensemble, simulate_eta
+from sfrbsde.runio import format_value
+from sfrbsde.path_engine import (
+    RngSpec,
+    block_rows,
+    eta_noise,
+    make_ensemble,
+    merge_moments,
+    simulate_eta,
+)
 
 from oracles import (
     benchmark_fbar,
     bisect_alpha0,
     per_node_fbar,
     table_phi,
+    whole_ensemble_simulate_fbm,
+    whole_ensemble_solve,
     whole_ensemble_sweep,
 )
 
@@ -753,7 +764,7 @@ class TestStreamedSweep:
         sample = np.random.default_rng(7).normal(3.0, 2.0, size=(sum(sizes), 3))
         mean, m2, count = np.zeros(3), np.zeros(3), 0
         for n_b in sizes:
-            averaging_lab._merge_moments(count, mean, m2, sample[count:count + n_b])
+            merge_moments(count, mean, m2, sample[count:count + n_b])
             count += n_b
         np.testing.assert_allclose(mean, np.mean(sample, axis=0), rtol=1e-13)
         np.testing.assert_allclose(np.sqrt(m2 / (count - 1)), np.std(sample, axis=0, ddof=1),
@@ -790,3 +801,110 @@ class TestStreamedSweep:
             run_sweep(Generator.zero(), coeffs, TerminalCondition.square(), eps, cfg)
         assert err.value.clamp_fraction == want
         assert err.value.half_width == (hi - lo) / 2.0
+
+
+def command_config(out_dir, n_time, n_paths):
+    """A `solve` / `simulate-fbm` config, built without the CLI's floor of 1000 paths."""
+    return replace(ExperimentConfig(), n_time=n_time, n_space=64, n_paths=n_paths,
+                   out_dir=str(out_dir))
+
+
+def capture_tables(monkeypatch):
+    """Every table a command writes through cli.write_csv, as a float array by file
+    name, in place of its file; psi.csv and the manifest are still written."""
+    tables = {}
+
+    def write_csv(path, header, rows):
+        tables[Path(path).name] = np.array(list(rows), dtype=float)
+        return Path(path)
+
+    monkeypatch.setattr(cli, "write_csv", write_csv)
+    return tables
+
+
+def assert_columns_close(got, want, rel=1e-12):
+    """Every cell within rel times the largest magnitude of its column."""
+    want = np.asarray(want, dtype=float)
+    assert got.shape == want.shape
+    assert np.all(np.abs(got - want) <= rel * np.abs(want).max(axis=0))
+
+
+class TestStreamedCommands:
+    """`solve` and `simulate-fbm` stream their paths in the sweep's blocks; the
+    whole-ensemble routes are their oracles."""
+
+    @pytest.mark.parametrize("n_time, method", [(64, "cholesky"), (1024, "circulant")])
+    def test_solve_matches_whole_ensemble_oracle(self, tmp_path, monkeypatch, n_time, method):
+        cfg = command_config(tmp_path, n_time, 2 * block_rows(n_time + 1) + 37)
+        tables = capture_tables(monkeypatch)
+        assert cli.cmd_solve(cfg) == 0
+        summary, residuals, mal, clamp_fraction = whole_ensemble_solve(cfg)
+        # var_Y at t = 0 is 0 against ~1e-30: only a column-scaled bound holds
+        assert_columns_close(tables["triple_summary.csv"], summary)
+        assert_columns_close(tables["residual_check.csv"], residuals)
+        with open(tmp_path / "manifest.csv", encoding="utf-8") as fh:
+            notes = dict(csv.reader(fh))
+        assert notes["fbm_method"] == method
+        assert notes["malliavin_applicable"] == format_value(mal.applicable)
+        assert notes["malliavin_max_deviation"] == format_value(mal.max_deviation)
+        assert notes["clamp_fraction"] == format_value(clamp_fraction)
+
+    @pytest.mark.parametrize("n_time, capped", [(64, False), (64, True), (1024, False)])
+    def test_simulate_fbm_matches_whole_ensemble_oracle(self, tmp_path, monkeypatch,
+                                                        n_time, capped):
+        rows = block_rows(n_time + 1)
+        cfg = command_config(tmp_path, n_time, 2 * rows + 37)
+        if capped:  # the row cap falls inside the second block
+            monkeypatch.setattr(cli, "MAX_CSV_ROWS", (rows + 10) * (n_time + 1))
+        tables = capture_tables(monkeypatch)
+        assert cli.cmd_simulate_fbm(cfg) == 0
+        paths, cov = whole_ensemble_simulate_fbm(cfg, cli.MAX_CSV_ROWS)
+        # bit for bit, so paths.csv's text is the same too
+        assert np.array_equal(tables["paths.csv"].view(np.int64), paths.view(np.int64))
+        assert_columns_close(tables["covariance_check.csv"], cov)
+
+    def test_solve_domain_error_counts_every_node_of_every_block(self, tmp_path, monkeypatch,
+                                                                  capsys):
+        # b = A cos(2 pi t), as the sweep's twin: eta leaves the domain mid-horizon
+        amp = 200.0
+        swing = DeterministicFn(fn=lambda t: amp * np.cos(2 * np.pi * t), name="swing")
+        coefficient_fn = ExperimentConfig.coefficient_fn
+        monkeypatch.setattr(ExperimentConfig, "coefficient_fn",
+                            lambda cfg, which: swing if which == "b" else coefficient_fn(cfg, which))
+        cfg = command_config(tmp_path, 64, 2 * block_rows(65) + 5)
+        coeffs = cfg.coefficient_set()
+        lo, hi = domain_bounds(coeffs, cfg.epsilon, cfg.eta0, cfg.kappa)
+        ens = make_ensemble(coeffs.grid, coeffs.hurst, cfg.n_paths, cfg.rng())
+        eta = simulate_eta(coeffs, ens, cfg.epsilon, cfg.eta0)
+        want = np.count_nonzero((eta < lo) | (eta > hi)) / eta.size
+        assert want > 0.01
+        with pytest.raises(DomainTooSmallError) as err:
+            cli.cmd_solve(cfg)
+        assert err.value.clamp_fraction == want
+        assert err.value.half_width == (hi - lo) / 2.0
+        # on the command line the error is a numeric one: exit code 3
+        config = tmp_path / "swing.cfg"
+        config.write_text(f"n_time = 64\nn_space = 64\nn_paths = {cfg.n_paths}\n",
+                          encoding="utf-8")
+        assert cli.main(["solve", "--config", str(config), "--out", str(tmp_path / "cli")]) == 3
+        assert f"{want:.2%} of path nodes left the PDE domain" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["solve", "simulate-fbm"])
+    def test_command_memory_bounded_in_n_paths(self, tmp_path, monkeypatch, command):
+        # both counts write the same 100 paths to paths.csv
+        monkeypatch.setattr(cli, "MAX_CSV_ROWS", 100 * 65)
+        run = cli.cmd_solve if command == "solve" else cli.cmd_simulate_fbm
+
+        def peak(n_paths):
+            cfg = command_config(tmp_path / str(n_paths), 64, n_paths)
+            tracemalloc.start()
+            try:
+                assert run(cfg) == 0
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        # both counts are above one block of 2016 paths, 4x apart
+        small, large = peak(2500), peak(10_000)
+        # no n_paths x n_nodes array is held
+        assert large - small < 8 * 2500 * 65

@@ -9,16 +9,17 @@ from sfrbsde.averaging_lab import QuadratureSpec, SweepConfig, build_fbar, run_s
 from sfrbsde.bsde_solver import (
     Generator,
     PdeConfig,
+    ResidualCheck,
     TerminalCondition,
     TridiagonalLanes,
     cell_table,
     central_gradient,
+    check_clamp,
     domain_bounds,
     extract_triple,
     interp_at,
     locate,
     malliavin_representation_check,
-    residual_mean_check,
     solve_psi,
     solve_psis,
     thomas_factors,
@@ -370,7 +371,7 @@ def assert_triple_matches_oracle(field, eta, coeffs):
     unit_grid = np.arange(field.x_nodes.size, dtype=float)
     want = per_column_triple(unit_grid, field.psi, field.psi_x, grid_units(field.x_nodes, eta),
                              coeffs.sigma1(t), coeffs.sigma2(t))
-    trip = extract_triple(field, eta, coeffs, max_clamp_fraction=1.0)
+    trip = extract_triple(field, eta, coeffs)
     for got, ref in zip((trip.Y, trip.Z1, trip.Z2), want):
         assert np.array_equal(got, ref)
 
@@ -405,7 +406,7 @@ class TestExtractOracle:
         eta = np.repeat(np.array(ends)[:, None], field.t_nodes.size, axis=1)
         assert_triple_matches_oracle(field, eta, coeffs)
         # x_0 and every eta beyond an end read the end value exactly
-        trip = extract_triple(field, eta, coeffs, max_clamp_fraction=1.0)
+        trip = extract_triple(field, eta, coeffs)
         for row in (0, 4, 6):
             assert np.array_equal(trip.Y[row], field.psi[:, 0])
         for row in (5, 7):
@@ -493,7 +494,7 @@ class TestExtractTriple:
         coeffs = build_coeffs(n=128, sigma2=DeterministicFn.const(2.0))
         field = solve_psi(Generator.zero(), TerminalCondition.square(),
                           coeffs, 1.0, PdeConfig(kappa=8.0, n_space=128))
-        trip = extract_triple(field, paths128, coeffs, max_clamp_fraction=1.0)
+        trip = extract_triple(field, paths128, coeffs)
         t = coeffs.grid.nodes
         s1 = coeffs.sigma1(t)[None, :]
         s2 = coeffs.sigma2(t)[None, :]
@@ -503,13 +504,19 @@ class TestExtractTriple:
         field = solve_psi(Generator.zero(), TerminalCondition.identity(),
                           coeffs128, 1.0, PdeConfig(kappa=4.0, n_space=64))
         wild = 100.0 * np.ones((50, coeffs128.grid.n_nodes))
+        trip = extract_triple(field, wild, coeffs128)
+        assert trip.outside == wild.size
         with pytest.raises(DomainTooSmallError) as err:
-            extract_triple(field, wild, coeffs128)
+            check_clamp(trip.outside, wild.size, field.x_nodes)
         # the error reports the half-width in x units, not kappa = 4
         half_width = (field.x_nodes[-1] - field.x_nodes[0]) / 2.0
         assert err.value.half_width == half_width != 4.0
         assert err.value.clamp_fraction == 1.0
         assert f"half-width {half_width:.4g} in x units" in str(err.value)
+        # the limit is 1% of the nodes, itself allowed
+        assert check_clamp(1, 100, field.x_nodes) == 0.01
+        with pytest.raises(DomainTooSmallError):
+            check_clamp(2, 100, field.x_nodes)
 
     def test_clamp_fraction_counts_strictly_outside(self, coeffs128):
         field = solve_psi(Generator.zero(), TerminalCondition.identity(),
@@ -520,8 +527,8 @@ class TestExtractTriple:
         eta[2], eta[3] = lo - 1e-12, hi + 1e-12  # just beyond: outside
         below, above = np.count_nonzero(eta < lo), np.count_nonzero(eta > hi)
         assert below > eta.shape[1] and above > eta.shape[1]
-        trip = extract_triple(field, eta, coeffs128, max_clamp_fraction=1.0)
-        assert trip.clamp_fraction == (below + above) / eta.size
+        trip = extract_triple(field, eta, coeffs128)
+        assert trip.outside == below + above
 
     def test_grid_mismatch_rejected(self, coeffs128):
         field = solve_psi(Generator.zero(), TerminalCondition.identity(),
@@ -548,7 +555,7 @@ class TestMalliavinCheck:
         coeffs = build_coeffs(n=128, sigma2=DeterministicFn.const(0.0))
         field = solve_psi(Generator.zero(), TerminalCondition.square(),
                           coeffs, 1.0, PdeConfig(kappa=8.0, n_space=128))
-        trip = extract_triple(field, paths128, coeffs, max_clamp_fraction=1.0)
+        trip = extract_triple(field, paths128, coeffs)
         chk = malliavin_representation_check(trip, field, coeffs)
         assert not chk.applicable
         assert chk.max_deviation == 0.0
@@ -560,7 +567,7 @@ class TestResidualMean:
         field = solve_psi(gen, TerminalCondition.identity(), coeffs128, 1.0,
                           PdeConfig(kappa=8.0, n_space=128))
         trip = extract_triple(field, paths128, coeffs128)
-        rep = residual_mean_check(trip, gen, coeffs128, 1.0, 0.5)
+        rep = ResidualCheck(gen, coeffs128, 1.0, [0.5]).fold(trip).reports()[0]
         assert rep.residual <= 3 * rep.stderr + 1e-6
 
     def test_variance_bookkeeping_case(self, coeffs128, paths128):
@@ -568,7 +575,7 @@ class TestResidualMean:
         field = solve_psi(gen, TerminalCondition.square(), coeffs128, 1.0,
                           PdeConfig(kappa=8.0, n_space=256))
         trip = extract_triple(field, paths128, coeffs128)
-        rep = residual_mean_check(trip, gen, coeffs128, 1.0, 0.5)
+        rep = ResidualCheck(gen, coeffs128, 1.0, [0.5]).fold(trip).reports()[0]
         dx = field.x_nodes[1] - field.x_nodes[0]
         assert rep.residual <= 3 * rep.stderr + coeffs128.grid.dt + dx**2
 
@@ -577,7 +584,7 @@ class TestResidualMean:
         field = solve_psi(gen, TerminalCondition.identity(), coeffs128, 1.0,
                           PdeConfig(kappa=8.0, n_space=128))
         trip = extract_triple(field, paths128, coeffs128)
-        rep = residual_mean_check(trip, gen, coeffs128, 1.0, 0.5)
+        rep = ResidualCheck(gen, coeffs128, 1.0, [0.5]).fold(trip).reports()[0]
         assert rep.residual <= 3 * rep.stderr + coeffs128.grid.dt
 
     def test_probe_snapped_to_grid(self, coeffs128, paths128):
@@ -585,7 +592,7 @@ class TestResidualMean:
         field = solve_psi(gen, TerminalCondition.identity(), coeffs128, 1.0,
                           PdeConfig(kappa=8.0, n_space=64))
         trip = extract_triple(field, paths128, coeffs128)
-        rep = residual_mean_check(trip, gen, coeffs128, 1.0, 0.503)
+        rep = ResidualCheck(gen, coeffs128, 1.0, [0.503]).fold(trip).reports()[0]
         assert rep.probe in coeffs128.grid.nodes
 
 

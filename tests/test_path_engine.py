@@ -17,6 +17,7 @@ from sfrbsde.frac_kernel import (
 from sfrbsde.grids import TimeGrid
 from sfrbsde.path_engine import (
     RngSpec,
+    block_rows,
     bm_paths,
     check_lemma_var_bound,
     circulant_eigenvalues,
@@ -28,6 +29,7 @@ from sfrbsde.path_engine import (
     fbm_increment_autocov,
     levels,
     make_ensemble,
+    path_blocks,
     simulate_eta,
     wiener_integral_det,
 )
@@ -394,6 +396,29 @@ class TestSeedingOracle:
         assert np.array_equal(got.BH[:, 1:], np.array([np.cumsum(row) for row in want]))
 
 
+class TestPathBlocks:
+    """Every command draws through path_blocks; the blocks are the whole ensemble."""
+
+    @pytest.mark.parametrize("n_steps, method", [(64, "cholesky"), (1024, "circulant")])
+    def test_blocks_draw_the_whole_ensemble(self, n_steps, method):
+        grid = TimeGrid(T=1.0, n_steps=n_steps)
+        rows = block_rows(grid.n_nodes)
+        n_paths = 2 * rows + 37
+        blocks = list(path_blocks(n_paths, grid.n_nodes, RngSpec(seed=42, stream=5)))
+        assert [(start, n) for start, n, _ in blocks] == [(0, rows), (rows, rows), (2 * rows, 37)]
+        assert [rng.stream for _, _, rng in blocks] == [5, 5 + rows, 5 + 2 * rows]
+        drawn = [make_ensemble(grid, H75, n, rng) for _, n, rng in blocks]
+        whole = make_ensemble(grid, H75, n_paths, RngSpec(seed=42, stream=5))
+        assert whole.fbm_method == method
+        for name in ("dB", "dBH"):
+            got = np.concatenate([getattr(ens, name) for ens in drawn])
+            assert np.array_equal(got, getattr(whole, name))
+
+    def test_one_block_below_its_size(self):
+        assert [(s, n) for s, n, _ in path_blocks(3, 65, RNG)] == [(0, 3)]
+        assert block_rows(path_engine.BLOCK_CELLS + 1) == 1
+
+
 class TestMakeEnsemble:
     @pytest.mark.parametrize("n_steps, method", [(512, "cholesky"), (513, "circulant")])
     def test_grid_size_picks_the_sampler(self, n_steps, method):
@@ -475,7 +500,7 @@ class TestFactorMemo:
     @pytest.mark.parametrize("method", ["cholesky", "circulant"])
     def test_one_factorisation_per_sweep(self, monkeypatch, method):
         from sfrbsde.averaging_lab import SweepConfig, run_sweep
-        from sfrbsde.bsde_solver import PdeConfig, TerminalCondition, block_rows
+        from sfrbsde.bsde_solver import PdeConfig, TerminalCondition
         from sfrbsde.config import benchmark_generator
 
         built = []
@@ -487,7 +512,7 @@ class TestFactorMemo:
         if method == "circulant":
             monkeypatch.setattr(path_engine, "CHOLESKY_MAX_STEPS", 0)
         coeffs = CoefficientSet.build(ZERO, ONE, ONE, self.GRID, H75)
-        n_paths = 3 * block_rows(self.GRID.n_nodes) + 5
+        n_paths = 3 * path_engine.block_rows(self.GRID.n_nodes) + 5
         cfg = SweepConfig(n_paths=n_paths, t0=0.75, eta0=1.0,
                           pde=PdeConfig(kappa=6.0, n_space=64), rng=RngSpec(seed=42))
         run_sweep(benchmark_generator(1.0), coeffs, TerminalCondition.square(),
