@@ -25,10 +25,6 @@ class NumericError(SfrbsdeError):
     """Base class for numerical failures (CLI exit code 3)."""
 
 
-class SingularKernelError(NumericError):
-    """Pointwise kernel evaluation requested on the diagonal t == s."""
-
-
 class QuadratureConvergenceError(NumericError):
     """Successive quadrature refinements disagree beyond tolerance."""
 

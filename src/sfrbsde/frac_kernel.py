@@ -5,8 +5,9 @@ For a Hurst index H in (1/2, 1) the kernel is
     rho(t, s) = H(2H-1) |t-s|^(2H-2),
 
 with the scalar product  <xi, eta>_t = int_0^t int_0^t rho(u,v) xi(u) eta(v) du dv
-and  ||xi||_t^2 = <xi, xi>_t.  With s = 2H - 1 both singularities sit in the
-weights of one m-node Gauss-Jacobi rule per axis.  The inner transform
+and  ||xi||_t^2 = <xi, xi>_t.  rho is never evaluated pointwise: with
+s = 2H - 1 both singularities sit in the weights of one m-node Gauss-Jacobi
+rule per axis.  The inner transform
 
     A_g(u) = int_0^u rho(u, v) g(v) dv = H s u^s int_0^1 (1-x)^(s-1) g(u x) dx
 
@@ -29,12 +30,7 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import (
-    CoefficientError,
-    ConsistencyError,
-    QuadratureConvergenceError,
-    SingularKernelError,
-)
+from .errors import CoefficientError, ConsistencyError, QuadratureConvergenceError
 from .grids import TimeGrid
 
 # Central finite differences of |sigma|^2_t near t=0 cannot resolve the
@@ -102,23 +98,6 @@ class DeterministicFn:
             fn=lambda t, c=c, w=w: c * (1.0 + 0.5 * np.sin(w * np.asarray(t, dtype=float))),
             name=name or f"sinusoidal[{c}]",
         )
-
-
-def rho(t, s, hurst: HurstModel):
-    """Kernel H(2H-1)|t-s|^(2H-2); symmetric, positive, singular on t == s."""
-    t = np.asarray(t, dtype=float)
-    s = np.asarray(s, dtype=float)
-    if np.any(t < 0) or np.any(s < 0):
-        raise ValueError("rho is defined for nonnegative times")
-    gap = np.abs(t - s)
-    if np.any(gap == 0.0):
-        raise SingularKernelError(
-            "rho(t, s) diverges on the diagonal t == s; integrate it with a "
-            "singularity-aware quadrature instead of point evaluation"
-        )
-    h = hurst.h
-    out = h * (2.0 * h - 1.0) * gap ** (2.0 * h - 2.0)
-    return float(out) if out.ndim == 0 else out
 
 
 @functools.lru_cache(maxsize=32)

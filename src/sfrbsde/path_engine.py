@@ -250,15 +250,15 @@ def make_ensemble(grid: TimeGrid, hurst: HurstModel, n_paths: int, rng: RngSpec)
                         fbm_method=frac.fbm_method)
 
 
-def fbm_covariance_zscores(grid: TimeGrid, hurst: HurstModel, n_paths: int,
+def fbm_covariance_zscores(nodes: np.ndarray, hurst: HurstModel, n_paths: int,
                            comoments: np.ndarray):
-    """(empirical, analytic, z) covariance of B^H at t_1..t_n, each (n, n), from
-    the co-moments of n_paths paths' levels there (`merge_moments`).
+    """(empirical, analytic, z) covariance of B^H at the m positive `nodes`, each
+    (m, m), from the co-moments of n_paths paths' levels there (`merge_moments`).
 
     A Gaussian sample covariance has standard error
     sqrt((Gamma_jj Gamma_kk + Gamma_jk^2) / (n_paths - 1)).
     """
-    ana = fbm_covariance(grid.nodes[1:], hurst)
+    ana = fbm_covariance(nodes, hurst)
     emp = comoments / (n_paths - 1)
     se = np.sqrt((np.outer(np.diag(ana), np.diag(ana)) + ana**2) / (n_paths - 1))
     return emp, ana, (emp - ana) / se

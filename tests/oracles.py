@@ -211,7 +211,6 @@ def array_window_stats(grid, i_lo, dY, dZ_sq, Ya, Z1a, Z2a):
         "z_err_stderr": float(z_int.std(ddof=1) / np.sqrt(n_paths)),
         "dy_integral": float(dy_int.mean()),
         "dy_integral_stderr": float(dy_int.std(ddof=1) / np.sqrt(n_paths)),
-        "mean_sup_sq": float((sup_abs**2).mean()),
         "path_sup_abs": sup_abs,
         "moments": moments,
     }
@@ -324,9 +323,11 @@ def whole_ensemble_solve(cfg):
     return summary, residuals, mal, trip.outside / eta.size
 
 
-def whole_ensemble_simulate_fbm(cfg, max_rows):
+def whole_ensemble_simulate_fbm(cfg, max_rows, max_nodes):
     """`simulate-fbm`'s paths.csv rows (at most `max_rows`) and covariance_check.csv
-    rows, as arrays, from one whole-ensemble draw, the covariance by np.cov."""
+    rows, as arrays, from one whole-ensemble draw, the covariance by np.cov at
+    every stride-th node counted back from t_n, the smallest stride that keeps
+    at most `max_nodes` of them."""
     from sfrbsde.path_engine import fbm_covariance, make_ensemble, simulate_eta
 
     coeffs = cfg.coefficient_set()
@@ -336,9 +337,12 @@ def whole_ensemble_simulate_fbm(cfg, max_rows):
     keep = max(1, min(cfg.n_paths, max_rows // nodes.size))
     path_id, t = np.meshgrid(np.arange(keep), nodes, indexing="ij")
     paths = np.column_stack([a[:keep].ravel() for a in (path_id, t, ens.B, ens.BH, eta)])
-    interior = nodes[1:]
+    n = coeffs.grid.n_steps
+    stride = next(s for s in range(1, n + 1) if len(range(n, 0, -s)) <= max_nodes)
+    cols = np.arange(n, 0, -stride)[::-1]
+    interior = nodes[cols]
     ana = fbm_covariance(interior, coeffs.hurst)
-    emp = np.cov(ens.BH[:, 1:].T)
+    emp = np.cov(ens.BH[:, cols].T)
     se = np.sqrt((np.outer(np.diag(ana), np.diag(ana)) + ana**2) / (cfg.n_paths - 1))
     t_j, t_k = np.meshgrid(interior, interior, indexing="ij")
     cov = np.column_stack([a.ravel() for a in (t_j, t_k, emp, ana, (emp - ana) / se)])

@@ -396,8 +396,8 @@ def hand_made_report(eps, mse, sup_abs=None, delta1=1.0, delta2=1.0):
     C2 = 0 and the lemma's sides are 0; `sup_abs` gives each eps's sup |dY| per path."""
     sup_abs = sup_abs or [np.zeros(4)] * len(eps)
     raws = [dict(sup_mse=m, sup_mse_stderr=0.0, z_err_integral=0.0, z_err_stderr=0.0,
-                 dy_integral=0.0, dy_integral_stderr=0.0, mean_sup_sq=float(np.mean(a**2)),
-                 path_sup_abs=a, moments=(0.0, 0.0, 0.0))
+                 dy_integral=0.0, dy_integral_stderr=0.0, path_sup_abs=a,
+                 moments=(0.0, 0.0, 0.0))
             for m, a in zip(mse, sup_abs)]
     cfg = SweepConfig(n_paths=sup_abs[0].size, beta=0.0, delta1=delta1, delta2=delta2)
     return checked_report(raws, [0.0] * len(eps), eps, 1.0, 0.01, 1.0, 0.9, 0.0, H75, cfg, 0)
@@ -447,22 +447,17 @@ class TestChebyshevCheck:
 
     def test_bound_violation_detected(self):
         # p_hat 0.5 against a bound of 1e-6 with no standard error
-        assert not check_chebyshev(0.5, 0.0, 1e-6, 1.0, 1.0)
+        assert not check_chebyshev(0.5, 0.0, 1e-6, 1.0)
 
     def test_p_hat_at_bound_plus_three_stderr_passes(self):
         # bound 0.25 + 3 x 0.125 = 0.625, exact in binary
-        assert check_chebyshev(0.625, 0.125, 0.25, 1.0, 1.0)
-        assert not check_chebyshev(np.nextafter(0.625, 1.0), 0.125, 0.25, 1.0, 1.0)
+        assert check_chebyshev(0.625, 0.125, 0.25, 1.0)
+        assert not check_chebyshev(np.nextafter(0.625, 1.0), 0.125, 0.25, 1.0)
 
     def test_trend_violation_detected(self):
         rep = hand_made_report(self.EPS, [0.1] * 3,
                                sup_abs=[exceeding(p) for p in (0.0, 0.1, 0.2)])
         assert not rep.chebyshev_trend_pass
-
-    def test_empirical_markov_enforced(self):
-        # within the theorem's bound, but above mean(sup |dY|^2) / delta2^2
-        assert check_chebyshev(0.9, 0.0, 10.0, 1.0, 1.0)
-        assert not check_chebyshev(0.9, 0.0, 10.0, 1e-6, 1.0)
 
 
 class TestLemma1Check:
@@ -849,7 +844,8 @@ class TestStreamedCommands:
         assert notes["malliavin_max_deviation"] == format_value(mal.max_deviation)
         assert notes["clamp_fraction"] == format_value(clamp_fraction)
 
-    @pytest.mark.parametrize("n_time, capped", [(64, False), (64, True), (1024, False)])
+    @pytest.mark.parametrize("n_time, capped", [(64, False), (64, True), (65, False),
+                                                (1024, False)])
     def test_simulate_fbm_matches_whole_ensemble_oracle(self, tmp_path, monkeypatch,
                                                         n_time, capped):
         rows = block_rows(n_time + 1)
@@ -858,10 +854,17 @@ class TestStreamedCommands:
             monkeypatch.setattr(cli, "MAX_CSV_ROWS", (rows + 10) * (n_time + 1))
         tables = capture_tables(monkeypatch)
         assert cli.cmd_simulate_fbm(cfg) == 0
-        paths, cov = whole_ensemble_simulate_fbm(cfg, cli.MAX_CSV_ROWS)
+        paths, cov = whole_ensemble_simulate_fbm(cfg, cli.MAX_CSV_ROWS, cli.COVARIANCE_NODES)
         # bit for bit, so paths.csv's text is the same too
         assert np.array_equal(tables["paths.csv"].view(np.int64), paths.view(np.int64))
         assert_columns_close(tables["covariance_check.csv"], cov)
+        # at most 64 nodes per axis, ending at t_n: every node at 64 steps,
+        # t_1, t_3, ..., t_65 at 65 and every 16th at 1024
+        stride, nodes_per_axis = {64: (1, 64), 65: (2, 33), 1024: (16, 64)}[n_time]
+        assert len(tables["covariance_check.csv"]) == nodes_per_axis**2
+        assert tables["covariance_check.csv"][-1, :2].tolist() == [1.0, 1.0]
+        with open(tmp_path / "manifest.csv", encoding="utf-8") as fh:
+            assert dict(csv.reader(fh))["covariance_stride"] == str(stride)
 
     def test_solve_domain_error_counts_every_node_of_every_block(self, tmp_path, monkeypatch,
                                                                   capsys):

@@ -6,11 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from sfrbsde import frac_kernel
-from sfrbsde.errors import (
-    CoefficientError,
-    QuadratureConvergenceError,
-    SingularKernelError,
-)
+from sfrbsde.errors import CoefficientError, QuadratureConvergenceError
 from sfrbsde.frac_kernel import (
     CoefficientSet,
     DeterministicFn,
@@ -20,7 +16,6 @@ from sfrbsde.frac_kernel import (
     guarded_inner_product,
     inner_product,
     norm_sq,
-    rho,
 )
 from sfrbsde.grids import TimeGrid
 
@@ -55,35 +50,6 @@ class TestHurstModel:
         h = HurstModel(0.6)
         assert h.two_h == pytest.approx(1.2)
         assert -1 < h.two_h - 2 < 0
-
-
-class TestRho:
-    def test_direct_value(self):
-        assert rho(2.0, 1.0, H75) == pytest.approx(0.375, abs=1e-15)
-
-    def test_symmetry_case(self):
-        assert rho(1.0, 2.0, H75) == pytest.approx(0.375, abs=1e-15)
-
-    def test_high_precision_oracle(self):
-        import mpmath as mp
-
-        mp.mp.dps = 30
-        want = float(mp.mpf("0.6") * mp.mpf("0.2") * mp.mpf("0.25") ** mp.mpf("-0.8"))
-        assert rho(1.25, 1.0, HurstModel(0.6)) == pytest.approx(want, rel=1e-14)
-
-    def test_diagonal_rejected(self):
-        with pytest.raises(SingularKernelError):
-            rho(1.0, 1.0, H75)
-        with pytest.raises(SingularKernelError):
-            rho(np.array([1.0, 2.0]), np.array([1.0, 3.0]), H75)
-
-    @given(st.floats(0.01, 10.0), st.floats(0.01, 5.0), st.floats(0.51, 0.99))
-    @settings(max_examples=50, deadline=None)
-    def test_symmetric_and_positive(self, t, gap, h):
-        model = HurstModel(h)
-        a, b = rho(t + gap, t, model), rho(t, t + gap, model)
-        assert a == b
-        assert a > 0
 
 
 class TestInnerProduct:

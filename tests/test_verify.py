@@ -7,6 +7,7 @@ import pytest
 
 from sfrbsde import cli, frac_kernel, verify
 from sfrbsde.config import ExperimentConfig
+from sfrbsde.errors import ConfigError
 
 
 @functools.cache
@@ -33,6 +34,18 @@ def test_verify_report_rows_have_three_fields(tmp_path, monkeypatch):
     assert all(len(row) == 3 for row in rows)
     # margins with commas exist; they are the rows that used to split
     assert any("," in row[2] for row in rows[1:])
+
+
+@pytest.mark.parametrize("run", [verify.run_all, lambda cfg: verify.run_control(cfg, "lemma1-null")],
+                         ids=["run_all", "run_control"])
+def test_invalid_config_is_refused_before_any_row(monkeypatch, run):
+    # beta >= 1/(2H) = 2/3 at H = 0.75: no sweep row could run on it
+    ran = []
+    monkeypatch.setattr(verify, "run_check", lambda *args: ran.append(args))
+    with pytest.raises(ConfigError, match="beta") as err:
+        run(ExperimentConfig(beta=0.9))
+    assert [v.split(":")[0] for v in err.value.violations] == ["beta"]
+    assert ran == []
 
 
 def test_lambda_fd_reports_a_failed_build(monkeypatch):
