@@ -41,7 +41,7 @@ from .bsde_solver import (
 )
 from .errors import ContractError, InfeasibleAlphaError, NumericError, QuadratureConvergenceError
 from .frac_kernel import CoefficientSet, HurstModel, c0_const, c1_lower_bound
-from .path_engine import RngSpec, block_rows, eta_noise, make_ensemble, merge_moments, path_blocks
+from .path_engine import RngSpec, block_rows, merge_moments, noise_stream
 
 WINDOW_NOTE = (
     "rate window is [T*eps^(1-beta), T] per the stated theorem; the proof's "
@@ -440,12 +440,12 @@ class _WindowFold:
     so a block is read straight from its eps-free noise N through `locate`,
     the reader `extract_triple` uses too.
 
-    The four tables, copies of the window rows, hold values and per-cell
-    differences of psi_o - psi_a, d_x psi_o - d_x psi_a, psi_a and d_x psi_a,
-    in the order `_window_stats` reads them: dY and dZ come from one read
-    each.  Per window column the fold keeps Chan's mergeable (count, mean,
-    M2) of dY^2 and the sums of Ybar^2, Zbar1^2 and Zbar2^2; over paths, the
-    (mean, M2) of the trapezoid integrals of |dY|^2 and |dZ|^2.  The one
+    The four tables (`cell_table`), copies of the window rows, hold psi_o -
+    psi_a, d_x psi_o - d_x psi_a, psi_a and d_x psi_a, in the order
+    `_window_stats` reads them: dY and dZ come from one read each.  Per
+    window column the fold keeps Chan's mergeable (count, mean, M2) of dY^2
+    and the sums of Ybar^2, Zbar1^2 and Zbar2^2; over paths, the (mean, M2)
+    of the trapezoid integrals of |dY|^2 and |dZ|^2.  The one
     per-path vector is sup |dY|, as the exceedance threshold delta2 may be
     known only after the last block.
     """
@@ -467,9 +467,9 @@ class _WindowFold:
         self.tables = [cell_table(table) for table in (
             field_orig.psi[i_lo:] - field_avg.psi[i_lo:],
             field_orig.psi_x[i_lo:] - field_avg.psi_x[i_lo:],
-            field_avg.psi[i_lo:].copy(), field_avg.psi_x[i_lo:].copy())]
+            field_avg.psi[i_lo:], field_avg.psi_x[i_lo:])]
         self.t = t[i_lo:]
-        self.row_starts = np.arange(self.t.size) * (n + 1)
+        self.row_starts = np.arange(self.t.size) * (n + 2)
         # trapezoid weights on the window; |dZ|^2 = (sigma1^2 + sigma2^2) |d psi_x|^2
         half_steps = np.diff(self.t) / 2.0
         self.weights = np.zeros(self.t.size)
@@ -556,19 +556,19 @@ def _window_stats(fold: _WindowFold, noise: np.ndarray, start: int,
     d_y, d_z, y_avg, slope_avg = fold.tables
     path_ints = np.empty((2, n_b))   # per path: the integrals of |dY|^2 and |dZ|^2
 
-    dY = interp_at(*d_y, cell, frac, read, scratch)
+    dY = interp_at(d_y, cell, frac, read, scratch)
     np.abs(dY, out=scratch).max(axis=1, out=fold.sup_abs[start:start + n_b])
     dY_sq = np.square(dY, out=dY)
     np.matmul(dY_sq, fold.weights, out=path_ints[0])
     merge_moments(fold.count, fold.mean, fold.m2, dY_sq, scratch)
 
-    dZ = interp_at(*d_z, cell, frac, read, scratch)
+    dZ = interp_at(d_z, cell, frac, read, scratch)
     np.matmul(np.square(dZ, out=dZ), fold.z_weights, out=path_ints[1])
     merge_moments(fold.count, fold.int_mean, fold.int_m2, path_ints.T)
 
-    Y_a = interp_at(*y_avg, cell, frac, read, scratch)
+    Y_a = interp_at(y_avg, cell, frac, read, scratch)
     fold.sq_sums[0] += np.einsum("ij,ij->j", Y_a, Y_a)
-    slope_a = interp_at(*slope_avg, cell, frac, read, scratch)
+    slope_a = interp_at(slope_avg, cell, frac, read, scratch)
     fold.sq_sums[1:] += np.einsum("ij,ij->j", slope_a, slope_a) * fold.sig_sq
     fold.count += n_b
 
@@ -589,13 +589,14 @@ def run_sweep(
     Every field is solved first, all 2 x len(eps) in one backward pass
     (`solve_psis`), and each eps's fold copies the window rows it reads, so
     the fields are freed before the paths stream.  The paths then come in
-    the fixed blocks of `path_blocks`: each block draws (B, B^H)
-    once from the per-path streams of its global path indices, and every eps
-    folds the block by reading both fields in grid units straight from the
-    block's eps-free noise N; eta^eps itself is never formed.
-    No n_paths x n_nodes array is ever held; what grows with n_paths is
-    one per-path vector per eps, sup |dY|.  The sweep starts no threads of its own,
-    and reruns are byte-identical.  The folds' statistics go to `checked_report`,
+    the fixed blocks of `path_blocks` from `noise_stream`, whose one producer
+    thread draws each block's (B, B^H) from the per-path streams of its
+    global path indices, and its eps-free noise N, while this thread folds
+    the block before: every eps reads both fields in grid units straight
+    from N; eta^eps itself is never formed.  The producer is joined before
+    this returns or raises.  No n_paths x n_nodes array is ever held; what
+    grows with n_paths is one per-path vector per eps, sup |dY|.  Reruns are
+    byte-identical.  The folds' statistics go to `checked_report`,
     which builds the frozen report once through the pure claim checks.
     """
     check_eps_list(eps_list)
@@ -628,11 +629,10 @@ def run_sweep(
     del fields  # the folds hold copies of their window rows: this frees the batch
 
     ws = _FoldWorkspace(min(block_rows(grid.n_nodes), cfg.n_paths), grid.n_nodes)
-    for start, rows, rng in path_blocks(cfg.n_paths, grid.n_nodes, cfg.rng):
-        # the increments are unbound, so they are freed once the noise is formed
-        noise = eta_noise(coeffs, make_ensemble(grid, hurst, rows, rng))
-        for fold in folds:
-            _window_stats(fold, noise, start, ws)
+    with noise_stream(coeffs, cfg.n_paths, cfg.rng) as blocks:
+        for start, noise in blocks:
+            for fold in folds:
+                _window_stats(fold, noise, start, ws)
 
     return checked_report([fold.result() for fold in folds], [float(f.t[0]) for f in folds],
                           eps, T, t0, L, C1, phi, hurst, cfg, fbar.panels)

@@ -417,7 +417,8 @@ def check_clamp(outside: int, cells: int, x_nodes: np.ndarray) -> float:
 
 
 def locate(u: np.ndarray, n: int, row_starts: np.ndarray, cell: np.ndarray) -> np.ndarray:
-    """Flat cells of grid positions u in a (cols, n + 1) table; u becomes the fraction.
+    """Flat cells of grid positions u in a `cell_table` of n + 1 nodes per row;
+    u becomes the fraction.
 
     u (in x grid spacings from x_0) is clipped to [0, n] in place, `cell`
     gets int(u) plus its column's row start, and u -= int(u).  The last node
@@ -430,29 +431,31 @@ def locate(u: np.ndarray, n: int, row_starts: np.ndarray, cell: np.ndarray) -> n
     return cell
 
 
-def cell_table(values: np.ndarray):
-    """Flat values and per-cell differences of a (rows, n_x) table, for reads in grid units.
-
-    The last node's cell is flat, so a read at the last node returns its value.
+def cell_table(values: np.ndarray) -> np.ndarray:
+    """A (rows, n_x) table, flat, with each row's last value repeated (row stride
+    n_x + 1), for reads in grid units: the last node's cell is flat, so a read
+    at the last node returns its value.
     """
-    slopes = np.zeros_like(values)
-    np.subtract(values[:, 1:], values[:, :-1], out=slopes[:, :-1])
-    return values.ravel(), slopes.ravel()
+    table = np.empty((values.shape[0], values.shape[1] + 1))
+    table[:, :-1] = values
+    table[:, -1] = values[:, -1]
+    return table.ravel()
 
 
-def interp_at(values: np.ndarray, slopes: np.ndarray, cell: np.ndarray,
-              frac: np.ndarray, out: np.ndarray | None = None,
-              scratch: np.ndarray | None = None) -> np.ndarray:
-    """slope * frac + f_j at flat cells: with `cell_table`'s tables and `locate`'s
+def interp_at(values: np.ndarray, cell: np.ndarray, frac: np.ndarray,
+              out: np.ndarray | None = None, scratch: np.ndarray | None = None) -> np.ndarray:
+    """(f_j+1 - f_j) frac + f_j at flat cells: with a `cell_table` and `locate`'s
     cells and fractions, np.interp's arithmetic on the unit grid, so a read
     equals np.interp(u, arange(n + 1), f) bit for bit.
 
     `out` receives the result and `scratch` is a temporary, both of cell's
     shape; they are allocated when None.
     """
-    out = np.take(slopes, cell, out=out, mode="clip")
+    out = np.take(values[1:], cell, out=out, mode="clip")
+    f_j = np.take(values, cell, out=scratch, mode="clip")
+    out -= f_j
     out *= frac
-    out += np.take(values, cell, out=scratch, mode="clip")
+    out += f_j
     return out
 
 
@@ -473,9 +476,9 @@ def extract_triple(field: SolutionField, eta: np.ndarray, coeffs: CoefficientSet
     n = field.x_nodes.size - 1
     u = eta - lo
     u *= n / (hi - lo)
-    cell = locate(u, n, np.arange(t.size) * (n + 1), np.empty(u.shape, np.intp))
-    slope = interp_at(*cell_table(field.psi_x), cell, u)
-    return TriplePath(eta=eta, Y=interp_at(*cell_table(field.psi), cell, u),
+    cell = locate(u, n, np.arange(t.size) * (n + 2), np.empty(u.shape, np.intp))
+    slope = interp_at(cell_table(field.psi_x), cell, u)
+    return TriplePath(eta=eta, Y=interp_at(cell_table(field.psi), cell, u),
                       Z1=slope * np.asarray(coeffs.sigma1(t), dtype=float),
                       Z2=slope * np.asarray(coeffs.sigma2(t), dtype=float),
                       outside=int(np.count_nonzero(eta < lo) + np.count_nonzero(eta > hi)))

@@ -8,6 +8,13 @@ config and seed reproduces byte-identical numeric CSV content.
 
 from __future__ import annotations
 
+import os
+
+# OpenBLAS's idle worker spins on a core after every call and buys no wall
+# time here; one BLAS thread leaves that core to the sweep's producer thread.
+# A value the caller sets wins.  This runs before anything imports numpy.
+BLAS_THREADS = os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
+
 import argparse
 import sys
 from dataclasses import replace
@@ -221,6 +228,7 @@ def cmd_sweep(cfg: ExperimentConfig) -> int:
                           cfg.eps_list, _sweep_config(cfg))
     manifest.end("sweep")
     manifest.note("fbar_panels", report.fbar_panels)
+    manifest.note("blas_threads", BLAS_THREADS)
 
     manifest.begin("write")
     manifest.record_file(write_csv(
@@ -284,7 +292,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--seed", type=int, default=None, help="override the master seed")
         p.add_argument("--out", type=str, default=None, help="output directory")
         p.add_argument("--workers", type=int, default=None,
-                       help="must be 1: the program runs on one thread")
+                       help="must be 1: no worker count is configurable")
         if name == "verify":
             p.add_argument("--expect-fail", type=str, default=None, metavar="CONTROL",
                            help="run a negative control: its row must pass, then fail sabotaged")

@@ -53,7 +53,7 @@ class ExperimentConfig:
     sigma2: str = "constant:1"
     kappa: float = 6.0
     out_dir: str = ""            # empty means $SFRBSDE_OUT or ./out
-    workers: int = 1             # the program runs on one thread; only 1 is accepted
+    workers: int = 1             # kept for old configs; only 1 is accepted
 
     # -- derived builders ---------------------------------------------------------
 
@@ -201,7 +201,7 @@ def _validate(cfg: ExperimentConfig) -> list[str]:
     if cfg.kappa < 4:
         bad.append(f"kappa: must be >= 4, got {cfg.kappa!r}")
     if cfg.workers != 1:
-        bad.append(f"workers: must be 1 (the program runs on one thread), got {cfg.workers!r}")
+        bad.append(f"workers: must be 1 (no worker count is configurable), got {cfg.workers!r}")
     for field_name in ("generator", "b", "sigma1", "sigma2"):
         try:
             if field_name == "generator":

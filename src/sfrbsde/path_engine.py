@@ -8,13 +8,22 @@ Increments come from per-path counter-based RNG streams: Philox keyed by
 (master seed, purpose), counter block = path index.  Each call draws its
 rows through one bit generator whose counter is reset before every path,
 by setting a plain-int state in which only the path's counter word
-changes, so every row is bitwise the draw of that path's own stream and
-results do not depend on how the paths are split into blocks.  dB and
-dB^H come from distinct purposes and are therefore independent.
+changes, so every row's normals are bitwise the draw of that path's own
+stream, however the paths are split into blocks.  The increments are not
+always: the Cholesky product Z (DL)^T can differ by 1-2 ulp with the
+number of rows it multiplies, so every command draws the same fixed
+blocks.  dB and dB^H come from distinct purposes and are therefore
+independent.
 
 Every command draws its paths in the blocks of `path_blocks` and merges
 each block into running moments (`merge_moments`), so no command's memory
-grows with the number of paths.
+grows with the number of paths.  The sweep takes its blocks' eps-free
+noise from `noise_stream`, whose one producer thread draws the next block
+into a ring of STREAM_SLOTS preallocated slots while the sweep reads the
+current one.  Its BLAS calls then run beside the sweep's: a caller that
+leaves OpenBLAS its default threads gets an idle worker spinning on the
+core the producer needs, which is why the CLI pins OPENBLAS_NUM_THREADS
+to 1.
 
 Two exact fGn samplers are provided: the row-differenced Cholesky factor
 of the node covariance (reference) and Davies-Harte circulant embedding
@@ -24,6 +33,9 @@ of the node covariance (reference) and Davies-Harte circulant embedding
 
 from __future__ import annotations
 
+import queue
+import threading
+from contextlib import contextmanager
 from dataclasses import dataclass, replace
 from functools import cached_property, lru_cache
 
@@ -43,6 +55,9 @@ CHOLESKY_MAX_STEPS = 512
 # paths stream in blocks of ~2^17 (path, t) cells, whose read temporaries stay
 # cache-resident (reading all rows at once was ~35% slower)
 BLOCK_CELLS = 1 << 17
+
+# a noise stream's ring: the block being read, the next one ready and one being drawn
+STREAM_SLOTS = 3
 
 
 @dataclass(frozen=True)
@@ -94,6 +109,58 @@ def path_blocks(n_paths: int, n_nodes: int, rng: RngSpec):
         yield start, min(rows, n_paths - start), replace(rng, stream=rng.stream + start)
 
 
+@contextmanager
+def noise_stream(coeffs: CoefficientSet, n_paths: int, rng: RngSpec):
+    """The eps-free noise N of every `path_blocks` block, drawn ahead on one producer thread.
+
+    Yields an iterator of (first path, noise).  A block's noise, (rows,
+    n_nodes), equals eta_noise(coeffs, make_ensemble(grid, hurst, rows,
+    block rng)) bit for bit; it is a view into a ring of STREAM_SLOTS slots
+    and stays valid until the iterator is advanced, which hands its slot
+    back.  The ring and the increments' buffers are allocated once, so no
+    block allocates a block-sized array.  While the caller reads one block
+    the producer draws the next into a free slot.  An error on the producer
+    is raised by the iterator, with its own type; leaving the `with` block,
+    normally or by an error, stops the producer and joins it.
+    """
+    grid = coeffs.grid
+    rows = min(block_rows(grid.n_nodes), n_paths)
+    slots = np.empty((STREAM_SLOTS, rows, grid.n_nodes))
+    work = np.empty((2, rows, grid.n_steps))
+    free, ready = queue.SimpleQueue(), queue.SimpleQueue()
+    for slot in range(STREAM_SLOTS):
+        free.put(slot)
+
+    def produce():
+        try:
+            for start, n, block_rng in path_blocks(n_paths, grid.n_nodes, rng):
+                slot = free.get()
+                if slot is None:  # the caller has left
+                    return
+                ensemble = make_ensemble(grid, coeffs.hurst, n, block_rng, work[:, :n])
+                eta_noise(coeffs, ensemble, out=slots[slot, :n])
+                ready.put((start, n, slot))
+            ready.put(None)
+        except BaseException as exc:  # raised again on the caller's thread
+            ready.put(exc)
+
+    def blocks():
+        while (item := ready.get()) is not None:
+            if isinstance(item, BaseException):
+                raise item
+            start, n, slot = item
+            yield start, slots[slot, :n]
+            free.put(slot)
+
+    producer = threading.Thread(target=produce, name="noise-stream")
+    producer.start()
+    try:
+        yield blocks()
+    finally:
+        free.put(None)
+        producer.join()
+
+
 def merge_moments(count: int, mean: np.ndarray, m2: np.ndarray, block: np.ndarray,
                   centred: np.ndarray | None = None) -> None:
     """Merge the rows of `block` into the column means and M2 (or, for a square
@@ -114,9 +181,12 @@ def merge_moments(count: int, mean: np.ndarray, m2: np.ndarray, block: np.ndarra
     mean += delta * (n_b / n)
 
 
-def levels(increments: np.ndarray) -> np.ndarray:
-    """Path levels W_0 = 0, W_k = sum_{j<k} dW_j from (paths, n_steps) increments."""
-    out = np.zeros((increments.shape[0], increments.shape[1] + 1))
+def levels(increments: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """Path levels W_0 = 0, W_k = sum_{j<k} dW_j from (paths, n_steps) increments,
+    written into `out` (paths, n_steps + 1) when given."""
+    if out is None:
+        out = np.empty((increments.shape[0], increments.shape[1] + 1))
+    out[:, 0] = 0.0
     np.cumsum(increments, axis=1, out=out[:, 1:])
     return out
 
@@ -142,11 +212,13 @@ class PathEnsemble:
         return None if self.dBH is None else levels(self.dBH)
 
 
-def bm_paths(grid: TimeGrid, n_paths: int, rng: RngSpec) -> PathEnsemble:
-    """Standard Brownian increments: independent N(0, dt) draws."""
+def bm_paths(grid: TimeGrid, n_paths: int, rng: RngSpec,
+             out: np.ndarray | None = None) -> PathEnsemble:
+    """Standard Brownian increments: independent N(0, dt) draws, into `out`
+    (n_paths, n_steps) when given."""
     if n_paths < 1:
         raise ValueError("n_paths must be positive")
-    dB = np.empty((n_paths, grid.n_steps))
+    dB = np.empty((n_paths, grid.n_steps)) if out is None else out
     rng.fill_normals(_PURPOSE_BM, 0, dB)
     np.multiply(dB, np.sqrt(grid.dt), out=dB)
     return PathEnsemble(grid=grid, dB=dB)
@@ -187,13 +259,18 @@ def cholesky_factor(grid: TimeGrid, hurst: HurstModel) -> np.ndarray:
     return chol
 
 
-def fbm_cholesky(grid: TimeGrid, hurst: HurstModel, n_paths: int, rng: RngSpec) -> PathEnsemble:
-    """Exact fGn samples via the differenced Cholesky factor of the covariance."""
+def fbm_cholesky(grid: TimeGrid, hurst: HurstModel, n_paths: int, rng: RngSpec,
+                 out: np.ndarray | None = None,
+                 normals: np.ndarray | None = None) -> PathEnsemble:
+    """Exact fGn samples via the differenced Cholesky factor of the covariance,
+    into `out` (n_paths, n_steps) when given; `normals`, of the same shape,
+    receives the standard normal draws."""
     if n_paths < 1:
         raise ValueError("n_paths must be positive")
-    Z = np.empty((n_paths, grid.n_steps))
+    Z = np.empty((n_paths, grid.n_steps)) if normals is None else normals
     rng.fill_normals(_PURPOSE_FBM, 0, Z)
-    return PathEnsemble(grid=grid, hurst=hurst, dBH=Z @ cholesky_factor(grid, hurst).T,
+    return PathEnsemble(grid=grid, hurst=hurst,
+                        dBH=np.matmul(Z, cholesky_factor(grid, hurst).T, out=out),
                         fbm_method="cholesky")
 
 
@@ -218,8 +295,10 @@ def circulant_eigenvalues(n_steps: int, hurst: HurstModel, dt: float) -> np.ndar
     return np.maximum(eig, 0.0)
 
 
-def fbm_circulant(grid: TimeGrid, hurst: HurstModel, n_paths: int, rng: RngSpec) -> PathEnsemble:
-    """Davies-Harte sampling: stationary increments via circulant embedding."""
+def fbm_circulant(grid: TimeGrid, hurst: HurstModel, n_paths: int, rng: RngSpec,
+                  out: np.ndarray | None = None) -> PathEnsemble:
+    """Davies-Harte sampling: stationary increments via circulant embedding,
+    into `out` (n_paths, n_steps) when given."""
     if n_paths < 1:
         raise ValueError("n_paths must be positive")
     n = grid.n_steps
@@ -233,19 +312,25 @@ def fbm_circulant(grid: TimeGrid, hurst: HurstModel, n_paths: int, rng: RngSpec)
     y[:, n] = u[:, 1]
     y[:, 1:n] = (u[:, 2::2] + 1j * u[:, 3::2]) / np.sqrt(2.0)
     y[:, m - 1:n:-1] = np.conj(y[:, 1:n])
-    dBH = np.fft.fft(sqrt_eig * y, axis=1)[:, :n].real / np.sqrt(m)
+    dBH = np.divide(np.fft.fft(sqrt_eig * y, axis=1)[:, :n].real, np.sqrt(m), out=out)
     return PathEnsemble(grid=grid, hurst=hurst, dBH=dBH, fbm_method="circulant")
 
 
-def make_ensemble(grid: TimeGrid, hurst: HurstModel, n_paths: int, rng: RngSpec) -> PathEnsemble:
+def make_ensemble(grid: TimeGrid, hurst: HurstModel, n_paths: int, rng: RngSpec,
+                  work: np.ndarray | None = None) -> PathEnsemble:
     """Matched (dB, dB^H) draws from independent purposes under one seed.
 
     B^H comes from Cholesky up to CHOLESKY_MAX_STEPS steps and from
     circulant embedding beyond; `fbm_method` of the result records which.
+    `work`, (2, n_paths, n_steps) with C-contiguous halves, receives dB and
+    dB^H when given; the Cholesky sampler's normals go to dB's half first.
     """
-    sampler = fbm_cholesky if grid.n_steps <= CHOLESKY_MAX_STEPS else fbm_circulant
-    frac = sampler(grid, hurst, n_paths, rng)
-    bm = bm_paths(grid, n_paths, rng)
+    dB, dBH = (None, None) if work is None else work
+    if grid.n_steps <= CHOLESKY_MAX_STEPS:
+        frac = fbm_cholesky(grid, hurst, n_paths, rng, out=dBH, normals=dB)
+    else:
+        frac = fbm_circulant(grid, hurst, n_paths, rng, out=dBH)
+    bm = bm_paths(grid, n_paths, rng, out=dB)
     return PathEnsemble(grid=grid, hurst=hurst, dB=bm.dB, dBH=frac.dBH,
                         fbm_method=frac.fbm_method)
 
@@ -305,17 +390,22 @@ def check_lemma_var_bound(xi, ensemble: PathEnsemble) -> VarBoundReport:
     return VarBoundReport(lhs=lhs, rhs=rhs, stderr=stderr, holds=lhs <= rhs + 3.0 * stderr)
 
 
-def eta_noise(coeffs: CoefficientSet, ensemble: PathEnsemble) -> np.ndarray:
+def eta_noise(coeffs: CoefficientSet, ensemble: PathEnsemble,
+              out: np.ndarray | None = None) -> np.ndarray:
     """The epsilon-free martingale part of eta at nodes t_0..t_n, per path:
 
         N_k = sum_{j<k} (sigma1(t_j) dB_j + sigma2(t_j) dBH_j),  N_0 = 0.
+
+    With `out` (paths, n_nodes), N is written there and the ensemble's dB
+    and dB^H are overwritten as scratch.
     """
     if ensemble.dB is None or ensemble.dBH is None:
         raise ValueError("ensemble must carry matched B and BH paths")
     left = ensemble.grid.nodes[:-1]
-    incr = ensemble.dB * np.asarray(coeffs.sigma1(left), dtype=float)
-    incr += ensemble.dBH * np.asarray(coeffs.sigma2(left), dtype=float)
-    return levels(incr)
+    dB, dBH = (None, None) if out is None else (ensemble.dB, ensemble.dBH)
+    incr = np.multiply(ensemble.dB, np.asarray(coeffs.sigma1(left), dtype=float), out=dB)
+    incr += np.multiply(ensemble.dBH, np.asarray(coeffs.sigma2(left), dtype=float), out=dBH)
+    return levels(incr, out)
 
 
 def simulate_eta(coeffs: CoefficientSet, ensemble: PathEnsemble, epsilon: float,

@@ -44,6 +44,7 @@ from sfrbsde.errors import (
     ConfigError,
     ContractError,
     DomainTooSmallError,
+    FactorizationError,
     InfeasibleAlphaError,
     QuadratureConvergenceError,
 )
@@ -599,7 +600,7 @@ class TestSweepFailsEarly:
     def coeffs(self, monkeypatch):
         def late(*args, **kwargs):
             raise _LateStage
-        for name in ("estimate_phi", "solve_psis", "make_ensemble"):
+        for name in ("estimate_phi", "solve_psis", "noise_stream"):
             monkeypatch.setattr(averaging_lab, name, late)
         return CoefficientSet.build(ZERO, ONE, ONE, TimeGrid(T=1.0, n_steps=16), H75)
 
@@ -701,15 +702,56 @@ class TestStreamedSweep:
         args = (benchmark_generator(1.0), coeffs, TerminalCondition.square(), (0.5, 0.3, 0.2), cfg)
         assert_reports_match(run_sweep(*args), whole_ensemble_sweep(*args), rtol=1e-12)
 
-    def test_runs_on_one_thread(self, coeffs128, monkeypatch):
-        def refuse(thread):
-            raise AssertionError(f"run_sweep started thread {thread.name}")
+    def sweep(self, coeffs, n_paths):
+        return run_sweep(benchmark_generator(1.0), coeffs, TerminalCondition.square(),
+                         (0.5, 0.3, 0.2), replace(STREAM_CFG, n_paths=n_paths))
 
-        monkeypatch.setattr(threading.Thread, "start", refuse)
-        cfg = replace(STREAM_CFG, n_paths=block_rows(coeffs128.grid.n_nodes) + 300)
-        rep = run_sweep(benchmark_generator(1.0), coeffs128, TerminalCondition.square(),
-                        (0.5, 0.3, 0.2), cfg)
+    def test_starts_one_producer_thread(self, coeffs128, monkeypatch):
+        started = []
+        start = threading.Thread.start
+
+        def counting(thread):
+            started.append(thread.name)
+            start(thread)
+
+        monkeypatch.setattr(threading.Thread, "start", counting)
+        before = threading.active_count()
+        rep = self.sweep(coeffs128, 3 * block_rows(coeffs128.grid.n_nodes) + 300)
         assert [s.epsilon for s in rep.stats] == [0.5, 0.3, 0.2]
+        assert started == ["noise-stream"]
+        assert threading.active_count() == before
+
+    def test_producer_error_reaches_the_caller(self, coeffs128, tmp_path, monkeypatch, capsys):
+        def sabotaged(grid, hurst):
+            raise FactorizationError("sabotaged factor")
+
+        monkeypatch.setattr(path_engine, "cholesky_factor", sabotaged)
+        before = threading.active_count()
+        with pytest.raises(FactorizationError, match="sabotaged factor"):
+            self.sweep(coeffs128, 1000)
+        # on the command line it is a numeric error: exit code 3
+        config = tmp_path / "small.cfg"
+        config.write_text("n_time = 64\nn_space = 64\nn_paths = 1000\n", encoding="utf-8")
+        assert cli.main(["sweep", "--config", str(config), "--out", str(tmp_path / "out")]) == 3
+        assert "numeric error: sabotaged factor" in capsys.readouterr().err
+        assert threading.active_count() == before
+
+    def test_fold_error_stops_the_producer(self, coeffs128, monkeypatch):
+        calls = []
+        window_stats = averaging_lab._window_stats
+
+        def failing(*args):
+            calls.append(1)
+            if len(calls) == 2:
+                raise RuntimeError("fold failed")
+            window_stats(*args)
+
+        monkeypatch.setattr(averaging_lab, "_window_stats", failing)
+        before = threading.active_count()
+        with pytest.raises(RuntimeError, match="fold failed"):
+            self.sweep(coeffs128, 6 * block_rows(coeffs128.grid.n_nodes))
+        assert len(calls) == 2
+        assert threading.active_count() == before
 
     def test_memory_bounded_in_n_paths(self, coeffs128, monkeypatch):
         # a small probe set keeps the path-free phase below the streaming peak

@@ -464,12 +464,13 @@ class TestReadBuffers:
         n = field.x_nodes.size - 1
         frac = grid_units(field.x_nodes, eta)
         assert ((frac < 0) | (frac > n)).any()
-        cell = locate(frac, n, np.arange(eta.shape[1]) * (n + 1), np.empty(eta.shape, np.intp))
+        # a cell_table row holds the n + 1 nodes and the last value once more
+        cell = locate(frac, n, np.arange(eta.shape[1]) * (n + 2), np.empty(eta.shape, np.intp))
         scratch = np.full(eta.shape, np.nan)
-        for values, slopes in (cell_table(field.psi), cell_table(field.psi_x)):
-            want = interp_at(values, slopes, cell, frac)
+        for table in (cell_table(field.psi), cell_table(field.psi_x)):
+            want = interp_at(table, cell, frac)
             out = np.full(eta.shape, np.nan)
-            assert interp_at(values, slopes, cell, frac, out, scratch) is out
+            assert interp_at(table, cell, frac, out, scratch) is out
             assert np.array_equal(out, want)
 
 

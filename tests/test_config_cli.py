@@ -1,4 +1,7 @@
 import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -309,6 +312,23 @@ class TestCli:
         assert "unknown negative control" in err and f"(known: {', '.join(verify.CONTROLS)})" in err
         # the name is checked before the output directory is made, as a bad --seed is
         assert not (tmp_path / "out").exists()
+
+    def test_sweep_pins_blas_to_one_thread(self, tmp_path):
+        # at 256 steps the Cholesky factor's rounding depends on the BLAS thread
+        # count, so a run with OPENBLAS_NUM_THREADS unset writes the bytes of a
+        # run with it set to 1 only because the CLI pins it
+        config = write_cfg(tmp_path, "n_time = 256\nn_space = 64\nn_paths = 1000\n")
+        env = {key: value for key, value in os.environ.items()
+               if key != "OPENBLAS_NUM_THREADS"}
+        env["PYTHONPATH"] = str(Path(averaging_lab.__file__).parents[1])
+        for name, threads in (("unset", {}), ("one", {"OPENBLAS_NUM_THREADS": "1"})):
+            subprocess.run([sys.executable, "-m", "sfrbsde.cli", "sweep", "--config", config,
+                            "--out", str(tmp_path / name)],
+                           env={**env, **threads}, capture_output=True, check=True)
+            manifest = (tmp_path / name / "manifest.csv").read_text(encoding="utf-8")
+            assert "\nblas_threads,1\n" in manifest
+        for file in ("sweep_report.csv", "constants.csv", "summary.txt"):
+            assert (tmp_path / "unset" / file).read_bytes() == (tmp_path / "one" / file).read_bytes()
 
     def test_manifest_lists_every_output(self, tmp_path):
         path = write_cfg(tmp_path, SMALL + f"out_dir = {tmp_path / 'out'}\n")

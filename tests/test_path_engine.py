@@ -1,6 +1,7 @@
 import os
 import subprocess
 import sys
+import threading
 from pathlib import Path
 
 import numpy as np
@@ -29,6 +30,7 @@ from sfrbsde.path_engine import (
     fbm_increment_autocov,
     levels,
     make_ensemble,
+    noise_stream,
     path_blocks,
     simulate_eta,
     wiener_integral_det,
@@ -417,6 +419,59 @@ class TestPathBlocks:
     def test_one_block_below_its_size(self):
         assert [(s, n) for s, n, _ in path_blocks(3, 65, RNG)] == [(0, 3)]
         assert block_rows(path_engine.BLOCK_CELLS + 1) == 1
+
+
+class TestNoiseStream:
+    """The sweep's producer thread draws each block's noise as the serial route does."""
+
+    @pytest.mark.parametrize("n_steps", [64, 130, 1024])
+    def test_blocks_equal_serial_draws(self, n_steps):
+        grid = TimeGrid(T=1.0, n_steps=n_steps)
+        coeffs = CoefficientSet.build(ZERO, DeterministicFn.sinusoidal(1.0, 1.0), ONE, grid, H75)
+        rng = RngSpec(seed=42, stream=5)
+        rows = block_rows(grid.n_nodes)
+        # more blocks than ring slots, and a short last block
+        n_paths = (path_engine.STREAM_SLOTS + 1) * rows + 37
+        with noise_stream(coeffs, n_paths, rng) as blocks:
+            got = [(start, noise.copy()) for start, noise in blocks]
+        want = [(start, eta_noise(coeffs, make_ensemble(grid, H75, n, block_rng)))
+                for start, n, block_rng in path_blocks(n_paths, grid.n_nodes, rng)]
+        assert [start for start, _ in got] == [start for start, _ in want]
+        assert got[-1][1].shape == (37, grid.n_nodes)
+        for (_, noise), (_, serial) in zip(got, want):
+            assert np.array_equal(noise.view(np.int64), serial.view(np.int64))
+
+    def test_one_short_block(self, coeffs):
+        with noise_stream(coeffs, 3, RNG) as blocks:
+            (start, noise), = list(blocks)
+        want = eta_noise(coeffs, make_ensemble(coeffs.grid, H75, 3, RNG))
+        assert start == 0 and np.array_equal(noise, want)
+
+    def test_a_block_stays_put_until_the_iterator_advances(self, coeffs, monkeypatch):
+        # 4-path blocks and a thread switch every microsecond: a slot handed back
+        # before the caller is done with it would change under the caller's reads
+        monkeypatch.setattr(path_engine, "BLOCK_CELLS", 4 * coeffs.grid.n_nodes)
+        switch = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with noise_stream(coeffs, 403, RNG) as blocks:
+                for start, noise in blocks:
+                    first = noise.copy()
+                    for _ in range(20):
+                        assert np.array_equal(noise, first)
+                    n = noise.shape[0]
+                    want = eta_noise(coeffs, make_ensemble(
+                        coeffs.grid, H75, n, RngSpec(seed=RNG.seed, stream=start)))
+                    assert np.array_equal(noise, want)
+        finally:
+            sys.setswitchinterval(switch)
+        assert start == 400 and n == 3
+
+    def test_leaving_early_joins_the_producer(self, coeffs):
+        before = threading.active_count()
+        with noise_stream(coeffs, 10 * block_rows(coeffs.grid.n_nodes), RNG) as blocks:
+            next(blocks)
+        assert threading.active_count() == before
 
 
 class TestMakeEnsemble:
