@@ -34,10 +34,12 @@ from .bsde_solver import (
     SolutionField,
     TerminalCondition,
     cell_table,
+    central_gradient,
     check_clamp,
     interp_at,
     locate,
     solve_psis,
+    space_grid,
 )
 from .errors import ContractError, InfeasibleAlphaError, NumericError, QuadratureConvergenceError
 from .frac_kernel import CoefficientSet, HurstModel, c0_const, c1_lower_bound
@@ -53,14 +55,17 @@ WINDOW_NOTE = (
 class AveragedGenerator:
     """Time-independent surrogate fbar(x, y, z1, z2).
 
-    `panels` is the GL-4 panel count of the quadrature behind `fn`; 0 when
-    fbar is analytic.
+    `panels` is the GL-4 panel count of the quadrature behind `fn`, and
+    `nodes` the number of time nodes at which `fn` evaluates f: 4 * panels,
+    or fewer when `build_fbar` found a reduced rule.  Both are 0 when fbar
+    is analytic or built by hand.
     """
 
     fn: Callable
     provenance: str = "quadrature-of-f"
     name: str = "fbar"
     panels: int = 0
+    nodes: int = 0
 
     def __call__(self, x, y, z1, z2):
         return np.asarray(self.fn(x, y, z1, z2), dtype=float)
@@ -92,21 +97,25 @@ class QuadratureSpec:
             raise ValueError(f"tolerance must be > 0, got {self.tol!r}")
 
 
-def _gl_time_average(gen: Generator, T: float, panels: int) -> Callable:
-    """(1/T) int_0^T f(s, .) ds by `panels` panels of GL-4, as one call of f.
-
-    The nodes sit on a leading axis of t and the weights contract that axis,
-    one last-axis row of the state at a time: BLAS rounds an element near
-    the end of a vector differently, so contracting rows together would make
-    a row's value depend on the rows evaluated with it.
-    """
+def _gl_rule(T: float, panels: int) -> tuple[np.ndarray, np.ndarray]:
+    """The nodes and weights of (1/T) int_0^T by `panels` panels of GL-4."""
     gx, gw = np.polynomial.legendre.leggauss(4)
     edges = np.linspace(0.0, T, panels + 1)
     mid = 0.5 * (edges[:-1] + edges[1:])
     half = 0.5 * (edges[1:] - edges[:-1])
     nodes = (mid[:, None] + half[:, None] * gx[None, :]).ravel()
     weights = ((half[:, None] * gw[None, :]).ravel()) / T
+    return nodes, weights
 
+
+def _node_average(gen: Generator, nodes: np.ndarray, weights: np.ndarray) -> Callable:
+    """sum_j weights_j f(nodes_j, .), as one call of f.
+
+    The nodes sit on a leading axis of t and the weights contract that axis,
+    one last-axis row of the state at a time: BLAS rounds an element near
+    the end of a vector differently, so contracting rows together would make
+    a row's value depend on the rows evaluated with it.
+    """
     def fbar(x, y, z1, z2):
         shape = np.broadcast_shapes(np.shape(x), np.shape(y), np.shape(z1), np.shape(z2))
         values = gen(nodes.reshape(nodes.shape + (1,) * len(shape)), x, y, z1, z2)
@@ -122,6 +131,69 @@ def _gl_time_average(gen: Generator, T: float, panels: int) -> Callable:
     return fbar
 
 
+def _gl_time_average(gen: Generator, T: float, panels: int) -> Callable:
+    """(1/T) int_0^T f(s, .) ds by `panels` panels of GL-4, as one call of f."""
+    return _node_average(gen, *_gl_rule(T, panels))
+
+
+def _first_excess(got: np.ndarray, want: np.ndarray, tol: float) -> int | None:
+    """The first flat index where got misses want by more than tol * max(1, |want|)
+    (a NaN misses), or None."""
+    misses = ~(np.abs(got - want) <= tol * np.maximum(1.0, np.abs(want)))
+    return int(np.argmax(misses)) if misses.any() else None
+
+
+# a reduced f-bar rule keeps a node while some row of f(t_j, probe set) lies
+# farther than NODE_TOL x the largest row from the span of the rows kept; it
+# must then meet the full rule within NODE_TOL * max(1, |fbar|).  Each node
+# picked costs a pass over the 4n x 2065 samples, so a rule that needs more
+# than MAX_REDUCED_NODES is not sought.
+NODE_TOL = 1e-13
+MAX_REDUCED_NODES = 64
+
+
+def _pivoted_rows(samples: np.ndarray, tol: float, limit: int) -> np.ndarray | None:
+    """The rows that column-pivoted Gram-Schmidt picks from `samples`, ascending,
+    or None when more than `limit` rows are needed.
+
+    Each step takes the row farthest from the span of those taken, until
+    every row lies within tol x the largest row norm of that span.
+    """
+    residual = samples.copy()
+    floor = tol * np.sqrt(np.einsum("ij,ij->i", samples, samples).max())
+    chosen: list[int] = []
+    while True:
+        norms = np.sqrt(np.einsum("ij,ij->i", residual, residual))
+        j = int(np.argmax(norms))
+        if not norms[j] > floor:
+            return np.sort(np.array(chosen, dtype=int))
+        if len(chosen) == limit:
+            return None
+        chosen.append(j)
+        unit = residual[j] / norms[j]
+        residual -= np.outer(residual @ unit, unit)
+
+
+def _reduced_rule(gen: Generator, T: float, panels: int, points, full: np.ndarray):
+    """The nodes and weights of a rule on fewer of the `panels`-panel rule's
+    nodes that meets it (values `full` on `points`) within NODE_TOL * max(1,
+    |fbar|) on every point, or None.
+
+    The nodes are `_pivoted_rows` of f(t_j, points) over the 4 * panels
+    nodes, and their weights reproduce `full` by least squares.
+    """
+    nodes, _ = _gl_rule(T, panels)
+    samples = np.broadcast_to(gen(nodes[:, None], *points), (nodes.size, full.size))
+    chosen = _pivoted_rows(samples, NODE_TOL, min(MAX_REDUCED_NODES, nodes.size - 1))
+    if chosen is None or not chosen.size:
+        return None
+    weights = np.linalg.lstsq(samples[chosen].T, full, rcond=None)[0]
+    reduced = _node_average(gen, nodes[chosen], weights)(*points)
+    if _first_excess(reduced, full, NODE_TOL) is not None:
+        return None
+    return nodes[chosen], weights
+
+
 def build_fbar(gen: Generator, T: float, quad: QuadratureSpec) -> AveragedGenerator:
     """fbar = (1/T) int_0^T f(s, .) ds by composite Gauss-Legendre.
 
@@ -135,9 +207,16 @@ def build_fbar(gen: Generator, T: float, quad: QuadratureSpec) -> AveragedGenera
     MIN_FBAR_PANELS and doubling, the first count n <= quad.panels whose
     fbar on every `box_points()` point moves by at most
     quad.tol * max(1, |fbar|) when refined to 2n panels.  If no count
-    qualifies, QuadratureConvergenceError is raised.  Each call of the
-    returned fbar evaluates f once, with the 4n quadrature nodes on a
-    leading axis of t.
+    qualifies, QuadratureConvergenceError is raised.
+
+    Then the 4n nodes are cut to the r that f's time dependence needs on
+    the probe set (`_reduced_rule`): r = 1 for f = a(t) h(x, y, z1, z2), at
+    most d + 1 for f polynomial of degree d in t.  The reduced rule is kept
+    only if it meets the 4n-node rule within NODE_TOL * max(1, |fbar|) on
+    every probe point; otherwise fbar is the 4n-node rule, as before.  Each
+    call of the returned fbar evaluates f once, with its nodes on a leading
+    axis of t.  `run_sweep` checks both choices again on the states the PDE
+    reads (`check_fbar_on_pde_states`).
     """
     if not gen.time_dependent:
         return AveragedGenerator(
@@ -149,17 +228,54 @@ def build_fbar(gen: Generator, T: float, quad: QuadratureSpec) -> AveragedGenera
     coarse = _gl_time_average(gen, T, panels)(*points)
     while True:
         fine = _gl_time_average(gen, T, 2 * panels)(*points)
-        excess = np.abs(fine - coarse) - quad.tol * np.maximum(1.0, np.abs(fine))
-        if np.all(excess <= 0.0):
+        k = _first_excess(coarse, fine, quad.tol)
+        if k is None:
             break
         if 2 * panels > quad.panels:
-            k = int(np.argmin(excess <= 0.0))  # the first point that failed
             raise QuadratureConvergenceError(float(coarse[k]), float(fine[k]), quad.tol)
         panels *= 2
         coarse = fine
-    return AveragedGenerator(fn=_gl_time_average(gen, T, panels),
+    rule = _reduced_rule(gen, T, panels, points, coarse) or _gl_rule(T, panels)
+    return AveragedGenerator(fn=_node_average(gen, *rule),
                              provenance="quadrature-of-f", name=f"avg[{gen.name}]",
-                             panels=panels)
+                             panels=panels, nodes=rule[0].size)
+
+
+def first_sweep_states(coeffs: CoefficientSet, term: TerminalCondition, eps: Sequence[float],
+                       pde: PdeConfig, eta0: float) -> tuple[np.ndarray, ...]:
+    """The states (x, y, z1, z2), one row per eps, at which the PDE's first
+    Picard sweep evaluates a generator: each eps's x grid, y = g(x) and
+    z_i = sigma_i(T) d_x g(x) (`central_gradient`)."""
+    x = np.array([space_grid(coeffs, e, eta0, pde) for e in eps])
+    y = term(x)
+    grad = central_gradient(y, x[:, 1] - x[:, 0])
+    z1, z2 = (np.asarray(sigma(coeffs.grid.nodes), dtype=float)[-1] * grad
+              for sigma in (coeffs.sigma1, coeffs.sigma2))
+    return x, y, z1, z2
+
+
+def check_fbar_on_pde_states(gen: Generator, fbar: AveragedGenerator, coeffs: CoefficientSet,
+                             term: TerminalCondition, eps: Sequence[float], pde: PdeConfig,
+                             eta0: float, quad: QuadratureSpec) -> None:
+    """Check fbar's panel count and node cut on the states the PDE reads first.
+
+    The probe box |.| <= BOX_HALF_WIDTH need not cover the PDE's states
+    (`first_sweep_states`): there the `fbar.panels` rule must move by at
+    most quad.tol * max(1, |fbar|) when refined to twice the panels, and
+    `fbar` itself must meet the `fbar.panels` rule within NODE_TOL *
+    max(1, |fbar|); otherwise QuadratureConvergenceError is raised.  An fbar
+    without panels (analytic or built by hand) is not checked.
+    """
+    if not fbar.panels:
+        return
+    T = coeffs.grid.T
+    states = first_sweep_states(coeffs, term, eps, pde, eta0)
+    panel_rule = _gl_time_average(gen, T, fbar.panels)(*states)
+    refined = _gl_time_average(gen, T, 2 * fbar.panels)(*states)
+    for got, want, tol in ((panel_rule, refined, quad.tol), (fbar(*states), panel_rule, NODE_TOL)):
+        k = _first_excess(got, want, tol)
+        if k is not None:
+            raise QuadratureConvergenceError(float(got.flat[k]), float(want.flat[k]), tol)
 
 
 # the probe set of f-bar's panel choice, L and phi: BOX_SAMPLES uniform draws
@@ -428,6 +544,7 @@ class SweepReport:
     epsilon1: float | None
     chebyshev_trend_pass: bool
     fbar_panels: int
+    fbar_nodes: int
 
 
 class _WindowFold:
@@ -440,7 +557,9 @@ class _WindowFold:
     so a block is read straight from its eps-free noise N through `locate`,
     the reader `extract_triple` uses too.
 
-    The four tables (`cell_table`), copies of the window rows, hold psi_o -
+    The fields may start after t = 0 (`solve_psis`' `first_row`), but not
+    after the window start `i_lo`, a row of the whole time grid.  The four
+    tables (`cell_table`), copies of the window rows, hold psi_o -
     psi_a, d_x psi_o - d_x psi_a, psi_a and d_x psi_a, in the order
     `_window_stats` reads them: dY and dZ come from one read each.  Per
     window column the fold keeps Chan's mergeable (count, mean, M2) of dY^2
@@ -464,10 +583,11 @@ class _WindowFold:
         # eta_k < x_0 exactly when N_k < -c_k / a, and eta_k > x_n when N_k > (n - c_k) / a
         self.below, self.above = -c / self.a, (n - c) / self.a
         self.n_cells = n
+        row = i_lo - (t.size - field_orig.t_nodes.size)   # i_lo's row in the fields
         self.tables = [cell_table(table) for table in (
-            field_orig.psi[i_lo:] - field_avg.psi[i_lo:],
-            field_orig.psi_x[i_lo:] - field_avg.psi_x[i_lo:],
-            field_avg.psi[i_lo:], field_avg.psi_x[i_lo:])]
+            field_orig.psi[row:] - field_avg.psi[row:],
+            field_orig.psi_x[row:] - field_avg.psi_x[row:],
+            field_avg.psi[row:], field_avg.psi_x[row:])]
         self.t = t[i_lo:]
         self.row_starts = np.arange(self.t.size) * (n + 2)
         # trapezoid weights on the window; |dZ|^2 = (sigma1^2 + sigma2^2) |d psi_x|^2
@@ -526,19 +646,32 @@ class _FoldWorkspace:
         size = rows * n_nodes
         self.buffers = {name: np.empty(size) for name in ("frac", "read", "scratch")}
         self.buffers["cell"] = np.empty(size, dtype=np.intp)
-        self.buffers["mask"] = np.empty(size, dtype=bool)
 
     def view(self, name: str, rows: int, cols: int) -> np.ndarray:
         return self.buffers[name][:rows * cols].reshape(rows, cols)
 
 
+def _count_outside(noise: np.ndarray, extremes, below: np.ndarray, above: np.ndarray) -> int:
+    """The nodes of `noise` below `below` or above `above` (one bound per column),
+    comparing only the columns whose `extremes`, the column minima and maxima,
+    cross a bound."""
+    count = 0
+    for extreme, bound, beyond in zip(extremes, (below, above), (np.less, np.greater)):
+        cols = np.flatnonzero(beyond(extreme, bound))
+        if cols.size:
+            count += np.count_nonzero(beyond(noise[:, cols], bound[cols]))
+    return count
+
+
 def _window_stats(fold: _WindowFold, noise: np.ndarray, start: int,
-                  ws: _FoldWorkspace) -> None:
-    """Fold the block of paths start, start+1, ... (eps-free noise `noise`) into `fold`.
+                  ws: _FoldWorkspace, extremes: tuple[np.ndarray, np.ndarray]) -> None:
+    """Fold the block of paths start, start+1, ... (eps-free noise `noise`,
+    with column minima and maxima `extremes`) into `fold`.
 
     The four reads share `ws`'s `read` buffer, and each feeds its statistics
     before the next overwrites it.  Every block-sized array lives in `ws`;
-    what is allocated per call is O(window columns + block rows).
+    what is allocated per call is O(window columns + block rows), plus a
+    copy of the block's columns where some path leaves the domain.
     """
     n_b, n_nodes = noise.shape
     cols = n_nodes - fold.i_lo
@@ -546,9 +679,7 @@ def _window_stats(fold: _WindowFold, noise: np.ndarray, start: int,
     def view(name, width=cols):
         return ws.view(name, n_b, width)
 
-    mask = view("mask", n_nodes)
-    fold.outside += (np.count_nonzero(np.less(noise, fold.below, out=mask))
-                     + np.count_nonzero(np.greater(noise, fold.above, out=mask)))
+    fold.outside += _count_outside(noise, extremes, fold.below, fold.above)
     frac = np.multiply(noise[:, fold.i_lo:], fold.a, out=view("frac"))
     frac += fold.c
     cell = locate(frac, fold.n_cells, fold.row_starts, view("cell"))
@@ -586,8 +717,11 @@ def run_sweep(
     averaged system keeps eta^eps); triples are read on the SAME eta^eps
     paths, so every error statistic is a common-random-number estimate.
 
-    Every field is solved first, all 2 x len(eps) in one backward pass
-    (`solve_psis`), and each eps's fold copies the window rows it reads, so
+    f-bar is built once (`build_fbar`) and checked on the states the PDE
+    reads first (`check_fbar_on_pde_states`) before any PDE is solved or
+    path drawn.  Every field is then solved, all 2 x len(eps) in one
+    backward pass (`solve_psis`) that stops at the earliest window start,
+    and each eps's fold copies the window rows it reads, so
     the fields are freed before the paths stream.  The paths then come in
     the fixed blocks of `path_blocks` from `noise_stream`, whose one producer
     thread draws each block's (B, B^H) from the per-path streams of its
@@ -610,7 +744,9 @@ def run_sweep(
     hurst = coeffs.hurst
     t0 = cfg.window_t0(T)
 
-    fbar = build_fbar(original, T, QuadratureSpec())
+    quad = QuadratureSpec()
+    fbar = build_fbar(original, T, quad)
+    check_fbar_on_pde_states(original, fbar, coeffs, term, eps, cfg.pde, cfg.eta0, quad)
     averaged = fbar.as_generator()
     L = estimate_lipschitz(original, T)
     C1 = c1_lower_bound(coeffs, t0)
@@ -619,28 +755,29 @@ def run_sweep(
         solve_alpha0(L, C1, epsilon, hurst)
     phi = estimate_phi(original, fbar, T)
 
-    def fold_for(epsilon: float, field_orig, field_avg) -> _WindowFold:
-        i_lo = grid.first_index_at_or_after(T * epsilon ** (1.0 - cfg.beta))
-        i_lo = min(i_lo, grid.n_steps - 1)  # keep a nonempty window
-        return _WindowFold(epsilon, i_lo, field_orig, field_avg, coeffs, cfg.n_paths, cfg.eta0)
-
-    fields = solve_psis((original, averaged), term, coeffs, eps, cfg.pde, cfg.eta0)
-    folds = [fold_for(e, o, a) for e, o, a in zip(eps, fields, fields[len(eps):])]
+    # each eps's window start, kept below the last node so the window is nonempty
+    i_los = [min(grid.first_index_at_or_after(T * e ** (1.0 - cfg.beta)), grid.n_steps - 1)
+             for e in eps]
+    fields = solve_psis((original, averaged), term, coeffs, eps, cfg.pde, cfg.eta0,
+                        first_row=min(i_los))
+    folds = [_WindowFold(e, i_lo, o, a, coeffs, cfg.n_paths, cfg.eta0)
+             for e, i_lo, o, a in zip(eps, i_los, fields, fields[len(eps):])]
     del fields  # the folds hold copies of their window rows: this frees the batch
 
     ws = _FoldWorkspace(min(block_rows(grid.n_nodes), cfg.n_paths), grid.n_nodes)
     with noise_stream(coeffs, cfg.n_paths, cfg.rng) as blocks:
         for start, noise in blocks:
+            extremes = noise.min(axis=0), noise.max(axis=0)
             for fold in folds:
-                _window_stats(fold, noise, start, ws)
+                _window_stats(fold, noise, start, ws, extremes)
 
     return checked_report([fold.result() for fold in folds], [float(f.t[0]) for f in folds],
-                          eps, T, t0, L, C1, phi, hurst, cfg, fbar.panels)
+                          eps, T, t0, L, C1, phi, hurst, cfg, fbar.panels, fbar.nodes)
 
 
 def checked_report(raws: Sequence[dict], us: Sequence[float], eps: Sequence[float], T: float,
                    t0: float, L: float, C1: float, phi: float, hurst: HurstModel,
-                   cfg: SweepConfig, fbar_panels: int) -> SweepReport:
+                   cfg: SweepConfig, fbar_panels: int, fbar_nodes: int) -> SweepReport:
     """The sweep report, built once from each eps's window statistics `raws`
     (`_WindowFold.result()`) and window start `us`: its constants, delta2,
     exceedance frequency and every claim verdict.  The Chebyshev verdict
@@ -671,7 +808,7 @@ def checked_report(raws: Sequence[dict], us: Sequence[float], eps: Sequence[floa
         L=L, C1=C1, phi_bound=phi, n_paths=cfg.n_paths, stats=tuple(stats),
         fitted_slope=slope, epsilon1=epsilon1,
         chebyshev_trend_pass=bool(stats[-1].exceed_prob <= stats[0].exceed_prob + 1e-12),
-        fbar_panels=fbar_panels,
+        fbar_panels=fbar_panels, fbar_nodes=fbar_nodes,
     )
 
 

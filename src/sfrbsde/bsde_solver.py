@@ -270,6 +270,11 @@ def solve_psi(
     return solve_psis([gen], term, coeffs, [epsilon], pde, eta0)[0]
 
 
+def space_grid(coeffs: CoefficientSet, epsilon: float, eta0: float, pde: PdeConfig) -> np.ndarray:
+    """The n_space + 1 x nodes of an epsilon's truncated domain."""
+    return np.linspace(*domain_bounds(coeffs, epsilon, eta0, pde.kappa), pde.n_space + 1)
+
+
 def solve_psis(
     gens: Sequence[Generator],
     term: TerminalCondition,
@@ -277,18 +282,25 @@ def solve_psis(
     eps_list: Sequence[float],
     pde: PdeConfig,
     eta0: float = 0.0,
+    first_row: int = 0,
 ) -> list[SolutionField]:
     """The backward theta-scheme for every generator x every epsilon in one pass.
 
     System g * len(eps_list) + e pairs gens[g] with eps_list[e]; the fields
-    come back in that order.  The step matrices depend on (epsilon, step)
-    only: one `thomas_factors` pass gives the pivots and multipliers of all
-    of them.  Each backward step lays its factors out over every system's
-    rows in one lane vector and builds their doubling levels once; each
-    Picard sweep then solves all systems by `TridiagonalLanes.solve`, and
-    each generator is called once per sweep on its systems' rows.  A system stops updating
-    once it meets its own tolerance, so every field equals, bit for bit, the
-    one its system gets when solved alone.
+    come back in that order.  The pass steps back from T to time node
+    `first_row` only, the first row a caller reads, and each field's
+    `t_nodes`, `psi` and `psi_x` start there; a row depends only on the rows
+    after it, so every row equals the full pass's row bit for bit.
+
+    The step matrices depend on (epsilon, step) only: one `thomas_factors`
+    pass gives the pivots and multipliers of all of them.  Each backward step
+    lays its factors out over every system's rows in one lane vector and
+    builds their doubling levels once; each Picard sweep then solves all
+    systems by `TridiagonalLanes.solve`, and each generator is called once
+    per sweep on its systems' rows.  Picard starts from the linear
+    extrapolation 2 psi_{k+1} - psi_{k+2} (from psi_{k+1} at the last step).
+    A system stops updating once it meets its own tolerance, so every field
+    equals, bit for bit, the one its system gets when solved alone.
     """
     eps = [float(e) for e in eps_list]
     if not gens or not eps:
@@ -296,34 +308,40 @@ def solve_psis(
     for e in eps:
         if not 0 < e <= 1:
             raise ValueError(f"epsilon must lie in (0, 1], got {e!r}")
+    n_time = coeffs.grid.n_steps
+    if not 0 <= first_row < n_time:
+        raise ValueError(f"first_row must lie in [0, {n_time}), got {first_row!r}")
     n_gens, n_eps = len(gens), len(eps)
     n_sys = n_gens * n_eps
-    t = coeffs.grid.nodes
-    n_time = coeffs.grid.n_steps
+    # row r of every per-node array below is time node first_row + r; the
+    # coefficients are evaluated on the whole grid, so a row does not depend
+    # on where the cut falls
+    nodes = coeffs.grid.nodes
+    t = nodes[first_row:]
+    n_rows = t.size
     dt = coeffs.grid.dt
     # the x grid and the eps^2H scale of each epsilon, shared by every generator
-    x = np.array([np.linspace(*domain_bounds(coeffs, e, eta0, pde.kappa), pde.n_space + 1)
-                  for e in eps])
+    x = np.array([space_grid(coeffs, e, eta0, pde) for e in eps])
     dx = x[:, 1] - x[:, 0]
     scale = np.array([e**coeffs.hurst.two_h for e in eps])
     sys_dx = np.tile(dx, n_gens)[:, None]
 
-    sig1 = np.asarray(coeffs.sigma1(t), dtype=float)
-    sig2 = np.asarray(coeffs.sigma2(t), dtype=float)
+    sig1 = np.asarray(coeffs.sigma1(nodes), dtype=float)[first_row:]
+    sig2 = np.asarray(coeffs.sigma2(nodes), dtype=float)[first_row:]
 
-    psi = np.empty((n_sys, n_time + 1, x.shape[1]))
-    psi.reshape(n_gens, n_eps, n_time + 1, -1)[:, :, n_time] = term(x)
+    psi = np.empty((n_sys, n_rows, x.shape[1]))
+    psi.reshape(n_gens, n_eps, n_rows, -1)[:, :, -1] = term(x)
 
     grad = np.empty_like(x)
 
-    def source(k: int, values: np.ndarray, out: np.ndarray, active=None) -> np.ndarray:
-        """eps^2H f at node k into `out`, skipping generators with no `active` system."""
+    def source(r: int, values: np.ndarray, out: np.ndarray, active=None) -> np.ndarray:
+        """eps^2H f at row r into `out`, skipping generators with no `active` system."""
         for g, gen in enumerate(gens):
             own = slice(g * n_eps, (g + 1) * n_eps)
             if active is None or active[own].any():
                 central_gradient(values[own], dx, out=grad)
-                out[own] = scale[:, None] * gen(t[k], x, values[own], sig1[k] * grad,
-                                                sig2[k] * grad)
+                out[own] = scale[:, None] * gen(t[r], x, values[own], sig1[r] * grad,
+                                                sig2[r] * grad)
         return out
 
     def apply_operator(diff, mu, values: np.ndarray) -> np.ndarray:
@@ -337,8 +355,8 @@ def solve_psis(
     # the step coefficients of every step and epsilon, (steps, eps): panel
     # averages of eps^2H b and (1/2) eps^2H lambda, exact integrals over each step
     steps = np.diff(t)[:, None]
-    mu = scale * np.diff(coeffs.b_int_table)[:, None] / steps
-    diff = 0.5 * scale * np.diff(coeffs.sigma_abs_sq_table)[:, None] / steps
+    mu = scale * np.diff(coeffs.b_int_table[first_row:])[:, None] / steps
+    diff = 0.5 * scale * np.diff(coeffs.sigma_abs_sq_table[first_row:])[:, None] / steps
     lower = THETA * dt * (diff / dx**2 - mu / (2.0 * dx))
     upper = THETA * dt * (diff / dx**2 + mu / (2.0 * dx))
     diag = 1.0 + THETA * dt * 2.0 * diff / dx**2
@@ -355,24 +373,27 @@ def solve_psis(
     rhs = lanes.rhs.reshape(n_sys, n_int)
 
     mu, diff = np.tile(mu, n_gens), np.tile(diff, n_gens)
-    src_next = source(n_time, psi[:, n_time], np.empty_like(psi[:, n_time]))
+    src_next = source(n_rows - 1, psi[:, -1], np.empty_like(psi[:, -1]))
     src = np.empty_like(src_next)
-    for k in range(n_time - 1, -1, -1):
-        if singular[k]:
+    for r in range(n_rows - 2, -1, -1):
+        k = first_row + r   # the backward step from node k + 1 to node k
+        if singular[r]:
             raise NumericError(f"tridiagonal step matrix is singular at backward step {k}")
-        lanes.load(fwd[k], piv[k], bwd[k])
+        lanes.load(fwd[r], piv[r], bwd[r])
 
-        explicit = psi[:, k + 1] + dt * (1.0 - THETA) * (
-            apply_operator(diff[k, :, None], mu[k, :, None], psi[:, k + 1]) + src_next
+        explicit = psi[:, r + 1] + dt * (1.0 - THETA) * (
+            apply_operator(diff[r, :, None], mu[r, :, None], psi[:, r + 1]) + src_next
         )
         base_rhs = explicit[:, 1:-1]
 
-        iterate = psi[:, k + 1].copy()
+        iterate = psi[:, r + 1].copy()
         tol = PICARD_TOL * np.maximum(1.0, np.abs(iterate).max(axis=1))
+        if r + 2 < n_rows:
+            iterate += psi[:, r + 1] - psi[:, r + 2]
         change = np.full(n_sys, np.inf)
         active = np.ones(n_sys, dtype=bool)
         for _ in range(PICARD_MAX_ITER):
-            np.multiply(source(k, iterate, src, active)[:, 1:-1], dt * THETA, out=rhs)
+            np.multiply(source(r, iterate, src, active)[:, 1:-1], dt * THETA, out=rhs)
             rhs += base_rhs
             # a zero coefficient times a non-finite value is NaN: settled systems
             # solve zeros, and a non-finite system fails before the shared solve
@@ -396,8 +417,8 @@ def solve_psis(
         if failed.any():
             s = int(np.argmax(failed))
             raise PicardError(step=k, residual=float(change[s]), tol=float(tol[s]))
-        psi[:, k] = iterate
-        src_next, src = source(k, iterate, src), src_next
+        psi[:, r] = iterate
+        src_next, src = source(r, iterate, src), src_next
 
     psi_x = central_gradient(psi, sys_dx)
     t_nodes = t.copy()

@@ -228,6 +228,7 @@ def cmd_sweep(cfg: ExperimentConfig) -> int:
                           cfg.eps_list, _sweep_config(cfg))
     manifest.end("sweep")
     manifest.note("fbar_panels", report.fbar_panels)
+    manifest.note("fbar_nodes", report.fbar_nodes)
     manifest.note("blas_threads", BLAS_THREADS)
 
     manifest.begin("write")

@@ -290,7 +290,8 @@ def whole_ensemble_sweep(original, coeffs, term, eps_list, cfg):
         dZ_sq = (trip_o.Z1 - trip_a.Z1) ** 2 + (trip_o.Z2 - trip_a.Z2) ** 2
         raws.append(array_window_stats(grid, i_lo, trip_o.Y - trip_a.Y, dZ_sq,
                                        trip_a.Y, trip_a.Z1, trip_a.Z2))
-    return al.checked_report(raws, us, eps_list, T, t0, L, C1, phi, hurst, cfg, fbar.panels)
+    return al.checked_report(raws, us, eps_list, T, t0, L, C1, phi, hurst, cfg, fbar.panels,
+                             fbar.nodes)
 
 
 def whole_ensemble_solve(cfg):

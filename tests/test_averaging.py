@@ -163,6 +163,144 @@ class TestFbarPanels:
         assert abs(err.value.fine - err.value.coarse) > QUAD.tol
 
 
+def within_node_tol(got, want):
+    return np.all(np.abs(got - want) <= averaging_lab.NODE_TOL * np.maximum(1.0, np.abs(want)))
+
+
+# the states of the first Picard sweep of a crit7-like sweep on 64 steps: y = x^2
+# reaches 36.5 and z 12, far outside the probe box
+SWEEP_EPS = (0.5, 0.35, 0.25, 0.18, 0.125)
+PDE64 = PdeConfig(n_space=64)
+MIN_PANELS = averaging_lab.MIN_FBAR_PANELS
+
+
+@pytest.fixture(scope="module")
+def coeffs64():
+    return CoefficientSet.build(ZERO, ONE, ONE, TimeGrid(T=1.0, n_steps=64), H75)
+
+
+def pde_states(coeffs):
+    return averaging_lab.first_sweep_states(coeffs, TerminalCondition.square(), SWEEP_EPS,
+                                            PDE64, 1.0)
+
+
+def t_polynomial(degree):
+    """f = sum_k t^k h_k(y, z1, z2) with independent h_k: rank degree + 1 in t."""
+    def fn(t, x, y, z1, z2):
+        return sum(t**k * (np.cos(k * np.asarray(y)) + k * np.asarray(z1) * np.asarray(z2))
+                   for k in range(degree + 1))
+    return Generator(fn=fn, name=f"t-poly[{degree}]")
+
+
+class TestFbarNodes:
+    """build_fbar evaluates f only at the time nodes its rank on the probe set needs."""
+
+    def test_benchmark_selects_one_node(self, coeffs64):
+        fbar = build_fbar(benchmark_generator(1.0), 1.0, QUAD)
+        assert (fbar.panels, fbar.nodes) == (8, 1)
+        for states in (box_points(), pde_states(coeffs64)):
+            assert within_node_tol(fbar(*states), benchmark_fbar()(*states))
+
+    @pytest.mark.parametrize("degree", range(5))
+    def test_polynomial_in_t_needs_at_most_degree_plus_one(self, degree):
+        gen = t_polynomial(degree)
+        fbar = build_fbar(gen, 1.0, QUAD)
+        assert 1 <= fbar.nodes <= degree + 1
+        pts = box_points()
+        assert within_node_tol(fbar(*pts),
+                               averaging_lab._gl_time_average(gen, 1.0, fbar.panels)(*pts))
+
+    def test_moving_kink_keeps_every_node(self):
+        # |t - s(y)|^7 has its kink where t = s(y): the rows of f(t_j, probe
+        # set) are independent, so f-bar stays the 4n-node rule, bit for bit
+        gen = Generator(fn=lambda t, x, y, z1, z2: np.abs(t - (np.asarray(y) + 5.0) / 10.0) ** 7,
+                        name="kink")
+        fbar = build_fbar(gen, 1.0, QUAD)
+        assert fbar.nodes == 4 * fbar.panels
+        full = averaging_lab._gl_time_average(gen, 1.0, fbar.panels)
+        for args in (box_points(), sample_points(n=257), (0.3, -1.2, 0.4, 2.0)):
+            assert np.array_equal(fbar(*args), full(*args))
+
+    def test_oscillating_product_is_cut_within_the_bound(self):
+        # sin(2 pi t y) does not factor, but on |y| <= 5 its rows span fewer
+        # dimensions than the 64 nodes, to the bound: the cut is kept
+        gen = Generator(fn=lambda t, x, y, z1, z2: np.sin(2 * np.pi * t * np.asarray(y)),
+                        name="sin-ty")
+        fbar = build_fbar(gen, 1.0, QUAD)
+        assert fbar.panels == 16 and 1 < fbar.nodes < 64
+        pts = box_points()
+        assert within_node_tol(fbar(*pts), averaging_lab._gl_time_average(gen, 1.0, 16)(*pts))
+
+    def test_selection_gives_up_past_its_limit(self):
+        rng = np.random.default_rng(1)
+        full_rank = rng.standard_normal((80, 200))
+        assert averaging_lab._pivoted_rows(full_rank, averaging_lab.NODE_TOL, 64) is None
+        rank_3 = rng.standard_normal((80, 3)) @ rng.standard_normal((3, 200))
+        assert averaging_lab._pivoted_rows(rank_3, averaging_lab.NODE_TOL, 64).size == 3
+
+    def test_vanishing_samples_keep_every_node(self):
+        # f is 0 on the probe set: no row is chosen, so no cut is made
+        gen = Generator(fn=lambda t, x, y, z1, z2: t * np.maximum(np.asarray(y) - 5.0, 0.0),
+                        name="outside")
+        assert build_fbar(gen, 1.0, QUAD).nodes == 4 * MIN_PANELS
+
+
+class TestFbarStateGuard:
+    """run_sweep checks f-bar on the states the PDE reads, before any PDE or path."""
+
+    def test_benchmark_passes(self, coeffs64):
+        gen = benchmark_generator(1.0)
+        averaging_lab.check_fbar_on_pde_states(gen, build_fbar(gen, 1.0, QUAD), coeffs64,
+                                               TerminalCondition.square(), SWEEP_EPS, PDE64,
+                                               1.0, QUAD)
+
+    def test_states_leave_the_probe_box(self, coeffs64):
+        x, y, z1, z2 = pde_states(coeffs64)
+        assert y.max() > 7 * BOX_HALF_WIDTH and z1.max() > 2 * BOX_HALF_WIDTH
+        assert np.array_equal(z1, z2)   # sigma1 = sigma2 = 1
+
+    @pytest.fixture
+    def late(self, monkeypatch):
+        def late_stage(*args, **kwargs):
+            raise _LateStage
+        for name in ("solve_psis", "noise_stream"):
+            monkeypatch.setattr(averaging_lab, name, late_stage)
+
+    def sweep(self, coeffs, gen):
+        cfg = SweepConfig(n_paths=1000, t0=0.75, eta0=1.0, pde=PDE64, rng=RngSpec(seed=1))
+        run_sweep(gen, coeffs, TerminalCondition.square(), SWEEP_EPS, cfg)
+
+    def test_panels_unresolved_on_the_states_are_refused(self, coeffs64, late):
+        # cos(2 pi t y / 5) makes at most one turn on the box, 7 on y = x^2
+        gen = Generator(fn=lambda t, x, y, z1, z2: np.cos(2 * np.pi * t * np.asarray(y) / 5),
+                        name="box-only")
+        assert build_fbar(gen, 1.0, QUAD).panels == MIN_PANELS
+        with pytest.raises(QuadratureConvergenceError) as err:
+            self.sweep(coeffs64, gen)
+        assert err.value.tol == QUAD.tol
+
+    def test_node_cut_wrong_on_the_states_is_refused(self, coeffs64, late):
+        # the t^9 term vanishes on the box, so f-bar keeps one node; the
+        # 8-panel rule still resolves it on the states
+        gen = Generator(fn=lambda t, x, y, z1, z2: np.asarray(y)
+                        + np.maximum(np.abs(y) - BOX_HALF_WIDTH, 0.0) * t**9, name="t9")
+        assert build_fbar(gen, 1.0, QUAD).nodes == 1
+        with pytest.raises(QuadratureConvergenceError) as err:
+            self.sweep(coeffs64, gen)
+        assert err.value.tol == averaging_lab.NODE_TOL
+
+    def test_reached_with_the_benchmark(self, coeffs64, late):
+        with pytest.raises(_LateStage):
+            self.sweep(coeffs64, benchmark_generator(1.0))
+
+    def test_hand_built_fbar_is_not_checked(self, coeffs64):
+        gen = Generator(fn=lambda t, x, y, z1, z2: np.cos(2 * np.pi * t * np.asarray(y) / 5),
+                        name="box-only")
+        frozen = averaging_lab.AveragedGenerator(fn=lambda x, y, z1, z2: gen(0.75, x, y, z1, z2))
+        averaging_lab.check_fbar_on_pde_states(gen, frozen, coeffs64, TerminalCondition.square(),
+                                               SWEEP_EPS, PDE64, 1.0, QUAD)
+
+
 FBAR_GENERATORS = {
     "benchmark": benchmark_generator(1.0),
     # t ignored but declared time-dependent: the quadrature route must still
@@ -401,7 +539,7 @@ def hand_made_report(eps, mse, sup_abs=None, delta1=1.0, delta2=1.0):
                  moments=(0.0, 0.0, 0.0))
             for m, a in zip(mse, sup_abs)]
     cfg = SweepConfig(n_paths=sup_abs[0].size, beta=0.0, delta1=delta1, delta2=delta2)
-    return checked_report(raws, [0.0] * len(eps), eps, 1.0, 0.01, 1.0, 0.9, 0.0, H75, cfg, 0)
+    return checked_report(raws, [0.0] * len(eps), eps, 1.0, 0.01, 1.0, 0.9, 0.0, H75, cfg, 0, 0)
 
 
 class TestRateCheck:
@@ -783,10 +921,11 @@ class TestStreamedSweep:
         fold = averaging_lab._WindowFold(0.5, 20, *fields, coeffs128, 2 * rows, STREAM_CFG.eta0)
         ws = averaging_lab._FoldWorkspace(rows, grid.n_nodes)
         noise = eta_noise(coeffs128, make_ensemble(grid, H75, rows, STREAM_CFG.rng))
-        averaging_lab._window_stats(fold, noise, 0, ws)
+        extremes = noise.min(axis=0), noise.max(axis=0)
+        averaging_lab._window_stats(fold, noise, 0, ws, extremes)
         tracemalloc.start()
         try:
-            averaging_lab._window_stats(fold, noise, rows, ws)
+            averaging_lab._window_stats(fold, noise, rows, ws, extremes)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -806,6 +945,20 @@ class TestStreamedSweep:
         np.testing.assert_allclose(mean, np.mean(sample, axis=0), rtol=1e-13)
         np.testing.assert_allclose(np.sqrt(m2 / (count - 1)), np.std(sample, axis=0, ddof=1),
                                    rtol=1e-13)
+
+    def test_clamp_count_reads_only_crossing_columns(self):
+        # bounds that some columns cross below, some above, some both and some
+        # neither; the count must equal the whole-block compare
+        noise = np.random.default_rng(5).standard_normal((300, 40))
+        below = np.full(40, -10.0)
+        above = np.full(40, 10.0)
+        below[5:15], above[10:20] = -1.5, 1.0
+        below[30], above[30] = 0.0, 0.0
+        extremes = noise.min(axis=0), noise.max(axis=0)
+        want = np.count_nonzero(noise < below) + np.count_nonzero(noise > above)
+        assert want > 0
+        assert averaging_lab._count_outside(noise, extremes, below, above) == want
+        assert averaging_lab._count_outside(noise, extremes, below - 5, above + 5) == 0
 
     def test_fold_shares_no_memory_with_the_fields(self, coeffs128):
         # the folds copy their window rows, so dropping the fields frees the batch

@@ -145,9 +145,11 @@ class TestSolvePsi:
 
 class TestPicardWork:
     """One factorisation pass per solve, one lane layout per backward step and
-    one solve per Picard sweep: 262 for f and 257 for f-bar on this problem,
-    the solve_banded call count of the earlier solver that re-factored on
-    every sweep."""
+    one solve per Picard sweep.  Each step's Picard iteration starts from the
+    linear extrapolation 2 psi_{k+1} - psi_{k+2}: 240 solves for f and 215
+    for f-bar on this problem, against 262 and 257 from psi_{k+1} (the
+    solve_banded call count of the earlier solver that re-factored on every
+    sweep)."""
 
     @pytest.fixture
     def counted(self, monkeypatch):
@@ -166,7 +168,7 @@ class TestPicardWork:
         monkeypatch.setattr(lanes, "solve", counting("solve", lanes.solve))
         return calls
 
-    @pytest.mark.parametrize("averaged, solves", [(False, 262), (True, 257)])
+    @pytest.mark.parametrize("averaged, solves", [(False, 240), (True, 215)], ids=["f", "fbar"])
     def test_factor_once_per_step(self, counted, averaged, solves):
         coeffs = build_coeffs(n=64)
         gen = benchmark_generator(1.0)
@@ -178,14 +180,17 @@ class TestPicardWork:
         assert counted["solve"] == solves
 
     def test_sweep_factors_once_per_step(self, counted):
-        # all 2 x 3 systems of the sweep share one factorisation pass and
-        # one lane layout per step
+        # all 2 x 3 systems of the sweep share one factorisation pass and one
+        # lane layout per step, and the pass stops at the smallest eps's window
+        # start T eps^(1 - beta), node 20 of 64
         coeffs = build_coeffs(n=64)
         cfg = SweepConfig(n_paths=1000, t0=0.75, pde=PdeConfig(n_space=64), rng=RngSpec(seed=3))
         run_sweep(benchmark_generator(1.0), coeffs, TerminalCondition.square(),
                   (0.5, 0.3, 0.2), cfg)
+        first = coeffs.grid.first_index_at_or_after(0.2 ** (1.0 - cfg.beta))
+        assert first == 20
         assert counted["factors"] == 1
-        assert counted["load"] == coeffs.grid.n_steps
+        assert counted["load"] == coeffs.grid.n_steps - first
 
 
 def lanes_solve(sub, main, sup, rhs):
@@ -342,6 +347,37 @@ class TestBatchedSolve:
             solve_psis(gens, term, coeffs, [1.0], self.PDE)
         assert batch.value.step == alone.value.step
         assert batch.value.tol == alone.value.tol
+
+
+class TestFirstRow:
+    """A pass cut at node k returns the full pass's rows k..n bit for bit."""
+
+    EPS = (0.5, 0.25)
+    PDE = PdeConfig(n_space=64)
+
+    @pytest.mark.parametrize("first", [1, 20, 62, 63])
+    def test_cut_rows_equal_the_full_pass(self, first):
+        coeffs = build_coeffs(n=64, b=DeterministicFn.const(0.3))
+        f = benchmark_generator(1.0)
+        gens = [f, build_fbar(f, 1.0, QuadratureSpec()).as_generator()]
+        term = TerminalCondition.square()
+        full = solve_psis(gens, term, coeffs, self.EPS, self.PDE, eta0=0.5)
+        cut = solve_psis(gens, term, coeffs, self.EPS, self.PDE, eta0=0.5, first_row=first)
+        for i, (whole, part) in enumerate(zip(full, cut)):
+            alone = solve_psis([gens[i // len(self.EPS)]], term, coeffs,
+                               [self.EPS[i % len(self.EPS)]], self.PDE, eta0=0.5,
+                               first_row=first)[0]
+            for field in (part, alone):
+                assert np.array_equal(field.t_nodes, whole.t_nodes[first:])
+                assert np.array_equal(field.x_nodes, whole.x_nodes)
+                assert np.array_equal(field.psi, whole.psi[first:]), i
+                assert np.array_equal(field.psi_x, whole.psi_x[first:]), i
+
+    @pytest.mark.parametrize("first", [-1, 64])
+    def test_first_row_must_leave_a_step(self, first):
+        with pytest.raises(ValueError, match="first_row"):
+            solve_psis([Generator.zero()], TerminalCondition.square(), build_coeffs(n=64),
+                       [0.5], self.PDE, first_row=first)
 
 
 class TestNonFiniteIterate:

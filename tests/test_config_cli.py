@@ -6,7 +6,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from sfrbsde import averaging_lab, frac_kernel, verify
+from sfrbsde import averaging_lab, config, frac_kernel, verify
+from sfrbsde.bsde_solver import Generator
 from sfrbsde.cli import main
 from sfrbsde.config import (
     ExperimentConfig,
@@ -189,6 +190,16 @@ class TestCli:
         assert main(["sweep", "--config", path]) == 3
         assert "no admissible alpha0 for epsilon=0.5" in capsys.readouterr().err
 
+    def test_fbar_unresolved_on_pde_states_exit_3(self, tmp_path, capsys, monkeypatch):
+        # a generator the probe box resolves but the PDE's states y = x^2 do not
+        def box_only(T):
+            return Generator(fn=lambda t, x, y, z1, z2: np.cos(2 * np.pi * t * np.asarray(y) / 5),
+                             name="box-only")
+        monkeypatch.setattr(config, "benchmark_generator", box_only)
+        path = write_cfg(tmp_path, f"n_time = 16\nn_space = 64\nout_dir = {tmp_path / 'out'}\n")
+        assert main(["sweep", "--config", path]) == 3
+        assert "quadrature did not converge" in capsys.readouterr().err
+
     def test_default_config_sweeps(self, tmp_path):
         # the auto t0 = 3T/4 gives C1 = 0.6495, enough for the default eps_list's 0.5
         out = tmp_path / "out"
@@ -261,7 +272,8 @@ class TestCli:
         for name in ("L,", "C0,", "C1,", "alpha0[eps=0.5]", "C4[eps=0.2]"):
             assert name in constants
         assert "PASS" in (out / "summary.txt").read_text()
-        assert "\nfbar_panels,8\n" in (out / "manifest.csv").read_text()
+        manifest = (out / "manifest.csv").read_text()
+        assert "\nfbar_panels,8\nfbar_nodes,1\n" in manifest
 
     # a numpy scalar's repr is np.float64(...), which no CSV reader parses
     @pytest.mark.parametrize("command, files", [
