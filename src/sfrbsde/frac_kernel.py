@@ -243,16 +243,14 @@ class CoefficientSet:
                                   ("sigma2", sigma2, sig2_on_grid)):
             if not np.all(np.isfinite(values)):
                 raise CoefficientError(f"{label}={fn.name} is not finite on the grid")
-        degenerate2 = bool(np.all(sig2_on_grid == 0.0))
-        degenerate1 = bool(np.all(sig1_on_grid == 0.0))
-        # relative threshold: a coefficient crossing zero lands near but not
-        # exactly on 0.0 in floating point
-        tiny2 = 1e-12 * max(np.abs(sig2_on_grid).max(), 1.0)
-        tiny1 = 1e-12 * max(np.abs(sig1_on_grid).max(), 1.0)
-        if not degenerate2 and np.any(np.abs(sig2_on_grid) <= tiny2):
-            raise CoefficientError(f"sigma2={sigma2.name} vanishes inside (0, T]")
-        if not degenerate1 and np.any(np.abs(sig1_on_grid) <= tiny1):
-            raise CoefficientError(f"sigma1={sigma1.name} vanishes inside (0, T]")
+        # an identically zero sigma is allowed; one that vanishes somewhere is
+        # not (relative threshold: a coefficient crossing zero lands near but
+        # not exactly on 0.0 in floating point)
+        for label, fn, values in (("sigma2", sigma2, sig2_on_grid),
+                                  ("sigma1", sigma1, sig1_on_grid)):
+            size = np.abs(values)
+            if np.any(size > 0.0) and np.any(size <= 1e-12 * max(size.max(), 1.0)):
+                raise CoefficientError(f"{label}={fn.name} vanishes inside (0, T]")
 
         s2hat = kernel_transform(sigma2, t, hurst, _NODES)
         nsq = _inner_product_once(sigma2, sigma2, t, hurst, _NODES)

@@ -10,10 +10,9 @@ rows through one bit generator whose counter is reset before every path,
 by setting a plain-int state in which only the path's counter word
 changes, so every row's normals are bitwise the draw of that path's own
 stream, however the paths are split into blocks.  The increments are not
-always: the Cholesky product Z (DL)^T can differ by 1-2 ulp with the
-number of rows it multiplies, so every command draws the same fixed
-blocks.  dB and dB^H come from distinct purposes and are therefore
-independent.
+always: the Cholesky product Z L^T can differ by 1-2 ulp with the number
+of rows it multiplies, so every command draws the same fixed blocks.  dB
+and dB^H come from distinct purposes and are therefore independent.
 
 Every command draws its paths in the blocks of `path_blocks` and merges
 each block into running moments (`merge_moments`), so no command's memory
@@ -25,10 +24,11 @@ leaves OpenBLAS its default threads gets an idle worker spinning on the
 core the producer needs, which is why the CLI pins OPENBLAS_NUM_THREADS
 to 1.
 
-Two exact fGn samplers are provided: the row-differenced Cholesky factor
-of the node covariance (reference) and Davies-Harte circulant embedding
-(fast path for long grids).  Both target the fBm covariance
-(1/2)(t^2H + s^2H - |t-s|^2H).
+Two exact fGn samplers are provided: the Cholesky factor of the increments'
+covariance (reference) and Davies-Harte circulant embedding (fast path for
+long grids).  Both target the Toeplitz covariance of the increment
+autocovariance `fbm_increment_autocov`, whose partial sums have the fBm
+covariance (1/2)(t^2H + s^2H - |t-s|^2H).
 """
 
 from __future__ import annotations
@@ -73,8 +73,8 @@ class RngSpec:
         if self.stream < 0:
             raise ValueError("stream id must be nonnegative")
 
-    def fill_normals(self, purpose: int, first_path: int, out: np.ndarray) -> None:
-        """Fill row r of `out` (C-contiguous rows) with path first_path + r's normals.
+    def fill_normals(self, purpose: int, out: np.ndarray) -> None:
+        """Fill row p of `out` (C-contiguous rows) with path p's normals.
 
         Path p's sub-stream is Philox keyed by (seed, purpose), counter
         (0, 0, 0, stream + p).  Each call builds one bit generator and sets
@@ -89,7 +89,7 @@ class RngSpec:
         state = {"bit_generator": "Philox",
                  "state": {"counter": counter, "key": [self.seed, purpose]},
                  "buffer": [0, 0, 0, 0], "buffer_pos": 4, "has_uint32": 0, "uinteger": 0}
-        for path, row in enumerate(out, self.stream + first_path):
+        for path, row in enumerate(out, self.stream):
             counter[3] = path
             bitgen.state = state
             draw(out=row)
@@ -219,7 +219,7 @@ def bm_paths(grid: TimeGrid, n_paths: int, rng: RngSpec,
     if n_paths < 1:
         raise ValueError("n_paths must be positive")
     dB = np.empty((n_paths, grid.n_steps)) if out is None else out
-    rng.fill_normals(_PURPOSE_BM, 0, dB)
+    rng.fill_normals(_PURPOSE_BM, dB)
     np.multiply(dB, np.sqrt(grid.dt), out=dB)
     return PathEnsemble(grid=grid, dB=dB)
 
@@ -236,14 +236,15 @@ def fbm_covariance(nodes: np.ndarray, hurst: HurstModel) -> np.ndarray:
 # block by block builds each once
 @lru_cache(maxsize=4)
 def cholesky_factor(grid: TimeGrid, hurst: HurstModel) -> np.ndarray:
-    """Read-only D L: the lower Cholesky factor L of the fBm covariance at
-    t_1..t_n with its rows differenced (row k is L_k - L_{k-1}), so that
-    Z (D L)^T for standard normal rows Z are fGn increments.
+    """Read-only lower Cholesky factor L of the fGn covariance, the Toeplitz
+    matrix gamma(|j - k|) of the increment autocovariance on the grid's
+    steps, so that Z L^T for standard normal rows Z are fGn increments.
 
     If the covariance is not numerically positive definite, 1e-12 * I is
     added once; a second failure raises FactorizationError.
     """
-    cov = fbm_covariance(grid.nodes[1:], hurst)
+    steps = np.arange(grid.n_steps)
+    cov = fbm_increment_autocov(steps, hurst, grid.dt)[np.abs(steps[:, None] - steps)]
     try:
         chol = np.linalg.cholesky(cov)
     except np.linalg.LinAlgError:
@@ -251,10 +252,9 @@ def cholesky_factor(grid: TimeGrid, hurst: HurstModel) -> np.ndarray:
             chol = np.linalg.cholesky(cov + 1e-12 * np.eye(grid.n_steps))
         except np.linalg.LinAlgError as exc:
             raise FactorizationError(
-                "fBm covariance is not positive definite even after adding "
+                "fGn covariance is not positive definite even after adding "
                 "1e-12 * I jitter once; aborting"
             ) from exc
-    chol[1:] -= chol[:-1].copy()
     chol.setflags(write=False)
     return chol
 
@@ -262,13 +262,13 @@ def cholesky_factor(grid: TimeGrid, hurst: HurstModel) -> np.ndarray:
 def fbm_cholesky(grid: TimeGrid, hurst: HurstModel, n_paths: int, rng: RngSpec,
                  out: np.ndarray | None = None,
                  normals: np.ndarray | None = None) -> PathEnsemble:
-    """Exact fGn samples via the differenced Cholesky factor of the covariance,
+    """Exact fGn samples via the Cholesky factor of the increments' covariance,
     into `out` (n_paths, n_steps) when given; `normals`, of the same shape,
     receives the standard normal draws."""
     if n_paths < 1:
         raise ValueError("n_paths must be positive")
     Z = np.empty((n_paths, grid.n_steps)) if normals is None else normals
-    rng.fill_normals(_PURPOSE_FBM, 0, Z)
+    rng.fill_normals(_PURPOSE_FBM, Z)
     return PathEnsemble(grid=grid, hurst=hurst,
                         dBH=np.matmul(Z, cholesky_factor(grid, hurst).T, out=out),
                         fbm_method="cholesky")
@@ -306,7 +306,7 @@ def fbm_circulant(grid: TimeGrid, hurst: HurstModel, n_paths: int, rng: RngSpec,
     sqrt_eig = np.sqrt(circulant_eigenvalues(n, hurst, grid.dt))
     # real normals, Hermitian-symmetric complex rows, FFT
     u = np.empty((n_paths, m))
-    rng.fill_normals(_PURPOSE_FBM, 0, u)
+    rng.fill_normals(_PURPOSE_FBM, u)
     y = np.empty((n_paths, m), dtype=complex)
     y[:, 0] = u[:, 0]
     y[:, n] = u[:, 1]

@@ -17,8 +17,9 @@ chunk, and the alpha0 bisection is the numeric root finder beside
 production's closed form, the closed-form f-bar of the benchmark generator
 is the analytic route beside production's quadrature, and the level route of
 eta's noise (each level array differenced back into increments) is the
-second route beside production's one cumsum of increments; all are kept here
-as cross-checks.
+second route beside production's one cumsum of increments, and the
+row-differenced factor of the fBm level covariance the second route beside
+production's factor of the fGn covariance; all are kept here as cross-checks.
 """
 
 import numpy as np
@@ -374,19 +375,30 @@ def per_path_bm(grid, n_paths, rng):
 
 
 def differenced_cholesky(cov):
-    """D L: the rows of cov's lower Cholesky factor L differenced (row 0 kept)."""
+    """D L: the rows of cov's lower Cholesky factor L differenced (row 0 kept).
+
+    For the fBm covariance at t_1..t_n this is the second route to the fGn
+    factor: the level covariance's condition number grows like n^2H, so its
+    rounding does too, where production factors the fGn covariance itself."""
     chol = np.linalg.cholesky(cov)
     dl = chol.copy()
     dl[1:] = chol[1:] - chol[:-1]
     return dl
 
 
-def per_path_fbm_cholesky(grid, hurst, n_paths, rng):
-    """Cholesky fGn from per-path normals and a D L factored here."""
-    from sfrbsde.path_engine import fbm_covariance
+def fgn_covariance(grid, hurst):
+    """The fGn covariance on the grid's steps: gamma(|j - k|) from the whole
+    (n, n) lag matrix, where production indexes one length-n vector."""
+    from sfrbsde.path_engine import fbm_increment_autocov
 
-    dl = differenced_cholesky(fbm_covariance(grid.nodes[1:], hurst))
-    return per_path_normals(rng, PURPOSE_FBM, 0, n_paths, grid.n_steps) @ dl.T
+    steps = np.arange(grid.n_steps)
+    return fbm_increment_autocov(np.abs(steps[:, None] - steps[None, :]), hurst, grid.dt)
+
+
+def per_path_fbm_cholesky(grid, hurst, n_paths, rng):
+    """Cholesky fGn from per-path normals and the fGn covariance factored here."""
+    chol = np.linalg.cholesky(fgn_covariance(grid, hurst))
+    return per_path_normals(rng, PURPOSE_FBM, 0, n_paths, grid.n_steps) @ chol.T
 
 
 def per_path_fbm_circulant(grid, hurst, n_paths, rng):

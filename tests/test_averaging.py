@@ -385,11 +385,9 @@ class TestEstimatePhi:
         got = estimate_phi(gen, build_fbar(gen, T, QUAD), T)
         assert got == pytest.approx(benchmark_phi(T), rel=1e-5)
 
-    @pytest.mark.parametrize("chunk", [1, 2, 63, 64, 65, 66, 130, 1024, 1025])
-    def test_streamed_matches_whole_table(self, chunk, monkeypatch):
-        # chunk edges fall on, inside and beside the window starts (every 64
-        # nodes); 1024 and 1025 take the whole range in one chunk
-        monkeypatch.setattr(averaging_lab, "PHI_CHUNK_NODES", chunk)
+    def test_streamed_matches_whole_table(self):
+        # one call of f per window slice against one per node, each window's
+        # integral summed in node order by both
         gen = FBAR_GENERATORS["x-and-t"]
         fbar = build_fbar(gen, 1.0, QUAD)
         assert estimate_phi(gen, fbar, 1.0) == table_phi(gen, fbar, 1.0)
@@ -529,7 +527,7 @@ def exceeding(fraction, n=10):
     return np.where(np.arange(n) < round(fraction * n), 2.0, 0.5)
 
 
-def hand_made_report(eps, mse, sup_abs=None, delta1=1.0, delta2=1.0):
+def hand_made_report(eps, mse, sup_abs=None, delta1=1.0, delta2=1.0, fbar_panels=0):
     """`checked_report` on hand-made window statistics: T = 1, every window from
     u = 0, L = 1, C1 = 0.9, phi = 0, beta = 0 and zero averaged moments, so
     C2 = 0 and the lemma's sides are 0; `sup_abs` gives each eps's sup |dY| per path."""
@@ -539,7 +537,8 @@ def hand_made_report(eps, mse, sup_abs=None, delta1=1.0, delta2=1.0):
                  moments=(0.0, 0.0, 0.0))
             for m, a in zip(mse, sup_abs)]
     cfg = SweepConfig(n_paths=sup_abs[0].size, beta=0.0, delta1=delta1, delta2=delta2)
-    return checked_report(raws, [0.0] * len(eps), eps, 1.0, 0.01, 1.0, 0.9, 0.0, H75, cfg, 0, 0)
+    return checked_report(raws, [0.0] * len(eps), eps, 1.0, 0.01, 1.0, 0.9, 0.0, H75, cfg,
+                          fbar_panels, 0)
 
 
 class TestRateCheck:
@@ -631,6 +630,23 @@ class TestClaimVerdicts:
         summary = (tmp_path / "summary.txt").read_text()
         assert ("sup-MSE non-increasing       : FAIL" in summary) == bump
         assert summary.count("FAIL") == int(bump)
+
+    @pytest.mark.parametrize("fbar_panels", [0, 8])
+    def test_zero_errors_meet_the_slope_claim_only_when_fbar_is_f(self, fbar_panels):
+        # every sup-MSE 0 leaves no rate to fit; that is exact only when f-bar is f
+        rep = hand_made_report(self.EPS, [0.0] * len(self.EPS), fbar_panels=fbar_panels)
+        assert math.isnan(rep.fitted_slope)
+        assert claim_verdicts(rep)["slope"] == (fbar_panels == 0)
+
+    @pytest.mark.parametrize("generator", ["zero", "constant:0.5", "linear_y:0.5"])
+    def test_sweep_with_fbar_equal_to_f_passes(self, tmp_path, generator):
+        cfg = tmp_path / "exp.cfg"
+        cfg.write_text(f"n_time = 64\nn_space = 64\nn_paths = 1000\ngenerator = {generator}\n",
+                       encoding="utf-8")
+        assert cli.main(["sweep", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 0
+        summary = (tmp_path / "out" / "summary.txt").read_text()
+        assert "fitted log-log slope         : nan (PASS)" in summary
+        assert "FAIL" not in summary
 
     def test_report_is_frozen(self):
         rep = hand_made_report(self.EPS, [e**1.5 for e in self.EPS])

@@ -235,6 +235,18 @@ class TestCoefficientSet:
         with pytest.raises(CoefficientError):
             build_coeffs(sigma2=crossing)
 
+    # sigma2 is checked before sigma1; an identically zero sigma is no crossing
+    @pytest.mark.parametrize("crossing, zero, named", [
+        (("sigma2",), (), "sigma2"), (("sigma1",), (), "sigma1"),
+        (("sigma1", "sigma2"), (), "sigma2"), (("sigma1",), ("sigma2",), "sigma1"),
+    ])
+    def test_vanishing_sigma_named(self, crossing, zero, named):
+        fns = {**{k: DeterministicFn(fn=lambda t: np.sin(2 * np.pi * t), name="crossing")
+                  for k in crossing},
+               **{k: DeterministicFn.const(0.0) for k in zero}}
+        with pytest.raises(CoefficientError, match=rf"^{named}=crossing vanishes inside"):
+            build_coeffs(**fns)
+
     # an infinite sigma used to be reported as vanishing, and a non-finite b
     # built a set whose tables were NaN
     @pytest.mark.parametrize("value", [np.inf, np.nan], ids=["inf", "nan"])

@@ -2,6 +2,7 @@ import os
 import subprocess
 import sys
 import threading
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -42,6 +43,7 @@ from oracles import (
     differenced_cholesky,
     discrete_wiener_variance,
     fbm_cov,
+    fgn_covariance,
     level_route_noise,
     per_path_bm,
     per_path_fbm_cholesky,
@@ -107,6 +109,28 @@ class TestFbmCholesky:
         assert np.all(ensemble_t2.BH[:, 0] == 0.0)
         assert np.all(ensemble_t2.B[:, 0] == 0.0)
 
+    @pytest.mark.parametrize("n", [16, 128, 512])
+    @pytest.mark.parametrize("h", [0.51, 0.75, 0.95, 0.99])
+    def test_factor_reproduces_the_fgn_covariance(self, n, h):
+        # the factor of the fGn covariance itself is that matrix to rounding,
+        # near H = 1 and at CHOLESKY_MAX_STEPS too
+        grid = TimeGrid(T=1.0, n_steps=n)
+        cov = fgn_covariance(grid, HurstModel(h))
+        chol = cholesky_factor(grid, HurstModel(h))
+        assert np.abs(chol @ chol.T - cov).max() <= 1e-14 * np.abs(cov).max()
+
+    @pytest.mark.parametrize("n", [16, 128, 512])
+    @pytest.mark.parametrize("h", [0.51, 0.75, 0.95, 0.99])
+    def test_factor_matches_the_differenced_route(self, n, h):
+        # a Cholesky factor is unique, so both routes give one D L; the
+        # differenced route's rounding is the level covariance's condition
+        # number times the unit roundoff, relative to the factor's size
+        grid = TimeGrid(T=1.0, n_steps=n)
+        level = fbm_covariance(grid.nodes[1:], HurstModel(h))
+        chol = cholesky_factor(grid, HurstModel(h))
+        tol = np.linalg.cond(level) * np.finfo(float).eps * np.abs(chol).max()
+        assert np.abs(chol - differenced_cholesky(level)).max() <= tol
+
 
 class TestLevels:
     def test_levels_of_increments(self, ensemble_t2):
@@ -128,13 +152,13 @@ class TestLevels:
             wiener_integral_det(ONE, ens, "B")
 
     def test_differenced_factor_is_the_fgn_covariance(self):
-        # (D L)(D L)^T is the Toeplitz matrix of the increment autocovariance
+        # the second route to the factor, the fBm level covariance's factor
+        # with its rows differenced: (D L)(D L)^T is the Toeplitz matrix of
+        # the increment autocovariance too
         for n in (16, 128):
             grid = TimeGrid(T=2.0, n_steps=n)
-            dl = cholesky_factor(grid, H75)
-            lags = np.abs(np.arange(n)[:, None] - np.arange(n)[None, :])
-            want = fbm_increment_autocov(lags, H75, grid.dt)
-            assert np.allclose(dl @ dl.T, want, rtol=0.0, atol=1e-12)
+            dl = differenced_cholesky(fbm_covariance(grid.nodes[1:], H75))
+            assert np.allclose(dl @ dl.T, fgn_covariance(grid, H75), rtol=0.0, atol=1e-12)
 
 
 class TestFbmCirculant:
@@ -362,8 +386,9 @@ class TestSeedingOracle:
     @pytest.mark.parametrize("n", [1, 3, 128])
     @pytest.mark.parametrize("purpose", [PURPOSE_BM, PURPOSE_FBM])
     def test_fill_normals_rows(self, n, purpose):
+        # rows from path 500 on, offset through the stream as path_blocks does
         out = np.empty((7, n))
-        self.RNG.fill_normals(purpose, 500, out)
+        replace(self.RNG, stream=self.RNG.stream + 500).fill_normals(purpose, out)
         assert np.array_equal(out, per_path_normals(self.RNG, purpose, 500, 7, n))
 
     # the largest seed, and path counters whose last row sits at 2^64 - 1
@@ -372,7 +397,7 @@ class TestSeedingOracle:
     def test_fill_normals_at_uint64_edges(self, stream, first_path):
         rng = RngSpec(seed=2**64 - 1, stream=stream)
         out = np.empty((8, 128))
-        rng.fill_normals(PURPOSE_FBM, first_path, out)
+        replace(rng, stream=stream + first_path).fill_normals(PURPOSE_FBM, out)
         assert np.array_equal(out, per_path_normals(rng, PURPOSE_FBM, first_path, 8, 128))
 
     @pytest.mark.parametrize("n_steps", [2, 3, 128])
@@ -532,11 +557,11 @@ class TestFactorMemo:
         chol = cholesky_factor(self.GRID, H75)
         assert cholesky_factor(TimeGrid(T=1.0, n_steps=16), HurstModel(0.75)) is chol
         assert not chol.flags.writeable
-        assert np.array_equal(chol, differenced_cholesky(fbm_covariance(self.GRID.nodes[1:], H75)))
+        assert np.array_equal(chol, np.linalg.cholesky(fgn_covariance(self.GRID, H75)))
 
     def test_one_failure_adds_jitter(self, monkeypatch):
-        cov = fbm_covariance(self.GRID.nodes[1:], H75)
-        want = differenced_cholesky(cov + 1e-12 * np.eye(16))
+        cov = fgn_covariance(self.GRID, H75)
+        want = np.linalg.cholesky(cov + 1e-12 * np.eye(16))
         calls = self.failing_cholesky(monkeypatch, failures=1)
         got = fbm_cholesky(self.GRID, H75, 5, RNG)
         assert len(calls) == 2
