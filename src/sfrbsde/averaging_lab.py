@@ -327,8 +327,8 @@ def estimate_phi(gen: Generator, fbar: AveragedGenerator, T: float) -> float:
         gaps_sq **= 2
         steps = 0.5 * (gaps_sq[1:] + gaps_sq[:-1]) * np.diff(s)[:, None]
         steps[0] += head[k]
-        # a sum along the slow axis adds whole rows in order, not pairwise
-        steps.sum(axis=0, out=head[k + 1])
+        # cumsum adds rows in order at any point count; sum adds one column pairwise
+        head[k + 1] = np.cumsum(steps, axis=0, out=steps)[-1]
     denom = 1.0 + y**2 + z1**2 + z2**2
     window_means = (head[-1] - head[:-1]) / (T - s_nodes[:-1:stride])[:, None]
     return float((window_means / denom).max())

@@ -385,9 +385,14 @@ class TestEstimatePhi:
         got = estimate_phi(gen, build_fbar(gen, T, QUAD), T)
         assert got == pytest.approx(benchmark_phi(T), rel=1e-5)
 
-    def test_streamed_matches_whole_table(self):
+    @pytest.mark.parametrize("points", [1, 2, 63, 64, 65, 66, 130, 1024, 1025])
+    def test_streamed_matches_whole_table(self, points, monkeypatch):
         # one call of f per window slice against one per node, each window's
-        # integral summed in node order by both
+        # integral summed in node order by both, on the first `points` probe
+        # points: a single column, and counts on and beside powers of two
+        probes = averaging_lab.box_points()
+        monkeypatch.setattr(averaging_lab, "box_points",
+                            lambda: tuple(a[:points] for a in probes))
         gen = FBAR_GENERATORS["x-and-t"]
         fbar = build_fbar(gen, 1.0, QUAD)
         assert estimate_phi(gen, fbar, 1.0) == table_phi(gen, fbar, 1.0)
