@@ -34,12 +34,11 @@ from .bsde_solver import (
     SolutionField,
     TerminalCondition,
     cell_table,
-    central_gradient,
     check_clamp,
+    first_sweep_states,
     interp_at,
     locate,
     solve_psis,
-    space_grid,
 )
 from .errors import ContractError, InfeasibleAlphaError, NumericError, QuadratureConvergenceError
 from .frac_kernel import CoefficientSet, HurstModel, c0_const, c1_lower_bound
@@ -57,8 +56,9 @@ class AveragedGenerator:
 
     `panels` is the GL-4 panel count of the quadrature behind `fn`, and
     `nodes` the number of time nodes at which `fn` evaluates f: 4 * panels,
-    or fewer when `build_fbar` found a reduced rule.  Both are 0 when fbar
-    is analytic or built by hand.
+    or fewer when `build_fbar` found a reduced rule.  Both were chosen on
+    the points `build_fbar` was given; both are 0 when fbar is analytic or
+    built by hand.
     """
 
     fn: Callable
@@ -78,23 +78,13 @@ class AveragedGenerator:
         )
 
 
-# the first panel count tried; a single GL-4 panel integrates sin(2 pi t / T)
-# exactly by symmetry, so agreement of very coarse counts would prove nothing
+# f-bar's panel counts: the first tried (a single GL-4 panel integrates
+# sin(2 pi t / T) exactly by symmetry, so agreement of very coarse counts
+# would prove nothing) and the last; a count is kept once doubling it moves
+# f-bar by at most FBAR_TOL * max(1, |fbar|)
 MIN_FBAR_PANELS = 8
-
-
-@dataclass(frozen=True)
-class QuadratureSpec:
-    """build_fbar's panel cap and tolerance; frac_kernel's integrals have a fixed rule."""
-
-    panels: int = 256
-    tol: float = 1e-8
-
-    def __post_init__(self):
-        if self.panels < MIN_FBAR_PANELS:
-            raise ValueError(f"panel count must be >= {MIN_FBAR_PANELS}, got {self.panels!r}")
-        if not self.tol > 0:
-            raise ValueError(f"tolerance must be > 0, got {self.tol!r}")
+MAX_FBAR_PANELS = 256
+FBAR_TOL = 1e-8
 
 
 def _gl_rule(T: float, panels: int) -> tuple[np.ndarray, np.ndarray]:
@@ -143,10 +133,10 @@ def _first_excess(got: np.ndarray, want: np.ndarray, tol: float) -> int | None:
     return int(np.argmax(misses)) if misses.any() else None
 
 
-# a reduced f-bar rule keeps a node while some row of f(t_j, probe set) lies
+# a reduced f-bar rule keeps a node while some row of f(t_j, points) lies
 # farther than NODE_TOL x the largest row from the span of the rows kept; it
 # must then meet the full rule within NODE_TOL * max(1, |fbar|).  Each node
-# picked costs a pass over the 4n x 2065 samples, so a rule that needs more
+# picked costs a pass over the 4n x points samples, so a rule that needs more
 # than MAX_REDUCED_NODES is not sought.
 NODE_TOL = 1e-13
 MAX_REDUCED_NODES = 64
@@ -194,8 +184,10 @@ def _reduced_rule(gen: Generator, T: float, panels: int, points, full: np.ndarra
     return nodes[chosen], weights
 
 
-def build_fbar(gen: Generator, T: float, quad: QuadratureSpec) -> AveragedGenerator:
-    """fbar = (1/T) int_0^T f(s, .) ds by composite Gauss-Legendre.
+def build_fbar(gen: Generator, T: float, points) -> AveragedGenerator:
+    """fbar = (1/T) int_0^T f(s, .) ds by composite Gauss-Legendre, resolved
+    on `points`, the 1-D coordinate arrays (x, y, z1, z2) of the states at
+    which fbar will be read.
 
     The assumption set only constrains fbar; the full-interval time average
     is the canonical admissible choice and is what every sweep here uses.
@@ -204,35 +196,33 @@ def build_fbar(gen: Generator, T: float, quad: QuadratureSpec) -> AveragedGenera
     zero instead of zero-up-to-quadrature-rounding).
 
     Otherwise the panel count is chosen here, once: starting at
-    MIN_FBAR_PANELS and doubling, the first count n <= quad.panels whose
-    fbar on every `box_points()` point moves by at most
-    quad.tol * max(1, |fbar|) when refined to 2n panels.  If no count
-    qualifies, QuadratureConvergenceError is raised.
+    MIN_FBAR_PANELS and doubling, the first count n <= MAX_FBAR_PANELS whose
+    fbar on every point moves by at most FBAR_TOL * max(1, |fbar|) when
+    refined to 2n panels.  If no count qualifies, QuadratureConvergenceError
+    is raised.
 
     Then the 4n nodes are cut to the r that f's time dependence needs on
-    the probe set (`_reduced_rule`): r = 1 for f = a(t) h(x, y, z1, z2), at
+    the points (`_reduced_rule`): r = 1 for f = a(t) h(x, y, z1, z2), at
     most d + 1 for f polynomial of degree d in t.  The reduced rule is kept
     only if it meets the 4n-node rule within NODE_TOL * max(1, |fbar|) on
-    every probe point; otherwise fbar is the 4n-node rule, as before.  Each
-    call of the returned fbar evaluates f once, with its nodes on a leading
-    axis of t.  `run_sweep` checks both choices again on the states the PDE
-    reads (`check_fbar_on_pde_states`).
+    every point; otherwise fbar is the 4n-node rule.  Each call of the
+    returned fbar evaluates f once, with its nodes on a leading axis of t.
+    `run_sweep` passes the probe box joined with the PDE's first states.
     """
     if not gen.time_dependent:
         return AveragedGenerator(
             fn=lambda x, y, z1, z2: gen.fn(0.0, x, y, z1, z2),
             provenance="analytic", name=f"avg[{gen.name}]",
         )
-    points = box_points()
     panels = MIN_FBAR_PANELS
     coarse = _gl_time_average(gen, T, panels)(*points)
     while True:
         fine = _gl_time_average(gen, T, 2 * panels)(*points)
-        k = _first_excess(coarse, fine, quad.tol)
+        k = _first_excess(coarse, fine, FBAR_TOL)
         if k is None:
             break
-        if 2 * panels > quad.panels:
-            raise QuadratureConvergenceError(float(coarse[k]), float(fine[k]), quad.tol)
+        if 2 * panels > MAX_FBAR_PANELS:
+            raise QuadratureConvergenceError(float(coarse[k]), float(fine[k]), FBAR_TOL)
         panels *= 2
         coarse = fine
     rule = _reduced_rule(gen, T, panels, points, coarse) or _gl_rule(T, panels)
@@ -241,44 +231,7 @@ def build_fbar(gen: Generator, T: float, quad: QuadratureSpec) -> AveragedGenera
                              panels=panels, nodes=rule[0].size)
 
 
-def first_sweep_states(coeffs: CoefficientSet, term: TerminalCondition, eps: Sequence[float],
-                       pde: PdeConfig, eta0: float) -> tuple[np.ndarray, ...]:
-    """The states (x, y, z1, z2), one row per eps, at which the PDE's first
-    Picard sweep evaluates a generator: each eps's x grid, y = g(x) and
-    z_i = sigma_i(T) d_x g(x) (`central_gradient`)."""
-    x = np.array([space_grid(coeffs, e, eta0, pde) for e in eps])
-    y = term(x)
-    grad = central_gradient(y, x[:, 1] - x[:, 0])
-    z1, z2 = (np.asarray(sigma(coeffs.grid.nodes), dtype=float)[-1] * grad
-              for sigma in (coeffs.sigma1, coeffs.sigma2))
-    return x, y, z1, z2
-
-
-def check_fbar_on_pde_states(gen: Generator, fbar: AveragedGenerator, coeffs: CoefficientSet,
-                             term: TerminalCondition, eps: Sequence[float], pde: PdeConfig,
-                             eta0: float, quad: QuadratureSpec) -> None:
-    """Check fbar's panel count and node cut on the states the PDE reads first.
-
-    The probe box |.| <= BOX_HALF_WIDTH need not cover the PDE's states
-    (`first_sweep_states`): there the `fbar.panels` rule must move by at
-    most quad.tol * max(1, |fbar|) when refined to twice the panels, and
-    `fbar` itself must meet the `fbar.panels` rule within NODE_TOL *
-    max(1, |fbar|); otherwise QuadratureConvergenceError is raised.  An fbar
-    without panels (analytic or built by hand) is not checked.
-    """
-    if not fbar.panels:
-        return
-    T = coeffs.grid.T
-    states = first_sweep_states(coeffs, term, eps, pde, eta0)
-    panel_rule = _gl_time_average(gen, T, fbar.panels)(*states)
-    refined = _gl_time_average(gen, T, 2 * fbar.panels)(*states)
-    for got, want, tol in ((panel_rule, refined, quad.tol), (fbar(*states), panel_rule, NODE_TOL)):
-        k = _first_excess(got, want, tol)
-        if k is not None:
-            raise QuadratureConvergenceError(float(got.flat[k]), float(want.flat[k]), tol)
-
-
-# the probe set of f-bar's panel choice, L and phi: BOX_SAMPLES uniform draws
+# the probe set of L, phi and f-bar's rule choice: BOX_SAMPLES uniform draws
 # from the box |x|, |y|, |z1|, |z2| <= BOX_HALF_WIDTH, then its 16 corners and the origin
 BOX_HALF_WIDTH = 5.0
 BOX_SAMPLES = 2048
@@ -710,9 +663,10 @@ def run_sweep(
     averaged system keeps eta^eps); triples are read on the SAME eta^eps
     paths, so every error statistic is a common-random-number estimate.
 
-    f-bar is built once (`build_fbar`) and checked on the states the PDE
-    reads first (`check_fbar_on_pde_states`) before any PDE is solved or
-    path drawn.  Every field is then solved, all 2 x len(eps) in one
+    f-bar is built once (`build_fbar`), resolved on the probe box joined
+    with the states at which the PDE first reads a generator
+    (`first_sweep_states`), before any PDE is solved or path drawn.  Every
+    field is then solved, all 2 x len(eps) in one
     backward pass (`solve_psis`) that stops at the earliest window start,
     and each eps's fold copies the window rows it reads, so
     the fields are freed before the paths stream.  The paths then come in
@@ -737,9 +691,9 @@ def run_sweep(
     hurst = coeffs.hurst
     t0 = cfg.window_t0(T)
 
-    quad = QuadratureSpec()
-    fbar = build_fbar(original, T, quad)
-    check_fbar_on_pde_states(original, fbar, coeffs, term, eps, cfg.pde, cfg.eta0, quad)
+    states = first_sweep_states(coeffs, term, eps, cfg.pde, cfg.eta0)
+    fbar = build_fbar(original, T, [np.concatenate((box, state.ravel()))
+                                    for box, state in zip(box_points(), states)])
     averaged = fbar.as_generator()
     L = estimate_lipschitz(original, T)
     C1 = c1_lower_bound(coeffs, t0)

@@ -275,6 +275,20 @@ def space_grid(coeffs: CoefficientSet, epsilon: float, eta0: float, pde: PdeConf
     return np.linspace(*domain_bounds(coeffs, epsilon, eta0, pde.kappa), pde.n_space + 1)
 
 
+def first_sweep_states(coeffs: CoefficientSet, term: TerminalCondition, eps: Sequence[float],
+                       pde: PdeConfig, eta0: float) -> tuple[np.ndarray, ...]:
+    """The states (x, y, z1, z2), one row per eps, at which `solve_psis` first
+    evaluates a generator, on its terminal row: each eps's x grid
+    (`space_grid`), y = g(x) and z_i = sigma_i(T) d_x g(x) (`central_gradient`).
+    `solve_psis` takes its x grids and terminal row from here."""
+    x = np.array([space_grid(coeffs, e, eta0, pde) for e in eps])
+    y = term(x)
+    grad = central_gradient(y, x[:, 1] - x[:, 0])
+    z1, z2 = (np.asarray(sigma(coeffs.grid.nodes), dtype=float)[-1] * grad
+              for sigma in (coeffs.sigma1, coeffs.sigma2))
+    return x, y, z1, z2
+
+
 def solve_psis(
     gens: Sequence[Generator],
     term: TerminalCondition,
@@ -320,8 +334,8 @@ def solve_psis(
     t = nodes[first_row:]
     n_rows = t.size
     dt = coeffs.grid.dt
-    # the x grid and the eps^2H scale of each epsilon, shared by every generator
-    x = np.array([space_grid(coeffs, e, eta0, pde) for e in eps])
+    # the x grid, terminal row and eps^2H scale of each epsilon, shared by every generator
+    x, terminal, _, _ = first_sweep_states(coeffs, term, eps, pde, eta0)
     dx = x[:, 1] - x[:, 0]
     scale = np.array([e**coeffs.hurst.two_h for e in eps])
     sys_dx = np.tile(dx, n_gens)[:, None]
@@ -330,7 +344,7 @@ def solve_psis(
     sig2 = np.asarray(coeffs.sigma2(nodes), dtype=float)[first_row:]
 
     psi = np.empty((n_sys, n_rows, x.shape[1]))
-    psi.reshape(n_gens, n_eps, n_rows, -1)[:, :, -1] = term(x)
+    psi.reshape(n_gens, n_eps, n_rows, -1)[:, :, -1] = terminal
 
     grad = np.empty_like(x)
 
@@ -560,10 +574,8 @@ class ResidualCheck:
 
     def fold(self, triple: TriplePath) -> "ResidualCheck":
         t, first = self.t, min(self.k0)
-        f_vals = np.empty((triple.Y.shape[0], t.size - first))
-        for j, k in enumerate(range(first, t.size)):
-            f_vals[:, j] = self.gen(t[k], triple.eta[:, k], triple.Y[:, k],
-                                    triple.Z1[:, k], triple.Z2[:, k])
+        f_vals = self.gen(t[first:], triple.eta[:, first:], triple.Y[:, first:],
+                          triple.Z1[:, first:], triple.Z2[:, first:])
         terms = np.stack([triple.Y[:, k] - triple.Y[:, -1] - self.scale
                           * np.trapezoid(f_vals[:, k - first:], t[k:], axis=1)
                           for k in self.k0], axis=1)

@@ -318,15 +318,15 @@ def check_residual_mean(cfg):
 def check_fbar_idempotence(cfg):
     gen = bs.Generator(fn=lambda t, x, y, z1, z2: 0.3 * np.asarray(y) - 0.2 * np.asarray(z1) + 1.0,
                        name="flat", time_dependent=False)
-    q = al.QuadratureSpec()
-    fbar = al.build_fbar(gen, cfg.t_horizon, q)
+    box = al.box_points()
+    fbar = al.build_fbar(gen, cfg.t_horizon, box)
     rng = np.random.default_rng(cfg.seed + 2)
     pts = rng.uniform(-3, 3, (256, 4))
     dev = np.abs(fbar(*pts.T) - gen(0.0, *pts.T)).max()
-    quad_route = al.build_fbar(replace(gen, time_dependent=True), cfg.t_horizon, q)
+    quad_route = al.build_fbar(replace(gen, time_dependent=True), cfg.t_horizon, box)
     dev_quad = np.abs(quad_route(*pts.T) - gen(0.0, *pts.T)).max()
     worst = max(dev, dev_quad)
-    return worst <= q.tol, f"max dev {worst:.1e} (limit {q.tol:.0e})"
+    return worst <= al.FBAR_TOL, f"max dev {worst:.1e} (limit {al.FBAR_TOL:.0e})"
 
 
 def _mini_sweep(cfg, generator=None):

@@ -268,13 +268,15 @@ def whole_ensemble_sweep(original, coeffs, term, eps_list, cfg):
     both triples extracted in full, statistics from the arrays, then the
     production `checked_report`."""
     from sfrbsde import averaging_lab as al
-    from sfrbsde.bsde_solver import extract_triple, solve_psi
+    from sfrbsde.bsde_solver import extract_triple, first_sweep_states, solve_psi
     from sfrbsde.path_engine import make_ensemble, simulate_eta
 
     grid, T, hurst = coeffs.grid, coeffs.grid.T, coeffs.hurst
     t0 = cfg.window_t0(T)
     ensemble = make_ensemble(grid, hurst, cfg.n_paths, cfg.rng)
-    fbar = al.build_fbar(original, T, al.QuadratureSpec())
+    states = first_sweep_states(coeffs, term, eps_list, cfg.pde, cfg.eta0)
+    fbar = al.build_fbar(original, T, [np.concatenate((box, state.ravel()))
+                                       for box, state in zip(al.box_points(), states)])
     averaged = fbar.as_generator()
     L = al.estimate_lipschitz(original, T)
     C1 = al.c1_lower_bound(coeffs, t0)

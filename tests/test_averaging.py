@@ -15,7 +15,6 @@ from sfrbsde.averaging_lab import (
     BOX_HALF_WIDTH,
     AveragingConstants,
     PerEpsilonStats,
-    QuadratureSpec,
     SweepConfig,
     SweepReport,
     box_points,
@@ -36,6 +35,7 @@ from sfrbsde.bsde_solver import (
     PdeConfig,
     TerminalCondition,
     domain_bounds,
+    first_sweep_states,
     solve_psi,
     solve_psis,
 )
@@ -71,7 +71,6 @@ from oracles import (
 )
 
 H75 = HurstModel(0.75)
-QUAD = QuadratureSpec()
 ONE = DeterministicFn.const(1.0)
 ZERO = DeterministicFn.const(0.0)
 
@@ -89,14 +88,14 @@ class TestBuildFbar:
                 * (0.5 * np.asarray(y) + 0.1),
                 name="sin-mod",
             )
-            fbar = build_fbar(gen, 1.0, QUAD)
+            fbar = build_fbar(gen, 1.0, box_points())
             x, y, z1, z2 = sample_points()
             assert np.allclose(fbar(x, y, z1, z2), 0.5 * y + 0.1, atol=1e-9)
 
     def test_time_independent_passthrough(self):
         gen = Generator(fn=lambda t, x, y, z1, z2: np.asarray(y) * 2.0,
                         name="flat", time_dependent=False)
-        fbar = build_fbar(gen, 1.0, QUAD)
+        fbar = build_fbar(gen, 1.0, box_points())
         assert fbar.provenance == "analytic"
         assert fbar.panels == 0
         x, y, z1, z2 = sample_points()
@@ -105,33 +104,27 @@ class TestBuildFbar:
     def test_linear_time_factor_halves(self):
         gen = Generator(fn=lambda t, x, y, z1, z2: t * (np.asarray(y) + np.asarray(z1)),
                         name="ramp")
-        fbar = build_fbar(gen, 1.0, QUAD)
+        fbar = build_fbar(gen, 1.0, box_points())
         x, y, z1, z2 = sample_points()
         assert np.allclose(fbar(x, y, z1, z2), 0.5 * (y + z1), atol=1e-10)
 
     def test_benchmark_matches_analytic_average(self):
         gen = benchmark_generator(1.0)
-        fbar = build_fbar(gen, 1.0, QUAD)
+        fbar = build_fbar(gen, 1.0, box_points())
         analytic = benchmark_fbar()
         x, y, z1, z2 = sample_points()
         assert np.allclose(fbar(x, y, z1, z2), analytic(x, y, z1, z2), atol=1e-9)
 
 
-def within_quad_tol(got, want, tol=QUAD.tol):
+def within_quad_tol(got, want, tol=averaging_lab.FBAR_TOL):
     return np.all(np.abs(got - want) <= tol * np.maximum(1.0, np.abs(want)))
 
 
-class TestQuadratureSpec:
-    def test_panel_floor(self):
-        with pytest.raises(ValueError):
-            QuadratureSpec(panels=4)
-
-
 class TestFbarPanels:
-    """build_fbar picks its panel count once, from 8 up, by refinement on the probe set."""
+    """build_fbar picks its panel count once, from 8 up, by refinement on its points."""
 
     def test_benchmark_takes_the_floor(self):
-        fbar = build_fbar(benchmark_generator(1.0), 1.0, QUAD)
+        fbar = build_fbar(benchmark_generator(1.0), 1.0, box_points())
         assert fbar.panels == 8
         assert fbar.provenance == "quadrature-of-f"
         pts = box_points()
@@ -139,28 +132,29 @@ class TestFbarPanels:
 
     def test_smooth_mixed_generator_meets_tolerance(self):
         gen = FBAR_GENERATORS["x-and-t"]
-        fbar = build_fbar(gen, 1.0, QUAD)
+        fbar = build_fbar(gen, 1.0, box_points())
         pts = [a[:33] for a in box_points()]
         assert within_quad_tol(fbar(*pts), per_node_fbar(gen, 1.0, 4096)(*pts))
 
-    def test_fast_oscillation_refines(self):
+    def test_fast_oscillation_refines(self, monkeypatch):
         gen = Generator(fn=lambda t, x, y, z1, z2: (1.0 + np.sin(2 * np.pi * 20.5 * t))
                         * np.asarray(y), name="fast")
-        fbar = build_fbar(gen, 1.0, QUAD)
-        assert 8 < fbar.panels <= QUAD.panels
+        fbar = build_fbar(gen, 1.0, box_points())
+        assert 8 < fbar.panels <= averaging_lab.MAX_FBAR_PANELS
         # (1/T) int_0^1 sin(2 pi 20.5 t) dt = 2 / (41 pi)
         x, y, z1, z2 = box_points()
         assert within_quad_tol(fbar(x, y, z1, z2), (1.0 + 2.0 / (41.0 * np.pi)) * y)
+        monkeypatch.setattr(averaging_lab, "MAX_FBAR_PANELS", fbar.panels // 2)
         with pytest.raises(QuadratureConvergenceError):
-            build_fbar(gen, 1.0, QuadratureSpec(panels=fbar.panels // 2))
+            build_fbar(gen, 1.0, box_points())
 
     def test_unresolved_generator_raises(self):
         # the sqrt(t) cusp converges like h^1.5: never to 1e-8 within 256 panels
         gen = Generator(fn=lambda t, x, y, z1, z2: np.sqrt(t) * np.asarray(y), name="sqrt-t")
         with pytest.raises(QuadratureConvergenceError) as err:
-            build_fbar(gen, 1.0, QUAD)
-        assert err.value.tol == QUAD.tol
-        assert abs(err.value.fine - err.value.coarse) > QUAD.tol
+            build_fbar(gen, 1.0, box_points())
+        assert err.value.tol == averaging_lab.FBAR_TOL
+        assert abs(err.value.fine - err.value.coarse) > averaging_lab.FBAR_TOL
 
 
 def within_node_tol(got, want):
@@ -180,8 +174,13 @@ def coeffs64():
 
 
 def pde_states(coeffs):
-    return averaging_lab.first_sweep_states(coeffs, TerminalCondition.square(), SWEEP_EPS,
-                                            PDE64, 1.0)
+    return first_sweep_states(coeffs, TerminalCondition.square(), SWEEP_EPS, PDE64, 1.0)
+
+
+def sweep_points(coeffs):
+    """The points `run_sweep` resolves f-bar on: the probe box, then `pde_states`."""
+    return [np.concatenate((box, state.ravel()))
+            for box, state in zip(box_points(), pde_states(coeffs))]
 
 
 def t_polynomial(degree):
@@ -193,10 +192,10 @@ def t_polynomial(degree):
 
 
 class TestFbarNodes:
-    """build_fbar evaluates f only at the time nodes its rank on the probe set needs."""
+    """build_fbar evaluates f only at the time nodes its rank on its points needs."""
 
     def test_benchmark_selects_one_node(self, coeffs64):
-        fbar = build_fbar(benchmark_generator(1.0), 1.0, QUAD)
+        fbar = build_fbar(benchmark_generator(1.0), 1.0, box_points())
         assert (fbar.panels, fbar.nodes) == (8, 1)
         for states in (box_points(), pde_states(coeffs64)):
             assert within_node_tol(fbar(*states), benchmark_fbar()(*states))
@@ -204,7 +203,7 @@ class TestFbarNodes:
     @pytest.mark.parametrize("degree", range(5))
     def test_polynomial_in_t_needs_at_most_degree_plus_one(self, degree):
         gen = t_polynomial(degree)
-        fbar = build_fbar(gen, 1.0, QUAD)
+        fbar = build_fbar(gen, 1.0, box_points())
         assert 1 <= fbar.nodes <= degree + 1
         pts = box_points()
         assert within_node_tol(fbar(*pts),
@@ -215,7 +214,7 @@ class TestFbarNodes:
         # set) are independent, so f-bar stays the 4n-node rule, bit for bit
         gen = Generator(fn=lambda t, x, y, z1, z2: np.abs(t - (np.asarray(y) + 5.0) / 10.0) ** 7,
                         name="kink")
-        fbar = build_fbar(gen, 1.0, QUAD)
+        fbar = build_fbar(gen, 1.0, box_points())
         assert fbar.nodes == 4 * fbar.panels
         full = averaging_lab._gl_time_average(gen, 1.0, fbar.panels)
         for args in (box_points(), sample_points(n=257), (0.3, -1.2, 0.4, 2.0)):
@@ -226,7 +225,7 @@ class TestFbarNodes:
         # dimensions than the 64 nodes, to the bound: the cut is kept
         gen = Generator(fn=lambda t, x, y, z1, z2: np.sin(2 * np.pi * t * np.asarray(y)),
                         name="sin-ty")
-        fbar = build_fbar(gen, 1.0, QUAD)
+        fbar = build_fbar(gen, 1.0, box_points())
         assert fbar.panels == 16 and 1 < fbar.nodes < 64
         pts = box_points()
         assert within_node_tol(fbar(*pts), averaging_lab._gl_time_average(gen, 1.0, 16)(*pts))
@@ -242,22 +241,65 @@ class TestFbarNodes:
         # f is 0 on the probe set: no row is chosen, so no cut is made
         gen = Generator(fn=lambda t, x, y, z1, z2: t * np.maximum(np.asarray(y) - 5.0, 0.0),
                         name="outside")
-        assert build_fbar(gen, 1.0, QUAD).nodes == 4 * MIN_PANELS
+        assert build_fbar(gen, 1.0, box_points()).nodes == 4 * MIN_PANELS
+
+
+# cos(2 pi t (y/5)^4) makes at most one turn on the probe box and about 2800
+# on the states y = x^2 of `pde_states`: 256 panels do not resolve it there
+UNRESOLVED_ON_STATES = Generator(
+    fn=lambda t, x, y, z1, z2: np.cos(2 * np.pi * t * (np.asarray(y) / BOX_HALF_WIDTH) ** 4),
+    name="box-only-quartic")
+
+
+def rebuilt_without_rule(build):
+    """`build` with its f-bar rebuilt without panels and nodes, as the benchmark's
+    tracer rebuilds it."""
+    def traced(*args, **kwargs):
+        avg = build(*args, **kwargs)
+        return averaging_lab.AveragedGenerator(fn=avg.fn, provenance=avg.provenance,
+                                               name=avg.name)
+    return traced
 
 
 class TestFbarStateGuard:
-    """run_sweep checks f-bar on the states the PDE reads, before any PDE or path."""
+    """f-bar is resolved on the probe box joined with the states the PDE reads
+    first, so a sweep refuses an f-bar unresolved there before any PDE or path."""
 
     def test_benchmark_passes(self, coeffs64):
-        gen = benchmark_generator(1.0)
-        averaging_lab.check_fbar_on_pde_states(gen, build_fbar(gen, 1.0, QUAD), coeffs64,
-                                               TerminalCondition.square(), SWEEP_EPS, PDE64,
-                                               1.0, QUAD)
+        fbar = build_fbar(benchmark_generator(1.0), 1.0, sweep_points(coeffs64))
+        assert (fbar.panels, fbar.nodes) == (MIN_PANELS, 1)
+        states = pde_states(coeffs64)
+        assert within_node_tol(fbar(*states), benchmark_fbar()(*states))
 
     def test_states_leave_the_probe_box(self, coeffs64):
         x, y, z1, z2 = pde_states(coeffs64)
         assert y.max() > 7 * BOX_HALF_WIDTH and z1.max() > 2 * BOX_HALF_WIDTH
         assert np.array_equal(z1, z2)   # sigma1 = sigma2 = 1
+
+    def test_panels_refined_for_the_states(self, coeffs64):
+        # cos(2 pi t y / 5) makes at most one turn on the box, 7 on y = x^2
+        gen = Generator(fn=lambda t, x, y, z1, z2: np.cos(2 * np.pi * t * np.asarray(y) / 5),
+                        name="box-only")
+        assert build_fbar(gen, 1.0, box_points()).panels == MIN_PANELS
+        fbar = build_fbar(gen, 1.0, sweep_points(coeffs64))
+        assert fbar.panels > MIN_PANELS
+        states = pde_states(coeffs64)
+        rule = averaging_lab._gl_time_average(gen, 1.0, fbar.panels)(*states)
+        assert within_quad_tol(rule,
+                               averaging_lab._gl_time_average(gen, 1.0, 2 * fbar.panels)(*states))
+        assert within_node_tol(fbar(*states), rule)
+
+    def test_node_cut_wrong_on_the_states_is_refused(self, coeffs64):
+        # the t^9 term vanishes on the box, so f-bar built there keeps one
+        # node; on the states the cut keeps a second
+        gen = Generator(fn=lambda t, x, y, z1, z2: np.asarray(y)
+                        + np.maximum(np.abs(y) - BOX_HALF_WIDTH, 0.0) * t**9, name="t9")
+        assert build_fbar(gen, 1.0, box_points()).nodes == 1
+        fbar = build_fbar(gen, 1.0, sweep_points(coeffs64))
+        assert (fbar.panels, fbar.nodes) == (MIN_PANELS, 2)
+        states = pde_states(coeffs64)
+        assert within_node_tol(fbar(*states),
+                               averaging_lab._gl_time_average(gen, 1.0, MIN_PANELS)(*states))
 
     @pytest.fixture
     def late(self, monkeypatch):
@@ -271,34 +313,29 @@ class TestFbarStateGuard:
         run_sweep(gen, coeffs, TerminalCondition.square(), SWEEP_EPS, cfg)
 
     def test_panels_unresolved_on_the_states_are_refused(self, coeffs64, late):
-        # cos(2 pi t y / 5) makes at most one turn on the box, 7 on y = x^2
-        gen = Generator(fn=lambda t, x, y, z1, z2: np.cos(2 * np.pi * t * np.asarray(y) / 5),
-                        name="box-only")
-        assert build_fbar(gen, 1.0, QUAD).panels == MIN_PANELS
+        assert build_fbar(UNRESOLVED_ON_STATES, 1.0, box_points()).panels == MIN_PANELS
         with pytest.raises(QuadratureConvergenceError) as err:
-            self.sweep(coeffs64, gen)
-        assert err.value.tol == QUAD.tol
+            self.sweep(coeffs64, UNRESOLVED_ON_STATES)
+        assert err.value.tol == averaging_lab.FBAR_TOL
 
-    def test_node_cut_wrong_on_the_states_is_refused(self, coeffs64, late):
-        # the t^9 term vanishes on the box, so f-bar keeps one node; the
-        # 8-panel rule still resolves it on the states
-        gen = Generator(fn=lambda t, x, y, z1, z2: np.asarray(y)
-                        + np.maximum(np.abs(y) - BOX_HALF_WIDTH, 0.0) * t**9, name="t9")
-        assert build_fbar(gen, 1.0, QUAD).nodes == 1
-        with pytest.raises(QuadratureConvergenceError) as err:
-            self.sweep(coeffs64, gen)
-        assert err.value.tol == averaging_lab.NODE_TOL
+    def test_refused_when_rebuilt_without_its_rule(self, coeffs64, late, monkeypatch):
+        monkeypatch.setattr(averaging_lab, "build_fbar",
+                            rebuilt_without_rule(averaging_lab.build_fbar))
+        with pytest.raises(QuadratureConvergenceError):
+            self.sweep(coeffs64, UNRESOLVED_ON_STATES)
 
     def test_reached_with_the_benchmark(self, coeffs64, late):
         with pytest.raises(_LateStage):
             self.sweep(coeffs64, benchmark_generator(1.0))
 
-    def test_hand_built_fbar_is_not_checked(self, coeffs64):
-        gen = Generator(fn=lambda t, x, y, z1, z2: np.cos(2 * np.pi * t * np.asarray(y) / 5),
-                        name="box-only")
-        frozen = averaging_lab.AveragedGenerator(fn=lambda x, y, z1, z2: gen(0.75, x, y, z1, z2))
-        averaging_lab.check_fbar_on_pde_states(gen, frozen, coeffs64, TerminalCondition.square(),
-                                               SWEEP_EPS, PDE64, 1.0, QUAD)
+    def test_hand_built_fbar_is_not_checked(self, coeffs64, late, monkeypatch):
+        # a build_fbar replaced by a hand-built f-bar, as the benchmark's
+        # frozen-f-bar control replaces it, is read as it is
+        def frozen(gen, T, points):
+            return averaging_lab.AveragedGenerator(fn=lambda x, y, z1, z2: gen(0.75, x, y, z1, z2))
+        monkeypatch.setattr(averaging_lab, "build_fbar", frozen)
+        with pytest.raises(_LateStage):
+            self.sweep(coeffs64, UNRESOLVED_ON_STATES)
 
 
 FBAR_GENERATORS = {
@@ -317,7 +354,7 @@ FBAR_GENERATORS = {
 
 
 def assert_fbar_matches_oracle(gen, T, args):
-    fbar = build_fbar(gen, T, QUAD)
+    fbar = build_fbar(gen, T, box_points())
     got = fbar(*args)
     want = per_node_fbar(gen, T, fbar.panels)(*args)
     assert np.shape(got) == np.shape(want)
@@ -376,13 +413,13 @@ class TestEstimatePhi:
     def test_time_independent_is_zero(self):
         gen = Generator(fn=lambda t, x, y, z1, z2: np.asarray(y) * 0.7 - 0.1,
                         name="flat", time_dependent=False)
-        fbar = build_fbar(gen, 1.0, QUAD)
+        fbar = build_fbar(gen, 1.0, box_points())
         assert estimate_phi(gen, fbar, 1.0) == 0.0
 
     @pytest.mark.parametrize("T", [1.0, 2.5])
     def test_benchmark_closed_form(self, T):
         gen = benchmark_generator(T)
-        got = estimate_phi(gen, build_fbar(gen, T, QUAD), T)
+        got = estimate_phi(gen, build_fbar(gen, T, box_points()), T)
         assert got == pytest.approx(benchmark_phi(T), rel=1e-5)
 
     @pytest.mark.parametrize("points", [1, 2, 63, 64, 65, 66, 130, 1024, 1025])
@@ -394,12 +431,12 @@ class TestEstimatePhi:
         monkeypatch.setattr(averaging_lab, "box_points",
                             lambda: tuple(a[:points] for a in probes))
         gen = FBAR_GENERATORS["x-and-t"]
-        fbar = build_fbar(gen, 1.0, QUAD)
+        fbar = build_fbar(gen, 1.0, averaging_lab.box_points())
         assert estimate_phi(gen, fbar, 1.0) == table_phi(gen, fbar, 1.0)
 
     def test_memory_with_default_sampler(self):
         gen = benchmark_generator(1.0)
-        fbar = build_fbar(gen, 1.0, QUAD)
+        fbar = build_fbar(gen, 1.0, box_points())
         tracemalloc.start()
         try:
             estimate_phi(gen, fbar, 1.0)
@@ -938,7 +975,7 @@ class TestStreamedSweep:
         fields = [solve_psi(gen, TerminalCondition.square(), coeffs128, 0.5,
                             STREAM_CFG.pde, STREAM_CFG.eta0)
                   for gen in (benchmark_generator(1.0),
-                              build_fbar(benchmark_generator(1.0), 1.0, QUAD).as_generator())]
+                              build_fbar(benchmark_generator(1.0), 1.0, box_points()).as_generator())]
         fold = averaging_lab._WindowFold(0.5, 20, *fields, coeffs128, 2 * rows, STREAM_CFG.eta0)
         ws = averaging_lab._FoldWorkspace(rows, grid.n_nodes)
         noise = eta_noise(coeffs128, make_ensemble(grid, H75, rows, STREAM_CFG.rng))
@@ -984,7 +1021,7 @@ class TestStreamedSweep:
     def test_fold_shares_no_memory_with_the_fields(self, coeffs128):
         # the folds copy their window rows, so dropping the fields frees the batch
         gens = (benchmark_generator(1.0),
-                build_fbar(benchmark_generator(1.0), 1.0, QUAD).as_generator())
+                build_fbar(benchmark_generator(1.0), 1.0, box_points()).as_generator())
         fields = solve_psis(gens, TerminalCondition.square(), coeffs128, (0.5, 0.3),
                             STREAM_CFG.pde, STREAM_CFG.eta0)
         fold = averaging_lab._WindowFold(0.5, 20, fields[0], fields[2], coeffs128, 10,

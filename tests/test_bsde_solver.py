@@ -5,7 +5,7 @@ from hypothesis import strategies as st
 from scipy.linalg import solve_banded
 
 from sfrbsde import bsde_solver
-from sfrbsde.averaging_lab import QuadratureSpec, SweepConfig, build_fbar, run_sweep
+from sfrbsde.averaging_lab import SweepConfig, box_points, build_fbar, run_sweep
 from sfrbsde.bsde_solver import (
     Generator,
     PdeConfig,
@@ -173,7 +173,7 @@ class TestPicardWork:
         coeffs = build_coeffs(n=64)
         gen = benchmark_generator(1.0)
         if averaged:
-            gen = build_fbar(gen, 1.0, QuadratureSpec()).as_generator()
+            gen = build_fbar(gen, 1.0, box_points()).as_generator()
         solve_psi(gen, TerminalCondition.square(), coeffs, 0.5, PdeConfig(n_space=64), eta0=1.0)
         assert counted["factors"] == 1
         assert counted["load"] == coeffs.grid.n_steps
@@ -303,7 +303,7 @@ class TestBatchedSolve:
     def test_mixed_batch_equals_single_solves(self):
         coeffs = build_coeffs(n=64, b=DeterministicFn.const(0.3))
         f = benchmark_generator(1.0)
-        gens = [f, build_fbar(f, 1.0, QuadratureSpec()).as_generator(),
+        gens = [f, build_fbar(f, 1.0, box_points()).as_generator(),
                 Generator.zero(), Generator.linear_y(0.3)]
         term = TerminalCondition.square()
         fields = solve_psis(gens, term, coeffs, self.EPS, self.PDE, eta0=0.5)
@@ -319,7 +319,7 @@ class TestBatchedSolve:
     def test_fbar_rows_do_not_interact(self, n_rows):
         # a batch calls f-bar once on (systems, nodes) states; each row must
         # read what it reads alone, though BLAS rounds near a vector's end
-        fbar = build_fbar(benchmark_generator(1.0), 1.0, QuadratureSpec())
+        fbar = build_fbar(benchmark_generator(1.0), 1.0, box_points())
         for seed in range(20):
             state = np.random.default_rng(seed).standard_normal((4, n_rows, 65))
             want = [fbar(*state[:, r]) for r in range(n_rows)]
@@ -359,7 +359,7 @@ class TestFirstRow:
     def test_cut_rows_equal_the_full_pass(self, first):
         coeffs = build_coeffs(n=64, b=DeterministicFn.const(0.3))
         f = benchmark_generator(1.0)
-        gens = [f, build_fbar(f, 1.0, QuadratureSpec()).as_generator()]
+        gens = [f, build_fbar(f, 1.0, box_points()).as_generator()]
         term = TerminalCondition.square()
         full = solve_psis(gens, term, coeffs, self.EPS, self.PDE, eta0=0.5)
         cut = solve_psis(gens, term, coeffs, self.EPS, self.PDE, eta0=0.5, first_row=first)

@@ -191,14 +191,31 @@ class TestCli:
         assert "no admissible alpha0 for epsilon=0.5" in capsys.readouterr().err
 
     def test_fbar_unresolved_on_pde_states_exit_3(self, tmp_path, capsys, monkeypatch):
-        # a generator the probe box resolves but the PDE's states y = x^2 do not
+        # a generator the probe box resolves but 256 panels do not on the PDE's
+        # states y = x^2; refused before any PDE, also when f-bar is rebuilt
+        # without its panels and nodes, as the benchmark's tracer rebuilds it
         def box_only(T):
-            return Generator(fn=lambda t, x, y, z1, z2: np.cos(2 * np.pi * t * np.asarray(y) / 5),
-                             name="box-only")
+            def fn(t, x, y, z1, z2):
+                return np.cos(2 * np.pi * t * (np.asarray(y) / 5) ** 4)
+            return Generator(fn=fn, name="box-only")
+
+        def solve_psis(*args, **kwargs):
+            raise AssertionError("the sweep solved a PDE")
+
+        build_fbar = averaging_lab.build_fbar
+
+        def rebuilt(*args, **kwargs):
+            avg = build_fbar(*args, **kwargs)
+            return averaging_lab.AveragedGenerator(fn=avg.fn, provenance=avg.provenance,
+                                                   name=avg.name)
+
         monkeypatch.setattr(config, "benchmark_generator", box_only)
+        monkeypatch.setattr(averaging_lab, "solve_psis", solve_psis)
         path = write_cfg(tmp_path, f"n_time = 16\nn_space = 64\nout_dir = {tmp_path / 'out'}\n")
-        assert main(["sweep", "--config", path]) == 3
-        assert "quadrature did not converge" in capsys.readouterr().err
+        for fbar_route in (build_fbar, rebuilt):
+            monkeypatch.setattr(averaging_lab, "build_fbar", fbar_route)
+            assert main(["sweep", "--config", path]) == 3
+            assert "quadrature did not converge" in capsys.readouterr().err
 
     def test_default_config_sweeps(self, tmp_path):
         # the auto t0 = 3T/4 gives C1 = 0.6495, enough for the default eps_list's 0.5
