@@ -72,7 +72,7 @@ class AveragedGenerator:
 
     def as_generator(self) -> Generator:
         return Generator(
-            fn=lambda t, x, y, z1, z2: self.fn(x, y, z1, z2),
+            fn=lambda t, x, y, z1, z2: self(x, y, z1, z2),
             name=self.name,
             time_dependent=False,
         )
@@ -670,11 +670,11 @@ def run_sweep(
     backward pass (`solve_psis`) that stops at the earliest window start,
     and each eps's fold copies the window rows it reads, so
     the fields are freed before the paths stream.  The paths then come in
-    the fixed blocks of `path_blocks` from `noise_stream`, whose one producer
-    thread draws each block's (B, B^H) from the per-path streams of its
+    the fixed blocks of `path_blocks` from `noise_stream`, whose one-worker
+    thread pool draws each block's (B, B^H) from the per-path streams of its
     global path indices, and its eps-free noise N, while this thread folds
     the block before: every eps reads both fields in grid units straight
-    from N; eta^eps itself is never formed.  The producer is joined before
+    from N; eta^eps itself is never formed.  The worker is joined before
     this returns or raises.  No n_paths x n_nodes array is ever held; what
     grows with n_paths is one per-path vector per eps, sup |dY|.  Reruns are
     byte-identical.  The folds' statistics go to `checked_report`,

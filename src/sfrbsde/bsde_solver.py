@@ -41,7 +41,6 @@ import numpy as np
 from .errors import DomainTooSmallError, NumericError, PicardError
 from .frac_kernel import CoefficientSet
 from .path_engine import merge_moments
-from .runio import MAX_CSV_ROWS, write_csv
 
 
 def __getattr__(name: str):
@@ -135,12 +134,6 @@ class SolutionField:
     x_nodes: np.ndarray
     psi: np.ndarray
     psi_x: np.ndarray
-
-    def export_csv(self, path):
-        stride = max(1, int(np.ceil(self.psi.size / MAX_CSV_ROWS)))
-        t, x = np.meshgrid(self.t_nodes[::stride], self.x_nodes, indexing="ij")
-        return write_csv(path, ("t", "x", "psi", "psi_x"), zip(
-            t.ravel(), x.ravel(), self.psi[::stride].ravel(), self.psi_x[::stride].ravel()))
 
 
 @dataclass

@@ -11,7 +11,7 @@ from __future__ import annotations
 import os
 
 # OpenBLAS's idle worker spins on a core after every call and buys no wall
-# time here; one BLAS thread leaves that core to the sweep's producer thread.
+# time here; one BLAS thread leaves that core to the sweep's noise-stream worker.
 # A value the caller sets wins.  This runs before anything imports numpy.
 BLAS_THREADS = os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 
@@ -130,7 +130,12 @@ def cmd_solve(cfg: ExperimentConfig) -> int:
     manifest.end("extract")
 
     manifest.begin("write")
-    manifest.record_file(field.export_csv(out / "psi.csv"))
+    # psi.csv: every stride-th time row of the field, within MAX_CSV_ROWS rows
+    stride = max(1, int(np.ceil(field.psi.size / MAX_CSV_ROWS)))
+    t_cells, x_cells = np.meshgrid(field.t_nodes[::stride], field.x_nodes, indexing="ij")
+    manifest.record_file(write_csv(out / "psi.csv", ("t", "x", "psi", "psi_x"), zip(
+        t_cells.ravel(), x_cells.ravel(), field.psi[::stride].ravel(),
+        field.psi_x[::stride].ravel())))
     mean_y, mean_z1, mean_z2 = mean.reshape(3, t.size)
     manifest.record_file(write_csv(out / "triple_summary.csv",
                                    ("t", "mean_Y", "var_Y", "mean_Z1", "mean_Z2"),

@@ -108,14 +108,22 @@ class ExperimentConfig:
         return hashlib.sha256(self.to_text().encode()).hexdigest()
 
 
+def _preset_arg(arg: str, default: float, name: str) -> float:
+    """A preset's numeric argument, `default` when empty; it must be finite."""
+    try:
+        value = float(arg) if arg.strip() else default
+    except ValueError:
+        raise ConfigError([f"{name}: cannot parse preset argument {arg!r}"])
+    if not math.isfinite(value):
+        raise ConfigError([f"{name}: preset argument {arg.strip()!r} must be finite"])
+    return value
+
+
 def parse_coefficient(text: str, t_horizon: float, name: str = "coeff") -> DeterministicFn:
     """Presets: 'constant:c', 'linear:c' (c*t), 'sinusoidal:c'."""
     kind, _, arg = text.partition(":")
     kind = kind.strip()
-    try:
-        value = float(arg) if arg.strip() else 1.0
-    except ValueError:
-        raise ConfigError([f"{name}: cannot parse preset argument {arg!r}"])
+    value = _preset_arg(arg, 1.0, name)
     if kind == "constant":
         return DeterministicFn.const(value, name=f"{name}:{text}")
     if kind == "linear":
@@ -157,22 +165,23 @@ def parse_generator(text: str, t_horizon: float) -> Generator:
     if kind == "zero":
         return Generator.zero()
     if kind == "constant":
-        v = float(arg) if arg.strip() else 0.0
+        v = _preset_arg(arg, 0.0, "generator")
         return Generator(fn=lambda t, x, y, z1, z2, v=v: np.full_like(np.asarray(y, dtype=float), v),
                          name=f"constant[{v}]", lipschitz_sq=0.0, time_dependent=False)
     if kind == "linear_y":
-        r = float(arg) if arg.strip() else 0.1
+        r = _preset_arg(arg, 0.1, "generator")
         # the declared Lipschitz constant is r^2, which must be a finite float
         if not math.isfinite(r * r):
-            raise ConfigError([f"generator: linear_y rate {r!r} must be finite "
-                               "with a finite square"])
+            raise ConfigError([f"generator: linear_y rate {r!r} must have a finite square"])
         return Generator.linear_y(r)
     raise ConfigError([f"generator: unknown preset {kind!r} "
                        f"(legal: {', '.join(_GENERATOR_PRESETS)})"])
 
 
 def _validate(cfg: ExperimentConfig) -> list[str]:
-    bad = []
+    # nan passes every range test below, and inf several
+    bad = [f"{f.name}: must be finite, got {getattr(cfg, f.name)!r}" for f in fields(cfg)
+           if isinstance(f.default, float) and not math.isfinite(getattr(cfg, f.name))]
     if not (0.5 < cfg.h < 1.0):
         bad.append(f"h: H must lie in (0.5, 1), got {cfg.h!r}")
     if not cfg.t_horizon > 0:

@@ -17,12 +17,12 @@ and dB^H come from distinct purposes and are therefore independent.
 Every command draws its paths in the blocks of `path_blocks` and merges
 each block into running moments (`merge_moments`), so no command's memory
 grows with the number of paths.  The sweep takes its blocks' eps-free
-noise from `noise_stream`, whose one producer thread draws the next block
-into a ring of STREAM_SLOTS preallocated slots while the sweep reads the
-current one.  Its BLAS calls then run beside the sweep's: a caller that
-leaves OpenBLAS its default threads gets an idle worker spinning on the
-core the producer needs, which is why the CLI pins OPENBLAS_NUM_THREADS
-to 1.
+noise from `noise_stream`, whose one-worker thread pool draws the next
+blocks into a ring of STREAM_SLOTS preallocated slots while the sweep reads
+the current one.  The worker's BLAS calls then run beside the sweep's: a
+caller that leaves OpenBLAS its default threads gets an idle BLAS thread
+spinning on the core the worker needs, which is why the CLI pins
+OPENBLAS_NUM_THREADS to 1.
 
 Two exact fGn samplers are provided: the Cholesky factor of the increments'
 covariance (reference) and Davies-Harte circulant embedding (fast path for
@@ -33,8 +33,7 @@ covariance (1/2)(t^2H + s^2H - |t-s|^2H).
 
 from __future__ import annotations
 
-import queue
-import threading
+from collections import deque
 from contextlib import contextmanager
 from dataclasses import dataclass, replace
 from functools import cached_property, lru_cache
@@ -111,54 +110,46 @@ def path_blocks(n_paths: int, n_nodes: int, rng: RngSpec):
 
 @contextmanager
 def noise_stream(coeffs: CoefficientSet, n_paths: int, rng: RngSpec):
-    """The eps-free noise N of every `path_blocks` block, drawn ahead on one producer thread.
+    """The eps-free noise N of every `path_blocks` block, drawn ahead on one worker thread.
 
     Yields an iterator of (first path, noise).  A block's noise, (rows,
     n_nodes), equals eta_noise(coeffs, make_ensemble(grid, hurst, rows,
-    block rng)) bit for bit; it is a view into a ring of STREAM_SLOTS slots
-    and stays valid until the iterator is advanced, which hands its slot
-    back.  The ring and the increments' buffers are allocated once, so no
-    block allocates a block-sized array.  While the caller reads one block
-    the producer draws the next into a free slot.  An error on the producer
-    is raised by the iterator, with its own type; leaving the `with` block,
-    normally or by an error, stops the producer and joins it.
+    block rng)) bit for bit.  Block i is drawn into slot i % STREAM_SLOTS of
+    a ring allocated once, like the increments' buffers, and stays valid
+    until the iterator is advanced: at most STREAM_SLOTS - 1 blocks are
+    queued beyond the one the caller holds.  A worker's error is raised by
+    the iterator with its own type; leaving the `with` block, normally or by
+    an error, cancels the blocks not begun and joins the worker.
     """
+    # imported here, by its one user: at module level it would add 7-14 ms
+    # (python -X importtime) to the start-up of every command
+    from concurrent.futures import ThreadPoolExecutor
+
     grid = coeffs.grid
     rows = min(block_rows(grid.n_nodes), n_paths)
     slots = np.empty((STREAM_SLOTS, rows, grid.n_nodes))
     work = np.empty((2, rows, grid.n_steps))
-    free, ready = queue.SimpleQueue(), queue.SimpleQueue()
-    for slot in range(STREAM_SLOTS):
-        free.put(slot)
 
-    def produce():
-        try:
-            for start, n, block_rng in path_blocks(n_paths, grid.n_nodes, rng):
-                slot = free.get()
-                if slot is None:  # the caller has left
-                    return
-                ensemble = make_ensemble(grid, coeffs.hurst, n, block_rng, work[:, :n])
-                eta_noise(coeffs, ensemble, out=slots[slot, :n])
-                ready.put((start, n, slot))
-            ready.put(None)
-        except BaseException as exc:  # raised again on the caller's thread
-            ready.put(exc)
+    def draw(slot, n, block_rng):
+        return eta_noise(coeffs, make_ensemble(grid, coeffs.hurst, n, block_rng, work[:, :n]),
+                         out=slots[slot, :n])
 
     def blocks():
-        while (item := ready.get()) is not None:
-            if isinstance(item, BaseException):
-                raise item
-            start, n, slot = item
-            yield start, slots[slot, :n]
-            free.put(slot)
+        pending = deque()
+        for i, (start, n, block_rng) in enumerate(path_blocks(n_paths, grid.n_nodes, rng)):
+            # the slot last held block i - STREAM_SLOTS, which the caller has left
+            pending.append((start, pool.submit(draw, i % STREAM_SLOTS, n, block_rng)))
+            if len(pending) == STREAM_SLOTS:
+                start, future = pending.popleft()
+                yield start, future.result()
+        for start, future in pending:
+            yield start, future.result()
 
-    producer = threading.Thread(target=produce, name="noise-stream")
-    producer.start()
+    pool = ThreadPoolExecutor(max_workers=1, thread_name_prefix="noise-stream")
     try:
         yield blocks()
     finally:
-        free.put(None)
-        producer.join()
+        pool.shutdown(cancel_futures=True)
 
 
 def merge_moments(count: int, mean: np.ndarray, m2: np.ndarray, block: np.ndarray,

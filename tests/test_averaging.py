@@ -115,6 +115,18 @@ class TestBuildFbar:
         x, y, z1, z2 = sample_points()
         assert np.allclose(fbar(x, y, z1, z2), analytic(x, y, z1, z2), atol=1e-9)
 
+    def test_the_pde_reads_fbar_through_its_call(self, coeffs64, monkeypatch):
+        # the PDE, phi and verify evaluate f-bar by one route, so a wrong
+        # __call__ moves the averaged field, not phi alone
+        averaged = build_fbar(benchmark_generator(1.0), 1.0, box_points()).as_generator()
+        args = (TerminalCondition.square(), coeffs64, (0.5,), PDE64, 1.0)
+        (want,) = solve_psis([averaged], *args)
+        call = averaging_lab.AveragedGenerator.__call__
+        monkeypatch.setattr(averaging_lab.AveragedGenerator, "__call__",
+                            lambda fbar, *state: 1.1 * call(fbar, *state))
+        (got,) = solve_psis([averaged], *args)
+        assert not np.allclose(got.psi, want.psi, rtol=1e-3)
+
 
 def within_quad_tol(got, want, tol=averaging_lab.FBAR_TOL):
     return np.all(np.abs(got - want) <= tol * np.maximum(1.0, np.abs(want)))
@@ -914,7 +926,8 @@ class TestStreamedSweep:
         before = threading.active_count()
         rep = self.sweep(coeffs128, 3 * block_rows(coeffs128.grid.n_nodes) + 300)
         assert [s.epsilon for s in rep.stats] == [0.5, 0.3, 0.2]
-        assert started == ["noise-stream"]
+        # the executor names its one worker noise-stream_0
+        assert len(started) == 1 and started[0].startswith("noise-stream")
         assert threading.active_count() == before
 
     def test_producer_error_reaches_the_caller(self, coeffs128, tmp_path, monkeypatch, capsys):

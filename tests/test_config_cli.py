@@ -166,12 +166,28 @@ class TestCli:
         assert exc.value.code == 0
         assert capsys.readouterr().out == "0.1.0\n"
 
+    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
     def test_non_finite_coefficient_exit_3(self, tmp_path, capsys):
-        # a NaN drift used to reach the PDE and stall the Picard iteration
-        path = write_cfg(tmp_path, SMALL + "b = constant:nan\n"
+        # a finite preset argument whose values overflow on the grid: the
+        # coefficient tables refuse it before it reaches the PDE
+        path = write_cfg(tmp_path, SMALL + "b = sinusoidal:1.7e308\n"
                          f"out_dir = {tmp_path / 'out'}\n")
         assert main(["solve", "--config", path]) == 3
-        assert "b=b:constant:nan is not finite" in capsys.readouterr().err
+        assert "b=b:sinusoidal:1.7e308 is not finite" in capsys.readouterr().err
+
+    # each passes every range rule; unrefused, it surfaces later as a
+    # traceback, a failed verdict or a misleading numeric error
+    @pytest.mark.parametrize("key, value", [
+        ("t0", "nan"), ("delta2", "nan"), ("eta0", "nan"), ("kappa", "inf"),
+        ("t_horizon", "inf"), ("b", "constant:nan"), ("sigma2", "constant:inf"),
+        ("generator", "constant:nan"),
+    ])
+    def test_non_finite_value_exit_2(self, tmp_path, capsys, key, value):
+        path = write_cfg(tmp_path, "n_time = 64\nn_space = 64\nn_paths = 1000\n"
+                         f"{key} = {value}\nout_dir = {tmp_path / 'out'}\n")
+        assert main(["sweep", "--config", path]) == 2
+        assert f"{key}: " in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
 
     def test_unconverged_kernel_table_exit_3(self, tmp_path, capsys, monkeypatch):
         # a 2-node kernel rule: doubling it moves ||sigma2||^2_T far beyond 1e-8
