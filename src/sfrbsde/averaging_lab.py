@@ -23,7 +23,7 @@ which the sweep summary states (WINDOW_NOTE) rather than reconciles.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Callable, Sequence
 
 import numpy as np
@@ -473,7 +473,12 @@ class PerEpsilonStats:
 
 @dataclass(frozen=True)
 class SweepReport:
-    """Per-epsilon error statistics, constants and claim verdicts, built by `checked_report`."""
+    """Per-epsilon error statistics, constants and claim verdicts, built by `checked_report`.
+
+    `noise_draw_s` and `noise_wait_s` are the noise stream's producer busy
+    seconds and the seconds the sweep waited on it (`NoiseBlocks`): timings,
+    not results, so equality ignores them.
+    """
 
     eps_list: tuple
     T: float
@@ -491,6 +496,8 @@ class SweepReport:
     chebyshev_trend_pass: bool
     fbar_panels: int
     fbar_nodes: int
+    noise_draw_s: float = field(default=0.0, compare=False)
+    noise_wait_s: float = field(default=0.0, compare=False)
 
 
 class _WindowFold:
@@ -670,12 +677,15 @@ def run_sweep(
     backward pass (`solve_psis`) that stops at the earliest window start,
     and each eps's fold copies the window rows it reads, so
     the fields are freed before the paths stream.  The paths then come in
-    the fixed blocks of `path_blocks` from `noise_stream`, whose one-worker
-    thread pool draws each block's (B, B^H) from the per-path streams of its
-    global path indices, and its eps-free noise N, while this thread folds
-    the block before: every eps reads both fields in grid units straight
-    from N; eta^eps itself is never formed.  The worker is joined before
-    this returns or raises.  No n_paths x n_nodes array is ever held; what
+    the fixed blocks of `path_blocks` from `noise_stream`, whose forked
+    producer process draws each block's (B, B^H) from the per-path streams
+    of its global path indices, and its eps-free noise N, while this process
+    folds the block before: every eps reads both fields in grid units
+    straight from N; eta^eps itself is never formed.  The producer is
+    joined before this returns or raises, and its busy seconds and this
+    process's wait on it are the report's `noise_draw_s` and
+    `noise_wait_s`.  The sweep starts no thread, and the caller must run
+    none while it forks.  No n_paths x n_nodes array is ever held; what
     grows with n_paths is one per-path vector per eps, sup |dY|.  Reruns are
     byte-identical.  The folds' statistics go to `checked_report`,
     which builds the frozen report once through the pure claim checks.
@@ -718,8 +728,9 @@ def run_sweep(
             for fold in folds:
                 _window_stats(fold, noise, start, ws, extremes)
 
-    return checked_report([fold.result() for fold in folds], [float(f.t[0]) for f in folds],
-                          eps, T, t0, L, C1, phi, hurst, cfg, fbar.panels, fbar.nodes)
+    report = checked_report([fold.result() for fold in folds], [float(f.t[0]) for f in folds],
+                            eps, T, t0, L, C1, phi, hurst, cfg, fbar.panels, fbar.nodes)
+    return replace(report, noise_draw_s=blocks.draw_s, noise_wait_s=blocks.wait_s)
 
 
 def checked_report(raws: Sequence[dict], us: Sequence[float], eps: Sequence[float], T: float,

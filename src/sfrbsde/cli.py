@@ -11,8 +11,9 @@ from __future__ import annotations
 import os
 
 # OpenBLAS's idle worker spins on a core after every call and buys no wall
-# time here; one BLAS thread leaves that core to the sweep's noise-stream worker.
-# A value the caller sets wins.  This runs before anything imports numpy.
+# time here; one BLAS thread leaves that core to the sweep's noise producer
+# process, and leaves the sweep with no thread but its own when it forks that
+# process.  A value the caller sets wins.  This runs before anything imports numpy.
 BLAS_THREADS = os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 
 import argparse
@@ -232,6 +233,8 @@ def cmd_sweep(cfg: ExperimentConfig) -> int:
     report = al.run_sweep(cfg.make_generator(), coeffs, cfg.make_terminal(),
                           cfg.eps_list, _sweep_config(cfg))
     manifest.end("sweep")
+    manifest.duration("noise_draw", report.noise_draw_s)
+    manifest.duration("noise_wait", report.noise_wait_s)
     manifest.note("fbar_panels", report.fbar_panels)
     manifest.note("fbar_nodes", report.fbar_nodes)
     manifest.note("blas_threads", BLAS_THREADS)

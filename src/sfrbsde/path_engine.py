@@ -17,12 +17,15 @@ and dB^H come from distinct purposes and are therefore independent.
 Every command draws its paths in the blocks of `path_blocks` and merges
 each block into running moments (`merge_moments`), so no command's memory
 grows with the number of paths.  The sweep takes its blocks' eps-free
-noise from `noise_stream`, whose one-worker thread pool draws the next
-blocks into a ring of STREAM_SLOTS preallocated slots while the sweep reads
-the current one.  The worker's BLAS calls then run beside the sweep's: a
-caller that leaves OpenBLAS its default threads gets an idle BLAS thread
-spinning on the core the worker needs, which is why the CLI pins
-OPENBLAS_NUM_THREADS to 1.
+noise from `noise_stream`, whose one producer process, forked for the
+stream, draws the next blocks into a shared ring of STREAM_SLOTS slots
+while the sweep reads the current one.  A thread would share the sweep's
+interpreter lock: `RngSpec.fill_normals` runs a Python loop of one short
+draw per path, and beside the fold that loop took back the lock the
+fold's numpy calls need.  The producer's BLAS calls run beside the
+sweep's: a caller that leaves OpenBLAS its default threads gets an idle
+BLAS thread spinning on the core the producer needs, which is why the CLI
+pins OPENBLAS_NUM_THREADS to 1.
 
 Two exact fGn samplers are provided: the Cholesky factor of the increments'
 covariance (reference) and Davies-Harte circulant embedding (fast path for
@@ -33,7 +36,8 @@ covariance (1/2)(t^2H + s^2H - |t-s|^2H).
 
 from __future__ import annotations
 
-from collections import deque
+import pickle
+import time
 from contextlib import contextmanager
 from dataclasses import dataclass, replace
 from functools import cached_property, lru_cache
@@ -57,6 +61,10 @@ BLOCK_CELLS = 1 << 17
 
 # a noise stream's ring: the block being read, the next one ready and one being drawn
 STREAM_SLOTS = 3
+
+# how long a closed stream waits for its producer to finish the block it is
+# drawing and exit, before it terminates it
+STREAM_JOIN_S = 10.0
 
 
 @dataclass(frozen=True)
@@ -108,48 +116,137 @@ def path_blocks(n_paths: int, n_nodes: int, rng: RngSpec):
         yield start, min(rows, n_paths - start), replace(rng, stream=rng.stream + start)
 
 
+class NoiseBlocks:
+    """The iterator of a `noise_stream`: (first path, noise) of each block in turn.
+
+    A block is read once the producer reports it drawn, and its slot is
+    handed back to the producer when the iterator is advanced past it.
+    `draw_s` holds the producer's busy seconds up to the last block read,
+    and `wait_s` the seconds this process spent blocked on the pipe.
+    """
+
+    def __init__(self, conn, slots: np.ndarray, blocks: list, producer):
+        self._conn = conn
+        self._slots = slots
+        self._blocks = blocks
+        self._producer = producer
+        self._next = 0
+        self.draw_s = 0.0
+        self.wait_s = 0.0
+
+    def __iter__(self):
+        return self
+
+    def __next__(self):
+        i = self._next
+        if i == len(self._blocks):
+            raise StopIteration
+        if 0 < i <= len(self._blocks) - STREAM_SLOTS:
+            # the caller has left block i - 1, whose slot block i - 1 + STREAM_SLOTS takes
+            try:
+                self._conn.send(None)
+            except ConnectionError:
+                pass  # the producer has stopped; its replies, still queued, say why
+        waited = time.perf_counter()
+        try:
+            reply = self._conn.recv()
+        except (EOFError, ConnectionError):
+            self._producer.join(STREAM_JOIN_S)
+            raise RuntimeError(f"the noise producer exited (code {self._producer.exitcode}) "
+                               f"before drawing block {i}") from None
+        self.wait_s += time.perf_counter() - waited
+        if isinstance(reply, Exception):
+            raise reply
+        self.draw_s = reply
+        self._next = i + 1
+        start, n, _ = self._blocks[i]
+        return start, self._slots[i % STREAM_SLOTS, :n]
+
+
+def _pickled_error(exc: Exception) -> bytes:
+    """`exc` pickled, or a RuntimeError naming its type if `exc` does not come
+    back from pickling."""
+    try:
+        data = pickle.dumps(exc)
+        pickle.loads(data)
+    except Exception:
+        return pickle.dumps(RuntimeError(
+            f"the noise producer raised {type(exc).__qualname__}: {exc}"))
+    return data
+
+
+def _produce(conn, peer, coeffs: CoefficientSet, blocks: list, slots: np.ndarray) -> None:
+    """The producer process of a `noise_stream`: draw block i into slot
+    i % STREAM_SLOTS and send its busy seconds so far, or its error, over
+    `conn`.  A slot is drawn into again only after the caller has left the
+    block it held.  The caller closing the pipe ends the process."""
+    peer.close()  # the caller's end: held open here, it would hide the caller's close
+    grid = coeffs.grid
+    work = np.empty((2, slots.shape[1], grid.n_steps))
+    busy = 0.0
+    try:
+        for i, (_, n, block_rng) in enumerate(blocks):
+            if i >= STREAM_SLOTS:
+                conn.recv()
+            try:
+                drawn = time.perf_counter()
+                eta_noise(coeffs, make_ensemble(grid, coeffs.hurst, n, block_rng, work[:, :n]),
+                          out=slots[i % STREAM_SLOTS, :n])
+                busy += time.perf_counter() - drawn
+            except Exception as exc:
+                conn.send_bytes(_pickled_error(exc))
+                return
+            conn.send(busy)
+    except (EOFError, ConnectionError):
+        pass  # the caller has left the stream
+
+
 @contextmanager
 def noise_stream(coeffs: CoefficientSet, n_paths: int, rng: RngSpec):
-    """The eps-free noise N of every `path_blocks` block, drawn ahead on one worker thread.
+    """The eps-free noise N of every `path_blocks` block, drawn ahead in one
+    forked producer process.
 
-    Yields an iterator of (first path, noise).  A block's noise, (rows,
-    n_nodes), equals eta_noise(coeffs, make_ensemble(grid, hurst, rows,
-    block rng)) bit for bit.  Block i is drawn into slot i % STREAM_SLOTS of
-    a ring allocated once, like the increments' buffers, and stays valid
-    until the iterator is advanced: at most STREAM_SLOTS - 1 blocks are
-    queued beyond the one the caller holds.  A worker's error is raised by
-    the iterator with its own type; leaving the `with` block, normally or by
-    an error, cancels the blocks not begun and joins the worker.
+    Yields a `NoiseBlocks` iterator of (first path, noise).  A block's noise,
+    (rows, n_nodes), equals eta_noise(coeffs, make_ensemble(grid, hurst,
+    rows, block rng)) bit for bit.  Block i is drawn into slot
+    i % STREAM_SLOTS of a ring in anonymous shared memory, allocated once,
+    and stays valid until the iterator is advanced: at most
+    STREAM_SLOTS - 1 blocks are drawn beyond the one the caller holds.  The
+    producer keeps the increments' buffers and reports each block over a
+    pipe.  Its error is raised by the iterator with its own type, or as a
+    RuntimeError naming the type if the error does not survive pickling.
+    Leaving the `with` block, normally or by an error, closes the pipe and
+    joins the producer, which is terminated if it has not exited within
+    STREAM_JOIN_S.
+
+    The producer is forked, so it inherits the caller's state as it is:
+    the memoised Cholesky factor and any function rebound on the modules.
+    This needs a POSIX fork, and the caller must run no other thread while
+    the stream starts, since a fork copies only the forking thread.
     """
-    # imported here, by its one user: at module level it would add 7-14 ms
-    # (python -X importtime) to the start-up of every command
-    from concurrent.futures import ThreadPoolExecutor
+    # imported here, by their one user: multiprocessing at module level would
+    # add about 9 ms (python -X importtime) to the start-up of every command
+    import mmap
+    import multiprocessing
 
     grid = coeffs.grid
-    rows = min(block_rows(grid.n_nodes), n_paths)
-    slots = np.empty((STREAM_SLOTS, rows, grid.n_nodes))
-    work = np.empty((2, rows, grid.n_steps))
-
-    def draw(slot, n, block_rng):
-        return eta_noise(coeffs, make_ensemble(grid, coeffs.hurst, n, block_rng, work[:, :n]),
-                         out=slots[slot, :n])
-
-    def blocks():
-        pending = deque()
-        for i, (start, n, block_rng) in enumerate(path_blocks(n_paths, grid.n_nodes, rng)):
-            # the slot last held block i - STREAM_SLOTS, which the caller has left
-            pending.append((start, pool.submit(draw, i % STREAM_SLOTS, n, block_rng)))
-            if len(pending) == STREAM_SLOTS:
-                start, future = pending.popleft()
-                yield start, future.result()
-        for start, future in pending:
-            yield start, future.result()
-
-    pool = ThreadPoolExecutor(max_workers=1, thread_name_prefix="noise-stream")
+    shape = (STREAM_SLOTS, min(block_rows(grid.n_nodes), n_paths), grid.n_nodes)
+    slots = np.ndarray(shape, buffer=mmap.mmap(-1, 8 * shape[0] * shape[1] * shape[2]))
+    blocks = list(path_blocks(n_paths, grid.n_nodes, rng))
+    fork = multiprocessing.get_context("fork")
+    conn, child_conn = fork.Pipe()
+    producer = fork.Process(target=_produce, args=(child_conn, conn, coeffs, blocks, slots),
+                            name="noise-stream", daemon=True)
+    producer.start()
+    child_conn.close()
     try:
-        yield blocks()
+        yield NoiseBlocks(conn, slots, blocks, producer)
     finally:
-        pool.shutdown(cancel_futures=True)
+        conn.close()
+        producer.join(STREAM_JOIN_S)
+        if producer.is_alive():
+            producer.terminate()
+            producer.join()
 
 
 def merge_moments(count: int, mean: np.ndarray, m2: np.ndarray, block: np.ndarray,

@@ -53,8 +53,10 @@ class RunManifest:
         self._stage_started[stage] = time.perf_counter()
 
     def end(self, stage: str):
-        elapsed = time.perf_counter() - self._stage_started.pop(stage)
-        self.entries.append((f"duration_s.{stage}", f"{elapsed:.3f}"))
+        self.duration(stage, time.perf_counter() - self._stage_started.pop(stage))
+
+    def duration(self, stage: str, seconds: float):
+        self.entries.append((f"duration_s.{stage}", f"{seconds:.3f}"))
 
     def note(self, key: str, value):
         self.entries.append((key, format_value(value)))

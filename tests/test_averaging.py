@@ -856,9 +856,10 @@ def assert_same_value(got, want, rtol, where):
 
 
 def assert_reports_match(got, want, rtol):
-    """Every SweepReport, PerEpsilonStats and AveragingConstants field; floats within rtol."""
+    """Every SweepReport, PerEpsilonStats and AveragingConstants field that takes
+    part in equality (not the stream's timings); floats within rtol."""
     for f in fields(SweepReport):
-        if f.name != "stats":
+        if f.name != "stats" and f.compare:
             assert_same_value(getattr(got, f.name), getattr(want, f.name), rtol, f.name)
     assert len(got.stats) == len(want.stats)
     for a, b in zip(got.stats, want.stats):
@@ -914,28 +915,28 @@ class TestStreamedSweep:
         return run_sweep(benchmark_generator(1.0), coeffs, TerminalCondition.square(),
                          (0.5, 0.3, 0.2), replace(STREAM_CFG, n_paths=n_paths))
 
-    def test_starts_one_producer_thread(self, coeffs128, monkeypatch):
-        started = []
+    def test_starts_one_producer_process(self, coeffs128, monkeypatch, started_processes):
+        started_threads = []
         start = threading.Thread.start
 
         def counting(thread):
-            started.append(thread.name)
+            started_threads.append(thread.name)
             start(thread)
 
         monkeypatch.setattr(threading.Thread, "start", counting)
-        before = threading.active_count()
         rep = self.sweep(coeffs128, 3 * block_rows(coeffs128.grid.n_nodes) + 300)
         assert [s.epsilon for s in rep.stats] == [0.5, 0.3, 0.2]
-        # the executor names its one worker noise-stream_0
-        assert len(started) == 1 and started[0].startswith("noise-stream")
-        assert threading.active_count() == before
+        assert [p.name for p in started_processes] == ["noise-stream"]
+        started_processes.assert_joined([0])
+        assert started_threads == []
+        assert rep.noise_draw_s > 0.0 and rep.noise_wait_s >= 0.0
 
-    def test_producer_error_reaches_the_caller(self, coeffs128, tmp_path, monkeypatch, capsys):
+    def test_producer_error_reaches_the_caller(self, coeffs128, tmp_path, monkeypatch, capsys,
+                                               started_processes):
         def sabotaged(grid, hurst):
             raise FactorizationError("sabotaged factor")
 
         monkeypatch.setattr(path_engine, "cholesky_factor", sabotaged)
-        before = threading.active_count()
         with pytest.raises(FactorizationError, match="sabotaged factor"):
             self.sweep(coeffs128, 1000)
         # on the command line it is a numeric error: exit code 3
@@ -943,9 +944,10 @@ class TestStreamedSweep:
         config.write_text("n_time = 64\nn_space = 64\nn_paths = 1000\n", encoding="utf-8")
         assert cli.main(["sweep", "--config", str(config), "--out", str(tmp_path / "out")]) == 3
         assert "numeric error: sabotaged factor" in capsys.readouterr().err
-        assert threading.active_count() == before
+        # each producer sent its error and exited
+        started_processes.assert_joined([0, 0])
 
-    def test_fold_error_stops_the_producer(self, coeffs128, monkeypatch):
+    def test_fold_error_stops_the_producer(self, coeffs128, monkeypatch, started_processes):
         calls = []
         window_stats = averaging_lab._window_stats
 
@@ -956,11 +958,10 @@ class TestStreamedSweep:
             window_stats(*args)
 
         monkeypatch.setattr(averaging_lab, "_window_stats", failing)
-        before = threading.active_count()
         with pytest.raises(RuntimeError, match="fold failed"):
             self.sweep(coeffs128, 6 * block_rows(coeffs128.grid.n_nodes))
         assert len(calls) == 2
-        assert threading.active_count() == before
+        started_processes.assert_joined([0])
 
     def test_memory_bounded_in_n_paths(self, coeffs128, monkeypatch):
         # a small probe set keeps the path-free phase below the streaming peak

@@ -1,4 +1,6 @@
+import csv
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -307,6 +309,17 @@ class TestCli:
         assert "PASS" in (out / "summary.txt").read_text()
         manifest = (out / "manifest.csv").read_text()
         assert "\nfbar_panels,8\nfbar_nodes,1\n" in manifest
+
+    def test_sweep_manifest_times_the_noise_stream(self, tmp_path):
+        path = write_cfg(tmp_path, SMALL + f"out_dir = {tmp_path / 'out'}\n")
+        assert main(["sweep", "--config", path]) == 0
+        with open(tmp_path / "out" / "manifest.csv", encoding="utf-8", newline="") as fh:
+            entries = dict(csv.reader(fh))
+        # the producer's busy seconds and the sweep's wait on it, 3 decimals like
+        # every duration
+        for key in ("duration_s.noise_draw", "duration_s.noise_wait"):
+            assert re.fullmatch(r"\d+\.\d{3}", entries[key])
+            assert float(entries[key]) >= 0.0
 
     # a numpy scalar's repr is np.float64(...), which no CSV reader parses
     @pytest.mark.parametrize("command, files", [

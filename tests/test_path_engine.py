@@ -1,7 +1,9 @@
+import mmap
 import os
+import re
 import subprocess
 import sys
-import threading
+import time
 from dataclasses import replace
 from pathlib import Path
 
@@ -446,8 +448,16 @@ class TestPathBlocks:
         assert block_rows(path_engine.BLOCK_CELLS + 1) == 1
 
 
+class _NeedsTwo(Exception):
+    """Pickles, but cannot be rebuilt from the one message it pickles with."""
+
+    def __init__(self, a, b):
+        super().__init__(f"{a} and {b}")
+
+
 class TestNoiseStream:
-    """The sweep's producer thread draws each block's noise as the serial route does."""
+    """The sweep's producer process draws each block's noise as the serial route
+    does, into a ring it shares with the caller."""
 
     @pytest.mark.parametrize("n_steps", [64, 130, 1024])
     def test_blocks_equal_serial_draws(self, n_steps):
@@ -492,11 +502,60 @@ class TestNoiseStream:
             sys.setswitchinterval(switch)
         assert start == 400 and n == 3
 
-    def test_leaving_early_joins_the_producer(self, coeffs):
-        before = threading.active_count()
+    def test_leaving_early_joins_the_producer(self, coeffs, started_processes):
         with noise_stream(coeffs, 10 * block_rows(coeffs.grid.n_nodes), RNG) as blocks:
             next(blocks)
-        assert threading.active_count() == before
+        started_processes.assert_joined([0])
+
+    @pytest.mark.parametrize("local", [True, False], ids=["unpicklable", "unbuildable"])
+    def test_an_error_that_does_not_pickle_is_named(self, coeffs, monkeypatch,
+                                                     started_processes, local):
+        class Local(Exception):
+            pass
+
+        error = Local("drawn badly") if local else _NeedsTwo("drawn", "badly")
+
+        def failing(*args, **kwargs):
+            raise error
+
+        monkeypatch.setattr(path_engine, "make_ensemble", failing)
+        name = re.escape(type(error).__qualname__)
+        with pytest.raises(RuntimeError, match=f"noise producer raised {name}: drawn"):
+            with noise_stream(coeffs, 10, RNG) as blocks:
+                next(blocks)
+        started_processes.assert_joined([0])
+
+    def test_an_error_after_the_producer_waits_reaches_the_caller(self, coeffs, monkeypatch,
+                                                                 started_processes):
+        # the producer fails on block STREAM_SLOTS and exits while the slower
+        # caller still reads earlier blocks and hands their slots back to it
+        drawn = []
+        real = path_engine.make_ensemble
+
+        def failing(*args):
+            drawn.append(1)  # in the producer's memory
+            if len(drawn) > path_engine.STREAM_SLOTS:
+                raise FactorizationError("late failure")
+            return real(*args)
+
+        monkeypatch.setattr(path_engine, "make_ensemble", failing)
+        rows = block_rows(coeffs.grid.n_nodes)
+        read = []
+        with pytest.raises(FactorizationError, match="late failure"):
+            with noise_stream(coeffs, 10 * rows, RNG) as blocks:
+                for start, _ in blocks:
+                    read.append(start)
+                    time.sleep(0.1)
+        assert read == [0, rows, 2 * rows]
+        started_processes.assert_joined([0])
+
+    def test_a_producer_that_dies_is_reported(self, coeffs, monkeypatch, started_processes):
+        monkeypatch.setattr(path_engine, "make_ensemble", lambda *args: os._exit(7))
+        with pytest.raises(RuntimeError, match=r"noise producer exited \(code 7\) before "
+                                               "drawing block 0"):
+            with noise_stream(coeffs, 10, RNG) as blocks:
+                next(blocks)
+        started_processes.assert_joined([7])
 
 
 class TestMakeEnsemble:
@@ -583,12 +642,19 @@ class TestFactorMemo:
         from sfrbsde.bsde_solver import PdeConfig, TerminalCondition
         from sfrbsde.config import benchmark_generator
 
-        built = []
-        real_eig = path_engine.circulant_eigenvalues
+        # the producer process factors and draws, so it counts in memory it
+        # shares with this one: [Cholesky factors, circulant eigenvalue sets]
+        built = np.frombuffer(mmap.mmap(-1, 16), dtype=np.int64)
+
+        def counted(index, fn):
+            def call(*args):
+                built[index] += 1
+                return fn(*args)
+            return call
+
         monkeypatch.setattr(path_engine, "circulant_eigenvalues",
-                            lambda *a: built.append("eig") or real_eig(*a))
-        real_chol = np.linalg.cholesky
-        monkeypatch.setattr(np.linalg, "cholesky", lambda a: built.append("chol") or real_chol(a))
+                            counted(1, path_engine.circulant_eigenvalues))
+        monkeypatch.setattr(np.linalg, "cholesky", counted(0, np.linalg.cholesky))
         if method == "circulant":
             monkeypatch.setattr(path_engine, "CHOLESKY_MAX_STEPS", 0)
         coeffs = CoefficientSet.build(ZERO, ONE, ONE, self.GRID, H75)
@@ -599,8 +665,8 @@ class TestFactorMemo:
                   (0.5, 0.3, 0.2), cfg)
         # four path blocks, three eps: one Cholesky factor for the sweep, or
         # one set of circulant eigenvalues per block
-        assert built.count("chol") == (method == "cholesky")
-        assert built.count("eig") == (4 if method == "circulant" else 0)
+        assert built[0] == (method == "cholesky")
+        assert built[1] == (4 if method == "circulant" else 0)
 
 
 def test_module_imports_alone(tmp_path):
