@@ -1,9 +1,7 @@
 """Exception hierarchy shared across the package.
 
 The CLI maps these onto exit codes: config problems exit 2, numeric
-failures exit 3, failed checks exit 1.  An error raised in the sweep's
-producer process reaches the sweep pickled, so every error with fields of
-its own rebuilds itself from them (`__reduce__`).
+failures exit 3, failed checks exit 1.
 """
 
 
@@ -22,9 +20,6 @@ class ConfigError(SfrbsdeError):
         self.violations = list(violations)
         super().__init__("; ".join(self.violations))
 
-    def __reduce__(self):
-        return type(self), (self.violations,)
-
 
 class NumericError(SfrbsdeError):
     """Base class for numerical failures (CLI exit code 3)."""
@@ -41,9 +36,6 @@ class QuadratureConvergenceError(NumericError):
             f"quadrature did not converge: coarse={coarse!r} fine={fine!r} "
             f"|diff|={abs(fine - coarse):.3e} tol={tol:.3e}"
         )
-
-    def __reduce__(self):
-        return type(self), (self.coarse, self.fine, self.tol)
 
 
 class ConsistencyError(NumericError):
@@ -74,9 +66,6 @@ class PicardError(NumericError):
             f"residual={residual:.3e} > tol={tol:.3e}"
         )
 
-    def __reduce__(self):
-        return type(self), (self.step, self.residual, self.tol)
-
 
 class DomainTooSmallError(NumericError):
     """Too many path nodes fell outside the truncated PDE domain.
@@ -94,9 +83,6 @@ class DomainTooSmallError(NumericError):
             "half-width multiplier"
         )
 
-    def __reduce__(self):
-        return type(self), (self.clamp_fraction, self.half_width)
-
 
 class InfeasibleAlphaError(NumericError):
     """The alpha0 fixed-point equation has no admissible root."""
@@ -108,9 +94,6 @@ class InfeasibleAlphaError(NumericError):
             f"no admissible alpha0 for epsilon={epsilon!r}; "
             f"largest feasible epsilon is {max_feasible_eps!r} (exclusive)"
         )
-
-    def __reduce__(self):
-        return type(self), (self.epsilon, self.max_feasible_eps)
 
 
 class ContractError(SfrbsdeError):

@@ -36,7 +36,6 @@ covariance (1/2)(t^2H + s^2H - |t-s|^2H).
 
 from __future__ import annotations
 
-import pickle
 import time
 from contextlib import contextmanager
 from dataclasses import dataclass, replace
@@ -120,7 +119,8 @@ class NoiseBlocks:
     """The iterator of a `noise_stream`: (first path, noise) of each block in turn.
 
     A block is read once the producer reports it drawn, and its slot is
-    handed back to the producer when the iterator is advanced past it.
+    handed back to the producer when the iterator is advanced past it; a
+    producer that exits before drawing a block raises RuntimeError.
     `draw_s` holds the producer's busy seconds up to the last block read,
     and `wait_s` the seconds this process spent blocked on the pipe.
     """
@@ -146,7 +146,7 @@ class NoiseBlocks:
             try:
                 self._conn.send(None)
             except ConnectionError:
-                pass  # the producer has stopped; its replies, still queued, say why
+                pass  # the producer has stopped; the blocks it drew are still queued
         waited = time.perf_counter()
         try:
             reply = self._conn.recv()
@@ -155,31 +155,18 @@ class NoiseBlocks:
             raise RuntimeError(f"the noise producer exited (code {self._producer.exitcode}) "
                                f"before drawing block {i}") from None
         self.wait_s += time.perf_counter() - waited
-        if isinstance(reply, Exception):
-            raise reply
         self.draw_s = reply
         self._next = i + 1
         start, n, _ = self._blocks[i]
         return start, self._slots[i % STREAM_SLOTS, :n]
 
 
-def _pickled_error(exc: Exception) -> bytes:
-    """`exc` pickled, or a RuntimeError naming its type if `exc` does not come
-    back from pickling."""
-    try:
-        data = pickle.dumps(exc)
-        pickle.loads(data)
-    except Exception:
-        return pickle.dumps(RuntimeError(
-            f"the noise producer raised {type(exc).__qualname__}: {exc}"))
-    return data
-
-
 def _produce(conn, peer, coeffs: CoefficientSet, blocks: list, slots: np.ndarray) -> None:
     """The producer process of a `noise_stream`: draw block i into slot
-    i % STREAM_SLOTS and send its busy seconds so far, or its error, over
-    `conn`.  A slot is drawn into again only after the caller has left the
-    block it held.  The caller closing the pipe ends the process."""
+    i % STREAM_SLOTS and send its busy seconds so far over `conn`.  A slot
+    is drawn into again only after the caller has left the block it held.
+    The caller closing the pipe ends the process; an error ends it with
+    exit code 1, its traceback printed by `multiprocessing`."""
     peer.close()  # the caller's end: held open here, it would hide the caller's close
     grid = coeffs.grid
     work = np.empty((2, slots.shape[1], grid.n_steps))
@@ -188,14 +175,10 @@ def _produce(conn, peer, coeffs: CoefficientSet, blocks: list, slots: np.ndarray
         for i, (_, n, block_rng) in enumerate(blocks):
             if i >= STREAM_SLOTS:
                 conn.recv()
-            try:
-                drawn = time.perf_counter()
-                eta_noise(coeffs, make_ensemble(grid, coeffs.hurst, n, block_rng, work[:, :n]),
-                          out=slots[i % STREAM_SLOTS, :n])
-                busy += time.perf_counter() - drawn
-            except Exception as exc:
-                conn.send_bytes(_pickled_error(exc))
-                return
+            drawn = time.perf_counter()
+            eta_noise(coeffs, make_ensemble(grid, coeffs.hurst, n, block_rng, work[:, :n]),
+                      out=slots[i % STREAM_SLOTS, :n])
+            busy += time.perf_counter() - drawn
             conn.send(busy)
     except (EOFError, ConnectionError):
         pass  # the caller has left the stream
@@ -213,11 +196,16 @@ def noise_stream(coeffs: CoefficientSet, n_paths: int, rng: RngSpec):
     and stays valid until the iterator is advanced: at most
     STREAM_SLOTS - 1 blocks are drawn beyond the one the caller holds.  The
     producer keeps the increments' buffers and reports each block over a
-    pipe.  Its error is raised by the iterator with its own type, or as a
-    RuntimeError naming the type if the error does not survive pickling.
-    Leaving the `with` block, normally or by an error, closes the pipe and
-    joins the producer, which is terminated if it has not exited within
-    STREAM_JOIN_S.
+    pipe.  Leaving the `with` block, normally or by an error, closes the
+    pipe and joins the producer, which is terminated if it has not exited
+    within STREAM_JOIN_S.
+
+    The draws' own errors (FactorizationError, EmbeddingError) depend only
+    on the grid and H, which every block shares: the caller draws path 0
+    once before it forks and raises them there, with their own type, before
+    any process starts.  A producer that fails all the same is reported by
+    the iterator as a RuntimeError naming its exit code and the block it
+    did not draw.
 
     The producer is forked, so it inherits the caller's state as it is:
     the memoised Cholesky factor and any function rebound on the modules.
@@ -229,7 +217,11 @@ def noise_stream(coeffs: CoefficientSet, n_paths: int, rng: RngSpec):
     import mmap
     import multiprocessing
 
+    if n_paths < 1:
+        raise ValueError("n_paths must be positive")
     grid = coeffs.grid
+    # path 0's draw; the producer inherits the Cholesky factor it memoises
+    eta_noise(coeffs, make_ensemble(grid, coeffs.hurst, 1, rng))
     shape = (STREAM_SLOTS, min(block_rows(grid.n_nodes), n_paths), grid.n_nodes)
     slots = np.ndarray(shape, buffer=mmap.mmap(-1, 8 * shape[0] * shape[1] * shape[2]))
     blocks = list(path_blocks(n_paths, grid.n_nodes, rng))

@@ -1,6 +1,5 @@
 import mmap
 import os
-import re
 import subprocess
 import sys
 import time
@@ -448,13 +447,6 @@ class TestPathBlocks:
         assert block_rows(path_engine.BLOCK_CELLS + 1) == 1
 
 
-class _NeedsTwo(Exception):
-    """Pickles, but cannot be rebuilt from the one message it pickles with."""
-
-    def __init__(self, a, b):
-        super().__init__(f"{a} and {b}")
-
-
 class TestNoiseStream:
     """The sweep's producer process draws each block's noise as the serial route
     does, into a ring it shares with the caller."""
@@ -483,23 +475,18 @@ class TestNoiseStream:
         assert start == 0 and np.array_equal(noise, want)
 
     def test_a_block_stays_put_until_the_iterator_advances(self, coeffs, monkeypatch):
-        # 4-path blocks and a thread switch every microsecond: a slot handed back
-        # before the caller is done with it would change under the caller's reads
+        # 4-path blocks: a slot handed back before the caller is done with it
+        # would change under the caller's reads
         monkeypatch.setattr(path_engine, "BLOCK_CELLS", 4 * coeffs.grid.n_nodes)
-        switch = sys.getswitchinterval()
-        sys.setswitchinterval(1e-6)
-        try:
-            with noise_stream(coeffs, 403, RNG) as blocks:
-                for start, noise in blocks:
-                    first = noise.copy()
-                    for _ in range(20):
-                        assert np.array_equal(noise, first)
-                    n = noise.shape[0]
-                    want = eta_noise(coeffs, make_ensemble(
-                        coeffs.grid, H75, n, RngSpec(seed=RNG.seed, stream=start)))
-                    assert np.array_equal(noise, want)
-        finally:
-            sys.setswitchinterval(switch)
+        with noise_stream(coeffs, 403, RNG) as blocks:
+            for start, noise in blocks:
+                first = noise.copy()
+                for _ in range(20):
+                    assert np.array_equal(noise, first)
+                n = noise.shape[0]
+                want = eta_noise(coeffs, make_ensemble(
+                    coeffs.grid, H75, n, RngSpec(seed=RNG.seed, stream=start)))
+                assert np.array_equal(noise, want)
         assert start == 400 and n == 3
 
     def test_leaving_early_joins_the_producer(self, coeffs, started_processes):
@@ -507,50 +494,51 @@ class TestNoiseStream:
             next(blocks)
         started_processes.assert_joined([0])
 
-    @pytest.mark.parametrize("local", [True, False], ids=["unpicklable", "unbuildable"])
-    def test_an_error_that_does_not_pickle_is_named(self, coeffs, monkeypatch,
-                                                     started_processes, local):
-        class Local(Exception):
-            pass
-
-        error = Local("drawn badly") if local else _NeedsTwo("drawn", "badly")
-
-        def failing(*args, **kwargs):
-            raise error
-
-        monkeypatch.setattr(path_engine, "make_ensemble", failing)
-        name = re.escape(type(error).__qualname__)
-        with pytest.raises(RuntimeError, match=f"noise producer raised {name}: drawn"):
-            with noise_stream(coeffs, 10, RNG) as blocks:
-                next(blocks)
-        started_processes.assert_joined([0])
+    @pytest.mark.parametrize("n_paths", [0, -1])
+    def test_no_paths_is_rejected_before_the_fork(self, coeffs, started_processes, n_paths):
+        with pytest.raises(ValueError, match="n_paths must be positive"):
+            with noise_stream(coeffs, n_paths, RNG):
+                pass
+        started_processes.assert_joined([])
 
     def test_an_error_after_the_producer_waits_reaches_the_caller(self, coeffs, monkeypatch,
                                                                  started_processes):
         # the producer fails on block STREAM_SLOTS and exits while the slower
         # caller still reads earlier blocks and hands their slots back to it
+        caller = os.getpid()
         drawn = []
         real = path_engine.make_ensemble
 
         def failing(*args):
-            drawn.append(1)  # in the producer's memory
-            if len(drawn) > path_engine.STREAM_SLOTS:
-                raise FactorizationError("late failure")
+            if os.getpid() != caller:
+                drawn.append(1)  # in the producer's memory
+                if len(drawn) > path_engine.STREAM_SLOTS:
+                    raise FactorizationError("late failure")
             return real(*args)
 
         monkeypatch.setattr(path_engine, "make_ensemble", failing)
         rows = block_rows(coeffs.grid.n_nodes)
         read = []
-        with pytest.raises(FactorizationError, match="late failure"):
+        with pytest.raises(RuntimeError, match=r"noise producer exited \(code 1\) before "
+                                               f"drawing block {path_engine.STREAM_SLOTS}"):
             with noise_stream(coeffs, 10 * rows, RNG) as blocks:
                 for start, _ in blocks:
                     read.append(start)
                     time.sleep(0.1)
         assert read == [0, rows, 2 * rows]
-        started_processes.assert_joined([0])
+        started_processes.assert_joined([1])
 
     def test_a_producer_that_dies_is_reported(self, coeffs, monkeypatch, started_processes):
-        monkeypatch.setattr(path_engine, "make_ensemble", lambda *args: os._exit(7))
+        # only the producer dies: the caller's own one-path draw goes through
+        caller = os.getpid()
+        real = path_engine.make_ensemble
+
+        def dying(*args):
+            if os.getpid() != caller:
+                os._exit(7)
+            return real(*args)
+
+        monkeypatch.setattr(path_engine, "make_ensemble", dying)
         with pytest.raises(RuntimeError, match=r"noise producer exited \(code 7\) before "
                                                "drawing block 0"):
             with noise_stream(coeffs, 10, RNG) as blocks:
@@ -642,8 +630,8 @@ class TestFactorMemo:
         from sfrbsde.bsde_solver import PdeConfig, TerminalCondition
         from sfrbsde.config import benchmark_generator
 
-        # the producer process factors and draws, so it counts in memory it
-        # shares with this one: [Cholesky factors, circulant eigenvalue sets]
+        # the producer process draws, so it counts in memory it shares with
+        # this one: [Cholesky factors, circulant eigenvalue sets]
         built = np.frombuffer(mmap.mmap(-1, 16), dtype=np.int64)
 
         def counted(index, fn):
@@ -664,9 +652,10 @@ class TestFactorMemo:
         run_sweep(benchmark_generator(1.0), coeffs, TerminalCondition.square(),
                   (0.5, 0.3, 0.2), cfg)
         # four path blocks, three eps: one Cholesky factor for the sweep, or
-        # one set of circulant eigenvalues per block
+        # one set of circulant eigenvalues per block and one for the sweep's
+        # own one-path draw before the fork
         assert built[0] == (method == "cholesky")
-        assert built[1] == (4 if method == "circulant" else 0)
+        assert built[1] == (5 if method == "circulant" else 0)
 
 
 def test_module_imports_alone(tmp_path):
