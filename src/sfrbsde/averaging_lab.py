@@ -476,8 +476,9 @@ class SweepReport:
     """Per-epsilon error statistics, constants and claim verdicts, built by `checked_report`.
 
     `noise_draw_s` and `noise_wait_s` are the noise stream's producer busy
-    seconds and the seconds the sweep waited on it (`NoiseBlocks`): timings,
-    not results, so equality ignores them.
+    seconds and the seconds the sweep waited on it (the `draw_s` and
+    `wait_s` of `noise_stream`'s times): timings, not results, so equality
+    ignores them.
     """
 
     eps_list: tuple
@@ -542,7 +543,6 @@ class _WindowFold:
             field_orig.psi_x[row:] - field_avg.psi_x[row:],
             field_avg.psi[row:], field_avg.psi_x[row:])]
         self.t = t[i_lo:]
-        self.row_starts = np.arange(self.t.size) * (n + 2)
         # trapezoid weights on the window; |dZ|^2 = (sigma1^2 + sigma2^2) |d psi_x|^2
         half_steps = np.diff(self.t) / 2.0
         self.weights = np.zeros(self.t.size)
@@ -635,7 +635,7 @@ def _window_stats(fold: _WindowFold, noise: np.ndarray, start: int,
     fold.outside += _count_outside(noise, extremes, fold.below, fold.above)
     frac = np.multiply(noise[:, fold.i_lo:], fold.a, out=view("frac"))
     frac += fold.c
-    cell = locate(frac, fold.n_cells, fold.row_starts, view("cell"))
+    cell = locate(frac, fold.n_cells, view("cell"))
     read, scratch = view("read"), view("scratch")
     d_y, d_z, y_avg, slope_avg = fold.tables
     path_ints = np.empty((2, n_b))   # per path: the integrals of |dY|^2 and |dZ|^2
@@ -682,8 +682,8 @@ def run_sweep(
     of its global path indices, and its eps-free noise N, while this process
     folds the block before: every eps reads both fields in grid units
     straight from N; eta^eps itself is never formed.  The producer is
-    joined before this returns or raises, and its busy seconds and this
-    process's wait on it are the report's `noise_draw_s` and
+    joined before this returns or raises, and the stream's times, its
+    `draw_s` and `wait_s`, are the report's `noise_draw_s` and
     `noise_wait_s`.  The sweep starts no thread, and the caller must run
     none while it forks.  No n_paths x n_nodes array is ever held; what
     grows with n_paths is one per-path vector per eps, sup |dY|.  Reruns are
@@ -722,7 +722,7 @@ def run_sweep(
     del fields  # the folds hold copies of their window rows: this frees the batch
 
     ws = _FoldWorkspace(min(block_rows(grid.n_nodes), cfg.n_paths), grid.n_nodes)
-    with noise_stream(coeffs, cfg.n_paths, cfg.rng) as blocks:
+    with noise_stream(coeffs, cfg.n_paths, cfg.rng) as (blocks, times):
         for start, noise in blocks:
             extremes = noise.min(axis=0), noise.max(axis=0)
             for fold in folds:
@@ -730,7 +730,7 @@ def run_sweep(
 
     report = checked_report([fold.result() for fold in folds], [float(f.t[0]) for f in folds],
                             eps, T, t0, L, C1, phi, hurst, cfg, fbar.panels, fbar.nodes)
-    return replace(report, noise_draw_s=blocks.draw_s, noise_wait_s=blocks.wait_s)
+    return replace(report, noise_draw_s=times.draw_s, noise_wait_s=times.wait_s)
 
 
 def checked_report(raws: Sequence[dict], us: Sequence[float], eps: Sequence[float], T: float,

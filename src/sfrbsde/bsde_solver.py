@@ -444,18 +444,19 @@ def check_clamp(outside: int, cells: int, x_nodes: np.ndarray) -> float:
     return clamp_fraction
 
 
-def locate(u: np.ndarray, n: int, row_starts: np.ndarray, cell: np.ndarray) -> np.ndarray:
+def locate(u: np.ndarray, n: int, cell: np.ndarray) -> np.ndarray:
     """Flat cells of grid positions u in a `cell_table` of n + 1 nodes per row;
     u becomes the fraction.
 
     u (in x grid spacings from x_0) is clipped to [0, n] in place, `cell`
-    gets int(u) plus its column's row start, and u -= int(u).  The last node
-    is a flat cell, so u at or beyond an end reads the end value.  Returns `cell`.
+    gets int(u) plus its column's row start, c (n + 2) for column c, and
+    u -= int(u).  The last node is a flat cell, so u at or beyond an end
+    reads the end value.  Returns `cell`.
     """
     np.clip(u, 0.0, n, out=u)
     np.copyto(cell, u, casting="unsafe")
     u -= cell
-    cell += row_starts
+    cell += np.arange(u.shape[-1]) * (n + 2)
     return cell
 
 
@@ -504,7 +505,7 @@ def extract_triple(field: SolutionField, eta: np.ndarray, coeffs: CoefficientSet
     n = field.x_nodes.size - 1
     u = eta - lo
     u *= n / (hi - lo)
-    cell = locate(u, n, np.arange(t.size) * (n + 2), np.empty(u.shape, np.intp))
+    cell = locate(u, n, np.empty(u.shape, np.intp))
     slope = interp_at(cell_table(field.psi_x), cell, u)
     return TriplePath(eta=eta, Y=interp_at(cell_table(field.psi), cell, u),
                       Z1=slope * np.asarray(coeffs.sigma1(t), dtype=float),

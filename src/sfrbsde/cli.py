@@ -48,7 +48,10 @@ def _manifest(cfg: ExperimentConfig) -> RunManifest:
 
 def _outdir(cfg: ExperimentConfig) -> Path:
     out = Path(cfg.resolved_out_dir())
-    out.mkdir(parents=True, exist_ok=True)
+    try:
+        out.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise ConfigError([f"cannot make output directory {out}: {exc.strerror}"]) from None
     return out
 
 
@@ -320,9 +323,6 @@ def main(argv=None) -> int:
         print("configuration error:", file=sys.stderr)
         for v in exc.violations:
             print(f"  - {v}", file=sys.stderr)
-        return 2
-    except FileNotFoundError as exc:
-        print(f"configuration error: {exc}", file=sys.stderr)
         return 2
     except NumericError as exc:
         print(f"numeric error: {exc}", file=sys.stderr)

@@ -261,23 +261,30 @@ def validated(cfg: ExperimentConfig) -> ExperimentConfig:
 
 def parse_config(path) -> ExperimentConfig:
     """Parse a flat key=value file; unknown keys and every range violation
-    are reported together."""
+    are reported together.  A file that cannot be read as UTF-8 text is a
+    ConfigError naming its path."""
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            lines = fh.readlines()
+    except UnicodeDecodeError:
+        raise ConfigError([f"config file {path} is not UTF-8 text"]) from None
+    except OSError as exc:
+        raise ConfigError([f"cannot read config file {path}: {exc.strerror}"]) from None
     raw = {}
     violations = []
-    with open(path, "r", encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            stripped = line.split("#", 1)[0].strip()
-            if not stripped:
-                continue
-            if "=" not in stripped:
-                violations.append(f"line {lineno}: expected 'key = value', got {stripped!r}")
-                continue
-            key, _, value = stripped.partition("=")
-            key = key.strip()
-            if key in raw:
-                violations.append(f"line {lineno}: duplicate key {key!r}")
-                continue
-            raw[key] = value.strip()
+    for lineno, line in enumerate(lines, start=1):
+        stripped = line.split("#", 1)[0].strip()
+        if not stripped:
+            continue
+        if "=" not in stripped:
+            violations.append(f"line {lineno}: expected 'key = value', got {stripped!r}")
+            continue
+        key, _, value = stripped.partition("=")
+        key = key.strip()
+        if key in raw:
+            violations.append(f"line {lineno}: duplicate key {key!r}")
+            continue
+        raw[key] = value.strip()
     if violations:
         raise ConfigError(violations)
     return config_from_mapping(raw)

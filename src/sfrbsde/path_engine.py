@@ -17,9 +17,11 @@ and dB^H come from distinct purposes and are therefore independent.
 Every command draws its paths in the blocks of `path_blocks` and merges
 each block into running moments (`merge_moments`), so no command's memory
 grows with the number of paths.  The sweep takes its blocks' eps-free
-noise from `noise_stream`, whose one producer process, forked for the
-stream, draws the next blocks into a shared ring of STREAM_SLOTS slots
-while the sweep reads the current one.  A thread would share the sweep's
+noise from `noise_stream`, one function that holds both ends of one pipe:
+its producer loop, run in a process forked for the stream, draws the next
+blocks into a shared ring of STREAM_SLOTS slots, while the generator it
+yields, with a record of the draw and wait seconds, hands the sweep the
+current one and releases the one before.  A thread would share the sweep's
 interpreter lock: `RngSpec.fill_normals` runs a Python loop of one short
 draw per path, and beside the fold that loop took back the lock the
 fold's numpy calls need.  The producer's BLAS calls run beside the
@@ -40,6 +42,7 @@ import time
 from contextlib import contextmanager
 from dataclasses import dataclass, replace
 from functools import cached_property, lru_cache
+from types import SimpleNamespace
 
 import numpy as np
 
@@ -115,97 +118,31 @@ def path_blocks(n_paths: int, n_nodes: int, rng: RngSpec):
         yield start, min(rows, n_paths - start), replace(rng, stream=rng.stream + start)
 
 
-class NoiseBlocks:
-    """The iterator of a `noise_stream`: (first path, noise) of each block in turn.
-
-    A block is read once the producer reports it drawn, and its slot is
-    handed back to the producer when the iterator is advanced past it; a
-    producer that exits before drawing a block raises RuntimeError.
-    `draw_s` holds the producer's busy seconds up to the last block read,
-    and `wait_s` the seconds this process spent blocked on the pipe.
-    """
-
-    def __init__(self, conn, slots: np.ndarray, blocks: list, producer):
-        self._conn = conn
-        self._slots = slots
-        self._blocks = blocks
-        self._producer = producer
-        self._next = 0
-        self.draw_s = 0.0
-        self.wait_s = 0.0
-
-    def __iter__(self):
-        return self
-
-    def __next__(self):
-        i = self._next
-        if i == len(self._blocks):
-            raise StopIteration
-        if 0 < i <= len(self._blocks) - STREAM_SLOTS:
-            # the caller has left block i - 1, whose slot block i - 1 + STREAM_SLOTS takes
-            try:
-                self._conn.send(None)
-            except ConnectionError:
-                pass  # the producer has stopped; the blocks it drew are still queued
-        waited = time.perf_counter()
-        try:
-            reply = self._conn.recv()
-        except (EOFError, ConnectionError):
-            self._producer.join(STREAM_JOIN_S)
-            raise RuntimeError(f"the noise producer exited (code {self._producer.exitcode}) "
-                               f"before drawing block {i}") from None
-        self.wait_s += time.perf_counter() - waited
-        self.draw_s = reply
-        self._next = i + 1
-        start, n, _ = self._blocks[i]
-        return start, self._slots[i % STREAM_SLOTS, :n]
-
-
-def _produce(conn, peer, coeffs: CoefficientSet, blocks: list, slots: np.ndarray) -> None:
-    """The producer process of a `noise_stream`: draw block i into slot
-    i % STREAM_SLOTS and send its busy seconds so far over `conn`.  A slot
-    is drawn into again only after the caller has left the block it held.
-    The caller closing the pipe ends the process; an error ends it with
-    exit code 1, its traceback printed by `multiprocessing`."""
-    peer.close()  # the caller's end: held open here, it would hide the caller's close
-    grid = coeffs.grid
-    work = np.empty((2, slots.shape[1], grid.n_steps))
-    busy = 0.0
-    try:
-        for i, (_, n, block_rng) in enumerate(blocks):
-            if i >= STREAM_SLOTS:
-                conn.recv()
-            drawn = time.perf_counter()
-            eta_noise(coeffs, make_ensemble(grid, coeffs.hurst, n, block_rng, work[:, :n]),
-                      out=slots[i % STREAM_SLOTS, :n])
-            busy += time.perf_counter() - drawn
-            conn.send(busy)
-    except (EOFError, ConnectionError):
-        pass  # the caller has left the stream
-
-
 @contextmanager
 def noise_stream(coeffs: CoefficientSet, n_paths: int, rng: RngSpec):
     """The eps-free noise N of every `path_blocks` block, drawn ahead in one
     forked producer process.
 
-    Yields a `NoiseBlocks` iterator of (first path, noise).  A block's noise,
-    (rows, n_nodes), equals eta_noise(coeffs, make_ensemble(grid, hurst,
-    rows, block rng)) bit for bit.  Block i is drawn into slot
-    i % STREAM_SLOTS of a ring in anonymous shared memory, allocated once,
-    and stays valid until the iterator is advanced: at most
-    STREAM_SLOTS - 1 blocks are drawn beyond the one the caller holds.  The
-    producer keeps the increments' buffers and reports each block over a
-    pipe.  Leaving the `with` block, normally or by an error, closes the
+    Yields (blocks, times): `blocks` iterates over (first path, noise) of
+    each block in turn, and `times` holds `draw_s`, the producer's busy
+    seconds up to the last block read, and `wait_s`, the seconds this
+    process spent blocked on the pipe.  A block's noise, (rows, n_nodes),
+    equals eta_noise(coeffs, make_ensemble(grid, hurst, rows, block rng))
+    bit for bit.  Block i is drawn into slot i % STREAM_SLOTS of a ring in
+    anonymous shared memory, allocated once, and stays valid until the
+    iterator is advanced, which hands its slot back to the producer: at
+    most STREAM_SLOTS - 1 blocks are drawn beyond the one the caller holds.
+    The producer keeps the increments' buffers and reports each block over
+    a pipe.  Leaving the `with` block, normally or by an error, closes the
     pipe and joins the producer, which is terminated if it has not exited
     within STREAM_JOIN_S.
 
     The draws' own errors (FactorizationError, EmbeddingError) depend only
     on the grid and H, which every block shares: the caller draws path 0
     once before it forks and raises them there, with their own type, before
-    any process starts.  A producer that fails all the same is reported by
-    the iterator as a RuntimeError naming its exit code and the block it
-    did not draw.
+    any process starts.  A producer that fails all the same exits with code
+    1, its traceback printed by `multiprocessing`, and the iterator raises
+    a RuntimeError naming its exit code and the block it did not draw.
 
     The producer is forked, so it inherits the caller's state as it is:
     the memoised Cholesky factor and any function rebound on the modules.
@@ -227,12 +164,50 @@ def noise_stream(coeffs: CoefficientSet, n_paths: int, rng: RngSpec):
     blocks = list(path_blocks(n_paths, grid.n_nodes, rng))
     fork = multiprocessing.get_context("fork")
     conn, child_conn = fork.Pipe()
-    producer = fork.Process(target=_produce, args=(child_conn, conn, coeffs, blocks, slots),
-                            name="noise-stream", daemon=True)
+
+    def produce():
+        # draw block i into slot i % STREAM_SLOTS, once the caller has left the
+        # block the slot held, and send the busy seconds so far; the caller
+        # closing the pipe ends the process
+        conn.close()  # the caller's end: held open here, it would hide the caller's close
+        work = np.empty((2, shape[1], grid.n_steps))
+        busy = 0.0
+        try:
+            for i, (_, n, block_rng) in enumerate(blocks):
+                if i >= STREAM_SLOTS:
+                    child_conn.recv()
+                drawn = time.perf_counter()
+                eta_noise(coeffs, make_ensemble(grid, coeffs.hurst, n, block_rng, work[:, :n]),
+                          out=slots[i % STREAM_SLOTS, :n])
+                busy += time.perf_counter() - drawn
+                child_conn.send(busy)
+        except (EOFError, ConnectionError):
+            pass  # the caller has left the stream
+
+    def read():
+        for i, (start, n, _) in enumerate(blocks):
+            if 0 < i <= len(blocks) - STREAM_SLOTS:
+                # the caller has left block i - 1, whose slot block i - 1 + STREAM_SLOTS takes
+                try:
+                    conn.send(None)
+                except ConnectionError:
+                    pass  # the producer has stopped; the blocks it drew are still queued
+            waited = time.perf_counter()
+            try:
+                times.draw_s = conn.recv()
+            except (EOFError, ConnectionError):
+                producer.join(STREAM_JOIN_S)
+                raise RuntimeError(f"the noise producer exited (code {producer.exitcode}) "
+                                   f"before drawing block {i}") from None
+            times.wait_s += time.perf_counter() - waited
+            yield start, slots[i % STREAM_SLOTS, :n]
+
+    times = SimpleNamespace(draw_s=0.0, wait_s=0.0)
+    producer = fork.Process(target=produce, name="noise-stream", daemon=True)
     producer.start()
     child_conn.close()
     try:
-        yield NoiseBlocks(conn, slots, blocks, producer)
+        yield read(), times
     finally:
         conn.close()
         producer.join(STREAM_JOIN_S)

@@ -485,11 +485,11 @@ class TestReadBuffers:
     """locate and interp_at write into caller buffers, and give the same bits there."""
 
     def test_locate_clips_and_splits(self):
-        # n = 3 cells per row; row c of the flat table starts at 4 c
+        # n = 3 cells per row; row c of the flat cell_table starts at (n + 2) c = 5 c
         u = np.array([[-0.5, 1.25, 3.0], [0.0, 2.5, 9.0]])
         cell = np.full(u.shape, -1, dtype=np.intp)
-        assert locate(u, 3, np.array([0, 4, 8]), cell) is cell
-        assert np.array_equal(cell, [[0, 5, 11], [0, 6, 11]])
+        assert locate(u, 3, cell) is cell
+        assert np.array_equal(cell, [[0, 6, 13], [0, 7, 13]])
         assert np.array_equal(u, [[0.0, 0.25, 0.0], [0.0, 0.5, 0.0]])
 
     def test_buffers_match_allocating_calls(self, coeffs128, paths128):
@@ -501,7 +501,7 @@ class TestReadBuffers:
         frac = grid_units(field.x_nodes, eta)
         assert ((frac < 0) | (frac > n)).any()
         # a cell_table row holds the n + 1 nodes and the last value once more
-        cell = locate(frac, n, np.arange(eta.shape[1]) * (n + 2), np.empty(eta.shape, np.intp))
+        cell = locate(frac, n, np.empty(eta.shape, np.intp))
         scratch = np.full(eta.shape, np.nan)
         for table in (cell_table(field.psi), cell_table(field.psi_x)):
             want = interp_at(table, cell, frac)

@@ -246,6 +246,133 @@ class TestCli:
     def test_missing_config_exit_2(self, tmp_path):
         assert main(["sweep", "--config", str(tmp_path / "absent.cfg")]) == 2
 
+    @pytest.mark.parametrize("case", ["missing", "directory", "not-utf8", "out-is-file",
+                                      "out-under-file"])
+    def test_unusable_path_exit_2(self, tmp_path, capsys, case):
+        # a path the command cannot use is a usage error that names it, met
+        # before any output directory is made
+        cfg, out, file = tmp_path / "exp.cfg", tmp_path / "out", tmp_path / "file"
+        file.write_text("kept\n", encoding="utf-8")
+        if case == "directory":
+            cfg.mkdir()
+        elif case == "not-utf8":
+            cfg.write_bytes(b"n_paths = 1000  # \xff\n")
+        elif case.startswith("out"):
+            out = file if case == "out-is-file" else file / "out"
+        argv = ["sweep", "--out", str(out)]
+        if not case.startswith("out"):
+            argv += ["--config", str(cfg)]
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert str(out if case.startswith("out") else cfg) in err
+        assert "Traceback" not in err
+        assert not out.is_dir()
+        assert file.read_text(encoding="utf-8") == "kept\n"
+
+    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+    def test_non_finite_coefficient_exit_3(self, tmp_path, capsys):
+        # a finite preset argument whose values overflow on the grid: the
+        # coefficient tables refuse it before it reaches the PDE
+        path = write_cfg(tmp_path, SMALL + "b = sinusoidal:1.7e308\n"
+                         f"out_dir = {tmp_path / 'out'}\n")
+        assert main(["solve", "--config", path]) == 3
+        assert "b=b:sinusoidal:1.7e308 is not finite" in capsys.readouterr().err
+
+    # each passes every range rule; unrefused, it surfaces later as a
+    # traceback, a failed verdict or a misleading numeric error
+    @pytest.mark.parametrize("key, value", [
+        ("t0", "nan"), ("delta2", "nan"), ("eta0", "nan"), ("kappa", "inf"),
+        ("t_horizon", "inf"), ("b", "constant:nan"), ("sigma2", "constant:inf"),
+        ("generator", "constant:nan"),
+    ])
+    def test_non_finite_value_exit_2(self, tmp_path, capsys, key, value):
+        path = write_cfg(tmp_path, "n_time = 64\nn_space = 64\nn_paths = 1000\n"
+                         f"{key} = {value}\nout_dir = {tmp_path / 'out'}\n")
+        assert main(["sweep", "--config", path]) == 2
+        assert f"{key}: " in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    def test_unconverged_kernel_table_exit_3(self, tmp_path, capsys, monkeypatch):
+        # a 2-node kernel rule: doubling it moves ||sigma2||^2_T far beyond 1e-8
+        monkeypatch.setattr(frac_kernel, "_NODES", 2)
+        path = write_cfg(tmp_path, SMALL.replace("h = 0.75", "h = 0.51")
+                         + f"sigma2 = sinusoidal:1\nout_dir = {tmp_path / 'out'}\n")
+        assert main(["solve", "--config", path]) == 3
+        assert "quadrature did not converge" in capsys.readouterr().err
+
+    def test_small_t0_stops_before_any_pde(self, tmp_path, capsys, monkeypatch):
+        # t0 = T/100 leaves no alpha0 for the default eps_list's 0.5
+        def solve_psis(*args):
+            raise AssertionError("the sweep solved a PDE")
+        monkeypatch.setattr(averaging_lab, "solve_psis", solve_psis)
+        path = write_cfg(tmp_path, f"n_time = 16\nn_space = 64\nt0 = 0.01\nout_dir = {tmp_path}\n")
+        assert main(["sweep", "--config", path]) == 3
+        assert "no admissible alpha0 for epsilon=0.5" in capsys.readouterr().err
+
+    def test_fbar_unresolved_on_pde_states_exit_3(self, tmp_path, capsys, monkeypatch):
+        # a generator the probe box resolves but 256 panels do not on the PDE's
+        # states y = x^2; refused before any PDE, also when f-bar is rebuilt
+        # without its panels and nodes, as the benchmark's tracer rebuilds it
+        def box_only(T):
+            def fn(t, x, y, z1, z2):
+                return np.cos(2 * np.pi * t * (np.asarray(y) / 5) ** 4)
+            return Generator(fn=fn, name="box-only")
+
+        def solve_psis(*args, **kwargs):
+            raise AssertionError("the sweep solved a PDE")
+
+        build_fbar = averaging_lab.build_fbar
+
+        def rebuilt(*args, **kwargs):
+            avg = build_fbar(*args, **kwargs)
+            return averaging_lab.AveragedGenerator(fn=avg.fn, provenance=avg.provenance,
+                                                   name=avg.name)
+
+        monkeypatch.setattr(config, "benchmark_generator", box_only)
+        monkeypatch.setattr(averaging_lab, "solve_psis", solve_psis)
+        path = write_cfg(tmp_path, f"n_time = 16\nn_space = 64\nout_dir = {tmp_path / 'out'}\n")
+        for fbar_route in (build_fbar, rebuilt):
+            monkeypatch.setattr(averaging_lab, "build_fbar", fbar_route)
+            assert main(["sweep", "--config", path]) == 3
+            assert "quadrature did not converge" in capsys.readouterr().err
+
+    def test_default_config_sweeps(self, tmp_path):
+        # the auto t0 = 3T/4 gives C1 = 0.6495, enough for the default eps_list's 0.5
+        out = tmp_path / "out"
+        path = write_cfg(tmp_path, f"out_dir = {out}\n")
+        assert main(["sweep", "--config", path]) == 0
+        assert (out / "sweep_report.csv").is_file()
+        assert "t0,0.75\n" in (out / "constants.csv").read_text()
+
+    def test_missing_config_exit_2(self, tmp_path):
+        assert main(["sweep", "--config", str(tmp_path / "absent.cfg")]) == 2
+
+    @pytest.mark.parametrize("case", ["missing", "directory", "not-utf8", "out-is-file",
+                                      "out-under-file"])
+    def test_bad_path_exit_2(self, tmp_path, capsys, case):
+        # every path the command cannot use is a usage error that names it,
+        # refused before any output directory is made
+        out, cfg = tmp_path / "out", tmp_path / "exp.cfg"
+        if case == "directory":
+            cfg.mkdir()
+        elif case == "not-utf8":
+            cfg.write_bytes(b"n_paths = 1000 # \xff\xfe\n")
+        elif case != "missing":
+            cfg = None
+            (tmp_path / "file").write_text("kept\n", encoding="utf-8")
+            out = tmp_path / "file" if case == "out-is-file" else tmp_path / "file" / "out"
+        argv = ["sweep", "--out", str(out)] + ([] if cfg is None else ["--config", str(cfg)])
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert str(cfg if case in ("missing", "directory", "not-utf8") else out) in err
+        assert "Traceback" not in err
+        assert not out.is_dir()
+        assert sorted(p.name for p in tmp_path.iterdir()) == (
+            ["exp.cfg"] if case in ("directory", "not-utf8") else [] if case == "missing"
+            else ["file"])
+        if cfg is None:
+            assert (tmp_path / "file").read_text(encoding="utf-8") == "kept\n"
+
     @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
     def test_non_finite_picard_iterate_exit_3(self, tmp_path, capsys):
         # y' = 1e150 y overflows to inf within the first backward step

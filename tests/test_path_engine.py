@@ -459,7 +459,7 @@ class TestNoiseStream:
         rows = block_rows(grid.n_nodes)
         # more blocks than ring slots, and a short last block
         n_paths = (path_engine.STREAM_SLOTS + 1) * rows + 37
-        with noise_stream(coeffs, n_paths, rng) as blocks:
+        with noise_stream(coeffs, n_paths, rng) as (blocks, _):
             got = [(start, noise.copy()) for start, noise in blocks]
         want = [(start, eta_noise(coeffs, make_ensemble(grid, H75, n, block_rng)))
                 for start, n, block_rng in path_blocks(n_paths, grid.n_nodes, rng)]
@@ -469,7 +469,7 @@ class TestNoiseStream:
             assert np.array_equal(noise.view(np.int64), serial.view(np.int64))
 
     def test_one_short_block(self, coeffs):
-        with noise_stream(coeffs, 3, RNG) as blocks:
+        with noise_stream(coeffs, 3, RNG) as (blocks, _):
             (start, noise), = list(blocks)
         want = eta_noise(coeffs, make_ensemble(coeffs.grid, H75, 3, RNG))
         assert start == 0 and np.array_equal(noise, want)
@@ -478,7 +478,7 @@ class TestNoiseStream:
         # 4-path blocks: a slot handed back before the caller is done with it
         # would change under the caller's reads
         monkeypatch.setattr(path_engine, "BLOCK_CELLS", 4 * coeffs.grid.n_nodes)
-        with noise_stream(coeffs, 403, RNG) as blocks:
+        with noise_stream(coeffs, 403, RNG) as (blocks, _):
             for start, noise in blocks:
                 first = noise.copy()
                 for _ in range(20):
@@ -490,7 +490,7 @@ class TestNoiseStream:
         assert start == 400 and n == 3
 
     def test_leaving_early_joins_the_producer(self, coeffs, started_processes):
-        with noise_stream(coeffs, 10 * block_rows(coeffs.grid.n_nodes), RNG) as blocks:
+        with noise_stream(coeffs, 10 * block_rows(coeffs.grid.n_nodes), RNG) as (blocks, _):
             next(blocks)
         started_processes.assert_joined([0])
 
@@ -521,7 +521,7 @@ class TestNoiseStream:
         read = []
         with pytest.raises(RuntimeError, match=r"noise producer exited \(code 1\) before "
                                                f"drawing block {path_engine.STREAM_SLOTS}"):
-            with noise_stream(coeffs, 10 * rows, RNG) as blocks:
+            with noise_stream(coeffs, 10 * rows, RNG) as (blocks, _):
                 for start, _ in blocks:
                     read.append(start)
                     time.sleep(0.1)
@@ -541,7 +541,7 @@ class TestNoiseStream:
         monkeypatch.setattr(path_engine, "make_ensemble", dying)
         with pytest.raises(RuntimeError, match=r"noise producer exited \(code 7\) before "
                                                "drawing block 0"):
-            with noise_stream(coeffs, 10, RNG) as blocks:
+            with noise_stream(coeffs, 10, RNG) as (blocks, _):
                 next(blocks)
         started_processes.assert_joined([7])
 
