@@ -42,7 +42,7 @@ from .bsde_solver import (
 )
 from .errors import ContractError, InfeasibleAlphaError, NumericError, QuadratureConvergenceError
 from .frac_kernel import CoefficientSet, HurstModel, c0_const, c1_lower_bound
-from .path_engine import RngSpec, block_rows, merge_moments, noise_stream
+from .path_engine import RngSpec, block_rows, eta_marginals, merge_moments, noise_stream
 
 WINDOW_NOTE = (
     "rate window is [T*eps^(1-beta), T] per the stated theorem; the proof's "
@@ -507,9 +507,9 @@ class _WindowFold:
     Both fields share the x grid `linspace(lo, hi, n + 1)` (the domain
     depends only on the coefficients, eps, eta0 and kappa), and eta is read
     in grid units: u = (eta - lo) g with g = n / (hi - lo) is a N + c_k, with
-    a = eps^H g and c_k = (eta0 + eps^2H int_0^t_k b ds - lo) g fixed here,
-    so a block is read straight from its eps-free noise N through `locate`,
-    the reader `extract_triple` uses too.
+    a = eps^H g and c_k = (mean_k - lo) g fixed here, mean_k eta's mean at
+    t_k (`eta_marginals`), so a block is read straight from its eps-free
+    noise N through `locate`, the reader `extract_triple` uses too.
 
     The fields may start after t = 0 (`solve_psis`' `first_row`), but not
     after the window start `i_lo`, a row of the whole time grid.  The four
@@ -526,17 +526,12 @@ class _WindowFold:
     def __init__(self, epsilon: float, i_lo: int, field_orig: SolutionField,
                  field_avg: SolutionField, coeffs: CoefficientSet, n_paths: int, eta0: float):
         t = coeffs.grid.nodes
-        self.i_lo, self.n_nodes = i_lo, t.size
-        self.x_nodes = field_orig.x_nodes.copy()
-        lo, hi = self.x_nodes[0], self.x_nodes[-1]
-        n = self.x_nodes.size - 1
-        g = n / (hi - lo)
+        self.i_lo = i_lo
+        lo, hi = field_orig.x_nodes[0], field_orig.x_nodes[-1]
+        self.n_cells = field_orig.x_nodes.size - 1
+        g = self.n_cells / (hi - lo)
         self.a = epsilon**coeffs.hurst.h * g
-        c = (eta0 + epsilon**coeffs.hurst.two_h * coeffs.b_int_table - lo) * g
-        self.c = c[i_lo:]
-        # eta_k < x_0 exactly when N_k < -c_k / a, and eta_k > x_n when N_k > (n - c_k) / a
-        self.below, self.above = -c / self.a, (n - c) / self.a
-        self.n_cells = n
+        self.c = ((eta_marginals(coeffs, epsilon, eta0)[0] - lo) * g)[i_lo:]
         row = i_lo - (t.size - field_orig.t_nodes.size)   # i_lo's row in the fields
         self.tables = [cell_table(table) for table in (
             field_orig.psi[row:] - field_avg.psi[row:],
@@ -551,7 +546,6 @@ class _WindowFold:
         self.sig_sq = np.stack([np.asarray(sigma(t), dtype=float)[i_lo:] ** 2
                                 for sigma in (coeffs.sigma1, coeffs.sigma2)])
         self.z_weights = self.weights * self.sig_sq.sum(axis=0)
-        self.outside = 0
         self.count = 0
         self.mean = np.zeros(self.t.size)
         self.m2 = np.zeros(self.t.size)
@@ -562,14 +556,8 @@ class _WindowFold:
         self.sup_abs = np.empty(n_paths)
 
     def result(self) -> dict:
-        """The statistics of every path folded so far.
-
-        Raises DomainTooSmallError when more than 1% of all path nodes
-        (t = 0 included) lie outside the PDE domain (`check_clamp`, as
-        `solve` judges its blocks).
-        """
+        """The statistics of every path folded so far."""
         n = self.count
-        check_clamp(self.outside, n * self.n_nodes, self.x_nodes)
         root_n = np.sqrt(n)
         mse_se = np.sqrt(self.m2 / (n - 1)) / root_n
         dy_se, z_se = np.sqrt(self.int_m2 / (n - 1)) / root_n
@@ -604,27 +592,12 @@ class _FoldWorkspace:
         return self.buffers[name][:rows * cols].reshape(rows, cols)
 
 
-def _count_outside(noise: np.ndarray, extremes, below: np.ndarray, above: np.ndarray) -> int:
-    """The nodes of `noise` below `below` or above `above` (one bound per column),
-    comparing only the columns whose `extremes`, the column minima and maxima,
-    cross a bound."""
-    count = 0
-    for extreme, bound, beyond in zip(extremes, (below, above), (np.less, np.greater)):
-        cols = np.flatnonzero(beyond(extreme, bound))
-        if cols.size:
-            count += np.count_nonzero(beyond(noise[:, cols], bound[cols]))
-    return count
-
-
-def _window_stats(fold: _WindowFold, noise: np.ndarray, start: int,
-                  ws: _FoldWorkspace, extremes: tuple[np.ndarray, np.ndarray]) -> None:
-    """Fold the block of paths start, start+1, ... (eps-free noise `noise`,
-    with column minima and maxima `extremes`) into `fold`.
+def _window_stats(fold: _WindowFold, noise: np.ndarray, start: int, ws: _FoldWorkspace) -> None:
+    """Fold the block of paths start, start+1, ... (eps-free noise `noise`) into `fold`.
 
     The four reads share `ws`'s `read` buffer, and each feeds its statistics
     before the next overwrites it.  Every block-sized array lives in `ws`;
-    what is allocated per call is O(window columns + block rows), plus a
-    copy of the block's columns where some path leaves the domain.
+    what is allocated per call is O(window columns + block rows).
     """
     n_b, n_nodes = noise.shape
     cols = n_nodes - fold.i_lo
@@ -632,7 +605,6 @@ def _window_stats(fold: _WindowFold, noise: np.ndarray, start: int,
     def view(name, width=cols):
         return ws.view(name, n_b, width)
 
-    fold.outside += _count_outside(noise, extremes, fold.below, fold.above)
     frac = np.multiply(noise[:, fold.i_lo:], fold.a, out=view("frac"))
     frac += fold.c
     cell = locate(frac, fold.n_cells, view("cell"))
@@ -672,7 +644,8 @@ def run_sweep(
 
     f-bar is built once (`build_fbar`), resolved on the probe box joined
     with the states at which the PDE first reads a generator
-    (`first_sweep_states`), before any PDE is solved or path drawn.  Every
+    (`first_sweep_states`), before any PDE is solved or path drawn; so is
+    each eps's domain, which `check_clamp` judges by eta's law.  Every
     field is then solved, all 2 x len(eps) in one
     backward pass (`solve_psis`) that stops at the earliest window start,
     and each eps's fold copies the window rows it reads, so
@@ -707,9 +680,11 @@ def run_sweep(
     averaged = fbar.as_generator()
     L = estimate_lipschitz(original, T)
     C1 = c1_lower_bound(coeffs, t0)
-    # an eps without an alpha0 fails here, before any PDE is solved or path drawn
-    for epsilon in eps:
+    # an eps without an alpha0, or whose domain eta's law leaves too often
+    # (`check_clamp`), fails here, before any PDE is solved or path drawn
+    for epsilon, x_nodes in zip(eps, states[0]):
         solve_alpha0(L, C1, epsilon, hurst)
+        check_clamp(coeffs, epsilon, cfg.eta0, x_nodes)
     phi = estimate_phi(original, fbar, T)
 
     # each eps's window start, kept below the last node so the window is nonempty
@@ -724,9 +699,8 @@ def run_sweep(
     ws = _FoldWorkspace(min(block_rows(grid.n_nodes), cfg.n_paths), grid.n_nodes)
     with noise_stream(coeffs, cfg.n_paths, cfg.rng) as (blocks, times):
         for start, noise in blocks:
-            extremes = noise.min(axis=0), noise.max(axis=0)
             for fold in folds:
-                _window_stats(fold, noise, start, ws, extremes)
+                _window_stats(fold, noise, start, ws)
 
     report = checked_report([fold.result() for fold in folds], [float(f.t[0]) for f in folds],
                             eps, T, t0, L, C1, phi, hurst, cfg, fbar.panels, fbar.nodes)

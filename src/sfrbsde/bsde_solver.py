@@ -33,6 +33,7 @@ gets alone; `solve_psi` is the batch of one.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
@@ -40,7 +41,7 @@ import numpy as np
 
 from .errors import DomainTooSmallError, NumericError, PicardError
 from .frac_kernel import CoefficientSet
-from .path_engine import merge_moments
+from .path_engine import eta_marginals, merge_moments
 
 
 def __getattr__(name: str):
@@ -138,20 +139,17 @@ class SolutionField:
 
 @dataclass
 class TriplePath:
-    """(Y, Z1, Z2) along a block of eta paths, the paths themselves, and the
-    count of path nodes outside the PDE domain."""
+    """(Y, Z1, Z2) along a block of eta paths, and the paths themselves."""
 
     eta: np.ndarray
     Y: np.ndarray
     Z1: np.ndarray
     Z2: np.ndarray
-    outside: int = 0
 
 
 def domain_bounds(coeffs: CoefficientSet, epsilon: float, eta0: float, kappa: float):
     """Truncation interval [m - kappa s, m + kappa s] around the law of eta_T."""
-    mean = eta0 + epsilon**coeffs.hurst.two_h * coeffs.b_int_table[-1]
-    std = epsilon**coeffs.hurst.h * np.sqrt(coeffs.sigma_abs_sq_table[-1])
+    mean, std = (law[-1] for law in eta_marginals(coeffs, epsilon, eta0))
     return mean - kappa * std, mean + kappa * std
 
 
@@ -436,11 +434,21 @@ def solve_psis(
 MAX_CLAMP_FRACTION = 0.01
 
 
-def check_clamp(outside: int, cells: int, x_nodes: np.ndarray) -> float:
-    """The share of path nodes read clamped to the domain ends; raises above the limit."""
-    clamp_fraction = outside / cells
+def check_clamp(coeffs: CoefficientSet, epsilon: float, eta0: float,
+                 x_nodes: np.ndarray) -> float:
+    """The share of path nodes that eta's law (`eta_marginals`) puts outside
+    [x_0, x_n], (1 / (n + 1)) sum_k P(eta_k outside), from no path; raises
+    DomainTooSmallError above MAX_CLAMP_FRACTION.  A node of std 0, t_0 where
+    eta = eta0, counts 1 when it lies strictly beyond an end."""
+    lo, hi = float(x_nodes[0]), float(x_nodes[-1])
+    mean, std = eta_marginals(coeffs, epsilon, eta0)
+    # P(eta_k < lo) + P(eta_k > hi), each tail the erfc of its distance in sqrt(2) std
+    clamp_fraction = math.fsum(
+        0.5 * (math.erfc((m - lo) / w) + math.erfc((hi - m) / w)) if w > 0.0
+        else float(m < lo or m > hi)
+        for m, w in zip(mean.tolist(), (std * math.sqrt(2.0)).tolist())) / mean.size
     if clamp_fraction > MAX_CLAMP_FRACTION:
-        raise DomainTooSmallError(clamp_fraction, (x_nodes[-1] - x_nodes[0]) / 2.0)
+        raise DomainTooSmallError(clamp_fraction, (hi - lo) / 2.0)
     return clamp_fraction
 
 
@@ -492,9 +500,9 @@ def extract_triple(field: SolutionField, eta: np.ndarray, coeffs: CoefficientSet
     """Read (Y, Z1, Z2) along a block of eta paths by interpolating psi and psi_x.
 
     eta is read in grid units, u = (eta - x_0) g with g = n / (x_n - x_0),
-    through `locate`, as the sweep's fold reads it.  Nodes strictly beyond
-    the domain read its end values; `outside` counts them, and the caller
-    judges their share over every block by `check_clamp`.  Z2 sigma1 =
+    through `locate`, as the sweep's fold reads it.  Nodes beyond the
+    domain read its end values; `check_clamp` bounds their expected share
+    before any path is drawn.  Z2 sigma1 =
     Z1 sigma2 holds exactly at every node because both controls share the
     one interpolated psi_x value.
     """
@@ -509,8 +517,7 @@ def extract_triple(field: SolutionField, eta: np.ndarray, coeffs: CoefficientSet
     slope = interp_at(cell_table(field.psi_x), cell, u)
     return TriplePath(eta=eta, Y=interp_at(cell_table(field.psi), cell, u),
                       Z1=slope * np.asarray(coeffs.sigma1(t), dtype=float),
-                      Z2=slope * np.asarray(coeffs.sigma2(t), dtype=float),
-                      outside=int(np.count_nonzero(eta < lo) + np.count_nonzero(eta > hi)))
+                      Z2=slope * np.asarray(coeffs.sigma2(t), dtype=float))
 
 
 @dataclass(frozen=True)

@@ -108,17 +108,19 @@ def cmd_solve(cfg: ExperimentConfig) -> int:
     term = cfg.make_terminal()
 
     manifest.begin("solve")
+    clamp_fraction = bs.check_clamp(coeffs, cfg.epsilon, cfg.eta0,
+                                    bs.space_grid(coeffs, cfg.epsilon, cfg.eta0, cfg.pde()))
     field = bs.solve_psi(gen, term, coeffs, cfg.epsilon, cfg.pde(), cfg.eta0)
     manifest.end("solve")
 
     # per block: the (mean, M2) per node of Y, Z1 and Z2 merged, the residual
-    # terms folded, the Malliavin deviation maxed and the clamped nodes counted
+    # terms folded and the Malliavin deviation maxed
     manifest.begin("extract")
     t = coeffs.grid.nodes
     mean, m2 = np.zeros(3 * t.size), np.zeros(3 * t.size)
     residuals = bs.ResidualCheck(gen, coeffs, cfg.epsilon, (
         cfg.t_horizon / 4, cfg.t_horizon / 2, 3 * cfg.t_horizon / 4))
-    outside, mal_dev = 0, 0.0
+    mal_dev = 0.0
     for start, rows, rng in pe.path_blocks(cfg.n_paths, t.size, cfg.rng()):
         ens = pe.make_ensemble(coeffs.grid, coeffs.hurst, rows, rng)
         triple = bs.extract_triple(field, pe.simulate_eta(coeffs, ens, cfg.epsilon, cfg.eta0),
@@ -127,10 +129,8 @@ def cmd_solve(cfg: ExperimentConfig) -> int:
         residuals.fold(triple)
         mal = bs.malliavin_representation_check(triple, field, coeffs)
         mal_dev = max(mal_dev, mal.max_deviation)
-        outside += triple.outside
         fbm_method = ens.fbm_method
         del ens, triple  # the block is freed before the next one is drawn
-    clamp_fraction = bs.check_clamp(outside, cfg.n_paths * t.size, field.x_nodes)
     manifest.end("extract")
 
     manifest.begin("write")

@@ -68,17 +68,17 @@ class PicardError(NumericError):
 
 
 class DomainTooSmallError(NumericError):
-    """Too many path nodes fell outside the truncated PDE domain.
+    """eta's law puts too many path nodes outside the truncated PDE domain.
 
-    `half_width` is the domain's half-width in x units, kappa times the
-    standard deviation of eta_T.
+    `clamp_fraction` is that expected share, and `half_width` the domain's
+    half-width in x units, kappa times the standard deviation of eta_T.
     """
 
     def __init__(self, clamp_fraction, half_width):
         self.clamp_fraction = clamp_fraction
         self.half_width = half_width
         super().__init__(
-            f"{clamp_fraction:.2%} of path nodes left the PDE domain "
+            f"eta's law puts {clamp_fraction:.2%} of path nodes outside the PDE domain "
             f"(half-width {half_width:.4g} in x units); enlarge kappa, the "
             "half-width multiplier"
         )

@@ -463,6 +463,17 @@ def eta_noise(coeffs: CoefficientSet, ensemble: PathEnsemble,
     return levels(incr, out)
 
 
+def eta_marginals(coeffs: CoefficientSet, epsilon: float,
+                  eta0: float = 0.0) -> tuple[np.ndarray, np.ndarray]:
+    """(mean, std) of eta^eps at nodes t_0..t_n.  Each marginal is exactly Gaussian,
+    mean eta0 + eps^2H int_0^t b ds and variance eps^2H |sigma|^2_t: the continuous
+    law the PDE reads, whose variance the left-point sums of `eta_noise` miss by
+    O(dt) where sigma varies in time.  At t_0 the std is 0."""
+    mean = eta0 + epsilon**coeffs.hurst.two_h * coeffs.b_int_table
+    std = epsilon**coeffs.hurst.h * np.sqrt(coeffs.sigma_abs_sq_table)
+    return mean, std
+
+
 def simulate_eta(coeffs: CoefficientSet, ensemble: PathEnsemble, epsilon: float,
                  eta0: float = 0.0) -> np.ndarray:
     """Forward process on the grid:
@@ -471,14 +482,14 @@ def simulate_eta(coeffs: CoefficientSet, ensemble: PathEnsemble, epsilon: float,
                          + eps^H sum sigma1(t_k) dB_k
                          + eps^H sum sigma2(t_k) dBH_k,
 
-    that is eta0 + eps^2H int_0^t b ds + eps^H N with N from `eta_noise`.
+    that is the mean of `eta_marginals` plus eps^H N with N from `eta_noise`.
     eps = 1 recovers the unscaled process.  All eps values reuse the same
     (dB, dBH) draws, so sweeps are common-random-number coupled by design.
     """
     if not 0 < epsilon <= 1:
         raise ValueError(f"epsilon must lie in (0, 1], got {epsilon!r}")
     eta = np.multiply(eta_noise(coeffs, ensemble), epsilon**coeffs.hurst.h)
-    # a + b == b + a exactly, so this is (eta0 + drift) + eps^H N bit for bit;
-    # at t_0 the drift integral and N are 0, so eta starts at eta0
-    eta += eta0 + epsilon**coeffs.hurst.two_h * coeffs.b_int_table
+    # a + b == b + a exactly, so this is mean + eps^H N bit for bit; at t_0
+    # the drift integral and N are 0, so eta starts at eta0
+    eta += eta_marginals(coeffs, epsilon, eta0)[0]
     return eta

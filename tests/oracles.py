@@ -19,7 +19,9 @@ is the analytic route beside production's quadrature, and the level route of
 eta's noise (each level array differenced back into increments) is the
 second route beside production's one cumsum of increments, and the
 row-differenced factor of the fBm level covariance the second route beside
-production's factor of the fGn covariance; all are kept here as cross-checks.
+production's factor of the fGn covariance, and SciPy's normal tails the
+second route beside production's erfc sum for the clamp fraction; all are
+kept here as cross-checks.
 """
 
 import numpy as np
@@ -300,7 +302,7 @@ def whole_ensemble_sweep(original, coeffs, term, eps_list, cfg):
 def whole_ensemble_solve(cfg):
     """`solve`'s statistics from one whole-ensemble draw: the triple_summary.csv
     and residual_check.csv rows by np.mean / np.var / np.std over every path,
-    the Malliavin check and the clamp fraction."""
+    the Malliavin check and the clamp fraction (`normal_tail_clamp_fraction`)."""
     from sfrbsde import bsde_solver as bs
     from sfrbsde.path_engine import make_ensemble, simulate_eta
 
@@ -324,7 +326,20 @@ def whole_ensemble_solve(cfg):
         stderr = per_path.std(ddof=1) / np.sqrt(cfg.n_paths)
         residuals.append((t[k0], residual, stderr, residual <= 3 * stderr + coeffs.grid.dt))
     mal = bs.malliavin_representation_check(trip, field, coeffs)
-    return summary, residuals, mal, trip.outside / eta.size
+    return summary, residuals, mal, normal_tail_clamp_fraction(
+        coeffs, cfg.epsilon, cfg.eta0, field.x_nodes[0], field.x_nodes[-1])
+
+
+def normal_tail_clamp_fraction(coeffs, epsilon, eta0, lo, hi):
+    """The mean over nodes of P(eta_k outside [lo, hi]) under eta's Gaussian
+    marginals, by scipy.stats.norm's tails; t_0, where eta = eta0, by the
+    strict indicator."""
+    from scipy.stats import norm
+
+    mean = eta0 + epsilon ** (2.0 * coeffs.hurst.h) * coeffs.b_int_table
+    std = epsilon**coeffs.hurst.h * np.sqrt(coeffs.sigma_abs_sq_table)
+    tails = norm.cdf(lo, mean[1:], std[1:]) + norm.sf(hi, mean[1:], std[1:])
+    return (tails.sum() + float(mean[0] < lo or mean[0] > hi)) / mean.size
 
 
 def whole_ensemble_simulate_fbm(cfg, max_rows, max_nodes):

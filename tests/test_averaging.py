@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from sfrbsde import averaging_lab, cli, path_engine
+from sfrbsde import averaging_lab, bsde_solver, cli, path_engine, verify
 from sfrbsde.averaging_lab import (
     BOX_HALF_WIDTH,
     AveragingConstants,
@@ -57,12 +57,12 @@ from sfrbsde.path_engine import (
     eta_noise,
     make_ensemble,
     merge_moments,
-    simulate_eta,
 )
 
 from oracles import (
     benchmark_fbar,
     bisect_alpha0,
+    normal_tail_clamp_fraction,
     per_node_fbar,
     table_phi,
     whole_ensemble_simulate_fbm,
@@ -993,11 +993,10 @@ class TestStreamedSweep:
         fold = averaging_lab._WindowFold(0.5, 20, *fields, coeffs128, 2 * rows, STREAM_CFG.eta0)
         ws = averaging_lab._FoldWorkspace(rows, grid.n_nodes)
         noise = eta_noise(coeffs128, make_ensemble(grid, H75, rows, STREAM_CFG.rng))
-        extremes = noise.min(axis=0), noise.max(axis=0)
-        averaging_lab._window_stats(fold, noise, 0, ws, extremes)
+        averaging_lab._window_stats(fold, noise, 0, ws)
         tracemalloc.start()
         try:
-            averaging_lab._window_stats(fold, noise, rows, ws, extremes)
+            averaging_lab._window_stats(fold, noise, rows, ws)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -1018,20 +1017,6 @@ class TestStreamedSweep:
         np.testing.assert_allclose(np.sqrt(m2 / (count - 1)), np.std(sample, axis=0, ddof=1),
                                    rtol=1e-13)
 
-    def test_clamp_count_reads_only_crossing_columns(self):
-        # bounds that some columns cross below, some above, some both and some
-        # neither; the count must equal the whole-block compare
-        noise = np.random.default_rng(5).standard_normal((300, 40))
-        below = np.full(40, -10.0)
-        above = np.full(40, 10.0)
-        below[5:15], above[10:20] = -1.5, 1.0
-        below[30], above[30] = 0.0, 0.0
-        extremes = noise.min(axis=0), noise.max(axis=0)
-        want = np.count_nonzero(noise < below) + np.count_nonzero(noise > above)
-        assert want > 0
-        assert averaging_lab._count_outside(noise, extremes, below, above) == want
-        assert averaging_lab._count_outside(noise, extremes, below - 5, above + 5) == 0
-
     def test_fold_shares_no_memory_with_the_fields(self, coeffs128):
         # the folds copy their window rows, so dropping the fields frees the batch
         gens = (benchmark_generator(1.0),
@@ -1048,20 +1033,19 @@ class TestStreamedSweep:
 
     def test_domain_error_counts_every_node_of_every_block(self):
         # b = A cos(2 pi t): eta drifts far out of the domain mid-horizon and
-        # back by T, where the domain is centred
+        # back by T, where the domain is centred; eta's law weighs every node
+        # of the first eps, whose domain fails first
         amp = 200.0
         b = DeterministicFn(fn=lambda t: amp * np.cos(2 * np.pi * t), name="swing")
         coeffs = CoefficientSet.build(b, ONE, ONE, TimeGrid(T=1.0, n_steps=64), H75)
         cfg = replace(STREAM_CFG, n_paths=2 * block_rows(65) + 5)
         eps = (0.5, 0.3, 0.2)
         lo, hi = domain_bounds(coeffs, eps[0], cfg.eta0, cfg.pde.kappa)
-        ens = make_ensemble(coeffs.grid, H75, cfg.n_paths, cfg.rng)
-        eta = simulate_eta(coeffs, ens, eps[0], cfg.eta0)
-        want = np.count_nonzero((eta < lo) | (eta > hi)) / eta.size
+        want = normal_tail_clamp_fraction(coeffs, eps[0], cfg.eta0, lo, hi)
         assert want > 0.01
         with pytest.raises(DomainTooSmallError) as err:
             run_sweep(Generator.zero(), coeffs, TerminalCondition.square(), eps, cfg)
-        assert err.value.clamp_fraction == want
+        assert err.value.clamp_fraction == pytest.approx(want, rel=1e-12, abs=0.0)
         assert err.value.half_width == (hi - lo) / 2.0
 
 
@@ -1109,7 +1093,7 @@ class TestStreamedCommands:
         assert notes["fbm_method"] == method
         assert notes["malliavin_applicable"] == format_value(mal.applicable)
         assert notes["malliavin_max_deviation"] == format_value(mal.max_deviation)
-        assert notes["clamp_fraction"] == format_value(clamp_fraction)
+        assert float(notes["clamp_fraction"]) == pytest.approx(clamp_fraction, rel=1e-12, abs=0.0)
 
     @pytest.mark.parametrize("n_time, capped", [(64, False), (64, True), (65, False),
                                                 (1024, False)])
@@ -1135,7 +1119,7 @@ class TestStreamedCommands:
 
     def test_solve_domain_error_counts_every_node_of_every_block(self, tmp_path, monkeypatch,
                                                                   capsys):
-        # b = A cos(2 pi t), as the sweep's twin: eta leaves the domain mid-horizon
+        # b = A cos(2 pi t), as the sweep's twin: eta's law leaves the domain mid-horizon
         amp = 200.0
         swing = DeterministicFn(fn=lambda t: amp * np.cos(2 * np.pi * t), name="swing")
         coefficient_fn = ExperimentConfig.coefficient_fn
@@ -1144,20 +1128,19 @@ class TestStreamedCommands:
         cfg = command_config(tmp_path, 64, 2 * block_rows(65) + 5)
         coeffs = cfg.coefficient_set()
         lo, hi = domain_bounds(coeffs, cfg.epsilon, cfg.eta0, cfg.kappa)
-        ens = make_ensemble(coeffs.grid, coeffs.hurst, cfg.n_paths, cfg.rng())
-        eta = simulate_eta(coeffs, ens, cfg.epsilon, cfg.eta0)
-        want = np.count_nonzero((eta < lo) | (eta > hi)) / eta.size
+        want = normal_tail_clamp_fraction(coeffs, cfg.epsilon, cfg.eta0, lo, hi)
         assert want > 0.01
         with pytest.raises(DomainTooSmallError) as err:
             cli.cmd_solve(cfg)
-        assert err.value.clamp_fraction == want
+        assert err.value.clamp_fraction == pytest.approx(want, rel=1e-12, abs=0.0)
         assert err.value.half_width == (hi - lo) / 2.0
         # on the command line the error is a numeric one: exit code 3
         config = tmp_path / "swing.cfg"
         config.write_text(f"n_time = 64\nn_space = 64\nn_paths = {cfg.n_paths}\n",
                           encoding="utf-8")
         assert cli.main(["solve", "--config", str(config), "--out", str(tmp_path / "cli")]) == 3
-        assert f"{want:.2%} of path nodes left the PDE domain" in capsys.readouterr().err
+        assert (f"eta's law puts {err.value.clamp_fraction:.2%} of path nodes outside the PDE "
+                "domain") in capsys.readouterr().err
 
     @pytest.mark.parametrize("command", ["solve", "simulate-fbm"])
     def test_command_memory_bounded_in_n_paths(self, tmp_path, monkeypatch, command):
@@ -1178,3 +1161,37 @@ class TestStreamedCommands:
         small, large = peak(2500), peak(10_000)
         # no n_paths x n_nodes array is held
         assert large - small < 8 * 2500 * 65
+
+
+class TestDomainGate:
+    """A domain that eta's law leaves too often fails before any PDE is solved
+    or path drawn: in the sweep, in `solve` and in verify's residual-mean."""
+
+    # b = constant:30 at the default config: the law puts 52.75% of the sweep's
+    # first eps's nodes and 71.76% of solve's outside the domain
+    CFG = replace(ExperimentConfig(), b="constant:30")
+
+    @pytest.fixture(autouse=True)
+    def no_pde_or_path(self, monkeypatch):
+        def late(*args, **kwargs):
+            raise _LateStage
+        for module, name in ((averaging_lab, "solve_psis"), (averaging_lab, "noise_stream"),
+                             (bsde_solver, "solve_psi"), (path_engine, "make_ensemble")):
+            monkeypatch.setattr(module, name, late)
+
+    def test_sweep(self):
+        cfg = self.CFG
+        with pytest.raises(DomainTooSmallError) as err:
+            run_sweep(cfg.make_generator(), cfg.coefficient_set(), cfg.make_terminal(),
+                      cfg.eps_list, cli._sweep_config(cfg))
+        assert err.value.clamp_fraction == pytest.approx(0.5275, abs=5e-5)
+
+    def test_solve(self, tmp_path):
+        with pytest.raises(DomainTooSmallError) as err:
+            cli.cmd_solve(replace(self.CFG, out_dir=str(tmp_path)))
+        assert err.value.clamp_fraction == pytest.approx(0.7176, abs=5e-5)
+        assert list(tmp_path.iterdir()) == []
+
+    def test_residual_mean(self):
+        with pytest.raises(DomainTooSmallError):
+            verify.check_residual_mean(self.CFG)

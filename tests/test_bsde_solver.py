@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -22,15 +24,16 @@ from sfrbsde.bsde_solver import (
     malliavin_representation_check,
     solve_psi,
     solve_psis,
+    space_grid,
     thomas_factors,
 )
-from sfrbsde.config import benchmark_generator, config_from_mapping
+from sfrbsde.config import ExperimentConfig, benchmark_generator, config_from_mapping
 from sfrbsde.errors import CoefficientError, DomainTooSmallError, NumericError, PicardError
 from sfrbsde.frac_kernel import CoefficientSet, DeterministicFn, HurstModel
 from sfrbsde.grids import TimeGrid
 from sfrbsde.path_engine import RngSpec, make_ensemble, simulate_eta
 
-from oracles import per_column_triple
+from oracles import normal_tail_clamp_fraction, per_column_triple
 
 H75 = HurstModel(0.75)
 ONE = DeterministicFn.const(1.0)
@@ -538,34 +541,16 @@ class TestExtractTriple:
         assert np.array_equal(trip.Z2 * s1, trip.Z1 * s2)
 
     def test_clamp_error(self, coeffs128):
-        field = solve_psi(Generator.zero(), TerminalCondition.identity(),
-                          coeffs128, 1.0, PdeConfig(kappa=4.0, n_space=64))
-        wild = 100.0 * np.ones((50, coeffs128.grid.n_nodes))
-        trip = extract_triple(field, wild, coeffs128)
-        assert trip.outside == wild.size
+        # eta started at 100 stays far above the domain around 0 at every node
+        x_nodes = space_grid(coeffs128, 1.0, 0.0, PdeConfig(kappa=4.0, n_space=64))
         with pytest.raises(DomainTooSmallError) as err:
-            check_clamp(trip.outside, wild.size, field.x_nodes)
+            check_clamp(coeffs128, 1.0, 100.0, x_nodes)
         # the error reports the half-width in x units, not kappa = 4
-        half_width = (field.x_nodes[-1] - field.x_nodes[0]) / 2.0
+        half_width = (x_nodes[-1] - x_nodes[0]) / 2.0
         assert err.value.half_width == half_width != 4.0
         assert err.value.clamp_fraction == 1.0
+        assert str(err.value).startswith("eta's law puts 100.00% of path nodes outside")
         assert f"half-width {half_width:.4g} in x units" in str(err.value)
-        # the limit is 1% of the nodes, itself allowed
-        assert check_clamp(1, 100, field.x_nodes) == 0.01
-        with pytest.raises(DomainTooSmallError):
-            check_clamp(2, 100, field.x_nodes)
-
-    def test_clamp_fraction_counts_strictly_outside(self, coeffs128):
-        field = solve_psi(Generator.zero(), TerminalCondition.identity(),
-                          coeffs128, 1.0, PdeConfig(kappa=4.0, n_space=64))
-        lo, hi = field.x_nodes[0], field.x_nodes[-1]
-        eta = np.random.default_rng(5).uniform(lo - 1.0, hi + 1.0, (40, coeffs128.grid.n_nodes))
-        eta[0], eta[1] = lo, hi  # at the ends: inside
-        eta[2], eta[3] = lo - 1e-12, hi + 1e-12  # just beyond: outside
-        below, above = np.count_nonzero(eta < lo), np.count_nonzero(eta > hi)
-        assert below > eta.shape[1] and above > eta.shape[1]
-        trip = extract_triple(field, eta, coeffs128)
-        assert trip.outside == below + above
 
     def test_grid_mismatch_rejected(self, coeffs128):
         field = solve_psi(Generator.zero(), TerminalCondition.identity(),
@@ -631,6 +616,70 @@ class TestResidualMean:
         trip = extract_triple(field, paths128, coeffs128)
         rep = ResidualCheck(gen, coeffs128, 1.0, [0.503]).fold(trip).reports()[0]
         assert rep.probe in coeffs128.grid.nodes
+
+
+KINDS = {"constant": DeterministicFn.const(1.0), "linear": DeterministicFn.linear(2.0),
+         "sinusoidal": DeterministicFn.sinusoidal(1.0, 1.0)}
+
+
+def clamp_share(coeffs, epsilon, eta0, x_nodes):
+    """check_clamp's share, read from its error above the limit."""
+    try:
+        return check_clamp(coeffs, epsilon, eta0, x_nodes)
+    except DomainTooSmallError as err:
+        return err.clamp_fraction
+
+
+class TestClampLaw:
+    """check_clamp's share of path nodes outside the domain, from eta's law alone."""
+
+    @pytest.mark.parametrize("b", KINDS)
+    @pytest.mark.parametrize("sigma1", KINDS)
+    @pytest.mark.parametrize("sigma2", KINDS)
+    def test_matches_normal_tails(self, b, sigma1, sigma2):
+        coeffs = build_coeffs(n=64, b=KINDS[b], sigma1=KINDS[sigma1], sigma2=KINDS[sigma2])
+        # shares from about 1e-10 (6 std) to most of the nodes (half a std)
+        for epsilon, eta0, kappa in ((1.0, 0.0, 6.0), (0.5, 1.0, 2.0), (0.3, -2.0, 0.5)):
+            x_nodes = np.array(domain_bounds(coeffs, epsilon, eta0, kappa))
+            want = normal_tail_clamp_fraction(coeffs, epsilon, eta0, *x_nodes)
+            assert want > 0.0
+            assert clamp_share(coeffs, epsilon, eta0, x_nodes) == pytest.approx(
+                want, rel=1e-12, abs=0.0)
+
+    @pytest.mark.parametrize("case", ["swing", "constant30-sweep", "constant30-solve"])
+    def test_matches_a_drawn_count(self, case):
+        # sigma is constant, so the sampler's law at the nodes is the PDE's
+        if case == "swing":
+            swing = DeterministicFn(fn=lambda t: 200.0 * np.cos(2 * np.pi * t), name="swing")
+            coeffs, epsilon, eta0 = build_coeffs(n=64, b=swing), 0.5, 1.0
+            pde = PdeConfig(kappa=6.0, n_space=64)
+        else:
+            cfg = replace(ExperimentConfig(), b="constant:30")
+            coeffs, eta0, pde = cfg.coefficient_set(), cfg.eta0, cfg.pde()
+            epsilon = cfg.eps_list[0] if case.endswith("sweep") else cfg.epsilon
+        x_nodes = space_grid(coeffs, epsilon, eta0, pde)
+        ens = make_ensemble(coeffs.grid, coeffs.hurst, 4000, RngSpec(seed=42))
+        eta = simulate_eta(coeffs, ens, epsilon, eta0)
+        per_path = np.mean((eta < x_nodes[0]) | (eta > x_nodes[-1]), axis=1)
+        stderr = per_path.std(ddof=1) / np.sqrt(per_path.size)
+        share = clamp_share(coeffs, epsilon, eta0, x_nodes)
+        assert share > 0.5 and abs(share - per_path.mean()) <= 4 * stderr
+
+    @pytest.mark.parametrize("n_steps", [99, 98])
+    def test_eta0_beyond_an_end_counts_one_node(self, n_steps):
+        # the drift carries every later node's law far inside [x_0, x_n]; at
+        # t_0, of std 0, eta = eta0 counts only strictly beyond an end
+        coeffs = build_coeffs(n=n_steps, b=DeterministicFn.const(1e4))
+        eta0 = 1.0
+        assert check_clamp(coeffs, 1.0, eta0, np.array([eta0, 1e9])) == 0.0
+        beyond = np.array([np.nextafter(eta0, 2.0), 1e9])
+        if n_steps == 99:
+            # 1 node of 100 is the limit, itself allowed
+            assert check_clamp(coeffs, 1.0, eta0, beyond) == 0.01
+        else:
+            with pytest.raises(DomainTooSmallError) as err:
+                check_clamp(coeffs, 1.0, eta0, beyond)
+            assert err.value.clamp_fraction == 1.0 / 99
 
 
 class TestDomainAndConfig:
