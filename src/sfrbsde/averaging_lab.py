@@ -121,11 +121,6 @@ def _node_average(gen: Generator, nodes: np.ndarray, weights: np.ndarray) -> Cal
     return fbar
 
 
-def _gl_time_average(gen: Generator, T: float, panels: int) -> Callable:
-    """(1/T) int_0^T f(s, .) ds by `panels` panels of GL-4, as one call of f."""
-    return _node_average(gen, *_gl_rule(T, panels))
-
-
 def _first_excess(got: np.ndarray, want: np.ndarray, tol: float) -> int | None:
     """The first flat index where got misses want by more than tol * max(1, |want|)
     (a NaN misses), or None."""
@@ -164,22 +159,19 @@ def _pivoted_rows(samples: np.ndarray, tol: float, limit: int) -> np.ndarray | N
         residual -= np.outer(residual @ unit, unit)
 
 
-def _reduced_rule(gen: Generator, T: float, panels: int, points, full: np.ndarray):
-    """The nodes and weights of a rule on fewer of the `panels`-panel rule's
-    nodes that meets it (values `full` on `points`) within NODE_TOL * max(1,
-    |fbar|) on every point, or None.
+def _reduced_rule(nodes: np.ndarray, table: np.ndarray, full: np.ndarray):
+    """The nodes and weights of a rule on fewer of `nodes` that meets the full
+    rule (values `full` on the points) within NODE_TOL * max(1, |fbar|) on
+    every point, or None.
 
-    The nodes are `_pivoted_rows` of f(t_j, points) over the 4 * panels
-    nodes, and their weights reproduce `full` by least squares.
+    `table` holds f(nodes_j, points) row by row.  The nodes are its
+    `_pivoted_rows`, and their weights reproduce `full` by least squares.
     """
-    nodes, _ = _gl_rule(T, panels)
-    samples = np.broadcast_to(gen(nodes[:, None], *points), (nodes.size, full.size))
-    chosen = _pivoted_rows(samples, NODE_TOL, min(MAX_REDUCED_NODES, nodes.size - 1))
+    chosen = _pivoted_rows(table, NODE_TOL, min(MAX_REDUCED_NODES, nodes.size - 1))
     if chosen is None or not chosen.size:
         return None
-    weights = np.linalg.lstsq(samples[chosen].T, full, rcond=None)[0]
-    reduced = _node_average(gen, nodes[chosen], weights)(*points)
-    if _first_excess(reduced, full, NODE_TOL) is not None:
+    weights = np.linalg.lstsq(table[chosen].T, full, rcond=None)[0]
+    if _first_excess(weights @ table[chosen], full, NODE_TOL) is not None:
         return None
     return nodes[chosen], weights
 
@@ -195,15 +187,19 @@ def build_fbar(gen: Generator, T: float, points) -> AveragedGenerator:
     is passed through untouched (this keeps the degenerate sweep identically
     zero instead of zero-up-to-quadrature-rounding).
 
-    Otherwise the panel count is chosen here, once: starting at
-    MIN_FBAR_PANELS and doubling, the first count n <= MAX_FBAR_PANELS whose
-    fbar on every point moves by at most FBAR_TOL * max(1, |fbar|) when
-    refined to 2n panels.  If no count qualifies, QuadratureConvergenceError
-    is raised.
+    Otherwise the rule is chosen from one table of f per panel count n
+    tried, f on the 4n nodes of `_gl_rule(T, n)` x the points, whose
+    weighted sum over the nodes is fbar on the points.  Starting at
+    MIN_FBAR_PANELS and doubling, n is the first count <= MAX_FBAR_PANELS
+    whose fbar on every point moves by at most FBAR_TOL * max(1, |fbar|)
+    when refined to 2n panels.  If no count qualifies,
+    QuadratureConvergenceError is raised.  The n table is held while the 2n
+    one is built: 14 + 27 MB for 128 -> 256 panels on a sweep's 3 350
+    points, 1.5x the largest table.
 
-    Then the 4n nodes are cut to the r that f's time dependence needs on
-    the points (`_reduced_rule`): r = 1 for f = a(t) h(x, y, z1, z2), at
-    most d + 1 for f polynomial of degree d in t.  The reduced rule is kept
+    Then the kept table's 4n nodes are cut to the r that f's time dependence
+    needs on the points (`_reduced_rule`): r = 1 for f = a(t) h(x, y, z1,
+    z2), at most d + 1 for f polynomial of degree d in t.  The cut is kept
     only if it meets the 4n-node rule within NODE_TOL * max(1, |fbar|) on
     every point; otherwise fbar is the 4n-node rule.  Each call of the
     returned fbar evaluates f once, with its nodes on a leading axis of t.
@@ -214,18 +210,27 @@ def build_fbar(gen: Generator, T: float, points) -> AveragedGenerator:
             fn=lambda x, y, z1, z2: gen.fn(0.0, x, y, z1, z2),
             provenance="analytic", name=f"avg[{gen.name}]",
         )
+    n_points = np.broadcast(*points).size
+
+    def sampled(panels):
+        """The `panels`-panel rule, f on its nodes x the points, and fbar there."""
+        rule = _gl_rule(T, panels)
+        # no contiguous copy: an f that ignores t gives a stride-0 view, summed as is
+        table = np.broadcast_to(gen(rule[0][:, None], *points), (rule[0].size, n_points))
+        return rule, table, rule[1] @ table
+
     panels = MIN_FBAR_PANELS
-    coarse = _gl_time_average(gen, T, panels)(*points)
+    rule, table, coarse = sampled(panels)
     while True:
-        fine = _gl_time_average(gen, T, 2 * panels)(*points)
+        fine_rule, fine_table, fine = sampled(2 * panels)
         k = _first_excess(coarse, fine, FBAR_TOL)
         if k is None:
             break
         if 2 * panels > MAX_FBAR_PANELS:
             raise QuadratureConvergenceError(float(coarse[k]), float(fine[k]), FBAR_TOL)
-        panels *= 2
-        coarse = fine
-    rule = _reduced_rule(gen, T, panels, points, coarse) or _gl_rule(T, panels)
+        panels, rule, table, coarse = 2 * panels, fine_rule, fine_table, fine
+    del fine_table   # only the kept count's table is read from here
+    rule = _reduced_rule(rule[0], table, coarse) or rule
     return AveragedGenerator(fn=_node_average(gen, *rule),
                              provenance="quadrature-of-f", name=f"avg[{gen.name}]",
                              panels=panels, nodes=rule[0].size)
@@ -574,41 +579,21 @@ class _WindowFold:
         }
 
 
-class _FoldWorkspace:
-    """Buffers for folding one path block, allocated once per sweep and shared by every eps.
-
-    Each buffer is flat, with room for a full block over every node; `view`
-    hands out a C-contiguous (rows, cols) prefix, so a short last block and
-    the window of any eps reuse the same memory.  `read` takes the fold's
-    four interpolated reads in turn.
-    """
-
-    def __init__(self, rows: int, n_nodes: int):
-        size = rows * n_nodes
-        self.buffers = {name: np.empty(size) for name in ("frac", "read", "scratch")}
-        self.buffers["cell"] = np.empty(size, dtype=np.intp)
-
-    def view(self, name: str, rows: int, cols: int) -> np.ndarray:
-        return self.buffers[name][:rows * cols].reshape(rows, cols)
-
-
-def _window_stats(fold: _WindowFold, noise: np.ndarray, start: int, ws: _FoldWorkspace) -> None:
+def _window_stats(fold: _WindowFold, noise: np.ndarray, start: int, ws: dict) -> None:
     """Fold the block of paths start, start+1, ... (eps-free noise `noise`) into `fold`.
 
-    The four reads share `ws`'s `read` buffer, and each feeds its statistics
-    before the next overwrites it.  Every block-sized array lives in `ws`;
-    what is allocated per call is O(window columns + block rows).
+    `ws` holds the flat buffers `run_sweep` allocates once, `frac`, `read`,
+    `scratch` and `cell`, each read as its C-contiguous (block rows, window
+    columns) prefix.  The four reads share the `read` buffer, and each feeds
+    its statistics before the next overwrites it.  Every block-sized array
+    lives in `ws`; what is allocated per call is O(window columns + block rows).
     """
     n_b, n_nodes = noise.shape
-    cols = n_nodes - fold.i_lo
-
-    def view(name, width=cols):
-        return ws.view(name, n_b, width)
-
-    frac = np.multiply(noise[:, fold.i_lo:], fold.a, out=view("frac"))
+    frac, cell, read, scratch = (ws[name][:n_b * (n_nodes - fold.i_lo)].reshape(n_b, -1)
+                                 for name in ("frac", "cell", "read", "scratch"))
+    np.multiply(noise[:, fold.i_lo:], fold.a, out=frac)
     frac += fold.c
-    cell = locate(frac, fold.n_cells, view("cell"))
-    read, scratch = view("read"), view("scratch")
+    locate(frac, fold.n_cells, cell)
     d_y, d_z, y_avg, slope_avg = fold.tables
     path_ints = np.empty((2, n_b))   # per path: the integrals of |dY|^2 and |dZ|^2
 
@@ -654,7 +639,9 @@ def run_sweep(
     producer process draws each block's (B, B^H) from the per-path streams
     of its global path indices, and its eps-free noise N, while this process
     folds the block before: every eps reads both fields in grid units
-    straight from N; eta^eps itself is never formed.  The producer is
+    straight from N, through one dict of four flat buffers made here and
+    shared by every block and eps (`_window_stats`); eta^eps itself is
+    never formed.  The producer is
     joined before this returns or raises, and the stream's times, its
     `draw_s` and `wait_s`, are the report's `noise_draw_s` and
     `noise_wait_s`.  The sweep starts no thread, and the caller must run
@@ -696,7 +683,10 @@ def run_sweep(
              for e, i_lo, o, a in zip(eps, i_los, fields, fields[len(eps):])]
     del fields  # the folds hold copies of their window rows: this frees the batch
 
-    ws = _FoldWorkspace(min(block_rows(grid.n_nodes), cfg.n_paths), grid.n_nodes)
+    # the fold's flat buffers, shared by every block and eps: one block over every node each
+    size = min(block_rows(grid.n_nodes), cfg.n_paths) * grid.n_nodes
+    ws = {name: np.empty(size) for name in ("frac", "read", "scratch")}
+    ws["cell"] = np.empty(size, dtype=np.intp)
     with noise_stream(coeffs, cfg.n_paths, cfg.rng) as (blocks, times):
         for start, noise in blocks:
             for fold in folds:

@@ -349,14 +349,6 @@ def solve_psis(
                                                 sig2[r] * grad)
         return out
 
-    def apply_operator(diff, mu, values: np.ndarray) -> np.ndarray:
-        out = np.zeros_like(values)
-        out[:, 1:-1] = (
-            mu * (values[:, 2:] - values[:, :-2]) / (2.0 * sys_dx)
-            + diff * (values[:, 2:] - 2.0 * values[:, 1:-1] + values[:, :-2]) / sys_dx**2
-        )
-        return out
-
     # the step coefficients of every step and epsilon, (steps, eps): panel
     # averages of eps^2H b and (1/2) eps^2H lambda, exact integrals over each step
     steps = np.diff(t)[:, None]
@@ -386,10 +378,12 @@ def solve_psis(
             raise NumericError(f"tridiagonal step matrix is singular at backward step {k}")
         lanes.load(fwd[r], piv[r], bwd[r])
 
-        explicit = psi[:, r + 1] + dt * (1.0 - THETA) * (
-            apply_operator(diff[r, :, None], mu[r, :, None], psi[:, r + 1]) + src_next
-        )
-        base_rhs = explicit[:, 1:-1]
+        # the explicit half, on the interior nodes the solve reads
+        prev = psi[:, r + 1]
+        operator = (mu[r, :, None] * (prev[:, 2:] - prev[:, :-2]) / (2.0 * sys_dx)
+                    + diff[r, :, None] * (prev[:, 2:] - 2.0 * prev[:, 1:-1] + prev[:, :-2])
+                    / sys_dx**2)
+        base_rhs = prev[:, 1:-1] + dt * (1.0 - THETA) * (operator + src_next[:, 1:-1])
 
         iterate = psi[:, r + 1].copy()
         tol = PICARD_TOL * np.maximum(1.0, np.abs(iterate).max(axis=1))

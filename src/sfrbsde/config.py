@@ -10,7 +10,7 @@ from __future__ import annotations
 import hashlib
 import math
 import os
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, fields, replace
 from typing import Callable
 
 import numpy as np
@@ -105,7 +105,9 @@ class ExperimentConfig:
         return "\n".join(lines) + "\n"
 
     def config_hash(self) -> str:
-        return hashlib.sha256(self.to_text().encode()).hexdigest()
+        """The digest of the config text without `out_dir`: where a run writes
+        does not change which experiment it is."""
+        return hashlib.sha256(replace(self, out_dir="").to_text().encode()).hexdigest()
 
 
 def _preset_arg(arg: str, default: float, name: str) -> float:

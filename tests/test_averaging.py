@@ -173,6 +173,11 @@ def within_node_tol(got, want):
     return np.all(np.abs(got - want) <= averaging_lab.NODE_TOL * np.maximum(1.0, np.abs(want)))
 
 
+def gl_average(gen, T, panels):
+    """f-bar by the full `panels`-panel GL-4 rule, with no node cut."""
+    return averaging_lab._node_average(gen, *averaging_lab._gl_rule(T, panels))
+
+
 # the states of the first Picard sweep of a crit7-like sweep on 64 steps: y = x^2
 # reaches 36.5 and z 12, far outside the probe box
 SWEEP_EPS = (0.5, 0.35, 0.25, 0.18, 0.125)
@@ -203,6 +208,11 @@ def t_polynomial(degree):
     return Generator(fn=fn, name=f"t-poly[{degree}]")
 
 
+# sin(2 pi t y): not separable in t, refined to 16 panels on the probe box
+SIN_TY = Generator(fn=lambda t, x, y, z1, z2: np.sin(2 * np.pi * t * np.asarray(y)),
+                   name="sin-ty")
+
+
 class TestFbarNodes:
     """build_fbar evaluates f only at the time nodes its rank on its points needs."""
 
@@ -218,8 +228,7 @@ class TestFbarNodes:
         fbar = build_fbar(gen, 1.0, box_points())
         assert 1 <= fbar.nodes <= degree + 1
         pts = box_points()
-        assert within_node_tol(fbar(*pts),
-                               averaging_lab._gl_time_average(gen, 1.0, fbar.panels)(*pts))
+        assert within_node_tol(fbar(*pts), gl_average(gen, 1.0, fbar.panels)(*pts))
 
     def test_moving_kink_keeps_every_node(self):
         # |t - s(y)|^7 has its kink where t = s(y): the rows of f(t_j, probe
@@ -228,19 +237,17 @@ class TestFbarNodes:
                         name="kink")
         fbar = build_fbar(gen, 1.0, box_points())
         assert fbar.nodes == 4 * fbar.panels
-        full = averaging_lab._gl_time_average(gen, 1.0, fbar.panels)
+        full = gl_average(gen, 1.0, fbar.panels)
         for args in (box_points(), sample_points(n=257), (0.3, -1.2, 0.4, 2.0)):
             assert np.array_equal(fbar(*args), full(*args))
 
     def test_oscillating_product_is_cut_within_the_bound(self):
         # sin(2 pi t y) does not factor, but on |y| <= 5 its rows span fewer
         # dimensions than the 64 nodes, to the bound: the cut is kept
-        gen = Generator(fn=lambda t, x, y, z1, z2: np.sin(2 * np.pi * t * np.asarray(y)),
-                        name="sin-ty")
-        fbar = build_fbar(gen, 1.0, box_points())
+        fbar = build_fbar(SIN_TY, 1.0, box_points())
         assert fbar.panels == 16 and 1 < fbar.nodes < 64
         pts = box_points()
-        assert within_node_tol(fbar(*pts), averaging_lab._gl_time_average(gen, 1.0, 16)(*pts))
+        assert within_node_tol(fbar(*pts), gl_average(SIN_TY, 1.0, 16)(*pts))
 
     def test_selection_gives_up_past_its_limit(self):
         rng = np.random.default_rng(1)
@@ -248,6 +255,40 @@ class TestFbarNodes:
         assert averaging_lab._pivoted_rows(full_rank, averaging_lab.NODE_TOL, 64) is None
         rank_3 = rng.standard_normal((80, 3)) @ rng.standard_normal((3, 200))
         assert averaging_lab._pivoted_rows(rank_3, averaging_lab.NODE_TOL, 64).size == 3
+
+    @pytest.mark.parametrize("gen, panels, calls", [
+        (benchmark_generator(1.0), 8, 2), (SIN_TY, 16, 3)], ids=["benchmark", "sin-ty"])
+    def test_one_call_of_f_per_panel_count(self, gen, panels, calls):
+        seen = []
+
+        def counted(*args):
+            seen.append(1)
+            return gen.fn(*args)
+
+        fbar = build_fbar(replace(gen, fn=counted), 1.0, box_points())
+        assert fbar.panels == panels and len(seen) == calls
+
+    @pytest.mark.parametrize("gen", [
+        benchmark_generator(1.0),
+        # declared time-dependent, but returns the state shape: a stride-0 table
+        Generator(fn=lambda t, x, y, z1, z2: np.sin(np.asarray(y)) + np.asarray(z1) * z2,
+                  name="ignores-t"),
+        SIN_TY,
+    ], ids=["benchmark", "ignores-t", "sin-ty"])
+    def test_table_fbar_is_the_full_rule_bit_for_bit(self, gen, monkeypatch):
+        # the kept count's table gives f-bar on the points that the full
+        # rule's own call of f gives, so the cut is judged against it
+        seen = []
+        reduced_rule = averaging_lab._reduced_rule
+
+        def spy(nodes, table, values):
+            seen.append(values)
+            return reduced_rule(nodes, table, values)
+
+        monkeypatch.setattr(averaging_lab, "_reduced_rule", spy)
+        pts = box_points()
+        fbar = build_fbar(gen, 1.0, pts)
+        assert np.array_equal(seen[0], gl_average(gen, 1.0, fbar.panels)(*pts))
 
     def test_vanishing_samples_keep_every_node(self):
         # f is 0 on the probe set: no row is chosen, so no cut is made
@@ -296,9 +337,8 @@ class TestFbarStateGuard:
         fbar = build_fbar(gen, 1.0, sweep_points(coeffs64))
         assert fbar.panels > MIN_PANELS
         states = pde_states(coeffs64)
-        rule = averaging_lab._gl_time_average(gen, 1.0, fbar.panels)(*states)
-        assert within_quad_tol(rule,
-                               averaging_lab._gl_time_average(gen, 1.0, 2 * fbar.panels)(*states))
+        rule = gl_average(gen, 1.0, fbar.panels)(*states)
+        assert within_quad_tol(rule, gl_average(gen, 1.0, 2 * fbar.panels)(*states))
         assert within_node_tol(fbar(*states), rule)
 
     def test_node_cut_wrong_on_the_states_is_refused(self, coeffs64):
@@ -310,8 +350,7 @@ class TestFbarStateGuard:
         fbar = build_fbar(gen, 1.0, sweep_points(coeffs64))
         assert (fbar.panels, fbar.nodes) == (MIN_PANELS, 2)
         states = pde_states(coeffs64)
-        assert within_node_tol(fbar(*states),
-                               averaging_lab._gl_time_average(gen, 1.0, MIN_PANELS)(*states))
+        assert within_node_tol(fbar(*states), gl_average(gen, 1.0, MIN_PANELS)(*states))
 
     @pytest.fixture
     def late(self, monkeypatch):
@@ -991,7 +1030,8 @@ class TestStreamedSweep:
                   for gen in (benchmark_generator(1.0),
                               build_fbar(benchmark_generator(1.0), 1.0, box_points()).as_generator())]
         fold = averaging_lab._WindowFold(0.5, 20, *fields, coeffs128, 2 * rows, STREAM_CFG.eta0)
-        ws = averaging_lab._FoldWorkspace(rows, grid.n_nodes)
+        ws = {name: np.empty(rows * grid.n_nodes) for name in ("frac", "read", "scratch")}
+        ws["cell"] = np.empty(rows * grid.n_nodes, dtype=np.intp)
         noise = eta_noise(coeffs128, make_ensemble(grid, H75, rows, STREAM_CFG.rng))
         averaging_lab._window_stats(fold, noise, 0, ws)
         tracemalloc.start()

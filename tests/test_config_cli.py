@@ -3,6 +3,7 @@ import os
 import re
 import subprocess
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -125,6 +126,12 @@ class TestParseConfig:
         b = ExperimentConfig(seed=43)
         assert a.config_hash() == ExperimentConfig().config_hash()
         assert a.config_hash() != b.config_hash()
+
+    def test_hash_leaves_the_output_directory_out(self):
+        a = ExperimentConfig(out_dir="runs/a")
+        assert a.config_hash() == ExperimentConfig(out_dir="runs/b").config_hash()
+        assert a.config_hash() != replace(a, seed=43).config_hash()
+        assert a.config_hash() != replace(a, sigma2="constant:2").config_hash()
 
     def test_coefficient_presets(self):
         t = np.array([0.0, 0.5, 1.0])
