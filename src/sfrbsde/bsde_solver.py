@@ -41,7 +41,7 @@ import numpy as np
 
 from .errors import DomainTooSmallError, NumericError, PicardError
 from .frac_kernel import CoefficientSet
-from .path_engine import eta_marginals, merge_moments
+from .path_engine import eta_marginals
 
 
 def __getattr__(name: str):
@@ -139,7 +139,7 @@ class SolutionField:
 
 @dataclass
 class TriplePath:
-    """(Y, Z1, Z2) along a block of eta paths, and the paths themselves."""
+    """(Y, Z1, Z2) along rows of eta, and the rows themselves."""
 
     eta: np.ndarray
     Y: np.ndarray
@@ -491,18 +491,18 @@ def interp_at(values: np.ndarray, cell: np.ndarray, frac: np.ndarray,
 
 
 def extract_triple(field: SolutionField, eta: np.ndarray, coeffs: CoefficientSet) -> TriplePath:
-    """Read (Y, Z1, Z2) along a block of eta paths by interpolating psi and psi_x.
+    """Read (Y, Z1, Z2) along rows of eta by interpolating psi and psi_x.
 
+    A row is eta at every node: a sampled path or a row of `eta_law_rows`.
     eta is read in grid units, u = (eta - x_0) g with g = n / (x_n - x_0),
     through `locate`, as the sweep's fold reads it.  Nodes beyond the
-    domain read its end values; `check_clamp` bounds their expected share
-    before any path is drawn.  Z2 sigma1 =
-    Z1 sigma2 holds exactly at every node because both controls share the
-    one interpolated psi_x value.
+    domain read its end values; `check_clamp` bounds their expected share.
+    Z2 sigma1 = Z1 sigma2 holds exactly at every node because both controls
+    share the one interpolated psi_x value.
     """
     t = field.t_nodes
     if eta.ndim != 2 or eta.shape[1] != t.size:
-        raise ValueError("eta paths do not match the solution field's time grid")
+        raise ValueError("eta rows do not match the solution field's time grid")
     lo, hi = field.x_nodes[0], field.x_nodes[-1]
     n = field.x_nodes.size - 1
     u = eta - lo
@@ -543,42 +543,20 @@ def malliavin_representation_check(triple: TriplePath, field: SolutionField,
     return MalliavinCheck(applicable=True, max_deviation=max_dev)
 
 
-@dataclass(frozen=True)
-class ResidualReport:
-    """Zero-mean balance of the backward equation at a probe time."""
-
-    residual: float
-    stderr: float
-    probe: float
-
-
-class ResidualCheck:
-    """| E Y_tp - E xi - eps^2H E int_tp^T f(s, eta, Y, Z1, Z2) ds | at each
-    probe tp (snapped to the first node at or after it), over path blocks.
-
-    Taking expectations in the backward equation kills both stochastic
-    integrals (zero-mean property), so this must vanish up to discretization
-    plus Monte-Carlo noise.  The estimate is path-paired, so the stderr
-    reflects the coupled difference; `fold` merges a block's per-path terms.
+def residual_terms(gen: Generator, coeffs: CoefficientSet, epsilon: float, probes,
+                   triple: TriplePath) -> tuple[np.ndarray, np.ndarray]:
+    """(the probes' nodes, terms): per row of `triple`, one column per probe tp
+    (snapped to the first node at or after it), Y_tp - xi - eps^2H int_tp^T f ds
+    with xi = Y_T, from one generator call.  Taking expectations kills both
+    stochastic integrals, so the terms' mean vanishes up to discretization:
+    weights @ terms over `eta_law_rows`' rows, terms.mean(0) over sampled paths.
     """
-
-    def __init__(self, gen: Generator, coeffs: CoefficientSet, epsilon: float, probes):
-        self.gen, self.t, self.scale = gen, coeffs.grid.nodes, epsilon**coeffs.hurst.two_h
-        self.k0 = [coeffs.grid.first_index_at_or_after(p) for p in probes]
-        self.count, self.mean, self.m2 = 0, np.zeros(len(self.k0)), np.zeros(len(self.k0))
-
-    def fold(self, triple: TriplePath) -> "ResidualCheck":
-        t, first = self.t, min(self.k0)
-        f_vals = self.gen(t[first:], triple.eta[:, first:], triple.Y[:, first:],
-                          triple.Z1[:, first:], triple.Z2[:, first:])
-        terms = np.stack([triple.Y[:, k] - triple.Y[:, -1] - self.scale
-                          * np.trapezoid(f_vals[:, k - first:], t[k:], axis=1)
-                          for k in self.k0], axis=1)
-        merge_moments(self.count, self.mean, self.m2, terms)
-        self.count += terms.shape[0]
-        return self
-
-    def reports(self) -> list[ResidualReport]:
-        stderr = np.sqrt(self.m2 / (self.count - 1)) / np.sqrt(self.count)
-        return [ResidualReport(residual=abs(float(m)), stderr=float(s), probe=float(self.t[k]))
-                for m, s, k in zip(self.mean, stderr, self.k0)]
+    t = coeffs.grid.nodes
+    k0 = [coeffs.grid.first_index_at_or_after(p) for p in probes]
+    first = min(k0)
+    f_vals = gen(t[first:], triple.eta[:, first:], triple.Y[:, first:],
+                 triple.Z1[:, first:], triple.Z2[:, first:])
+    scale = epsilon**coeffs.hurst.two_h
+    return t[k0], np.stack([triple.Y[:, k] - triple.Y[:, -1] - scale
+                            * np.trapezoid(f_vals[:, k - first:], t[k:], axis=1)
+                            for k in k0], axis=1)

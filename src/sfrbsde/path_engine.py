@@ -11,23 +11,23 @@ by setting a plain-int state in which only the path's counter word
 changes, so every row's normals are bitwise the draw of that path's own
 stream, however the paths are split into blocks.  The increments are not
 always: the Cholesky product Z L^T can differ by 1-2 ulp with the number
-of rows it multiplies, so every command draws the same fixed blocks.  dB
-and dB^H come from distinct purposes and are therefore independent.
+of rows it multiplies, so paths are always drawn in the same fixed blocks.
+dB and dB^H come from distinct purposes and are therefore independent.
 
-Every command draws its paths in the blocks of `path_blocks` and merges
-each block into running moments (`merge_moments`), so no command's memory
-grows with the number of paths.  The sweep takes its blocks' eps-free
-noise from `noise_stream`, one function that holds both ends of one pipe:
-its producer loop, run in a process forked for the stream, draws the next
-blocks into a shared ring of STREAM_SLOTS slots, while the generator it
-yields, with a record of the draw and wait seconds, hands the sweep the
-current one and releases the one before.  A thread would share the sweep's
-interpreter lock: `RngSpec.fill_normals` runs a Python loop of one short
-draw per path, and beside the fold that loop took back the lock the
-fold's numpy calls need.  The producer's BLAS calls run beside the
-sweep's: a caller that leaves OpenBLAS its default threads gets an idle
-BLAS thread spinning on the core the producer needs, which is why the CLI
-pins OPENBLAS_NUM_THREADS to 1.
+`sweep` and `simulate-fbm` draw their paths in the blocks of `path_blocks`
+and merge each block into running moments (`merge_moments`), so their
+memory does not grow with the number of paths; `solve` draws none.  The
+sweep takes its blocks' eps-free noise from `noise_stream`, one function
+that holds both ends of one pipe: its producer loop, run in a process
+forked for the stream, draws the next blocks into a shared ring of
+STREAM_SLOTS slots, while the generator it yields, with a record of the
+draw and wait seconds, hands the sweep the current one and releases the
+one before.  A thread would share the sweep's interpreter lock:
+`RngSpec.fill_normals` runs a Python loop of one short draw per path, and
+beside the fold that loop took back the lock the fold's numpy calls need.
+The producer's BLAS calls run beside the sweep's: a caller that leaves
+OpenBLAS its default threads gets an idle BLAS thread spinning on the core
+the producer needs, which is why the CLI pins OPENBLAS_NUM_THREADS to 1.
 
 Two exact fGn samplers are provided: the Cholesky factor of the increments'
 covariance (reference) and Davies-Harte circulant embedding (fast path for
@@ -472,6 +472,29 @@ def eta_marginals(coeffs: CoefficientSet, epsilon: float,
     mean = eta0 + epsilon**coeffs.hurst.two_h * coeffs.b_int_table
     std = epsilon**coeffs.hurst.h * np.sqrt(coeffs.sigma_abs_sq_table)
     return mean, std
+
+
+# LAW_POINTS is the first count on the ladder 201, 401, 801, ... at which
+# doubling it moves every triple_summary.csv column of `solve` by at most 1e-5
+# times the column's largest magnitude, on the default config, n_time = 1024
+# with n_space = 64, and sigma2 = sinusoidal:1 with b = constant:0.5
+LAW_HALF_WIDTH = 9.0
+LAW_POINTS = 1601
+
+
+def eta_law_rows(coeffs: CoefficientSet, epsilon: float,
+                 eta0: float = 0.0) -> tuple[np.ndarray, np.ndarray]:
+    """(eta, weights): row q of eta is mean + z_q std at every node (`eta_marginals`),
+    z_q uniform on +-LAW_HALF_WIDTH, and the weights are the trapezoid weights of
+    the standard normal density, summing to 1.  Each row has eta's exact marginal
+    at every node, so weights @ h(eta) is E h(eta_t) at every node t, from no path.
+    """
+    z = np.linspace(-LAW_HALF_WIDTH, LAW_HALF_WIDTH, LAW_POINTS)
+    weights = np.exp(-0.5 * z**2)
+    weights[[0, -1]] *= 0.5
+    weights /= weights.sum()
+    mean, std = eta_marginals(coeffs, epsilon, eta0)
+    return mean + z[:, None] * std, weights
 
 
 def simulate_eta(coeffs: CoefficientSet, ensemble: PathEnsemble, epsilon: float,

@@ -9,9 +9,11 @@ Gauss-Jacobi rule at 128 nodes, four times the kernel rule's 32, and
 per-node f-bar, the whole-table phi and the per-column extraction are the
 loop forms of vectorised production layers (the extraction is np.interp per
 time column; on the unit grid, with eta's grid positions, it is
-extract_triple's grid-unit read bit for bit), the whole-ensemble sweep,
-`solve` and `simulate-fbm` statistics are the array forms of the streamed
-ones, and the per-path samplers draw each path
+extract_triple's grid-unit read bit for bit), the whole-ensemble sweep and
+`simulate-fbm` statistics are the array forms of the streamed ones, the
+whole-ensemble `solve` statistics the Monte-Carlo route and `law_solve`
+the quadrature route beside `solve`'s rows of eta's law, and the per-path
+samplers draw each path
 from a freshly built generator where production resets one bit generator per
 chunk, and the alpha0 bisection is the numeric root finder beside
 production's closed form, the closed-form f-bar of the benchmark generator
@@ -300,9 +302,12 @@ def whole_ensemble_sweep(original, coeffs, term, eps_list, cfg):
 
 
 def whole_ensemble_solve(cfg):
-    """`solve`'s statistics from one whole-ensemble draw: the triple_summary.csv
-    and residual_check.csv rows by np.mean / np.var / np.std over every path,
-    the Malliavin check and the clamp fraction (`normal_tail_clamp_fraction`)."""
+    """`solve`'s statistics by Monte Carlo, from one whole-ensemble draw of
+    cfg.n_paths paths, each with its standard error: (summary, summary_se,
+    residuals).  summary holds triple_summary.csv's rows (t, mean_Y, var_Y,
+    mean_Z1, mean_Z2) by np.mean / np.var over every path, and summary_se the
+    errors of its last four columns, var_Y's from the fourth central moment;
+    residuals holds (t_probe, mean, stderr) of the per-path residual terms."""
     from sfrbsde import bsde_solver as bs
     from sfrbsde.path_engine import make_ensemble, simulate_eta
 
@@ -311,23 +316,78 @@ def whole_ensemble_solve(cfg):
     eta = simulate_eta(coeffs, make_ensemble(coeffs.grid, coeffs.hurst, cfg.n_paths, cfg.rng()),
                        cfg.epsilon, cfg.eta0)
     trip = bs.extract_triple(field, eta, coeffs)
-    t = coeffs.grid.nodes
-    summary = [(t[k], trip.Y[:, k].mean(), trip.Y[:, k].var(ddof=1), trip.Z1[:, k].mean(),
-                trip.Z2[:, k].mean()) for k in range(t.size)]
+    t, n = coeffs.grid.nodes, cfg.n_paths
+    centred = trip.Y - trip.Y.mean(axis=0)
+    var_y = trip.Y.var(axis=0, ddof=1)
+    summary = np.column_stack([t, trip.Y.mean(axis=0), var_y, trip.Z1.mean(axis=0),
+                               trip.Z2.mean(axis=0)])
+    summary_se = np.column_stack([
+        # at t_0, where every path reads eta0, rounding can leave the fourth moment below 0
+        np.sqrt(var_y / n), np.sqrt(np.maximum((centred**4).mean(axis=0) - var_y**2, 0.0) / n),
+        trip.Z1.std(axis=0, ddof=1) / np.sqrt(n), trip.Z2.std(axis=0, ddof=1) / np.sqrt(n)])
     residuals = []
     for probe in (cfg.t_horizon / 4, cfg.t_horizon / 2, 3 * cfg.t_horizon / 4):
         k0 = coeffs.grid.first_index_at_or_after(probe)
-        f_vals = np.empty((cfg.n_paths, t.size - k0))
+        f_vals = np.empty((n, t.size - k0))
         for j, k in enumerate(range(k0, t.size)):
             f_vals[:, j] = gen(t[k], eta[:, k], trip.Y[:, k], trip.Z1[:, k], trip.Z2[:, k])
         integral = np.trapezoid(f_vals, t[k0:], axis=1)
         per_path = trip.Y[:, k0] - trip.Y[:, -1] - cfg.epsilon**coeffs.hurst.two_h * integral
-        residual = abs(per_path.mean())
-        stderr = per_path.std(ddof=1) / np.sqrt(cfg.n_paths)
-        residuals.append((t[k0], residual, stderr, residual <= 3 * stderr + coeffs.grid.dt))
-    mal = bs.malliavin_representation_check(trip, field, coeffs)
-    return summary, residuals, mal, normal_tail_clamp_fraction(
-        coeffs, cfg.epsilon, cfg.eta0, field.x_nodes[0], field.x_nodes[-1])
+        residuals.append((t[k0], per_path.mean(), per_path.std(ddof=1) / np.sqrt(n)))
+    return summary, summary_se, np.array(residuals)
+
+
+def law_solve(cfg, nodes):
+    """`solve`'s statistics from eta's Gaussian law, with no path and no row of
+    `eta_law_rows`: (summary, residuals).  summary holds triple_summary.csv's
+    rows at the time indices `nodes`; residuals holds residual_check.csv's
+    (t_probe, residual) at T/4, T/2 and 3T/4, the integral of E f by
+    np.trapezoid over the nodes.  Each expectation E h(eta_t) is one
+    scipy.integrate.quad of h against the normal density of eta_t, mean
+    eta0 + eps^2H int_0^t b and std eps^H |sigma|_t (at t_0 eta is eta0), over
+    the PDE's domain and 12 std on either side of the mean, split at the x
+    nodes.  psi and psi_x are read by np.interp, so beyond the domain they
+    take its end values."""
+    from scipy.integrate import quad
+    from sfrbsde import bsde_solver as bs
+
+    coeffs, gen = cfg.coefficient_set(), cfg.make_generator()
+    field = bs.solve_psi(gen, cfg.make_terminal(), coeffs, cfg.epsilon, cfg.pde(), cfg.eta0)
+    t, x = field.t_nodes, field.x_nodes
+    mean = cfg.eta0 + cfg.epsilon ** (2.0 * coeffs.hurst.h) * coeffs.b_int_table
+    std = cfg.epsilon**coeffs.hurst.h * np.sqrt(coeffs.sigma_abs_sq_table)
+    sig1, sig2 = (np.asarray(sigma(t), dtype=float) for sigma in (coeffs.sigma1, coeffs.sigma2))
+
+    def expect(k, h):
+        """E h(eta, psi(t_k, eta), psi_x(t_k, eta)) at time node k."""
+        def read(e):
+            return h(e, np.interp(e, x, field.psi[k]), np.interp(e, x, field.psi_x[k]))
+        m, s = mean[k], std[k]
+        if s == 0.0:
+            return float(read(m))
+        lo, hi = min(x[0], m - 12.0 * s), max(x[-1], m + 12.0 * s)
+        inner = x[(x > lo) & (x < hi)]
+        density = lambda e: np.exp(-0.5 * ((e - m) / s) ** 2) / (s * np.sqrt(2.0 * np.pi))
+        return quad(lambda e: read(e) * density(e), lo, hi, points=inner,
+                    limit=2 * inner.size + 50, epsabs=1e-13, epsrel=1e-12)[0]
+
+    summary = []
+    for k in nodes:
+        mean_y = expect(k, lambda e, y, y_x: y)
+        slope = expect(k, lambda e, y, y_x: y_x)
+        summary.append((t[k], mean_y, expect(k, lambda e, y, y_x: (y - mean_y) ** 2),
+                        sig1[k] * slope, sig2[k] * slope))
+    probes = [coeffs.grid.first_index_at_or_after(p)
+              for p in (cfg.t_horizon / 4, cfg.t_horizon / 2, 3 * cfg.t_horizon / 4)]
+    mean_f = [expect(k, lambda e, y, y_x, k=k: float(gen(t[k], e, y, sig1[k] * y_x,
+                                                         sig2[k] * y_x)))
+              for k in range(min(probes), t.size)]
+    mean_y_end = expect(t.size - 1, lambda e, y, y_x: y)
+    scale = cfg.epsilon ** (2.0 * coeffs.hurst.h)
+    residuals = [(t[k0], abs(expect(k0, lambda e, y, y_x: y) - mean_y_end - scale
+                             * np.trapezoid(mean_f[k0 - min(probes):], t[k0:])))
+                 for k0 in probes]
+    return np.array(summary), np.array(residuals)
 
 
 def normal_tail_clamp_fraction(coeffs, epsilon, eta0, lo, hi):

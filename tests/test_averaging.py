@@ -50,7 +50,6 @@ from sfrbsde.errors import (
 )
 from sfrbsde.frac_kernel import CoefficientSet, DeterministicFn, HurstModel
 from sfrbsde.grids import TimeGrid
-from sfrbsde.runio import format_value
 from sfrbsde.path_engine import (
     RngSpec,
     block_rows,
@@ -62,6 +61,7 @@ from sfrbsde.path_engine import (
 from oracles import (
     benchmark_fbar,
     bisect_alpha0,
+    law_solve,
     normal_tail_clamp_fraction,
     per_node_fbar,
     table_phi,
@@ -1116,24 +1116,58 @@ def assert_columns_close(got, want, rel=1e-12):
 
 
 class TestStreamedCommands:
-    """`solve` and `simulate-fbm` stream their paths in the sweep's blocks; the
-    whole-ensemble routes are their oracles."""
+    """`simulate-fbm` streams its paths in the sweep's blocks, and the
+    whole-ensemble route is its oracle; `solve` reads eta's law and draws no
+    path, against a quadrature of that law and a whole-ensemble Monte Carlo."""
 
-    @pytest.mark.parametrize("n_time, method", [(64, "cholesky"), (1024, "circulant")])
-    def test_solve_matches_whole_ensemble_oracle(self, tmp_path, monkeypatch, n_time, method):
-        cfg = command_config(tmp_path, n_time, 2 * block_rows(n_time + 1) + 37)
+    @pytest.mark.parametrize("coefficients", [{}, {"sigma2": "sinusoidal:1", "b": "constant:0.5"}],
+                             ids=["default", "sinusoidal-drift"])
+    def test_solve_matches_law_oracle(self, tmp_path, monkeypatch, coefficients):
+        cfg = replace(command_config(tmp_path, 64, 1000), **coefficients)
         tables = capture_tables(monkeypatch)
         assert cli.cmd_solve(cfg) == 0
-        summary, residuals, mal, clamp_fraction = whole_ensemble_solve(cfg)
+        nodes = np.linspace(0, 64, 16).round().astype(int)
+        summary, residuals = law_solve(cfg, nodes)
         # var_Y at t = 0 is 0 against ~1e-30: only a column-scaled bound holds
-        assert_columns_close(tables["triple_summary.csv"], summary)
-        assert_columns_close(tables["residual_check.csv"], residuals)
+        assert_columns_close(tables["triple_summary.csv"][nodes], summary, rel=1e-5)
+        got = tables["residual_check.csv"]
+        assert got[:, 0].tolist() == residuals[:, 0].tolist()
+        assert np.abs(got[:, 1] - residuals[:, 1]).max() <= 5e-6
         with open(tmp_path / "manifest.csv", encoding="utf-8") as fh:
             notes = dict(csv.reader(fh))
-        assert notes["fbm_method"] == method
-        assert notes["malliavin_applicable"] == format_value(mal.applicable)
-        assert notes["malliavin_max_deviation"] == format_value(mal.max_deviation)
-        assert float(notes["clamp_fraction"]) == pytest.approx(clamp_fraction, rel=1e-12, abs=0.0)
+        assert notes["malliavin_applicable"] == "true"
+        assert float(notes["malliavin_max_deviation"]) <= 1e-12
+        coeffs = cfg.coefficient_set()
+        lo, hi = domain_bounds(coeffs, cfg.epsilon, cfg.eta0, cfg.kappa)
+        assert float(notes["clamp_fraction"]) == pytest.approx(
+            normal_tail_clamp_fraction(coeffs, cfg.epsilon, cfg.eta0, lo, hi), rel=1e-12, abs=0.0)
+
+    def test_solve_within_monte_carlo_error(self, tmp_path, monkeypatch):
+        cfg = command_config(tmp_path, 64, 10_000)
+        tables = capture_tables(monkeypatch)
+        assert cli.cmd_solve(cfg) == 0
+        summary, summary_se, residuals = whole_ensemble_solve(cfg)
+        got = tables["triple_summary.csv"]
+        assert got[:, 0].tolist() == summary[:, 0].tolist()
+        # at t_0 every path and every row reads eta0: no spread to scale by
+        assert got[0, [1, 3, 4]] == pytest.approx(summary[0, [1, 3, 4]], rel=1e-12, abs=0.0)
+        assert np.abs((summary[1:, 1:] - got[1:, 1:]) / summary_se[1:]).max() <= 4.0
+        t_probe, mc_mean, stderr = residuals.T
+        assert tables["residual_check.csv"][:, 0].tolist() == t_probe.tolist()
+        assert np.all(np.abs(np.abs(mc_mean) - tables["residual_check.csv"][:, 1]) <= 4.0 * stderr)
+
+    def test_solve_is_seed_free(self, tmp_path, monkeypatch):
+        def no_draw(rng, purpose, out):
+            raise AssertionError("solve drew normals")
+
+        monkeypatch.setattr(RngSpec, "fill_normals", no_draw)
+        runs = [replace(command_config(tmp_path / f"run{i}", 64, n_paths), seed=seed)
+                for i, (seed, n_paths) in enumerate(((42, 1000), (7, 5000)))]
+        for cfg in runs:
+            assert cli.cmd_solve(cfg) == 0
+        for name in ("psi.csv", "triple_summary.csv", "residual_check.csv"):
+            first, second = (Path(cfg.out_dir, name).read_bytes() for cfg in runs)
+            assert first == second
 
     @pytest.mark.parametrize("n_time, capped", [(64, False), (64, True), (65, False),
                                                 (1024, False)])
@@ -1157,8 +1191,7 @@ class TestStreamedCommands:
         with open(tmp_path / "manifest.csv", encoding="utf-8") as fh:
             assert dict(csv.reader(fh))["covariance_stride"] == str(stride)
 
-    def test_solve_domain_error_counts_every_node_of_every_block(self, tmp_path, monkeypatch,
-                                                                  capsys):
+    def test_solve_domain_error_counts_every_node(self, tmp_path, monkeypatch, capsys):
         # b = A cos(2 pi t), as the sweep's twin: eta's law leaves the domain mid-horizon
         amp = 200.0
         swing = DeterministicFn(fn=lambda t: amp * np.cos(2 * np.pi * t), name="swing")
@@ -1182,17 +1215,17 @@ class TestStreamedCommands:
         assert (f"eta's law puts {err.value.clamp_fraction:.2%} of path nodes outside the PDE "
                 "domain") in capsys.readouterr().err
 
-    @pytest.mark.parametrize("command", ["solve", "simulate-fbm"])
+    # solve reads no n_paths: test_solve_is_seed_free covers it
+    @pytest.mark.parametrize("command", ["simulate-fbm"])
     def test_command_memory_bounded_in_n_paths(self, tmp_path, monkeypatch, command):
         # both counts write the same 100 paths to paths.csv
         monkeypatch.setattr(cli, "MAX_CSV_ROWS", 100 * 65)
-        run = cli.cmd_solve if command == "solve" else cli.cmd_simulate_fbm
 
         def peak(n_paths):
             cfg = command_config(tmp_path / str(n_paths), 64, n_paths)
             tracemalloc.start()
             try:
-                assert run(cfg) == 0
+                assert cli.cmd_simulate_fbm(cfg) == 0
                 return tracemalloc.get_traced_memory()[1]
             finally:
                 tracemalloc.stop()

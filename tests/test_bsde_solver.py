@@ -11,7 +11,6 @@ from sfrbsde.averaging_lab import SweepConfig, box_points, build_fbar, run_sweep
 from sfrbsde.bsde_solver import (
     Generator,
     PdeConfig,
-    ResidualCheck,
     TerminalCondition,
     TridiagonalLanes,
     cell_table,
@@ -22,6 +21,7 @@ from sfrbsde.bsde_solver import (
     interp_at,
     locate,
     malliavin_representation_check,
+    residual_terms,
     solve_psi,
     solve_psis,
     space_grid,
@@ -583,39 +583,45 @@ class TestMalliavinCheck:
         assert chk.max_deviation == 0.0
 
 
+def sampled_residual(gen, coeffs, probe, trip):
+    """(probe node, |mean|, stderr) of `residual_terms` over sampled paths."""
+    nodes, terms = residual_terms(gen, coeffs, 1.0, [probe], trip)
+    return nodes[0], abs(terms.mean(0)[0]), terms.std(0, ddof=1)[0] / np.sqrt(len(terms))
+
+
 class TestResidualMean:
     def test_martingale_case(self, coeffs128, paths128):
         gen = Generator.zero()
         field = solve_psi(gen, TerminalCondition.identity(), coeffs128, 1.0,
                           PdeConfig(kappa=8.0, n_space=128))
         trip = extract_triple(field, paths128, coeffs128)
-        rep = ResidualCheck(gen, coeffs128, 1.0, [0.5]).fold(trip).reports()[0]
-        assert rep.residual <= 3 * rep.stderr + 1e-6
+        _, residual, stderr = sampled_residual(gen, coeffs128, 0.5, trip)
+        assert residual <= 3 * stderr + 1e-6
 
     def test_variance_bookkeeping_case(self, coeffs128, paths128):
         gen = Generator.zero()
         field = solve_psi(gen, TerminalCondition.square(), coeffs128, 1.0,
                           PdeConfig(kappa=8.0, n_space=256))
         trip = extract_triple(field, paths128, coeffs128)
-        rep = ResidualCheck(gen, coeffs128, 1.0, [0.5]).fold(trip).reports()[0]
+        _, residual, stderr = sampled_residual(gen, coeffs128, 0.5, trip)
         dx = field.x_nodes[1] - field.x_nodes[0]
-        assert rep.residual <= 3 * rep.stderr + coeffs128.grid.dt + dx**2
+        assert residual <= 3 * stderr + coeffs128.grid.dt + dx**2
 
     def test_linear_generator_case(self, coeffs128, paths128):
         gen = Generator.linear_y(0.1)
         field = solve_psi(gen, TerminalCondition.identity(), coeffs128, 1.0,
                           PdeConfig(kappa=8.0, n_space=128))
         trip = extract_triple(field, paths128, coeffs128)
-        rep = ResidualCheck(gen, coeffs128, 1.0, [0.5]).fold(trip).reports()[0]
-        assert rep.residual <= 3 * rep.stderr + coeffs128.grid.dt
+        _, residual, stderr = sampled_residual(gen, coeffs128, 0.5, trip)
+        assert residual <= 3 * stderr + coeffs128.grid.dt
 
     def test_probe_snapped_to_grid(self, coeffs128, paths128):
         gen = Generator.zero()
         field = solve_psi(gen, TerminalCondition.identity(), coeffs128, 1.0,
                           PdeConfig(kappa=8.0, n_space=64))
         trip = extract_triple(field, paths128, coeffs128)
-        rep = ResidualCheck(gen, coeffs128, 1.0, [0.503]).fold(trip).reports()[0]
-        assert rep.probe in coeffs128.grid.nodes
+        probe, _, _ = sampled_residual(gen, coeffs128, 0.503, trip)
+        assert probe in coeffs128.grid.nodes
 
 
 KINDS = {"constant": DeterministicFn.const(1.0), "linear": DeterministicFn.linear(2.0),

@@ -405,6 +405,8 @@ class TestCli:
         assert "paths.csv" in manifest and "covariance_check.csv" in manifest
         header = (out / "paths.csv").read_text().splitlines()[0]
         assert header == "path_id,t,B,BH,eta"
+        # 48 steps draw B^H by Cholesky; the manifest says which sampler ran
+        assert "\nfbm_method,cholesky\n" in manifest
 
     def test_solve_outputs(self, tmp_path):
         path = write_cfg(tmp_path, SMALL + f"out_dir = {tmp_path / 'out'}\n")
@@ -412,8 +414,8 @@ class TestCli:
         out = tmp_path / "out"
         for name in ("psi.csv", "triple_summary.csv", "residual_check.csv"):
             assert (out / name).exists()
-        # 48 steps draw B^H by Cholesky; the manifest says which sampler ran
-        assert "\nfbm_method,cholesky\n" in (out / "manifest.csv").read_text()
+        header = (out / "residual_check.csv").read_text().splitlines()[0]
+        assert header == "t_probe,residual,limit,holds"
 
     # no key may default to an absolute time that a short horizon leaves behind
     @pytest.mark.parametrize("command", ["sweep", "solve"])

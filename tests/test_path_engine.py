@@ -25,6 +25,7 @@ from sfrbsde.path_engine import (
     check_lemma_var_bound,
     circulant_eigenvalues,
     cholesky_factor,
+    eta_law_rows,
     eta_noise,
     fbm_cholesky,
     fbm_covariance,
@@ -357,6 +358,26 @@ class TestSimulateEta:
         for bad in (0.0, 1.5, -0.2):
             with pytest.raises(ValueError):
                 simulate_eta(coeffs, ensemble_t1, bad)
+
+
+class TestEtaLawRows:
+
+    def test_rows_carry_the_marginal_law(self):
+        # b and sigma2 vary in time, so every node has its own mean and std
+        grid = TimeGrid(T=1.0, n_steps=64)
+        coeffs = CoefficientSet.build(DeterministicFn.linear(1.0), ONE,
+                                      DeterministicFn.sinusoidal(1.0, 1.0), grid, H75)
+        eta, weights = eta_law_rows(coeffs, 0.5, eta0=0.25)
+        assert eta.shape == (path_engine.LAW_POINTS, grid.n_steps + 1)
+        assert weights.sum() == pytest.approx(1.0, rel=1e-14)
+        mean = 0.25 + 0.5**1.5 * coeffs.b_int_table
+        std = 0.5**0.75 * np.sqrt(coeffs.sigma_abs_sq_table)
+        assert np.allclose(weights @ eta, mean, rtol=1e-14, atol=1e-14)
+        assert np.allclose(weights @ (eta - mean) ** 2, std**2, rtol=1e-12, atol=0.0)
+        # a normal law's fourth central moment, 3 std^4
+        assert np.allclose(weights @ (eta - mean) ** 4, 3.0 * std**4, rtol=1e-12, atol=0.0)
+        # at t_0 every row is eta0
+        assert np.all(eta[:, 0] == 0.25)
 
 
 class TestDeterminism:
