@@ -436,7 +436,8 @@ class SweepConfig:
     """Policy knobs for an epsilon sweep (the path/PDE modules stay policy-free).
 
     `t0` 0 means 3T/4 (`window_t0`); `delta2` 0 means 2 sqrt(max sup-MSE),
-    or 1 when that is 0 (`checked_report`).
+    or 1 when that is 0 (`exceed_threshold`).  `n_paths` sets the work and
+    the standard errors; the sweep's memory does not grow with it.
     """
 
     n_paths: int = 10_000
@@ -456,7 +457,10 @@ class SweepConfig:
 @dataclass(frozen=True)
 class PerEpsilonStats:
     """One eps's window statistics, constants, exceedance and verdicts (lemma lhs:
-    z_err_integral; chebyshev_pass: exceed_prob against C4 eps^r / delta2^2 alone)."""
+    z_err_integral; exceed_prob: the share of all n_paths paths whose sup |dY|
+    over the window exceeds delta2, with its binomial exceed_stderr;
+    chebyshev_pass: exceed_prob against C4 eps^r / delta2^2 alone).  No
+    per-path value is kept."""
 
     epsilon: float
     t_lo: float
@@ -466,7 +470,6 @@ class PerEpsilonStats:
     z_err_stderr: float
     dy_integral: float
     dy_integral_stderr: float
-    path_sup_abs: np.ndarray
     constants: AveragingConstants
     exceed_prob: float
     exceed_stderr: float
@@ -480,6 +483,8 @@ class PerEpsilonStats:
 class SweepReport:
     """Per-epsilon error statistics, constants and claim verdicts, built by `checked_report`.
 
+    `delta2` is the exceedance threshold every eps was counted against
+    (`exceed_threshold`): the configured value or the one the sweep chose.
     `noise_draw_s` and `noise_wait_s` are the noise stream's producer busy
     seconds and the seconds the sweep waited on it (the `draw_s` and
     `wait_s` of `noise_stream`'s times): timings, not results, so equality
@@ -523,13 +528,16 @@ class _WindowFold:
     `_window_stats` reads them: dY and dZ come from one read each.  Per
     window column the fold keeps Chan's mergeable (count, mean, M2) of dY^2
     and the sums of Ybar^2, Zbar1^2 and Zbar2^2; over paths, the (mean, M2)
-    of the trapezoid integrals of |dY|^2 and |dZ|^2.  The one
-    per-path vector is sup |dY|, as the exceedance threshold delta2 may be
-    known only after the last block.
+    of the trapezoid integrals of |dY|^2 and |dZ|^2.  Of the paths' sup |dY|
+    it keeps in `kept` only those above `floor`, a value no greater than the
+    exceedance threshold delta2, which may be known only after the last
+    block: a dropped sup cannot exceed delta2, so the exceedance count read
+    from `kept` is exact.  `run_sweep` raises the floor after every block
+    (`raise_floor`).
     """
 
     def __init__(self, epsilon: float, i_lo: int, field_orig: SolutionField,
-                 field_avg: SolutionField, coeffs: CoefficientSet, n_paths: int, eta0: float):
+                 field_avg: SolutionField, coeffs: CoefficientSet, eta0: float):
         t = coeffs.grid.nodes
         self.i_lo = i_lo
         lo, hi = field_orig.x_nodes[0], field_orig.x_nodes[-1]
@@ -558,7 +566,13 @@ class _WindowFold:
         # the integrals of |dY|^2 and |dZ|^2 over paths
         self.int_mean = np.zeros(2)
         self.int_m2 = np.zeros(2)
-        self.sup_abs = np.empty(n_paths)
+        self.floor = 0.0
+        self.kept = np.empty(0)
+
+    def raise_floor(self, floor: float) -> None:
+        """Keep only the sup |dY| values above `floor` from here on."""
+        self.floor = floor
+        self.kept = self.kept[self.kept > floor]
 
     def result(self) -> dict:
         """The statistics of every path folded so far."""
@@ -574,13 +588,14 @@ class _WindowFold:
             "z_err_stderr": float(z_se),
             "dy_integral": float(self.int_mean[0]),
             "dy_integral_stderr": float(dy_se),
-            "path_sup_abs": self.sup_abs,
+            "kept_sup_abs": self.kept,
             "moments": tuple(float(m) for m in (self.sq_sums / n).max(axis=1)),
         }
 
 
 def _window_stats(fold: _WindowFold, noise: np.ndarray, start: int, ws: dict) -> None:
-    """Fold the block of paths start, start+1, ... (eps-free noise `noise`) into `fold`.
+    """Fold the block of paths start, start+1, ... (eps-free noise `noise`) into `fold`;
+    of the block's sup |dY| only those above `fold.floor` are kept.
 
     `ws` holds the flat buffers `run_sweep` allocates once, `frac`, `read`,
     `scratch` and `cell`, each read as its C-contiguous (block rows, window
@@ -598,7 +613,8 @@ def _window_stats(fold: _WindowFold, noise: np.ndarray, start: int, ws: dict) ->
     path_ints = np.empty((2, n_b))   # per path: the integrals of |dY|^2 and |dZ|^2
 
     dY = interp_at(d_y, cell, frac, read, scratch)
-    np.abs(dY, out=scratch).max(axis=1, out=fold.sup_abs[start:start + n_b])
+    sup_abs = np.abs(dY, out=scratch).max(axis=1)
+    fold.kept = np.concatenate((fold.kept, sup_abs[sup_abs > fold.floor]))
     dY_sq = np.square(dY, out=dY)
     np.matmul(dY_sq, fold.weights, out=path_ints[0])
     merge_moments(fold.count, fold.mean, fold.m2, dY_sq, scratch)
@@ -645,10 +661,14 @@ def run_sweep(
     joined before this returns or raises, and the stream's times, its
     `draw_s` and `wait_s`, are the report's `noise_draw_s` and
     `noise_wait_s`.  The sweep starts no thread, and the caller must run
-    none while it forks.  No n_paths x n_nodes array is ever held; what
-    grows with n_paths is one per-path vector per eps, sup |dY|.  Reruns are
-    byte-identical.  The folds' statistics go to `checked_report`,
-    which builds the frozen report once through the pure claim checks.
+    none while it forks.  Nothing the sweep holds grows with n_paths: after
+    each block every fold's floor is raised to delta2 when it is configured,
+    else to a lower bound of the auto delta2 (`exceed_threshold` of a lower
+    bound of the largest sup-MSE), and a fold keeps only the sup |dY| values
+    above its floor, which a path must pass to count as an exceedance.
+    Reruns are byte-identical.  The folds' statistics go to
+    `checked_report`, which builds the frozen report once through the pure
+    claim checks.
     """
     check_eps_list(eps_list)
     eps = [float(e) for e in eps_list]
@@ -679,7 +699,7 @@ def run_sweep(
              for e in eps]
     fields = solve_psis((original, averaged), term, coeffs, eps, cfg.pde, cfg.eta0,
                         first_row=min(i_los))
-    folds = [_WindowFold(e, i_lo, o, a, coeffs, cfg.n_paths, cfg.eta0)
+    folds = [_WindowFold(e, i_lo, o, a, coeffs, cfg.eta0)
              for e, i_lo, o, a in zip(eps, i_los, fields, fields[len(eps):])]
     del fields  # the folds hold copies of their window rows: this frees the batch
 
@@ -687,14 +707,31 @@ def run_sweep(
     size = min(block_rows(grid.n_nodes), cfg.n_paths) * grid.n_nodes
     ws = {name: np.empty(size) for name in ("frac", "read", "scratch")}
     ws["cell"] = np.empty(size, dtype=np.intp)
+    floor = cfg.delta2
     with noise_stream(coeffs, cfg.n_paths, cfg.rng) as (blocks, times):
         for start, noise in blocks:
             for fold in folds:
                 _window_stats(fold, noise, start, ws)
+            if not cfg.delta2:
+                # a lower bound of the final largest sup-MSE, as the paths still to
+                # come add >= 0 to every column's sum of dY^2; the 1e-9 margin
+                # covers the rounding of the running means
+                lower = max(f.count * float(f.mean.max()) for f in folds) / cfg.n_paths
+                floor = (1.0 - 1e-9) * exceed_threshold(0.0, lower) if lower > 0.0 else 0.0
+            for fold in folds:
+                fold.raise_floor(floor)
 
     report = checked_report([fold.result() for fold in folds], [float(f.t[0]) for f in folds],
                             eps, T, t0, L, C1, phi, hurst, cfg, fbar.panels, fbar.nodes)
     return replace(report, noise_draw_s=times.draw_s, noise_wait_s=times.wait_s)
+
+
+def exceed_threshold(delta2: float, sup_mse: float) -> float:
+    """The exceedance threshold delta2: the configured `delta2`, else 2 sqrt(sup_mse)
+    for the largest sup-MSE over eps, else 1.  A degenerate sweep has sup-MSE
+    identically 0; any positive threshold then gives exceedance 0 and a
+    trivial Chebyshev pass."""
+    return float(delta2 or 2.0 * math.sqrt(sup_mse) or 1.0)
 
 
 def checked_report(raws: Sequence[dict], us: Sequence[float], eps: Sequence[float], T: float,
@@ -702,25 +739,23 @@ def checked_report(raws: Sequence[dict], us: Sequence[float], eps: Sequence[floa
                    cfg: SweepConfig, fbar_panels: int, fbar_nodes: int) -> SweepReport:
     """The sweep report, built once from each eps's window statistics `raws`
     (`_WindowFold.result()`) and window start `us`: its constants, delta2,
-    exceedance frequency and every claim verdict.  The Chebyshev verdict
+    exceedance frequency (the kept sup |dY| above delta2, over cfg.n_paths
+    paths) and every claim verdict.  The Chebyshev verdict
     compares the exceedance frequency with the theorem's bound only
     (`check_chebyshev`)."""
-    # degenerate sweeps have sup-MSE identically 0; any positive threshold
-    # then gives exceedance 0 and a trivial Chebyshev pass
-    delta2 = float(cfg.delta2 or 2.0 * math.sqrt(max(r["sup_mse"] for r in raws)) or 1.0)
+    delta2 = exceed_threshold(cfg.delta2, max(r["sup_mse"] for r in raws))
     slope, epsilon1 = check_theorem_rate(eps, [r["sup_mse"] for r in raws], cfg.delta1)
     stats = []
     for epsilon, u, raw in zip(eps, us, raws):
         constants = compute_constants(L, C1, phi, u, T, epsilon, cfg.beta, hurst, raw["moments"])
-        exceed = raw["path_sup_abs"] > delta2
-        p_hat = float(exceed.mean())
-        p_se = math.sqrt(max(p_hat * (1.0 - p_hat), 0.0) / exceed.size)
+        p_hat = float(np.count_nonzero(raw["kept_sup_abs"] > delta2) / cfg.n_paths)
+        p_se = math.sqrt(max(p_hat * (1.0 - p_hat), 0.0) / cfg.n_paths)
         rhs, lemma1_ok = check_lemma1(raw["z_err_integral"], raw["z_err_stderr"],
                                       raw["dy_integral"], raw["dy_integral_stderr"],
                                       constants.L1, constants.C2, T - u)
         stats.append(PerEpsilonStats(
             epsilon=epsilon, t_lo=u, constants=constants,
-            **{k: v for k, v in raw.items() if k != "moments"},
+            **{k: v for k, v in raw.items() if k not in ("moments", "kept_sup_abs")},
             exceed_prob=p_hat, exceed_stderr=p_se, lemma1_rhs=rhs, lemma1_pass=lemma1_ok,
             c4_pass=bool(raw["sup_mse"] <= constants.theorem_bound),
             chebyshev_pass=check_chebyshev(p_hat, p_se, constants.theorem_bound, delta2),

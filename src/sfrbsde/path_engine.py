@@ -16,7 +16,8 @@ dB and dB^H come from distinct purposes and are therefore independent.
 
 `sweep` and `simulate-fbm` draw their paths in the blocks of `path_blocks`
 and merge each block into running moments (`merge_moments`), so their
-memory does not grow with the number of paths; `solve` draws none.  The
+memory does not grow with the number of paths (the sweep keeps a path's
+sup |dY| only while it can still exceed delta2); `solve` draws none.  The
 sweep takes its blocks' eps-free noise from `noise_stream`, one function
 that holds both ends of one pipe: its producer loop, run in a process
 forked for the stream, draws the next blocks into a shared ring of
@@ -57,9 +58,14 @@ _PURPOSE_FBM = 2
 # an n^2 factor row per path starts to hurt.
 CHOLESKY_MAX_STEPS = 512
 
-# paths stream in blocks of ~2^17 (path, t) cells, whose read temporaries stay
-# cache-resident (reading all rows at once was ~35% slower)
-BLOCK_CELLS = 1 << 17
+# paths stream in blocks of ~2^16 (path, t) cells: the smallest size measured
+# at no time cost (2-core x86_64, one BLAS thread, median ratios of paired
+# sweep times).  2^16 against 2^17 read 0.96 on sweep-paths60k and 1.00 on
+# sweep-crit7 (10 interleaved pairs in one process), 2^15 against 2^16 read
+# 1.12 and 1.10 (6 pairs of fresh processes).  Halving from 2^17 halved the
+# noise ring's slots and the fold's four buffers.  Reading all rows at once
+# was ~35% slower.
+BLOCK_CELLS = 1 << 16
 
 # a noise stream's ring: the block being read, the next one ready and one being drawn
 STREAM_SLOTS = 3

@@ -216,7 +216,7 @@ def array_window_stats(grid, i_lo, dY, dZ_sq, Ya, Z1a, Z2a):
         "z_err_stderr": float(z_int.std(ddof=1) / np.sqrt(n_paths)),
         "dy_integral": float(dy_int.mean()),
         "dy_integral_stderr": float(dy_int.std(ddof=1) / np.sqrt(n_paths)),
-        "path_sup_abs": sup_abs,
+        "kept_sup_abs": sup_abs,   # every path kept: a superset of the fold's
         "moments": moments,
     }
 

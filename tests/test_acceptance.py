@@ -230,7 +230,7 @@ def test_criterion_6_representation_identities():
                                 trip.Z1 * coeffs.sigma2(t)[None, :])
     mal = malliavin_representation_check(trip, field, coeffs)
 
-    worst_resid = 0.0
+    worst_resid = -np.inf
     for gen, term in ((Generator.zero(), TerminalCondition.identity()),
                       (Generator.zero(), TerminalCondition.square()),
                       (Generator.linear_y(0.1), TerminalCondition.identity())):

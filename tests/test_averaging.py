@@ -623,10 +623,11 @@ def exceeding(fraction, n=10):
 def hand_made_report(eps, mse, sup_abs=None, delta1=1.0, delta2=1.0, fbar_panels=0):
     """`checked_report` on hand-made window statistics: T = 1, every window from
     u = 0, L = 1, C1 = 0.9, phi = 0, beta = 0 and zero averaged moments, so
-    C2 = 0 and the lemma's sides are 0; `sup_abs` gives each eps's sup |dY| per path."""
+    C2 = 0 and the lemma's sides are 0; `sup_abs` gives each eps's sup |dY| of
+    every path, all passed as kept values."""
     sup_abs = sup_abs or [np.zeros(4)] * len(eps)
     raws = [dict(sup_mse=m, sup_mse_stderr=0.0, z_err_integral=0.0, z_err_stderr=0.0,
-                 dy_integral=0.0, dy_integral_stderr=0.0, path_sup_abs=a,
+                 dy_integral=0.0, dy_integral_stderr=0.0, kept_sup_abs=a,
                  moments=(0.0, 0.0, 0.0))
             for m, a in zip(mse, sup_abs)]
     cfg = SweepConfig(n_paths=sup_abs[0].size, beta=0.0, delta1=delta1, delta2=delta2)
@@ -911,6 +912,12 @@ def assert_reports_match(got, want, rtol):
                               rtol, f"eps={b.epsilon} constants.{f.name}")
 
 
+def assert_exceedance_equal(got, want):
+    """Each eps's exceed_prob and exceed_stderr bit for bit."""
+    assert [(s.exceed_prob, s.exceed_stderr) for s in got.stats] \
+        == [(s.exceed_prob, s.exceed_stderr) for s in want.stats]
+
+
 @pytest.fixture(scope="module")
 def coeffs128():
     return CoefficientSet.build(ZERO, ONE, ONE, TimeGrid(T=1.0, n_steps=128), H75)
@@ -936,8 +943,9 @@ class TestStreamedSweep:
                 (0.5, 0.3, 0.2), cfg)
         got = run_sweep(*args)
         want = whole_ensemble_sweep(*args)
-        assert got.stats[0].path_sup_abs.shape == (n_paths,)
         assert_reports_match(got, want, rtol=1e-12)
+        # the oracle keeps every path's sup |dY|, the sweep only those above its floor
+        assert_exceedance_equal(got, want)
 
     def test_matches_whole_ensemble_oracle_with_time_varying_coefficients(self):
         # the fold's grid offsets c_k carry the drift integral and its Z weights
@@ -948,7 +956,57 @@ class TestStreamedSweep:
                                       TimeGrid(T=1.0, n_steps=128), H75)
         cfg = replace(STREAM_CFG, n_paths=2 * block_rows(coeffs.grid.n_nodes) + 37)
         args = (benchmark_generator(1.0), coeffs, TerminalCondition.square(), (0.5, 0.3, 0.2), cfg)
-        assert_reports_match(run_sweep(*args), whole_ensemble_sweep(*args), rtol=1e-12)
+        got, want = run_sweep(*args), whole_ensemble_sweep(*args)
+        assert_reports_match(got, want, rtol=1e-12)
+        assert_exceedance_equal(got, want)
+
+    @pytest.fixture
+    def floors(self, monkeypatch):
+        """Every floor `run_sweep` raises a fold to, with the fold's kept count after it."""
+        seen = []
+        raise_floor = averaging_lab._WindowFold.raise_floor
+
+        def recording(fold, floor):
+            raise_floor(fold, floor)
+            seen.append((floor, fold.kept.size))
+
+        monkeypatch.setattr(averaging_lab._WindowFold, "raise_floor", recording)
+        return seen
+
+    def exceedance_case(self, floors, generator, **cfg):
+        """run_sweep against the oracle, which keeps every path's sup |dY|, on 64
+        steps and 2500 paths (three blocks, the last one partial); returns the
+        sweep's report once its exceedance matches and no floor passed its delta2."""
+        coeffs = CoefficientSet.build(ZERO, ONE, ONE, TimeGrid(T=1.0, n_steps=64), H75)
+        cfg = replace(STREAM_CFG, n_paths=2500, **cfg)
+        assert cfg.n_paths > 2 * block_rows(coeffs.grid.n_nodes)
+        args = (generator, coeffs, TerminalCondition.square(), (0.5, 0.3, 0.2), cfg)
+        floors.clear()
+        got = run_sweep(*args)
+        assert_exceedance_equal(got, whole_ensemble_sweep(*args))
+        assert max(floor for floor, _ in floors) <= got.delta2
+        return got
+
+    def test_kept_sup_count_is_exact_with_auto_delta2(self, floors):
+        for seed in range(10):
+            rep = self.exceedance_case(floors, benchmark_generator(1.0), rng=RngSpec(seed=seed))
+            assert rep.stats[0].exceed_prob > 0.0
+            # the floor rose above 0 and dropped paths: what is kept is not every path
+            assert min(floor for floor, _ in floors) > 0.0
+            assert max(kept for _, kept in floors) < 2500
+
+    def test_kept_sup_count_is_exact_with_configured_delta2(self, floors):
+        rep = self.exceedance_case(floors, benchmark_generator(1.0), delta2=0.1)
+        assert rep.delta2 == 0.1
+        assert all(s.exceed_prob > 0.0 for s in rep.stats)
+        assert {floor for floor, _ in floors} == {0.1}
+
+    def test_kept_sup_count_is_exact_when_dy_is_zero(self, floors):
+        # f ignores t, so f-bar is f and dY is identically 0: delta2 falls back to 1
+        rep = self.exceedance_case(floors, Generator.zero())
+        assert rep.delta2 == 1.0 and all(s.sup_mse == 0.0 for s in rep.stats)
+        assert all(s.exceed_prob == 0.0 for s in rep.stats)
+        assert floors == [(0.0, 0)] * len(floors)
 
     def sweep(self, coeffs, n_paths):
         return run_sweep(benchmark_generator(1.0), coeffs, TerminalCondition.square(),
@@ -1019,8 +1077,8 @@ class TestStreamedSweep:
         small, mid, large = (peak(n) for n in (1500, 6000, 24000))
         # no n_paths x n_nodes array is held
         assert mid - small < 8 * 1500 * coeffs128.grid.n_nodes
-        # of the per-path vectors only sup |dY| is kept: 8 B per path and eps, with slack
-        assert large - mid < 1.5 * 8 * len(args[3]) * (24000 - 6000)
+        # no per-path vector is kept: less than one 8-byte value per path in total
+        assert large - mid < 8 * (24000 - 6000)
 
     def test_warm_block_fold_allocates_no_block(self, coeffs128):
         grid = coeffs128.grid
@@ -1029,11 +1087,15 @@ class TestStreamedSweep:
                             STREAM_CFG.pde, STREAM_CFG.eta0)
                   for gen in (benchmark_generator(1.0),
                               build_fbar(benchmark_generator(1.0), 1.0, box_points()).as_generator())]
-        fold = averaging_lab._WindowFold(0.5, 20, *fields, coeffs128, 2 * rows, STREAM_CFG.eta0)
+        fold = averaging_lab._WindowFold(0.5, 20, *fields, coeffs128, STREAM_CFG.eta0)
         ws = {name: np.empty(rows * grid.n_nodes) for name in ("frac", "read", "scratch")}
         ws["cell"] = np.empty(rows * grid.n_nodes, dtype=np.intp)
         noise = eta_noise(coeffs128, make_ensemble(grid, H75, rows, STREAM_CFG.rng))
         averaging_lab._window_stats(fold, noise, 0, ws)
+        first = fold.kept.copy()
+        assert first.size == rows   # floor 0: every sup |dY| of the block is kept
+        floor = float(np.median(first))
+        fold.raise_floor(floor)
         tracemalloc.start()
         try:
             averaging_lab._window_stats(fold, noise, rows, ws)
@@ -1041,7 +1103,10 @@ class TestStreamedSweep:
         finally:
             tracemalloc.stop()
         # both blocks are merged into the moments, and count is advanced after them
-        assert fold.count == 2 * rows == fold.sup_abs.size
+        assert fold.count == 2 * rows
+        # the same noise twice: each block kept its sups above the floor, in path order
+        above = first[first > floor]
+        np.testing.assert_array_equal(fold.kept, np.concatenate((above, above)))
         assert np.all(fold.int_m2 > 0.0)
         assert peak < 8 * rows * grid.n_nodes
 
@@ -1063,7 +1128,7 @@ class TestStreamedSweep:
                 build_fbar(benchmark_generator(1.0), 1.0, box_points()).as_generator())
         fields = solve_psis(gens, TerminalCondition.square(), coeffs128, (0.5, 0.3),
                             STREAM_CFG.pde, STREAM_CFG.eta0)
-        fold = averaging_lab._WindowFold(0.5, 20, fields[0], fields[2], coeffs128, 10,
+        fold = averaging_lab._WindowFold(0.5, 20, fields[0], fields[2], coeffs128,
                                          STREAM_CFG.eta0)
         held = [v for v in vars(fold).values() if isinstance(v, np.ndarray)]
         held += [array for table in fold.tables for array in table]
